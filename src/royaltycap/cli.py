@@ -108,8 +108,7 @@ def _cmd_solve(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     rows = []
     for i, agent in enumerate(inst.agents):
         ths = _theta_grid(agent, cfg.theta_points)
-        q, t_curve, _ = verify._interim_transfer_curve(inst, i, tables)
-        tgrid = tables.agents[i].theta
+        tgrid, t_curve = tables.agents[i].theta, tables.agents[i].interim_transfer
         for th in ths:
             th = float(th)
             rows.append([

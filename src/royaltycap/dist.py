@@ -20,11 +20,8 @@ never share mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConstructionError, DomainError
@@ -40,16 +37,77 @@ _EDGE_NUDGE = 1e-9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Univariate:
-    """Bounded continuous distribution with vectorized cdf/pdf/ppf."""
+class _Standardized:
+    """Law on [lo, hi] given by a standard form on [0, 1], shifted by ``loc``
+    and stretched by ``scale``.
 
-    lo: float
-    hi: float
-    cdf: Callable
-    pdf: Callable
-    ppf: Callable
-    mean: float
+    The arithmetic mirrors ``scipy.stats`` (``cdf = _cdf((x - loc) / scale)``,
+    ``ppf = _ppf(q) * scale + loc``), so quantiles, and with them every seeded
+    type draw, are bit-identical to the scipy laws they replace.
+    """
+
+    def __init__(self, lo: float, hi: float, mean: float, knots):
+        self.lo, self.hi, self.mean = lo, hi, mean
+        self.loc, self.scale = lo, hi - lo
+        self.knots = np.asarray(knots, dtype=float)
+
+    def _z(self, x):
+        return (np.asarray(x, dtype=float) - self.loc) / self.scale
+
+    def cdf(self, x):
+        z = self._z(x)
+        out = np.where(z <= 0, 0.0, np.where(z >= 1, 1.0, self._cdf(np.clip(z, 0, 1))))
+        return out[()]
+
+    def pdf(self, x):
+        z = self._z(x)
+        out = np.where((z >= 0) & (z <= 1), self._pdf(np.clip(z, 0, 1)) / self.scale,
+                       np.where(np.isnan(z), np.nan, 0.0))
+        return out[()]
+
+    def ppf(self, q):
+        q = np.asarray(q, dtype=float)
+        ok = (q >= 0) & (q <= 1)
+        out = np.where(ok, self._ppf(np.where(ok, q, 0.0)) * self.scale + self.loc, np.nan)
+        return out[()]
+
+
+class _Uniform(_Standardized):
+    def __init__(self, lo: float, hi: float):
+        super().__init__(lo, hi, 0.5 * (lo + hi), [lo, hi])
+
+    def _cdf(self, z):
+        return z
+
+    def _pdf(self, z):
+        return np.ones_like(z)
+
+    def _ppf(self, q):
+        return q
+
+
+class _Triangular(_Standardized):
+    """Triangular law; standard mode ``c = (mode - lo) / (hi - lo)``."""
+
+    def __init__(self, lo: float, mode: float, hi: float):
+        super().__init__(lo, hi, (lo + mode + hi) / 3.0, [lo, mode, hi])
+        self.c = (mode - lo) / (hi - lo)
+
+    # scipy's branches: z < c rises, the rest falls; the unused branch may
+    # divide by zero when the mode is an endpoint
+    def _cdf(self, z):
+        c = self.c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(z < c, z * z / c, (z * z - 2 * z + c) / (c - 1))
+
+    def _pdf(self, z):
+        c = self.c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(z < c, 2 * z / c, np.where(c == 1, 2 * z, 2 * (1 - z) / (1 - c)))
+
+    def _ppf(self, q):
+        c = self.c
+        return np.where(q < c, np.sqrt(c * q), 1 - np.sqrt((1 - c) * (1 - q)))
 
 
 class _TableCdf:
@@ -57,7 +115,8 @@ class _TableCdf:
 
     The pdf is the analytic derivative of the interpolant; the ppf inverts a
     dense precomputed table (PCHIP preserves monotonicity, so the inverse is
-    well defined).
+    well defined).  The law is a cubic polynomial between grid points, which
+    are its ``knots``.
     """
 
     def __init__(self, grid, values):
@@ -74,12 +133,18 @@ class _TableCdf:
         values = values.copy()
         values[0], values[-1] = 0.0, 1.0
         self.lo, self.hi = float(grid[0]), float(grid[-1])
+        self.knots = grid
         self._cdf = PchipInterpolator(grid, values, extrapolate=False)
         self._pdf = self._cdf.derivative()
         dense = np.linspace(self.lo, self.hi, 8193)
         fd = np.asarray(self._cdf(dense))
         keep = np.concatenate(([True], np.diff(fd) > 0))
         self._inv_f, self._inv_x = fd[keep], dense[keep]
+        # mean = lo + int (1 - F); Gauss-Legendre with 4 nodes is exact on each cubic piece
+        x, w = np.polynomial.legendre.leggauss(4)
+        half = 0.5 * np.diff(grid)[:, None]
+        nodes = 0.5 * (grid[:-1] + grid[1:])[:, None] + half * x
+        self.mean = self.lo + float(np.sum(half * w * (1.0 - self._cdf(nodes))))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -97,13 +162,14 @@ class _TableCdf:
         return out if np.ndim(u) else float(out)
 
 
-def _build_univariate(family: str, params: dict) -> _Univariate:
+def _build_univariate(family: str, params: dict):
+    """Closed-form bounded law with vectorized cdf/pdf/ppf, its support
+    [lo, hi], its mean and the knots where it is not smooth."""
     if family == "uniform":
         lo, hi = float(params["lo"]), float(params["hi"])
         if not lo < hi:
             raise ConstructionError(f"uniform bounds must satisfy lo < hi, got [{lo}, {hi}]")
-        d = stats.uniform(loc=lo, scale=hi - lo)
-        return _Univariate(lo, hi, d.cdf, d.pdf, d.ppf, 0.5 * (lo + hi))
+        return _Uniform(lo, hi)
     if family == "triangular":
         lo, hi = float(params["lo"]), float(params["hi"])
         mode = float(params.get("mode", hi))
@@ -111,12 +177,9 @@ def _build_univariate(family: str, params: dict) -> _Univariate:
             raise ConstructionError(f"triangular bounds must satisfy lo < hi, got [{lo}, {hi}]")
         if not lo <= mode <= hi:
             raise ConstructionError(f"triangular mode {mode} outside [{lo}, {hi}]")
-        d = stats.triang(c=(mode - lo) / (hi - lo), loc=lo, scale=hi - lo)
-        return _Univariate(lo, hi, d.cdf, d.pdf, d.ppf, (lo + mode + hi) / 3.0)
+        return _Triangular(lo, mode, hi)
     if family == "table":
-        t = _TableCdf(params["grid"], params["cdf"])
-        m = t.lo + quad(lambda x: 1.0 - t.cdf(x), t.lo, t.hi, epsabs=1e-12, epsrel=1e-10)[0]
-        return _Univariate(t.lo, t.hi, t.cdf, t.pdf, t.ppf, m)
+        return _TableCdf(params["grid"], params["cdf"])
     raise ConstructionError(f"unknown distribution family {family!r}")
 
 
@@ -134,7 +197,7 @@ class TypeDist:
     params: dict = field(repr=False)
     lo: float
     hi: float
-    _backend: _Univariate = field(repr=False)
+    _backend: object = field(repr=False)
 
     def cdf(self, theta):
         return self._backend.cdf(theta)
@@ -201,9 +264,13 @@ class IncomeFamily:
       family closed form, which extends continuously beyond the support
       edge (one-sided limits at the boundary);
     * ``ppf(u, theta)`` -- conditional quantile, used for inverse-transform
-      sampling.
+      sampling;
+    * ``breakpoints(theta)`` -- for a 1-d array of types, one row per type of
+      the income levels (support ends included) between which the law is a
+      polynomial in income.  The mechanism kernels split their income
+      integrals there.
 
-    All methods accept scalars or broadcastable arrays.
+    All other methods accept scalars or broadcastable arrays.
     """
 
     family: str = "abstract"
@@ -234,6 +301,9 @@ class IncomeFamily:
     def ppf(self, u, theta):
         raise NotImplementedError
 
+    def breakpoints(self, theta):
+        raise NotImplementedError
+
 
 class AdditiveErrorFamily(IncomeFamily):
     """Income = type + mean-zero error: pi = theta + eps.
@@ -244,7 +314,7 @@ class AdditiveErrorFamily(IncomeFamily):
 
     family = "additive_error"
 
-    def __init__(self, error: _Univariate, params: dict):
+    def __init__(self, error, params: dict):
         super().__init__(params)
         self._err = error
 
@@ -270,6 +340,9 @@ class AdditiveErrorFamily(IncomeFamily):
     def ppf(self, u, theta):
         return np.asarray(theta, dtype=float) + self._err.ppf(u)
 
+    def breakpoints(self, theta):
+        return np.asarray(theta, dtype=float)[:, None] + self._err.knots
+
 
 class ScaledErrorFamily(IncomeFamily):
     """Income = type + (1 - type) * error: pi = theta + (1 - theta) eps.
@@ -281,7 +354,7 @@ class ScaledErrorFamily(IncomeFamily):
 
     family = "scaled_error"
 
-    def __init__(self, error: _Univariate, params: dict):
+    def __init__(self, error, params: dict):
         super().__init__(params)
         self._err = error
 
@@ -334,6 +407,10 @@ class ScaledErrorFamily(IncomeFamily):
         theta = np.asarray(theta, dtype=float)
         return theta + self._scale(theta) * self._err.ppf(u)
 
+    def breakpoints(self, theta):
+        theta = np.asarray(theta, dtype=float)[:, None]
+        return theta + self._scale(theta) * self._err.knots
+
 
 class TableIncomeFamily(IncomeFamily):
     """Tabulated conditional CDFs: monotone-cubic in income, linear in type.
@@ -342,8 +419,11 @@ class TableIncomeFamily(IncomeFamily):
     table per knot.  Between knots the conditional law is the mixture of the
     two neighboring rows, which preserves the FOSD ordering and the mean
     normalization exactly and makes dG/dtheta piecewise constant in type.
-    The support between knots is accordingly the union of the neighboring
-    rows' supports (a step function of the type).
+    The support on [theta_j, theta_j+1) is accordingly the union of the two
+    rows' supports (a right-continuous step function of the type; the last
+    knot closes the last interval).  At a knot this includes the part of
+    row j+1's support where the density is zero: it is where the one-sided
+    dG/dtheta lives.
     """
 
     family = "table"
@@ -367,12 +447,16 @@ class TableIncomeFamily(IncomeFamily):
             raise ConstructionError("income table rows must be FOSD-ordered in theta")
         # mean normalization per knot: E[pi | theta_j] = theta_j
         for j, r in enumerate(self._rows):
-            m = r.lo + quad(lambda x: 1.0 - r.cdf(x), r.lo, r.hi,
-                            epsabs=1e-12, epsrel=1e-10, limit=200)[0]
-            if abs(m - self._tg[j]) > 1e-6:
+            if abs(r.mean - self._tg[j]) > 1e-6:
                 raise ConstructionError(
-                    f"income table row {j} has mean {m:.8g}, expected {self._tg[j]:.8g}")
+                    f"income table row {j} has mean {r.mean:.8g}, expected {self._tg[j]:.8g}")
         self._los, self._his = los, his
+        # between knots j and j+1 the law is cubic between the union of both
+        # rows' grid points (padded to a common width by repeating the last)
+        pairs = [np.concatenate([a.knots, b.knots])
+                 for a, b in zip(self._rows[:-1], self._rows[1:])]
+        width = max(p.size for p in pairs)
+        self._bp = np.array([np.pad(p, (0, width - p.size), mode="edge") for p in pairs])
 
     def _row_cdf(self, j, pi):
         r = self._rows[j]
@@ -386,51 +470,42 @@ class TableIncomeFamily(IncomeFamily):
         return j, np.clip(w, 0.0, 1.0)
 
     def supp_lo(self, theta):
-        j, w = self._locate(np.asarray(theta, dtype=float))
-        out = np.where(w <= 0, self._los[j],
-                       np.where(w >= 1, self._los[j + 1],
-                                np.minimum(self._los[j], self._los[j + 1])))
+        j = self._locate(theta)[0]
+        out = np.minimum(self._los[j], self._los[j + 1])
         return out if np.ndim(theta) else float(out)
 
     def supp_hi(self, theta):
-        j, w = self._locate(np.asarray(theta, dtype=float))
-        out = np.where(w <= 0, self._his[j],
-                       np.where(w >= 1, self._his[j + 1],
-                                np.maximum(self._his[j], self._his[j + 1])))
+        j = self._locate(theta)[0]
+        out = np.maximum(self._his[j], self._his[j + 1])
         return out if np.ndim(theta) else float(out)
 
-    def cdf(self, pi, theta):
-        pi, theta = np.broadcast_arrays(np.asarray(pi, dtype=float),
-                                        np.asarray(theta, dtype=float))
+    def _by_interval(self, fn, pi, theta):
+        """``fn(j, pi, w)`` on each knot interval j of the types, over the
+        broadcast of pi and theta (types are located before broadcasting)."""
+        pi = np.asarray(pi, dtype=float)
         j, w = self._locate(theta)
-        out = np.empty(pi.shape)
+        out = np.empty(np.broadcast_shapes(pi.shape, j.shape))
         for jj in np.unique(j):
-            m = j == jj
-            out[m] = ((1.0 - w[m]) * self._row_cdf(jj, pi[m])
-                      + w[m] * self._row_cdf(jj + 1, pi[m]))
+            m = np.broadcast_to(j == jj, out.shape)
+            out[m] = fn(jj, np.broadcast_to(pi, out.shape)[m],
+                        np.broadcast_to(w, out.shape)[m])
         return out if out.ndim else float(out)
+
+    def cdf(self, pi, theta):
+        return self._by_interval(
+            lambda j, p, w: (1.0 - w) * self._row_cdf(j, p) + w * self._row_cdf(j + 1, p),
+            pi, theta)
 
     def pdf(self, pi, theta):
-        pi, theta = np.broadcast_arrays(np.asarray(pi, dtype=float),
-                                        np.asarray(theta, dtype=float))
-        j, w = self._locate(theta)
-        out = np.empty(pi.shape)
-        for jj in np.unique(j):
-            m = j == jj
-            out[m] = ((1.0 - w[m]) * self._rows[jj].pdf(pi[m])
-                      + w[m] * self._rows[jj + 1].pdf(pi[m]))
-        return out if out.ndim else float(out)
+        return self._by_interval(
+            lambda j, p, w: (1.0 - w) * self._rows[j].pdf(p) + w * self._rows[j + 1].pdf(p),
+            pi, theta)
 
     def dcdf_dtheta(self, pi, theta):
-        pi, theta = np.broadcast_arrays(np.asarray(pi, dtype=float),
-                                        np.asarray(theta, dtype=float))
-        j, _ = self._locate(theta)
-        out = np.empty(pi.shape)
-        for jj in np.unique(j):
-            m = j == jj
-            dt = self._tg[jj + 1] - self._tg[jj]
-            out[m] = (self._row_cdf(jj + 1, pi[m]) - self._row_cdf(jj, pi[m])) / dt
-        return out if out.ndim else float(out)
+        return self._by_interval(
+            lambda j, p, w: ((self._row_cdf(j + 1, p) - self._row_cdf(j, p))
+                             / (self._tg[j + 1] - self._tg[j])),
+            pi, theta)
 
     def g2_over_g(self, pi, theta):
         num = self.dcdf_dtheta(pi, theta)
@@ -449,6 +524,9 @@ class TableIncomeFamily(IncomeFamily):
             out[k] = self._ppf_scalar(flat_u[k], flat_t[k])
         out = out.reshape(u.shape)
         return out if out.ndim else float(out)
+
+    def breakpoints(self, theta):
+        return self._bp[self._locate(theta)[0]]
 
     def _ppf_scalar(self, u, theta):
         lo = float(self.supp_lo(theta))

@@ -18,14 +18,22 @@ sensitivity capped at phi.  The central quantities:
   ``q(z) (1 - Phi(z))`` below his type, so truthful reporting is a dominant
   strategy.
 
-Everything here evaluates by adaptive quadrature and bisection against the
-distribution objects from :mod:`royaltycap.dist`; ``MechanismTables`` caches
-dense grids of the same quantities for the simulator.
+Two vectorized kernels are the only implementation of these quantities:
+``_pi_star_vec`` (a 65-point single-crossing scan of each type's income
+support, then bisection) and ``_mech_curves`` (psi, Phi, E[pi - royalty]).
+Income integrals over the audit region are split at the income law's
+breakpoints (``IncomeFamily.breakpoints``) and integrated piece by piece
+with the 2-point Gauss-Legendre rule, exact because the supported laws are
+polynomials of degree <= 3 between breakpoints.  The scalar entry points
+wrap the kernels; ``MechanismTables`` holds dense grids of the same
+quantities and the interim transfer curve, built once per instance.
+Adaptive quadrature is left to the outer integrals over types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,9 +51,14 @@ from .errors import (
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 # relative nudge for one-sided limits at support endpoints
 _NU = 1e-9
-_GL64 = np.polynomial.legendre.leggauss(64)
 _GL32 = np.polynomial.legendre.leggauss(32)
-_GL4 = np.polynomial.legendre.leggauss(4)
+# exact per piece: the income integrands are at most cubic between breakpoints
+_GL2 = np.polynomial.legendre.leggauss(2)
+# types per kernel block: bounds the (types x quadrature nodes) arrays, which
+# reach ~170 nodes per type on a tabulated income family
+_BLOCK = 256
+# points of the dense type grid behind MechanismTables
+_TABLE_POINTS = 8193
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +82,10 @@ class AuctionInstance:
     @property
     def n_agents(self) -> int:
         return len(self.agents)
+
+    @cached_property
+    def _tables(self) -> "MechanismTables":
+        return MechanismTables.build(self)
 
 
 @dataclass(frozen=True)
@@ -125,13 +142,6 @@ def myerson_virtual(agent: AgentSpec, theta):
     return out if np.ndim(out) else float(out)
 
 
-def _audit_surplus_grid(agent: AgentSpec, theta: float, pis):
-    """mu * phi - c at fixed theta for an array of incomes."""
-    ih = inverse_hazard(agent.types, theta)
-    ratio = -np.asarray(agent.income.g2_over_g(pis, theta), dtype=float)
-    return ratio * (ih * agent.sensitivity) - agent.audit_cost
-
-
 def _income_bounds(agent: AgentSpec, theta):
     fam = agent.income
     lo = np.asarray(fam.supp_lo(theta), dtype=float)
@@ -151,59 +161,18 @@ def audit_threshold(agent: AgentSpec, theta) -> float:
     Bisection resolves the crossing to absolute tolerance below 1e-10.
     """
     agent.types._check_domain(theta)
-    theta = float(theta)
-    lo, hi = (float(x) for x in _income_bounds(agent, theta))
-    phi, c = agent.sensitivity, agent.audit_cost
-    ih = inverse_hazard(agent.types, theta)
-    if phi * ih == 0.0:  # covers phi == 0 and the top type
-        return hi if c == 0.0 else 0.0
-    width = hi - lo
-    probe = np.linspace(lo + _NU * width, hi - _NU * width, 65)
-    s = _audit_surplus_grid(agent, theta, probe)
-    if np.any(s < 0):
-        k = int(np.argmax(s < 0))
-        if np.any(s[k:] > 0):
-            raise RegularityError(
-                f"mu*phi - c is not single-crossing in income at theta={theta}")
-    if s[0] < 0:
-        return 0.0
-    if s[-1] >= 0:
-        return hi
-    a, b = lo, hi
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        if _audit_surplus_grid(agent, theta, np.array([m]))[0] >= 0:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return float(_pi_star_vec(agent, np.array([float(theta)]))[0])
 
 
-def _audit_gain(agent: AgentSpec, theta: float) -> float:
-    """E[(mu*phi - c)_+ | theta], the expected net benefit of auditing."""
-    phi, c = agent.sensitivity, agent.audit_cost
-    if phi == 0.0:
-        return 0.0
-    lo, hi = (float(x) for x in _income_bounds(agent, theta))
-    pstar = audit_threshold(agent, theta)
-    b = min(pstar, hi)
-    if b <= lo:
-        return 0.0
-
-    def f(x):
-        return (_audit_surplus_grid(agent, theta, np.array([x]))[0]
-                * agent.income.pdf(x, theta))
-
-    val, _ = quad(f, lo, b, **_QUAD_OPTS)
-    return val
+def _curves_at(agent: AgentSpec, theta):
+    agent.types._check_domain(theta)
+    return _mech_curves(agent, np.atleast_1d(np.asarray(theta, dtype=float)))
 
 
 def virtual_value(agent: AgentSpec, theta):
     """Virtual value psi = Myerson virtual value + expected audit gain."""
-    if np.ndim(theta):
-        return np.array([virtual_value(agent, float(t)) for t in np.asarray(theta)])
-    agent.types._check_domain(theta)
-    return myerson_virtual(agent, theta) + _audit_gain(agent, float(theta))
+    psi = _curves_at(agent, theta)[1]
+    return psi if np.ndim(theta) else float(psi[0])
 
 
 def phi_cap(agent: AgentSpec, theta) -> float:
@@ -213,18 +182,7 @@ def phi_cap(agent: AgentSpec, theta) -> float:
     and 0 when auditing never pays.  (The integrand vanishes below the
     income support, so integration starts at supp_lo.)
     """
-    agent.types._check_domain(theta)
-    theta = float(theta)
-    phi = agent.sensitivity
-    if phi == 0.0:
-        return 0.0
-    lo, hi = (float(x) for x in _income_bounds(agent, theta))
-    pstar = audit_threshold(agent, theta)
-    b = min(pstar, hi)
-    if b <= lo:
-        return 0.0
-    val, _ = quad(lambda x: -agent.income.dcdf_dtheta(x, theta), lo, b, **_QUAD_OPTS)
-    return float(min(max(val * phi, 0.0), phi))
+    return float(_curves_at(agent, theta)[3][0])
 
 
 def allocation(inst: AuctionInstance, theta_profile) -> list:
@@ -300,61 +258,38 @@ def penalty(agent: AgentSpec, theta_report: float, pi_report: float, pi_true: fl
 # ---------------------------------------------------------------------------
 
 
-_KINK_CACHE: dict = {}
-
-
 def _threshold_kinks(agent: AgentSpec) -> list:
     """Types at which the audit region changes regime (the threshold leaves
-    a support endpoint).  Used as quadrature breakpoints."""
-    hit = _KINK_CACHE.get(id(agent))
-    if hit is not None and hit[0] is agent:
-        return hit[1]
+    a support endpoint): sign changes of the audit surplus at either end of
+    the income support on a 513-point type grid, refined by root finding.
+    Used as breakpoints in the type."""
     lo, hi = agent.types.lo, agent.types.hi
-    w = hi - lo
-    grid = np.linspace(lo + 1e-7 * w, hi, 513)
+    grid = np.linspace(lo + 1e-7 * (hi - lo), hi, 513)
 
-    def edge_surplus(edge_of):
-        def f(t):
-            plo, phi_ = (float(x) for x in _income_bounds(agent, t))
-            width = phi_ - plo
-            p = plo + _NU * width if edge_of == "lo" else phi_ - _NU * width
-            ih = inverse_hazard(agent.types, t)
-            if not np.isfinite(ih):
-                return 1e30
-            return float(_audit_surplus_grid(agent, t, np.array([p]))[0])
-        return f
+    def edge_surplus(t, top):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        plo, phi_ = _income_bounds(agent, t)
+        p = phi_ - _NU * (phi_ - plo) if top else plo + _NU * (phi_ - plo)
+        ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(ih), mu(agent, t, p) * agent.sensitivity
+                            - agent.audit_cost, 1e30)
 
     kinks = []
-    for which in ("lo", "hi"):
-        f = edge_surplus(which)
-        vals = np.array([f(t) for t in grid])
-        sign = np.sign(vals)
+    for top in (False, True):
+        sign = np.sign(edge_surplus(grid, top))
         for k in np.nonzero(np.diff(sign))[0]:
             try:
-                kinks.append(brentq(f, grid[k], grid[k + 1], xtol=1e-13))
+                kinks.append(brentq(lambda t: float(edge_surplus(t, top)[0]),
+                                    grid[k], grid[k + 1], xtol=1e-13))
             except ValueError:
                 pass
-    out = sorted({k for k in kinks if lo < k < hi})
-    _KINK_CACHE[id(agent)] = (agent, out)
-    return out
+    return sorted({k for k in kinks if lo < k < hi})
 
 
 def expected_income_net_royalty(agent: AgentSpec, theta: float) -> float:
     """E[pi - royalty | theta] = theta - phi * E[min(pi, pi_star(theta))]."""
-    agent.types._check_domain(theta)
-    theta = float(theta)
-    phi = agent.sensitivity
-    if phi == 0.0:
-        return theta
-    lo, hi = (float(x) for x in _income_bounds(agent, theta))
-    a = min(audit_threshold(agent, theta), hi)
-    if a >= hi:
-        return theta * (1.0 - phi)
-    if a <= lo:
-        return theta - phi * a
-    head, _ = quad(lambda x: x * agent.income.pdf(x, theta), lo, a, **_QUAD_OPTS)
-    e_min = head + a * (1.0 - float(agent.income.cdf(a, theta)))
-    return theta - phi * e_min
+    return float(_curves_at(agent, theta)[4][0])
 
 
 def _psi_floor(agent: AgentSpec) -> float:
@@ -367,39 +302,20 @@ def _psi_floor(agent: AgentSpec) -> float:
     return lo + _NU * (hi - lo)
 
 
-def _win_threshold(agent: AgentSpec, rival: float) -> float:
-    """Lowest type that beats a rival virtual value (rival >= 0); the top of
-    the support when no type does."""
-    lo_n = _psi_floor(agent)
-    hi = agent.types.hi
-    if virtual_value(agent, lo_n) > rival:
-        return agent.types.lo
-    if virtual_value(agent, hi) <= rival:
-        return hi
-    return brentq(lambda t: virtual_value(agent, t) - rival, lo_n, hi, xtol=1e-13)
-
-
 def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     """Upfront transfer of agent i at the reported profile.
 
     Zero unless i wins; a winner pays his expected income net of royalties
     minus the information rent integral of (1 - Phi) over the types below
-    his report that still win against the same rivals.
+    his report that still win against the same rivals.  The value is read
+    off the instance's tables (``tables_for``), whose interpolation error is
+    of order 1e-9.
     """
-    for a, t in zip(inst.agents, theta_profile):
-        a.types._check_domain(t)
-    agent = inst.agents[i]
-    theta_i = float(theta_profile[i])
     psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
     rival = max([0.0] + [p for j, p in enumerate(psis) if j != i])
     if not psis[i] > rival:
         return 0.0
-    zstar = _win_threshold(agent, rival)
-    e_net = expected_income_net_royalty(agent, theta_i)
-    pts = [k for k in _threshold_kinks(agent) if zstar < k < theta_i] or None
-    rent, _ = quad(lambda z: 1.0 - phi_cap(agent, z), zstar, theta_i,
-                   points=pts, **_QUAD_OPTS)
-    return e_net - rent
+    return float(tables_for(inst).transfer_win(i, float(theta_profile[i]), rival))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +400,7 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
 
     def f(x):
         a = audit_rule_fn(theta_profile, x)
-        s = _audit_surplus_grid(agent, theta_i, np.array([x]))[0]
+        s = mu(agent, theta_i, x) * agent.sensitivity - agent.audit_cost
         return a * s * agent.income.pdf(x, theta_i)
 
     pts = [p for p in [audit_threshold(agent, theta_i)] if lo < p < hi] or None
@@ -492,41 +408,25 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     return myerson_virtual(agent, theta_i) + term
 
 
-def _psi_sampler(agent: AgentSpec, kind: str, n: int = 4097):
-    """Dense monotone sample of psi (or the Myerson virtual value) over the
-    type support, anchored at the audit-regime kinks."""
-    lo, hi = agent.types.lo, agent.types.hi
-    base = np.linspace(_psi_floor(agent), hi, n)
-    ts = np.unique(np.concatenate([base, _threshold_kinks(agent)]))
-    if kind == "psi_m":
-        vals = np.asarray(myerson_virtual(agent, ts), dtype=float)
-    else:
-        vals = _mech_curves(agent, ts)[1]
-    return ts, vals
-
-
-def _expected_max_plus(inst: AuctionInstance, kind: str) -> float:
+def _expected_max_plus(inst: AuctionInstance, grids: list) -> float:
     """E[max_i V_i(theta_i)_+] for independent types and strictly increasing
-    per-agent value functions, via the survival-function integral
-    int_0^{vmax} (1 - prod_i P(V_i <= s)) ds."""
-    samplers = []
-    for agent in inst.agents:
-        ts, vals = _psi_sampler(agent, kind)
+    per-agent value functions, sampled as (types, values) ``grids``, via the
+    survival-function integral int_0^{vmax} (1 - prod_i P(V_i <= s)) ds."""
+    for _, vals in grids:
         if np.any(np.diff(vals) <= 0):
             raise RegularityError("value function is not strictly increasing; "
                                   "ironing is not supported")
-        samplers.append((agent, ts, vals))
-    vmax = max(float(v[-1]) for _, _, v in samplers)
+    vmax = max(float(v[-1]) for _, v in grids)
     if vmax <= 0:
         return 0.0
 
     def survive(s):
         p = 1.0
-        for agent, ts, vals in samplers:
+        for agent, (ts, vals) in zip(inst.agents, grids):
             p *= float(agent.types.cdf(np.interp(s, vals, ts)))
         return 1.0 - p
 
-    pts = sorted({float(x) for _, _, v in samplers for x in (v[0], v[-1])
+    pts = sorted({float(x) for _, v in grids for x in (v[0], v[-1])
                   if 0.0 < x < vmax}) or None
     val, _ = quad(survive, 0.0, vmax, points=pts, **_QUAD_OPTS)
     return val
@@ -536,18 +436,9 @@ def payoff_bound(inst: AuctionInstance) -> float:
     """Upper bound on expected revenue net audit costs: E[max_i psi_i(theta_i)_+].
 
     Attained by the optimal mechanism, so this doubles as its exact expected
-    revenue.  Evaluated by deterministic quadrature for any N (survival-
-    function form for N >= 2)."""
-    if inst.n_agents == 1:
-        agent = inst.agents[0]
-        theta_r = _win_threshold(agent, 0.0)
-        if theta_r >= agent.types.hi:
-            return 0.0
-        pts = [k for k in _threshold_kinks(agent) if theta_r < k < agent.types.hi] or None
-        val, _ = quad(lambda t: virtual_value(agent, t) * agent.types.pdf(t),
-                      theta_r, agent.types.hi, points=pts, **_QUAD_OPTS)
-        return val
-    return _expected_max_plus(inst, "psi")
+    revenue.  Evaluated by deterministic quadrature over the virtual values
+    of the instance's tables (the ones the simulator allocates by)."""
+    return _expected_max_plus(inst, [(t.theta, t.psi) for t in tables_for(inst).agents])
 
 
 def myerson_cash_revenue(inst: AuctionInstance) -> float:
@@ -572,7 +463,9 @@ def myerson_cash_revenue(inst: AuctionInstance) -> float:
         val, _ = quad(lambda t: myerson_virtual(agent, t) * agent.types.pdf(t),
                       theta_r, hi, **_QUAD_OPTS)
         return val
-    return _expected_max_plus(inst, "psi_m")
+    grids = [np.linspace(_psi_floor(a), a.types.hi, 4097) for a in inst.agents]
+    return _expected_max_plus(inst, [(ts, np.asarray(myerson_virtual(a, ts), dtype=float))
+                                     for a, ts in zip(inst.agents, grids)])
 
 
 def full_extraction_revenue(inst: AuctionInstance) -> float:
@@ -595,61 +488,126 @@ def full_extraction_revenue(inst: AuctionInstance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense evaluation tables for the simulator
+# Vectorized kernels and dense tables
 # ---------------------------------------------------------------------------
 
 
-def _gl_segments(a, b, rule=_GL64):
-    """Gauss-Legendre nodes/weights for per-row segments [a_i, b_i]
-    (rows with b <= a contribute nothing)."""
+def _gl_segments(a, b, rule):
+    """Gauss-Legendre nodes/weights (trailing axis) for segments [a, b] of
+    any shape (segments with b <= a contribute nothing)."""
     x, w = rule
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * np.maximum(b - a, 0.0)
     mid = 0.5 * (a + np.maximum(b, a))
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes, weights
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
-def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized audit threshold (no single-crossing scan)."""
-    thetas = np.asarray(thetas, dtype=float)
+def _blocked(fn, *cols):
+    """``fn`` applied to blocks of _BLOCK rows of the 1-d ``cols``, each of
+    its outputs concatenated over the blocks."""
+    n = len(cols[0])
+    parts = [fn(*(c[k:k + _BLOCK] for c in cols)) for k in range(0, max(n, 1), _BLOCK)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _check_single_crossing(agent: AgentSpec, thetas: np.ndarray):
+    """Raise ``RegularityError`` unless mu*phi - c is single-crossing from
+    above in income at every type, on a 65-point scan of its income support."""
+    if agent.sensitivity == 0.0:
+        return
+    lo, hi = _income_bounds(agent, thetas)
+
+    def crossing_back(t, l, h):
+        probe = np.linspace(l + _NU * (h - l), h - _NU * (h - l), 65, axis=1)
+        with np.errstate(invalid="ignore"):
+            s = mu(agent, t[:, None], probe) * agent.sensitivity - agent.audit_cost
+        return (np.any(np.maximum.accumulate(s < 0, axis=1) & (s > 0), axis=1),)
+
+    bad = _blocked(crossing_back, thetas, lo, hi)[0]
+    if np.any(bad):
+        raise RegularityError(
+            f"mu*phi - c is not single-crossing in income at theta={thetas[bad][0]}")
+
+
+def _threshold(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
+    """Audit threshold by bisection, assuming single crossing: supp_hi when
+    auditing pays on the whole support, 0 when it pays nowhere."""
     lo, hi = _income_bounds(agent, thetas)
     phi, c = agent.sensitivity, agent.audit_cost
     ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
-    out = np.zeros_like(thetas)
-    trivial = (phi * np.where(np.isfinite(ih), ih, 1.0)) == 0.0
-    out[trivial] = hi[trivial] if c == 0.0 else 0.0
-    rest = ~trivial
-    if not np.any(rest):
-        return out
-    idx = np.nonzero(rest)[0]
-    t, l, h = thetas[idx], lo[idx], hi[idx]
-    ihx = ih[idx] * phi
-    width = h - l
 
-    def s_at(p):
-        ratio = -np.asarray(agent.income.g2_over_g(p, t), dtype=float)
-        return ratio * ihx - c
+    def pays(p, k):
+        ratio = -np.asarray(agent.income.g2_over_g(p, thetas[k]), dtype=float)
+        return ratio * (ih[k] * phi) - c >= 0
 
-    s_lo = s_at(l + _NU * width)
-    s_hi = s_at(h - _NU * width)
-    res = np.where(s_lo < 0, 0.0, np.where(s_hi >= 0, h, np.nan))
-    solve = np.isnan(res)
-    if np.any(solve):
-        a = l[solve].copy()
-        b = h[solve].copy()
-        tt = t[solve]
-        for _ in range(64):
-            m = 0.5 * (a + b)
-            ratio = -np.asarray(agent.income.g2_over_g(m, tt), dtype=float)
-            ok = ratio * ihx[solve] - c >= 0
-            a = np.where(ok, m, a)
-            b = np.where(ok, b, m)
-        res[solve] = 0.5 * (a + b)
-    out[idx] = res
+    # phi * (1 - F)/f == 0 (phi == 0 or the top type): pays iff c == 0
+    trivial = phi * np.where(np.isfinite(ih), ih, 1.0) == 0.0
+    out = np.where(trivial & (c == 0.0), hi, 0.0)
+    k = np.nonzero(~trivial)[0]
+    width = hi[k] - lo[k]
+    at_lo = pays(lo[k] + _NU * width, k)
+    whole = at_lo & pays(hi[k] - _NU * width, k)
+    out[k[whole]] = hi[k[whole]]
+    k = k[at_lo & ~whole]
+    a, b = lo[k], hi[k]
+    for _ in range(64):
+        m = 0.5 * (a + b)
+        ok = pays(m, k)
+        a, b = np.where(ok, m, a), np.where(ok, b, m)
+    out[k] = 0.5 * (a + b)
     return out
+
+
+def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
+    """Audit threshold on an array of types, behind the single-crossing
+    precondition (``RegularityError`` when it fails)."""
+    thetas = np.asarray(thetas, dtype=float)
+    _check_single_crossing(agent, thetas)
+    return _threshold(agent, thetas)
+
+
+def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
+    """supp_lo and b = min(pi_star, supp_hi) per type, and the nodes and
+    weights (one row per type) of the 2-point Gauss-Legendre rule on the
+    audit region [supp_lo, max(b, supp_lo)] split at the income law's
+    breakpoints."""
+    lo, hi = _income_bounds(agent, ts)
+    b = np.minimum(pstar, hi)
+    top = np.maximum(b, lo)
+    cuts = np.clip(agent.income.breakpoints(ts), lo[:, None], top[:, None])
+    edges = np.sort(np.concatenate([lo[:, None], top[:, None], cuts], axis=1), axis=1)
+    nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
+    return lo, b, nodes.reshape(ts.size, -1), wts.reshape(ts.size, -1)
+
+
+def _royalty_share(agent: AgentSpec, ts: np.ndarray, nodes: np.ndarray,
+                   wts: np.ndarray) -> np.ndarray:
+    """Phi at types ``ts`` from the audit-region rule ``nodes``/``wts``
+    of ``_audit_region``."""
+    phi = agent.sensitivity
+    negg2 = -np.asarray(agent.income.dcdf_dtheta(nodes, ts[:, None]), dtype=float)
+    return np.clip(phi * np.sum(negg2 * wts, axis=1), 0.0, phi)
+
+
+def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
+    """psi_m, psi, Phi and E[pi - royalty] at types ``ts`` whose audit
+    thresholds are ``pstar``.
+
+    With b = min(pi_star, supp_hi), the audit gain is
+    int_{supp_lo}^b (mu phi - c) g dpi = ih * Phi - c * G(b) (mu g = -G_2 * ih),
+    and E[min(pi, pi_star)] = min(b, supp_lo) + int_{supp_lo}^b (1 - G) dpi,
+    so the kernel integrates only -G_2 and 1 - G."""
+    c, phi = agent.audit_cost, agent.sensitivity
+    fam = agent.income
+    ih = np.asarray(inverse_hazard(agent.types, ts), dtype=float)
+    plo, b, nodes, wts = _audit_region(agent, ts, pstar)
+    cap = _royalty_share(agent, ts, nodes, wts)
+    survival = 1.0 - np.asarray(fam.cdf(nodes, ts[:, None]), dtype=float)
+    e_min = np.minimum(b, plo) + np.sum(survival * wts, axis=1)
+    psi_m = ts - ih
+    psi = psi_m + ih * cap - c * np.asarray(fam.cdf(b, ts), dtype=float)
+    return psi_m, psi, cap, ts - phi * e_min
 
 
 @dataclass(frozen=True)
@@ -661,86 +619,70 @@ class AgentTables:
     phi_cap: np.ndarray = field(repr=False)
     income_net_royalty: np.ndarray = field(repr=False)
     rent_cum: np.ndarray = field(repr=False)
+    # interim curves over truthful rivals: win probability Q, expected
+    # transfer T and information rent int_lo^theta Q (1 - Phi)
+    win_prob: np.ndarray = field(repr=False)
+    interim_transfer: np.ndarray = field(repr=False)
+    interim_rent: np.ndarray = field(repr=False)
 
 
 def _mech_curves(agent: AgentSpec, ts: np.ndarray):
-    """psi_m, psi, pi_star, Phi and E[pi - royalty] on a type grid.
-
-    Fixed-order Gauss-Legendre on [supp_lo, pi_star] per grid point; exact
-    to near machine precision for smooth income families because the
-    integrands are smooth inside the audit region."""
+    """psi_m, psi, pi_star, Phi and E[pi - royalty] on an array of types."""
     ts = np.asarray(ts, dtype=float)
-    phi, c = agent.sensitivity, agent.audit_cost
-    ih = np.asarray(inverse_hazard(agent.types, ts), dtype=float)
-    psi_m = ts - ih
     pstar = _pi_star_vec(agent, ts)
-    plo, phi_sup = _income_bounds(agent, ts)
-    b = np.minimum(pstar, phi_sup)
-
-    nodes, wts = _gl_segments(plo, b)
-    tcol = np.broadcast_to(ts[:, None], nodes.shape)
-    with np.errstate(invalid="ignore"):
-        ratio = -np.asarray(agent.income.g2_over_g(nodes, tcol), dtype=float)
-        dens = np.asarray(agent.income.pdf(nodes, tcol), dtype=float)
-        mu_gain = (ratio * (ih * phi)[:, None] - c) * dens
-        negg2 = -np.asarray(agent.income.dcdf_dtheta(nodes, tcol), dtype=float)
-    # zero-width segments (empty audit region, degenerate top-type support)
-    # may evaluate 0/0 ratios at their collapsed nodes; their weight is zero
-    mu_gain = np.where(wts > 0, mu_gain, 0.0)
-    negg2 = np.where(wts > 0, negg2, 0.0)
-    gain = np.sum(mu_gain * wts, axis=1)
-    psi = psi_m + gain
-
-    cap = np.clip(phi * np.sum(negg2 * wts, axis=1), 0.0, phi)
-
-    # E[min(pi, pi_star)] reduces to pi_star when the whole support is above it
-    e_min = np.sum(np.where(wts > 0, nodes * dens, 0.0) * wts, axis=1) + b * (
-        1.0 - np.asarray(agent.income.cdf(b, ts), dtype=float))
-    e_net = ts - phi * e_min
+    psi_m, psi, cap, e_net = _blocked(lambda t, p: _integrals(agent, t, p), ts, pstar)
     return psi_m, psi, pstar, cap, e_net
 
 
-def _cap_vec(agent: AgentSpec, ts: np.ndarray, rule=_GL32) -> np.ndarray:
-    """Vectorized royalty recovery share Phi on a type grid."""
-    phi = agent.sensitivity
-    if phi == 0.0:
-        return np.zeros_like(np.asarray(ts, dtype=float))
-    pstar = _pi_star_vec(agent, ts)
-    plo, phi_sup = _income_bounds(agent, ts)
-    nodes, wts = _gl_segments(plo, np.minimum(pstar, phi_sup), rule=rule)
-    tcol = np.broadcast_to(np.asarray(ts, dtype=float)[:, None], nodes.shape)
-    with np.errstate(invalid="ignore"):
-        negg2 = -np.asarray(agent.income.dcdf_dtheta(nodes, tcol), dtype=float)
-    negg2 = np.where(wts > 0, negg2, 0.0)
-    return np.clip(phi * np.sum(negg2 * wts, axis=1), 0.0, phi)
-
-
-def _build_agent_tables(agent: AgentSpec, n: int) -> AgentTables:
+def _agent_curves(agent: AgentSpec) -> dict:
     lo, hi = agent.types.lo, agent.types.hi
     w = hi - lo
     floor = _psi_floor(agent)
-    base = np.linspace(floor, hi, n)
-    kinks = _threshold_kinks(agent)
+    base = np.linspace(floor, hi, _TABLE_POINTS)
     extra = []
-    for k in kinks:
+    for k in _threshold_kinks(agent):
         # bracket each regime change tightly so linear interpolation cannot
         # smear a jump in pi_star or Phi across a full grid cell
         extra.extend([k - 1e-12 * w, k, k + 1e-12 * w])
     ts = np.unique(np.clip(np.concatenate([base, extra]), floor, hi))
 
     psi_m, psi, pstar, cap, e_net = _mech_curves(agent, ts)
-
-    # cumulative information-rent factor: int (1 - Phi) dz from the bottom
-    n4, w4 = _gl_segments(ts[:-1], ts[1:], rule=_GL4)
-    cap4 = _cap_vec(agent, n4.ravel())
-    seg_vals = np.sum((1.0 - cap4).reshape(n4.shape) * w4, axis=1)
-    rent_cum = np.concatenate([[0.0], np.cumsum(seg_vals)])
-
     if np.any(np.diff(psi) < -1e-9):
         raise RegularityError("virtual value is not increasing on the table grid")
-    psi = np.maximum.accumulate(psi)  # wash out sub-1e-9 quadrature jitter
+    psi = np.maximum.accumulate(psi)  # wash out sub-1e-9 rounding jitter
 
-    return AgentTables(ts, psi_m, psi, pstar, cap, e_net, rent_cum)
+    # cumulative information-rent factor: int (1 - Phi) dz from the bottom,
+    # 2-point Gauss-Legendre per grid cell; the single-crossing scan on the
+    # grid above stands in for the one at the rule's nodes
+    nodes, wts = _gl_segments(ts[:-1], ts[1:], _GL2)
+    z = nodes.ravel()
+
+    def share(t, p):
+        _, _, n, w = _audit_region(agent, t, p)
+        return (_royalty_share(agent, t, n, w),)
+
+    cap2 = _blocked(share, z, _threshold(agent, z))[0]
+    rent_cum = np.concatenate([[0.0], np.cumsum(np.sum((1.0 - cap2.reshape(nodes.shape))
+                                                       * wts, axis=1))])
+
+    return dict(theta=ts, psi_m=psi_m, psi=psi, pi_star=pstar, phi_cap=cap,
+                income_net_royalty=e_net, rent_cum=rent_cum)
+
+
+def _interim_curves(inst: AuctionInstance, i: int, curves: list) -> dict:
+    """Interim curves of agent i over truthful rivals, on its grid:
+    T = Q * E[pi - royalty] - int_lo^theta Q(z) (1 - Phi(z)) dz."""
+    t = curves[i]
+    q = (t["psi"] > 0).astype(float)
+    for j, (agent, r) in enumerate(zip(inst.agents, curves)):
+        if j != i:
+            q = q * np.asarray(agent.types.cdf(np.interp(t["psi"], r["psi"], r["theta"])),
+                               dtype=float)
+    integrand = q * (1.0 - t["phi_cap"])
+    rent = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1])
+                                            * np.diff(t["theta"]))])
+    return dict(win_prob=q, interim_transfer=q * t["income_net_royalty"] - rent,
+                interim_rent=rent)
 
 
 @dataclass(frozen=True)
@@ -753,8 +695,10 @@ class MechanismTables:
     agents: tuple
 
     @staticmethod
-    def build(inst: AuctionInstance, n: int = 8193) -> "MechanismTables":
-        return MechanismTables(tuple(_build_agent_tables(a, n) for a in inst.agents))
+    def build(inst: AuctionInstance) -> "MechanismTables":
+        curves = [_agent_curves(a) for a in inst.agents]
+        return MechanismTables(tuple(AgentTables(**c, **_interim_curves(inst, i, curves))
+                                     for i, c in enumerate(curves)))
 
     def psi(self, i: int, theta):
         t = self.agents[i]
@@ -793,17 +737,7 @@ class MechanismTables:
                 - (self.rent_below(i, theta) - self.rent_below(i, z)))
 
 
-_TABLE_CACHE: dict = {}
-
-
-def tables_for(inst: AuctionInstance, n: int = 8193) -> MechanismTables:
-    """Build-once cache of ``MechanismTables`` keyed by instance identity.
-
-    The cache pins the keyed instance so a recycled ``id()`` can never alias
-    a stale entry."""
-    key = (id(inst), n)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None or hit[0] is not inst:
-        hit = (inst, MechanismTables.build(inst, n))
-        _TABLE_CACHE[key] = hit
-    return hit[1]
+def tables_for(inst: AuctionInstance) -> MechanismTables:
+    """The instance's ``MechanismTables``, built on first use and cached on
+    the instance (released with it)."""
+    return inst._tables

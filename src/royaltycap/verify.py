@@ -27,6 +27,7 @@ from .mech import (
     AuctionInstance,
     _GL32,
     _audit_mask,
+    _audit_region,
     _gl_segments,
     _income_bounds,
     _mech_curves,
@@ -138,11 +139,10 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     thetas = np.linspace(lo, hi, theta_grid_size + 2)[1:-1]
     worst: dict = {}
 
-    # 1. normalization: supp_lo + int (1 - G) = theta
-    plo, phi_sup = _income_bounds(agent, thetas)
-    nodes, wts = _gl_segments(plo, phi_sup)
-    tcol = np.broadcast_to(thetas[:, None], nodes.shape)
-    means = plo + np.sum((1.0 - np.asarray(agent.income.cdf(nodes, tcol))) * wts, axis=1)
+    # 1. normalization: supp_lo + int (1 - G) = theta, over the whole support
+    plo, phi_sup, nodes, wts = _audit_region(agent, thetas, np.full(thetas.size, np.inf))
+    means = plo + np.sum((1.0 - np.asarray(agent.income.cdf(nodes, thetas[:, None]))) * wts,
+                         axis=1)
     err = np.abs(means - thetas)
     k = int(np.argmax(err))
     worst["normalization"] = {"magnitude": float(err[k]), "theta": float(thetas[k])}
@@ -162,7 +162,10 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     with np.errstate(invalid="ignore"):
         ratio = -np.asarray(agent.income.g2_over_g(pis[None, :], thetas[:, None]), dtype=float)
         surplus = ratio * (ih * agent.sensitivity)[:, None] - agent.audit_cost
-    inside = (pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
+    # incomes that occur: inside the support, at positive density (a tabulated
+    # family's support at a type knot also spans the next row's support)
+    inside = ((pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
+              & (np.asarray(agent.income.pdf(pis[None, :], thetas[:, None])) > 0))
 
     worst_pi = 0.0
     loc_pi = None
@@ -185,12 +188,15 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     worst["single_crossing_theta"] = {"magnitude": worst_th, "pi": loc_th}
     single_crossing_theta_ok = bool(worst_th <= _SLACK)
 
-    # 5. strictly increasing virtual value
-    psi = _mech_curves(agent, thetas)[1]
-    diffs = np.diff(psi)
-    k = int(np.argmin(diffs))
-    worst["psi_increasing"] = {"min_increment": float(diffs[k]), "theta": float(thetas[k])}
-    psi_increasing_ok = bool(diffs[k] > 0)
+    # 5. strictly increasing virtual value (undefined without single crossing)
+    try:
+        diffs = np.diff(_mech_curves(agent, thetas)[1])
+        k = int(np.argmin(diffs))
+        worst["psi_increasing"] = {"min_increment": float(diffs[k]), "theta": float(thetas[k])}
+        psi_increasing_ok = bool(diffs[k] > 0)
+    except RegularityError as e:
+        worst["psi_increasing"] = {"error": str(e)}
+        psi_increasing_ok = False
 
     return RegularityReport(
         normalization_ok=normalization_ok,
@@ -230,33 +236,6 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _win_prob(inst: AuctionInstance, i: int, value: float, tables) -> float:
-    """Probability that virtual value ``value`` beats all truthful rivals
-    and is positive."""
-    if value <= 0:
-        return 0.0
-    p = 1.0
-    for j, agent in enumerate(inst.agents):
-        if j == i:
-            continue
-        z = tables.threshold_type(j, value)
-        p *= float(agent.types.cdf(z))
-    return p
-
-
-def _interim_transfer_curve(inst: AuctionInstance, i: int, tables):
-    """Expected transfer T(theta') over truthful rivals, on agent i's grid:
-    T = Q * E[pi - royalty] - int_lo^theta Q(z) (1 - Phi(z)) dz."""
-    t = tables.agents[i]
-    q = np.array([_win_prob(inst, i, float(v), tables) for v in t.psi])
-    q[t.psi <= 0] = 0.0
-    integrand = q * (1.0 - t.phi_cap)
-    rent = np.concatenate([[0.0],
-                           np.cumsum(0.5 * (integrand[1:] + integrand[:-1])
-                                     * np.diff(t.theta))])
-    return q, q * t.income_net_royalty - rent, rent
-
-
 def _expected_payment(agent: AgentSpec, theta_true: float, theta_rep: float,
                       cap: float, pi_points: int, best_response: bool) -> float:
     """E over pi ~ G(. | theta_true) of the winner's payment (royalty plus
@@ -269,11 +248,10 @@ def _expected_payment(agent: AgentSpec, theta_true: float, theta_rep: float,
     phi = agent.sensitivity
     t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
     r_lo, r_hi = (float(x) for x in _income_bounds(agent, theta_rep))
-    cuts = sorted({t_lo, t_hi} | {x for x in (r_lo, r_hi, cap) if t_lo < x < t_hi})
-    segs = list(zip(cuts[:-1], cuts[1:]))
-    a = np.array([s[0] for s in segs])
-    b = np.array([s[1] for s in segs])
-    nodes, wts = _gl_segments(a, b, rule=_GL32)
+    # split where the payment or the true income law changes form
+    knots = agent.income.breakpoints(np.array([theta_true]))[0]
+    cuts = np.unique([t_lo, t_hi] + [x for x in (r_lo, r_hi, cap, *knots) if t_lo < x < t_hi])
+    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], rule=_GL32)
     pis = nodes.ravel()
     dens = np.asarray(agent.income.pdf(pis, theta_true), dtype=float)
 
@@ -348,7 +326,7 @@ def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
     agent.types._check_domain(theta_true)
     tables = tables_for(inst)
     t = tables.agents[i]
-    q_grid, t_curve, rent_grid = _interim_transfer_curve(inst, i, tables)
+    q_grid, t_curve, rent_grid = t.win_prob, t.interim_transfer, t.interim_rent
 
     reports = np.unique(np.concatenate([
         np.linspace(t.theta[0], t.theta[-1], theta_grid), [theta_true]]))

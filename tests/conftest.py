@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from royaltycap import AgentSpec, make_income_family, make_type_dist
@@ -70,6 +71,20 @@ def cash_only_agent(lo: float, hi: float) -> AgentSpec:
         audit_cost=0.0,
         sensitivity=0.0,
     )
+
+
+def table_income_agent(knots, audit_cost, sensitivity=0.5):
+    """Types U[1, 2] with a tabulated copy of the additive family
+    theta + U[-1, 1]: one 41-point row per type knot.  Between knots the
+    family is a mixture, so psi = 1.5 theta - 1, E[pi - royalty] = theta / 2
+    and Phi = phi exactly when c = 0 and phi = 0.5."""
+    rows = []
+    for t in knots:
+        g = np.linspace(t - 1.0, t + 1.0, 41)
+        rows.append((g, (g - (t - 1.0)) / 2.0))
+    return AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
+                     make_income_family("table", {"theta_grid": list(knots), "rows": rows}),
+                     audit_cost, sensitivity)
 
 
 # ---------------------------------------------------------------------------

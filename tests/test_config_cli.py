@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import royaltycap as rc
 from royaltycap.cli import main
@@ -187,6 +188,26 @@ def test_cli_exit_codes(tmp_path):
     two = tmp_path / "two.yaml"
     two.write_text((CONFIG_DIR / "mixed_pair.yaml").read_text())
     assert main(["menu", "--config", str(two), "--out", str(tmp_path / "z")]) == 2
+
+
+def test_cli_rejects_non_single_crossing_instance_before_output(tmp_path):
+    # tabulated copy of the additive family at knots 1, 1.5, 2 with c > 0:
+    # the audit surplus is not single-crossing in income, so check fails and
+    # solve / simulate must fail the same way without writing an artifact
+    grids = [np.linspace(t - 1, t + 1, 41) for t in (1.0, 1.5, 2.0)]
+    doc = {"v": 1, "agents": [{
+        "type_dist": {"family": "uniform", "lo": 1.0, "hi": 2.0},
+        "income": {"family": "table", "theta_grid": [1.0, 1.5, 2.0],
+                   "rows": [[g.tolist(), ((g - g[0]) / 2).tolist()] for g in grids]},
+        "audit_cost": 0.2, "sensitivity": 0.5}],
+        "simulation": {"n_runs": 1000, "seed": 0}}
+    cfg = tmp_path / "irregular.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "check")]) == 1
+    for sub in ("solve", "simulate"):
+        out = tmp_path / sub
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
 
 
 def test_cli_env_output_override(ua_config, tmp_path, monkeypatch):

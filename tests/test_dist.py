@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from royaltycap import (
@@ -45,6 +49,35 @@ def test_table_type_dist_interpolates_monotonically():
     assert np.all(np.diff(vals) >= 0)
     assert d.cdf(1.5) == pytest.approx(0.5, abs=1e-9)
     assert d.ppf(0.25) == pytest.approx(1.25, abs=1e-6)
+
+
+@given(lo=st.floats(-5.0, 5.0), width=st.floats(0.01, 10.0),
+       where=st.sampled_from(["lo", "inside", "hi"]), frac=st.floats(0.0, 1.0),
+       x=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20),
+       q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_laws_match_scipy(lo, width, where, frac, x, q):
+    hi = lo + width
+    mode = {"lo": lo, "hi": hi, "inside": lo + frac * width}[where]
+    pairs = [(make_type_dist("uniform", {"lo": lo, "hi": hi}),
+              stats.uniform(loc=lo, scale=hi - lo)),
+             (make_type_dist("triangular", {"lo": lo, "hi": hi, "mode": mode}),
+              stats.triang(c=(mode - lo) / (hi - lo), loc=lo, scale=hi - lo))]
+    x = np.array(x + [lo, hi, mode, lo - 1.0, hi + 1.0])
+    q = np.array(q + [0.0, 1.0, 0.5])
+    for d, ref in pairs:
+        # ppf draws the types of every simulation, so all three are bit-identical
+        assert np.array_equal(d.ppf(q), ref.ppf(q))
+        assert d.ppf(float(q[0])) == ref.ppf(float(q[0]))
+        assert np.array_equal(d.cdf(x), ref.cdf(x))
+        assert np.array_equal(d.pdf(x), ref.pdf(x))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, royaltycap; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("family,params", [

@@ -4,8 +4,9 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import oracles
 import royaltycap as rc
-from conftest import cash_only_agent, st_pi_star, su_psi, ua_psi
+from conftest import cash_only_agent, st_pi_star, su_psi, table_income_agent, ua_psi
 from royaltycap.instances import scaled_uniform_agent, uniform_additive_agent
 
 
@@ -422,13 +423,64 @@ def test_tables_match_exact_ops(shipped_instances):
             for th in lo + (hi - lo) * rs.uniform(0.02, 0.98, 8):
                 th = float(th)
                 assert tabs.psi(i, th) == pytest.approx(
-                    rc.virtual_value(agent, th), abs=2e-7)
+                    oracles.virtual_value(agent, th), abs=2e-7)
                 assert tabs.pi_star(i, th) == pytest.approx(
-                    rc.audit_threshold(agent, th), abs=1e-6)
+                    oracles.audit_threshold(agent, th), abs=1e-6)
                 assert tabs.phi_cap(i, th) == pytest.approx(
-                    rc.phi_cap(agent, th), abs=2e-7)
+                    oracles.phi_cap(agent, th), abs=2e-7)
                 assert tabs.income_net_royalty(i, th) == pytest.approx(
-                    rc.expected_income_net_royalty(agent, th), abs=2e-7)
+                    oracles.expected_income_net_royalty(agent, th), abs=2e-7)
+
+
+def test_scalar_entry_points_match_quad_oracles(shipped_instances):
+    # the thin wrappers over the piecewise kernel against adaptive quadrature
+    worst = {}
+    for name, inst in shipped_instances.items():
+        rs = np.random.default_rng(5)
+        for agent in inst.agents:
+            lo, hi = agent.types.lo, agent.types.hi
+            for th in np.concatenate([lo + (hi - lo) * rs.uniform(0.02, 0.98, 6), [hi]]):
+                for fn in ("virtual_value", "audit_threshold", "phi_cap",
+                           "expected_income_net_royalty"):
+                    err = abs(getattr(rc, fn)(agent, float(th))
+                              - getattr(oracles, fn)(agent, float(th)))
+                    worst[fn] = max(worst.get(fn, 0.0), err)
+    assert max(worst.values()) <= 1e-9, worst
+    for inst, profiles in ((shipped_instances["scaled_uniform"], ([0.6], [0.65], [0.9])),
+                           (shipped_instances["mixed_pair"], ([1.4, 0.8], [1.9, 0.6]))):
+        for prof in profiles:
+            for i in range(inst.n_agents):
+                assert rc.transfer(inst, i, prof) == pytest.approx(
+                    oracles.transfer(inst, i, prof), abs=1e-8)
+
+
+@pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
+def test_tables_exact_on_kinked_table_family(knots):
+    # the income law has kinks at the row grid points and support jumps at
+    # the type knots; piecewise quadrature reproduces the closed forms on
+    # the whole grid, knots included
+    agent = table_income_agent(knots, audit_cost=0.0)
+    t = rc.tables_for(rc.AuctionInstance((agent,))).agents[0]
+    assert np.max(np.abs(t.psi - (1.5 * t.theta - 1.0))) <= 1e-9
+    assert np.max(np.abs(t.income_net_royalty - 0.5 * t.theta)) <= 1e-9
+    assert np.max(np.abs(t.phi_cap - 0.5)) <= 1e-9
+    for th in (1.0, 1.4, 1.5, 1.77, 2.0):
+        assert rc.virtual_value(agent, th) == pytest.approx(1.5 * th - 1.0, abs=1e-9)
+    assert rc.payoff_bound(rc.AuctionInstance((agent,))) == pytest.approx(1.25, abs=1e-9)
+
+
+def test_entry_points_reject_non_single_crossing_family():
+    # with c > 0 the audit surplus of the knots-1/1.5/2 copy dips below zero
+    # at the bottom of the income support and recovers: no entry point may
+    # return numbers for it
+    inst = rc.AuctionInstance((table_income_agent((1.0, 1.5, 2.0), audit_cost=0.2),))
+    assert not rc.check_regularity(inst.agents[0]).all_ok
+    for call in (lambda: rc.tables_for(inst),
+                 lambda: rc.estimate_revenue(inst, n_runs=1000),
+                 lambda: rc.virtual_value(inst.agents[0], 1.2),
+                 lambda: rc.audit_threshold(inst.agents[0], 1.2)):
+        with pytest.raises(rc.RegularityError):
+            call()
 
 
 def test_pi_star_weakly_decreasing_fixed_support(su_agent, st_agent):

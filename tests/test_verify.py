@@ -4,6 +4,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 import royaltycap as rc
+from conftest import table_income_agent
 from royaltycap.instances import uniform_additive_agent
 
 
@@ -31,11 +32,22 @@ def test_regularity_flags_oscillating_surplus(ua_agent):
         def dcdf_dtheta(self, pi, th): return -self.pdf(pi, th)
         def g2_over_g(self, pi, th): return -(1.0 + 0.9 * np.sin(8 * np.asarray(pi)))
         def ppf(self, u, th): return np.asarray(th) - 1 + 2 * np.asarray(u)
+        def breakpoints(self, th): return np.asarray(th)[:, None] + np.array([-1.0, 1.0])
 
     agent = replace(ua_agent, income=Oscillating(), audit_cost=0.45)
     rep = rc.check_regularity(agent, 64, 64)
     assert not rep.single_crossing_pi_ok
     assert rep.worst["single_crossing_pi"]["magnitude"] > 0
+
+
+@pytest.mark.parametrize("grid", [64, 128])
+def test_regularity_exact_on_tabulated_income(grid):
+    # knots 1, 1.4, 2: the mixture has kinks at every row grid point and
+    # support jumps at the knots; the normalization integral is split there
+    rep = rc.check_regularity(table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0), grid, grid)
+    assert rep.normalization_ok, rep.worst["normalization"]
+    assert rep.worst["normalization"]["magnitude"] <= 1e-12
+    assert rep.all_ok, rep.worst
 
 
 def test_regularity_grid_precondition(ua_agent):
@@ -104,6 +116,16 @@ def test_type_best_response_multi_agent(pair_inst):
         r = rc.best_response_type(pair_inst, i, th, 96, "grid_best", 96)
         assert r.advantage <= 1e-6
         assert r.truthful_utility >= -1e-9
+
+
+def test_type_best_response_on_tabulated_income():
+    # the expected payment is integrated piecewise between the income law's
+    # breakpoints, so the kinked family raises no false IC or IR alarm
+    inst = rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))
+    for th in (1.2, 1.5):
+        for strat in ("truthful_projection", "grid_best"):
+            r = rc.best_response_type(inst, 0, th, 128, strat, 128)
+            assert r.advantage <= 1e-6 and r.ir_ok, (th, strat, r.to_dict())
 
 
 def test_ir_zero_at_bottom_type(ua_inst):
