@@ -276,6 +276,15 @@ def main(argv=None) -> int:
         if seed < 0:
             raise ConfigError("--seed", "must be nonnegative")
         n_runs = cfg.n_runs if args.runs is None else args.runs
+        if args.command in ("simulate", "sweep") and n_runs < sim._MIN_RUNS:
+            raise ConfigError("--runs", f"must be at least {sim._MIN_RUNS}")
+        # grid floors of the library calls behind check and verify-ic
+        floor = {"check": verify._MIN_REGULARITY_GRID,
+                 "verify-ic": verify._MIN_RESPONSE_GRID}.get(args.command, 0)
+        for key in ("theta_points", "pi_points"):
+            if getattr(cfg, key) < floor:
+                raise ConfigError("--grid" if args.grid is not None else f"grids.{key}",
+                                  f"must be at least {floor} for {args.command}")
         out_dir = Path(args.out or os.environ.get("ROYALTYCAP_OUT") or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 

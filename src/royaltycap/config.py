@@ -30,6 +30,7 @@ import yaml
 from .dist import AgentSpec, make_income_family, make_type_dist
 from .errors import ConfigError, ConstructionError
 from .mech import AuctionInstance
+from .sim import _MIN_RUNS
 
 _DEFAULTS = {"theta_points": 128, "pi_points": 128, "n_runs": 100_000, "seed": 0}
 _FORMATS = ("csv", "json")
@@ -142,7 +143,7 @@ def parse_config(text: str) -> InstanceConfig:
     sim = raw.get("simulation", {}) or {}
     if not isinstance(sim, dict):
         raise ConfigError("simulation", "must be a mapping")
-    n_runs = int(_number(sim, "n_runs", "simulation", default=_DEFAULTS["n_runs"], lo=1000))
+    n_runs = int(_number(sim, "n_runs", "simulation", default=_DEFAULTS["n_runs"], lo=_MIN_RUNS))
     seed = int(_number(sim, "seed", "simulation", default=_DEFAULTS["seed"], lo=0))
 
     out = raw.get("output", {}) or {}

@@ -33,6 +33,27 @@ _EDGE_NUDGE = 1e-9
 
 
 # ---------------------------------------------------------------------------
+# Monotone inversion
+# ---------------------------------------------------------------------------
+
+
+def _bisect(below, a, b, steps: int):
+    """Bisect the brackets [a, b] (arrays or scalars) ``steps`` times and
+    return their midpoints.  ``below(mid)`` must hold left of the sought point
+    and fail right of it; where it holds the bracket keeps its upper half.
+
+    The one root finder of the package: quantiles of tabulated laws, audit
+    thresholds, menu cutoffs, regime-change types and payment crossings."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        ok = below(m)
+        a, b = np.where(ok, m, a), np.where(ok, b, m)
+    return 0.5 * (a + b)
+
+
+# ---------------------------------------------------------------------------
 # Scalar distribution backends (shared by type and error distributions)
 # ---------------------------------------------------------------------------
 
@@ -424,6 +445,9 @@ class TableIncomeFamily(IncomeFamily):
     knot closes the last interval).  At a knot this includes the part of
     row j+1's support where the density is zero: it is where the one-sided
     dG/dtheta lives.
+
+    Quantiles invert this mixture CDF with the shared bisection ``_bisect``
+    (80 steps), all draws of a call at once.
     """
 
     family = "table"
@@ -518,26 +542,12 @@ class TableIncomeFamily(IncomeFamily):
     def ppf(self, u, theta):
         u, theta = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(theta, dtype=float))
-        flat_u, flat_t = u.ravel(), theta.ravel()
-        out = np.empty(flat_u.shape)
-        for k in range(flat_u.size):
-            out[k] = self._ppf_scalar(flat_u[k], flat_t[k])
-        out = out.reshape(u.shape)
+        out = _bisect(lambda p: self.cdf(p, theta) < u,
+                      self.supp_lo(theta), self.supp_hi(theta), 80)
         return out if out.ndim else float(out)
 
     def breakpoints(self, theta):
         return self._bp[self._locate(theta)[0]]
-
-    def _ppf_scalar(self, u, theta):
-        lo = float(self.supp_lo(theta))
-        hi = float(self.supp_hi(theta))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid, theta) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 def make_income_family(family: str, params: dict) -> IncomeFamily:

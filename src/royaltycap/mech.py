@@ -27,7 +27,10 @@ with the 2-point Gauss-Legendre rule, exact because the supported laws are
 polynomials of degree <= 3 between breakpoints.  The scalar entry points
 wrap the kernels; ``MechanismTables`` holds dense grids of the same
 quantities and the interim transfer curve, built once per instance.
-Adaptive quadrature is left to the outer integrals over types.
+Adaptive quadrature is left to the outer integrals over types.  Every
+inversion (the audit threshold, the menu cutoffs, the types where the audit
+region changes regime and the cash auction's reserve type) goes through the
+vectorized bisection ``dist._bisect``.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .dist import AgentSpec, AdditiveErrorFamily, inverse_hazard
+from .dist import AgentSpec, AdditiveErrorFamily, _bisect, inverse_hazard
 from .errors import (
     ConstructionError,
     RegularityError,
@@ -261,30 +263,27 @@ def penalty(agent: AgentSpec, theta_report: float, pi_report: float, pi_true: fl
 def _threshold_kinks(agent: AgentSpec) -> list:
     """Types at which the audit region changes regime (the threshold leaves
     a support endpoint): sign changes of the audit surplus at either end of
-    the income support on a 513-point type grid, refined by root finding.
-    Used as breakpoints in the type."""
+    the income support on a 513-point type grid, refined by bisecting all
+    brackets at once.  Used as breakpoints in the type."""
     lo, hi = agent.types.lo, agent.types.hi
     grid = np.linspace(lo + 1e-7 * (hi - lo), hi, 513)
+    top = np.array([[False], [True]])  # rows: lower and upper support end
 
-    def edge_surplus(t, top):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def edge_surplus(t, at_top):
         plo, phi_ = _income_bounds(agent, t)
-        p = phi_ - _NU * (phi_ - plo) if top else plo + _NU * (phi_ - plo)
+        p = np.where(at_top, phi_ - _NU * (phi_ - plo), plo + _NU * (phi_ - plo))
         ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)
         with np.errstate(invalid="ignore"):
-            return np.where(np.isfinite(ih), mu(agent, t, p) * agent.sensitivity
-                            - agent.audit_cost, 1e30)
+            mu_ = -np.asarray(agent.income.g2_over_g(p, t)) * ih  # mu, unchecked
+            return np.where(np.isfinite(ih), mu_ * agent.sensitivity - agent.audit_cost, 1e30)
 
-    kinks = []
-    for top in (False, True):
-        sign = np.sign(edge_surplus(grid, top))
-        for k in np.nonzero(np.diff(sign))[0]:
-            try:
-                kinks.append(brentq(lambda t: float(edge_surplus(t, top)[0]),
-                                    grid[k], grid[k + 1], xtol=1e-13))
-            except ValueError:
-                pass
-    return sorted({k for k in kinks if lo < k < hi})
+    sign = np.sign(edge_surplus(np.broadcast_to(grid, (2, grid.size)), top))
+    end, k = np.nonzero(np.diff(sign, axis=1))
+    if k.size == 0:
+        return []
+    kinks = _bisect(lambda t: np.sign(edge_surplus(t, top[end, 0])) == sign[end, k],
+                    grid[k], grid[k + 1], 64)
+    return sorted({k for k in kinks.tolist() if lo < k < hi})
 
 
 def expected_income_net_royalty(agent: AgentSpec, theta: float) -> float:
@@ -342,21 +341,14 @@ def menu_cutoffs(agent: AgentSpec) -> tuple:
     elif audit_pays(hi):
         theta_star = hi
     else:
-        a, b = lo_n, hi
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            if audit_pays(m):
-                a = m
-            else:
-                b = m
-        theta_star = 0.5 * (a + b)
+        theta_star = float(_bisect(audit_pays, lo_n, hi, 100))
 
     if virtual_value(agent, lo_n) > 0:
         theta_0 = lo
     elif virtual_value(agent, hi) <= 0:
         theta_0 = hi
     else:
-        theta_0 = brentq(lambda t: virtual_value(agent, t), lo_n, hi, xtol=1e-13)
+        theta_0 = float(_bisect(lambda t: virtual_value(agent, t) <= 0, lo_n, hi, 64))
     return theta_star, theta_0
 
 
@@ -459,7 +451,7 @@ def myerson_cash_revenue(inst: AuctionInstance) -> float:
         if myerson_virtual(agent, lo_n) > 0:
             theta_r = agent.types.lo
         else:
-            theta_r = brentq(lambda t: myerson_virtual(agent, t), lo_n, hi, xtol=1e-13)
+            theta_r = float(_bisect(lambda t: myerson_virtual(agent, t) <= 0, lo_n, hi, 64))
         val, _ = quad(lambda t: myerson_virtual(agent, t) * agent.types.pdf(t),
                       theta_r, hi, **_QUAD_OPTS)
         return val
@@ -471,20 +463,9 @@ def myerson_cash_revenue(inst: AuctionInstance) -> float:
 def full_extraction_revenue(inst: AuctionInstance) -> float:
     """Full surplus E[max(0, theta_1, ..., theta_N)]: the revenue of the
     modified first-price auction with unrestricted income-contingent
-    penalties (free auditing, unit sensitivity)."""
-    hi = max(a.types.hi for a in inst.agents)
-    if hi <= 0:
-        return 0.0
-
-    def survive(s):
-        p = 1.0
-        for a in inst.agents:
-            p *= float(a.types.cdf(s))
-        return 1.0 - p
-
-    pts = sorted({float(a.types.lo) for a in inst.agents if 0 < a.types.lo < hi}) or None
-    val, _ = quad(survive, 0.0, hi, points=pts, **_QUAD_OPTS)
-    return val
+    penalties (free auditing, unit sensitivity): ``_expected_max_plus`` with
+    identity value functions."""
+    return _expected_max_plus(inst, [([a.types.lo, a.types.hi],) * 2 for a in inst.agents])
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +531,7 @@ def _threshold(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     whole = at_lo & pays(hi[k] - _NU * width, k)
     out[k[whole]] = hi[k[whole]]
     k = k[at_lo & ~whole]
-    a, b = lo[k], hi[k]
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        ok = pays(m, k)
-        a, b = np.where(ok, m, a), np.where(ok, b, m)
-    out[k] = 0.5 * (a + b)
+    out[k] = _bisect(lambda m: pays(m, k), lo[k], hi[k], 64)
     return out
 
 

@@ -259,6 +259,8 @@ def run_auction(inst: AuctionInstance, strategies: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 16
+# fewest runs a revenue estimate accepts
+_MIN_RUNS = 1_000
 
 _WORKER_STATE: dict = {}
 
@@ -292,8 +294,8 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     runs over per-run arrays assembled in run order, so the report is
     independent of chunking and of the number of workers.
     """
-    if n_runs < 1_000:
-        raise ConstructionError("n_runs must be at least 1000")
+    if n_runs < _MIN_RUNS:
+        raise ConstructionError(f"n_runs must be at least {_MIN_RUNS}")
     if strategies is None:
         strategies = StrategyProfile.truthful(inst.n_agents)
     strategies.validate(inst.n_agents)

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dist import AgentSpec, TypeDist, inverse_hazard, project_to_support
+from .dist import AgentSpec, TypeDist, _bisect, inverse_hazard, project_to_support
 from .errors import (
     DomainError,
     InvalidAxisError,
@@ -39,6 +38,9 @@ from .mech import (
 )
 
 _SLACK = 1e-9  # numeric slack for weak inequalities on grids
+# smallest grids that regularity checks and best-response searches accept
+_MIN_REGULARITY_GRID = 32
+_MIN_RESPONSE_GRID = 64
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +115,14 @@ class DeviationReport:
 # ---------------------------------------------------------------------------
 
 
-def _worst_single_crossing(values: np.ndarray) -> float:
-    """Largest strictly positive value occurring after a nonpositive one
-    (zero when the sequence is single-crossing from above)."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        return 0.0
-    seen_nonpos = np.maximum.accumulate(values <= 0)
-    mask = np.concatenate([[False], seen_nonpos[:-1]]) & (values > 0)
-    return float(values[mask].max()) if np.any(mask) else 0.0
+def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
+    """Per sequence along ``axis``: the largest strictly positive value
+    occurring after a nonpositive one (zero when the sequence is
+    single-crossing from above).  NaN entries are skipped."""
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    seen_nonpos = np.maximum.accumulate(values <= 0, axis=-1)[..., :-1]
+    later = values[..., 1:]
+    return np.max(np.where(seen_nonpos & (later > 0), later, 0.0), axis=-1, initial=0.0)
 
 
 def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
@@ -133,8 +134,8 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
 
     Failures are report content, not exceptions.
     """
-    if theta_grid_size < 32 or pi_grid_size < 32:
-        raise ValueError("regularity grids need at least 32 points")
+    if min(theta_grid_size, pi_grid_size) < _MIN_REGULARITY_GRID:
+        raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
     lo, hi = agent.types.lo, agent.types.hi
     thetas = np.linspace(lo, hi, theta_grid_size + 2)[1:-1]
     worst: dict = {}
@@ -167,26 +168,15 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     inside = ((pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
               & (np.asarray(agent.income.pdf(pis[None, :], thetas[:, None])) > 0))
 
-    worst_pi = 0.0
-    loc_pi = None
-    for r in range(surplus.shape[0]):
-        v = _worst_single_crossing(surplus[r, inside[r]])
-        if v > worst_pi:
-            worst_pi, loc_pi = v, float(thetas[r])
-    worst["single_crossing_pi"] = {"magnitude": worst_pi, "theta": loc_pi}
-    single_crossing_pi_ok = bool(worst_pi <= _SLACK)
-
-    worst_th = 0.0
-    loc_th = None
-    for col in range(surplus.shape[1]):
-        m = inside[:, col]
-        if m.sum() < 2:
-            continue
-        v = _worst_single_crossing(surplus[m, col])
-        if v > worst_th:
-            worst_th, loc_th = v, float(pis[col])
-    worst["single_crossing_theta"] = {"magnitude": worst_th, "pi": loc_th}
-    single_crossing_theta_ok = bool(worst_th <= _SLACK)
+    occurring = np.where(inside, surplus, np.nan)
+    for key, axis, where, grid in (("single_crossing_pi", 1, "theta", thetas),
+                                   ("single_crossing_theta", 0, "pi", pis)):
+        per = _worst_single_crossing(occurring, axis)
+        k = int(np.argmax(per))
+        worst[key] = {"magnitude": float(per[k]),
+                      where: float(grid[k]) if per[k] > 0 else None}
+    single_crossing_pi_ok = bool(worst["single_crossing_pi"]["magnitude"] <= _SLACK)
+    single_crossing_theta_ok = bool(worst["single_crossing_theta"]["magnitude"] <= _SLACK)
 
     # 5. strictly increasing virtual value (undefined without single crossing)
     try:
@@ -318,8 +308,8 @@ def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
     Also checks individual rationality: the truthful utility must be
     nonnegative and must match the information-rent integral.
     """
-    if theta_grid < 64 or pi_grid < 64:
-        raise ValueError("best-response grids need at least 64 points")
+    if min(theta_grid, pi_grid) < _MIN_RESPONSE_GRID:
+        raise ValueError(f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
     if income_strategy not in ("truthful_projection", "grid_best"):
         raise ValueError(f"unknown income strategy {income_strategy!r}")
     agent = inst.agents[i]
@@ -429,12 +419,7 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
         if da > 1e-9 or db < -1e-9:
             raise RegularityError("payment curves do not bracket a crossing; "
                                   "incentive compatibility is violated")
-        if abs(da) < 1e-15:
-            pi0 = a
-        elif abs(db) < 1e-15:
-            pi0 = b
-        else:
-            pi0 = brentq(lambda p: s1(p) - s2(p), a, b, xtol=1e-12)
+        pi0 = float(_bisect(lambda p: s1(p) - s2(p) < 0, a, b, 64))
 
     pis = np.linspace(left, right, grid)
     d = np.array([s1(p) - s2(p) for p in pis])

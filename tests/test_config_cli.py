@@ -190,6 +190,29 @@ def test_cli_exit_codes(tmp_path):
     assert main(["menu", "--config", str(two), "--out", str(tmp_path / "z")]) == 2
 
 
+@pytest.mark.parametrize("argv,grids,field", [
+    (["check", "--grid", "16"], None, "--grid"),
+    (["verify-ic", "--grid", "32"], None, "--grid"),
+    (["check"], "{theta_points: 16, pi_points: 64}", "grids.theta_points"),
+    (["verify-ic"], "{theta_points: 64, pi_points: 48}", "grids.pi_points"),
+    (["simulate", "--runs", "10"], None, "--runs"),
+    (["sweep", "--runs", "10"], None, "--runs"),
+], ids=["check-flag", "verify-ic-flag", "check-config", "verify-ic-config",
+        "simulate-runs", "sweep-runs"])
+def test_cli_usage_floors_exit_2(tmp_path, capsys, argv, grids, field):
+    # grids and run counts below the library's floors are usage errors: exit 2,
+    # a message naming the flag or config field, no traceback, no output
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL + "sweep: {axis: audit_cost, agent: 0, values: [0.2]}\n"
+                   + (f"grids: {grids}\n" if grids else ""))
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: must be at least ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_rejects_non_single_crossing_instance_before_output(tmp_path):
     # tabulated copy of the additive family at knots 1, 1.5, 2 with c > 0:
     # the audit surplus is not single-crossing in income, so check fails and

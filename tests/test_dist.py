@@ -229,14 +229,33 @@ def test_income_table_rejects_unordered_rows():
 
 
 def test_sampling_matches_conditional_law():
-    fam = make_income_family("scaled_error", UNIT_ERR)
-    rng = np.random.default_rng(13)
-    n = 200_000
-    draws = np.asarray(sample_income(fam, np.full(n, 0.6), rng))
-    # G(0.6 | 0.6) = 0.5 within 5 sigma
-    emp = np.mean(draws <= 0.6)
-    assert abs(emp - 0.5) <= 5 * np.sqrt(0.25 / n)
-    assert abs(draws.mean() - 0.6) <= 5 * draws.std(ddof=1) / np.sqrt(n)
+    scaled = make_income_family("scaled_error", UNIT_ERR)
+    table = _families()[2][1]
+    # G(theta | theta) = 0.5 within 5 sigma: the scaled family at 0.6, and the
+    # tabulated family at 1.7, the even mixture of its rows at 1.4 and 2.0
+    for fam, theta, n in ((scaled, 0.6, 200_000), (table, 1.7, 20_000)):
+        rng = np.random.default_rng(13)
+        draws = np.asarray(sample_income(fam, np.full(n, theta), rng))
+        emp = np.mean(draws <= theta)
+        assert abs(emp - 0.5) <= 5 * np.sqrt(0.25 / n)
+        assert abs(draws.mean() - theta) <= 5 * draws.std(ddof=1) / np.sqrt(n)
+
+
+def test_table_ppf_array_matches_scalar_and_inverts_cdf():
+    fam = _families()[2][1]
+    rng = np.random.default_rng(3)
+    u = np.concatenate([rng.random(40), [0.0, 1.0, 0.0, 1.0, 0.3, 0.7, 0.5]])
+    theta = np.concatenate([1.0 + rng.random(40), [1.0, 1.0, 1.4, 2.0, 1.4, 2.0, 1.4]])
+    out = fam.ppf(u, theta)
+    # the array call bisects every draw at once; it must equal the scalar calls
+    scalar = np.array([fam.ppf(float(a), float(t)) for a, t in zip(u, theta)])
+    assert np.array_equal(out, scalar)
+    assert isinstance(fam.ppf(0.5, 1.7), float)
+    # the quantile inverts the conditional CDF wherever the law has density
+    back = np.asarray(fam.cdf(out, theta))
+    dense = np.asarray(fam.pdf(out, theta)) > 0
+    assert dense.sum() >= 40
+    assert np.max(np.abs(back - u)[dense]) <= 1e-12
 
 
 def test_sampling_mean_normalization_additive():
