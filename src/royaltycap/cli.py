@@ -108,17 +108,10 @@ def _cmd_solve(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     rows = []
     for i, agent in enumerate(inst.agents):
         ths = _theta_grid(agent, cfg.theta_points)
-        tgrid, t_curve = tables.agents[i].theta, tables.agents[i].interim_transfer
-        for th in ths:
-            th = float(th)
-            rows.append([
-                i, th,
-                float(tables.psi_m(i, th)),
-                float(tables.psi(i, th)),
-                float(tables.pi_star(i, th)),
-                float(tables.phi_cap(i, th)),
-                float(np.interp(th, tgrid, t_curve)),
-            ])
+        at = tables.locate(i, ths)
+        cols = [tables.psi_m(i, at), tables.psi(i, at), tables.pi_star(i, at),
+                tables.phi_cap(i, at), at.interp(tables.agents[i].interim_transfer)]
+        rows.extend([i, *vals] for vals in zip(ths.tolist(), *(c.tolist() for c in cols)))
     _emit(cfg, out_dir, "solve", "solve", seed, header=header, rows=rows)
     return 0
 

@@ -279,6 +279,15 @@ def _threshold_kinks(agent: AgentSpec) -> list:
 
     sign = np.sign(edge_surplus(np.broadcast_to(grid, (2, grid.size)), top))
     end, k = np.nonzero(np.diff(sign, axis=1))
+    # A surplus of exactly 0 at the top type (the inverse hazard vanishes
+    # there and c = 0) brackets the support end itself, which is no kink.
+    # Such a last cell is kept only if the sign changes strictly inside it.
+    at_end = (k == grid.size - 2) & (sign[end, -1] == 0)
+    if np.any(at_end):
+        inside = np.sign(edge_surplus(np.nextafter(hi, lo), top[end[at_end], 0]))
+        keep = ~at_end
+        keep[at_end] = inside != sign[end[at_end], k[at_end]]
+        end, k = end[keep], k[keep]
     if k.size == 0:
         return []
     kinks = _bisect(lambda t: np.sign(edge_surplus(t, top[end, 0])) == sign[end, k],
@@ -586,6 +595,93 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     return psi_m, psi, cap, ts - phi * e_min
 
 
+def _buckets(xp: np.ndarray, x, k: int) -> np.ndarray:
+    """Bucket of each point among ``k`` equal-width buckets over [xp[0],
+    xp[-1]]: nondecreasing in x, so the points of a bucket never precede the
+    grid points of an earlier one; NaN falls in the last bucket."""
+    b = x - xp[0]
+    b *= k / (xp[-1] - xp[0])
+    return np.fmin(b, k - 1, out=b).astype(np.intp)
+
+
+def _guide_table(xp: np.ndarray) -> np.ndarray:
+    """Guide table of the sorted grid ``xp`` for indexed search (Chen & Asau
+    1974): over 2 len(xp) buckets, the last grid index that lies in an earlier
+    bucket, which is at or below every point of the bucket (clipped to the
+    cells 0 .. len(xp) - 2)."""
+    k = 2 * xp.size
+    first = np.searchsorted(_buckets(xp, xp, k), np.arange(k))
+    return np.clip(first - 1, 0, xp.size - 2)
+
+
+@dataclass(frozen=True)
+class GridPoints:
+    """Points located on a sorted table grid ``xp``: cell ``j`` (np.interp's
+    last index with xp[j] <= x, kept in 0 .. len(xp) - 2), offset
+    ``d = x - xp[j]`` and cell width ``w = xp[j+1] - xp[j]``, plus the points
+    np.interp answers with a grid value (outside the grid, at its top or
+    exactly on a grid point): positions ``snap`` and value indices
+    ``snap_to``.  ``interp`` evaluates any array on the grid with np.interp's
+    arithmetic, so the two agree bit for bit on finite tables."""
+
+    j: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
+    snap: np.ndarray
+    snap_to: np.ndarray
+    shape: tuple
+
+    @staticmethod
+    def locate(xp: np.ndarray, guide: np.ndarray, x) -> "GridPoints":
+        """Locate ``x`` by the guide table of ``_guide_table(xp)``: read the
+        bucket's index, then step forward while xp[j+1] <= x, moving only the
+        points that still move.  Searching with x clipped below xp[-1] keeps
+        j a cell; the points at or above xp[-1] snap to fp[-1] anyway."""
+        x = np.asarray(x, dtype=float)
+        shape, x = x.shape, x.ravel()
+        top = xp[-1]
+        xs = np.clip(x, xp[0], np.nextafter(top, -np.inf))
+        j = guide[_buckets(xp, xs, guide.size)]
+        nxt = xp[1:]
+        move = np.flatnonzero(nxt[j] <= xs)
+        while move.size:
+            j[move] += 1
+            move = move[nxt[j[move]] <= xs[move]]
+        del xs
+        x0 = xp[j]
+        w = nxt[j]
+        w -= x0
+        d = np.subtract(x, x0, out=x0)
+        snap = np.flatnonzero((d <= 0.0) | (x >= top))
+        xv = x[snap]
+        snap_to = np.where(xv >= top, xp.size - 1, np.where(xv < xp[0], 0, j[snap]))
+        # neutral offsets where the grid value is used, so that a repeated
+        # grid point or an infinite x cannot raise a floating-point warning
+        d[snap] = 0.0
+        w[snap] = 1.0
+        return GridPoints(j, d, w, snap, snap_to, shape)
+
+    def take(self, sel: np.ndarray) -> "GridPoints":
+        """The points at the increasing indices ``sel``."""
+        pos = np.searchsorted(sel, self.snap)
+        hit = pos < sel.size
+        hit[hit] = sel[pos[hit]] == self.snap[hit]
+        return GridPoints(self.j[sel], self.d[sel], self.w[sel], pos[hit],
+                          self.snap_to[hit], sel.shape)
+
+    def interp(self, fp: np.ndarray):
+        """np.interp(x, xp, fp): (fp[j+1] - fp[j]) / w * d + fp[j], or the
+        snapped grid value."""
+        f0 = fp[self.j]
+        out = fp[1:][self.j]
+        out -= f0
+        out /= self.w
+        out *= self.d
+        out += f0
+        out[self.snap] = fp[self.snap_to]
+        return out.reshape(self.shape)[()]
+
+
 @dataclass(frozen=True)
 class AgentTables:
     theta: np.ndarray = field(repr=False)
@@ -600,6 +696,9 @@ class AgentTables:
     win_prob: np.ndarray = field(repr=False)
     interim_transfer: np.ndarray = field(repr=False)
     interim_rent: np.ndarray = field(repr=False)
+    # guide tables of the type grid and of the psi grid (``_guide_table``)
+    theta_guide: np.ndarray = field(repr=False)
+    psi_guide: np.ndarray = field(repr=False)
 
 
 def _mech_curves(agent: AgentSpec, ts: np.ndarray):
@@ -673,44 +772,50 @@ class MechanismTables:
     @staticmethod
     def build(inst: AuctionInstance) -> "MechanismTables":
         curves = [_agent_curves(a) for a in inst.agents]
-        return MechanismTables(tuple(AgentTables(**c, **_interim_curves(inst, i, curves))
-                                     for i, c in enumerate(curves)))
+        return MechanismTables(tuple(
+            AgentTables(**c, **_interim_curves(inst, i, curves),
+                        theta_guide=_guide_table(c["theta"]), psi_guide=_guide_table(c["psi"]))
+            for i, c in enumerate(curves)))
+
+    def locate(self, i: int, theta) -> GridPoints:
+        """Types ``theta`` located on agent i's type grid.  Every type lookup
+        below accepts the result in place of ``theta``, so points looked up
+        several times are searched for once."""
+        if isinstance(theta, GridPoints):
+            return theta
+        t = self.agents[i]
+        return GridPoints.locate(t.theta, t.theta_guide, theta)
 
     def psi(self, i: int, theta):
-        t = self.agents[i]
-        return np.interp(theta, t.theta, t.psi)
+        return self.locate(i, theta).interp(self.agents[i].psi)
 
     def psi_m(self, i: int, theta):
-        t = self.agents[i]
-        return np.interp(theta, t.theta, t.psi_m)
+        return self.locate(i, theta).interp(self.agents[i].psi_m)
 
     def pi_star(self, i: int, theta):
-        t = self.agents[i]
-        return np.interp(theta, t.theta, t.pi_star)
+        return self.locate(i, theta).interp(self.agents[i].pi_star)
 
     def phi_cap(self, i: int, theta):
-        t = self.agents[i]
-        return np.interp(theta, t.theta, t.phi_cap)
+        return self.locate(i, theta).interp(self.agents[i].phi_cap)
 
     def income_net_royalty(self, i: int, theta):
-        t = self.agents[i]
-        return np.interp(theta, t.theta, t.income_net_royalty)
+        return self.locate(i, theta).interp(self.agents[i].income_net_royalty)
 
     def rent_below(self, i: int, theta):
-        t = self.agents[i]
-        return np.interp(theta, t.theta, t.rent_cum)
+        return self.locate(i, theta).interp(self.agents[i].rent_cum)
 
     def threshold_type(self, i: int, rival_value):
         """Inverse virtual value: lowest type beating ``rival_value``."""
         t = self.agents[i]
-        return np.interp(rival_value, t.psi, t.theta)
+        return GridPoints.locate(t.psi, t.psi_guide, rival_value).interp(t.theta)
 
     def transfer_win(self, i: int, theta, rival_value):
         """Winner's transfer at type report ``theta`` against the best rival
         positive virtual value."""
+        at = self.locate(i, theta)
         z = self.threshold_type(i, rival_value)
-        return (self.income_net_royalty(i, theta)
-                - (self.rent_below(i, theta) - self.rent_below(i, z)))
+        return (self.income_net_royalty(i, at)
+                - (self.rent_below(i, at) - self.rent_below(i, z)))
 
 
 def tables_for(inst: AuctionInstance) -> MechanismTables:

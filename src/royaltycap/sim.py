@@ -145,6 +145,24 @@ def _apply_map(fn: Optional[Callable], *cols):
     return np.array([fn(*args) for args in zip(*cols)], dtype=float)
 
 
+def _top_two(psi: np.ndarray):
+    """Per row: the index of the highest virtual value, that value, and the
+    second highest (0 for a lone bidder).
+
+    Ties for the top go to the highest index, as in a stable ascending sort.
+    A tie for the top also makes the second value equal the top, so the
+    asset stays unsold and the rule never shows in an outcome."""
+    n, N = psi.shape
+    if N == 1:
+        return np.zeros(n, dtype=np.intp), psi[:, 0], np.zeros(n)
+    rows = np.arange(n)
+    w = N - 1 - np.argmax(psi[:, ::-1], axis=1)
+    top = psi[rows, w]
+    rest = psi.copy()
+    rest[rows, w] = -np.inf
+    return w, top, rest.max(axis=1)
+
+
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
                     u: np.ndarray, tables: MechanismTables,
                     audit_prob: Optional[Callable] = None) -> dict:
@@ -162,18 +180,17 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     theta_true = np.empty((n, N))
     theta_rep = np.empty((n, N))
     psi_rep = np.empty((n, N))
+    located = []
     for i, agent in enumerate(inst.agents):
         theta_true[:, i] = agent.types.ppf(u[:, i])
         rep = _apply_map(strategies.type_reports[i], theta_true[:, i])
         np.clip(rep, agent.types.lo, agent.types.hi, out=rep)
         theta_rep[:, i] = rep
-        psi_rep[:, i] = tables.psi(i, rep)
+        # one grid search per report, shared by every table lookup below
+        located.append(tables.locate(i, rep))
+        psi_rep[:, i] = tables.psi(i, located[i])
 
-    order = np.argsort(psi_rep, axis=1)
-    w = order[:, -1]
-    top = np.take_along_axis(psi_rep, w[:, None], axis=1)[:, 0]
-    second = np.take_along_axis(psi_rep, order[:, -2][:, None], axis=1)[:, 0] if N > 1 \
-        else np.zeros(n)
+    w, top, second = _top_two(psi_rep)
     rival = np.maximum(second, 0.0)
     sold = top > rival
 
@@ -186,18 +203,20 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     pi_true = np.zeros(n)
 
     for i, agent in enumerate(inst.agents):
-        m = sold & (w == i)
-        if not np.any(m):
+        m = np.flatnonzero(sold & (w == i))
+        if not m.size:
             continue
         th_t = theta_true[m, i]
         th_r = theta_rep[m, i]
+        at = located[i].take(m)
+        located[i] = None  # release the whole batch's cells early
         # only the winner's income is ever realized
         pi = agent.income.ppf(u[m, N], th_t)
         rep_fn = strategies.income_reports[i]
         pi_rep = pi.copy() if rep_fn is None else _apply_map(rep_fn, th_t, th_r, pi)
         pi_rep = project_to_support(agent.income, th_r, pi_rep)
 
-        cap = tables.pi_star(i, th_r)
+        cap = tables.pi_star(i, at)
         r = np.minimum(pi_rep, cap) * agent.sensitivity
         if audit_prob is None:
             a = _audit_mask(pi_rep, cap, np.asarray(agent.income.supp_hi(th_r)))
@@ -205,7 +224,8 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
             prob = np.asarray(audit_prob(th_r, pi_rep), dtype=float)
             a = u[m, N + 1] < prob
         p = np.where(a, (pi - pi_rep) * agent.sensitivity, 0.0)
-        t = tables.transfer_win(i, th_r, rival[m])
+        # a lone bidder always faces the rival value 0: one threshold type
+        t = tables.transfer_win(i, at, rival[m] if N > 1 else 0.0)
 
         pi_true[m] = pi
         transfers[m, i] = t
@@ -303,9 +323,11 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
 
     chunks = [(s, min(_CHUNK, n_runs - s)) for s in range(0, n_runs, _CHUNK)]
     results = {}
-    if workers > 1:
+    # a worker gets at least one chunk; a single process runs in-line
+    procs = min(workers, len(chunks))
+    if procs > 1:
         ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_worker_init,
+        with ctx.Pool(procs, initializer=_worker_init,
                       initargs=(inst, strategies, seed, audit_prob)) as pool:
             for start, payload in pool.imap_unordered(_worker_chunk, chunks):
                 results[start] = payload

@@ -316,21 +316,19 @@ def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
     agent.types._check_domain(theta_true)
     tables = tables_for(inst)
     t = tables.agents[i]
-    q_grid, t_curve, rent_grid = t.win_prob, t.interim_transfer, t.interim_rent
 
     reports = np.unique(np.concatenate([
         np.linspace(t.theta[0], t.theta[-1], theta_grid), [theta_true]]))
+    at = tables.locate(i, reports)
     best_u = -np.inf
     best_rep = None
     truthful_u = None
-    for theta_rep in reports:
-        theta_rep = float(theta_rep)
-        q = float(np.interp(theta_rep, t.theta, q_grid))
-        t_pay = float(np.interp(theta_rep, t.theta, t_curve))
+    for theta_rep, q, t_pay, cap in zip(reports.tolist(), at.interp(t.win_prob).tolist(),
+                                        at.interp(t.interim_transfer).tolist(),
+                                        tables.pi_star(i, at).tolist()):
         if q <= 0.0:
             u = 0.0
         else:
-            cap = float(tables.pi_star(i, theta_rep))
             pay = _expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
                                     best_response=(income_strategy == "grid_best"))
             u = q * (theta_true - pay) - t_pay
@@ -338,12 +336,11 @@ def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
             best_u, best_rep = u, theta_rep
         if theta_rep == theta_true:
             # on-path: the projected report is the truthful report
-            cap = float(tables.pi_star(i, theta_rep))
             pay = _expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
                                     best_response=False)
             truthful_u = q * (theta_true - pay) - t_pay
 
-    info_rent = float(np.interp(theta_true, t.theta, rent_grid))
+    info_rent = float(tables.locate(i, theta_true).interp(t.interim_rent))
     ir_ok = truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6
     return DeviationReport(
         truthful_utility=float(truthful_u),

@@ -489,3 +489,105 @@ def test_pi_star_weakly_decreasing_fixed_support(su_agent, st_agent):
         ths = np.linspace(agent.types.lo + 1e-6, agent.types.hi, 129)
         caps = [rc.audit_threshold(agent, float(t)) for t in ths]
         assert np.all(np.diff(caps) <= 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Located table lookups
+# ---------------------------------------------------------------------------
+
+_TYPE_ARRAYS = ("psi_m", "psi", "pi_star", "phi_cap", "income_net_royalty", "rent_cum",
+                "win_prob", "interim_transfer", "interim_rent")
+_LOOKUPS = {"psi_m": "psi_m", "psi": "psi", "pi_star": "pi_star", "phi_cap": "phi_cap",
+            "income_net_royalty": "income_net_royalty", "rent_below": "rent_cum"}
+
+
+def _bitwise_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _probe_points(data, xp):
+    """Random points around the grid, every grid point and its neighbouring
+    floats, and both ends from inside and outside."""
+    lo, hi = float(xp[0]), float(xp[-1])
+    pad = hi - lo
+    drawn = data.draw(st.lists(st.floats(lo - pad, hi + pad), min_size=1, max_size=300))
+    return np.concatenate([drawn, xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                           [lo - pad, hi + pad, -np.inf, np.inf]])
+
+
+@pytest.fixture(scope="module")
+def lookup_tables(shipped_instances):
+    insts = list(shipped_instances.values()) + [
+        rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))]
+    return [(rc.tables_for(inst), i) for inst in insts for i in range(inst.n_agents)]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_located_lookup_equals_np_interp(lookup_tables, data):
+    # every table quantity, on both grids, bit for bit; the tabulated income
+    # family puts kink triplets 1e-12 apart into the type grid
+    tables, i = data.draw(st.sampled_from(lookup_tables))
+    t = tables.agents[i]
+    x = _probe_points(data, t.theta)
+    at = tables.locate(i, x)
+    for name in _TYPE_ARRAYS:
+        assert _bitwise_equal(at.interp(getattr(t, name)), np.interp(x, t.theta, getattr(t, name)))
+    for method, name in _LOOKUPS.items():
+        want = np.interp(x, t.theta, getattr(t, name))
+        assert _bitwise_equal(getattr(tables, method)(i, x), want)
+        scalar = getattr(tables, method)(i, float(x[0]))
+        assert isinstance(scalar, np.float64) and _bitwise_equal(scalar, want[0])
+    v = _probe_points(data, t.psi)
+    assert _bitwise_equal(tables.threshold_type(i, v), np.interp(v, t.psi, t.theta))
+    rival = np.maximum(np.resize(v, x.size), 0.0)
+    want = (np.interp(x, t.theta, t.income_net_royalty)
+            - (np.interp(x, t.theta, t.rent_cum)
+               - np.interp(np.interp(rival, t.psi, t.theta), t.theta, t.rent_cum)))
+    assert _bitwise_equal(tables.transfer_win(i, x, rival), want)
+
+
+@given(steps=st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0, 3.0]), min_size=2, max_size=40),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_located_lookup_handles_repeated_grid_values(steps, data):
+    # np.maximum.accumulate leaves runs of equal values in a psi grid,
+    # possibly at either end
+    xp = np.maximum.accumulate(np.cumsum(steps))
+    if xp[-1] == xp[0]:
+        return
+    fp = np.asarray(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=xp.size,
+                                       max_size=xp.size)))
+    x = _probe_points(data, xp)
+    at = rc.mech.GridPoints.locate(xp, rc.mech._guide_table(xp), x)
+    assert _bitwise_equal(at.interp(fp), np.interp(x, xp, fp))
+    sel = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    assert _bitwise_equal(at.take(sel).interp(fp), np.interp(x[sel], xp, fp))
+
+
+# ---------------------------------------------------------------------------
+# Regime-change kinks
+# ---------------------------------------------------------------------------
+
+
+def test_threshold_kinks_skip_the_support_end(monkeypatch):
+    # with c = 0 the surplus is exactly 0 at the top type; that bracket holds
+    # no kink and is not bisected
+    calls = []
+    bisect = rc.mech._bisect
+    monkeypatch.setattr(rc.mech, "_bisect", lambda *a: calls.append(a) or bisect(*a))
+    assert rc.mech._threshold_kinks(table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)) == []
+    assert calls == []
+
+
+def test_threshold_kinks_keep_crossings_inside_the_last_cell(monkeypatch, ua_agent):
+    # the last cell of the 513-point scan is [1.998..., 2]
+    assert rc.mech._threshold_kinks(replace(ua_agent, audit_cost=0.0005)) == pytest.approx(
+        [1.999], abs=1e-12)
+    # additive errors make the edge surplus phi (1 - F)/f; this stand-in
+    # turns negative at 1.999 and is 0 at the top type, as with c = 0
+    monkeypatch.setattr(rc.mech, "inverse_hazard", lambda types, t: (2.0 - t) * (1.999 - t))
+    assert rc.mech._threshold_kinks(replace(ua_agent, audit_cost=0.0)) == pytest.approx(
+        [1.999], abs=1e-12)

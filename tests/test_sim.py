@@ -194,3 +194,83 @@ def test_sweep_empty_axis(ua_agent):
         return rc.AuctionInstance((replace(ua_agent, audit_cost=c),))
 
     assert rc.sweep(builder, [], n_runs=2_000, seed=0) == []
+
+
+# ---------------------------------------------------------------------------
+# Allocation ties, worker count and golden reports
+# ---------------------------------------------------------------------------
+
+def test_top_two_matches_stable_argsort():
+    # ties go to the highest index, as a stable ascending sort orders them
+    rs = np.random.default_rng(4)
+    for n_agents in (1, 2, 3, 5):
+        psi = rs.choice([-0.5, 0.0, 0.25, 0.5], size=(400, n_agents))
+        w, top, second = S._top_two(psi)
+        order = np.argsort(psi, axis=1, kind="stable")
+        assert np.array_equal(w, order[:, -1])
+        assert np.array_equal(top, psi[np.arange(400), order[:, -1]])
+        want = psi[np.arange(400), order[:, -2]] if n_agents > 1 else np.zeros(400)
+        assert np.array_equal(second, want)
+
+
+def test_tied_virtual_values_leave_the_asset_unsold(ua_agent):
+    # three identical bidders, types 1 + u: a tie for the top leaves the
+    # asset unsold; a tie below the top only sets the rival value
+    inst = rc.AuctionInstance((ua_agent,) * 3)
+    u = np.array([[0.5, 0.5, 0.2, 0.4, 0.9],
+                  [0.2, 0.7, 0.7, 0.4, 0.9],
+                  [0.8, 0.3, 0.3, 0.4, 0.9],
+                  [0.1, 0.1, 0.1, 0.4, 0.9]])
+    tables = rc.tables_for(inst)
+    b = S._simulate_batch(inst, rc.StrategyProfile.truthful(3), u, tables)
+    assert b["winner"].tolist() == [-1, -1, 0, -1]
+    assert np.array_equal(b["revenue"][[0, 1, 3]], np.zeros(3))
+    rival = float(tables.psi(0, 1.3))
+    assert b["transfers"][2, 0] == tables.transfer_win(0, 1.8, rival)
+
+
+def test_workers_capped_by_chunks(ua_inst, monkeypatch):
+    # 1000 runs are one chunk: no worker pool is started
+    serial = rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single chunk must run in-line")
+
+    monkeypatch.setattr(S, "get_context", no_pool)
+    assert rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3, workers=4) == serial
+
+
+# estimate_revenue(inst, None, 2**17, seed=1) on the shipped instances, with
+# 1 and 2 workers, as computed before table lookups were located once per
+# report; any change here breaks the bit-identity of the simulator
+_GOLDEN_REPORTS = {
+    "uniform_additive": {
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.0894076071308656,
+        "revenue_se": 0.0007998485993313323, "agent_utility": [0.29049959836952555],
+        "agent_utility_se": [0.001304713897738686], "audit_frequency": 0.5995712280273438,
+        "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
+    "scaled_uniform": {
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498280118825,
+        "revenue_se": 0.0006653393216740997, "agent_utility": [0.148807823859039],
+        "agent_utility_se": [0.00047864220732789795], "audit_frequency": 0.152679443359375,
+        "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
+    "scaled_triangular": {
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.6312910764859678,
+        "revenue_se": 0.0007066671319309637, "agent_utility": [0.11530709248419498],
+        "agent_utility_se": [0.00031183628675382095], "audit_frequency": 0.17331695556640625,
+        "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
+    "mixed_pair": {
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309461576998,
+        "revenue_se": 0.0008693194570556999,
+        "agent_utility": [0.2191836653987909, 0.018528554909766015],
+        "agent_utility_se": [0.0012566897224632542, 0.00017326123836946525],
+        "audit_frequency": 0.43735504150390625, "mean_on_path_penalty": 0.0,
+        "allocation_frequency": [0.8357772827148438, 0.16422271728515625]},
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_revenue_golden_reports(shipped_instances, workers):
+    for name, want in _GOLDEN_REPORTS.items():
+        rep = rc.estimate_revenue(shipped_instances[name], None, 1 << 17, 1, workers)
+        assert rep.to_dict() == want, name
