@@ -634,9 +634,13 @@ class GridPoints:
     @staticmethod
     def locate(xp: np.ndarray, guide: np.ndarray, x) -> "GridPoints":
         """Locate ``x`` by the guide table of ``_guide_table(xp)``: read the
-        bucket's index, then step forward while xp[j+1] <= x, moving only the
-        points that still move.  Searching with x clipped below xp[-1] keeps
-        j a cell; the points at or above xp[-1] snap to fp[-1] anyway."""
+        bucket's index and step forward once where xp[j+1] <= x.  That
+        settles nearly every point of a well-spread grid; a point that must
+        step further sits in a bucket crowded with grid points (a far outlier
+        squeezes the other grid points into a few buckets) and is located by
+        binary search, so no point costs more than np.interp's search.
+        Searching with x clipped below xp[-1] keeps j a cell; the points at
+        or above xp[-1] snap to fp[-1] anyway."""
         x = np.asarray(x, dtype=float)
         shape, x = x.shape, x.ravel()
         top = xp[-1]
@@ -644,9 +648,9 @@ class GridPoints:
         j = guide[_buckets(xp, xs, guide.size)]
         nxt = xp[1:]
         move = np.flatnonzero(nxt[j] <= xs)
-        while move.size:
-            j[move] += 1
-            move = move[nxt[j[move]] <= xs[move]]
+        j[move] += 1
+        move = move[nxt[j[move]] <= xs[move]]
+        j[move] = np.searchsorted(xp, xs[move], side="right") - 1
         del xs
         x0 = xp[j]
         w = nxt[j]

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -517,10 +519,19 @@ def _probe_points(data, xp):
                            [lo - pad, hi + pad, -np.inf, np.inf]])
 
 
+def _zero_density_pair():
+    """Two bidders whose type density vanishes at the bottom (triangular,
+    mode = hi): the psi grid starts near -2.5e8, far below its other points."""
+    agent = replace(uniform_additive_agent(),
+                    types=rc.make_type_dist("triangular", {"lo": 1.0, "hi": 2.0}))
+    return rc.AuctionInstance((agent, agent))
+
+
 @pytest.fixture(scope="module")
 def lookup_tables(shipped_instances):
     insts = list(shipped_instances.values()) + [
-        rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))]
+        rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),)),
+        _zero_density_pair()]
     return [(rc.tables_for(inst), i) for inst in insts for i in range(inst.n_agents)]
 
 
@@ -565,6 +576,28 @@ def test_located_lookup_handles_repeated_grid_values(steps, data):
     assert _bitwise_equal(at.interp(fp), np.interp(x, xp, fp))
     sel = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
     assert _bitwise_equal(at.take(sel).interp(fp), np.interp(x[sel], xp, fp))
+
+
+def test_located_lookup_cost_ignores_grid_spread():
+    # one far outlier squeezes the rest of this psi grid into a sliver of
+    # its range; a search that scans cells would be hundreds of times slower
+    # than np.interp's binary search here
+    tables = rc.tables_for(_zero_density_pair())
+    t = tables.agents[0]
+    assert t.psi[0] < -1e8 and np.sum(t.psi <= 0.0) > 1000
+    v = np.random.default_rng(0).uniform(0.0, t.psi[-1], 1 << 15)
+
+    def best_of(f, reps=5):
+        times = []
+        for _ in range(reps):
+            start = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert _bitwise_equal(tables.threshold_type(0, v), np.interp(v, t.psi, t.theta))
+    located = best_of(lambda: tables.threshold_type(0, v))
+    assert located < 10 * best_of(lambda: np.interp(v, t.psi, t.theta))
 
 
 # ---------------------------------------------------------------------------
