@@ -159,12 +159,12 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
         lo, hi = agent.types.lo, agent.types.hi
         for th in lo + (hi - lo) * rng.uniform(0.3, 0.95, 4):
             th = float(th)
-            psis = [mech.virtual_value(a, float(0.5 * (a.types.lo + a.types.hi)))
-                    for j, a in enumerate(inst.agents) if j != i]
-            if not mech.virtual_value(agent, th) > max([0.0] + psis):
-                continue
             minus = [0.5 * (a.types.lo + a.types.hi)
                      for j, a in enumerate(inst.agents) if j != i]
+            profile = [*minus[:i], th, *minus[i:]]
+            if not mech._wins([mech.virtual_value(a, float(x))
+                               for a, x in zip(inst.agents, profile)], i)[0]:
+                continue
             for q in (0.2, 0.8):
                 pi_true = float(agent.income.supp_lo(th) + q * (
                     agent.income.supp_hi(th) - agent.income.supp_lo(th)))

@@ -33,7 +33,7 @@ _EDGE_NUDGE = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Monotone inversion
+# Monotone inversion and quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -51,6 +51,18 @@ def _bisect(below, a, b, steps: int):
         ok = below(m)
         a, b = np.where(ok, m, a), np.where(ok, b, m)
     return 0.5 * (a + b)
+
+
+def _gl_segments(a, b, rule):
+    """Gauss-Legendre nodes/weights (trailing axis) for segments [a, b] of
+    any shape (segments with b <= a contribute nothing).  The integration rule
+    of the package, applied piece by piece between an integrand's kinks."""
+    x, w = rule
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * np.maximum(b - a, 0.0)
+    mid = 0.5 * (a + np.maximum(b, a))
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +174,17 @@ class _TableCdf:
         keep = np.concatenate(([True], np.diff(fd) > 0))
         self._inv_f, self._inv_x = fd[keep], dense[keep]
         # mean = lo + int (1 - F); Gauss-Legendre with 4 nodes is exact on each cubic piece
-        x, w = np.polynomial.legendre.leggauss(4)
-        half = 0.5 * np.diff(grid)[:, None]
-        nodes = 0.5 * (grid[:-1] + grid[1:])[:, None] + half * x
-        self.mean = self.lo + float(np.sum(half * w * (1.0 - self._cdf(nodes))))
+        nodes, wts = _gl_segments(grid[:-1], grid[1:], np.polynomial.legendre.leggauss(4))
+        self.mean = self.lo + float(np.sum(wts * (1.0 - self._cdf(nodes))))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._cdf(np.clip(x, self.lo, self.hi))
-        return out if out.ndim else float(out)
+        return self._cdf(np.clip(x, self.lo, self.hi))[()]
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lo) & (x <= self.hi)
-        out = np.where(inside, self._pdf(np.clip(x, self.lo, self.hi)), 0.0)
-        return out if out.ndim else float(out)
+        return np.where(inside, self._pdf(np.clip(x, self.lo, self.hi)), 0.0)[()]
 
     def ppf(self, u):
         out = np.interp(u, self._inv_f, self._inv_x)
@@ -218,6 +226,7 @@ class TypeDist:
     params: dict = field(repr=False)
     lo: float
     hi: float
+    knots: np.ndarray = field(repr=False, compare=False)  # F is one polynomial between knots
     _backend: object = field(repr=False)
 
     def cdf(self, theta):
@@ -251,7 +260,7 @@ def make_type_dist(family: str, params: dict) -> TypeDist:
     interpolated).
     """
     backend = _build_univariate(family, params)
-    return TypeDist(family, dict(params), backend.lo, backend.hi, backend)
+    return TypeDist(family, dict(params), backend.lo, backend.hi, backend.knots, backend)
 
 
 def inverse_hazard(d: TypeDist, theta):

@@ -26,8 +26,7 @@ breakpoints (``IncomeFamily.breakpoints``) and integrated piece by piece
 with the 2-point Gauss-Legendre rule, exact because the supported laws are
 polynomials of degree <= 3 between breakpoints.  The scalar entry points
 wrap the kernels; ``MechanismTables`` holds dense grids of the same
-quantities and the interim transfer curve, built once per instance.
-Adaptive quadrature is left to the outer integrals over types.  Every
+quantities and the interim transfer curve, built once per instance.  Every
 inversion (the audit threshold, the menu cutoffs, the types where the audit
 region changes regime and the cash auction's reserve type) goes through the
 vectorized bisection ``dist._bisect``.
@@ -40,9 +39,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .dist import AgentSpec, AdditiveErrorFamily, _bisect, inverse_hazard
+from .dist import AgentSpec, AdditiveErrorFamily, _bisect, _gl_segments, inverse_hazard
 from .errors import (
     ConstructionError,
     RegularityError,
@@ -50,7 +48,6 @@ from .errors import (
     UnsupportedInstanceError,
 )
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 # relative nudge for one-sided limits at support endpoints
 _NU = 1e-9
 _GL32 = np.polynomial.legendre.leggauss(32)
@@ -187,17 +184,18 @@ def phi_cap(agent: AgentSpec, theta) -> float:
     return float(_curves_at(agent, theta)[3][0])
 
 
+def _wins(psis: list, i: int) -> tuple:
+    """Whether agent i, with virtual values ``psis`` of all agents, wins: its
+    value must strictly exceed both zero and every rival's, so exact ties
+    leave the asset unallocated.  Also returns the best rival positive value."""
+    rival = max([0.0] + psis[:i] + psis[i + 1:])
+    return psis[i] > rival, rival
+
+
 def allocation(inst: AuctionInstance, theta_profile) -> list:
-    """Winner indicator: 1 for the agent whose virtual value strictly exceeds
-    both zero and every rival's positive part; exact ties leave the asset
-    unallocated."""
+    """Winner indicator: 1 for the agent that wins by ``_wins``."""
     psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
-    out = [0] * inst.n_agents
-    w = int(np.argmax(psis))
-    rival = max([0.0] + [p for j, p in enumerate(psis) if j != w])
-    if psis[w] > rival:
-        out[w] = 1
-    return out
+    return [int(_wins(psis, i)[0]) for i in range(inst.n_agents)]
 
 
 def _check_report(agent: AgentSpec, theta_report: float, pi_report: float):
@@ -320,8 +318,8 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     of order 1e-9.
     """
     psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
-    rival = max([0.0] + [p for j, p in enumerate(psis) if j != i])
-    if not psis[i] > rival:
+    wins, rival = _wins(psis, i)
+    if not wins:
         return 0.0
     return float(tables_for(inst).transfer_win(i, float(theta_profile[i]), rival))
 
@@ -392,27 +390,38 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     Myerson virtual value plus E[a(theta, pi) (mu*phi - c)].
 
     Maximized pointwise by auditing exactly when mu*phi >= c, where it
-    equals ``virtual_value``.
+    equals ``virtual_value``.  The income integral is split at the law's
+    breakpoints, at pi_star and at the rule's switches (a 257-point scan,
+    then bisection), with the 32-point Gauss-Legendre rule on each piece.
     """
     agent = inst.agents[i]
     theta_i = float(theta_profile[i])
     agent.types._check_domain(theta_i)
     lo, hi = (float(x) for x in _income_bounds(agent, theta_i))
 
-    def f(x):
-        a = audit_rule_fn(theta_profile, x)
-        s = mu(agent, theta_i, x) * agent.sensitivity - agent.audit_cost
-        return a * s * agent.income.pdf(x, theta_i)
+    def audit(x):
+        return np.array([audit_rule_fn(theta_profile, p) for p in x.tolist()], dtype=float)
 
-    pts = [p for p in [audit_threshold(agent, theta_i)] if lo < p < hi] or None
-    term, _ = quad(f, lo, hi, points=pts, **_QUAD_OPTS)
-    return myerson_virtual(agent, theta_i) + term
+    scan = np.linspace(lo, hi, 257)
+    a = audit(scan)
+    k = np.flatnonzero(np.diff(a))
+    switches = _bisect(lambda x: audit(x) == a[k], scan[k], scan[k + 1], 64)
+    cuts = np.concatenate([[lo, hi, audit_threshold(agent, theta_i)], switches,
+                           agent.income.breakpoints(np.array([theta_i]))[0]])
+    cuts = np.unique(np.clip(cuts, lo, hi))
+    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], _GL32)
+    x = nodes.ravel()
+    s = mu(agent, theta_i, x) * agent.sensitivity - agent.audit_cost
+    term = np.sum(audit(x) * s * agent.income.pdf(x, theta_i) * wts.ravel())
+    return myerson_virtual(agent, theta_i) + float(term)
 
 
 def _expected_max_plus(inst: AuctionInstance, grids: list) -> float:
     """E[max_i V_i(theta_i)_+] for independent types and strictly increasing
-    per-agent value functions, sampled as (types, values) ``grids``, via the
-    survival-function integral int_0^{vmax} (1 - prod_i P(V_i <= s)) ds."""
+    per-agent value functions, sampled as (types, values) ``grids``: the
+    integral of 1 - prod_i P(V_i <= s) over [0, vmax], cut at the value grid
+    points and the values of the type laws' knots, where theta_i(s) is linear
+    and F_i of degree <= 3, so the (2N)-point Gauss-Legendre rule is exact."""
     for _, vals in grids:
         if np.any(np.diff(vals) <= 0):
             raise RegularityError("value function is not strictly increasing; "
@@ -420,17 +429,14 @@ def _expected_max_plus(inst: AuctionInstance, grids: list) -> float:
     vmax = max(float(v[-1]) for _, v in grids)
     if vmax <= 0:
         return 0.0
-
-    def survive(s):
-        p = 1.0
-        for agent, (ts, vals) in zip(inst.agents, grids):
-            p *= float(agent.types.cdf(np.interp(s, vals, ts)))
-        return 1.0 - p
-
-    pts = sorted({float(x) for _, v in grids for x in (v[0], v[-1])
-                  if 0.0 < x < vmax}) or None
-    val, _ = quad(survive, 0.0, vmax, points=pts, **_QUAD_OPTS)
-    return val
+    cuts = [[0.0, vmax]] + [np.concatenate([vals, np.interp(a.types.knots, ts, vals)])
+                            for a, (ts, vals) in zip(inst.agents, grids)]
+    cuts = np.unique(np.clip(np.concatenate(cuts), 0.0, vmax))
+    nodes, wts = _gl_segments(cuts[:-1], cuts[1:],
+                              np.polynomial.legendre.leggauss(2 * inst.n_agents))
+    below = np.prod([a.types.cdf(np.interp(nodes, vals, ts))
+                     for a, (ts, vals) in zip(inst.agents, grids)], axis=0)
+    return float(np.sum((1.0 - below) * wts))
 
 
 def payoff_bound(inst: AuctionInstance) -> float:
@@ -443,30 +449,26 @@ def payoff_bound(inst: AuctionInstance) -> float:
 
 
 def myerson_cash_revenue(inst: AuctionInstance) -> float:
-    """Expected revenue of the optimal cash-only auction, E[max_i psiM_i_+].
-
-    Requires every Myerson virtual value to be strictly increasing."""
-    for agent in inst.agents:
-        probe = np.linspace(_psi_floor(agent), agent.types.hi, 257)
-        vals = myerson_virtual(agent, probe)
-        if np.any(np.diff(vals) <= 0):
-            raise RegularityError("Myerson virtual value is not strictly increasing; "
-                                  "ironing is not supported")
-    if inst.n_agents == 1:
-        agent = inst.agents[0]
-        lo_n, hi = _psi_floor(agent), agent.types.hi
-        if myerson_virtual(agent, hi) <= 0:
-            return 0.0
-        if myerson_virtual(agent, lo_n) > 0:
-            theta_r = agent.types.lo
-        else:
-            theta_r = float(_bisect(lambda t: myerson_virtual(agent, t) <= 0, lo_n, hi, 64))
-        val, _ = quad(lambda t: myerson_virtual(agent, t) * agent.types.pdf(t),
-                      theta_r, hi, **_QUAD_OPTS)
-        return val
-    grids = [np.linspace(_psi_floor(a), a.types.hi, 4097) for a in inst.agents]
-    return _expected_max_plus(inst, [(ts, np.asarray(myerson_virtual(a, ts), dtype=float))
-                                     for a, ts in zip(inst.agents, grids)])
+    """Expected revenue of the optimal cash-only auction, E[max_i psiM_i_+]
+    (a posted price for one bidder).  Requires every Myerson virtual value to
+    be strictly increasing."""
+    thetas = [np.linspace(_psi_floor(a), a.types.hi, 4097) for a in inst.agents]
+    grids = [(ts, np.asarray(myerson_virtual(a, ts), dtype=float))
+             for a, ts in zip(inst.agents, thetas)]
+    if any(np.any(np.diff(v) <= 0) for _, v in grids):
+        raise RegularityError("Myerson virtual value is not strictly increasing; "
+                              "ironing is not supported")
+    if inst.n_agents > 1:
+        return _expected_max_plus(inst, grids)
+    agent, ((ts, v),) = inst.agents[0], grids
+    if v[-1] <= 0:
+        return 0.0
+    if v[0] > 0:
+        theta_r = agent.types.lo
+    else:
+        theta_r = float(_bisect(lambda t: myerson_virtual(agent, t) <= 0, ts[0], ts[-1], 64))
+    # int_{theta_r}^{hi} psi_m f = [theta (F - 1)]_{theta_r}^{hi}
+    return float(theta_r * (1.0 - agent.types.cdf(theta_r)))
 
 
 def full_extraction_revenue(inst: AuctionInstance) -> float:
@@ -480,17 +482,6 @@ def full_extraction_revenue(inst: AuctionInstance) -> float:
 # ---------------------------------------------------------------------------
 # Vectorized kernels and dense tables
 # ---------------------------------------------------------------------------
-
-
-def _gl_segments(a, b, rule):
-    """Gauss-Legendre nodes/weights (trailing axis) for segments [a, b] of
-    any shape (segments with b <= a contribute nothing)."""
-    x, w = rule
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    half = 0.5 * np.maximum(b - a, 0.0)
-    mid = 0.5 * (a + np.maximum(b, a))
-    return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
 def _blocked(fn, *cols):

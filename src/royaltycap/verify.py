@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import AgentSpec, TypeDist, _bisect, inverse_hazard, project_to_support
+from .dist import AgentSpec, TypeDist, _bisect, _gl_segments, inverse_hazard, project_to_support
 from .errors import (
     DomainError,
     InvalidAxisError,
@@ -27,10 +27,10 @@ from .mech import (
     _GL32,
     _audit_mask,
     _audit_region,
-    _gl_segments,
     _income_bounds,
     _mech_curves,
     _pi_star_vec,
+    _wins,
     audit_threshold,
     tables_for,
     transfer,
@@ -268,9 +268,8 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     mechanism to be income-incentive-compatible.
     """
     agent = inst.agents[i]
-    rivals = [virtual_value(a, float(t)) for a, t in
-              zip((a for j, a in enumerate(inst.agents) if j != i), theta_minus)]
-    if not virtual_value(agent, theta_report) > max([0.0] + rivals):
+    profile = [*theta_minus[:i], theta_report, *theta_minus[i:]]
+    if not _wins([virtual_value(a, float(t)) for a, t in zip(inst.agents, profile)], i)[0]:
         raise DomainError("agent does not win at this report profile")
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
     cap = audit_threshold(agent, theta_report)
@@ -385,8 +384,8 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     profile_of = lambda th: [th if j == i else theta_minus[j if j < i else j - 1]
                              for j in range(inst.n_agents)]
     for th in (theta_lo, theta_hi):
-        psis = [virtual_value(a, float(x)) for a, x in zip(inst.agents, profile_of(th))]
-        if not psis[i] > max([0.0] + [p for j, p in enumerate(psis) if j != i]):
+        if not _wins([virtual_value(a, float(x)) for a, x in zip(inst.agents, profile_of(th))],
+                     i)[0]:
             raise UnsupportedPairError(f"type {th} does not win against the rivals")
     cap_lo = audit_threshold(agent, theta_lo)   # cap of the lower report
     cap_hi = audit_threshold(agent, theta_hi)

@@ -60,11 +60,14 @@ def shipped_instances(ua_inst, su_inst, st_inst, pair_inst):
     }
 
 
-def cash_only_agent(lo: float, hi: float) -> AgentSpec:
+def cash_only_agent(lo: float, hi: float, mode=None) -> AgentSpec:
     """An agent whose income is (numerically) the type itself: used to test
-    the cash-auction benchmarks, which depend only on the type distribution."""
+    the cash-auction benchmarks, which depend only on the type distribution
+    (uniform, or triangular with the given ``mode``)."""
+    types = (make_type_dist("uniform", {"lo": lo, "hi": hi}) if mode is None else
+             make_type_dist("triangular", {"lo": lo, "hi": hi, "mode": mode}))
     return AgentSpec(
-        types=make_type_dist("uniform", {"lo": lo, "hi": hi}),
+        types=types,
         income=make_income_family(
             "additive_error",
             {"error": {"family": "uniform", "lo": -1e-12, "hi": 1e-12}}),

@@ -5,8 +5,11 @@ the vectorized kernels in ``royaltycap.mech``: the audit threshold by a
 65-point single-crossing scan and bisection, every income integral by scipy's
 adaptive ``quad`` against the distribution objects, and the transfer's rent
 integral by ``quad`` over types with the winning threshold found by
-``brentq``.  They are slow (up to a second per call on a tabulated family),
-so tests call them on a few points.
+``brentq``.  The revenue functionals (``payoff_bound`` and the cash and
+full-extraction benchmarks) integrate the survival function of the highest
+value by ``quad``, and ``endogenous_virtual`` its income integral.  They are
+slow (up to a second per call on a tabulated family), so tests call them on
+a few points.
 """
 
 import numpy as np
@@ -126,3 +129,65 @@ def transfer(inst, i, theta_profile):
     rent = quad(lambda z: 1.0 - phi_cap(agent, z), zstar, theta_i, points=pts,
                 **QUAD_OPTS)[0]
     return expected_income_net_royalty(agent, theta_i) - rent
+
+
+def endogenous_virtual(inst, i, theta_profile, audit_rule_fn):
+    """Myerson virtual value plus quad of a(theta, pi) (mu phi - c) g over
+    the income support, split at pi_star only."""
+    agent = inst.agents[i]
+    theta_i = float(theta_profile[i])
+    lo, hi = _bounds(agent, theta_i)
+
+    def f(x):
+        return (audit_rule_fn(theta_profile, x) * _surplus(agent, theta_i, x)
+                * float(agent.income.pdf(x, theta_i)))
+
+    pts = [p for p in [audit_threshold(agent, theta_i)] if lo < p < hi] or None
+    return rc.myerson_virtual(agent, theta_i) + quad(f, lo, hi, points=pts, **QUAD_OPTS)[0]
+
+
+def expected_max_plus(inst, grids):
+    """quad of the survival function 1 - prod_i F_i(V_i^{-1}(s)) over
+    [0, vmax], split at the ends of each value grid."""
+    vmax = max(float(v[-1]) for _, v in grids)
+    if vmax <= 0:
+        return 0.0
+
+    def survive(s):
+        p = 1.0
+        for agent, (ts, vals) in zip(inst.agents, grids):
+            p *= float(agent.types.cdf(np.interp(s, vals, ts)))
+        return 1.0 - p
+
+    pts = sorted({float(x) for _, v in grids for x in (v[0], v[-1])
+                  if 0.0 < x < vmax}) or None
+    return quad(survive, 0.0, vmax, points=pts, **QUAD_OPTS)[0]
+
+
+def payoff_bound(inst):
+    return expected_max_plus(inst, [(t.theta, t.psi) for t in rc.tables_for(inst).agents])
+
+
+def myerson_cash_revenue(inst):
+    """One bidder: quad of psi_m f above the reserve type; several bidders:
+    ``expected_max_plus`` over 4097-point Myerson virtual value grids."""
+    floors = [lo if np.isfinite(rc.inverse_hazard(a.types, lo)) else lo + NU * (hi - lo)
+              for a in inst.agents for lo, hi in [(a.types.lo, a.types.hi)]]
+    if inst.n_agents == 1:
+        agent = inst.agents[0]
+        hi = agent.types.hi
+        if rc.myerson_virtual(agent, hi) <= 0:
+            return 0.0
+        if rc.myerson_virtual(agent, floors[0]) > 0:
+            theta_r = agent.types.lo
+        else:
+            theta_r = brentq(lambda t: rc.myerson_virtual(agent, t), floors[0], hi, xtol=1e-14)
+        return quad(lambda t: rc.myerson_virtual(agent, t) * float(agent.types.pdf(t)),
+                    theta_r, hi, **QUAD_OPTS)[0]
+    grids = [np.linspace(f, a.types.hi, 4097) for f, a in zip(floors, inst.agents)]
+    return expected_max_plus(inst, [(ts, np.asarray(rc.myerson_virtual(a, ts), dtype=float))
+                                    for a, ts in zip(inst.agents, grids)])
+
+
+def full_extraction_revenue(inst):
+    return expected_max_plus(inst, [([a.types.lo, a.types.hi],) * 2 for a in inst.agents])

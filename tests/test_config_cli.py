@@ -233,6 +233,21 @@ def test_cli_rejects_non_single_crossing_instance_before_output(tmp_path):
         assert list(out.iterdir()) == []
 
 
+def test_cli_accepts_type_law_with_zero_density_at_the_bottom(tmp_path):
+    # F = (theta - 1)^2 on [1, 2], tabulated: the PCHIP density is 0 at theta = 1
+    grid = [1.0, 1.25, 1.5, 1.75, 2.0]
+    cdf = [(g - 1.0) ** 2 for g in grid]
+    text = MINIMAL.replace("{family: uniform, lo: 1.0, hi: 2.0}",
+                           f"{{family: table, grid: {grid}, cdf: {cdf}}}")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    types = parse_config(text).instance.agents[0].types
+    assert rc.inverse_hazard(types, 1.0) == np.inf
+    for cmd in ("check", "solve", "simulate", "menu"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd),
+                     "--runs", "20000", "--grid", "32"]) == 0, cmd
+
+
 def test_cli_env_output_override(ua_config, tmp_path, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.chdir(tmp_path)

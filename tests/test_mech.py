@@ -304,14 +304,26 @@ def test_menu_single_contract_cases(ua_agent):
 # ---------------------------------------------------------------------------
 
 
-def test_endogenous_virtual(ua_inst, ua_agent):
+@pytest.mark.filterwarnings("error")
+def test_endogenous_virtual(ua_inst, ua_agent, su_inst, st_inst):
     never = lambda prof, p: 0.0
     always = lambda prof, p: 1.0
     assert rc.endogenous_virtual(ua_inst, 0, [1.5], never) == pytest.approx(1.0, abs=1e-10)
     assert rc.endogenous_virtual(ua_inst, 0, [1.5], always) == pytest.approx(1.05, abs=1e-10)
+    # the rule switches inside a Gauss-Legendre piece of the income support
+    # [0.5, 2.5]: auditing [0.5, 1.3] gains 0.05 * 0.4 over psi_m = 1
+    below = lambda prof, p: float(p < 1.3)
+    assert rc.endogenous_virtual(ua_inst, 0, [1.5], below) == pytest.approx(1.02, abs=1e-10)
     optimal = lambda prof, p: float(rc.mu(ua_agent, prof[0], p) * 0.5 >= 0.2)
     assert rc.endogenous_virtual(ua_inst, 0, [1.5], optimal) == pytest.approx(
         rc.virtual_value(ua_agent, 1.5), abs=1e-8)
+    # scaled families, where mu varies with income, against adaptive quadrature
+    window = lambda prof, p: float(0.6 < p < 0.8)
+    above = lambda prof, p: float(p > 0.75)
+    for inst in (su_inst, st_inst):
+        for rule in (window, above, always):
+            assert rc.endogenous_virtual(inst, 0, [0.7], rule) == pytest.approx(
+                oracles.endogenous_virtual(inst, 0, [0.7], rule), abs=1e-12)
 
 
 def test_payoff_bound_golden(ua_inst):
@@ -335,6 +347,7 @@ def test_payoff_bound_two_agent_tensor_oracle(pair_inst):
     assert bound == pytest.approx(oracle, abs=2e-4)
 
 
+@pytest.mark.filterwarnings("error")
 def test_myerson_cash_revenue_oracles():
     # single agent U[1,2]: posted-price grid search oracle
     one = rc.AuctionInstance((cash_only_agent(1.0, 2.0),))
@@ -344,6 +357,11 @@ def test_myerson_cash_revenue_oracles():
     # single agent U[0,1]: classic posted price 1/2
     zero_one = rc.AuctionInstance((cash_only_agent(0.0, 1.0),))
     assert rc.myerson_cash_revenue(zero_one) == pytest.approx(0.25, abs=1e-9)
+    # single agent, triangular on [1, 2] with mode 1.3: posted-price grid search
+    tri = rc.AuctionInstance((cash_only_agent(1.0, 2.0, mode=1.3),))
+    prices = np.linspace(1.0, 2.0, 200_001)
+    cdf = np.where(prices < 1.3, (prices - 1) ** 2 / 0.3, 1 - (2 - prices) ** 2 / 0.7)
+    assert rc.myerson_cash_revenue(tri) == pytest.approx(np.max(prices * (1 - cdf)), abs=1e-9)
     # two iid U[0,1]: 5/12 (brute 2-d tensor quadrature oracle)
     two = rc.AuctionInstance((cash_only_agent(0.0, 1.0), cash_only_agent(0.0, 1.0)))
     g = np.linspace(0, 1, 1201)
@@ -371,6 +389,15 @@ def test_full_extraction_revenue():
     assert rc.full_extraction_revenue(one) == pytest.approx(1.5, abs=1e-10)
     two = rc.AuctionInstance((cash_only_agent(0.0, 1.0), cash_only_agent(0.0, 1.0)))
     assert rc.full_extraction_revenue(two) == pytest.approx(2 / 3, abs=1e-10)
+    # triangular on [1, 2] with mode 1.3, a knot of F where the integral must be cut
+    tri = cash_only_agent(1.0, 2.0, mode=1.3)
+    assert rc.full_extraction_revenue(rc.AuctionInstance((tri,))) == pytest.approx(
+        4.3 / 3, abs=1e-12)
+    # two of them: 1 + int_1^2 (1 - F^2), F = (t - 1)^2 / 0.3 below the mode and
+    # 1 - (2 - t)^2 / 0.7 above it
+    exact = 1 + 0.3 - 0.3 ** 5 / 0.45 + 2 * 0.7 ** 3 / 2.1 - 0.7 ** 5 / 2.45
+    assert rc.full_extraction_revenue(rc.AuctionInstance((tri, tri))) == pytest.approx(
+        exact, abs=1e-12)
 
 
 def test_revenue_ordering(shipped_instances):
@@ -380,6 +407,15 @@ def test_revenue_ordering(shipped_instances):
         full = rc.full_extraction_revenue(inst)
         assert myerson <= bound + 1e-9, name
         assert bound <= full + 1e-9, name
+
+
+@pytest.mark.filterwarnings("error")
+def test_revenue_functionals_match_quad_oracles(shipped_instances):
+    # the Gauss-Legendre sums over the table grids against adaptive quadrature
+    for name, inst in shipped_instances.items():
+        for fn in ("payoff_bound", "myerson_cash_revenue", "full_extraction_revenue"):
+            assert getattr(rc, fn)(inst) == pytest.approx(getattr(oracles, fn)(inst),
+                                                          abs=1e-9), (name, fn)
 
 
 def test_full_extraction_equals_bound_when_free(su_agent):
