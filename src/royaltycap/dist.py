@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConstructionError, DomainError
 
@@ -153,6 +152,9 @@ class _TableCdf:
     """
 
     def __init__(self, grid, values):
+        # imported here: only tabulated laws pay for loading scipy
+        from scipy.interpolate import PchipInterpolator
+
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:

@@ -41,6 +41,9 @@ _SLACK = 1e-9  # numeric slack for weak inequalities on grids
 # smallest grids that regularity checks and best-response searches accept
 _MIN_REGULARITY_GRID = 32
 _MIN_RESPONSE_GRID = 64
+# float64 elements per (reports x incomes x income grid) temporary of the
+# double-deviation payment minimum
+_PAY_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +229,88 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _expected_payment(agent: AgentSpec, theta_true: float, theta_rep: float,
-                      cap: float, pi_points: int, best_response: bool) -> float:
+def _pay_at(pis, r_lo, r_hi, caps, phi: float, pi_grid: int, best_response: bool):
+    """The winner's payment (royalty plus penalty) at true incomes ``pis``
+    (one row per type report, whose reported income support is
+    [``r_lo``, ``r_hi``] and audit threshold ``caps``).
+
+    ``best_response=True`` minimizes over a ``pi_grid``-point grid of income
+    reports per true income, in blocks of rows whose (rows x incomes x grid)
+    temporary holds at most ``_PAY_BLOCK`` elements (or one row, if a row
+    alone holds more); otherwise the report is the truthful projection."""
+    r_lo, r_hi, caps = r_lo[:, None], r_hi[:, None], caps[:, None]
+    if not best_response:
+        rep = np.clip(pis, r_lo, r_hi)
+        return (np.minimum(rep, caps) * phi
+                + _audit_mask(rep, caps, r_hi) * (pis - rep) * phi)
+    # np.linspace computes every row differently once one has zero width,
+    # so zero-width rows (a point support) are filled in apart
+    grid = np.repeat(r_lo, pi_grid, axis=1)
+    wide = (r_hi > r_lo)[:, 0]
+    grid[wide] = np.linspace(r_lo[wide, 0], r_hi[wide, 0], pi_grid, axis=-1)
+    audited = _audit_mask(grid, caps, r_hi)
+    base = np.minimum(grid, caps) * phi
+    # an unaudited report pays its royalty at every income: take that
+    # minimum once, and the per-income minimum only over the audited
+    # reports, moved to the front of each row
+    unaudited = np.min(np.where(audited, np.inf, base), axis=1, keepdims=True)
+    order = np.argsort(~audited, axis=1, kind="stable")
+    grid, audited, base = (np.take_along_axis(x, order, axis=1) for x in (grid, audited, base))
+    n_audited = np.sum(audited, axis=1)
+    out = np.empty(pis.shape)
+    rows = max(1, _PAY_BLOCK // (pis.shape[1] * pi_grid))
+    for k in range(0, pis.shape[0], rows):
+        b = slice(k, k + rows)
+        a = slice(0, max(1, int(n_audited[b].max())))
+        pay = pis[b, :, None] - grid[b, None, a]
+        pay *= audited[b, None, a]
+        pay *= phi
+        pay += base[b, None, a]
+        np.min(pay, axis=2, out=out[b])
+    return np.minimum(out, unaudited)
+
+
+def _expected_payments(agent: AgentSpec, theta_true: float, reports: np.ndarray,
+                       caps: np.ndarray, pi_grid: int, best_response: bool) -> np.ndarray:
     """E over pi ~ G(. | theta_true) of the winner's payment (royalty plus
-    penalty) when reporting income through ``theta_rep``'s support.
+    penalty) for each type report in ``reports`` (audit thresholds ``caps``),
+    reporting income through that report's support.
 
     ``best_response=True`` optimizes the income report over a grid per
     realized income (this is the double-deviation branch); otherwise the
-    report is the truthful projection.
+    report is the truthful projection.  Each expectation is a sum of 32-point
+    Gauss-Legendre rules between the points where the payment or the true
+    income law changes form.  Reports with the same number of such cuts are
+    evaluated together, so that each row's sum adds the same terms in the
+    same order as a report evaluated alone.  A point-mass income law (the
+    scaled-error top type) is evaluated at its atom.
     """
     phi = agent.sensitivity
     t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
-    r_lo, r_hi = (float(x) for x in _income_bounds(agent, theta_rep))
-    # split where the payment or the true income law changes form
+    r_lo, r_hi = _income_bounds(agent, reports)
+    if t_hi <= t_lo:
+        pis = np.full((reports.size, 1), t_lo)
+        return _pay_at(pis, r_lo, r_hi, caps, phi, pi_grid, best_response)[:, 0]
+    # cut candidates outside (t_lo, t_hi) fall back onto the cut t_lo
     knots = agent.income.breakpoints(np.array([theta_true]))[0]
-    cuts = np.unique([t_lo, t_hi] + [x for x in (r_lo, r_hi, cap, *knots) if t_lo < x < t_hi])
-    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], rule=_GL32)
-    pis = nodes.ravel()
-    dens = np.asarray(agent.income.pdf(pis, theta_true), dtype=float)
-
-    if best_response:
-        grid = np.linspace(r_lo, r_hi, pi_points)
-        audited = _audit_mask(grid, cap, r_hi)
-        pay_all = (np.minimum(grid, cap)[None, :] * phi
-                   + audited[None, :] * (pis[:, None] - grid[None, :]) * phi)
-        pay = pay_all.min(axis=1)
-    else:
-        rep = np.clip(pis, r_lo, r_hi)
-        pay = (np.minimum(rep, cap) * phi
-               + _audit_mask(rep, cap, r_hi) * (pis - rep) * phi)
-    return float(np.sum(pay * dens * wts.ravel()))
+    cand = np.column_stack([r_lo, r_hi, caps,
+                            np.broadcast_to(knots, (reports.size, knots.size))])
+    cand = np.where((cand > t_lo) & (cand < t_hi), cand, t_lo)
+    cuts = np.sort(np.column_stack([np.full(reports.size, t_lo), np.full(reports.size, t_hi),
+                                    cand]), axis=1)
+    fresh = np.ones(cuts.shape, dtype=bool)
+    fresh[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
+    n_cuts = fresh.sum(axis=1)
+    out = np.empty(reports.size)
+    for m in np.unique(n_cuts):
+        rows = np.flatnonzero(n_cuts == m)
+        c = cuts[rows][fresh[rows]].reshape(rows.size, m)
+        nodes, wts = _gl_segments(c[:, :-1], c[:, 1:], rule=_GL32)
+        pis = nodes.reshape(rows.size, -1)
+        dens = np.asarray(agent.income.pdf(pis, theta_true), dtype=float)
+        pay = _pay_at(pis, r_lo[rows], r_hi[rows], caps[rows], phi, pi_grid, best_response)
+        out[rows] = np.sum(pay * dens * wts.reshape(rows.size, -1), axis=1)
+    return out
 
 
 def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
@@ -301,10 +356,15 @@ def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
     """Grid search over type misreports, with rivals truthful and integrated
     out.
 
+    The ``theta_grid`` reports span the type table's grid, plus the true
+    type.  A losing report earns zero; the expected payments of all winning
+    reports come from one batched ``_expected_payments`` pass, and the best
+    report is the first one that attains the maximum utility.
     ``income_strategy='truthful_projection'`` reports income as truthfully
     as possible after the misreport; ``'grid_best'`` additionally optimizes
-    the income report per realized income, covering double deviations.
-    Also checks individual rationality: the truthful utility must be
+    the income report per realized income over a ``pi_grid``-point grid,
+    covering double deviations.  Also checks individual rationality: the
+    truthful utility (the on-path projected report at the true type) must be
     nonnegative and must match the information-rent integral.
     """
     if min(theta_grid, pi_grid) < _MIN_RESPONSE_GRID:
@@ -319,33 +379,29 @@ def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
     reports = np.unique(np.concatenate([
         np.linspace(t.theta[0], t.theta[-1], theta_grid), [theta_true]]))
     at = tables.locate(i, reports)
-    best_u = -np.inf
-    best_rep = None
-    truthful_u = None
-    for theta_rep, q, t_pay, cap in zip(reports.tolist(), at.interp(t.win_prob).tolist(),
-                                        at.interp(t.interim_transfer).tolist(),
-                                        tables.pi_star(i, at).tolist()):
-        if q <= 0.0:
-            u = 0.0
-        else:
-            pay = _expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
-                                    best_response=(income_strategy == "grid_best"))
-            u = q * (theta_true - pay) - t_pay
-        if u > best_u:
-            best_u, best_rep = u, theta_rep
-        if theta_rep == theta_true:
-            # on-path: the projected report is the truthful report
-            pay = _expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
-                                    best_response=False)
-            truthful_u = q * (theta_true - pay) - t_pay
+    q = at.interp(t.win_prob)
+    t_pay = at.interp(t.interim_transfer)
+    caps = tables.pi_star(i, at)
+    # losing reports (q <= 0) pay nothing and earn nothing
+    u = np.zeros(reports.size)
+    win = q > 0.0
+    pay = _expected_payments(agent, theta_true, reports[win], caps[win], pi_grid,
+                             best_response=(income_strategy == "grid_best"))
+    u[win] = q[win] * (theta_true - pay) - t_pay[win]
+    best = int(np.argmax(u))   # the first best report
+    # on-path: the projected report is the truthful report
+    k = np.flatnonzero(reports == theta_true)
+    pay = _expected_payments(agent, theta_true, reports[k], caps[k], pi_grid,
+                             best_response=False)
+    truthful_u = float((q[k] * (theta_true - pay) - t_pay[k])[0])
 
     info_rent = float(tables.locate(i, theta_true).interp(t.interim_rent))
     ir_ok = truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6
     return DeviationReport(
-        truthful_utility=float(truthful_u),
-        best_deviation_utility=float(best_u),
-        best_deviation=(float(best_rep), income_strategy),
-        advantage=float(best_u - truthful_u),
+        truthful_utility=truthful_u,
+        best_deviation_utility=float(u[best]),
+        best_deviation=(float(reports[best]), income_strategy),
+        advantage=float(u[best] - truthful_u),
         grid=(int(reports.size), pi_grid),
         ir_ok=bool(ir_ok),
         info_rent=info_rent,

@@ -10,6 +10,9 @@ full-extraction benchmarks) integrate the survival function of the highest
 value by ``quad``, and ``endogenous_virtual`` its income integral.  They are
 slow (up to a second per call on a tabulated family), so tests call them on
 a few points.
+
+The type best response is the scalar loop of the certificate: one expected
+payment per type report, each integrated on its own cuts.
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import royaltycap as rc
-from royaltycap.mech import _threshold_kinks
+from royaltycap.dist import _gl_segments
+from royaltycap.mech import _GL32, _audit_mask, _income_bounds, _threshold_kinks
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 # relative nudge for one-sided limits at support endpoints
@@ -191,3 +195,87 @@ def myerson_cash_revenue(inst):
 
 def full_extraction_revenue(inst):
     return expected_max_plus(inst, [([a.types.lo, a.types.hi],) * 2 for a in inst.agents])
+
+
+def payment_cuts(agent, theta_true, theta_rep, cap):
+    """Where the winner's payment or the true income law changes form: the
+    true support's ends, and the reported support's ends, the audit
+    threshold and the law's breakpoints inside it."""
+    t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
+    r_lo, r_hi = (float(x) for x in _income_bounds(agent, theta_rep))
+    knots = agent.income.breakpoints(np.array([theta_true]))[0]
+    return np.unique([t_lo, t_hi] + [x for x in (r_lo, r_hi, cap, *knots) if t_lo < x < t_hi])
+
+
+def expected_payment(agent, theta_true, theta_rep, cap, pi_points, best_response):
+    """E over pi ~ G(. | theta_true) of the winner's payment for one type
+    report: 32-point Gauss-Legendre between ``payment_cuts``, or the payment
+    at the atom of a point-mass law.  ``best_response`` minimizes over a grid
+    of income reports per income; otherwise the report is the projection."""
+    phi = agent.sensitivity
+    t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
+    r_lo, r_hi = (float(x) for x in _income_bounds(agent, theta_rep))
+
+    def pay_at(pis):
+        if best_response:
+            grid = np.linspace(r_lo, r_hi, pi_points)
+            audited = _audit_mask(grid, cap, r_hi)
+            pay_all = (np.minimum(grid, cap)[None, :] * phi
+                       + audited[None, :] * (pis[:, None] - grid[None, :]) * phi)
+            return pay_all.min(axis=1)
+        rep = np.clip(pis, r_lo, r_hi)
+        return np.minimum(rep, cap) * phi + _audit_mask(rep, cap, r_hi) * (pis - rep) * phi
+
+    if t_hi <= t_lo:
+        return float(pay_at(np.array([t_lo]))[0])
+    cuts = payment_cuts(agent, theta_true, theta_rep, cap)
+    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], rule=_GL32)
+    pis = nodes.ravel()
+    dens = np.asarray(agent.income.pdf(pis, theta_true), dtype=float)
+    return float(np.sum(pay_at(pis) * dens * wts.ravel()))
+
+
+def type_reports(inst, i, theta_true, theta_grid):
+    """The type reports a best-response search tries, with their win
+    probabilities, interim transfers and audit thresholds."""
+    tables = rc.tables_for(inst)
+    t = tables.agents[i]
+    reports = np.unique(np.concatenate([
+        np.linspace(t.theta[0], t.theta[-1], theta_grid), [theta_true]]))
+    at = tables.locate(i, reports)
+    return (reports.tolist(), at.interp(t.win_prob).tolist(),
+            at.interp(t.interim_transfer).tolist(), tables.pi_star(i, at).tolist())
+
+
+def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid):
+    """Type-misreport search, one ``expected_payment`` per winning report.
+    Returns the ``DeviationReport`` and the list of those payments."""
+    agent = inst.agents[i]
+    tables = rc.tables_for(inst)
+    reports, qs, t_pays, caps = type_reports(inst, i, theta_true, theta_grid)
+    best_u, best_rep, truthful_u = -np.inf, None, None
+    pays = []
+    for theta_rep, q, t_pay, cap in zip(reports, qs, t_pays, caps):
+        if q <= 0.0:
+            u = 0.0
+        else:
+            pay = expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
+                                   best_response=(income_strategy == "grid_best"))
+            pays.append(pay)
+            u = q * (theta_true - pay) - t_pay
+        if u > best_u:
+            best_u, best_rep = u, theta_rep
+        if theta_rep == theta_true:
+            pay = expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
+                                   best_response=False)
+            truthful_u = q * (theta_true - pay) - t_pay
+    info_rent = float(tables.locate(i, theta_true).interp(tables.agents[i].interim_rent))
+    return rc.DeviationReport(
+        truthful_utility=float(truthful_u),
+        best_deviation_utility=float(best_u),
+        best_deviation=(float(best_rep), income_strategy),
+        advantage=float(best_u - truthful_u),
+        grid=(len(reports), pi_grid),
+        ir_ok=bool(truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6),
+        info_rent=info_rent,
+    ), pays

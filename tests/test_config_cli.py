@@ -166,6 +166,41 @@ def test_cli_verify_ic(ua_config, tmp_path):
     assert rep["agents"][0]["type_deviation"]["advantage"] <= 1e-6
 
 
+# the ``agents`` block of verify_ic.json on each shipped config (seed 0),
+# captured before the type best responses were batched
+_GOLDEN_VERIFY_IC = {
+    "uniform_additive": [
+        {"agent": 0, "type_deviation": {"advantage": 2.220446049250313e-16,
+                                        "theta": 1.1176470588235294, "strategy": "grid_best"},
+         "income_deviation_worst": 5.551115123125783e-17, "ir_ok": True, "ok": True}],
+    "scaled_uniform": [
+        {"agent": 0, "type_deviation": {"advantage": 2.0534107331160456e-09,
+                                        "theta": 0.5294117647058824,
+                                        "strategy": "truthful_projection"},
+         "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
+    "scaled_triangular": [
+        {"agent": 0, "type_deviation": {"advantage": 0.0, "theta": 0.5294117647058824,
+                                        "strategy": "truthful_projection"},
+         "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
+    "mixed_pair": [
+        {"agent": 0, "type_deviation": {"advantage": 2.220446049250313e-16,
+                                        "theta": 1.5294117647058822,
+                                        "strategy": "truthful_projection"},
+         "income_deviation_worst": 5.551115123125783e-17, "ir_ok": True, "ok": True},
+        {"agent": 1, "type_deviation": {"advantage": 0.0, "theta": 0.5294117647058824,
+                                        "strategy": "truthful_projection"},
+         "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
+}
+
+
+def test_cli_verify_ic_golden_agents(tmp_path):
+    for name, want in _GOLDEN_VERIFY_IC.items():
+        out = tmp_path / name
+        assert main(["verify-ic", "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "verify_ic.json").read_text())["agents"] == want, name
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text(MINIMAL.replace("sensitivity: 0.5", "sensitivity: 2"))

@@ -73,7 +73,7 @@ def test_closed_form_laws_match_scipy(lo, width, where, frac, x, q):
         assert np.array_equal(d.pdf(x), ref.pdf(x))
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.interpolate"])
 def test_import_leaves_scipy_stats_unloaded(module):
     code = f"import sys, royaltycap; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -3,9 +3,11 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import royaltycap as rc
 from conftest import table_income_agent
-from royaltycap.instances import uniform_additive_agent
+from royaltycap import verify
+from royaltycap.instances import mixed_pair, uniform_additive_agent
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,84 @@ def test_type_best_response_on_tabulated_income():
         for strat in ("truthful_projection", "grid_best"):
             r = rc.best_response_type(inst, 0, th, 128, strat, 128)
             assert r.advantage <= 1e-6 and r.ir_ok, (th, strat, r.to_dict())
+
+
+def tent_error_inst():
+    """Types U[1, 2]; additive errors with the triangular (tent) law on
+    [-1, 1], tabulated on 11 knots; c = 0.2, phi = 0.5."""
+    g = np.linspace(-1.0, 1.0, 11)
+    cdf = np.where(g < 0, 0.5 * (g + 1) ** 2, 1 - 0.5 * (1 - g) ** 2)
+    err = {"error": {"family": "table", "grid": g, "cdf": cdf}}
+    return rc.AuctionInstance((rc.AgentSpec(
+        rc.make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
+        rc.make_income_family("additive_error", err), 0.2, 0.5),))
+
+
+def winning_reports(inst, i, theta_true, theta_grid=128):
+    """The type reports with a positive win probability, and their caps."""
+    reports, qs, _, caps = (np.array(x) for x in
+                            oracles.type_reports(inst, i, theta_true, theta_grid))
+    return reports[qs > 0.0], caps[qs > 0.0]
+
+
+def cut_counts(inst, i, theta_true, theta_grid=128):
+    """Distinct numbers of payment cuts over the winning type reports."""
+    return {oracles.payment_cuts(inst.agents[i], theta_true, rep, cap).size
+            for rep, cap in zip(*winning_reports(inst, i, theta_true, theta_grid))}
+
+
+def test_type_best_response_matches_scalar_oracle(shipped_instances):
+    # the batched certificate equals the per-report loop bit for bit, report
+    # by report, at the ends of the type support (a point-mass income law at
+    # the top of a scaled-error agent) and inside it
+    cases = [(inst, i) for inst in shipped_instances.values() for i in range(inst.n_agents)]
+    cases += [(rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), 0.0),)), 0),
+              (tent_error_inst(), 0)]
+    groups = []
+    for inst, i in cases:
+        lo, hi = inst.agents[i].types.lo, inst.agents[i].types.hi
+        for th in (lo, lo + 0.37 * (hi - lo), lo + 0.81 * (hi - lo), hi):
+            for strat in ("truthful_projection", "grid_best"):
+                got = rc.best_response_type(inst, i, th, 128, strat, 128)
+                want, pays = oracles.best_response_type(inst, i, th, 128, strat, 128)
+                assert got.to_dict() == want.to_dict(), (i, th, strat)
+                batched = verify._expected_payments(inst.agents[i], th,
+                                                    *winning_reports(inst, i, th), 128,
+                                                    strat == "grid_best")
+                assert np.array_equal(batched, pays), (i, th, strat)
+            groups.append(len(cut_counts(inst, i, th)))
+    assert max(groups) >= 2
+
+
+@pytest.mark.parametrize("name,i", [("scaled_uniform", 0), ("scaled_triangular", 0),
+                                    ("mixed_pair", 1)])
+def test_top_type_of_scaled_error_agent_has_no_deviation_gain(shipped_instances, name, i):
+    # the top type's income is the point mass pi = theta = 1; a deviation
+    # pays its royalty and penalty there instead of nothing
+    inst = shipped_instances[name]
+    for strat in ("truthful_projection", "grid_best"):
+        r = rc.best_response_type(inst, i, inst.agents[i].types.hi, 128, strat, 128)
+        assert r.advantage <= 1e-6 and r.ir_ok, r.to_dict()
+
+
+def test_type_best_response_evaluates_density_once_per_cut_group(monkeypatch):
+    # a deterministic cost guard: one income.pdf call per group of reports
+    # with equal cut counts, plus one for the on-path payment (one call per
+    # report, about 130, before batching)
+    inst = mixed_pair()
+    rc.tables_for(inst)
+    for i, th in ((0, 1.4), (1, 0.8)):
+        income = inst.agents[i].income
+        calls = []
+        pdf = income.pdf
+
+        def counted(*args):
+            calls.append(1)
+            return pdf(*args)
+
+        monkeypatch.setattr(income, "pdf", counted)
+        rc.best_response_type(inst, i, th, 128, "grid_best", 128)
+        assert len(calls) <= len(cut_counts(inst, i, th)) + 1 <= 6
 
 
 def test_ir_zero_at_bottom_type(ua_inst):
