@@ -140,6 +140,8 @@ def _cmd_simulate(cfg: InstanceConfig, out_dir: Path, seed: int, n_runs: int,
 def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     inst = cfg.instance
     n_types = max(8, cfg.theta_points // 8)
+    mids = [0.5 * (a.types.lo + a.types.hi) for a in inst.agents]
+    mid_psis = [mech.virtual_value(a, m) for a, m in zip(inst.agents, mids)]
     agents_out = []
     ok = True
     for i, agent in enumerate(inst.agents):
@@ -157,13 +159,10 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
         income_worst = 0.0
         rng = np.random.default_rng(seed)
         lo, hi = agent.types.lo, agent.types.hi
-        for th in lo + (hi - lo) * rng.uniform(0.3, 0.95, 4):
-            th = float(th)
-            minus = [0.5 * (a.types.lo + a.types.hi)
-                     for j, a in enumerate(inst.agents) if j != i]
-            profile = [*minus[:i], th, *minus[i:]]
-            if not mech._wins([mech.virtual_value(a, float(x))
-                               for a, x in zip(inst.agents, profile)], i)[0]:
+        ths = lo + (hi - lo) * rng.uniform(0.3, 0.95, 4)
+        minus = mids[:i] + mids[i + 1:]
+        for th, psi in zip(ths.tolist(), mech.virtual_value(agent, ths).tolist()):
+            if not mech._wins(mid_psis[:i] + [psi] + mid_psis[i + 1:], i)[0]:
                 continue
             for q in (0.2, 0.8):
                 pi_true = float(agent.income.supp_lo(th) + q * (

@@ -557,12 +557,11 @@ def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     return lo, b, nodes.reshape(ts.size, -1), wts.reshape(ts.size, -1)
 
 
-def _royalty_share(agent: AgentSpec, ts: np.ndarray, nodes: np.ndarray,
-                   wts: np.ndarray) -> np.ndarray:
-    """Phi at types ``ts`` from the audit-region rule ``nodes``/``wts``
-    of ``_audit_region``."""
+def _royalty_share(agent: AgentSpec, g2, wts: np.ndarray) -> np.ndarray:
+    """Phi per type from G_2 at the audit-region nodes of ``_audit_region``
+    and their weights ``wts`` (one row per type)."""
     phi = agent.sensitivity
-    negg2 = -np.asarray(agent.income.dcdf_dtheta(nodes, ts[:, None]), dtype=float)
+    negg2 = -np.asarray(g2, dtype=float)
     return np.clip(phi * np.sum(negg2 * wts, axis=1), 0.0, phi)
 
 
@@ -578,8 +577,9 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     fam = agent.income
     ih = np.asarray(inverse_hazard(agent.types, ts), dtype=float)
     plo, b, nodes, wts = _audit_region(agent, ts, pstar)
-    cap = _royalty_share(agent, ts, nodes, wts)
-    survival = 1.0 - np.asarray(fam.cdf(nodes, ts[:, None]), dtype=float)
+    g, g2 = fam.cdf_and_dtheta(nodes, ts[:, None])
+    cap = _royalty_share(agent, g2, wts)
+    survival = 1.0 - np.asarray(g, dtype=float)
     e_min = np.minimum(b, plo) + np.sum(survival * wts, axis=1)
     psi_m = ts - ih
     psi = psi_m + ih * cap - c * np.asarray(fam.cdf(b, ts), dtype=float)
@@ -729,7 +729,7 @@ def _agent_curves(agent: AgentSpec) -> dict:
 
     def share(t, p):
         _, _, n, w = _audit_region(agent, t, p)
-        return (_royalty_share(agent, t, n, w),)
+        return (_royalty_share(agent, agent.income.dcdf_dtheta(n, t[:, None]), w),)
 
     cap2 = _blocked(share, z, _threshold(agent, z))[0]
     rent_cum = np.concatenate([[0.0], np.cumsum(np.sum((1.0 - cap2.reshape(nodes.shape))

@@ -13,10 +13,14 @@ a few points.
 
 The type best response is the scalar loop of the certificate: one expected
 payment per type report, each integrated on its own cuts.
+
+``PchipTableCdf`` is a tabulated law built on scipy's ``PchipInterpolator``,
+the reference that ``dist._TableCdf`` reproduces bit for bit.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import royaltycap as rc
@@ -279,3 +283,36 @@ def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid
         ir_ok=bool(truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6),
         info_rent=info_rent,
     ), pays
+
+
+def pchip_coefficients(x, y):
+    """scipy's PCHIP coefficients through (x, y), highest power first."""
+    return PchipInterpolator(x, y).c
+
+
+class PchipTableCdf:
+    """A tabulated CDF interpolated by scipy's ``PchipInterpolator``: its
+    cdf and pdf, the dense inverse table (``inv_f``, ``inv_x``) and the
+    mean, computed as ``dist._TableCdf`` computes them (the values are
+    taken as given: no construction checks)."""
+
+    def __init__(self, grid, values):
+        grid = np.asarray(grid, dtype=float)
+        self.lo, self.hi = float(grid[0]), float(grid[-1])
+        self.interp = PchipInterpolator(grid, np.asarray(values, dtype=float),
+                                        extrapolate=False)
+        self._pdf = self.interp.derivative()
+        dense = np.linspace(self.lo, self.hi, 8193)
+        fd = np.asarray(self.interp(dense))
+        keep = np.concatenate(([True], np.diff(fd) > 0))
+        self.inv_f, self.inv_x = fd[keep], dense[keep]
+        nodes, wts = _gl_segments(grid[:-1], grid[1:], np.polynomial.legendre.leggauss(4))
+        self.mean = self.lo + float(np.sum(wts * (1.0 - self.interp(nodes))))
+
+    def cdf(self, x):
+        return self.interp(np.clip(np.asarray(x, dtype=float), self.lo, self.hi))
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        inside = (x >= self.lo) & (x <= self.hi)
+        return np.where(inside, self._pdf(np.clip(x, self.lo, self.hi)), 0.0)

@@ -3,9 +3,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
+
+import oracles
 
 from royaltycap import (
     AgentSpec,
@@ -17,6 +19,7 @@ from royaltycap import (
     project_to_support,
     sample_income,
 )
+from royaltycap.dist import _pchip_coefficients
 from conftest import UNIT_ERR
 
 
@@ -51,6 +54,96 @@ def test_table_type_dist_interpolates_monotonically():
     assert d.ppf(0.25) == pytest.approx(1.25, abs=1e-6)
 
 
+@st.composite
+def _cdf_tables(draw):
+    """A strictly increasing CDF table: 2 to 12 unevenly spaced knots."""
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=n - 1, max_size=n - 1))
+    mass = draw(st.lists(st.floats(1e-4, 1.0), min_size=n - 1, max_size=n - 1))
+    grid = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    values = np.concatenate([[0.0], np.cumsum(mass)]) / np.sum(mass)
+    values[-1] = 1.0
+    return grid, values
+
+
+# first and last knot slopes set to 0 by the endpoint rule (sign flip)
+_STEEP_INSIDE = ([0.0, 1.0, 2.0], [0.0, 0.01, 1.0])
+_STEEP_OUTSIDE = ([0.0, 1.0, 2.0], [0.0, 0.99, 1.0])
+
+
+@given(table=_cdf_tables())
+@example(table=([0.0, 1.0], [0.0, 1.0]))
+@example(table=([1.0, 1.1, 3.0, 3.05, 7.0], [0.0, 0.3, 0.35, 0.9, 1.0]))
+@example(table=_STEEP_INSIDE)
+@example(table=_STEEP_OUTSIDE)
+@settings(max_examples=150, deadline=None)
+def test_table_law_matches_scipy_pchip(table):
+    grid, values = (np.asarray(a, dtype=float) for a in table)
+    law = make_type_dist("table", {"grid": grid, "cdf": values})._backend
+    ref = oracles.PchipTableCdf(grid, values)
+    lo, hi = grid[0], grid[-1]
+    x = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), np.linspace(lo, hi, 257),
+                        [np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf),
+                         lo - 1.0, hi + 1.0]])
+    assert np.array_equal(law.cdf(x), ref.cdf(x))
+    assert np.array_equal(law.pdf(x), ref.pdf(x))
+    assert np.array_equal(law._inv_f, ref.inv_f) and np.array_equal(law._inv_x, ref.inv_x)
+    assert law.mean == ref.mean
+    for xi in (lo, hi, grid[len(grid) // 2]):
+        assert law.cdf(xi) == ref.cdf(xi) and law.pdf(xi) == ref.pdf(xi)
+
+
+@given(steps=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=10),
+       data=st.data())
+@example(steps=[1.0, 1.0], data=None)
+@settings(max_examples=150, deadline=None)
+def test_pchip_coefficients_match_scipy_on_any_data(steps, data):
+    """Knot values of any sign, with flat chords and sign changes, reach
+    every branch of the slope rules, which monotone CDF tables cannot."""
+    x = np.concatenate([[0.0], np.cumsum(steps)])
+    if data is None:
+        y = np.array([0.0, 1.0, -9.0])  # first slope capped at 3 m0
+    else:
+        y = np.array(data.draw(st.lists(st.integers(-3, 3) | st.floats(-3.0, 3.0),
+                                        min_size=x.size, max_size=x.size)), dtype=float)
+    with np.errstate(over="ignore"):  # subnormal chords overflow scipy's harmonic mean
+        assert np.array_equal(_pchip_coefficients(x, y), oracles.pchip_coefficients(x, y))
+
+
+def test_pchip_endpoint_rule_branches():
+    # the three-point estimate 6.5 exceeds 3 |m0| across a sign change: 3 m0
+    c = _pchip_coefficients(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -9.0]))
+    assert c[2][0] == 3.0
+    # a sign flip of the estimate sets the end slope to 0
+    grid, values = (np.asarray(a) for a in _STEEP_INSIDE)
+    assert _pchip_coefficients(grid, values)[2][0] == 0.0
+    d = make_type_dist("table", {"grid": _STEEP_OUTSIDE[0], "cdf": _STEEP_OUTSIDE[1]})
+    assert d.pdf(2.0) == 0.0 and d.pdf(0.0) > 0.0
+
+
+def _tent_error():
+    """The benchmark's tent error law on [-1, 1], tabulated on 11 knots."""
+    g = np.linspace(-1.0, 1.0, 11)
+    return {"family": "table", "grid": g, "cdf": np.where(g < 0, 0.5 * (g + 1) ** 2,
+                                                          1 - 0.5 * (1 - g) ** 2)}
+
+
+def _inversion_error(d):
+    u = np.linspace(0.0, 1.0, 4097)
+    return float(np.max(np.abs(d.cdf(d.ppf(u)) - u)))
+
+
+def test_table_ppf_inversion_error_is_small():
+    """The dense-table quantile's error max |F(ppf(u)) - u|: 1.7e-8 on the
+    benchmark's tent error law and below 4e-18 on its income rows (the
+    figures the ``_TableCdf`` docstring states)."""
+    assert _inversion_error(make_type_dist("table", _tent_error())) <= 1e-7
+    for t in (1.0, 1.4, 2.0):
+        g = np.linspace(t - 1.0, t + 1.0, 41)
+        row = make_type_dist("table", {"grid": g, "cdf": (g - (t - 1.0)) / 2.0})
+        assert _inversion_error(row) <= 1e-7
+
+
 @given(lo=st.floats(-5.0, 5.0), width=st.floats(0.01, 10.0),
        where=st.sampled_from(["lo", "inside", "hi"]), frac=st.floats(0.0, 1.0),
        x=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=20),
@@ -73,9 +166,32 @@ def test_closed_form_laws_match_scipy(lo, width, where, frac, x, q):
         assert np.array_equal(d.pdf(x), ref.pdf(x))
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.interpolate"])
-def test_import_leaves_scipy_stats_unloaded(module):
-    code = f"import sys, royaltycap; print({module!r} in sys.modules)"
+# Builds a ``table`` type law, an additive family with a ``table`` error, a
+# ``TableIncomeFamily`` and their mechanism tables.
+_TABLE_LAWS = """
+import numpy as np
+from royaltycap import AgentSpec, AuctionInstance, make_income_family, make_type_dist
+from royaltycap.mech import tables_for
+g = np.linspace(-1.0, 1.0, 11)
+err = {"family": "table", "grid": g, "cdf": np.where(g < 0, 0.5 * (g + 1) ** 2,
+                                                     1 - 0.5 * (1 - g) ** 2)}
+k = np.linspace(1.0, 2.0, 9)
+types = make_type_dist("table", {"grid": k, "cdf": k - 1.0})
+rows = [(np.linspace(t - 1, t + 1, 41), np.linspace(0.0, 1.0, 41)) for t in (1.0, 1.4, 2.0)]
+tables_for(AuctionInstance((
+    AgentSpec(types, make_income_family("additive_error", {"error": err}), 0.2, 0.5),
+    AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}), make_income_family(
+        "table", {"theta_grid": [1.0, 1.4, 2.0], "rows": rows}), 0.0, 0.5))))
+"""
+
+
+@pytest.mark.parametrize("module,work", [
+    ("scipy.stats", ""), ("scipy.integrate", ""), ("scipy.interpolate", ""),
+    ("scipy", _TABLE_LAWS)],
+    ids=["scipy.stats", "scipy.integrate", "scipy.interpolate", "scipy-after-table-laws"])
+def test_import_leaves_scipy_stats_unloaded(module, work):
+    code = (f"import sys, royaltycap\n{work}\n"
+            f"print(any(m == {module!r} or m.startswith({module + '.'!r}) for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "False"
@@ -132,6 +248,40 @@ def _families():
     tab = make_income_family("table", {"theta_grid": knots, "rows": rows})
     return [("additive", add, (1.0, 2.0)), ("scaled", sca, (0.5, 1.0)),
             ("table", tab, (1.0, 2.0))]
+
+
+@pytest.mark.parametrize("name,fam,rng", _families() + [
+    ("additive_table_error", make_income_family("additive_error", {"error": _tent_error()}),
+     (1.0, 2.0)),
+    ("scaled_triangular_error", make_income_family(
+        "scaled_error", {"error": {"family": "triangular", "lo": -1.0, "hi": 1.0,
+                                   "mode": 0.0}}), (0.5, 1.0))])
+def test_cdf_and_dtheta_equals_separate_calls(name, fam, rng):
+    lo, hi = rng
+    blocks = [np.linspace(lo, hi, 37)[1:-1]]
+    if name == "table":
+        # knots 1, 1.4, 2: one block inside the first interval (one row pair)
+        # and one across the knot at 1.4 (both row pairs)
+        blocks = [np.linspace(1.05, 1.35, 9), np.linspace(1.2, 1.8, 13), np.array([1.4])]
+    for th in blocks:
+        nodes = (np.asarray(fam.supp_lo(th))[:, None] - 0.1
+                 + np.linspace(0.0, 1.0, 23) * (np.asarray(fam.supp_hi(th))
+                                                - np.asarray(fam.supp_lo(th)) + 0.2)[:, None])
+        for pi, theta in ((nodes, th[:, None]), (nodes[:, 5], th), (1.5, th),
+                          (float(nodes[0, 7]), float(th[0]))):
+            g, g2 = fam.cdf_and_dtheta(pi, theta)
+            assert np.array_equal(g, fam.cdf(pi, theta))
+            assert np.array_equal(g2, fam.dcdf_dtheta(pi, theta))
+            assert np.shape(g) == np.shape(g2) == np.broadcast_shapes(np.shape(pi),
+                                                                      np.shape(theta))
+    if name == "table":
+        # the one-interval evaluation equals the same types inside a block
+        # that spans two intervals
+        inside = np.linspace(1.05, 1.35, 9)
+        across = np.concatenate([inside, np.linspace(1.5, 1.8, 7)])
+        assert np.array_equal(fam.cdf_and_dtheta(1.6, inside)[1],
+                              fam.cdf_and_dtheta(1.6, across)[1][:9])
+        assert np.array_equal(fam.cdf(1.6, inside), fam.cdf(1.6, across)[:9])
 
 
 @pytest.mark.parametrize("name,fam,rng", _families())
