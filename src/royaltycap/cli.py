@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--runs", type=int, help="override the configured n_runs")
         q.add_argument("--grid", type=int, help="override both grid sizes")
         q.add_argument("--workers", type=int, default=1,
-                       help="worker processes for simulation (default 1)")
+                       help="worker threads for simulation (default 1)")
     return p
 
 
@@ -267,6 +267,8 @@ def main(argv=None) -> int:
         seed = cfg.seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError("--seed", "must be nonnegative")
+        if args.workers < 1:
+            raise ConfigError("--workers", "must be at least 1")
         n_runs = cfg.n_runs if args.runs is None else args.runs
         if args.command in ("simulate", "sweep") and n_runs < sim._MIN_RUNS:
             raise ConfigError("--runs", f"must be at least {sim._MIN_RUNS}")

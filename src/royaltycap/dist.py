@@ -126,15 +126,16 @@ class _Triangular(_Standardized):
         self.c = (mode - lo) / (hi - lo)
 
     # scipy's branches: z < c rises, the rest falls; the unused branch may
-    # divide by zero when the mode is an endpoint
+    # divide by zero when the mode is an endpoint, or overflow when it is
+    # subnormal
     def _cdf(self, z):
         c = self.c
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(z < c, z * z / c, (z * z - 2 * z + c) / (c - 1))
 
     def _pdf(self, z):
         c = self.c
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(z < c, 2 * z / c, np.where(c == 1, 2 * z, 2 * (1 - z) / (1 - c)))
 
     def _ppf(self, q):

@@ -9,15 +9,15 @@ and the principal's revenue nets out audit costs.
 Reproducibility contract: run ``r`` of a simulation with seed ``s`` consumes
 the Philox counter blocks ``[r*m, (r+1)*m)`` under key ``s``, where ``m`` is
 the number of 256-bit blocks needed for one run.  Streams therefore never
-overlap, results do not depend on chunking, and parallel execution is
+overlap, results do not depend on chunking, and threaded execution is
 byte-identical to serial.  Equivalently, run ``r`` sees exactly the draws of
 ``numpy.random.Generator(numpy.random.Philox(key=s, counter=r*m))``.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,8 +51,8 @@ class StrategyProfile:
     income report.  ``None`` entries mean truthful reporting (with income
     projected onto the reported type's support).  Whatever an income map
     returns is projected as well, so reports always land in the feasible
-    set.  Callables must accept scalars; they must be picklable to use
-    worker processes.
+    set.  Callables must accept scalars; with several workers they may run
+    on several threads at once.
     """
 
     type_reports: tuple = ()
@@ -253,16 +253,13 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
 
 def run_auction(inst: AuctionInstance, strategies: StrategyProfile,
                 rng: np.random.Generator,
-                tables: Optional[MechanismTables] = None,
                 audit_prob: Optional[Callable] = None) -> Outcome:
     """Execute one auction round, consuming ``n_agents + 2`` uniforms from
     ``rng`` (type draws, the winner's income draw, and one audit-
     randomization draw that the deterministic rule leaves unused)."""
     strategies.validate(inst.n_agents)
-    if tables is None:
-        tables = tables_for(inst)
     u = rng.random(inst.n_agents + 2)[None, :]
-    b = _simulate_batch(inst, strategies, u, tables, audit_prob)
+    b = _simulate_batch(inst, strategies, u, tables_for(inst), audit_prob)
     w = int(b["winner"][0])
     return Outcome(
         winner=None if w < 0 else w,
@@ -282,26 +279,6 @@ _CHUNK = 1 << 16
 # fewest runs a revenue estimate accepts
 _MIN_RUNS = 1_000
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(inst, strategies, seed, audit_prob=None):
-    _WORKER_STATE["inst"] = inst
-    _WORKER_STATE["strategies"] = strategies
-    _WORKER_STATE["seed"] = seed
-    _WORKER_STATE["audit_prob"] = audit_prob
-    _WORKER_STATE["tables"] = tables_for(inst)
-
-
-def _worker_chunk(args):
-    start, count = args
-    inst = _WORKER_STATE["inst"]
-    u = _uniform_matrix(inst.n_agents, _WORKER_STATE["seed"], start, count)
-    b = _simulate_batch(inst, _WORKER_STATE["strategies"], u, _WORKER_STATE["tables"],
-                        _WORKER_STATE["audit_prob"])
-    return start, {k: b[k] for k in
-                   ("revenue", "utility", "audited", "penalty", "winner")}
-
 
 def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile] = None,
                      n_runs: int = 100_000, seed: int = 0,
@@ -312,39 +289,33 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     Under truthful strategies the estimate matches the analytic expected
     revenue E[max_i psi_i(theta_i)_+] up to Monte Carlo error.  Aggregation
     runs over per-run arrays assembled in run order, so the report is
-    independent of chunking and of the number of workers.
+    independent of chunking and of the number of worker threads.
     """
     if n_runs < _MIN_RUNS:
         raise ConstructionError(f"n_runs must be at least {_MIN_RUNS}")
+    if workers < 1:
+        raise ConstructionError("workers must be at least 1")
     if strategies is None:
         strategies = StrategyProfile.truthful(inst.n_agents)
     strategies.validate(inst.n_agents)
     tables = tables_for(inst)
 
-    chunks = [(s, min(_CHUNK, n_runs - s)) for s in range(0, n_runs, _CHUNK)]
-    results = {}
-    # a worker gets at least one chunk; a single process runs in-line
-    procs = min(workers, len(chunks))
-    if procs > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(procs, initializer=_worker_init,
-                      initargs=(inst, strategies, seed, audit_prob)) as pool:
-            for start, payload in pool.imap_unordered(_worker_chunk, chunks):
-                results[start] = payload
+    # one chunk runs in-line; threads share one serial chunk's runs at a time
+    threads = min(workers, -(-n_runs // _CHUNK))
+    size = _CHUNK // threads
+
+    def chunk(start):
+        u = _uniform_matrix(inst.n_agents, seed, start, min(size, n_runs - start))
+        b = _simulate_batch(inst, strategies, u, tables, audit_prob)
+        return [b[k] for k in ("revenue", "utility", "audited", "penalty", "winner")]
+
+    starts = range(0, n_runs, size)
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(chunk, starts))
     else:
-        _worker_init(inst, strategies, seed, audit_prob)
-        for ch in chunks:
-            start, payload = _worker_chunk(ch)
-            results[start] = payload
-
-    def col(name):
-        return np.concatenate([results[s][name] for s, _ in chunks])
-
-    revenue = col("revenue")
-    utility = col("utility")
-    audited = col("audited")
-    pen = col("penalty")
-    winner = col("winner")
+        parts = [chunk(s) for s in starts]
+    revenue, utility, audited, pen, winner = (np.concatenate(c) for c in zip(*parts))
 
     sqrtn = np.sqrt(n_runs)
     util_mean = utility.mean(axis=0)
@@ -378,6 +349,8 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
     audit threshold.  A row whose instance fails to build is marked failed
     without aborting the sweep.
     """
+    if workers < 1:
+        raise ConstructionError("workers must be at least 1")
     rows = []
     for v in values:
         row = {"value": float(v)}

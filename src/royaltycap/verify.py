@@ -29,7 +29,6 @@ from .mech import (
     _audit_region,
     _income_bounds,
     _mech_curves,
-    _pi_star_vec,
     _wins,
     audit_threshold,
     tables_for,
@@ -622,8 +621,9 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
 
     lo, hi = agent.types.lo, agent.types.hi
     thetas = np.linspace(lo, hi, theta_grid + 2)[1:-1]
-    psi_mat = np.array([_mech_curves(a, thetas)[1] for a in agents])
-    pistar_mat = np.array([_pi_star_vec(a, thetas) for a in agents])
+    curves = [_mech_curves(a, thetas) for a in agents]
+    psi_mat = np.array([c[1] for c in curves])
+    pistar_mat = np.array([c[2] for c in curves])
     psi_viol = _monotone_violation(psi_mat, psi_dir)
     pistar_viol = _monotone_violation(pistar_mat, pistar_dir)
     return {

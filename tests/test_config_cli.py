@@ -232,8 +232,10 @@ def test_cli_exit_codes(tmp_path):
     (["verify-ic"], "{theta_points: 64, pi_points: 48}", "grids.pi_points"),
     (["simulate", "--runs", "10"], None, "--runs"),
     (["sweep", "--runs", "10"], None, "--runs"),
+    (["simulate", "--workers", "0"], None, "--workers"),
+    (["simulate", "--workers", "-2"], None, "--workers"),
 ], ids=["check-flag", "verify-ic-flag", "check-config", "verify-ic-config",
-        "simulate-runs", "sweep-runs"])
+        "simulate-runs", "sweep-runs", "simulate-workers-0", "simulate-workers-neg"])
 def test_cli_usage_floors_exit_2(tmp_path, capsys, argv, grids, field):
     # grids and run counts below the library's floors are usage errors: exit 2,
     # a message naming the flag or config field, no traceback, no output

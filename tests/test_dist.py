@@ -44,6 +44,15 @@ def test_triangular_matches_closed_form():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_triangular_subnormal_mode_raises_no_warning():
+    # the rising branch divides by the subnormal standard mode and overflows;
+    # np.where discards it, so it must not warn either
+    d = make_type_dist("triangular", {"lo": 0.0, "hi": 1.0, "mode": 1e-310})
+    assert d.cdf(0.5) == 0.75
+    assert d.pdf(0.5) == 1.0
+
+
 def test_table_type_dist_interpolates_monotonically():
     g = np.linspace(1, 2, 9)
     d = make_type_dist("table", {"grid": g, "cdf": g - 1})

@@ -111,6 +111,15 @@ def test_min_runs_guard(ua_inst):
         rc.estimate_revenue(ua_inst, None, n_runs=10, seed=0)
 
 
+def test_workers_guard(ua_inst, ua_agent):
+    # no silent serial fallback; a sweep raises rather than failing each row
+    with pytest.raises(rc.ConstructionError):
+        rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=0, workers=0)
+    with pytest.raises(rc.ConstructionError):
+        rc.sweep(lambda c: rc.AuctionInstance((replace(ua_agent, audit_cost=c),)),
+                 [0.2], n_runs=1000, seed=0, workers=-2)
+
+
 def test_deviating_strategy_never_gains(ua_inst):
     # the measured best type deviation cannot beat truthful play in simulation
     base = rc.estimate_revenue(ua_inst, None, n_runs=150_000, seed=31)
@@ -236,8 +245,26 @@ def test_workers_capped_by_chunks(ua_inst, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single chunk must run in-line")
 
-    monkeypatch.setattr(S, "get_context", no_pool)
+    monkeypatch.setattr(S, "ThreadPoolExecutor", no_pool)
     assert rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3, workers=4) == serial
+
+
+def test_reports_independent_of_chunk_size(ua_inst, pair_inst, monkeypatch):
+    # runs are assembled in run order whatever the chunk size and thread
+    # count, including Python-level strategy and audit callables
+    shade = rc.StrategyProfile(type_reports=(lambda th: 0.9 * th + 0.1,),
+                               income_reports=(None,))
+    cases = [(ua_inst, {}), (pair_inst, {}),
+             (ua_inst, {"strategies": shade,
+                        "audit_prob": lambda th, pi: np.full_like(th, 0.5)})]
+    for inst, kw in cases:
+        want = rc.estimate_revenue(inst, n_runs=20_000, seed=9, **kw)
+        for chunk in (1 << 12, 1 << 14):
+            monkeypatch.setattr(S, "_CHUNK", chunk)
+            for workers in (1, 2, 3):
+                got = rc.estimate_revenue(inst, n_runs=20_000, seed=9,
+                                          workers=workers, **kw)
+                assert got == want, (chunk, workers)
 
 
 # estimate_revenue(inst, None, 2**17, seed=1) on the shipped instances, with
