@@ -19,8 +19,10 @@ sensitivity capped at phi.  The central quantities:
   strategy.
 
 Two vectorized kernels are the only implementation of these quantities:
-``_pi_star_vec`` (a 65-point single-crossing scan of each type's income
-support, then bisection) and ``_mech_curves`` (psi, Phi, E[pi - royalty]).
+``_pi_star_vec`` (``_single_crossing_scan``, then bisection) and ``_mech_curves`` (psi, Phi, E[pi - royalty]).  The audit
+surplus mu*phi - c has one expression, ``_audit_surplus``, and the scan is
+the only judgement of single crossing in income; ``verify.check_regularity``
+reports it too.
 Income integrals over the audit region are split at the income law's
 breakpoints (``IncomeFamily.breakpoints``) and integrated piece by piece
 with the 2-point Gauss-Legendre rule, exact because the supported laws are
@@ -50,6 +52,7 @@ from .errors import (
 
 # relative nudge for one-sided limits at support endpoints
 _NU = 1e-9
+_SLACK = 1e-9  # numeric slack for weak inequalities on grids
 _GL32 = np.polynomial.legendre.leggauss(32)
 # exact per piece: the income integrands are at most cubic between breakpoints
 _GL2 = np.polynomial.legendre.leggauss(2)
@@ -132,6 +135,24 @@ def mu(agent: AgentSpec, theta, pi):
     agent.types._check_domain(theta)
     out = -np.asarray(agent.income.g2_over_g(pi, theta)) * inverse_hazard(agent.types, theta)
     return out if np.ndim(out) else float(out)
+
+
+def _audit_surplus(agent: AgentSpec, theta, pi, ih):
+    """Audit surplus mu*phi - c at incomes ``pi`` and types ``theta`` whose
+    inverse hazards (1 - F)/f are ``ih``, as (-G_2/g) * (ih * phi) - c.  No
+    domain check; every site that weighs auditing evaluates it here."""
+    ratio = -np.asarray(agent.income.g2_over_g(pi, theta), dtype=float)
+    return ratio * (ih * agent.sensitivity) - agent.audit_cost
+
+
+def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
+    """Per sequence along ``axis``: the largest positive value that comes
+    after a negative one (zero when the sequence is single-crossing from
+    above).  NaN entries are skipped."""
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    seen_neg = np.maximum.accumulate(values < 0, axis=-1)[..., :-1]
+    later = values[..., 1:]
+    return np.max(np.where(seen_neg & (later > 0), later, 0.0), axis=-1, initial=0.0)
 
 
 def myerson_virtual(agent: AgentSpec, theta):
@@ -272,8 +293,7 @@ def _threshold_kinks(agent: AgentSpec) -> list:
         p = np.where(at_top, phi_ - _NU * (phi_ - plo), plo + _NU * (phi_ - plo))
         ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)
         with np.errstate(invalid="ignore"):
-            mu_ = -np.asarray(agent.income.g2_over_g(p, t)) * ih  # mu, unchecked
-            return np.where(np.isfinite(ih), mu_ * agent.sensitivity - agent.audit_cost, 1e30)
+            return np.where(np.isfinite(ih), _audit_surplus(agent, t, p, ih), 1e30)
 
     sign = np.sign(edge_surplus(np.broadcast_to(grid, (2, grid.size)), top))
     end, k = np.nonzero(np.diff(sign, axis=1))
@@ -338,10 +358,10 @@ def menu_cutoffs(agent: AgentSpec) -> tuple:
     """
     lo, hi = agent.types.lo, agent.types.hi
     lo_n = _psi_floor(agent)
-    phi, c = agent.sensitivity, agent.audit_cost
 
     def audit_pays(t):
-        return inverse_hazard(agent.types, t) * phi - c >= 0
+        # additive errors: mu = (1 - F)/f at every income, here the mean
+        return _audit_surplus(agent, t, t, inverse_hazard(agent.types, t)) >= 0
 
     if not audit_pays(lo_n):
         theta_star = lo
@@ -455,12 +475,12 @@ def myerson_cash_revenue(inst: AuctionInstance) -> float:
     thetas = [np.linspace(_psi_floor(a), a.types.hi, 4097) for a in inst.agents]
     grids = [(ts, np.asarray(myerson_virtual(a, ts), dtype=float))
              for a, ts in zip(inst.agents, thetas)]
-    if any(np.any(np.diff(v) <= 0) for _, v in grids):
-        raise RegularityError("Myerson virtual value is not strictly increasing; "
-                              "ironing is not supported")
     if inst.n_agents > 1:
         return _expected_max_plus(inst, grids)
     agent, ((ts, v),) = inst.agents[0], grids
+    if np.any(np.diff(v) <= 0):
+        raise RegularityError("Myerson virtual value is not strictly increasing; "
+                              "ironing is not supported")
     if v[-1] <= 0:
         return 0.0
     if v[0] > 0:
@@ -492,23 +512,23 @@ def _blocked(fn, *cols):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _check_single_crossing(agent: AgentSpec, thetas: np.ndarray):
-    """Raise ``RegularityError`` unless mu*phi - c is single-crossing from
-    above in income at every type, on a 65-point scan of its income support."""
+def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
+    """The single-crossing scan: per type, ``_worst_single_crossing`` of
+    mu*phi - c over 65 incomes spread inside the type's own income support
+    (zero when phi == 0).  Single crossing from above fails where this
+    exceeds ``_SLACK``."""
     if agent.sensitivity == 0.0:
-        return
+        return np.zeros(thetas.size)
     lo, hi = _income_bounds(agent, thetas)
 
-    def crossing_back(t, l, h):
+    def worst(t, l, h):
         probe = np.linspace(l + _NU * (h - l), h - _NU * (h - l), 65, axis=1)
+        ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)[:, None]
         with np.errstate(invalid="ignore"):
-            s = mu(agent, t[:, None], probe) * agent.sensitivity - agent.audit_cost
-        return (np.any(np.maximum.accumulate(s < 0, axis=1) & (s > 0), axis=1),)
+            s = _audit_surplus(agent, t[:, None], probe, ih)
+        return (_worst_single_crossing(s, axis=1),)
 
-    bad = _blocked(crossing_back, thetas, lo, hi)[0]
-    if np.any(bad):
-        raise RegularityError(
-            f"mu*phi - c is not single-crossing in income at theta={thetas[bad][0]}")
+    return _blocked(worst, thetas, lo, hi)[0]
 
 
 def _threshold(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
@@ -519,8 +539,7 @@ def _threshold(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
 
     def pays(p, k):
-        ratio = -np.asarray(agent.income.g2_over_g(p, thetas[k]), dtype=float)
-        return ratio * (ih[k] * phi) - c >= 0
+        return _audit_surplus(agent, thetas[k], p, ih[k]) >= 0
 
     # phi * (1 - F)/f == 0 (phi == 0 or the top type): pays iff c == 0
     trivial = phi * np.where(np.isfinite(ih), ih, 1.0) == 0.0
@@ -537,9 +556,12 @@ def _threshold(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """Audit threshold on an array of types, behind the single-crossing
-    precondition (``RegularityError`` when it fails)."""
+    precondition (``RegularityError`` when the scan fails at any of them)."""
     thetas = np.asarray(thetas, dtype=float)
-    _check_single_crossing(agent, thetas)
+    bad = _single_crossing_scan(agent, thetas) > _SLACK
+    if np.any(bad):
+        raise RegularityError(
+            f"mu*phi - c is not single-crossing in income at theta={thetas[bad][0]}")
     return _threshold(agent, thetas)
 
 

@@ -25,18 +25,20 @@ from .errors import (
 from .mech import (
     AuctionInstance,
     _GL32,
+    _SLACK,
     _audit_mask,
     _audit_region,
+    _audit_surplus,
+    _curves_at,
     _income_bounds,
     _mech_curves,
+    _single_crossing_scan,
     _wins,
-    audit_threshold,
+    _worst_single_crossing,
     tables_for,
-    transfer,
     virtual_value,
 )
 
-_SLACK = 1e-9  # numeric slack for weak inequalities on grids
 # smallest grids that regularity checks and best-response searches accept
 _MIN_REGULARITY_GRID = 32
 _MIN_RESPONSE_GRID = 64
@@ -117,16 +119,6 @@ class DeviationReport:
 # ---------------------------------------------------------------------------
 
 
-def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
-    """Per sequence along ``axis``: the largest strictly positive value
-    occurring after a nonpositive one (zero when the sequence is
-    single-crossing from above).  NaN entries are skipped."""
-    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    seen_nonpos = np.maximum.accumulate(values <= 0, axis=-1)[..., :-1]
-    later = values[..., 1:]
-    return np.max(np.where(seen_nonpos & (later > 0), later, 0.0), axis=-1, initial=0.0)
-
-
 def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
                      pi_grid_size: int = 64) -> RegularityReport:
     """Grid verification of the distributional and regularity conditions:
@@ -134,7 +126,10 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     type, single crossing of the audit surplus mu*phi - c in both arguments,
     and a strictly increasing virtual value.
 
-    Failures are report content, not exceptions.
+    Single crossing in income is the scan behind every mechanism kernel
+    (``mech._single_crossing_scan``) at this report's types, so the kernels
+    raise at exactly the grid types this report flags.  Failures are report
+    content, not exceptions.
     """
     if min(theta_grid_size, pi_grid_size) < _MIN_REGULARITY_GRID:
         raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
@@ -160,20 +155,20 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
                      "theta": float(thetas[k[0] + 1]), "pi": float(pis[k[1]])}
     fosd_ok = bool(increase[k] <= _SLACK)
 
-    # 3/4. single crossing of the audit surplus, along income and along type
+    # 3. single crossing of the audit surplus in income: the scan that guards
+    # every mechanism kernel (``mech._pi_star_vec``), at these types
+    per_type = _single_crossing_scan(agent, thetas)
+    # 4. single crossing in type, on the common income grid at the incomes
+    # that occur: inside the support, at positive density (a tabulated
+    # family's support at a type knot also spans the next row's support)
     ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
     with np.errstate(invalid="ignore"):
-        ratio = -np.asarray(agent.income.g2_over_g(pis[None, :], thetas[:, None]), dtype=float)
-        surplus = ratio * (ih * agent.sensitivity)[:, None] - agent.audit_cost
-    # incomes that occur: inside the support, at positive density (a tabulated
-    # family's support at a type knot also spans the next row's support)
+        surplus = _audit_surplus(agent, thetas[:, None], pis[None, :], ih[:, None])
     inside = ((pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
               & (np.asarray(agent.income.pdf(pis[None, :], thetas[:, None])) > 0))
-
-    occurring = np.where(inside, surplus, np.nan)
-    for key, axis, where, grid in (("single_crossing_pi", 1, "theta", thetas),
-                                   ("single_crossing_theta", 0, "pi", pis)):
-        per = _worst_single_crossing(occurring, axis)
+    per_income = _worst_single_crossing(np.where(inside, surplus, np.nan), axis=0)
+    for key, where, grid, per in (("single_crossing_pi", "theta", thetas, per_type),
+                                  ("single_crossing_theta", "pi", pis, per_income)):
         k = int(np.argmax(per))
         worst[key] = {"magnitude": float(per[k]),
                       where: float(grid[k]) if per[k] > 0 else None}
@@ -312,6 +307,20 @@ def _expected_payments(agent: AgentSpec, theta_true: float, reports: np.ndarray,
     return out
 
 
+def _rival_psis(inst: AuctionInstance, i: int, theta_minus: Sequence[float]) -> list:
+    """Virtual values of agent i's rivals at their type reports ``theta_minus``."""
+    rivals = inst.agents[:i] + inst.agents[i + 1:]
+    if len(theta_minus) != len(rivals):
+        raise ValueError(f"expected {len(rivals)} rival type reports, got {len(theta_minus)}")
+    return [virtual_value(a, float(t)) for a, t in zip(rivals, theta_minus)]
+
+
+def _report_curves(agent: AgentSpec, theta: float) -> tuple:
+    """psi and pi_star at one type report, from one ``_mech_curves`` call."""
+    curves = _curves_at(agent, float(theta))
+    return float(curves[1][0]), float(curves[2][0])
+
+
 def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
                          theta_minus: Sequence[float], pi_true: float,
                          grid: int = 128) -> DeviationReport:
@@ -322,11 +331,11 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     mechanism to be income-incentive-compatible.
     """
     agent = inst.agents[i]
-    profile = [*theta_minus[:i], theta_report, *theta_minus[i:]]
-    if not _wins([virtual_value(a, float(t)) for a, t in zip(inst.agents, profile)], i)[0]:
+    rival_psis = _rival_psis(inst, i, theta_minus)
+    psi, cap = _report_curves(agent, theta_report)
+    if not _wins(rival_psis[:i] + [psi] + rival_psis[i:], i)[0]:
         raise DomainError("agent does not win at this report profile")
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
-    cap = audit_threshold(agent, theta_report)
     phi = agent.sensitivity
     truthful_rep = float(project_to_support(agent.income, theta_report, pi_true))
     reports = np.unique(np.concatenate([np.linspace(lo, hi, grid),
@@ -436,14 +445,12 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     agent = inst.agents[i]
-    profile_of = lambda th: [th if j == i else theta_minus[j if j < i else j - 1]
-                             for j in range(inst.n_agents)]
-    for th in (theta_lo, theta_hi):
-        if not _wins([virtual_value(a, float(x)) for a, x in zip(inst.agents, profile_of(th))],
-                     i)[0]:
+    rival_psis = _rival_psis(inst, i, theta_minus)
+    (psi_lo, cap_lo), (psi_hi, cap_hi) = (_report_curves(agent, th) for th in (theta_lo, theta_hi))
+    for th, psi in ((theta_lo, psi_lo), (theta_hi, psi_hi)):
+        wins, rival = _wins(rival_psis[:i] + [psi] + rival_psis[i:], i)
+        if not wins:
             raise UnsupportedPairError(f"type {th} does not win against the rivals")
-    cap_lo = audit_threshold(agent, theta_lo)   # cap of the lower report
-    cap_hi = audit_threshold(agent, theta_hi)
     lo1, hi1 = (float(x) for x in _income_bounds(agent, theta_lo))
     lo2, hi2 = (float(x) for x in _income_bounds(agent, theta_hi))
     left, right = max(lo1, lo2), min(hi1, hi2)
@@ -453,8 +460,8 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
             raise UnsupportedPairError(
                 "audit thresholds must lie in both income supports")
     phi = agent.sensitivity
-    t1 = transfer(inst, i, profile_of(theta_lo))
-    t2 = transfer(inst, i, profile_of(theta_hi))
+    tables = tables_for(inst)
+    t1, t2 = (float(tables.transfer_win(i, float(th), rival)) for th in (theta_lo, theta_hi))
 
     def s1(p):
         return t1 + min(p, cap_lo) * phi

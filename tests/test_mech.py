@@ -1,4 +1,6 @@
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,8 +382,9 @@ def test_myerson_requires_increasing_virtual_value():
             "additive_error",
             {"error": {"family": "uniform", "lo": -1e-12, "hi": 1e-12}}),
         0.0, 0.0)
-    with pytest.raises(rc.RegularityError):
-        rc.myerson_cash_revenue(rc.AuctionInstance((agent,)))
+    for agents in ((agent,), (agent, cash_only_agent(1.0, 2.0))):
+        with pytest.raises(rc.RegularityError):
+            rc.myerson_cash_revenue(rc.AuctionInstance(agents))
 
 
 def test_full_extraction_revenue():
@@ -660,3 +663,51 @@ def test_threshold_kinks_keep_crossings_inside_the_last_cell(monkeypatch, ua_age
     monkeypatch.setattr(rc.mech, "inverse_hazard", lambda types, t: (2.0 - t) * (1.999 - t))
     assert rc.mech._threshold_kinks(replace(ua_agent, audit_cost=0.0)) == pytest.approx(
         [1.999], abs=1e-12)
+
+
+def test_single_crossing_rule_and_slack(monkeypatch, ua_agent):
+    # the rule: a positive value after a strictly negative one; zeros and
+    # NaN entries start no violation
+    vals = np.array([[1.0, -1.0, 2.0], [1.0, 0.0, 2.0], [-1.0, np.nan, 5e-10],
+                     [3.0, 2.0, -1.0]])
+    expected = [2.0, 0.0, 5e-10, 0.0]
+    assert rc.mech._worst_single_crossing(vals, axis=1).tolist() == expected
+    assert rc.mech._worst_single_crossing(vals.T, axis=0).tolist() == expected
+    # the slack: a violation counts above 1e-9, in the kernels and in check
+    for worst, fails in ((1e-9, False), (2e-9, True)):
+        def scan(agent, thetas):
+            return np.full(np.size(thetas), worst)
+
+        monkeypatch.setattr(rc.mech, "_single_crossing_scan", scan)
+        monkeypatch.setattr(rc.verify, "_single_crossing_scan", scan)
+        assert rc.check_regularity(ua_agent).single_crossing_pi_ok == (not fails)
+        if fails:
+            with pytest.raises(rc.RegularityError):
+                rc.audit_threshold(ua_agent, 1.5)
+        else:
+            assert rc.audit_threshold(ua_agent, 1.5) == pytest.approx(2.5)
+
+
+def test_audit_surplus_and_single_crossing_rule_have_one_home():
+    # one surplus expression and one single-crossing scan, both in mech:
+    # only mu and _audit_surplus evaluate the density ratio G_2/g, and
+    # verify holds no crossing rule of its own
+    src = Path(rc.__file__).parent
+    callers, rule_defs, slack_defs = set(), [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_worst_single_crossing":
+                    rule_defs.append(path.name)
+                callers.update(f"{path.stem}.{node.name}" for call in ast.walk(node)
+                               if isinstance(call, ast.Call)
+                               and isinstance(call.func, ast.Attribute)
+                               and call.func.attr == "g2_over_g")
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "_SLACK" for t in node.targets):
+                slack_defs.append(path.name)
+    assert callers == {"mech.mu", "mech._audit_surplus"}
+    assert rule_defs == ["mech.py"] and slack_defs == ["mech.py"]
+    verify_src = (src / "verify.py").read_text(encoding="utf-8")
+    assert "g2_over_g" not in verify_src and "maximum.accumulate" not in verify_src

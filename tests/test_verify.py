@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import royaltycap as rc
@@ -55,6 +55,45 @@ def test_regularity_exact_on_tabulated_income(grid):
 def test_regularity_grid_precondition(ua_agent):
     with pytest.raises(ValueError):
         rc.check_regularity(ua_agent, 16, 64)
+
+
+@pytest.mark.parametrize("knots,theta", [((1.0, 1.4, 2.0), 1.0154), ((1.0, 1.5, 2.0), 1.4923)])
+def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, theta):
+    # with c = 0.01 the audit surplus dips below zero and recovers inside
+    # every type's income support, in a band that a masked 64 x 64 income
+    # grid misses (it read magnitude 0 while the table build raised)
+    agent = table_income_agent(knots, audit_cost=0.01)
+    rep = rc.check_regularity(agent)
+    assert not rep.single_crossing_pi_ok and not rep.all_ok
+    assert rep.worst["single_crossing_pi"]["theta"] == pytest.approx(theta, abs=1e-4)
+    assert rep.worst["single_crossing_pi"]["magnitude"] > 10
+    inst = rc.AuctionInstance((agent,))
+    for call in (lambda: rc.tables_for(inst),
+                 lambda: rc.payoff_bound(inst),
+                 lambda: rc.estimate_revenue(inst, n_runs=1000),
+                 lambda: rc.transfer(inst, 0, [theta]),
+                 lambda: rc.virtual_value(agent, theta),
+                 lambda: rc.audit_threshold(agent, theta),
+                 lambda: rc.phi_cap(agent, theta),
+                 lambda: rc.expected_income_net_royalty(agent, theta)):
+        with pytest.raises(rc.RegularityError):
+            call()
+
+
+@given(inner=st.lists(st.integers(1, 39), unique=True, max_size=2),
+       c=st.floats(0.0, 0.3), phi=st.sampled_from([0.5, 1.0]))
+@example(inner=[16], c=0.01, phi=0.5).via("the knots-1/1.4/2 copy")
+@example(inner=[20], c=0.0, phi=0.5).via("the knots-1/1.5/2 copy, free audits")
+@settings(max_examples=25, deadline=None)
+def test_check_single_crossing_iff_the_build_scan_raises(inner, c, phi):
+    agent = table_income_agent((1.0, *sorted(1.0 + k / 40 for k in inner), 2.0), c, phi)
+    rep = rc.check_regularity(agent, 32, 32)
+    try:
+        rc.mech._pi_star_vec(agent, np.linspace(1.0, 2.0, 34)[1:-1])  # check's types
+        raised = False
+    except rc.RegularityError:
+        raised = True
+    assert rep.single_crossing_pi_ok == (not raised), rep.worst["single_crossing_pi"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +245,35 @@ def test_type_best_response_evaluates_density_once_per_cut_group(monkeypatch):
         monkeypatch.setattr(income, "pdf", counted)
         rc.best_response_type(inst, i, th, 128, "grid_best", 128)
         assert len(calls) <= len(cut_counts(inst, i, th)) + 1 <= 6
+
+
+def test_income_deviations_and_crossing_evaluate_each_report_once(monkeypatch, pair_inst,
+                                                                   st_inst):
+    # a deterministic cost guard: one _pi_star_vec call per type report
+    # (psi and pi_star of the deviating agent come from one curve
+    # evaluation), and transfers come from the built tables
+    for inst in (pair_inst, st_inst):
+        rc.tables_for(inst)
+    calls = []
+    pi_star_vec = rc.mech._pi_star_vec
+
+    def counted(agent, thetas):
+        calls.append(np.size(thetas))
+        return pi_star_vec(agent, thetas)
+
+    monkeypatch.setattr(rc.mech, "_pi_star_vec", counted)
+    rc.best_response_income(pair_inst, 0, 1.6, [0.6], 1.2)
+    assert calls == [1, 1]
+    calls.clear()
+    rc.crossing_point(st_inst, 0, 0.75, 0.8)
+    assert calls == [1, 1]
+
+
+def test_rival_reports_must_match_the_rivals(pair_inst):
+    with pytest.raises(ValueError):
+        rc.best_response_income(pair_inst, 0, 1.6, [], 1.2)
+    with pytest.raises(ValueError):
+        rc.crossing_point(pair_inst, 0, 1.7, 1.8)
 
 
 def test_ir_zero_at_bottom_type(ua_inst):
