@@ -125,13 +125,9 @@ def _cmd_simulate(cfg: InstanceConfig, out_dir: Path, seed: int, n_runs: int,
     row = [[d[k] for k in header]]
     analytic = {
         "payoff_bound": mech.payoff_bound(cfg.instance),
-        "myerson_cash_revenue": None,
+        "myerson_cash_revenue": sim._cash_benchmark(cfg.instance),
         "full_extraction_revenue": mech.full_extraction_revenue(cfg.instance),
     }
-    try:
-        analytic["myerson_cash_revenue"] = mech.myerson_cash_revenue(cfg.instance)
-    except RoyaltycapError:
-        pass
     _emit(cfg, out_dir, "simulate", "simulate", seed, header=header, rows=row,
           extra={"report": d, "analytic": analytic})
     return 0

@@ -61,7 +61,59 @@ def _gl_segments(a, b, rule):
     b = np.asarray(b, dtype=float)
     half = 0.5 * np.maximum(b - a, 0.0)
     mid = 0.5 * (a + np.maximum(b, a))
-    return mid[..., None] + half[..., None] * x, half[..., None] * w
+    if x.size > 4:
+        return mid[..., None] + half[..., None] * x, half[..., None] * w
+    # a short rule: one pass per point, so that numpy's inner loops run
+    # along the segments rather than along the rule's few points (the same
+    # products and sums)
+    nodes = np.empty(half.shape + x.shape)
+    wts = np.empty_like(nodes)
+    for k in range(x.size):
+        np.multiply(half, x[k], out=nodes[..., k])
+        nodes[..., k] += mid
+        np.multiply(half, w[k], out=wts[..., k])
+    return nodes, wts
+
+
+def _buckets(xp: np.ndarray, x, k: int) -> np.ndarray:
+    """Bucket of each point among ``k`` equal-width buckets over [xp[0],
+    xp[-1]]: nondecreasing in x, so the points of a bucket never precede the
+    grid points of an earlier one; NaN falls in the last bucket."""
+    b = x - xp[0]
+    b *= k / (xp[-1] - xp[0])
+    return np.fmin(b, k - 1, out=b).astype(np.intp)
+
+
+def _guide_table(xp: np.ndarray) -> np.ndarray:
+    """Guide table of the sorted grid ``xp`` for indexed search (Chen & Asau
+    1974): over 2 len(xp) buckets, the last grid index that lies in an earlier
+    bucket, which is at or below every point of the bucket (clipped to the
+    cells 0 .. len(xp) - 2)."""
+    k = 2 * xp.size
+    first = np.searchsorted(_buckets(xp, xp, k), np.arange(k))
+    return np.clip(first - 1, 0, xp.size - 2)
+
+
+def _cells(xp: np.ndarray, guide: np.ndarray, x) -> np.ndarray:
+    """Cell of each point of the array ``x`` on the sorted grid ``xp``: the
+    last index j with xp[j] <= x, kept in 0 .. len(xp) - 2 (the end cells
+    extend beyond the grid).  The one search of the package's tables.
+
+    Reads the bucket's index in ``guide = _guide_table(xp)`` and steps
+    forward once where xp[j+1] <= x.  That settles nearly every point of a
+    well-spread grid; a point that must step further sits in a bucket
+    crowded with grid points (a far outlier squeezes the other grid points
+    into a few buckets) and is located by binary search, so no point costs
+    more than a binary search."""
+    x = np.asarray(x, dtype=float)
+    xs = np.clip(x, xp[0], np.nextafter(xp[-1], -np.inf)).ravel()
+    j = guide[_buckets(xp, xs, guide.size)]
+    nxt = xp[1:]
+    move = np.flatnonzero(nxt[j] <= xs)
+    j[move] += 1
+    move = move[nxt[j[move]] <= xs[move]]
+    j[move] = np.searchsorted(xp, xs[move], side="right") - 1
+    return j.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +265,7 @@ class _TableCdf:
         values[0], values[-1] = 0.0, 1.0
         self.lo, self.hi = float(grid[0]), float(grid[-1])
         self.knots = grid
+        self._guide = _guide_table(grid)
         self._c = _pchip_coefficients(grid, values)
         self._dc = self._c[:-1] * np.array([[3.0], [2.0], [1.0]])  # the pdf's pieces
         dense = np.linspace(self.lo, self.hi, 8193)
@@ -223,12 +276,14 @@ class _TableCdf:
         nodes, wts = _gl_segments(grid[:-1], grid[1:], np.polynomial.legendre.leggauss(4))
         self.mean = self.lo + float(np.sum(wts * (1.0 - self._cdf_inside(nodes))))
 
-    def _poly(self, coef, x):
+    def _poly(self, coef, x, i=None):
         """The piecewise polynomial ``coef`` at the array x, each point in
-        the cell of the last knot <= x (the end cells extended beyond the
-        grid), summed as scipy's PPoly sums it: lowest power first, with the
-        powers of the offset s built by repeated multiplication."""
-        i = np.clip(np.searchsorted(self.knots, x, "right") - 1, 0, self.knots.size - 2)
+        its cell ``i`` (located by ``_cells`` when not given: the last knot
+        <= x, the end cells extended beyond the grid), summed as scipy's
+        PPoly sums it: lowest power first, with the powers of the offset s
+        built by repeated multiplication."""
+        if i is None:
+            i = _cells(self.knots, self._guide, x)
         s = x - self.knots[i]
         out, z = coef[-1][i], s
         for k in range(coef.shape[0] - 2, -1, -1):
@@ -237,19 +292,23 @@ class _TableCdf:
                 z = z * s
         return out
 
-    def _cdf_inside(self, x):
-        """The interpolant at the array x, whose points outside [lo, hi] the
-        caller clips or overwrites."""
-        return self._poly(self._c, x)
+    def _cdf_inside(self, x, i=None):
+        """The interpolant at the array x (in its cells i, if given), whose
+        points outside [lo, hi] the caller clips or overwrites."""
+        return self._poly(self._c, x, i)
+
+    def _pdf(self, x, i=None):
+        """The pdf at the array x (in its cells i, if given), 0 outside
+        [lo, hi]; x and its clip to [lo, hi] share their cells."""
+        inside = (x >= self.lo) & (x <= self.hi)
+        return np.where(inside, self._poly(self._dc, np.clip(x, self.lo, self.hi), i), 0.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return self._cdf_inside(np.clip(x, self.lo, self.hi))[()]
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, self._poly(self._dc, np.clip(x, self.lo, self.hi)), 0.0)[()]
+        return self._pdf(np.asarray(x, dtype=float))[()]
 
     def ppf(self, u):
         out = np.interp(u, self._inv_f, self._inv_x)
@@ -526,8 +585,12 @@ class TableIncomeFamily(IncomeFamily):
     dG/dtheta lives.
 
     Quantiles invert this mixture CDF with the shared bisection ``_bisect``
-    (80 steps), all draws of a call at once.  ``cdf_and_dtheta`` evaluates
-    the two rows once for both the mixture and its type derivative.
+    (80 steps), all draws of a call at once.  Every evaluation locates each
+    income once per row pair, on the union of both rows' knots (``_cells``
+    with the union's guide table): no knot of either row lies strictly
+    inside a union cell, so the union cell decides both rows' cells.
+    ``cdf_and_dtheta`` and ``g2_over_g`` evaluate the two rows once for both
+    of their quantities.
     """
 
     family = "table"
@@ -561,11 +624,22 @@ class TableIncomeFamily(IncomeFamily):
                  for a, b in zip(self._rows[:-1], self._rows[1:])]
         width = max(p.size for p in pairs)
         self._bp = np.array([np.pad(p, (0, width - p.size), mode="edge") for p in pairs])
+        # per row pair: the sorted union of its knots, the union's guide
+        # table, and each union cell's cell in row j and in row j + 1
+        self._union = []
+        for a, b in zip(self._rows[:-1], self._rows[1:]):
+            u = np.union1d(a.knots, b.knots)
+            self._union.append((u, _guide_table(u), *(_cells(r.knots, r._guide, u[:-1])
+                                                      for r in (a, b))))
 
-    def _row_cdf(self, j, pi):
+    def _row_cdf(self, j, pi, i=None):
+        """Row j's CDF at pi (in its cells i, if given)."""
         r = self._rows[j]
         pi = np.asarray(pi, dtype=float)
-        return np.where(pi <= r.lo, 0.0, np.where(pi >= r.hi, 1.0, r._cdf_inside(pi)))
+        out = np.asarray(r._cdf_inside(pi, i))
+        out[pi >= r.hi] = 1.0
+        out[pi <= r.lo] = 0.0
+        return out
 
     def _locate(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -584,53 +658,77 @@ class TableIncomeFamily(IncomeFamily):
         return out if np.ndim(theta) else float(out)
 
     def _by_interval(self, fn, pi, theta):
-        """The arrays ``fn(j, pi, w)`` on each knot interval j of the types,
-        over the broadcast of pi and theta (types are located before
-        broadcasting).  When all types share one interval, fn runs once on
-        the unbroadcast arrays."""
+        """The arrays ``fn(j, pi, w, cells)`` on each knot interval j of the
+        types, over the broadcast of pi and theta (types are located before
+        broadcasting); ``cells`` are pi's cells in rows j and j + 1, from one
+        search of the pair's union grid.  When all types share one interval,
+        fn runs once on the unbroadcast arrays."""
         pi = np.asarray(pi, dtype=float)
         j, w = self._locate(theta)
         shape = np.broadcast_shapes(pi.shape, j.shape)
         j0 = j.flat[0] if j.size else 0
         if np.all(j == j0):
             outs = [o if np.shape(o) == shape else np.broadcast_to(o, shape).copy()
-                    for o in fn(j0, pi, w)]
+                    for o in fn(j0, pi, w, self._pair_cells(j0, pi))]
         else:
             outs = []
             for jj in np.unique(j):
                 m = np.broadcast_to(j == jj, shape)
-                parts = fn(jj, np.broadcast_to(pi, shape)[m], np.broadcast_to(w, shape)[m])
+                p = np.broadcast_to(pi, shape)[m]
+                parts = fn(jj, p, np.broadcast_to(w, shape)[m], self._pair_cells(jj, p))
                 outs = outs or [np.empty(shape) for _ in parts]
                 for out, part in zip(outs, parts):
                     out[m] = part
         return tuple(o if np.ndim(o) else float(o) for o in outs)
 
+    def _pair_cells(self, j, pi):
+        """Cells of the incomes pi in rows j and j + 1."""
+        u, guide, lo_cells, hi_cells = self._union[j]
+        c = _cells(u, guide, pi)
+        return lo_cells[c], hi_cells[c]
+
+    def _pair_cdfs(self, j, pi, cells):
+        return self._row_cdf(j, pi, cells[0]), self._row_cdf(j + 1, pi, cells[1])
+
+    def _pair_pdfs(self, j, pi, cells):
+        return self._rows[j]._pdf(pi, cells[0]), self._rows[j + 1]._pdf(pi, cells[1])
+
+    @staticmethod
+    def _mix(w, lo, hi):
+        """The mixture of the two rows' values, weight w on row j + 1."""
+        return (1.0 - w) * lo + w * hi
+
+    def _slope(self, j, lo, hi):
+        """dG/dtheta on knot interval j from the two rows' values."""
+        return (hi - lo) / (self._tg[j + 1] - self._tg[j])
+
     def cdf(self, pi, theta):
         return self._by_interval(
-            lambda j, p, w: ((1.0 - w) * self._row_cdf(j, p) + w * self._row_cdf(j + 1, p),),
+            lambda j, p, w, cells: (self._mix(w, *self._pair_cdfs(j, p, cells)),),
             pi, theta)[0]
 
     def pdf(self, pi, theta):
         return self._by_interval(
-            lambda j, p, w: ((1.0 - w) * self._rows[j].pdf(p) + w * self._rows[j + 1].pdf(p),),
+            lambda j, p, w, cells: (self._mix(w, *self._pair_pdfs(j, p, cells)),),
             pi, theta)[0]
 
     def dcdf_dtheta(self, pi, theta):
         return self._by_interval(
-            lambda j, p, w: ((self._row_cdf(j + 1, p) - self._row_cdf(j, p))
-                             / (self._tg[j + 1] - self._tg[j]),),
+            lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),),
             pi, theta)[0]
 
     def cdf_and_dtheta(self, pi, theta):
-        def both(j, p, w):
-            lo, hi = self._row_cdf(j, p), self._row_cdf(j + 1, p)
-            return (1.0 - w) * lo + w * hi, (hi - lo) / (self._tg[j + 1] - self._tg[j])
+        def both(j, p, w, cells):
+            lo, hi = self._pair_cdfs(j, p, cells)
+            return self._mix(w, lo, hi), self._slope(j, lo, hi)
 
         return self._by_interval(both, pi, theta)
 
     def g2_over_g(self, pi, theta):
-        num = self.dcdf_dtheta(pi, theta)
-        den = self.pdf(pi, theta)
+        num, den = self._by_interval(
+            lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),
+                                    self._mix(w, *self._pair_pdfs(j, p, cells))),
+            pi, theta)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = num / np.where(den > 0, den, np.nan)
         out = np.where(np.isnan(out), 0.0, out)

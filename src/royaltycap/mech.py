@@ -42,7 +42,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dist import AgentSpec, AdditiveErrorFamily, _bisect, _gl_segments, inverse_hazard
+from .dist import (
+    AgentSpec,
+    AdditiveErrorFamily,
+    _bisect,
+    _cells,
+    _gl_segments,
+    _guide_table,
+    inverse_hazard,
+)
 from .errors import (
     ConstructionError,
     RegularityError,
@@ -56,9 +64,10 @@ _SLACK = 1e-9  # numeric slack for weak inequalities on grids
 _GL32 = np.polynomial.legendre.leggauss(32)
 # exact per piece: the income integrands are at most cubic between breakpoints
 _GL2 = np.polynomial.legendre.leggauss(2)
-# types per kernel block: bounds the (types x quadrature nodes) arrays, which
-# reach ~170 nodes per type on a tabulated income family
-_BLOCK = 256
+# float64 elements per row-blocked kernel temporary (``_blocked``): small
+# enough that the temporaries are reused rather than mapped afresh, large
+# enough that a closed-form family's 8193 table types take a few blocks
+_BLOCK_ELEMENTS = 1 << 14
 # points of the dense type grid behind MechanismTables
 _TABLE_POINTS = 8193
 
@@ -504,11 +513,14 @@ def full_extraction_revenue(inst: AuctionInstance) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _blocked(fn, *cols):
-    """``fn`` applied to blocks of _BLOCK rows of the 1-d ``cols``, each of
-    its outputs concatenated over the blocks."""
+def _blocked(fn, width: int, *cols):
+    """``fn`` applied to blocks of rows of the ``cols``, each of its outputs
+    concatenated over the blocks.  ``fn``'s temporaries hold ``width``
+    elements per row; a block holds as many rows as fit in
+    ``_BLOCK_ELEMENTS``, and at least one."""
     n = len(cols[0])
-    parts = [fn(*(c[k:k + _BLOCK] for c in cols)) for k in range(0, max(n, 1), _BLOCK)]
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    parts = [fn(*(c[k:k + rows] for c in cols)) for k in range(0, max(n, 1), rows)]
     return [np.concatenate(p) for p in zip(*parts)]
 
 
@@ -528,7 +540,7 @@ def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
             s = _audit_surplus(agent, t[:, None], probe, ih)
         return (_worst_single_crossing(s, axis=1),)
 
-    return _blocked(worst, thetas, lo, hi)[0]
+    return _blocked(worst, 65, thetas, lo, hi)[0]
 
 
 def _threshold(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
@@ -579,6 +591,12 @@ def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     return lo, b, nodes.reshape(ts.size, -1), wts.reshape(ts.size, -1)
 
 
+def _region_width(agent: AgentSpec) -> int:
+    """Nodes per type of ``_audit_region``: two per piece between the
+    breakpoints and the region's ends."""
+    return 2 * (agent.income.breakpoints(np.array([agent.types.lo])).shape[1] + 1)
+
+
 def _royalty_share(agent: AgentSpec, g2, wts: np.ndarray) -> np.ndarray:
     """Phi per type from G_2 at the audit-region nodes of ``_audit_region``
     and their weights ``wts`` (one row per type)."""
@@ -608,25 +626,6 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     return psi_m, psi, cap, ts - phi * e_min
 
 
-def _buckets(xp: np.ndarray, x, k: int) -> np.ndarray:
-    """Bucket of each point among ``k`` equal-width buckets over [xp[0],
-    xp[-1]]: nondecreasing in x, so the points of a bucket never precede the
-    grid points of an earlier one; NaN falls in the last bucket."""
-    b = x - xp[0]
-    b *= k / (xp[-1] - xp[0])
-    return np.fmin(b, k - 1, out=b).astype(np.intp)
-
-
-def _guide_table(xp: np.ndarray) -> np.ndarray:
-    """Guide table of the sorted grid ``xp`` for indexed search (Chen & Asau
-    1974): over 2 len(xp) buckets, the last grid index that lies in an earlier
-    bucket, which is at or below every point of the bucket (clipped to the
-    cells 0 .. len(xp) - 2)."""
-    k = 2 * xp.size
-    first = np.searchsorted(_buckets(xp, xp, k), np.arange(k))
-    return np.clip(first - 1, 0, xp.size - 2)
-
-
 @dataclass(frozen=True)
 class GridPoints:
     """Points located on a sorted table grid ``xp``: cell ``j`` (np.interp's
@@ -646,27 +645,15 @@ class GridPoints:
 
     @staticmethod
     def locate(xp: np.ndarray, guide: np.ndarray, x) -> "GridPoints":
-        """Locate ``x`` by the guide table of ``_guide_table(xp)``: read the
-        bucket's index and step forward once where xp[j+1] <= x.  That
-        settles nearly every point of a well-spread grid; a point that must
-        step further sits in a bucket crowded with grid points (a far outlier
-        squeezes the other grid points into a few buckets) and is located by
-        binary search, so no point costs more than np.interp's search.
-        Searching with x clipped below xp[-1] keeps j a cell; the points at
-        or above xp[-1] snap to fp[-1] anyway."""
+        """Locate ``x`` by the guide table of ``_guide_table(xp)``
+        (``dist._cells``), so no point costs more than np.interp's binary
+        search.  The points at or above xp[-1] snap to fp[-1]."""
         x = np.asarray(x, dtype=float)
         shape, x = x.shape, x.ravel()
         top = xp[-1]
-        xs = np.clip(x, xp[0], np.nextafter(top, -np.inf))
-        j = guide[_buckets(xp, xs, guide.size)]
-        nxt = xp[1:]
-        move = np.flatnonzero(nxt[j] <= xs)
-        j[move] += 1
-        move = move[nxt[j[move]] <= xs[move]]
-        j[move] = np.searchsorted(xp, xs[move], side="right") - 1
-        del xs
+        j = _cells(xp, guide, x)
         x0 = xp[j]
-        w = nxt[j]
+        w = xp[1:][j]
         w -= x0
         d = np.subtract(x, x0, out=x0)
         snap = np.flatnonzero((d <= 0.0) | (x >= top))
@@ -722,7 +709,8 @@ def _mech_curves(agent: AgentSpec, ts: np.ndarray):
     """psi_m, psi, pi_star, Phi and E[pi - royalty] on an array of types."""
     ts = np.asarray(ts, dtype=float)
     pstar = _pi_star_vec(agent, ts)
-    psi_m, psi, cap, e_net = _blocked(lambda t, p: _integrals(agent, t, p), ts, pstar)
+    psi_m, psi, cap, e_net = _blocked(lambda t, p: _integrals(agent, t, p),
+                                      _region_width(agent), ts, pstar)
     return psi_m, psi, pstar, cap, e_net
 
 
@@ -753,7 +741,7 @@ def _agent_curves(agent: AgentSpec) -> dict:
         _, _, n, w = _audit_region(agent, t, p)
         return (_royalty_share(agent, agent.income.dcdf_dtheta(n, t[:, None]), w),)
 
-    cap2 = _blocked(share, z, _threshold(agent, z))[0]
+    cap2 = _blocked(share, _region_width(agent), z, _threshold(agent, z))[0]
     rent_cum = np.concatenate([[0.0], np.cumsum(np.sum((1.0 - cap2.reshape(nodes.shape))
                                                        * wts, axis=1))])
 

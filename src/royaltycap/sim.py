@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dist import project_to_support
-from .errors import ConstructionError
+from .errors import ConstructionError, RoyaltycapError
 from .mech import (
     AuctionInstance,
     MechanismTables,
@@ -347,7 +347,8 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
     row carries the simulation estimates plus the analytic expected revenue,
     the cash-auction benchmark, the full-surplus benchmark, and the mean
     audit threshold.  A row whose instance fails to build is marked failed
-    without aborting the sweep.
+    without aborting the sweep; a cash benchmark that alone is undefined is
+    None (``_cash_benchmark``).
     """
     if workers < 1:
         raise ConstructionError("workers must be at least 1")
@@ -359,7 +360,7 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
             rep = estimate_revenue(inst, None, n_runs, seed, workers)
             row.update(rep.to_dict())
             row["payoff_bound"] = payoff_bound(inst)
-            row["myerson_cash_revenue"] = myerson_cash_revenue(inst)
+            row["myerson_cash_revenue"] = _cash_benchmark(inst)
             row["full_extraction_revenue"] = full_extraction_revenue(inst)
             row["mean_pi_star"] = _mean_pi_star(inst)
             row["failed"] = False
@@ -368,6 +369,16 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
+
+
+def _cash_benchmark(inst: AuctionInstance) -> Optional[float]:
+    """``myerson_cash_revenue``, or None where it is undefined (a Myerson
+    virtual value that is not strictly increasing) although the mechanism
+    itself is."""
+    try:
+        return myerson_cash_revenue(inst)
+    except RoyaltycapError:
+        return None
 
 
 def _mean_pi_star(inst: AuctionInstance) -> float:

@@ -29,6 +29,7 @@ from .mech import (
     _audit_mask,
     _audit_region,
     _audit_surplus,
+    _blocked,
     _curves_at,
     _income_bounds,
     _mech_curves,
@@ -42,9 +43,6 @@ from .mech import (
 # smallest grids that regularity checks and best-response searches accept
 _MIN_REGULARITY_GRID = 32
 _MIN_RESPONSE_GRID = 64
-# float64 elements per (reports x incomes x income grid) temporary of the
-# double-deviation payment minimum
-_PAY_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +227,9 @@ def _pay_at(pis, r_lo, r_hi, caps, phi: float, pi_grid: int, best_response: bool
     [``r_lo``, ``r_hi``] and audit threshold ``caps``).
 
     ``best_response=True`` minimizes over a ``pi_grid``-point grid of income
-    reports per true income, in blocks of rows whose (rows x incomes x grid)
-    temporary holds at most ``_PAY_BLOCK`` elements (or one row, if a row
-    alone holds more); otherwise the report is the truthful projection."""
+    reports per true income, in row blocks of ``mech._blocked`` (each row's
+    temporary holds at most incomes x audited reports); otherwise the report
+    is the truthful projection."""
     r_lo, r_hi, caps = r_lo[:, None], r_hi[:, None], caps[:, None]
     if not best_response:
         rep = np.clip(pis, r_lo, r_hi)
@@ -251,16 +249,19 @@ def _pay_at(pis, r_lo, r_hi, caps, phi: float, pi_grid: int, best_response: bool
     order = np.argsort(~audited, axis=1, kind="stable")
     grid, audited, base = (np.take_along_axis(x, order, axis=1) for x in (grid, audited, base))
     n_audited = np.sum(audited, axis=1)
-    out = np.empty(pis.shape)
-    rows = max(1, _PAY_BLOCK // (pis.shape[1] * pi_grid))
-    for k in range(0, pis.shape[0], rows):
-        b = slice(k, k + rows)
-        a = slice(0, max(1, int(n_audited[b].max())))
-        pay = pis[b, :, None] - grid[b, None, a]
-        pay *= audited[b, None, a]
-        pay *= phi
-        pay += base[b, None, a]
-        np.min(pay, axis=2, out=out[b])
+    # the penalty rate phi where audited, 0 elsewhere: (pi - report) * rate
+    # equals (pi - report) * audited * phi, signed zeros included
+    rate = audited * phi
+
+    def cheapest_audited(p, g, r, b, n):
+        k = slice(0, int(n.max(initial=1)))
+        pay = p[:, :, None] - g[:, None, k]
+        pay *= r[:, None, k]
+        pay += b[:, None, k]
+        return (np.min(pay, axis=2),)
+
+    out = _blocked(cheapest_audited, pis.shape[1] * int(n_audited.max(initial=1)),
+                   pis, grid, rate, base, n_audited)[0]
     return np.minimum(out, unaudited)
 
 

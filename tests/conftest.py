@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from royaltycap import AgentSpec, make_income_family, make_type_dist
+from royaltycap import AgentSpec, AuctionInstance, make_income_family, make_type_dist
 from royaltycap.instances import (
     mixed_pair,
     scaled_triangular,
@@ -88,6 +88,17 @@ def table_income_agent(knots, audit_cost, sensitivity=0.5):
     return AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
                      make_income_family("table", {"theta_grid": list(knots), "rows": rows}),
                      audit_cost, sensitivity)
+
+
+def tent_error_inst():
+    """Types U[1, 2]; additive errors with the triangular (tent) law on
+    [-1, 1], tabulated on 11 knots; c = 0.2, phi = 0.5."""
+    g = np.linspace(-1.0, 1.0, 11)
+    cdf = np.where(g < 0, 0.5 * (g + 1) ** 2, 1 - 0.5 * (1 - g) ** 2)
+    err = {"error": {"family": "table", "grid": g, "cdf": cdf}}
+    return AuctionInstance((AgentSpec(
+        make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
+        make_income_family("additive_error", err), 0.2, 0.5),))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ payment per type report, each integrated on its own cuts.
 
 ``PchipTableCdf`` is a tabulated law built on scipy's ``PchipInterpolator``,
 the reference that ``dist._TableCdf`` reproduces bit for bit.
+``TableFamilyRows`` evaluates a tabulated income family row by row with it,
+and ``cell`` is the binary-search cell rule that ``dist._cells`` reproduces.
 """
 
 import numpy as np
@@ -316,3 +318,39 @@ class PchipTableCdf:
         x = np.asarray(x, dtype=float)
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, self._pdf(np.clip(x, self.lo, self.hi)), 0.0)
+
+
+def cell(xp, x):
+    """Cell of x on the sorted grid xp by binary search: the last index j
+    with xp[j] <= x, clipped to 0 .. len(xp) - 2."""
+    return np.clip(np.searchsorted(xp, x, "right") - 1, 0, len(xp) - 2)
+
+
+class TableFamilyRows:
+    """A tabulated income family (``dist.TableIncomeFamily``) evaluated
+    point by point: each point's knot interval j and weight w by binary
+    search, and both rows j and j + 1 by their own ``PchipTableCdf``."""
+
+    def __init__(self, theta_grid, rows):
+        self.tg = np.asarray(theta_grid, dtype=float)
+        self.rows = [PchipTableCdf(g, v) for g, v in rows]
+
+    def _row_cdf(self, j, x):
+        r = self.rows[j]
+        return np.where(x <= r.lo, 0.0, np.where(x >= r.hi, 1.0, r.cdf(x)))
+
+    def values(self, pi, theta):
+        """cdf, pdf, dcdf_dtheta and g2_over_g at the 1-d arrays pi and
+        theta, point by point."""
+        out = {k: [] for k in ("cdf", "pdf", "dcdf_dtheta", "g2_over_g")}
+        for p, t in zip(np.asarray(pi, dtype=float), np.asarray(theta, dtype=float)):
+            j = int(cell(self.tg, t))
+            w = np.clip((t - self.tg[j]) / (self.tg[j + 1] - self.tg[j]), 0.0, 1.0)
+            g_lo, g_hi = self._row_cdf(j, p), self._row_cdf(j + 1, p)
+            den = (1.0 - w) * self.rows[j].pdf(p) + w * self.rows[j + 1].pdf(p)
+            num = (g_hi - g_lo) / (self.tg[j + 1] - self.tg[j])
+            out["cdf"].append((1.0 - w) * g_lo + w * g_hi)
+            out["pdf"].append(den)
+            out["dcdf_dtheta"].append(num)
+            out["g2_over_g"].append(num / den if den > 0 else 0.0)
+        return {k: np.array(v, dtype=float) for k, v in out.items()}

@@ -60,6 +60,20 @@ def test_config_rejects_bad_yaml():
         parse_config(":\n  - ][")
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.yaml"))
+                         + ["minimal", "minimal_sweep", "dumped"])
+def test_libyaml_loader_parses_the_same_documents(name):
+    texts = {"minimal": MINIMAL,
+             "minimal_sweep": MINIMAL + "sweep: {axis: audit_cost, agent: 0, values: [0.0, 0.2]}\n",
+             "dumped": yaml.safe_dump({"v": 1, "grid": np.linspace(0.0, 1.0, 41).tolist(),
+                                       "cdf": [0.1 * k for k in range(11)], "name": "x"})}
+    text = texts[name] if name in texts else (CONFIG_DIR / f"{name}.yaml").read_text()
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+    assert rc.config._YAML_LOADER is yaml.CSafeLoader
+
+
 def test_shipped_configs_parse():
     for p in CONFIG_DIR.glob("*.yaml"):
         cfg = parse_config(p.read_text())

@@ -19,7 +19,8 @@ from royaltycap import (
     project_to_support,
     sample_income,
 )
-from royaltycap.dist import _pchip_coefficients
+from royaltycap import dist
+from royaltycap.dist import _cells, _gl_segments, _guide_table, _pchip_coefficients
 from conftest import UNIT_ERR
 
 
@@ -381,6 +382,100 @@ def test_income_table_rejects_unordered_rows():
     rows = [(g0, (g0 - 0.5)), (g1, g1)]
     with pytest.raises(ConstructionError):
         make_income_family("table", {"theta_grid": knots, "rows": rows})
+
+
+# ---------------------------------------------------------------------------
+# Located search and Gauss-Legendre nodes
+# ---------------------------------------------------------------------------
+
+
+@given(steps=st.lists(st.floats(1e-3, 5.0) | st.just(1e9), min_size=1, max_size=40),
+       start=st.floats(-10.0, 10.0), data=st.data())
+@example(steps=[1.0], start=0.0, data=None)
+@example(steps=[1e9] + [0.5] * 20, start=0.0, data=None)
+@example(steps=[0.5] * 20 + [1e9], start=-3.0, data=None)
+@settings(max_examples=150, deadline=None)
+def test_located_cells_match_binary_search(steps, start, data):
+    # far outliers (the 1e9 steps) crowd the other knots into a few buckets
+    xp = np.unique(start + np.concatenate([[0.0], np.cumsum(steps)]))
+    if xp.size < 2:
+        return
+    lo, hi = xp[0], xp[-1]
+    drawn = [] if data is None else data.draw(
+        st.lists(st.floats(lo - 1.0, hi + 1.0), max_size=100))
+    x = np.concatenate([drawn, xp, 0.5 * (xp[1:] + xp[:-1]), np.nextafter(xp, -np.inf),
+                        np.nextafter(xp, np.inf), [lo - 1.0, hi + 1.0, lo - 1e12, hi + 1e12,
+                                                   -np.inf, np.inf]])
+    guide = _guide_table(xp)
+    assert np.array_equal(_cells(xp, guide, x), oracles.cell(xp, x))
+    assert np.array_equal(_cells(xp, guide, x[:4].reshape(2, 2)),
+                          oracles.cell(xp, x[:4].reshape(2, 2)))
+    assert _cells(xp, guide, x[0]).shape == () and _cells(xp, guide, x[0]) == oracles.cell(xp, x[0])
+
+
+@st.composite
+def _additive_table_families(draw):
+    """Copies of the additive family theta + U[-1, 1] on 2-5 type knots in
+    [1, 2], each row tabulated on 2-12 unevenly spaced points."""
+    inner = draw(st.lists(st.integers(1, 39), max_size=3, unique=True))
+    knots = [1.0] + sorted(1.0 + k / 40 for k in inner) + [2.0]
+    rows = []
+    for t in knots:
+        cuts = draw(st.lists(st.floats(1e-3, 1.999), max_size=10))
+        g = np.unique((t - 1.0) + np.concatenate([[0.0, 2.0], cuts]))
+        rows.append((g, (g - g[0]) / (g[-1] - g[0])))
+    return knots, rows
+
+
+@given(table=_additive_table_families(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_family_matches_row_by_row_oracle(table, data):
+    knots, rows = table
+    fam = make_income_family("table", {"theta_grid": knots, "rows": rows})
+    ref = oracles.TableFamilyRows(knots, rows)
+    grids = np.unique(np.concatenate([g for g, _ in rows]))
+    pis = np.concatenate([grids, 0.5 * (grids[1:] + grids[:-1]), np.nextafter(grids, -np.inf),
+                          np.nextafter(grids, np.inf), [-1.0, 4.0]])
+    thetas = np.concatenate([knots, data.draw(st.lists(st.floats(1.0, 2.0), max_size=4))])
+    p2, t2 = np.broadcast_arrays(pis[None, :], thetas[:, None])
+    want = ref.values(p2.ravel(), t2.ravel())
+    for name, values in want.items():
+        method = getattr(fam, name)
+        assert np.array_equal(method(pis[None, :], thetas[:, None]).ravel(), values), name
+        assert np.array_equal(method(p2.ravel(), t2.ravel()), values), name
+        assert method(float(pis[3]), float(thetas[-1])) == values[-pis.size + 3], name
+    g, g2 = fam.cdf_and_dtheta(p2.ravel(), t2.ravel())
+    assert np.array_equal(g, want["cdf"]) and np.array_equal(g2, want["dcdf_dtheta"])
+
+
+def test_table_family_locates_each_income_once_per_row_pair(monkeypatch):
+    fam = _families()[2][1]   # type knots 1, 1.4, 2
+    sizes = []
+    cells = dist._cells
+    monkeypatch.setattr(dist, "_cells",
+                        lambda xp, guide, x: sizes.append(np.size(x)) or cells(xp, guide, x))
+    pi = np.linspace(-0.5, 3.5, 101)
+    # types inside one knot interval, then types across both
+    for theta in (1.2, np.linspace(1.1, 1.9, 101)):
+        for method in (fam.cdf, fam.pdf, fam.dcdf_dtheta, fam.cdf_and_dtheta, fam.g2_over_g):
+            sizes.clear()
+            method(pi, theta)
+            assert sum(sizes) == pi.size, method.__name__
+
+
+@pytest.mark.parametrize("points", [2, 4, 32])
+def test_gl_segments_equal_the_broadcast_rule(points):
+    # the per-point passes of short rules make the same products and sums
+    rule = np.polynomial.legendre.leggauss(points)
+    rng = np.random.default_rng(points)
+    for shape in ((), (7,), (5, 9)):
+        a = rng.uniform(-2.0, 2.0, shape)
+        b = a + rng.uniform(-0.5, 3.0, shape)   # some empty segments
+        half = 0.5 * np.maximum(b - a, 0.0)
+        mid = 0.5 * (a + np.maximum(b, a))
+        nodes, wts = _gl_segments(a, b, rule)
+        assert np.array_equal(nodes, mid[..., None] + half[..., None] * rule[0])
+        assert np.array_equal(wts, half[..., None] * rule[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
 import royaltycap as rc
-from conftest import cash_only_agent, st_pi_star, su_psi, table_income_agent, ua_psi
-from royaltycap.instances import scaled_uniform_agent, uniform_additive_agent
+from conftest import (
+    cash_only_agent,
+    st_pi_star,
+    su_psi,
+    table_income_agent,
+    tent_error_inst,
+    ua_psi,
+)
+from royaltycap.instances import mixed_pair, scaled_uniform_agent, uniform_additive_agent
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +644,45 @@ def test_located_lookup_cost_ignores_grid_spread():
     assert _bitwise_equal(tables.threshold_type(0, v), np.interp(v, t.psi, t.theta))
     located = best_of(lambda: tables.threshold_type(0, v))
     assert located < 10 * best_of(lambda: np.interp(v, t.psi, t.theta))
+
+
+# ---------------------------------------------------------------------------
+# Kernel blocks
+# ---------------------------------------------------------------------------
+
+
+def test_blocked_keeps_blocks_within_the_element_budget(monkeypatch):
+    monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", 1000)
+    a = np.arange(2500.0)
+    for width in (1, 7, 65, 166, 1000, 1001, 5000):
+        rows = []
+
+        def fn(x, y):
+            rows.append(x.size)
+            return 2.0 * x, y
+
+        out = rc.mech._blocked(fn, width, a, a + 1.0)
+        assert np.array_equal(out[0], 2.0 * a) and np.array_equal(out[1], a + 1.0)
+        assert sum(rows) == a.size
+        # more than the budget only where one row alone exceeds it
+        assert all(r * width <= 1000 or r == 1 for r in rows), width
+        assert max(rows) == max(1, 1000 // width)
+    assert [o.size for o in rc.mech._blocked(lambda x: (x,), 10, np.empty(0))] == [0]
+
+
+@pytest.mark.parametrize("inst", [
+    rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),)),
+    tent_error_inst(),
+    mixed_pair()], ids=["table_income", "tent_error", "mixed_pair"])
+def test_tables_do_not_depend_on_the_block_budget(monkeypatch, inst):
+    built = []
+    for budget in (1 << 11, 1 << 14, 1 << 20):
+        monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
+        built.append(rc.mech.MechanismTables.build(inst))
+    for tables in built[1:]:
+        for got, want in zip(tables.agents, built[0].agents):
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,24 @@ def test_sweep_marks_failed_rows(ua_agent):
     assert "error" in rows[1]
 
 
+def test_sweep_keeps_rows_whose_cash_benchmark_is_undefined():
+    # this type law's Myerson virtual value dips, so the cash benchmark is
+    # undefined; the instance itself is regular and its mechanism is not
+    types = rc.make_type_dist("table", {"grid": [1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
+                                        "cdf": [0.0, 0.45, 0.5, 0.55, 0.6, 1.0]})
+    agent = rc.AgentSpec(types, rc.make_income_family(
+        "additive_error", {"error": {"family": "uniform", "lo": -1.0, "hi": 1.0}}), 0.0, 1.0)
+    assert rc.check_regularity(agent).all_ok
+    with pytest.raises(rc.RegularityError):
+        rc.myerson_cash_revenue(rc.AuctionInstance((agent,)))
+    rows = rc.sweep(lambda c: rc.AuctionInstance((replace(agent, audit_cost=c),)),
+                    [0.0, 0.1], n_runs=2_000, seed=1)
+    assert [r["failed"] for r in rows] == [False, False]
+    assert [r["myerson_cash_revenue"] for r in rows] == [None, None]
+    assert rows[0]["payoff_bound"] == pytest.approx(1.47875, abs=1e-9)
+    assert all(np.isfinite(r["revenue_net_audits"]) for r in rows)
+
+
 def test_sweep_empty_axis(ua_agent):
     def builder(c):
         return rc.AuctionInstance((replace(ua_agent, audit_cost=c),))

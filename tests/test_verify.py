@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import royaltycap as rc
-from conftest import table_income_agent
+from conftest import table_income_agent, tent_error_inst
 from royaltycap import verify
 from royaltycap.instances import mixed_pair, uniform_additive_agent
 
@@ -169,17 +169,6 @@ def test_type_best_response_on_tabulated_income():
             assert r.advantage <= 1e-6 and r.ir_ok, (th, strat, r.to_dict())
 
 
-def tent_error_inst():
-    """Types U[1, 2]; additive errors with the triangular (tent) law on
-    [-1, 1], tabulated on 11 knots; c = 0.2, phi = 0.5."""
-    g = np.linspace(-1.0, 1.0, 11)
-    cdf = np.where(g < 0, 0.5 * (g + 1) ** 2, 1 - 0.5 * (1 - g) ** 2)
-    err = {"error": {"family": "table", "grid": g, "cdf": cdf}}
-    return rc.AuctionInstance((rc.AgentSpec(
-        rc.make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
-        rc.make_income_family("additive_error", err), 0.2, 0.5),))
-
-
 def winning_reports(inst, i, theta_true, theta_grid=128):
     """The type reports with a positive win probability, and their caps."""
     reports, qs, _, caps = (np.array(x) for x in
@@ -214,6 +203,17 @@ def test_type_best_response_matches_scalar_oracle(shipped_instances):
                 assert np.array_equal(batched, pays), (i, th, strat)
             groups.append(len(cut_counts(inst, i, th)))
     assert max(groups) >= 2
+
+
+def test_payment_minimum_does_not_depend_on_the_block_budget(monkeypatch):
+    inst = mixed_pair()
+    for i, th in ((0, 1.37), (1, 0.71)):
+        reports, caps = winning_reports(inst, i, th)
+        pays = []
+        for budget in (1 << 11, 1 << 14, 1 << 20):
+            monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
+            pays.append(verify._expected_payments(inst.agents[i], th, reports, caps, 128, True))
+        assert all(np.array_equal(p, pays[0]) for p in pays[1:]), i
 
 
 @pytest.mark.parametrize("name,i", [("scaled_uniform", 0), ("scaled_triangular", 0),
