@@ -96,18 +96,13 @@ def _cmd_check(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     return 0 if ok else 1
 
 
-def _theta_grid(agent, n):
-    lo, hi = agent.types.lo, agent.types.hi
-    return np.linspace(lo, hi, n + 2)[1:-1]
-
-
 def _cmd_solve(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     inst = cfg.instance
     tables = mech.tables_for(inst)
     header = ["agent", "theta", "psi_m", "psi", "pi_star", "phi_cap", "transfer"]
     rows = []
     for i, agent in enumerate(inst.agents):
-        ths = _theta_grid(agent, cfg.theta_points)
+        ths = mech._interior_grid(agent.types, cfg.theta_points)
         at = tables.locate(i, ths)
         cols = [tables.psi_m(i, at), tables.psi(i, at), tables.pi_star(i, at),
                 tables.phi_cap(i, at), at.interp(tables.agents[i].interim_transfer)]
@@ -123,13 +118,8 @@ def _cmd_simulate(cfg: InstanceConfig, out_dir: Path, seed: int, n_runs: int,
     header = ["n_runs", "seed", "revenue_net_audits", "revenue_se",
               "audit_frequency", "mean_on_path_penalty"]
     row = [[d[k] for k in header]]
-    analytic = {
-        "payoff_bound": mech.payoff_bound(cfg.instance),
-        "myerson_cash_revenue": sim._cash_benchmark(cfg.instance),
-        "full_extraction_revenue": mech.full_extraction_revenue(cfg.instance),
-    }
     _emit(cfg, out_dir, "simulate", "simulate", seed, header=header, rows=row,
-          extra={"report": d, "analytic": analytic})
+          extra={"report": d, "analytic": sim._benchmarks(cfg.instance)})
     return 0
 
 
@@ -137,13 +127,13 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     inst = cfg.instance
     n_types = max(8, cfg.theta_points // 8)
     mids = [0.5 * (a.types.lo + a.types.hi) for a in inst.agents]
-    mid_psis = [mech.virtual_value(a, m) for a, m in zip(inst.agents, mids)]
+    mid_psis = np.array([mech.virtual_value(a, m) for a, m in zip(inst.agents, mids)])
     agents_out = []
     ok = True
     for i, agent in enumerate(inst.agents):
         worst = {"advantage": -np.inf, "theta": None, "strategy": None}
         ir_ok = True
-        for th in _theta_grid(agent, n_types):
+        for th in mech._interior_grid(agent.types, n_types):
             for strategy in ("truthful_projection", "grid_best"):
                 r = verify.best_response_type(inst, i, float(th), cfg.theta_points,
                                               strategy, cfg.pi_points)
@@ -157,9 +147,9 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
         lo, hi = agent.types.lo, agent.types.hi
         ths = lo + (hi - lo) * rng.uniform(0.3, 0.95, 4)
         minus = mids[:i] + mids[i + 1:]
-        for th, psi in zip(ths.tolist(), mech.virtual_value(agent, ths).tolist()):
-            if not mech._wins(mid_psis[:i] + [psi] + mid_psis[i + 1:], i)[0]:
-                continue
+        psis = np.tile(mid_psis, (ths.size, 1))
+        psis[:, i] = mech.virtual_value(agent, ths)
+        for th in ths[mech._allocate(psis)[0] == i].tolist():
             for q in (0.2, 0.8):
                 pi_true = float(agent.income.supp_lo(th) + q * (
                     agent.income.supp_hi(th) - agent.income.supp_lo(th)))

@@ -27,8 +27,6 @@ from .errors import ConstructionError, DomainError
 
 # Tolerance for "mean zero" / "integrates to one" construction checks.
 _MEAN_TOL = 1e-8
-# Relative nudge used when a one-sided limit at a support endpoint is needed.
-_EDGE_NUDGE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +426,8 @@ class IncomeFamily:
     """
 
     family: str = "abstract"
+    # types at which the law may jump: a tabulated family's row types
+    type_knots = np.empty(0)
 
     def __init__(self, params: dict):
         self.params = dict(params)
@@ -597,7 +597,7 @@ class TableIncomeFamily(IncomeFamily):
 
     def __init__(self, theta_grid, rows, params: dict):
         super().__init__(params)
-        self._tg = np.asarray(theta_grid, dtype=float)
+        self.type_knots = self._tg = np.asarray(theta_grid, dtype=float)
         if self._tg.ndim != 1 or self._tg.size < 2 or np.any(np.diff(self._tg) <= 0):
             raise ConstructionError("income table theta grid must be strictly increasing")
         if len(rows) != self._tg.size:

@@ -22,7 +22,9 @@ Two vectorized kernels are the only implementation of these quantities:
 ``_pi_star_vec`` (``_single_crossing_scan``, then bisection) and ``_mech_curves`` (psi, Phi, E[pi - royalty]).  The audit
 surplus mu*phi - c has one expression, ``_audit_surplus``, and the scan is
 the only judgement of single crossing in income; ``verify.check_regularity``
-reports it too.
+reports it too.  The mechanism's two rules have one function each, which the
+simulator, the IC certificate, the CLI and the scalar entry points share:
+``_allocate`` (winner and rival value) and ``_settle`` (royalty, audit, penalty).
 Income integrals over the audit region are split at the income law's
 breakpoints (``IncomeFamily.breakpoints``) and integrated piece by piece
 with the 2-point Gauss-Legendre rule, exact because the supported laws are
@@ -214,35 +216,39 @@ def phi_cap(agent: AgentSpec, theta) -> float:
     return float(_curves_at(agent, theta)[3][0])
 
 
-def _wins(psis: list, i: int) -> tuple:
-    """Whether agent i, with virtual values ``psis`` of all agents, wins: its
-    value must strictly exceed both zero and every rival's, so exact ties
-    leave the asset unallocated.  Also returns the best rival positive value."""
-    rival = max([0.0] + psis[:i] + psis[i + 1:])
-    return psis[i] > rival, rival
+def _top_two(psi: np.ndarray):
+    """Per row: the index of the highest virtual value, that value, and the
+    second highest (0 for a lone bidder).
+
+    Ties for the top go to the highest index, as in a stable ascending sort.
+    A tie for the top also makes the second value equal the top, so the
+    asset stays unsold and the rule never shows in an outcome."""
+    n, N = psi.shape
+    if N == 1:
+        return np.zeros(n, dtype=np.intp), psi[:, 0], np.zeros(n)
+    rows = np.arange(n)
+    w = N - 1 - np.argmax(psi[:, ::-1], axis=1)
+    top = psi[rows, w]
+    rest = psi.copy()
+    rest[rows, w] = -np.inf
+    return w, top, rest.max(axis=1)
+
+
+def _allocate(psi: np.ndarray):
+    """The allocation rule per row of virtual values ``psi`` (one column per
+    agent): the agent strictly above zero and every rival wins, so a tie for
+    the top leaves the asset unsold.  Returns the winner index (-1 when
+    unsold) and the rival value max(second highest value, 0)."""
+    w, top, second = _top_two(psi)
+    rival = np.maximum(second, 0.0)
+    return np.where(top > rival, w, -1), rival
 
 
 def allocation(inst: AuctionInstance, theta_profile) -> list:
-    """Winner indicator: 1 for the agent that wins by ``_wins``."""
+    """Winner indicator: 1 for the agent that wins by ``_allocate``."""
     psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
-    return [int(_wins(psis, i)[0]) for i in range(inst.n_agents)]
-
-
-def _check_report(agent: AgentSpec, theta_report: float, pi_report: float):
-    agent.types._check_domain(theta_report)
-    lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
-    tol = 1e-9 * max(1.0, abs(hi))
-    if pi_report < lo - tol or pi_report > hi + tol:
-        raise ReportRejectedError(
-            f"income report {pi_report} outside [{lo}, {hi}] for type report {theta_report}")
-
-
-def royalty(agent: AgentSpec, theta_report: float, pi_report: float) -> float:
-    """Royalty min(pi_report, pi_star(theta_report)) * phi, capped at the
-    royalty cap pi_star * phi.  Reports outside the reported type's income
-    support are rejected."""
-    _check_report(agent, theta_report, pi_report)
-    return min(pi_report, audit_threshold(agent, theta_report)) * agent.sensitivity
+    winner = _allocate(np.array([psis]))[0][0]
+    return [int(winner == i) for i in range(inst.n_agents)]
 
 
 def _audit_mask(pi_report, cap, supp_hi):
@@ -263,24 +269,54 @@ def _audit_mask(pi_report, cap, supp_hi):
     return (pi_report < cap) | (at_top & (pi_report >= supp_hi - tol))
 
 
+def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None):
+    """The settlement rule for a winner with true income ``pi_true`` and
+    income report ``pi_report`` under audit threshold ``cap``, reported
+    support top ``supp_hi`` (arrays broadcast): the royalty
+    min(pi_report, cap)*phi, the audit indicator (``_audit_mask``, unless a
+    randomized rule's draws ``audited`` are given) and the penalty
+    (pi_true - pi_report)*phi where audited, 0 elsewhere."""
+    royalty = np.minimum(pi_report, cap) * phi
+    if audited is None:
+        audited = _audit_mask(pi_report, cap, supp_hi)
+    return royalty, audited, np.where(audited, (pi_true - pi_report) * phi, 0.0)
+
+
+def _settle_report(agent: AgentSpec, theta_report: float, pi_report: float):
+    """``_settle`` of a truthful income report at the reported type, after
+    rejecting reports outside that type's income support."""
+    agent.types._check_domain(theta_report)
+    lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
+    tol = 1e-9 * max(1.0, abs(hi))
+    if pi_report < lo - tol or pi_report > hi + tol:
+        raise ReportRejectedError(
+            f"income report {pi_report} outside [{lo}, {hi}] for type report {theta_report}")
+    return _settle(pi_report, pi_report, audit_threshold(agent, theta_report), hi,
+                   agent.sensitivity)
+
+
+def royalty(agent: AgentSpec, theta_report: float, pi_report: float) -> float:
+    """Royalty min(pi_report, pi_star(theta_report)) * phi, capped at the
+    royalty cap pi_star * phi.  Reports outside the reported type's income
+    support are rejected."""
+    return float(_settle_report(agent, theta_report, pi_report)[0])
+
+
 def audit_rule(agent: AgentSpec, theta_report: float, pi_report: float) -> int:
     """Audit indicator: 1 iff the report is strictly below the audit
     threshold (with the threshold-at-support-top boundary report audited as
     well; see ``_audit_mask``)."""
-    _check_report(agent, theta_report, pi_report)
-    cap = audit_threshold(agent, theta_report)
-    hi = float(np.asarray(agent.income.supp_hi(theta_report)))
-    return int(bool(_audit_mask(pi_report, cap, hi)))
+    return int(bool(_settle_report(agent, theta_report, pi_report)[1]))
 
 
 def penalty(agent: AgentSpec, theta_report: float, pi_report: float, pi_true: float) -> float:
-    """Post-audit penalty (pi_true - pi_report) * phi.
+    """Post-audit penalty (pi_true - pi_report) * phi, as ``_settle`` charges it.
 
     Negative values are refunds of overpaid royalties.  The same linear
     formula applies off path, for true incomes outside the reported type's
     support.
     """
-    return (pi_true - pi_report) * agent.sensitivity
+    return float(_settle(pi_true, pi_report, np.inf, np.inf, agent.sensitivity, True)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +373,12 @@ def _psi_floor(agent: AgentSpec) -> float:
     return lo + _NU * (hi - lo)
 
 
+def _interior_grid(types, n: int) -> np.ndarray:
+    """``n`` evenly spaced types strictly inside the support of the type law
+    ``types``: the type grid of ``check``, ``solve`` and ``verify-ic``."""
+    return np.linspace(types.lo, types.hi, n + 2)[1:-1]
+
+
 def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     """Upfront transfer of agent i at the reported profile.
 
@@ -347,10 +389,10 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     of order 1e-9.
     """
     psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
-    wins, rival = _wins(psis, i)
-    if not wins:
+    winner, rival = _allocate(np.array([psis]))
+    if winner[0] != i:
         return 0.0
-    return float(tables_for(inst).transfer_win(i, float(theta_profile[i]), rival))
+    return float(tables_for(inst).transfer_win(i, float(theta_profile[i]), rival[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +487,20 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     return myerson_virtual(agent, theta_i) + float(term)
 
 
+def _check_increasing(grids: list):
+    """Raise unless every (types, values) grid's values strictly increase."""
+    if any(np.any(np.diff(vals) <= 0) for _, vals in grids):
+        raise RegularityError("value function is not strictly increasing; "
+                              "ironing is not supported")
+
+
 def _expected_max_plus(inst: AuctionInstance, grids: list) -> float:
     """E[max_i V_i(theta_i)_+] for independent types and strictly increasing
     per-agent value functions, sampled as (types, values) ``grids``: the
     integral of 1 - prod_i P(V_i <= s) over [0, vmax], cut at the value grid
     points and the values of the type laws' knots, where theta_i(s) is linear
     and F_i of degree <= 3, so the (2N)-point Gauss-Legendre rule is exact."""
-    for _, vals in grids:
-        if np.any(np.diff(vals) <= 0):
-            raise RegularityError("value function is not strictly increasing; "
-                                  "ironing is not supported")
+    _check_increasing(grids)
     vmax = max(float(v[-1]) for _, v in grids)
     if vmax <= 0:
         return 0.0
@@ -486,10 +532,8 @@ def myerson_cash_revenue(inst: AuctionInstance) -> float:
              for a, ts in zip(inst.agents, thetas)]
     if inst.n_agents > 1:
         return _expected_max_plus(inst, grids)
+    _check_increasing(grids)
     agent, ((ts, v),) = inst.agents[0], grids
-    if np.any(np.diff(v) <= 0):
-        raise RegularityError("Myerson virtual value is not strictly increasing; "
-                              "ironing is not supported")
     if v[-1] <= 0:
         return 0.0
     if v[0] > 0:
@@ -719,12 +763,14 @@ def _agent_curves(agent: AgentSpec) -> dict:
     w = hi - lo
     floor = _psi_floor(agent)
     base = np.linspace(floor, hi, _TABLE_POINTS)
-    extra = []
-    for k in _threshold_kinks(agent):
-        # bracket each regime change tightly so linear interpolation cannot
-        # smear a jump in pi_star or Phi across a full grid cell
-        extra.extend([k - 1e-12 * w, k, k + 1e-12 * w])
-    ts = np.unique(np.clip(np.concatenate([base, extra]), floor, hi))
+    knots, jumps = (k[(k > lo) & (k < hi)] for k in (agent.types.knots, agent.income.type_knots))
+    # bracket each regime change and each interior type knot tightly so
+    # linear interpolation cannot smear a kink in pi_star or Phi across a
+    # full grid cell; an income family's support may jump at its type knots,
+    # so the float just below each of them carries the left limit
+    marks = np.concatenate([_threshold_kinks(agent), knots, jumps])
+    extra = [marks - 1e-12 * w, marks, marks + 1e-12 * w, np.nextafter(jumps, lo)]
+    ts = np.unique(np.clip(np.concatenate([base, *extra]), floor, hi))
 
     psi_m, psi, pstar, cap, e_net = _mech_curves(agent, ts)
     if np.any(np.diff(psi) < -1e-9):

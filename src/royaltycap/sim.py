@@ -28,8 +28,10 @@ from .mech import (
     AuctionInstance,
     MechanismTables,
     Outcome,
-    _audit_mask,
+    _allocate,
     _pi_star_vec,
+    _settle,
+    _top_two,  # noqa: F401 - the allocation's ordering, kept importable here
     full_extraction_revenue,
     myerson_cash_revenue,
     payoff_bound,
@@ -145,24 +147,6 @@ def _apply_map(fn: Optional[Callable], *cols):
     return np.array([fn(*args) for args in zip(*cols)], dtype=float)
 
 
-def _top_two(psi: np.ndarray):
-    """Per row: the index of the highest virtual value, that value, and the
-    second highest (0 for a lone bidder).
-
-    Ties for the top go to the highest index, as in a stable ascending sort.
-    A tie for the top also makes the second value equal the top, so the
-    asset stays unsold and the rule never shows in an outcome."""
-    n, N = psi.shape
-    if N == 1:
-        return np.zeros(n, dtype=np.intp), psi[:, 0], np.zeros(n)
-    rows = np.arange(n)
-    w = N - 1 - np.argmax(psi[:, ::-1], axis=1)
-    top = psi[rows, w]
-    rest = psi.copy()
-    rest[rows, w] = -np.inf
-    return w, top, rest.max(axis=1)
-
-
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
                     u: np.ndarray, tables: MechanismTables,
                     audit_prob: Optional[Callable] = None) -> dict:
@@ -174,25 +158,21 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     for simulating user mechanisms; the revenue-optimal rule stays
     deterministic.)
     """
-    n, ncols = u.shape
+    n = u.shape[0]
     N = inst.n_agents
 
-    theta_true = np.empty((n, N))
-    theta_rep = np.empty((n, N))
     psi_rep = np.empty((n, N))
-    located = []
+    draws = []
     for i, agent in enumerate(inst.agents):
-        theta_true[:, i] = agent.types.ppf(u[:, i])
-        rep = _apply_map(strategies.type_reports[i], theta_true[:, i])
-        np.clip(rep, agent.types.lo, agent.types.hi, out=rep)
-        theta_rep[:, i] = rep
+        th_true = agent.types.ppf(u[:, i])
+        th_rep = _apply_map(strategies.type_reports[i], th_true)
+        np.clip(th_rep, agent.types.lo, agent.types.hi, out=th_rep)
         # one grid search per report, shared by every table lookup below
-        located.append(tables.locate(i, rep))
-        psi_rep[:, i] = tables.psi(i, located[i])
+        located = tables.locate(i, th_rep)
+        psi_rep[:, i] = tables.psi(i, located)
+        draws.append((th_true, th_rep, located))
 
-    w, top, second = _top_two(psi_rep)
-    rival = np.maximum(second, 0.0)
-    sold = top > rival
+    winner, rival = _allocate(psi_rep)
 
     transfers = np.zeros((n, N))
     royalty = np.zeros(n)
@@ -200,34 +180,27 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     pen = np.zeros(n)
     audit_cost = np.zeros(n)
     utility = np.zeros((n, N))
-    pi_true = np.zeros(n)
 
-    for i, agent in enumerate(inst.agents):
-        m = np.flatnonzero(sold & (w == i))
+    for i, (agent, (th_true, th_rep, located)) in enumerate(zip(inst.agents, draws)):
+        m = np.flatnonzero(winner == i)
         if not m.size:
             continue
-        th_t = theta_true[m, i]
-        th_r = theta_rep[m, i]
-        at = located[i].take(m)
+        th_t, th_r, at = th_true[m], th_rep[m], located.take(m)
         # only the winner's income is ever realized
         pi = agent.income.ppf(u[m, N], th_t)
         rep_fn = strategies.income_reports[i]
         pi_rep = pi.copy() if rep_fn is None else _apply_map(rep_fn, th_t, th_r, pi)
         pi_rep = project_to_support(agent.income, th_r, pi_rep)
 
-        cap = tables.pi_star(i, at)
-        r = np.minimum(pi_rep, cap) * agent.sensitivity
-        if audit_prob is None:
-            a = _audit_mask(pi_rep, cap, np.asarray(agent.income.supp_hi(th_r)))
-        else:
-            prob = np.asarray(audit_prob(th_r, pi_rep), dtype=float)
-            a = u[m, N + 1] < prob
-        p = np.where(a, (pi - pi_rep) * agent.sensitivity, 0.0)
+        draw = None
+        if audit_prob is not None:
+            draw = u[m, N + 1] < np.asarray(audit_prob(th_r, pi_rep), dtype=float)
+        r, a, p = _settle(pi, pi_rep, tables.pi_star(i, at),
+                          np.asarray(agent.income.supp_hi(th_r)), agent.sensitivity, draw)
         # a lone bidder always faces the rival value 0: one threshold type
         # instead of one per run (about a third of the serial time otherwise)
         t = tables.transfer_win(i, at, rival[m] if N > 1 else 0.0)
 
-        pi_true[m] = pi
         transfers[m, i] = t
         royalty[m] = r
         audited[m] = a
@@ -237,10 +210,7 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
 
     revenue = transfers.sum(axis=1) + royalty + pen - audit_cost
     return {
-        "theta_true": theta_true,
-        "theta_rep": theta_rep,
-        "winner": np.where(sold, w, -1),
-        "pi_true": pi_true,
+        "winner": winner,
         "transfers": transfers,
         "royalty": royalty,
         "audited": audited,
@@ -348,7 +318,7 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
     the cash-auction benchmark, the full-surplus benchmark, and the mean
     audit threshold.  A row whose instance fails to build is marked failed
     without aborting the sweep; a cash benchmark that alone is undefined is
-    None (``_cash_benchmark``).
+    None (``_benchmarks``).
     """
     if workers < 1:
         raise ConstructionError("workers must be at least 1")
@@ -359,9 +329,7 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
             inst = inst_builder(v)
             rep = estimate_revenue(inst, None, n_runs, seed, workers)
             row.update(rep.to_dict())
-            row["payoff_bound"] = payoff_bound(inst)
-            row["myerson_cash_revenue"] = _cash_benchmark(inst)
-            row["full_extraction_revenue"] = full_extraction_revenue(inst)
+            row.update(_benchmarks(inst))
             row["mean_pi_star"] = _mean_pi_star(inst)
             row["failed"] = False
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
@@ -371,14 +339,18 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
     return rows
 
 
-def _cash_benchmark(inst: AuctionInstance) -> Optional[float]:
-    """``myerson_cash_revenue``, or None where it is undefined (a Myerson
+def _benchmarks(inst: AuctionInstance) -> dict:
+    """The analytic expected revenue and the cash and full-surplus
+    benchmarks; the cash benchmark is None where it is undefined (a Myerson
     virtual value that is not strictly increasing) although the mechanism
     itself is."""
+    bound = payoff_bound(inst)
     try:
-        return myerson_cash_revenue(inst)
+        cash = myerson_cash_revenue(inst)
     except RoyaltycapError:
-        return None
+        cash = None
+    return {"payoff_bound": bound, "myerson_cash_revenue": cash,
+            "full_extraction_revenue": full_extraction_revenue(inst)}
 
 
 def _mean_pi_star(inst: AuctionInstance) -> float:

@@ -26,16 +26,18 @@ from .mech import (
     AuctionInstance,
     _GL32,
     _SLACK,
-    _audit_mask,
+    _allocate,
     _audit_region,
     _audit_surplus,
     _blocked,
     _curves_at,
     _income_bounds,
+    _interior_grid,
     _mech_curves,
+    _settle,
     _single_crossing_scan,
-    _wins,
     _worst_single_crossing,
+    penalty,
     tables_for,
     virtual_value,
 )
@@ -131,8 +133,7 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     """
     if min(theta_grid_size, pi_grid_size) < _MIN_REGULARITY_GRID:
         raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
-    lo, hi = agent.types.lo, agent.types.hi
-    thetas = np.linspace(lo, hi, theta_grid_size + 2)[1:-1]
+    thetas = _interior_grid(agent.types, theta_grid_size)
     worst: dict = {}
 
     # 1. normalization: supp_lo + int (1 - G) = theta, over the whole support
@@ -232,16 +233,14 @@ def _pay_at(pis, r_lo, r_hi, caps, phi: float, pi_grid: int, best_response: bool
     is the truthful projection."""
     r_lo, r_hi, caps = r_lo[:, None], r_hi[:, None], caps[:, None]
     if not best_response:
-        rep = np.clip(pis, r_lo, r_hi)
-        return (np.minimum(rep, caps) * phi
-                + _audit_mask(rep, caps, r_hi) * (pis - rep) * phi)
+        royalty, _, pen = _settle(pis, np.clip(pis, r_lo, r_hi), caps, r_hi, phi)
+        return royalty + pen
     # np.linspace computes every row differently once one has zero width,
     # so zero-width rows (a point support) are filled in apart
     grid = np.repeat(r_lo, pi_grid, axis=1)
     wide = (r_hi > r_lo)[:, 0]
     grid[wide] = np.linspace(r_lo[wide, 0], r_hi[wide, 0], pi_grid, axis=-1)
-    audited = _audit_mask(grid, caps, r_hi)
-    base = np.minimum(grid, caps) * phi
+    base, audited, _ = _settle(grid, grid, caps, r_hi, phi)
     # an unaudited report pays its royalty at every income: take that
     # minimum once, and the per-income minimum only over the audited
     # reports, moved to the front of each row
@@ -308,12 +307,14 @@ def _expected_payments(agent: AgentSpec, theta_true: float, reports: np.ndarray,
     return out
 
 
-def _rival_psis(inst: AuctionInstance, i: int, theta_minus: Sequence[float]) -> list:
-    """Virtual values of agent i's rivals at their type reports ``theta_minus``."""
-    rivals = inst.agents[:i] + inst.agents[i + 1:]
-    if len(theta_minus) != len(rivals):
-        raise ValueError(f"expected {len(rivals)} rival type reports, got {len(theta_minus)}")
-    return [virtual_value(a, float(t)) for a, t in zip(rivals, theta_minus)]
+def _allocate_at(inst: AuctionInstance, i: int, theta_minus: Sequence[float], psis) -> tuple:
+    """``_allocate`` on one profile per virtual value of agent i in ``psis``,
+    against its rivals' virtual values at their type reports ``theta_minus``."""
+    others = inst.agents[:i] + inst.agents[i + 1:]
+    if len(theta_minus) != len(others):
+        raise ValueError(f"expected {len(others)} rival type reports, got {len(theta_minus)}")
+    rival_psis = [virtual_value(a, float(t)) for a, t in zip(others, theta_minus)]
+    return _allocate(np.array([rival_psis[:i] + [p] + rival_psis[i:] for p in psis]))
 
 
 def _report_curves(agent: AgentSpec, theta: float) -> tuple:
@@ -332,21 +333,16 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     mechanism to be income-incentive-compatible.
     """
     agent = inst.agents[i]
-    rival_psis = _rival_psis(inst, i, theta_minus)
     psi, cap = _report_curves(agent, theta_report)
-    if not _wins(rival_psis[:i] + [psi] + rival_psis[i:], i)[0]:
+    if _allocate_at(inst, i, theta_minus, [psi])[0][0] != i:
         raise DomainError("agent does not win at this report profile")
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
-    phi = agent.sensitivity
     truthful_rep = float(project_to_support(agent.income, theta_report, pi_true))
     reports = np.unique(np.concatenate([np.linspace(lo, hi, grid),
                                         [truthful_rep, min(max(cap, lo), hi)]]))
-    audited = _audit_mask(reports, cap, hi)
-    gross = pi_true - (np.minimum(reports, cap) * phi
-                       + audited * (pi_true - reports) * phi)
-    truthful_u = float(pi_true - (min(truthful_rep, cap) * phi
-                                  + bool(_audit_mask(truthful_rep, cap, hi))
-                                  * (pi_true - truthful_rep) * phi))
+    royalty, _, pen = _settle(pi_true, reports, cap, hi, agent.sensitivity)
+    gross = pi_true - (royalty + pen)
+    truthful_u = float(gross[reports == truthful_rep][0])
     k = int(np.argmax(gross))
     best = float(gross[k])
     return DeviationReport(
@@ -446,11 +442,10 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     agent = inst.agents[i]
-    rival_psis = _rival_psis(inst, i, theta_minus)
     (psi_lo, cap_lo), (psi_hi, cap_hi) = (_report_curves(agent, th) for th in (theta_lo, theta_hi))
-    for th, psi in ((theta_lo, psi_lo), (theta_hi, psi_hi)):
-        wins, rival = _wins(rival_psis[:i] + [psi] + rival_psis[i:], i)
-        if not wins:
+    winner, rival = _allocate_at(inst, i, theta_minus, [psi_lo, psi_hi])
+    for th, w in zip((theta_lo, theta_hi), winner):
+        if w != i:
             raise UnsupportedPairError(f"type {th} does not win against the rivals")
     lo1, hi1 = (float(x) for x in _income_bounds(agent, theta_lo))
     lo2, hi2 = (float(x) for x in _income_bounds(agent, theta_hi))
@@ -460,28 +455,23 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
         if capv < left - tol or capv > right + tol:
             raise UnsupportedPairError(
                 "audit thresholds must lie in both income supports")
-    phi = agent.sensitivity
-    tables = tables_for(inst)
-    t1, t2 = (float(tables.transfer_win(i, float(th), rival)) for th in (theta_lo, theta_hi))
+    t1, t2 = tables_for(inst).transfer_win(i, np.array([theta_lo, theta_hi]), rival)
 
-    def s1(p):
-        return t1 + min(p, cap_lo) * phi
-
-    def s2(p):
-        return t2 + min(p, cap_hi) * phi
+    def gap(p):  # lower report's payment minus the higher one's, at income p
+        return ((t1 + _settle(p, p, cap_lo, hi1, agent.sensitivity)[0])
+                - (t2 + _settle(p, p, cap_hi, hi2, agent.sensitivity)[0]))
 
     if theta_lo == theta_hi:
         pi0 = cap_lo
     else:
         a, b = cap_hi, cap_lo   # cap is weakly decreasing in the report
-        da, db = s1(a) - s2(a), s1(b) - s2(b)
-        if da > 1e-9 or db < -1e-9:
+        if gap(a) > 1e-9 or gap(b) < -1e-9:
             raise RegularityError("payment curves do not bracket a crossing; "
                                   "incentive compatibility is violated")
-        pi0 = float(_bisect(lambda p: s1(p) - s2(p) < 0, a, b, 64))
+        pi0 = float(_bisect(lambda p: gap(p) < 0, a, b, 64))
 
     pis = np.linspace(left, right, grid)
-    d = np.array([s1(p) - s2(p) for p in pis])
+    d = gap(pis)
     lower_ok = bool(np.all(d[pis <= pi0] <= 1e-9))
     upper_ok = bool(np.all(d[pis >= pi0] >= -1e-9))
     return CrossingReport(float(pi0), lower_ok, upper_ok, grid)
@@ -545,7 +535,7 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
         rng = np.random.default_rng((seed, k + 1))
         zeta = noise.sample(rng, np.full(n_trials, pi_true))
         pen = (zeta - pi_rep) * phi
-        exact = (pi_true - pi_rep) * phi
+        exact = penalty(agent, theta, pi_rep, pi_true)
         se = float(pen.std(ddof=1)) / np.sqrt(n_trials)
         mean = float(pen.mean())
         rows.append({
@@ -617,7 +607,7 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
                 raise InvalidAxisError("hazard_family values must be TypeDist objects")
             if abs(d.lo - dists[0].lo) > 1e-12 or abs(d.hi - dists[0].hi) > 1e-12:
                 raise InvalidAxisError("hazard comparison needs a common support")
-        probe = np.linspace(dists[0].lo, dists[0].hi, 258)[1:-1]
+        probe = _interior_grid(dists[0], 256)
         hz = np.array([np.asarray(d.hazard(probe), dtype=float) for d in dists])
         if np.any(np.diff(hz, axis=0) > 1e-9):
             raise InvalidAxisError("type distributions are not hazard-rate ordered")
@@ -627,8 +617,7 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
     else:
         raise InvalidAxisError(f"unknown axis {axis!r}")
 
-    lo, hi = agent.types.lo, agent.types.hi
-    thetas = np.linspace(lo, hi, theta_grid + 2)[1:-1]
+    thetas = _interior_grid(agent.types, theta_grid)
     curves = [_mech_curves(a, thetas) for a in agents]
     psi_mat = np.array([c[1] for c in curves])
     pistar_mat = np.array([c[2] for c in curves])

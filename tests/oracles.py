@@ -14,6 +14,10 @@ a few points.
 The type best response is the scalar loop of the certificate: one expected
 payment per type report, each integrated on its own cuts.
 
+``wins`` and ``settle`` are the allocation and settlement rules in scalars,
+as the scalar API, the simulator and the certificate each wrote them out
+before they shared ``mech._allocate`` and ``mech._settle``.
+
 ``PchipTableCdf`` is a tabulated law built on scipy's ``PchipInterpolator``,
 the reference that ``dist._TableCdf`` reproduces bit for bit.
 ``TableFamilyRows`` evaluates a tabulated income family row by row with it,
@@ -201,6 +205,24 @@ def myerson_cash_revenue(inst):
 
 def full_extraction_revenue(inst):
     return expected_max_plus(inst, [([a.types.lo, a.types.hi],) * 2 for a in inst.agents])
+
+
+def wins(psis, i):
+    """Whether agent i, with virtual values ``psis`` of all agents, wins: its
+    value must strictly exceed both zero and every rival's, so exact ties
+    leave the asset unallocated.  Also returns the best rival positive value."""
+    rival = max([0.0] + psis[:i] + psis[i + 1:])
+    return psis[i] > rival, rival
+
+
+def settle(pi_true, pi_report, cap, supp_hi, phi):
+    """Royalty, audit indicator and penalty of one income report: the
+    royalty min(report, cap) * phi; an audit below the cap, and at the top
+    of the reported support when the cap reaches it (within
+    1e-6 * max(1, |top|)); the penalty (pi_true - report) * phi if audited."""
+    tol = 1e-6 * max(1.0, abs(supp_hi))
+    audited = pi_report < cap or (cap >= supp_hi - tol and pi_report >= supp_hi - tol)
+    return min(pi_report, cap) * phi, audited, (pi_true - pi_report) * phi if audited else 0.0
 
 
 def payment_cuts(agent, theta_true, theta_rep, cap):

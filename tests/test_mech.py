@@ -197,6 +197,43 @@ def test_allocation_at_most_one_winner(ua_agent, su_agent):
         assert sum(ind) <= 1
 
 
+_PSI_VALUES = st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.25, 0.5]) | st.floats(-2.0, 2.0)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_PSI_VALUES, min_size=n, max_size=n), min_size=1, max_size=12)))
+@settings(max_examples=300, deadline=None)
+def test_allocate_matches_reference_rule(rows):
+    # the vectorized rule against the scalar one, row by row: exact ties for
+    # the top, zeros and negatives leave the asset unsold
+    winner, rival = rc.mech._allocate(np.array(rows, dtype=float))
+    for row, w, r in zip(rows, winner.tolist(), rival.tolist()):
+        ref = [oracles.wins(row, i) for i in range(len(row))]
+        assert w == next((i for i, (won, _) in enumerate(ref) if won), -1), row
+        if w >= 0:
+            assert r == ref[w][1], row
+
+
+def test_settle_matches_reference_rule():
+    # every combination of income, report, cap, support top and phi, with
+    # the report at the cap both below and at the support top
+    pi_true, report, cap, top, phi = (a.ravel() for a in np.meshgrid(
+        [0.2, 1.7], [0.0, 0.5, 1.0 - 1e-7, 1.0, 3.0], [0.5, 1.0 - 1e-7, 1.0, 3.0],
+        [1.0, 3.0], [0.5, 1.0], indexing="ij"))
+    got = rc.mech._settle(pi_true, report, cap, top, phi)
+    want = [oracles.settle(*args) for args in zip(pi_true, report, cap, top, phi)]
+    for k, (r, a, p) in enumerate(want):
+        assert (got[0][k], bool(got[1][k]), got[2][k]) == (r, a, p), k
+    assert got[1][(report == 3.0) & (cap == 3.0) & (top == 3.0)].all()
+    assert not got[1][(report == 1.0) & (cap == 1.0) & (top == 3.0)].any()
+    # a randomized audit rule supplies its own draws: the royalty stays, the
+    # penalty follows the draws
+    draws = np.arange(pi_true.size) % 3 == 0
+    r, a, p = rc.mech._settle(pi_true, report, cap, top, phi, draws)
+    assert np.array_equal(r, got[0]) and a is draws
+    assert np.array_equal(p, np.where(draws, (pi_true - report) * phi, 0.0))
+
+
 def test_royalty_and_audit(su_agent, ua_agent):
     assert rc.royalty(su_agent, 0.6, 0.3) == pytest.approx(0.3)
     assert rc.royalty(su_agent, 0.6, 0.8) == pytest.approx(0.5)   # cap binds
@@ -508,7 +545,12 @@ def test_tables_exact_on_kinked_table_family(knots):
     # the type knots; piecewise quadrature reproduces the closed forms on
     # the whole grid, knots included
     agent = table_income_agent(knots, audit_cost=0.0)
-    t = rc.tables_for(rc.AuctionInstance((agent,))).agents[0]
+    tables = rc.tables_for(rc.AuctionInstance((agent,)))
+    t = tables.agents[0]
+    # pi_star = supp_hi jumps at the middle knot (from 2.4 to 3.0 at 1.4):
+    # the grid brackets it, so both one-sided limits come out exact
+    at = np.array([knots[1] - 1e-13, knots[1], knots[1] + 1e-13])
+    assert np.max(np.abs(tables.pi_star(0, at) - rc.mech._pi_star_vec(agent, at))) <= 1e-9
     assert np.max(np.abs(t.psi - (1.5 * t.theta - 1.0))) <= 1e-9
     assert np.max(np.abs(t.income_net_royalty - 0.5 * t.theta)) <= 1e-9
     assert np.max(np.abs(t.phi_cap - 0.5)) <= 1e-9
@@ -757,3 +799,48 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
     assert rule_defs == ["mech.py"] and slack_defs == ["mech.py"]
     verify_src = (src / "verify.py").read_text(encoding="utf-8")
     assert "g2_over_g" not in verify_src and "maximum.accumulate" not in verify_src
+
+
+def test_allocation_and_settlement_rules_have_one_home():
+    # one allocation rule and one settlement rule, both in mech: no other
+    # function compares a value with the rival value, takes the royalty
+    # min(report, cap), charges the penalty (income - report) or applies the
+    # audit mask, and the simulator's _top_two is mech's
+    src = Path(rc.__file__).parent
+    homes = {"defs": set(), "rival": set(), "royalty": set(), "penalty": set(),
+             "audit": set(), "top_two": set()}
+
+    def names(node):
+        operands = (node.left, *node.comparators) if isinstance(node, ast.Compare) else ()
+        return [n.id for op in operands for n in ast.walk(op) if isinstance(n, ast.Name)]
+
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = f"{path.stem}.{fn.name}"
+            if fn.name in ("_wins", "_top_two", "_allocate", "_settle", "_audit_mask"):
+                homes["defs"].add(where)
+            for node in ast.walk(fn):
+                if any("rival" in n for n in names(node)):
+                    homes["rival"].add(where)
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if callee in ("minimum", "min") and any(
+                            isinstance(a, ast.Name) and "cap" in a.id for a in node.args):
+                        homes["royalty"].add(where)
+                    if callee == "_audit_mask":
+                        homes["audit"].add(where)
+                    if callee == "_top_two":
+                        homes["top_two"].add(where)
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and isinstance(node.left, ast.Name) and node.left.id.startswith("pi")
+                        and isinstance(node.right, ast.Name) and "rep" in node.right.id):
+                    homes["penalty"].add(where)
+    assert homes == {"defs": {"mech._top_two", "mech._allocate", "mech._settle",
+                              "mech._audit_mask"},
+                     "rival": {"mech._allocate"}, "royalty": {"mech._settle"},
+                     "penalty": {"mech._settle"}, "audit": {"mech._settle"},
+                     "top_two": {"mech._allocate"}}
+    assert rc.sim._top_two is rc.mech._top_two
