@@ -29,7 +29,7 @@ from .mech import (
     MechanismTables,
     Outcome,
     _allocate,
-    _pi_star_vec,
+    _cum_trapezoid,
     _settle,
     _top_two,  # noqa: F401 - the allocation's ordering, kept importable here
     full_extraction_revenue,
@@ -354,12 +354,8 @@ def _benchmarks(inst: AuctionInstance) -> dict:
 
 
 def _mean_pi_star(inst: AuctionInstance) -> float:
-    """E_theta[pi_star(theta)] averaged across agents (type-weighted)."""
-    vals = []
-    for agent in inst.agents:
-        lo, hi = agent.types.lo, agent.types.hi
-        ts = np.linspace(lo + 1e-9 * (hi - lo), hi, 513)
-        ps = _pi_star_vec(agent, ts)
-        dens = agent.types.pdf(ts)
-        vals.append(float(np.trapezoid(ps * dens, ts)))
-    return float(np.mean(vals))
+    """E_theta[pi_star(theta)] averaged across agents (type-weighted): the
+    trapezoid of pi_star * f on each agent's table grid, whose brackets keep
+    the jumps of pi_star sharp."""
+    return float(np.mean([_cum_trapezoid(t.pi_star * agent.types.pdf(t.theta), t.theta)[-1]
+                          for agent, t in zip(inst.agents, tables_for(inst).agents)]))

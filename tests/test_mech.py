@@ -728,6 +728,40 @@ def test_tables_do_not_depend_on_the_block_budget(monkeypatch, inst):
 
 
 # ---------------------------------------------------------------------------
+# Information rent
+# ---------------------------------------------------------------------------
+
+
+def _cum_trapezoid(y, x):
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))])
+
+
+def test_one_rent_rule_on_the_table_grid(monkeypatch, shipped_instances):
+    # both rents are the exact integrals of the tables' own interpolants:
+    # the cumulative trapezoid on the type grid, behind transfer_win and the
+    # interim curves alike; a build evaluates pi_star once per agent, at its
+    # grid types only
+    insts = [*shipped_instances.values(), tent_error_inst(),
+             rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))]
+    calls = []
+    pi_star_vec = rc.mech._pi_star_vec
+
+    def counted(agent, thetas):
+        calls.append(np.size(thetas))
+        return pi_star_vec(agent, thetas)
+
+    monkeypatch.setattr(rc.mech, "_pi_star_vec", counted)
+    for inst in insts:
+        calls.clear()
+        tables = rc.mech.MechanismTables.build(inst)
+        assert calls == [t.theta.size for t in tables.agents]
+        for t in tables.agents:
+            assert _bitwise_equal(t.rent_cum, _cum_trapezoid(1.0 - t.phi_cap, t.theta))
+            assert _bitwise_equal(t.interim_rent,
+                                  _cum_trapezoid(t.win_prob * (1.0 - t.phi_cap), t.theta))
+
+
+# ---------------------------------------------------------------------------
 # Regime-change kinks
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,9 @@ from scipy.integrate import quad
 
 import royaltycap as rc
 from royaltycap import sim as S
-from royaltycap.instances import uniform_additive_agent
+from royaltycap.instances import scaled_triangular, scaled_uniform, uniform_additive_agent
+
+from conftest import st_pi_star
 
 
 class _FixedRng:
@@ -216,6 +218,23 @@ def test_sweep_keeps_rows_whose_cash_benchmark_is_undefined():
     assert all(np.isfinite(r["revenue_net_audits"]) for r in rows)
 
 
+def test_sweep_mean_pi_star_matches_closed_forms(ua_agent):
+    # uniform_additive: pi_star = theta + 1 below 2 - 2c and 0 above, a jump
+    # that the table grid brackets; scaled_uniform: pi_star = 1/2 on
+    # [1/2, 3/4] and 0 above; scaled_triangular: quad of the closed-form
+    # threshold against the density 8 (theta - 1/2), split at its kink
+    rows = rc.sweep(lambda c: rc.AuctionInstance((replace(ua_agent, audit_cost=c),)),
+                    [0.0, 0.2, 0.4], n_runs=1_000, seed=0)
+    assert [r["mean_pi_star"] for r in rows] == pytest.approx([2.5, 1.38, 0.42], abs=1e-8)
+    kink = (1.0 + np.sqrt(5.0)) / 4.0
+    st = sum(quad(lambda t: st_pi_star(t) * 8.0 * (t - 0.5), a, b, epsabs=1e-13)[0]
+             for a, b in ((0.5, kink), (kink, 1.0)))
+    assert st == pytest.approx(0.27364432738, abs=1e-11)
+    for build, want in ((scaled_uniform, 0.25), (scaled_triangular, st)):
+        (row,) = rc.sweep(lambda _: build(), [0.0], n_runs=1_000, seed=0)
+        assert row["mean_pi_star"] == pytest.approx(want, abs=1e-8)
+
+
 def test_sweep_empty_axis(ua_agent):
     def builder(c):
         return rc.AuctionInstance((replace(ua_agent, audit_cost=c),))
@@ -286,29 +305,30 @@ def test_reports_independent_of_chunk_size(ua_inst, pair_inst, monkeypatch):
 
 
 # estimate_revenue(inst, None, 2**17, seed=1) on the shipped instances, with
-# 1 and 2 workers, as computed before table lookups were located once per
-# report; any change here breaks the bit-identity of the simulator
+# 1 and 2 workers, as computed with the information rent integrated by the
+# trapezoid rule on the table grid; any change here breaks the bit-identity
+# of the simulator
 _GOLDEN_REPORTS = {
     "uniform_additive": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.0894076071308656,
-        "revenue_se": 0.0007998485993313323, "agent_utility": [0.29049959836952555],
-        "agent_utility_se": [0.001304713897738686], "audit_frequency": 0.5995712280273438,
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.0894076071307652,
+        "revenue_se": 0.0007998485993311312, "agent_utility": [0.2904995983696257],
+        "agent_utility_se": [0.00130471389773881], "audit_frequency": 0.5995712280273438,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "scaled_uniform": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498280118825,
-        "revenue_se": 0.0006653393216740997, "agent_utility": [0.148807823859039],
-        "agent_utility_se": [0.00047864220732789795], "audit_frequency": 0.152679443359375,
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498266142434,
+        "revenue_se": 0.000665339320448823, "agent_utility": [0.14880782525667818],
+        "agent_utility_se": [0.0004786422087279021], "audit_frequency": 0.152679443359375,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "scaled_triangular": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.6312910764859678,
-        "revenue_se": 0.0007066671319309637, "agent_utility": [0.11530709248419498],
-        "agent_utility_se": [0.00031183628675382095], "audit_frequency": 0.17331695556640625,
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.6312910731123158,
+        "revenue_se": 0.000706667129006535, "agent_utility": [0.11530709585784708],
+        "agent_utility_se": [0.00031183628949167755], "audit_frequency": 0.17331695556640625,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "mixed_pair": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309461576998,
-        "revenue_se": 0.0008693194570556999,
-        "agent_utility": [0.2191836653987909, 0.018528554909766015],
-        "agent_utility_se": [0.0012566897224632542, 0.00017326123836946525],
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309460810315,
+        "revenue_se": 0.0008693194573504738,
+        "agent_utility": [0.21918366539889186, 0.01852855498633387],
+        "agent_utility_se": [0.0012566897224633557, 0.00017326123886011929],
         "audit_frequency": 0.43735504150390625, "mean_on_path_penalty": 0.0,
         "allocation_frequency": [0.8357772827148438, 0.16422271728515625]},
 }

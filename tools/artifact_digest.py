@@ -8,8 +8,9 @@ Run it on two checkouts and compare the outputs (``diff`` of the two files)
 to see which artifacts a change moves.  The digests cover:
 
 * the CLI ``check``, ``solve``, ``verify-ic``, ``menu`` and ``simulate``
-  (20,000 runs) artifacts of the shipped configs in ``configs/``, and each
-  call's exit code;
+  (20,000 runs) artifacts of the shipped configs in ``configs/``, the CLI
+  ``sweep`` (20,000 runs per row) of those with a ``sweep`` section, and
+  each call's exit code;
 * the CLI ``check`` and ``solve`` artifacts of the benchmark's tabulated
   instances ``tab_error`` and ``tab_income``, from the documents that
   ``perfbench/workloads.py`` builds;
@@ -48,7 +49,7 @@ def _sha(data: bytes) -> str:
 def _cli_digests(out: dict, name: str, config: Path, commands, workdir: Path):
     for cmd in commands:
         target = workdir / name / cmd
-        extra = ["--runs", str(RUNS)] if cmd == "simulate" else []
+        extra = ["--runs", str(RUNS)] if cmd in ("simulate", "sweep") else []
         with contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([cmd, "--config", str(config), "--out", str(target),
                              "--seed", str(SEED), *extra])
@@ -74,9 +75,11 @@ def main() -> int:
         workdir = Path(tmp)
         for name in SHIPPED:
             config = ROOT / "configs" / f"{name}.yaml"
-            _cli_digests(out, name, config, ("check", "solve", "verify-ic", "menu", "simulate"),
-                         workdir)
-            _library_digests(out, name, config.read_text(encoding="utf-8"))
+            text = config.read_text(encoding="utf-8")
+            sweep = ("sweep",) if parse_config(text).sweep is not None else ()
+            _cli_digests(out, name, config,
+                         ("check", "solve", "verify-ic", "menu", "simulate", *sweep), workdir)
+            _library_digests(out, name, text)
         for cfg in Tabulated(ROOT, SEED).configs:
             config = workdir / f"{cfg.name}.yaml"
             config.write_text(cfg.text, encoding="utf-8")
