@@ -127,7 +127,6 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     inst = cfg.instance
     n_types = max(8, cfg.theta_points // 8)
     mids = [0.5 * (a.types.lo + a.types.hi) for a in inst.agents]
-    mid_psis = np.array([mech.virtual_value(a, m) for a, m in zip(inst.agents, mids)])
     agents_out = []
     ok = True
     for i, agent in enumerate(inst.agents):
@@ -147,9 +146,7 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
         lo, hi = agent.types.lo, agent.types.hi
         ths = lo + (hi - lo) * rng.uniform(0.3, 0.95, 4)
         minus = mids[:i] + mids[i + 1:]
-        psis = np.tile(mid_psis, (ths.size, 1))
-        psis[:, i] = mech.virtual_value(agent, ths)
-        for th in ths[mech._allocate(psis)[0] == i].tolist():
+        for th in ths[verify._allocate_at(inst, i, minus, ths)[0] == i].tolist():
             for q in (0.2, 0.8):
                 pi_true = float(agent.income.supp_lo(th) + q * (
                     agent.income.supp_hi(th) - agent.income.supp_lo(th)))

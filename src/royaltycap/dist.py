@@ -811,10 +811,13 @@ class AgentSpec:
         if isinstance(self.income, ScaledErrorFamily) and hi > 1.0 + 1e-12:
             raise ConstructionError(
                 f"scaled-error incomes need type support within [0, 1], got hi={hi}")
-        # incomes must be nonnegative; support endpoints ordered on the interior
+        # incomes must be nonnegative and bounded; support endpoints ordered
+        # on the interior
         probe = np.linspace(lo, hi, 33)
         s_lo = np.asarray(self.income.supp_lo(probe), dtype=float)
         s_hi = np.asarray(self.income.supp_hi(probe), dtype=float)
+        if not (np.all(np.isfinite(s_lo)) and np.all(np.isfinite(s_hi))):
+            raise ConstructionError("income support must be finite")
         if np.any(s_lo < -1e-9):
             raise ConstructionError(
                 "income support dips below zero (error lower bound < -type lower bound)")

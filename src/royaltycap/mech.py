@@ -19,24 +19,27 @@ sensitivity capped at phi.  The central quantities:
   strategy.
 
 Two vectorized kernels are the only implementation of these quantities:
-``_pi_star_vec`` (``_single_crossing_scan``, then bisection) and ``_mech_curves`` (psi, Phi, E[pi - royalty]).  The audit
-surplus mu*phi - c has one expression, ``_audit_surplus``, and the scan is
-the only judgement of single crossing in income; ``verify.check_regularity``
-reports it too.  The mechanism's two rules have one function each, which the
-simulator, the IC certificate, the CLI and the scalar entry points share:
-``_allocate`` (winner and rival value) and ``_settle`` (royalty, audit, penalty).
-Income integrals over the audit region are split at the income law's
-breakpoints (``IncomeFamily.breakpoints``) and integrated piece by piece
-with the 2-point Gauss-Legendre rule, exact because the supported laws are
-polynomials of degree <= 3 between breakpoints.  The scalar entry points
-wrap the kernels; ``MechanismTables`` holds dense grids of the same
-quantities and the interim transfer curve, built once per instance.  Its type
-grid is the only place a build evaluates the mechanism: the information rent
-and the simulator's mean audit threshold are read off that grid, as exact
-integrals of the tables' linear interpolants (``_cum_trapezoid``).  Every
-inversion (the audit threshold, the menu cutoffs, the types where the audit
-region changes regime and the cash auction's reserve type) goes through the
-vectorized bisection ``dist._bisect``.
+``_pi_star_vec`` (``_single_crossing_scan``, then bisection) and
+``_mech_curves`` (psi, Phi, E[pi - royalty]).  The audit surplus mu*phi - c
+has one expression, ``_audit_surplus``, and the scan is the only judgement
+of single crossing in income; ``verify.check_regularity`` reports it too.
+The mechanism's two rules have one function each, which the simulator, the
+IC certificate, the CLI and the scalar entry points share: ``_allocate``
+(winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
+integrals over the audit region are split at the income law's breakpoints
+(``IncomeFamily.breakpoints``) and integrated piece by piece with the
+2-point Gauss-Legendre rule, exact because the supported laws are
+polynomials of degree <= 3 between breakpoints.  ``MechanismTables`` holds
+dense grids of the same quantities and the interim transfer curve, built
+once per instance.  An entry point that takes an agent evaluates the
+kernels at its types; one that takes an instance and needs psi or pi_star
+reads them off the instance's tables (``tables_for``, ``_profile_psi``), so
+it raises whenever ``tables_for`` raises.  The type grid is the only place a
+build evaluates the mechanism: the information rent and the simulator's
+mean audit threshold are exact integrals of the tables' linear interpolants
+(``_cum_trapezoid``).  Every inversion (the audit threshold, the menu
+cutoffs, the types where the audit region changes regime and the cash
+auction's reserve type) goes through the vectorized bisection ``dist._bisect``.
 """
 
 from __future__ import annotations
@@ -178,12 +181,7 @@ def myerson_virtual(agent: AgentSpec, theta):
 
 def _income_bounds(agent: AgentSpec, theta):
     fam = agent.income
-    lo = np.asarray(fam.supp_lo(theta), dtype=float)
-    hi = np.asarray(fam.supp_hi(theta), dtype=float)
-    # unbounded upper supports are truncated at the 1 - 1e-10 quantile
-    if np.any(np.isinf(hi)):
-        hi = np.where(np.isinf(hi), fam.ppf(1.0 - 1e-10, theta), hi)
-    return lo, hi
+    return np.asarray(fam.supp_lo(theta), dtype=float), np.asarray(fam.supp_hi(theta), dtype=float)
 
 
 def audit_threshold(agent: AgentSpec, theta) -> float:
@@ -247,10 +245,21 @@ def _allocate(psi: np.ndarray):
     return np.where(top > rival, w, -1), rival
 
 
+def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
+    """The tables' virtual values at rows of type ``profiles`` (one column
+    per agent), each type checked against its agent's support first."""
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
+    if profiles.shape[1] != inst.n_agents:
+        raise ValueError(f"expected {inst.n_agents} types per profile, got {profiles.shape[1]}")
+    for a, col in zip(inst.agents, profiles.T):
+        a.types._check_domain(col)
+    tables = tables_for(inst)
+    return np.column_stack([tables.psi(i, col) for i, col in enumerate(profiles.T)])
+
+
 def allocation(inst: AuctionInstance, theta_profile) -> list:
     """Winner indicator: 1 for the agent that wins by ``_allocate``."""
-    psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
-    winner = _allocate(np.array([psis]))[0][0]
+    winner = _allocate(_profile_psi(inst, [theta_profile]))[0][0]
     return [int(winner == i) for i in range(inst.n_agents)]
 
 
@@ -394,8 +403,7 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     z the lowest winning type (observed: at most 4.5e-9 against adaptive
     quadrature on the shipped instances).
     """
-    psis = [virtual_value(a, float(t)) for a, t in zip(inst.agents, theta_profile)]
-    winner, rival = _allocate(np.array([psis]))
+    winner, rival = _allocate(_profile_psi(inst, [theta_profile]))
     if winner[0] != i:
         return 0.0
     return float(tables_for(inst).transfer_win(i, float(theta_profile[i]), rival[0]))
@@ -468,8 +476,9 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
 
     Maximized pointwise by auditing exactly when mu*phi >= c, where it
     equals ``virtual_value``.  The income integral is split at the law's
-    breakpoints, at pi_star and at the rule's switches (a 257-point scan,
-    then bisection), with the 32-point Gauss-Legendre rule on each piece.
+    breakpoints, at the tables' pi_star and at the rule's switches (a
+    257-point scan, then bisection), with the 32-point Gauss-Legendre rule
+    on each piece.
     """
     agent = inst.agents[i]
     theta_i = float(theta_profile[i])
@@ -483,12 +492,12 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     a = audit(scan)
     k = np.flatnonzero(np.diff(a))
     switches = _bisect(lambda x: audit(x) == a[k], scan[k], scan[k + 1], 64)
-    cuts = np.concatenate([[lo, hi, audit_threshold(agent, theta_i)], switches,
+    cuts = np.concatenate([[lo, hi, tables_for(inst).pi_star(i, theta_i)], switches,
                            agent.income.breakpoints(np.array([theta_i]))[0]])
     cuts = np.unique(np.clip(cuts, lo, hi))
     nodes, wts = _gl_segments(cuts[:-1], cuts[1:], _GL32)
     x = nodes.ravel()
-    s = mu(agent, theta_i, x) * agent.sensitivity - agent.audit_cost
+    s = _audit_surplus(agent, theta_i, x, inverse_hazard(agent.types, theta_i))
     term = np.sum(audit(x) * s * agent.income.pdf(x, theta_i) * wts.ravel())
     return myerson_virtual(agent, theta_i) + float(term)
 

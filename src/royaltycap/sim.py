@@ -64,10 +64,6 @@ class StrategyProfile:
     def truthful(n_agents: int) -> "StrategyProfile":
         return StrategyProfile((None,) * n_agents, (None,) * n_agents)
 
-    def is_truthful(self) -> bool:
-        return all(f is None for f in self.type_reports) and \
-            all(f is None for f in self.income_reports)
-
     def validate(self, n_agents: int):
         if len(self.type_reports) != n_agents or len(self.income_reports) != n_agents:
             raise ConstructionError("strategy profile must cover every agent")

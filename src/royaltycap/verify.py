@@ -30,16 +30,15 @@ from .mech import (
     _audit_region,
     _audit_surplus,
     _blocked,
-    _curves_at,
     _income_bounds,
     _interior_grid,
     _mech_curves,
+    _profile_psi,
     _settle,
     _single_crossing_scan,
     _worst_single_crossing,
     penalty,
     tables_for,
-    virtual_value,
 )
 
 # smallest grids that regularity checks and best-response searches accept
@@ -307,20 +306,11 @@ def _expected_payments(agent: AgentSpec, theta_true: float, reports: np.ndarray,
     return out
 
 
-def _allocate_at(inst: AuctionInstance, i: int, theta_minus: Sequence[float], psis) -> tuple:
-    """``_allocate`` on one profile per virtual value of agent i in ``psis``,
-    against its rivals' virtual values at their type reports ``theta_minus``."""
-    others = inst.agents[:i] + inst.agents[i + 1:]
-    if len(theta_minus) != len(others):
-        raise ValueError(f"expected {len(others)} rival type reports, got {len(theta_minus)}")
-    rival_psis = [virtual_value(a, float(t)) for a, t in zip(others, theta_minus)]
-    return _allocate(np.array([rival_psis[:i] + [p] + rival_psis[i:] for p in psis]))
-
-
-def _report_curves(agent: AgentSpec, theta: float) -> tuple:
-    """psi and pi_star at one type report, from one ``_mech_curves`` call."""
-    curves = _curves_at(agent, float(theta))
-    return float(curves[1][0]), float(curves[2][0])
+def _allocate_at(inst: AuctionInstance, i: int, theta_minus: Sequence[float], reports) -> tuple:
+    """``_allocate`` on one profile per type report of agent i in
+    ``reports``, against its rivals' type reports ``theta_minus``."""
+    theta_minus = list(theta_minus)
+    return _allocate(_profile_psi(inst, [theta_minus[:i] + [r] + theta_minus[i:] for r in reports]))
 
 
 def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
@@ -333,9 +323,9 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     mechanism to be income-incentive-compatible.
     """
     agent = inst.agents[i]
-    psi, cap = _report_curves(agent, theta_report)
-    if _allocate_at(inst, i, theta_minus, [psi])[0][0] != i:
+    if _allocate_at(inst, i, theta_minus, [theta_report])[0][0] != i:
         raise DomainError("agent does not win at this report profile")
+    cap = float(tables_for(inst).pi_star(i, theta_report))
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
     truthful_rep = float(project_to_support(agent.income, theta_report, pi_true))
     reports = np.unique(np.concatenate([np.linspace(lo, hi, grid),
@@ -442,8 +432,7 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     agent = inst.agents[i]
-    (psi_lo, cap_lo), (psi_hi, cap_hi) = (_report_curves(agent, th) for th in (theta_lo, theta_hi))
-    winner, rival = _allocate_at(inst, i, theta_minus, [psi_lo, psi_hi])
+    winner, rival = _allocate_at(inst, i, theta_minus, [theta_lo, theta_hi])
     for th, w in zip((theta_lo, theta_hi), winner):
         if w != i:
             raise UnsupportedPairError(f"type {th} does not win against the rivals")
@@ -451,11 +440,14 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     lo2, hi2 = (float(x) for x in _income_bounds(agent, theta_hi))
     left, right = max(lo1, lo2), min(hi1, hi2)
     tol = 1e-9 * max(1.0, right)
+    tables = tables_for(inst)
+    at = tables.locate(i, np.array([theta_lo, theta_hi]))
+    cap_lo, cap_hi = tables.pi_star(i, at)
     for capv in (cap_lo, cap_hi):
         if capv < left - tol or capv > right + tol:
             raise UnsupportedPairError(
                 "audit thresholds must lie in both income supports")
-    t1, t2 = tables_for(inst).transfer_win(i, np.array([theta_lo, theta_hi]), rival)
+    t1, t2 = tables.transfer_win(i, at, rival)
 
     def gap(p):  # lower report's payment minus the higher one's, at income p
         return ((t1 + _settle(p, p, cap_lo, hi1, agent.sensitivity)[0])

@@ -567,3 +567,27 @@ def test_agent_validation(ua_agent):
     sca = make_income_family("scaled_error", UNIT_ERR)
     with pytest.raises(ConstructionError):
         AgentSpec(u12, sca, 0.1, 0.5)   # scaled family needs types within [0, 1]
+
+
+def test_agent_rejects_unbounded_income_support(ua_agent):
+    # pi = theta - 1 + Exp(1): nothing in the mechanism copes with an
+    # infinite support end (it was cut at the 1 - 1e-10 quantile, and check,
+    # payoff_bound and the IC certificate then disagreed with the draws)
+    class ShiftedExponential:
+        lo, hi, mean = -1.0, np.inf, 0.0
+        knots = np.array([-1.0])
+
+        def cdf(self, x):
+            return -np.expm1(-np.maximum(np.asarray(x, dtype=float) + 1.0, 0.0))
+
+        def pdf(self, x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x >= -1.0, np.exp(-(x + 1.0)), 0.0)
+
+        def ppf(self, q):
+            return -np.log1p(-np.asarray(q, dtype=float)) - 1.0
+
+    fam = dist.AdditiveErrorFamily(ShiftedExponential(), {})
+    assert np.isinf(fam.supp_hi(1.5)) and fam.cdf(fam.ppf(0.5, 1.5), 1.5) == pytest.approx(0.5)
+    with pytest.raises(ConstructionError, match="finite"):
+        AgentSpec(ua_agent.types, fam, 0.2, 0.5)

@@ -815,21 +815,25 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
     # only mu and _audit_surplus evaluate the density ratio G_2/g, and
     # verify holds no crossing rule of its own
     src = Path(rc.__file__).parent
-    callers, rule_defs, slack_defs = set(), [], []
+    callers, mu_callers, rule_defs, slack_defs = set(), set(), [], []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 if node.name == "_worst_single_crossing":
                     rule_defs.append(path.name)
-                callers.update(f"{path.stem}.{node.name}" for call in ast.walk(node)
-                               if isinstance(call, ast.Call)
-                               and isinstance(call.func, ast.Attribute)
-                               and call.func.attr == "g2_over_g")
+                calls = [getattr(call.func, "attr", getattr(call.func, "id", None))
+                         for call in ast.walk(node) if isinstance(call, ast.Call)]
+                if "g2_over_g" in calls:
+                    callers.add(f"{path.stem}.{node.name}")
+                if "mu" in calls:
+                    mu_callers.add(f"{path.stem}.{node.name}")
             if isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "_SLACK" for t in node.targets):
                 slack_defs.append(path.name)
     assert callers == {"mech.mu", "mech._audit_surplus"}
+    # mu is public API only: every surplus in the package is _audit_surplus
+    assert mu_callers == set()
     assert rule_defs == ["mech.py"] and slack_defs == ["mech.py"]
     verify_src = (src / "verify.py").read_text(encoding="utf-8")
     assert "g2_over_g" not in verify_src and "maximum.accumulate" not in verify_src
@@ -878,3 +882,33 @@ def test_allocation_and_settlement_rules_have_one_home():
                      "penalty": {"mech._settle"}, "audit": {"mech._settle"},
                      "top_two": {"mech._allocate"}}
     assert rc.sim._top_two is rc.mech._top_two
+
+
+def test_instance_entry_points_read_only_the_tables():
+    # an entry point that takes an instance gets psi and pi_star from
+    # tables_for(inst), never from the scalar kernel at single types
+    src = Path(rc.__file__).parent
+    kernel = {"virtual_value", "audit_threshold", "phi_cap", "expected_income_net_royalty",
+              "_curves_at", "_mech_curves", "_pi_star_vec"}
+    entry_points = {"mech": {"allocation", "transfer", "endogenous_virtual"},
+                    "verify": {"_allocate_at", "best_response_income", "crossing_point",
+                               "best_response_type"},
+                    "cli": {"_cmd_verify_ic"}}
+    seen, used = set(), {}
+    for module, names in entry_points.items():
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                seen.add(fn.name)
+                refs = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                refs |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name) and n.value.id in ("mech", "rc")}
+                used[f"{module}.{fn.name}"] = refs & kernel
+    assert seen == set().union(*entry_points.values())
+    assert all(not refs for refs in used.values()), used
+    # verify and the CLI import no scalar kernel wrapper at all
+    for module in ("verify", "cli"):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                    for a in n.names}
+        assert not imported & (kernel - {"_mech_curves"}), module

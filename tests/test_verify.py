@@ -80,6 +80,23 @@ def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, theta):
             call()
 
 
+@pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
+def test_instance_entry_points_refuse_what_the_table_build_refuses(knots):
+    # with c = 1e-12 the virtual value dips at the knot and the build raises;
+    # allocation and best_response_income used to price such an instance by
+    # the scalar kernel regardless
+    inst = rc.AuctionInstance((table_income_agent(knots, audit_cost=1e-12),))
+    with pytest.raises(rc.RegularityError, match="not increasing on the table grid"):
+        rc.tables_for(inst)
+    for call in (lambda: rc.allocation(inst, [1.8]),
+                 lambda: rc.transfer(inst, 0, [1.8]),
+                 lambda: rc.best_response_income(inst, 0, 1.8, [], 2.0),
+                 lambda: rc.crossing_point(inst, 0, 1.7, 1.8),
+                 lambda: rc.endogenous_virtual(inst, 0, [1.8], lambda prof, p: 1.0)):
+        with pytest.raises(rc.RegularityError):
+            call()
+
+
 @given(inner=st.lists(st.integers(1, 39), unique=True, max_size=2),
        c=st.floats(0.0, 0.3), phi=st.sampled_from([0.5, 1.0]))
 @example(inner=[16], c=0.01, phi=0.5).via("the knots-1/1.4/2 copy")
@@ -249,9 +266,8 @@ def test_type_best_response_evaluates_density_once_per_cut_group(monkeypatch):
 
 def test_income_deviations_and_crossing_evaluate_each_report_once(monkeypatch, pair_inst,
                                                                    st_inst):
-    # a deterministic cost guard: one _pi_star_vec call per type report
-    # (psi and pi_star of the deviating agent come from one curve
-    # evaluation), and transfers come from the built tables
+    # a deterministic cost guard: once the tables are built, no kernel call
+    # is left (psi, pi_star and the transfers all come from the tables)
     for inst in (pair_inst, st_inst):
         rc.tables_for(inst)
     calls = []
@@ -263,10 +279,10 @@ def test_income_deviations_and_crossing_evaluate_each_report_once(monkeypatch, p
 
     monkeypatch.setattr(rc.mech, "_pi_star_vec", counted)
     rc.best_response_income(pair_inst, 0, 1.6, [0.6], 1.2)
-    assert calls == [1, 1]
+    assert calls == []
     calls.clear()
     rc.crossing_point(st_inst, 0, 0.75, 0.8)
-    assert calls == [1, 1]
+    assert calls == []
 
 
 def test_rival_reports_must_match_the_rivals(pair_inst):
@@ -274,6 +290,12 @@ def test_rival_reports_must_match_the_rivals(pair_inst):
         rc.best_response_income(pair_inst, 0, 1.6, [], 1.2)
     with pytest.raises(ValueError):
         rc.crossing_point(pair_inst, 0, 1.7, 1.8)
+    # a profile needs one type per agent (a short one used to drop the rival)
+    for profile in ([1.5], [1.5, 0.75, 0.9]):
+        with pytest.raises(ValueError):
+            rc.allocation(pair_inst, profile)
+        with pytest.raises(ValueError):
+            rc.transfer(pair_inst, 0, profile)
 
 
 def test_ir_zero_at_bottom_type(ua_inst):

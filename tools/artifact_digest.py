@@ -16,6 +16,17 @@ to see which artifacts a change moves.  The digests cover:
   ``perfbench/workloads.py`` builds;
 * per instance, every ``AgentTables`` array, ``payoff_bound`` and one
   ``estimate_revenue`` report (20,000 runs, seed 0).
+
+It also prints, as values rather than digests, the outputs of the API that
+takes an instance, so that a change shows how far each one moves:
+
+* per shipped config, ``allocation`` and every agent's ``transfer`` on 40
+  profiles of independent uniform draws over the type supports (seed 0),
+  and ``best_response_income`` of each agent at the types 0.6 and 0.9 of
+  the way up its support, rivals at their midpoint types, for incomes 0.2
+  and 0.8 of the way up the reported income support;
+* ``crossing_point`` of ``scaled_triangular`` at the report pairs
+  (0.6, 0.7), (0.75, 0.8) and (0.75, 0.75).
 """
 
 from __future__ import annotations
@@ -35,11 +46,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import SHIPPED, Tabulated  # noqa: E402
-from royaltycap import cli, mech, sim  # noqa: E402
+from royaltycap import cli, mech, sim, verify  # noqa: E402
 from royaltycap.config import parse_config  # noqa: E402
+from royaltycap.errors import DomainError  # noqa: E402
 
 SEED = 0
 RUNS = 20_000
+PROFILES = 40
+CROSSING_PAIRS = ((0.6, 0.7), (0.75, 0.8), (0.75, 0.75))
 
 
 def _sha(data: bytes) -> str:
@@ -69,6 +83,33 @@ def _library_digests(out: dict, name: str, text: str):
     out[f"estimate_revenue/{name}"] = _sha(json.dumps(rep.to_dict()).encode())
 
 
+def _values(xs) -> str:
+    return " ".join(repr(x) for x in xs)
+
+
+def _instance_values(out: dict, name: str, inst: mech.AuctionInstance):
+    lo = np.array([a.types.lo for a in inst.agents])
+    hi = np.array([a.types.hi for a in inst.agents])
+    profiles = (lo + (hi - lo) * np.random.default_rng(SEED).random((PROFILES, lo.size))).tolist()
+    winners = [mech.allocation(inst, prof) for prof in profiles]
+    out[f"api/{name}/allocation"] = _values(w.index(1) if 1 in w else -1 for w in winners)
+    out[f"api/{name}/transfer"] = _values(
+        mech.transfer(inst, i, prof) for prof in profiles for i in range(inst.n_agents))
+    mids = ((lo + hi) / 2).tolist()
+    for i, agent in enumerate(inst.agents):
+        for at in (0.6, 0.9):
+            th = float(lo[i] + at * (hi[i] - lo[i]))
+            s_lo, s_hi = float(agent.income.supp_lo(th)), float(agent.income.supp_hi(th))
+            for q in (0.2, 0.8):
+                key = f"api/{name}/best_response_income/{i}/{at}/{q}"
+                try:
+                    rep = verify.best_response_income(inst, i, th, mids[:i] + mids[i + 1:],
+                                                      s_lo + q * (s_hi - s_lo))
+                    out[key] = json.dumps(rep.to_dict())
+                except DomainError:  # the report loses
+                    out[key] = "DomainError"
+
+
 def main() -> int:
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -80,6 +121,13 @@ def main() -> int:
             _cli_digests(out, name, config,
                          ("check", "solve", "verify-ic", "menu", "simulate", *sweep), workdir)
             _library_digests(out, name, text)
+            _instance_values(out, name, parse_config(text).instance)
+        st = ROOT / "configs" / "scaled_triangular.yaml"
+        inst = parse_config(st.read_text(encoding="utf-8")).instance
+        for pair in CROSSING_PAIRS:
+            rep = verify.crossing_point(inst, 0, *pair)
+            out[f"api/scaled_triangular/crossing_point/{pair[0]}/{pair[1]}"] = json.dumps(
+                rep.to_dict())
         for cfg in Tabulated(ROOT, SEED).configs:
             config = workdir / f"{cfg.name}.yaml"
             config.write_text(cfg.text, encoding="utf-8")
