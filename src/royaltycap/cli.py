@@ -250,6 +250,8 @@ def main(argv=None) -> int:
         seed = cfg.seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError("--seed", "must be nonnegative")
+        if seed >= 1 << 128:
+            raise ConfigError("--seed", "must be below 2**128 (a Philox key)")
         if args.workers < 1:
             raise ConfigError("--workers", "must be at least 1")
         n_runs = cfg.n_runs if args.runs is None else args.runs

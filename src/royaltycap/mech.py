@@ -221,18 +221,24 @@ def _top_two(psi: np.ndarray):
     """Per row: the index of the highest virtual value, that value, and the
     second highest (0 for a lone bidder).
 
-    Ties for the top go to the highest index, as in a stable ascending sort.
-    A tie for the top also makes the second value equal the top, so the
-    asset stays unsold and the rule never shows in an outcome."""
+    One pass per agent column, with no data-dependent branch: a column at or
+    above the top so far takes the top (index j exceeds every earlier one),
+    and the second becomes the larger of the second so far and the smaller
+    of the top so far and the column.  Ties for the top therefore go to the
+    highest index, as in a stable ascending sort.  A tie for the top also
+    makes the second value equal the top, so the asset stays unsold and the
+    rule never shows in an outcome."""
     n, N = psi.shape
+    w = np.zeros(n, dtype=np.intp)
     if N == 1:
-        return np.zeros(n, dtype=np.intp), psi[:, 0], np.zeros(n)
-    rows = np.arange(n)
-    w = N - 1 - np.argmax(psi[:, ::-1], axis=1)
-    top = psi[rows, w]
-    rest = psi.copy()
-    rest[rows, w] = -np.inf
-    return w, top, rest.max(axis=1)
+        return w, psi[:, 0], np.zeros(n)
+    top, second = psi[:, 0], np.full(n, -np.inf)
+    for j in range(1, N):
+        col = psi[:, j]
+        np.maximum(w, j * (col >= top), out=w)
+        np.maximum(second, np.minimum(top, col), out=second)
+        top = np.maximum(col, top)
+    return w, top, second
 
 
 def _allocate(psi: np.ndarray):
@@ -241,8 +247,9 @@ def _allocate(psi: np.ndarray):
     the top leaves the asset unsold.  Returns the winner index (-1 when
     unsold) and the rival value max(second highest value, 0)."""
     w, top, second = _top_two(psi)
-    rival = np.maximum(second, 0.0)
-    return np.where(top > rival, w, -1), rival
+    rival = np.maximum(second, 0.0, out=second)
+    # w where sold, else -1, without a data-dependent branch
+    return (w + 1) * (top > rival) - 1, rival
 
 
 def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
@@ -276,9 +283,8 @@ def _audit_mask(pi_report, cap, supp_hi):
     dominant-strategy envelope argument prices at the dampened slope).
     On path the event has measure zero, so payments are unchanged.
     """
-    tol = 1e-6 * np.maximum(1.0, np.abs(supp_hi))
-    at_top = cap >= supp_hi - tol
-    return (pi_report < cap) | (at_top & (pi_report >= supp_hi - tol))
+    edge = supp_hi - 1e-6 * np.maximum(1.0, np.abs(supp_hi))
+    return (pi_report < cap) | ((cap >= edge) & (pi_report >= edge))
 
 
 def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None):
@@ -291,7 +297,16 @@ def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None):
     royalty = np.minimum(pi_report, cap) * phi
     if audited is None:
         audited = _audit_mask(pi_report, cap, supp_hi)
-    return royalty, audited, np.where(audited, (pi_true - pi_report) * phi, 0.0)
+    return royalty, audited, _where_zero(audited, (pi_true - pi_report) * phi)
+
+
+def _where_zero(mask, x):
+    """``np.where(mask, x, 0.0)`` bit for bit, for float ``x``: the bits of
+    ``x`` ANDed with all ones where ``mask`` holds and with zeros elsewhere.
+    np.where branches on every element, so a random mask, such as the audit
+    indicator of a chunk of runs, makes it about six times slower."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return (bits & -np.asarray(mask, dtype=np.int64)).view(np.float64)
 
 
 def _settle_report(agent: AgentSpec, theta_report: float, pi_report: float):
@@ -857,10 +872,11 @@ class MechanismTables:
     def transfer_win(self, i: int, theta, rival_value):
         """Winner's transfer at type report ``theta`` against the best rival
         positive virtual value."""
+        # the rent below the threshold type first: its two searches' arrays
+        # are freed before the lookups at ``theta`` allocate theirs
+        rent_z = self.rent_below(i, self.threshold_type(i, rival_value))
         at = self.locate(i, theta)
-        z = self.threshold_type(i, rival_value)
-        return (self.income_net_royalty(i, at)
-                - (self.rent_below(i, at) - self.rent_below(i, z)))
+        return self.income_net_royalty(i, at) - (self.rent_below(i, at) - rent_z)
 
 
 def tables_for(inst: AuctionInstance) -> MechanismTables:

@@ -11,12 +11,20 @@ the Philox counter blocks ``[r*m, (r+1)*m)`` under key ``s``, where ``m`` is
 the number of 256-bit blocks needed for one run.  Streams therefore never
 overlap, results do not depend on chunking, and threaded execution is
 byte-identical to serial.  Equivalently, run ``r`` sees exactly the draws of
-``numpy.random.Generator(numpy.random.Philox(key=s, counter=r*m))``.
+``numpy.random.Generator(numpy.random.Philox(key=s, counter=r*m))``, and a
+chunk of runs starting at ``r`` draws all its uniforms from that one
+generator, as a single ``random`` fill laid out one run per row.
+
+A chunk runs every stage on whole arrays: type ppf, one grid search per
+type report shared by every table lookup, the allocation as one pass per
+agent column, then settlement on the runs each agent wins.  When one agent
+wins every run of a chunk (a lone bidder does whenever no run goes unsold),
+its stages read and write whole columns instead of gathering and scattering
+the won runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -32,6 +40,7 @@ from .mech import (
     _cum_trapezoid,
     _settle,
     _top_two,  # noqa: F401 - the allocation's ordering, kept importable here
+    _where_zero,
     full_extraction_revenue,
     myerson_cash_revenue,
     payoff_bound,
@@ -116,20 +125,33 @@ def _blocks_per_run(n_agents: int) -> int:
     return (n_agents + 2 + 3) // 4
 
 
-def run_rng(inst: AuctionInstance, seed: int, run_index: int) -> np.random.Generator:
-    """The exact random stream consumed by run ``run_index`` of a simulation
-    with this seed."""
-    m = _blocks_per_run(inst.n_agents)
+def _check_seed(seed):
+    """Reject a seed that is not a Philox key: a nonnegative integer below
+    2**128 (numpy integers accepted, bool rejected)."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 1 << 128):
+        raise ConstructionError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
+def _stream(n_agents: int, seed: int, run_index: int) -> np.random.Generator:
+    """The generator whose first draws are run ``run_index``'s."""
+    m = _blocks_per_run(n_agents)
     return np.random.Generator(np.random.Philox(key=seed, counter=run_index * m))
 
 
+def run_rng(inst: AuctionInstance, seed: int, run_index: int) -> np.random.Generator:
+    """The exact random stream consumed by run ``run_index`` of a simulation
+    with this seed."""
+    _check_seed(seed)
+    return _stream(inst.n_agents, seed, run_index)
+
+
 def _uniform_matrix(n_agents: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for runs [start, start+count), one row per run."""
-    m = _blocks_per_run(n_agents)
-    bg = np.random.Philox(key=seed, counter=start * m)
-    raw = bg.random_raw(4 * m * count)
-    u = (raw >> np.uint64(11)) * (2.0 ** -53)
-    return u.reshape(count, 4 * m)[:, : n_agents + 2]
+    """Uniforms for runs [start, start+count), one row per run: the stream of
+    run ``start``, continued through ``count`` runs' counter blocks."""
+    width = 4 * _blocks_per_run(n_agents)
+    u = _stream(n_agents, seed, start).random(width * count)
+    return u.reshape(count, width)[:, : n_agents + 2]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +163,13 @@ def _apply_map(fn: Optional[Callable], *cols):
     if fn is None:
         return np.array(cols[-1], dtype=float, copy=True)
     return np.array([fn(*args) for args in zip(*cols)], dtype=float)
+
+
+def _unsold(n: int, N: int) -> tuple:
+    """The outputs of ``n`` runs among ``N`` agents with nothing sold: zero
+    transfers, royalties, audits, penalties, audit costs and utilities."""
+    return (np.zeros((N, n)).T, np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n),
+            np.zeros(n), np.zeros((n, N)))
 
 
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
@@ -157,7 +186,8 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     n = u.shape[0]
     N = inst.n_agents
 
-    psi_rep = np.empty((n, N))
+    # one contiguous column per agent, for the allocation's column pass
+    psi_rep = np.empty((N, n)).T
     draws = []
     for i, agent in enumerate(inst.agents):
         th_true = agent.types.ppf(u[:, i])
@@ -169,23 +199,23 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
         draws.append((th_true, th_rep, located))
 
     winner, rival = _allocate(psi_rep)
+    del psi_rep  # its memory serves the settlement's arrays
 
-    transfers = np.zeros((n, N))
-    royalty = np.zeros(n)
-    audited = np.zeros(n, dtype=bool)
-    pen = np.zeros(n)
-    audit_cost = np.zeros(n)
-    utility = np.zeros((n, N))
-
+    outputs = None  # transfers, royalty, audited, penalty, audit cost, utility
     for i, (agent, (th_true, th_rep, located)) in enumerate(zip(inst.agents, draws)):
-        m = np.flatnonzero(winner == i)
-        if not m.size:
+        hit = winner == i
+        count = np.count_nonzero(hit)
+        if not count:
             continue
-        th_t, th_r, at = th_true[m], th_rep[m], located.take(m)
+        # the runs the agent wins; all of them by a slice, which copies nothing
+        whole = count == n
+        m = slice(None) if whole else np.flatnonzero(hit)
+        th_t, th_r = th_true[m], th_rep[m]
+        at = located if whole else located.take(m)
         # only the winner's income is ever realized
         pi = agent.income.ppf(u[m, N], th_t)
         rep_fn = strategies.income_reports[i]
-        pi_rep = pi.copy() if rep_fn is None else _apply_map(rep_fn, th_t, th_r, pi)
+        pi_rep = pi if rep_fn is None else _apply_map(rep_fn, th_t, th_r, pi)
         pi_rep = project_to_support(agent.income, th_r, pi_rep)
 
         draw = None
@@ -196,15 +226,28 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
         # a lone bidder always faces the rival value 0: one threshold type
         # instead of one per run (about a third of the serial time otherwise)
         t = tables.transfer_win(i, at, rival[m] if N > 1 else 0.0)
-
+        cost = _where_zero(a, agent.audit_cost)
+        gain = pi - r - p - t
+        if N == 1 and whole:
+            # a lone bidder that wins every run: its results are the outputs
+            outputs = (t[:, None], r, a, p, cost, gain[:, None])
+            break
+        if outputs is None:
+            outputs = _unsold(n, N)
+        transfers, royalty, audited, pen, audit_cost, utility = outputs
         transfers[m, i] = t
         royalty[m] = r
         audited[m] = a
         pen[m] = p
-        audit_cost[m] = np.where(a, agent.audit_cost, 0.0)
-        utility[m, i] = pi - r - p - t
+        audit_cost[m] = cost
+        utility[m, i] = gain
 
-    revenue = transfers.sum(axis=1) + royalty + pen - audit_cost
+    transfers, royalty, audited, pen, audit_cost, utility = outputs or _unsold(n, N)
+    # each row holds one transfer at most, so column adds give its row sum
+    paid = transfers[:, 0]
+    for i in range(1, N):
+        paid = paid + transfers[:, i]
+    revenue = paid + royalty + pen - audit_cost
     return {
         "winner": winner,
         "transfers": transfers,
@@ -246,6 +289,18 @@ _CHUNK = 1 << 16
 _MIN_RUNS = 1_000
 
 
+def _check_run_args(n_runs, seed, workers):
+    """Reject a run count that is not an integer of at least ``_MIN_RUNS``,
+    a seed that is not a Philox key, and fewer than one worker."""
+    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)):
+        raise ConstructionError(f"n_runs must be an integer, got {n_runs!r}")
+    if n_runs < _MIN_RUNS:
+        raise ConstructionError(f"n_runs must be at least {_MIN_RUNS}")
+    _check_seed(seed)
+    if workers < 1:
+        raise ConstructionError("workers must be at least 1")
+
+
 def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile] = None,
                      n_runs: int = 100_000, seed: int = 0,
                      workers: int = 1,
@@ -257,10 +312,7 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     runs over per-run arrays assembled in run order, so the report is
     independent of chunking and of the number of worker threads.
     """
-    if n_runs < _MIN_RUNS:
-        raise ConstructionError(f"n_runs must be at least {_MIN_RUNS}")
-    if workers < 1:
-        raise ConstructionError("workers must be at least 1")
+    _check_run_args(n_runs, seed, workers)
     if strategies is None:
         strategies = StrategyProfile.truthful(inst.n_agents)
     strategies.validate(inst.n_agents)
@@ -277,6 +329,9 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
 
     starts = range(0, n_runs, size)
     if threads > 1:
+        # imported here: it costs start-up time, and only a pool needs it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(threads) as pool:
             parts = list(pool.map(chunk, starts))
     else:
@@ -288,8 +343,8 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     util_se = utility.std(axis=0, ddof=1) / sqrtn
     alloc = tuple(float(np.mean(winner == i)) for i in range(inst.n_agents))
     return SimReport(
-        n_runs=n_runs,
-        seed=seed,
+        n_runs=int(n_runs),
+        seed=int(seed),
         revenue_net_audits=float(revenue.mean()),
         revenue_se=float(revenue.std(ddof=1) / sqrtn),
         agent_utility=tuple(float(x) for x in util_mean),
@@ -316,8 +371,7 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
     without aborting the sweep; a cash benchmark that alone is undefined is
     None (``_benchmarks``).
     """
-    if workers < 1:
-        raise ConstructionError("workers must be at least 1")
+    _check_run_args(n_runs, seed, workers)
     rows = []
     for v in values:
         row = {"value": float(v)}

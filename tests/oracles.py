@@ -18,6 +18,10 @@ payment per type report, each integrated on its own cuts.
 as the scalar API, the simulator and the certificate each wrote them out
 before they shared ``mech._allocate`` and ``mech._settle``.
 
+``philox_uniforms`` is the simulator's per-run uniform stream written out
+from the raw Philox output: 53-bit doubles from the counter blocks of the
+runs, one row per run.
+
 ``PchipTableCdf`` is a tabulated law built on scipy's ``PchipInterpolator``,
 the reference that ``dist._TableCdf`` reproduces bit for bit.
 ``TableFamilyRows`` evaluates a tabulated income family row by row with it,
@@ -307,6 +311,17 @@ def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid
         ir_ok=bool(truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6),
         info_rent=info_rent,
     ), pays
+
+
+def philox_uniforms(n_agents, seed, start, count):
+    """The uniforms of runs [start, start + count) under ``seed``: run r owns
+    the m = ceil((n_agents + 2) / 4) Philox blocks from counter r * m, each
+    block four 64-bit words, each word's top 53 bits scaled to [0, 1); a run
+    reads the first n_agents + 2 of its 4 m doubles."""
+    m = (n_agents + 2 + 3) // 4
+    raw = np.random.Philox(key=seed, counter=start * m).random_raw(4 * m * count)
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    return u.reshape(count, 4 * m)[:, : n_agents + 2]
 
 
 def pchip_coefficients(x, y):

@@ -264,6 +264,18 @@ def test_cli_usage_floors_exit_2(tmp_path, capsys, argv, grids, field):
     assert not out.exists()
 
 
+def test_cli_seed_beyond_a_philox_key_exits_2(tmp_path, capsys):
+    # a seed the simulator cannot key is a usage error, not a verification
+    # failure
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "o"
+    assert main(["simulate", "--seed", str(1 << 128), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed: must be below 2**128")
+    assert not out.exists()
+
+
 def test_cli_rejects_non_single_crossing_instance_before_output(tmp_path):
     # tabulated copy of the additive family at knots 1, 1.5, 2 with c > 0:
     # the audit surplus is not single-crossing in income, so check fails and

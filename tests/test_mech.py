@@ -234,6 +234,21 @@ def test_settle_matches_reference_rule():
     assert np.array_equal(p, np.where(draws, (pi_true - report) * phi, 0.0))
 
 
+def test_where_zero_is_np_where_bit_for_bit():
+    # the settlement's branch-free select against np.where(mask, x, 0.0), on
+    # signed zeros, infinities, NaN, subnormals and random floats, with
+    # scalar and broadcast operands
+    rs = np.random.default_rng(5)
+    x = np.concatenate([rs.normal(size=200),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]])
+    mask = rs.random(x.size) < 0.5
+    cases = [(mask, x), (mask, 0.2), (mask, -0.0), (True, 1.5), (False, -2.0),
+             (mask[:, None] & mask[None, :7], x[-7:])]
+    for m, v in cases:
+        got, want = rc.mech._where_zero(m, v), np.where(m, v, 0.0)
+        assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes()
+
+
 def test_royalty_and_audit(su_agent, ua_agent):
     assert rc.royalty(su_agent, 0.6, 0.3) == pytest.approx(0.3)
     assert rc.royalty(su_agent, 0.6, 0.8) == pytest.approx(0.5)   # cap binds

@@ -1,3 +1,7 @@
+import concurrent.futures
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -8,6 +12,7 @@ from royaltycap import sim as S
 from royaltycap.instances import scaled_triangular, scaled_uniform, uniform_additive_agent
 
 from conftest import st_pi_star
+from oracles import philox_uniforms
 
 
 class _FixedRng:
@@ -51,6 +56,18 @@ def test_run_auction_deterministic(ua_inst):
     a = [rc.run_auction(ua_inst, strat, rc.run_rng(ua_inst, 9, r)) for r in range(32)]
     b = [rc.run_auction(ua_inst, strat, rc.run_rng(ua_inst, 9, r)) for r in range(32)]
     assert a == b
+
+
+@pytest.mark.parametrize("start", [0, 37])
+@pytest.mark.parametrize("n_agents", [1, 2, 3, 6])
+def test_uniform_matrix_is_the_philox_stream(ua_agent, n_agents, start):
+    # the chunk's uniforms are the raw Philox formula, one row per run, and
+    # row r is the start of run (start + r)'s own stream
+    u = S._uniform_matrix(n_agents, 77, start, 50)
+    assert np.array_equal(u, philox_uniforms(n_agents, 77, start, 50))
+    inst = rc.AuctionInstance((ua_agent,) * n_agents)
+    for r in (0, 1, 49):
+        assert np.array_equal(u[r], rc.run_rng(inst, 77, start + r).random(n_agents + 2))
 
 
 def test_batch_equals_per_run_streams(pair_inst):
@@ -120,6 +137,31 @@ def test_workers_guard(ua_inst, ua_agent):
     with pytest.raises(rc.ConstructionError):
         rc.sweep(lambda c: rc.AuctionInstance((replace(ua_agent, audit_cost=c),)),
                  [0.2], n_runs=1000, seed=0, workers=-2)
+
+
+@pytest.mark.parametrize("kw", [{"seed": 1.5}, {"seed": -1}, {"seed": True},
+                                {"seed": 1 << 128}, {"seed": "1"}, {"n_runs": 1000.0},
+                                {"n_runs": np.float64(2000)}])
+def test_seed_and_run_count_guard(ua_inst, ua_agent, kw):
+    # a seed is a Philox key, a nonnegative integer, and a run count is an
+    # integer; a sweep checks both before its first row
+    args = {"n_runs": 1000, "seed": 0, **kw}
+    with pytest.raises(rc.ConstructionError):
+        rc.estimate_revenue(ua_inst, None, **args)
+    with pytest.raises(rc.ConstructionError):
+        rc.sweep(lambda c: rc.AuctionInstance((replace(ua_agent, audit_cost=c),)),
+                 [0.2], **args)
+    if "seed" in kw:
+        with pytest.raises(rc.ConstructionError):
+            rc.run_rng(ua_inst, kw["seed"], 0)
+
+
+def test_numpy_integer_seed_and_run_count(ua_inst):
+    # numpy integers are accepted and recorded as Python ints
+    want = rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3)
+    got = rc.estimate_revenue(ua_inst, None, n_runs=np.int64(1000), seed=np.uint32(3))
+    assert got == want
+    assert type(got.seed) is int and type(got.n_runs) is int
 
 
 def test_deviating_strategy_never_gains(ua_inst):
@@ -247,10 +289,14 @@ def test_sweep_empty_axis(ua_agent):
 # ---------------------------------------------------------------------------
 
 def test_top_two_matches_stable_argsort():
-    # ties go to the highest index, as a stable ascending sort orders them
+    # ties go to the highest index, as a stable ascending sort orders them;
+    # tied draws from a few values (-inf among them) and tie-free floats
     rs = np.random.default_rng(4)
-    for n_agents in (1, 2, 3, 5):
-        psi = rs.choice([-0.5, 0.0, 0.25, 0.5], size=(400, n_agents))
+    cases = [rs.choice([-0.5, 0.0, 0.25, 0.5], size=(400, n)) for n in (1, 2, 3, 4, 5)]
+    cases += [rs.choice([-np.inf, -0.5, 0.0, 0.5], size=(400, n)) for n in (2, 3, 4)]
+    cases += [rs.normal(size=(400, n)) for n in (2, 3)]
+    for psi in cases:
+        n_agents = psi.shape[1]
         w, top, second = S._top_two(psi)
         order = np.argsort(psi, axis=1, kind="stable")
         assert np.array_equal(w, order[:, -1])
@@ -282,8 +328,16 @@ def test_workers_capped_by_chunks(ua_inst, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a single chunk must run in-line")
 
-    monkeypatch.setattr(S, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3, workers=4) == serial
+
+
+def test_cli_import_leaves_out_the_worker_pool():
+    # the thread pool's module is imported only when a pool is started
+    code = "import sys, royaltycap.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_reports_independent_of_chunk_size(ua_inst, pair_inst, monkeypatch):

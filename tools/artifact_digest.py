@@ -15,7 +15,12 @@ to see which artifacts a change moves.  The digests cover:
   instances ``tab_error`` and ``tab_income``, from the documents that
   ``perfbench/workloads.py`` builds;
 * per instance, every ``AgentTables`` array, ``payoff_bound`` and one
-  ``estimate_revenue`` report (20,000 runs, seed 0).
+  ``estimate_revenue`` report (20,000 runs, seed 0);
+* on ``uniform_additive`` and ``mixed_pair``, ``estimate_revenue`` reports
+  off truthful play (70,000 runs, seed 0, workers 1 and 2, so that two
+  threads split the runs into uneven chunks): under a type-report map,
+  under an income-report map, and under a probabilistic audit rule
+  ``audit_prob``.
 
 It also prints, as values rather than digests, the outputs of the API that
 takes an instance, so that a change shows how far each one moves:
@@ -52,6 +57,9 @@ from royaltycap.errors import DomainError  # noqa: E402
 
 SEED = 0
 RUNS = 20_000
+# more runs than one chunk holds, so that workers=2 starts two threads
+PLAY_RUNS = 70_000
+PLAY_CONFIGS = ("uniform_additive", "mixed_pair")
 PROFILES = 40
 CROSSING_PAIRS = ((0.6, 0.7), (0.75, 0.8), (0.75, 0.75))
 
@@ -81,6 +89,26 @@ def _library_digests(out: dict, name: str, text: str):
     out[f"payoff_bound/{name}"] = repr(mech.payoff_bound(inst))
     rep = sim.estimate_revenue(inst, None, RUNS, SEED)
     out[f"estimate_revenue/{name}"] = _sha(json.dumps(rep.to_dict()).encode())
+
+
+def _play_digests(out: dict, name: str, inst: mech.AuctionInstance):
+    """Reports off truthful play: each agent shades its type report 10% of
+    the way down its support, or reports 90% of its income (projected into
+    the reported support), or plays truthfully under audits drawn with a
+    probability that rises with the reported type."""
+    n = inst.n_agents
+    shade = tuple((lambda th, lo=a.types.lo: lo + 0.9 * (th - lo)) for a in inst.agents)
+    profiles = {
+        "type_map": (sim.StrategyProfile(shade, (None,) * n), None),
+        "income_map": (sim.StrategyProfile((None,) * n, ((lambda th, tr, pi: 0.9 * pi),) * n),
+                       None),
+        "audit_prob": (None, lambda th, pi: np.clip(0.25 * th, 0.0, 1.0)),
+    }
+    for label, (strategies, audit_prob) in profiles.items():
+        for workers in (1, 2):
+            rep = sim.estimate_revenue(inst, strategies, PLAY_RUNS, SEED, workers, audit_prob)
+            out[f"estimate_revenue/{name}/{label}/workers{workers}"] = _sha(
+                json.dumps(rep.to_dict()).encode())
 
 
 def _values(xs) -> str:
@@ -122,6 +150,8 @@ def main() -> int:
                          ("check", "solve", "verify-ic", "menu", "simulate", *sweep), workdir)
             _library_digests(out, name, text)
             _instance_values(out, name, parse_config(text).instance)
+            if name in PLAY_CONFIGS:
+                _play_digests(out, name, parse_config(text).instance)
         st = ROOT / "configs" / "scaled_triangular.yaml"
         inst = parse_config(st.read_text(encoding="utf-8")).instance
         for pair in CROSSING_PAIRS:
