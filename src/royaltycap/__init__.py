@@ -65,6 +65,7 @@ from .verify import (
     RegularityReport,
     best_response_income,
     best_response_type,
+    best_responses,
     check_condition1,
     check_regularity,
     comparative_statics_scan,

@@ -132,13 +132,12 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     for i, agent in enumerate(inst.agents):
         worst = {"advantage": -np.inf, "theta": None, "strategy": None}
         ir_ok = True
-        for th in mech._interior_grid(agent.types, n_types):
-            for strategy in ("truthful_projection", "grid_best"):
-                r = verify.best_response_type(inst, i, float(th), cfg.theta_points,
-                                              strategy, cfg.pi_points)
+        thetas = mech._interior_grid(agent.types, n_types)
+        responses = verify.best_responses(inst, i, thetas, cfg.theta_points, cfg.pi_points)
+        for th, by_strategy in zip(thetas.tolist(), responses):
+            for strategy, r in by_strategy.items():
                 if r.advantage > worst["advantage"]:
-                    worst = {"advantage": r.advantage, "theta": float(th),
-                             "strategy": strategy}
+                    worst = {"advantage": r.advantage, "theta": th, "strategy": strategy}
                 ir_ok = ir_ok and r.ir_ok
         # income-reporting deviations at a few winning reports
         income_worst = 0.0

@@ -40,13 +40,18 @@ def _bisect(below, a, b, steps: int):
     and fail right of it; where it holds the bracket keeps its upper half.
 
     The one root finder of the package: quantiles of tabulated laws, audit
-    thresholds, menu cutoffs, regime-change types and payment crossings."""
+    thresholds, menu cutoffs, regime-change types and payment crossings.
+    A step is a function of the brackets alone, so once one leaves every
+    bracket bit for bit unchanged the rest would too, and the loop stops."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     for _ in range(steps):
         m = 0.5 * (a + b)
         ok = below(m)
-        a, b = np.where(ok, m, a), np.where(ok, b, m)
+        step = np.where(ok, m, a), np.where(ok, b, m)
+        if all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip((a, b), step)):
+            break
+        a, b = step
     return 0.5 * (a + b)
 
 

@@ -61,6 +61,7 @@ from .dist import (
 )
 from .errors import (
     ConstructionError,
+    DomainError,
     RegularityError,
     ReportRejectedError,
     UnsupportedInstanceError,
@@ -202,8 +203,11 @@ def _curves_at(agent: AgentSpec, theta):
 
 
 def virtual_value(agent: AgentSpec, theta):
-    """Virtual value psi = Myerson virtual value + expected audit gain."""
+    """Virtual value psi = Myerson virtual value + expected audit gain;
+    ``DomainError`` where the type density vanishes (psi is inf - inf)."""
     psi = _curves_at(agent, theta)[1]
+    if np.any(np.isnan(psi)):
+        raise DomainError(f"virtual value undefined at type {theta}: the type density vanishes")
     return psi if np.ndim(theta) else float(psi[0])
 
 
@@ -684,7 +688,9 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     survival = 1.0 - np.asarray(g, dtype=float)
     e_min = np.minimum(b, plo) + np.sum(survival * wts, axis=1)
     psi_m = ts - ih
-    psi = psi_m + ih * cap - c * np.asarray(fam.cdf(b, ts), dtype=float)
+    # psi is inf - inf (NaN) where the type density vanishes (ih = +inf)
+    with np.errstate(invalid="ignore"):
+        psi = psi_m + ih * cap - c * np.asarray(fam.cdf(b, ts), dtype=float)
     return psi_m, psi, cap, ts - phi * e_min
 
 

@@ -221,19 +221,12 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _pay_at(pis, r_lo, r_hi, caps, phi: float, pi_grid: int, best_response: bool):
-    """The winner's payment (royalty plus penalty) at true incomes ``pis``
-    (one row per type report, whose reported income support is
-    [``r_lo``, ``r_hi``] and audit threshold ``caps``).
-
-    ``best_response=True`` minimizes over a ``pi_grid``-point grid of income
-    reports per true income, in row blocks of ``mech._blocked`` (each row's
-    temporary holds at most incomes x audited reports); otherwise the report
-    is the truthful projection."""
+def _income_reports(r_lo, r_hi, caps, phi: float, pi_grid: int):
+    """The report side of the double deviation, per type report (income
+    support [``r_lo``, ``r_hi``], audit threshold ``caps``): ``pi_grid``
+    income reports, audited ones first, and their royalties (one row per
+    grid column), the number audited and the cheapest unaudited payment."""
     r_lo, r_hi, caps = r_lo[:, None], r_hi[:, None], caps[:, None]
-    if not best_response:
-        royalty, _, pen = _settle(pis, np.clip(pis, r_lo, r_hi), caps, r_hi, phi)
-        return royalty + pen
     # np.linspace computes every row differently once one has zero width,
     # so zero-width rows (a point support) are filled in apart
     grid = np.repeat(r_lo, pi_grid, axis=1)
@@ -241,68 +234,83 @@ def _pay_at(pis, r_lo, r_hi, caps, phi: float, pi_grid: int, best_response: bool
     grid[wide] = np.linspace(r_lo[wide, 0], r_hi[wide, 0], pi_grid, axis=-1)
     base, audited, _ = _settle(grid, grid, caps, r_hi, phi)
     # an unaudited report pays its royalty at every income: take that
-    # minimum once, and the per-income minimum only over the audited
-    # reports, moved to the front of each row
-    unaudited = np.min(np.where(audited, np.inf, base), axis=1, keepdims=True)
+    # minimum once, and the per-income minimum only over the audited reports
+    unaudited = np.min(np.where(audited, np.inf, base), axis=1)
     order = np.argsort(~audited, axis=1, kind="stable")
-    grid, audited, base = (np.take_along_axis(x, order, axis=1) for x in (grid, audited, base))
-    n_audited = np.sum(audited, axis=1)
-    # the penalty rate phi where audited, 0 elsewhere: (pi - report) * rate
-    # equals (pi - report) * audited * phi, signed zeros included
-    rate = audited * phi
-
-    def cheapest_audited(p, g, r, b, n):
-        k = slice(0, int(n.max(initial=1)))
-        pay = p[:, :, None] - g[:, None, k]
-        pay *= r[:, None, k]
-        pay += b[:, None, k]
-        return (np.min(pay, axis=2),)
-
-    out = _blocked(cheapest_audited, pis.shape[1] * int(n_audited.max(initial=1)),
-                   pis, grid, rate, base, n_audited)[0]
-    return np.minimum(out, unaudited)
+    grid, base = (np.take_along_axis(x, order, axis=1).T.copy() for x in (grid, base))
+    return grid, base, np.sum(audited, axis=1), unaudited
 
 
-def _expected_payments(agent: AgentSpec, theta_true: float, reports: np.ndarray,
+def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
                        caps: np.ndarray, pi_grid: int, best_response: bool) -> np.ndarray:
     """E over pi ~ G(. | theta_true) of the winner's payment (royalty plus
-    penalty) for each type report in ``reports`` (audit thresholds ``caps``),
-    reporting income through that report's support.
+    penalty), one row per (true type, type report) pair: ``theta_true``
+    holds one true type per row of ``reports`` (or one for all), ``caps``
+    the reports' audit thresholds.
 
     ``best_response=True`` optimizes the income report over a grid per
-    realized income (this is the double-deviation branch); otherwise the
-    report is the truthful projection.  Each expectation is a sum of 32-point
+    realized income (the double deviation); otherwise the report is the
+    truthful projection.  Each expectation is a sum of 32-point
     Gauss-Legendre rules between the points where the payment or the true
-    income law changes form.  Reports with the same number of such cuts are
-    evaluated together, so that each row's sum adds the same terms in the
-    same order as a report evaluated alone.  A point-mass income law (the
-    scaled-error top type) is evaluated at its atom.
+    income law changes form.  Rows with the same number of such cuts are
+    evaluated together, in blocks of ``mech._blocked`` (rows x incomes), so
+    that each row's sum adds the same terms in the same order as a row
+    evaluated alone.  A point-mass income law (the scaled-error top type) is
+    evaluated at its atom.
     """
     phi = agent.sensitivity
-    t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
+    theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), reports.shape)
+    t_lo, t_hi = _income_bounds(agent, theta_true)
     r_lo, r_hi = _income_bounds(agent, reports)
-    if t_hi <= t_lo:
-        pis = np.full((reports.size, 1), t_lo)
-        return _pay_at(pis, r_lo, r_hi, caps, phi, pi_grid, best_response)[:, 0]
-    # cut candidates outside (t_lo, t_hi) fall back onto the cut t_lo
-    knots = agent.income.breakpoints(np.array([theta_true]))[0]
-    cand = np.column_stack([r_lo, r_hi, caps,
-                            np.broadcast_to(knots, (reports.size, knots.size))])
-    cand = np.where((cand > t_lo) & (cand < t_hi), cand, t_lo)
-    cuts = np.sort(np.column_stack([np.full(reports.size, t_lo), np.full(reports.size, t_hi),
-                                    cand]), axis=1)
-    fresh = np.ones(cuts.shape, dtype=bool)
-    fresh[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
-    n_cuts = fresh.sum(axis=1)
-    out = np.empty(reports.size)
-    for m in np.unique(n_cuts):
-        rows = np.flatnonzero(n_cuts == m)
-        c = cuts[rows][fresh[rows]].reshape(rows.size, m)
+    order = np.arange(reports.size)
+    if best_response:
+        _, first, which = np.unique(reports, return_index=True, return_inverse=True)
+        grid, base, n_audited, unaudited = _income_reports(r_lo[first], r_hi[first],
+                                                           caps[first], phi, pi_grid)
+        # rows auditing the most income reports first: each column of the
+        # grid is then tried on a leading run of rows
+        order = np.argsort(-n_audited[which], kind="stable")
+
+    def pay_at(pis, rows):
+        if not best_response:
+            royalty, _, pen = _settle(pis, np.clip(pis, r_lo[rows, None], r_hi[rows, None]),
+                                      caps[rows, None], r_hi[rows, None], phi)
+            return royalty + pen
+        w = which[rows]
+        n_rows = np.sum(n_audited[w][:, None] > np.arange(n_audited[w].max(initial=0)), axis=0)
+        out, pay = np.full(pis.shape, np.inf), np.empty(pis.shape)
+        for k, n in enumerate(n_rows.tolist()):
+            np.subtract(pis[:n], grid[k][w[:n], None], out=pay[:n])
+            pay[:n] *= phi
+            pay[:n] += base[k][w[:n], None]
+            np.minimum(out[:n], pay[:n], out=out[:n])
+        return np.minimum(out, unaudited[w, None], out=out)
+
+    def expectation(c, rows):
         nodes, wts = _gl_segments(c[:, :-1], c[:, 1:], rule=_GL32)
         pis = nodes.reshape(rows.size, -1)
-        dens = np.asarray(agent.income.pdf(pis, theta_true), dtype=float)
-        pay = _pay_at(pis, r_lo[rows], r_hi[rows], caps[rows], phi, pi_grid, best_response)
-        out[rows] = np.sum(pay * dens * wts.reshape(rows.size, -1), axis=1)
+        dens = np.asarray(agent.income.pdf(pis, theta_true[rows, None]), dtype=float)
+        pay = pay_at(pis, rows)
+        pay *= dens
+        pay *= wts.reshape(rows.size, -1)
+        return (np.sum(pay, axis=1),)
+
+    out = np.empty(reports.size)
+    point = t_hi <= t_lo
+    rows = order[point[order]]
+    out[rows] = pay_at(t_lo[rows, None], rows)[:, 0]
+    # cut candidates outside (t_lo, t_hi) fall back onto the cut t_lo
+    cuts = np.column_stack([t_lo, t_hi, r_lo, r_hi, caps, agent.income.breakpoints(theta_true)])
+    inside = (cuts[:, 2:] > t_lo[:, None]) & (cuts[:, 2:] < t_hi[:, None])
+    cuts[:, 2:] = np.where(inside, cuts[:, 2:], t_lo[:, None])
+    cuts.sort(axis=1)
+    fresh = np.ones(cuts.shape, dtype=bool)
+    fresh[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
+    n_cuts = np.where(point, 0, fresh.sum(axis=1))
+    for m in np.unique(n_cuts[~point]):
+        rows = order[n_cuts[order] == m]
+        c = cuts[rows][fresh[rows]].reshape(rows.size, m)
+        out[rows] = _blocked(expectation, _GL32[0].size * (m - 1), c, rows)[0]
     return out
 
 
@@ -344,63 +352,84 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     )
 
 
+def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
+                    pi_grid: int, strategies: tuple) -> list:
+    if min(theta_grid, pi_grid) < _MIN_RESPONSE_GRID:
+        raise ValueError(f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
+    if not set(strategies) <= {"truthful_projection", "grid_best"}:
+        raise ValueError(f"unknown income strategy in {strategies!r}")
+    thetas = np.asarray(thetas_true, dtype=float).ravel()
+    inst.agents[i].types._check_domain(thetas)
+    tables = tables_for(inst)
+    t = tables.agents[i]
+
+    # each true type tries the grid's reports and its own type: one row per
+    # true type over their union, whose table lookups are made once
+    grid = np.linspace(t.theta[0], t.theta[-1], theta_grid)
+    reports = np.unique(np.concatenate([grid, thetas]))
+    at = tables.locate(i, reports)
+    q, t_pay, caps = at.interp(t.win_prob), at.interp(t.interim_transfer), tables.pi_star(i, at)
+    k = np.searchsorted(reports, thetas)   # each true type's own report
+    on_path = np.arange(reports.size) == k[:, None]
+    tried = on_path | np.isin(reports, grid)
+    # losing reports (q <= 0) pay nothing and earn nothing; the on-path
+    # payment is the projection's at the true report, computed once
+    win = tried & (q > 0.0)
+    rows = {s: win for s in strategies}
+    rows["truthful_projection"] = rows.get("truthful_projection", False) | on_path
+    utility = {}
+    for s, mask in rows.items():
+        j, r = np.nonzero(mask)
+        pay = np.zeros(mask.shape)
+        pay[j, r] = _expected_payments(inst.agents[i], thetas[j], reports[r], caps[r],
+                                       pi_grid, best_response=(s == "grid_best"))
+        utility[s] = np.where(win, q * (thetas[:, None] - pay) - t_pay, 0.0)
+        if s == "truthful_projection":
+            truthful = (q[k] * (thetas - pay[on_path]) - t_pay[k]).tolist()
+    info_rent = tables.locate(i, thetas).interp(t.interim_rent).tolist()
+
+    out = []
+    for m, own in enumerate(tried):
+        u0, rent = truthful[m], info_rent[m]
+        out.append({})
+        for s in strategies:
+            u = utility[s][m, own]
+            best = int(np.argmax(u))   # the first best report
+            out[-1][s] = DeviationReport(
+                truthful_utility=u0, best_deviation_utility=float(u[best]),
+                best_deviation=(float(reports[own][best]), s),
+                advantage=float(u[best] - u0), grid=(int(own.sum()), pi_grid),
+                ir_ok=bool(u0 >= -1e-9 and abs(u0 - rent) <= 1e-6), info_rent=rent)
+    return out
+
+
+def best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
+                   pi_grid: int) -> list:
+    """Grid search over type misreports at each true type in ``thetas_true``,
+    rivals truthful and integrated out: one dict per true type, mapping each
+    income strategy to its ``DeviationReport``.
+
+    The ``theta_grid`` reports span the type table's grid, plus the true
+    type.  A losing report earns zero; one ``_expected_payments`` pass per
+    strategy prices the winning reports of all true types, and the best
+    report is the first one that attains the maximum utility.
+    ``'truthful_projection'`` reports income as truthfully as possible after
+    the misreport; ``'grid_best'`` also optimizes the income report per
+    realized income over a ``pi_grid``-point grid (double deviations).  Also
+    checks individual rationality: the truthful utility (the on-path
+    projected report) must be nonnegative and match the information rent.
+    """
+    return _best_responses(inst, i, thetas_true, theta_grid, pi_grid,
+                           ("truthful_projection", "grid_best"))
+
+
 def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
                        theta_grid: int = 128,
                        income_strategy: str = "grid_best",
                        pi_grid: int = 128) -> DeviationReport:
-    """Grid search over type misreports, with rivals truthful and integrated
-    out.
-
-    The ``theta_grid`` reports span the type table's grid, plus the true
-    type.  A losing report earns zero; the expected payments of all winning
-    reports come from one batched ``_expected_payments`` pass, and the best
-    report is the first one that attains the maximum utility.
-    ``income_strategy='truthful_projection'`` reports income as truthfully
-    as possible after the misreport; ``'grid_best'`` additionally optimizes
-    the income report per realized income over a ``pi_grid``-point grid,
-    covering double deviations.  Also checks individual rationality: the
-    truthful utility (the on-path projected report at the true type) must be
-    nonnegative and must match the information-rent integral.
-    """
-    if min(theta_grid, pi_grid) < _MIN_RESPONSE_GRID:
-        raise ValueError(f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
-    if income_strategy not in ("truthful_projection", "grid_best"):
-        raise ValueError(f"unknown income strategy {income_strategy!r}")
-    agent = inst.agents[i]
-    agent.types._check_domain(theta_true)
-    tables = tables_for(inst)
-    t = tables.agents[i]
-
-    reports = np.unique(np.concatenate([
-        np.linspace(t.theta[0], t.theta[-1], theta_grid), [theta_true]]))
-    at = tables.locate(i, reports)
-    q = at.interp(t.win_prob)
-    t_pay = at.interp(t.interim_transfer)
-    caps = tables.pi_star(i, at)
-    # losing reports (q <= 0) pay nothing and earn nothing
-    u = np.zeros(reports.size)
-    win = q > 0.0
-    pay = _expected_payments(agent, theta_true, reports[win], caps[win], pi_grid,
-                             best_response=(income_strategy == "grid_best"))
-    u[win] = q[win] * (theta_true - pay) - t_pay[win]
-    best = int(np.argmax(u))   # the first best report
-    # on-path: the projected report is the truthful report
-    k = np.flatnonzero(reports == theta_true)
-    pay = _expected_payments(agent, theta_true, reports[k], caps[k], pi_grid,
-                             best_response=False)
-    truthful_u = float((q[k] * (theta_true - pay) - t_pay[k])[0])
-
-    info_rent = float(tables.locate(i, theta_true).interp(t.interim_rent))
-    ir_ok = truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6
-    return DeviationReport(
-        truthful_utility=truthful_u,
-        best_deviation_utility=float(u[best]),
-        best_deviation=(float(reports[best]), income_strategy),
-        advantage=float(u[best] - truthful_u),
-        grid=(int(reports.size), pi_grid),
-        ir_ok=bool(ir_ok),
-        info_rent=info_rent,
-    )
+    """``best_responses`` at one true type, for one income strategy."""
+    return _best_responses(inst, i, [theta_true], theta_grid, pi_grid,
+                           (income_strategy,))[0][income_strategy]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ payment per type report, each integrated on its own cuts.
 as the scalar API, the simulator and the certificate each wrote them out
 before they shared ``mech._allocate`` and ``mech._settle``.
 
+``bisect`` is the package's bisection as a fixed number of steps, without
+the early stop at a fixpoint that ``dist._bisect`` takes.
+
 ``philox_uniforms`` is the simulator's per-run uniform stream written out
 from the raw Philox output: 53-bit doubles from the counter blocks of the
 runs, one row per run.
@@ -311,6 +314,18 @@ def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid
         ir_ok=bool(truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6),
         info_rent=info_rent,
     ), pays
+
+
+def bisect(below, a, b, steps):
+    """Bisect the brackets [a, b] exactly ``steps`` times, keeping the upper
+    half wherever ``below(mid)`` holds, and return their midpoints."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        ok = below(m)
+        a, b = np.where(ok, m, a), np.where(ok, b, m)
+    return 0.5 * (a + b)
 
 
 def philox_uniforms(n_agents, seed, start, count):

@@ -591,3 +591,50 @@ def test_agent_rejects_unbounded_income_support(ua_agent):
     assert np.isinf(fam.supp_hi(1.5)) and fam.cdf(fam.ppf(0.5, 1.5), 1.5) == pytest.approx(0.5)
     with pytest.raises(ConstructionError, match="finite"):
         AgentSpec(ua_agent.types, fam, 0.2, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Bisection
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3) | st.just(5e-324),
+       roots=st.lists(st.floats(-0.5, 1.5), max_size=20), steps=st.integers(0, 120),
+       rule=st.sampled_from(["less", "less_equal", "scrambled"]), scalar=st.booleans())
+@example(lo=0.0, width=1.0, roots=[], steps=64, rule="less", scalar=False)
+@example(lo=-0.0, width=0.0, roots=[0.5], steps=64, rule="less_equal", scalar=False)
+@settings(max_examples=200, deadline=None)
+def test_bisect_stopping_at_its_fixpoint_equals_the_fixed_step_loop(lo, width, roots, steps,
+                                                                   rule, scalar):
+    # a step is a function of the brackets alone, so stopping once a step
+    # moves no bracket changes no bit: monotone or not, empty or scalar
+    a = lo if scalar else np.full(len(roots), lo)
+    b = lo + width if scalar else a + width
+    target = lo + width * (np.array(roots[:1] or [0.5]) if scalar else np.array(roots))
+    below = {"less": lambda m: m < target,
+             "less_equal": lambda m: m <= target,
+             "scrambled": lambda m: np.asarray(m).view(np.int64) % 3 != 0}[rule]
+    got = dist._bisect(below, a, b, steps)
+    assert _same_bits(got, oracles.bisect(below, a, b, steps))
+
+
+def test_bisect_stops_once_the_brackets_stop_moving():
+    # a deterministic cost guard: [0, 1] narrows to adjacent floats around
+    # 0.3 (spacing 2^-54) in 54 steps and the 55th moves nothing; an empty
+    # bracket array takes one step
+    calls = []
+
+    def below(m):
+        calls.append(1)
+        return m < 0.3
+
+    assert _same_bits(dist._bisect(below, 0.0, 1.0, 200),
+                      oracles.bisect(lambda m: m < 0.3, 0.0, 1.0, 200))
+    assert len(calls) == 55
+    calls.clear()
+    assert dist._bisect(below, np.empty(0), np.empty(0), 64).size == 0
+    assert len(calls) == 1

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import fields, replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -122,6 +122,32 @@ def test_psi_dominates_myerson(ua_agent, su_agent, st_agent):
         for th in np.linspace(lo, hi, 33)[1:]:
             assert rc.virtual_value(agent, float(th)) >= \
                 rc.myerson_virtual(agent, float(th)) - 1e-12
+
+
+@given(lo=st.floats(0.5, 0.9), c=st.floats(0.0, 0.6), phi=st.floats(0.05, 1.0),
+       family=st.sampled_from(["additive_error", "scaled_error"]))
+@example(lo=0.5, c=0.5, phi=1.0, family="scaled_error")   # scaled_triangular
+@settings(max_examples=25, deadline=None)
+def test_bottom_type_of_vanishing_density_law(lo, c, phi, family):
+    # triangular types with mode = hi: the density vanishes at the bottom,
+    # where the inverse hazard is +inf and psi is inf - inf; auditing pays on
+    # the whole income support there, so Phi and E[pi - royalty] are finite
+    # and do not depend on it (no warning: the suite makes warnings errors)
+    if family == "scaled_error":
+        base, support = scaled_uniform_agent(c, phi), {"lo": lo, "hi": 1.0}
+    else:
+        base, support = uniform_additive_agent(c, phi), {"lo": lo + 0.5, "hi": lo + 1.5}
+    agent = replace(base, types=rc.make_type_dist("triangular", support))
+    bottom = agent.types.lo
+    assert np.isinf(rc.inverse_hazard(agent.types, bottom))
+    assert rc.phi_cap(agent, bottom) == pytest.approx(oracles.phi_cap(agent, bottom), abs=1e-9)
+    assert rc.phi_cap(agent, bottom) == pytest.approx(phi, abs=1e-9)
+    assert rc.expected_income_net_royalty(agent, bottom) == pytest.approx(
+        oracles.expected_income_net_royalty(agent, bottom), abs=1e-9)
+    for theta in (bottom, np.array([bottom, 0.5 * (bottom + agent.types.hi)])):
+        with pytest.raises(rc.DomainError):
+            rc.virtual_value(agent, theta)
+    assert np.isfinite(rc.virtual_value(agent, rc.mech._psi_floor(agent)))
 
 
 # ---------------------------------------------------------------------------

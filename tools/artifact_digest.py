@@ -11,9 +11,11 @@ to see which artifacts a change moves.  The digests cover:
   (20,000 runs) artifacts of the shipped configs in ``configs/``, the CLI
   ``sweep`` (20,000 runs per row) of those with a ``sweep`` section, and
   each call's exit code;
-* the CLI ``check`` and ``solve`` artifacts of the benchmark's tabulated
-  instances ``tab_error`` and ``tab_income``, from the documents that
-  ``perfbench/workloads.py`` builds;
+* the CLI ``check``, ``solve`` and ``verify-ic`` artifacts of the
+  benchmark's tabulated instances ``tab_error`` and ``tab_income``, from the
+  documents that ``perfbench/workloads.py`` builds (``verify-ic`` there
+  takes the kinked families' piecewise income law, one true type per
+  row);
 * per instance, every ``AgentTables`` array, ``payoff_bound`` and one
   ``estimate_revenue`` report (20,000 runs, seed 0);
 * on ``uniform_additive`` and ``mixed_pair``, ``estimate_revenue`` reports
@@ -161,7 +163,7 @@ def main() -> int:
         for cfg in Tabulated(ROOT, SEED).configs:
             config = workdir / f"{cfg.name}.yaml"
             config.write_text(cfg.text, encoding="utf-8")
-            _cli_digests(out, cfg.name, config, ("check", "solve"), workdir)
+            _cli_digests(out, cfg.name, config, ("check", "solve", "verify-ic"), workdir)
             _library_digests(out, cfg.name, cfg.text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
