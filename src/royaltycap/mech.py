@@ -70,7 +70,6 @@ from .errors import (
 # relative nudge for one-sided limits at support endpoints
 _NU = 1e-9
 _SLACK = 1e-9  # numeric slack for weak inequalities on grids
-_GL32 = np.polynomial.legendre.leggauss(32)
 # exact per piece: the income integrands are at most cubic between breakpoints
 _GL2 = np.polynomial.legendre.leggauss(2)
 # float64 elements per row-blocked kernel temporary (``_blocked``): small
@@ -496,8 +495,9 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     Maximized pointwise by auditing exactly when mu*phi >= c, where it
     equals ``virtual_value``.  The income integral is split at the law's
     breakpoints, at the tables' pi_star and at the rule's switches (a
-    257-point scan, then bisection), with the 32-point Gauss-Legendre rule
-    on each piece.
+    257-point scan, then bisection).  Between cuts the integrand
+    a * (-G_2 * ih * phi - c * g) has degree at most 3 in income, so the
+    2-point Gauss-Legendre rule is exact on each piece.
     """
     agent = inst.agents[i]
     theta_i = float(theta_profile[i])
@@ -514,7 +514,7 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     cuts = np.concatenate([[lo, hi, tables_for(inst).pi_star(i, theta_i)], switches,
                            agent.income.breakpoints(np.array([theta_i]))[0]])
     cuts = np.unique(np.clip(cuts, lo, hi))
-    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], _GL32)
+    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], _GL2)
     x = nodes.ravel()
     s = _audit_surplus(agent, theta_i, x, inverse_hazard(agent.types, theta_i))
     term = np.sum(audit(x) * s * agent.income.pdf(x, theta_i) * wts.ravel())

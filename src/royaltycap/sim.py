@@ -291,12 +291,15 @@ _MIN_RUNS = 1_000
 
 def _check_run_args(n_runs, seed, workers):
     """Reject a run count that is not an integer of at least ``_MIN_RUNS``,
-    a seed that is not a Philox key, and fewer than one worker."""
+    a seed that is not a Philox key, and a worker count that is not an
+    integer of at least 1."""
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)):
         raise ConstructionError(f"n_runs must be an integer, got {n_runs!r}")
     if n_runs < _MIN_RUNS:
         raise ConstructionError(f"n_runs must be at least {_MIN_RUNS}")
     _check_seed(seed)
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ConstructionError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConstructionError("workers must be at least 1")
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .mech import (
     AuctionInstance,
-    _GL32,
+    _GL2,
     _SLACK,
     _allocate,
     _audit_region,
@@ -223,22 +223,23 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
 
 def _income_reports(r_lo, r_hi, caps, phi: float, pi_grid: int):
     """The report side of the double deviation, per type report (income
-    support [``r_lo``, ``r_hi``], audit threshold ``caps``): ``pi_grid``
-    income reports, audited ones first, and their royalties (one row per
-    grid column), the number audited and the cheapest unaudited payment."""
+    support [``r_lo``, ``r_hi``], audit threshold ``caps``), over
+    ``pi_grid`` income reports r.  An audited report pays
+    phi*pi + phi*(min(r, cap) - r) at the true income pi, an unaudited one
+    its royalty phi*min(r, cap) at every income.  Returns A, the least
+    phi*(min(r, cap) - r) over the audited reports, and U, the least royalty
+    over the unaudited ones (inf where there are none): the cheapest report
+    pays min(phi*pi + A, U)."""
     r_lo, r_hi, caps = r_lo[:, None], r_hi[:, None], caps[:, None]
     # np.linspace computes every row differently once one has zero width,
     # so zero-width rows (a point support) are filled in apart
     grid = np.repeat(r_lo, pi_grid, axis=1)
     wide = (r_hi > r_lo)[:, 0]
     grid[wide] = np.linspace(r_lo[wide, 0], r_hi[wide, 0], pi_grid, axis=-1)
-    base, audited, _ = _settle(grid, grid, caps, r_hi, phi)
-    # an unaudited report pays its royalty at every income: take that
-    # minimum once, and the per-income minimum only over the audited reports
-    unaudited = np.min(np.where(audited, np.inf, base), axis=1)
-    order = np.argsort(~audited, axis=1, kind="stable")
-    grid, base = (np.take_along_axis(x, order, axis=1).T.copy() for x in (grid, base))
-    return grid, base, np.sum(audited, axis=1), unaudited
+    # settled at true income 0, an audited report's penalty is -phi*r
+    royalty, audited, pen = _settle(0.0, grid, caps, r_hi, phi)
+    return (np.min(np.where(audited, royalty + pen, np.inf), axis=1),
+            np.min(np.where(audited, np.inf, royalty), axis=1))
 
 
 def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
@@ -248,69 +249,59 @@ def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
     holds one true type per row of ``reports`` (or one for all), ``caps``
     the reports' audit thresholds.
 
-    ``best_response=True`` optimizes the income report over a grid per
-    realized income (the double deviation); otherwise the report is the
-    truthful projection.  Each expectation is a sum of 32-point
-    Gauss-Legendre rules between the points where the payment or the true
-    income law changes form.  Rows with the same number of such cuts are
-    evaluated together, in blocks of ``mech._blocked`` (rows x incomes), so
-    that each row's sum adds the same terms in the same order as a row
-    evaluated alone.  A point-mass income law (the scaled-error top type) is
+    ``best_response=False`` reports income as the projection onto the
+    reported support; ``best_response=True`` takes the cheapest of
+    ``pi_grid`` income reports per realized income (the double deviation),
+    which pays min(phi*pi + A, U) (``_income_reports``).  Both payments are
+    affine in pi between cuts: the true support's ends and, inside it, the
+    reported support's ends, the audit threshold, the switch (U - A)/phi
+    and the law's breakpoints, between which the density has degree <= 2.
+    So the 2-point Gauss-Legendre rule is exact on each piece.  Every row
+    has the same number of cuts (zero-width pieces weigh nothing), so each
+    row's sum is the same in any block of ``mech._blocked`` (rows x
+    incomes).  A point-mass income law (the scaled-error top type) is
     evaluated at its atom.
     """
     phi = agent.sensitivity
     theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), reports.shape)
     t_lo, t_hi = _income_bounds(agent, theta_true)
     r_lo, r_hi = _income_bounds(agent, reports)
-    order = np.arange(reports.size)
+    cuts = [t_lo, t_hi, r_lo, r_hi, caps]
     if best_response:
         _, first, which = np.unique(reports, return_index=True, return_inverse=True)
-        grid, base, n_audited, unaudited = _income_reports(r_lo[first], r_hi[first],
-                                                           caps[first], phi, pi_grid)
-        # rows auditing the most income reports first: each column of the
-        # grid is then tried on a leading run of rows
-        order = np.argsort(-n_audited[which], kind="stable")
+        a, u = (x[which] for x in _income_reports(r_lo[first], r_hi[first], caps[first],
+                                                  phi, pi_grid))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cuts.append((u - a) / phi)
 
     def pay_at(pis, rows):
-        if not best_response:
-            royalty, _, pen = _settle(pis, np.clip(pis, r_lo[rows, None], r_hi[rows, None]),
-                                      caps[rows, None], r_hi[rows, None], phi)
-            return royalty + pen
-        w = which[rows]
-        n_rows = np.sum(n_audited[w][:, None] > np.arange(n_audited[w].max(initial=0)), axis=0)
-        out, pay = np.full(pis.shape, np.inf), np.empty(pis.shape)
-        for k, n in enumerate(n_rows.tolist()):
-            np.subtract(pis[:n], grid[k][w[:n], None], out=pay[:n])
-            pay[:n] *= phi
-            pay[:n] += base[k][w[:n], None]
-            np.minimum(out[:n], pay[:n], out=out[:n])
-        return np.minimum(out, unaudited[w, None], out=out)
+        if best_response:
+            return np.minimum(phi * pis + a[rows, None], u[rows, None])
+        royalty, _, pen = _settle(pis, np.clip(pis, r_lo[rows, None], r_hi[rows, None]),
+                                  caps[rows, None], r_hi[rows, None], phi)
+        return royalty + pen
 
     def expectation(c, rows):
-        nodes, wts = _gl_segments(c[:, :-1], c[:, 1:], rule=_GL32)
+        nodes, wts = _gl_segments(c[:, :-1], c[:, 1:], rule=_GL2)
         pis = nodes.reshape(rows.size, -1)
-        dens = np.asarray(agent.income.pdf(pis, theta_true[rows, None]), dtype=float)
         pay = pay_at(pis, rows)
-        pay *= dens
+        pay *= np.asarray(agent.income.pdf(pis, theta_true[rows, None]), dtype=float)
         pay *= wts.reshape(rows.size, -1)
         return (np.sum(pay, axis=1),)
 
     out = np.empty(reports.size)
     point = t_hi <= t_lo
-    rows = order[point[order]]
+    rows = np.flatnonzero(point)
     out[rows] = pay_at(t_lo[rows, None], rows)[:, 0]
-    # cut candidates outside (t_lo, t_hi) fall back onto the cut t_lo
-    cuts = np.column_stack([t_lo, t_hi, r_lo, r_hi, caps, agent.income.breakpoints(theta_true)])
+    # cut candidates outside (t_lo, t_hi), a NaN or infinite switch among
+    # them, fall back onto the cut t_lo
+    cuts = np.column_stack(cuts + [agent.income.breakpoints(theta_true)])
     inside = (cuts[:, 2:] > t_lo[:, None]) & (cuts[:, 2:] < t_hi[:, None])
     cuts[:, 2:] = np.where(inside, cuts[:, 2:], t_lo[:, None])
     cuts.sort(axis=1)
-    fresh = np.ones(cuts.shape, dtype=bool)
-    fresh[:, 1:] = cuts[:, 1:] != cuts[:, :-1]
-    n_cuts = np.where(point, 0, fresh.sum(axis=1))
-    for m in np.unique(n_cuts[~point]):
-        rows = order[n_cuts[order] == m]
-        c = cuts[rows][fresh[rows]].reshape(rows.size, m)
-        out[rows] = _blocked(expectation, _GL32[0].size * (m - 1), c, rows)[0]
+    rows = np.flatnonzero(~point)
+    if rows.size:   # the scaled-error top type has only point rows
+        out[rows] = _blocked(expectation, 2 * (cuts.shape[1] - 1), cuts[rows], rows)[0]
     return out
 
 

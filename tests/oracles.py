@@ -38,11 +38,13 @@ from scipy.optimize import brentq
 
 import royaltycap as rc
 from royaltycap.dist import _gl_segments
-from royaltycap.mech import _GL32, _audit_mask, _income_bounds, _threshold_kinks
+from royaltycap.mech import _audit_mask, _income_bounds, _threshold_kinks
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 # relative nudge for one-sided limits at support endpoints
 NU = 1e-9
+# the 32-point Gauss-Legendre rule of the scalar certificate loop
+_GL32 = np.polynomial.legendre.leggauss(32)
 
 
 def _bounds(agent, theta):

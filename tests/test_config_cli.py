@@ -181,11 +181,12 @@ def test_cli_verify_ic(ua_config, tmp_path):
 
 
 # the ``agents`` block of verify_ic.json on each shipped config (seed 0),
-# captured before the type best responses were batched
+# captured with the closed-form double deviation, min(phi*pi + A, U)
 _GOLDEN_VERIFY_IC = {
     "uniform_additive": [
         {"agent": 0, "type_deviation": {"advantage": 2.220446049250313e-16,
-                                        "theta": 1.1176470588235294, "strategy": "grid_best"},
+                                        "theta": 1.2941176470588236,
+                                        "strategy": "truthful_projection"},
          "income_deviation_worst": 5.551115123125783e-17, "ir_ok": True, "ok": True}],
     "scaled_uniform": [
         {"agent": 0, "type_deviation": {"advantage": 2.0534107331160456e-09,
@@ -197,8 +198,8 @@ _GOLDEN_VERIFY_IC = {
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
     "mixed_pair": [
-        {"agent": 0, "type_deviation": {"advantage": 2.220446049250313e-16,
-                                        "theta": 1.5294117647058822,
+        {"agent": 0, "type_deviation": {"advantage": 1.1102230246251565e-16,
+                                        "theta": 1.4705882352941178,
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 5.551115123125783e-17, "ir_ok": True, "ok": True},
         {"agent": 1, "type_deviation": {"advantage": 0.0, "theta": 0.5294117647058824,

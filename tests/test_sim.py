@@ -139,6 +139,23 @@ def test_workers_guard(ua_inst, ua_agent):
                  [0.2], n_runs=1000, seed=0, workers=-2)
 
 
+@pytest.mark.parametrize("workers", [1.5, 2.0, np.float64(2), True, "2"])
+def test_worker_count_must_be_an_integer(ua_inst, ua_agent, workers):
+    # a float worker count used to reach range() as a TypeError; a sweep
+    # raises before it builds its first row
+    with pytest.raises(rc.ConstructionError, match="workers must be an integer"):
+        rc.estimate_revenue(ua_inst, None, 100_000, 0, workers)
+    built = []
+
+    def build(c):
+        built.append(c)
+        return rc.AuctionInstance((replace(ua_agent, audit_cost=c),))
+
+    with pytest.raises(rc.ConstructionError, match="workers must be an integer"):
+        rc.sweep(build, [0.2], n_runs=1000, seed=0, workers=workers)
+    assert built == []
+
+
 @pytest.mark.parametrize("kw", [{"seed": 1.5}, {"seed": -1}, {"seed": True},
                                 {"seed": 1 << 128}, {"seed": "1"}, {"n_runs": 1000.0},
                                 {"n_runs": np.float64(2000)}])

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -202,10 +201,31 @@ def cut_counts(inst, i, theta_true, theta_grid=128):
             for rep, cap in zip(*winning_reports(inst, i, theta_true, theta_grid))}
 
 
+def assert_matches_oracle(got, inst, i, theta_true, strat, grid):
+    """``got`` agrees with the scalar per-report loop (both grids ``grid``):
+    the utilities, the advantage and the rent to 1e-14, the grid, IR and the
+    strategy exactly, and its best deviation is a best report under the loop
+    (to 1e-14: exact ties may resolve to another report).  Returns the
+    loop's payments of the winning reports."""
+    want, pays = oracles.best_response_type(inst, i, theta_true, grid, strat, grid)
+    g, w = got.to_dict(), want.to_dict()
+    for key in ("truthful_utility", "best_deviation_utility", "advantage", "info_rent"):
+        assert abs(g[key] - w[key]) <= 1e-14, (i, theta_true, strat, key)
+    assert (g["grid"], g["ir_ok"], g["best_deviation"][1]) == \
+        (w["grid"], w["ir_ok"], w["best_deviation"][1])
+    reports, qs, t_pays, _ = oracles.type_reports(inst, i, theta_true, grid)
+    won = [r for r, q in zip(reports, qs) if q > 0.0]
+    k = reports.index(g["best_deviation"][0])
+    u = qs[k] * (theta_true - pays[won.index(reports[k])]) - t_pays[k] if qs[k] > 0.0 else 0.0
+    assert abs(u - w["best_deviation_utility"]) <= 1e-14, (i, theta_true, strat)
+    return pays
+
+
 def test_type_best_response_matches_scalar_oracle(shipped_instances):
-    # the batched certificate equals the per-report loop bit for bit, report
-    # by report, at the ends of the type support (a point-mass income law at
-    # the top of a scaled-error agent) and inside it
+    # the batched certificate agrees with the per-report loop to 1e-14,
+    # report by report, at the ends of the type support (a point-mass income
+    # law at the top of a scaled-error agent) and inside it, on rows with
+    # different numbers of distinct cuts
     cases = [(inst, i) for inst in shipped_instances.values() for i in range(inst.n_agents)]
     cases += [(rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), 0.0),)), 0),
               (tent_error_inst(), 0)]
@@ -215,12 +235,11 @@ def test_type_best_response_matches_scalar_oracle(shipped_instances):
         for th in (lo, lo + 0.37 * (hi - lo), lo + 0.81 * (hi - lo), hi):
             for strat in ("truthful_projection", "grid_best"):
                 got = rc.best_response_type(inst, i, th, 128, strat, 128)
-                want, pays = oracles.best_response_type(inst, i, th, 128, strat, 128)
-                assert got.to_dict() == want.to_dict(), (i, th, strat)
+                pays = assert_matches_oracle(got, inst, i, th, strat, 128)
                 batched = verify._expected_payments(inst.agents[i], th,
                                                     *winning_reports(inst, i, th), 128,
                                                     strat == "grid_best")
-                assert np.array_equal(batched, pays), (i, th, strat)
+                assert np.max(np.abs(batched - pays), initial=0.0) <= 1e-14, (i, th, strat)
             groups.append(len(cut_counts(inst, i, th)))
     assert max(groups) >= 2
 
@@ -232,8 +251,9 @@ TENT_ERROR_INST = tent_error_inst()
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_best_responses_match_the_scalar_oracle(shipped_instances, data):
-    # one call for every true type and both strategies equals the one-type,
-    # one-report-at-a-time loop bit for bit, at both support ends and inside
+    # one call for every true type and both strategies agrees with the
+    # one-type, one-report-at-a-time loop to 1e-14, at both support ends and
+    # inside
     cases = [(inst, i) for inst in shipped_instances.values() for i in range(inst.n_agents)]
     cases += [(TABLE_INCOME_INST, 0), (TENT_ERROR_INST, 0)]
     inst, i = data.draw(st.sampled_from(cases))
@@ -245,8 +265,84 @@ def test_best_responses_match_the_scalar_oracle(shipped_instances, data):
     for th, by_strategy in zip(thetas, got):
         assert list(by_strategy) == ["truthful_projection", "grid_best"]
         for strat, rep in by_strategy.items():
-            want, _ = oracles.best_response_type(inst, i, th, 64, strat, 64)
-            assert json.dumps(rep.to_dict()) == json.dumps(want.to_dict()), (i, th, strat)
+            assert_matches_oracle(rep, inst, i, th, strat, 64)
+
+
+@given(pi=st.floats(-4.0, 4.0), pi2=st.floats(-4.0, 4.0), r=st.floats(-4.0, 4.0),
+       cap=st.floats(-4.0, 4.0), top=st.floats(-4.0, 4.0), phi=st.floats(0.0, 1.0))
+@example(pi=1.3, pi2=0.2, r=0.7, cap=0.9, top=2.0, phi=0.5).via("audited below the cap")
+@example(pi=1.3, pi2=0.2, r=2.0, cap=2.0, top=2.0, phi=0.5).via("audited at the support top")
+@settings(max_examples=200, deadline=None)
+def test_settlement_is_affine_in_the_true_income(pi, pi2, r, cap, top, phi):
+    # the closed-form double deviation rests on this: an audited report
+    # charges phi*pi + phi*(min(r, cap) - r), an unaudited one the same
+    # royalty at every true income
+    royalty, audited, pen = rc.mech._settle(pi, r, cap, top, phi)
+    if audited:
+        want = phi * pi + (phi * min(r, cap) - phi * r)
+        scale = max(abs(phi * pi), abs(phi * r), abs(phi * min(r, cap)))
+        assert abs((royalty + pen) - want) <= 8 * np.spacing(scale)
+    else:
+        royalty2, audited2, pen2 = rc.mech._settle(pi2, r, cap, top, phi)
+        assert not audited2 and royalty + pen == royalty2 + pen2 == phi * min(r, cap)
+
+
+@pytest.mark.parametrize("agent,empty", [
+    (uniform_additive_agent(audit_cost=0.0, sensitivity=1.0), "unaudited"),
+    (uniform_additive_agent(sensitivity=0.0), "audited")])
+def test_double_deviation_with_an_empty_report_set_matches_the_oracle(agent, empty):
+    # every income report audited (U = inf), or none (A = inf, and the
+    # switch (U - A)/phi divides by phi = 0): the switch is not finite and
+    # falls back onto the bottom of the true support
+    inst = rc.AuctionInstance((agent,))
+    lo, hi = agent.types.lo, agent.types.hi
+    for th in (lo + 0.37 * (hi - lo), lo + 0.81 * (hi - lo), hi):
+        reports, caps = winning_reports(inst, 0, th, 64)
+        assert reports.size
+        r_lo, r_hi = rc.mech._income_bounds(agent, reports)
+        a, u = verify._income_reports(r_lo, r_hi, caps, agent.sensitivity, 64)
+        assert np.all(np.isinf(u if empty == "unaudited" else a))
+        for strat in ("truthful_projection", "grid_best"):
+            got = rc.best_response_type(inst, 0, th, 64, strat, 64)
+            assert_matches_oracle(got, inst, 0, th, strat, 64)
+
+
+def test_double_deviation_is_integrated_exactly_across_its_switch(monkeypatch):
+    # under the mechanism's settlement the switch (U - A)/phi falls on the
+    # audit threshold, already a cut; with any other A and U the payment
+    # min(phi*pi + A, U) is still integrated exactly.  Income U[0.5, 2.5]
+    # (density 1/2), cap 0.6, A = -0.05, U = 0.8, phi = 0.5: the switch is
+    # 1.7, and E = (0.66 - 0.06) / 2 + 0.8 * 0.8 / 2 = 0.62
+    monkeypatch.setattr(verify, "_income_reports",
+                        lambda *args: (np.array([-0.05]), np.array([0.8])))
+    pay = verify._expected_payments(uniform_additive_agent(), 1.5, np.array([1.5]),
+                                    np.array([0.6]), 64, True)
+    assert abs(pay[0] - 0.62) <= 1e-15
+
+
+def test_best_responses_evaluate_the_density_twice_per_piece(monkeypatch):
+    # a deterministic cost guard: on the tabulated income law (41-point
+    # rows, so dozens of breakpoints per type) one call evaluates the
+    # density at no more than 2 x (cut columns - 1) incomes per row, the
+    # exact 2-point rule on every piece (32 incomes per piece before)
+    agent = TABLE_INCOME_INST.agents[0]
+    rc.tables_for(TABLE_INCOME_INST)
+    nodes, bound = [], []
+    pdf, payments = agent.income.pdf, verify._expected_payments
+
+    def counted_pdf(pis, theta):
+        nodes.append(np.size(pis))
+        return pdf(pis, theta)
+
+    def counted_payments(agent, theta_true, reports, caps, pi_grid, best_response):
+        n_bp = agent.income.breakpoints(np.array([agent.types.lo])).shape[1]
+        bound.append(reports.size * 2 * (5 + best_response + n_bp - 1))
+        return payments(agent, theta_true, reports, caps, pi_grid, best_response)
+
+    monkeypatch.setattr(agent.income, "pdf", counted_pdf)
+    monkeypatch.setattr(verify, "_expected_payments", counted_payments)
+    rc.best_responses(TABLE_INCOME_INST, 0, rc.mech._interior_grid(agent.types, 16), 128, 128)
+    assert len(bound) == 2 and 0 < sum(nodes) <= sum(bound)
 
 
 def test_best_responses_build_the_income_report_side_once(monkeypatch, pair_inst):

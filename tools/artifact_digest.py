@@ -33,7 +33,11 @@ takes an instance, so that a change shows how far each one moves:
   the way up its support, rivals at their midpoint types, for incomes 0.2
   and 0.8 of the way up the reported income support;
 * ``crossing_point`` of ``scaled_triangular`` at the report pairs
-  (0.6, 0.7), (0.75, 0.8) and (0.75, 0.75).
+  (0.6, 0.7), (0.75, 0.8) and (0.75, 0.75);
+* per shipped config and tabulated instance, each agent's
+  ``best_responses`` at the true types CLI ``verify-ic`` certifies (16
+  interior types, the config's grids): per income strategy, the truthful
+  utility, the best-deviation utility and the advantage at every type.
 """
 
 from __future__ import annotations
@@ -140,6 +144,19 @@ def _instance_values(out: dict, name: str, inst: mech.AuctionInstance):
                     out[key] = "DomainError"
 
 
+def _best_response_values(out: dict, name: str, text: str):
+    cfg = parse_config(text)
+    n_types = max(8, cfg.theta_points // 8)   # as CLI verify-ic
+    for i, agent in enumerate(cfg.instance.agents):
+        thetas = mech._interior_grid(agent.types, n_types)
+        responses = verify.best_responses(cfg.instance, i, thetas, cfg.theta_points,
+                                          cfg.pi_points)
+        for strategy in ("truthful_projection", "grid_best"):
+            for key in ("truthful_utility", "best_deviation_utility", "advantage"):
+                out[f"api/{name}/best_responses/{i}/{strategy}/{key}"] = _values(
+                    getattr(r[strategy], key) for r in responses)
+
+
 def main() -> int:
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -152,6 +169,7 @@ def main() -> int:
                          ("check", "solve", "verify-ic", "menu", "simulate", *sweep), workdir)
             _library_digests(out, name, text)
             _instance_values(out, name, parse_config(text).instance)
+            _best_response_values(out, name, text)
             if name in PLAY_CONFIGS:
                 _play_digests(out, name, parse_config(text).instance)
         st = ROOT / "configs" / "scaled_triangular.yaml"
@@ -165,6 +183,7 @@ def main() -> int:
             config.write_text(cfg.text, encoding="utf-8")
             _cli_digests(out, cfg.name, config, ("check", "solve", "verify-ic"), workdir)
             _library_digests(out, cfg.name, cfg.text)
+            _best_response_values(out, cfg.name, cfg.text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
