@@ -246,6 +246,7 @@ def main(argv=None) -> int:
             if args.grid < 8:
                 raise ConfigError("--grid", "must be at least 8")
             cfg = replace(cfg, theta_points=args.grid, pi_points=args.grid)
+        # parse_config bounds the configured seed, so these check the flag
         seed = cfg.seed if args.seed is None else args.seed
         if seed < 0:
             raise ConfigError("--seed", "must be nonnegative")

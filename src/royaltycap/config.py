@@ -92,6 +92,15 @@ def _number(mapping, key, path, default=None, lo=None, hi=None):
     return v
 
 
+def _integer(mapping, key, path, default, lo):
+    """``_number`` of a count, seed or index: an integral value (an integral
+    float such as 20000.0 too), as an int."""
+    v = _number(mapping, key, path, default=default, lo=lo)
+    if isinstance(v, float) and not v.is_integer():
+        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _build_agent(spec, path):
     if not isinstance(spec, dict):
         raise ConfigError(path, "each agent must be a mapping")
@@ -140,16 +149,16 @@ def parse_config(text: str) -> InstanceConfig:
     grids = raw.get("grids", {}) or {}
     if not isinstance(grids, dict):
         raise ConfigError("grids", "must be a mapping")
-    theta_points = int(_number(grids, "theta_points", "grids",
-                               default=_DEFAULTS["theta_points"], lo=8))
-    pi_points = int(_number(grids, "pi_points", "grids",
-                            default=_DEFAULTS["pi_points"], lo=8))
+    theta_points = _integer(grids, "theta_points", "grids", _DEFAULTS["theta_points"], 8)
+    pi_points = _integer(grids, "pi_points", "grids", _DEFAULTS["pi_points"], 8)
 
     sim = raw.get("simulation", {}) or {}
     if not isinstance(sim, dict):
         raise ConfigError("simulation", "must be a mapping")
-    n_runs = int(_number(sim, "n_runs", "simulation", default=_DEFAULTS["n_runs"], lo=_MIN_RUNS))
-    seed = int(_number(sim, "seed", "simulation", default=_DEFAULTS["seed"], lo=0))
+    n_runs = _integer(sim, "n_runs", "simulation", _DEFAULTS["n_runs"], _MIN_RUNS)
+    seed = _integer(sim, "seed", "simulation", _DEFAULTS["seed"], 0)
+    if seed >= 1 << 128:
+        raise ConfigError("simulation.seed", "must be below 2**128 (a Philox key)")
 
     out = raw.get("output", {}) or {}
     if not isinstance(out, dict):
@@ -170,7 +179,7 @@ def parse_config(text: str) -> InstanceConfig:
         axis = _require(sw, "axis", "sweep", str)
         if axis not in _SWEEP_AXES:
             raise ConfigError("sweep.axis", f"must be one of {_SWEEP_AXES}")
-        agent_ix = int(_number(sw, "agent", "sweep", default=0, lo=0))
+        agent_ix = _integer(sw, "agent", "sweep", 0, 0)
         if agent_ix >= len(agents):
             raise ConfigError("sweep.agent", f"no agent with index {agent_ix}")
         values = _require(sw, "values", "sweep", list)

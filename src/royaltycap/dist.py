@@ -64,11 +64,8 @@ def _gl_segments(a, b, rule):
     b = np.asarray(b, dtype=float)
     half = 0.5 * np.maximum(b - a, 0.0)
     mid = 0.5 * (a + np.maximum(b, a))
-    if x.size > 4:
-        return mid[..., None] + half[..., None] * x, half[..., None] * w
-    # a short rule: one pass per point, so that numpy's inner loops run
-    # along the segments rather than along the rule's few points (the same
-    # products and sums)
+    # one pass per rule point, so that numpy's inner loops run along the
+    # segments rather than along the rule's points
     nodes = np.empty(half.shape + x.shape)
     wts = np.empty_like(nodes)
     for k in range(x.size):

@@ -21,8 +21,11 @@ sensitivity capped at phi.  The central quantities:
 Two vectorized kernels are the only implementation of these quantities:
 ``_pi_star_vec`` (``_single_crossing_scan``, then bisection) and
 ``_mech_curves`` (psi, Phi, E[pi - royalty]).  The audit surplus mu*phi - c
-has one expression, ``_audit_surplus``, and the scan is the only judgement
-of single crossing in income; ``verify.check_regularity`` reports it too.
+has one expression, ``_audit_surplus``; the scan is the only judgement of
+single crossing in income (``verify.check_regularity`` reports it too), and
+``_edge_pays`` the only judgement of whether auditing pays at an end of the
+income support, which the audit threshold, the regime kinks and the menu
+cutoff share.
 The mechanism's two rules have one function each, which the simulator, the
 IC certificate, the CLI and the scalar entry points share: ``_allocate``
 (winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
@@ -354,36 +357,35 @@ def penalty(agent: AgentSpec, theta_report: float, pi_report: float, pi_true: fl
 # ---------------------------------------------------------------------------
 
 
+def _edge_pays(agent: AgentSpec, thetas) -> np.ndarray:
+    """Whether auditing pays at the bottom (row 0) and the top (row 1) of
+    each type's income support: audit surplus >= 0 at each end nudged inside
+    by ``_NU``.  Where phi * (1 - F)/f == 0 (phi == 0 or the top type) the
+    surplus is -c at every income, so auditing pays iff c == 0."""
+    thetas = np.asarray(thetas, dtype=float)
+    lo, hi = _income_bounds(agent, thetas)
+    ends = np.stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)])
+    ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
+    with np.errstate(invalid="ignore"):
+        pays = _audit_surplus(agent, thetas, ends, ih) >= 0
+    trivial = agent.sensitivity * np.where(np.isfinite(ih), ih, 1.0) == 0.0
+    return np.where(trivial, agent.audit_cost == 0.0, pays)
+
+
 def _threshold_kinks(agent: AgentSpec) -> list:
     """Types at which the audit region changes regime (the threshold leaves
-    a support endpoint): sign changes of the audit surplus at either end of
-    the income support on a 513-point type grid, refined by bisecting all
-    brackets at once.  Used as breakpoints in the type."""
+    a support end), used as breakpoints in the type: changes of
+    ``_edge_pays`` at either end on a 513-point type grid, refined by
+    bisecting all brackets at once.  The grid stops one float below the top
+    type, whose answer is a convention; the tables interpolate below it."""
     lo, hi = agent.types.lo, agent.types.hi
-    grid = np.linspace(lo + 1e-7 * (hi - lo), hi, 513)
-    top = np.array([[False], [True]])  # rows: lower and upper support end
-
-    def edge_surplus(t, at_top):
-        plo, phi_ = _income_bounds(agent, t)
-        p = np.where(at_top, phi_ - _NU * (phi_ - plo), plo + _NU * (phi_ - plo))
-        ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)
-        with np.errstate(invalid="ignore"):
-            return np.where(np.isfinite(ih), _audit_surplus(agent, t, p, ih), 1e30)
-
-    sign = np.sign(edge_surplus(np.broadcast_to(grid, (2, grid.size)), top))
-    end, k = np.nonzero(np.diff(sign, axis=1))
-    # A surplus of exactly 0 at the top type (the inverse hazard vanishes
-    # there and c = 0) brackets the support end itself, which is no kink.
-    # Such a last cell is kept only if the sign changes strictly inside it.
-    at_end = (k == grid.size - 2) & (sign[end, -1] == 0)
-    if np.any(at_end):
-        inside = np.sign(edge_surplus(np.nextafter(hi, lo), top[end[at_end], 0]))
-        keep = ~at_end
-        keep[at_end] = inside != sign[end[at_end], k[at_end]]
-        end, k = end[keep], k[keep]
+    grid = np.linspace(lo + 1e-7 * (hi - lo), np.nextafter(hi, lo), 513)
+    pays = _edge_pays(agent, grid)
+    end, k = np.nonzero(np.diff(pays, axis=1))
     if k.size == 0:
         return []
-    kinks = _bisect(lambda t: np.sign(edge_surplus(t, top[end, 0])) == sign[end, k],
+    col = np.arange(k.size)
+    kinks = _bisect(lambda t: _edge_pays(agent, t)[end, col] == pays[end, k],
                     grid[k], grid[k + 1], 64)
     return sorted({k for k in kinks.tolist() if lo < k < hi})
 
@@ -442,16 +444,13 @@ def menu_cutoffs(agent: AgentSpec) -> tuple:
     lo, hi = agent.types.lo, agent.types.hi
     lo_n = _psi_floor(agent)
 
-    def audit_pays(t):
-        # additive errors: mu = (1 - F)/f at every income, here the mean
-        return _audit_surplus(agent, t, t, inverse_hazard(agent.types, t)) >= 0
-
-    if not audit_pays(lo_n):
+    # additive errors: mu = (1 - F)/f at every income, so either end decides
+    if not _edge_pays(agent, lo_n)[0]:
         theta_star = lo
-    elif audit_pays(hi):
+    elif _edge_pays(agent, hi)[0]:
         theta_star = hi
     else:
-        theta_star = float(_bisect(audit_pays, lo_n, hi, 100))
+        theta_star = float(_bisect(lambda t: _edge_pays(agent, t)[0], lo_n, hi, 100))
 
     if virtual_value(agent, lo_n) > 0:
         theta_0 = lo
@@ -604,11 +603,8 @@ def _blocked(fn, width: int, *cols):
 
 def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """The single-crossing scan: per type, ``_worst_single_crossing`` of
-    mu*phi - c over 65 incomes spread inside the type's own income support
-    (zero when phi == 0).  Single crossing from above fails where this
-    exceeds ``_SLACK``."""
-    if agent.sensitivity == 0.0:
-        return np.zeros(thetas.size)
+    mu*phi - c over 65 incomes spread inside the type's own income support.
+    Single crossing from above fails where this exceeds ``_SLACK``."""
     lo, hi = _income_bounds(agent, thetas)
 
     def worst(t, l, h):
@@ -631,23 +627,12 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise RegularityError(
             f"mu*phi - c is not single-crossing in income at theta={thetas[bad][0]}")
+    at_lo, at_hi = _edge_pays(agent, thetas)
     lo, hi = _income_bounds(agent, thetas)
-    phi, c = agent.sensitivity, agent.audit_cost
-    ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
-
-    def pays(p, k):
-        return _audit_surplus(agent, thetas[k], p, ih[k]) >= 0
-
-    # phi * (1 - F)/f == 0 (phi == 0 or the top type): pays iff c == 0
-    trivial = phi * np.where(np.isfinite(ih), ih, 1.0) == 0.0
-    out = np.where(trivial & (c == 0.0), hi, 0.0)
-    k = np.nonzero(~trivial)[0]
-    width = hi[k] - lo[k]
-    at_lo = pays(lo[k] + _NU * width, k)
-    whole = at_lo & pays(hi[k] - _NU * width, k)
-    out[k[whole]] = hi[k[whole]]
-    k = k[at_lo & ~whole]
-    out[k] = _bisect(lambda m: pays(m, k), lo[k], hi[k], 64)
+    out = np.where(at_lo & at_hi, hi, 0.0)
+    k = np.nonzero(at_lo & ~at_hi)[0]
+    ih = inverse_hazard(agent.types, thetas[k])
+    out[k] = _bisect(lambda m: _audit_surplus(agent, thetas[k], m, ih) >= 0, lo[k], hi[k], 64)
     return out
 
 

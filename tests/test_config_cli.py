@@ -55,6 +55,42 @@ def test_config_errors_carry_field_paths(mangle, path_fragment):
     assert path_fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("section,key,integral", [
+    ("grids", "theta_points", 64.0),
+    ("grids", "pi_points", 20000.0),
+    ("simulation", "n_runs", 20000.0),
+    ("simulation", "seed", 7.0),
+    ("sweep", "agent", 0.0),
+])
+def test_config_integers_reject_fractions(section, key, integral):
+    # a count, seed or index is never truncated: a fractional (or infinite)
+    # value is an error naming the field, an integral float is its integer
+    def doc(value):
+        extra = {"sweep": {"axis": "audit_cost", "values": [0.2]}}
+        extra.setdefault(section, {})[key] = value
+        return MINIMAL + yaml.safe_dump(extra)
+
+    for bad in (integral + 0.99, integral + 0.5, float("inf")):
+        with pytest.raises(rc.ConfigError) as exc:
+            parse_config(doc(bad))
+        assert str(exc.value).startswith(f"{section}.{key}: expected an integer"), bad
+    cfg = parse_config(doc(integral))
+    got = cfg.sweep.agent if section == "sweep" else getattr(cfg, key)
+    assert type(got) is int and got == integral
+
+
+def test_config_seed_must_key_philox():
+    seeds = {1 << 128: False, float(1 << 128): False, (1 << 128) - 1: True}
+    for seed, ok in seeds.items():
+        text = MINIMAL + f"simulation: {{seed: {seed!r}}}\n"
+        if ok:
+            assert parse_config(text).seed == seed
+            continue
+        with pytest.raises(rc.ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == "simulation.seed: must be below 2**128 (a Philox key)"
+
+
 def test_config_rejects_bad_yaml():
     with pytest.raises(rc.ConfigError):
         parse_config(":\n  - ][")
@@ -274,6 +310,16 @@ def test_cli_seed_beyond_a_philox_key_exits_2(tmp_path, capsys):
     assert main(["simulate", "--seed", str(1 << 128), "--config", str(cfg),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --seed: must be below 2**128")
+    assert not out.exists()
+
+
+def test_cli_config_seed_beyond_a_philox_key_names_the_field(tmp_path, capsys):
+    # without --seed, the error names the config field, not the flag
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL + f"simulation: {{seed: {1 << 128}}}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: simulation.seed: must be below 2**128")
     assert not out.exists()
 
 

@@ -18,7 +18,12 @@ from conftest import (
     tent_error_inst,
     ua_psi,
 )
-from royaltycap.instances import mixed_pair, scaled_uniform_agent, uniform_additive_agent
+from royaltycap.instances import (
+    mixed_pair,
+    scaled_triangular_agent,
+    scaled_uniform_agent,
+    uniform_additive_agent,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +833,33 @@ def test_threshold_kinks_keep_crossings_inside_the_last_cell(monkeypatch, ua_age
         [1.999], abs=1e-12)
 
 
+@pytest.mark.parametrize("make", [uniform_additive_agent, scaled_uniform_agent,
+                                  scaled_triangular_agent])
+def test_threshold_kinks_are_the_regime_changes_of_pi_star(make):
+    # over c in {0, 0.05, ..., 1} and phi in {0, 0.25, 0.5, 1}: every change
+    # of pi_star's regime (0, interior, supp_hi) between neighbours of a
+    # 4097-type grid over the kinks' scan range has a kink in its cell, and
+    # every kink lies in or next to such a cell (with c = 0 auditing pays
+    # everywhere, so a scaled agent has no kink at all)
+    changes = 0
+    for c in np.arange(21) * 0.05:
+        for phi in (0.0, 0.25, 0.5, 1.0):
+            agent = make(float(c), phi)
+            lo, hi = agent.types.lo, agent.types.hi
+            grid = np.linspace(lo + 1e-7 * (hi - lo), np.nextafter(hi, lo), 4097)
+            pstar = rc.mech._pi_star_vec(agent, grid)
+            top = agent.income.supp_hi(grid)
+            cells = np.flatnonzero(np.diff(np.where(pstar == top, 2, np.sign(pstar))))
+            kinks = np.array(rc.mech._threshold_kinks(agent))
+            for j in cells:
+                assert np.any((kinks >= grid[j] - 1e-12) & (kinks <= grid[j + 1] + 1e-12)), \
+                    (c, phi, grid[j])
+            for j, k in zip(np.searchsorted(grid, kinks) - 1, kinks):
+                assert np.any(np.abs(cells - j) <= 1), (c, phi, k)
+            changes += cells.size
+    assert changes > 0
+
+
 def test_single_crossing_rule_and_slack(monkeypatch, ua_agent):
     # the rule: a positive value after a strictly negative one; zeros and
     # NaN entries start no violation
@@ -878,6 +910,25 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
     assert rule_defs == ["mech.py"] and slack_defs == ["mech.py"]
     verify_src = (src / "verify.py").read_text(encoding="utf-8")
     assert "g2_over_g" not in verify_src and "maximum.accumulate" not in verify_src
+    # _edge_pays alone decides whether auditing pays at a support end: the
+    # regime kinks and the menu cutoff read it, and the only other surplus
+    # sites are the threshold's bisection, the scan, check and the
+    # endogenous virtual value (a nested helper counts as its enclosing
+    # top-level function)
+    surplus_callers, calls_of = set(), {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                calls_of[node.name] = {getattr(call.func, "attr", getattr(call.func, "id", None))
+                                       for call in ast.walk(node) if isinstance(call, ast.Call)}
+                if "_audit_surplus" in calls_of[node.name]:
+                    surplus_callers.add(node.name)
+    assert surplus_callers == {"_edge_pays", "_pi_star_vec", "_single_crossing_scan",
+                               "check_regularity", "endogenous_virtual"}
+    assert "_edge_pays" in calls_of["_threshold_kinks"] & calls_of["menu_cutoffs"]
+    # no stand-in surplus for a diverging inverse hazard
+    mech_tree = ast.parse((src / "mech.py").read_text(encoding="utf-8"))
+    assert all(getattr(node, "value", None) != 1e30 for node in ast.walk(mech_tree))
 
 
 def test_allocation_and_settlement_rules_have_one_home():

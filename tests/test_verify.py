@@ -401,10 +401,11 @@ def test_top_type_of_scaled_error_agent_has_no_deviation_gain(shipped_instances,
         assert r.advantage <= 1e-6 and r.ir_ok, r.to_dict()
 
 
-def test_type_best_response_evaluates_density_once_per_cut_group(monkeypatch):
-    # a deterministic cost guard: one income.pdf call per group of reports
-    # with equal cut counts, plus one for the on-path payment (one call per
-    # report, about 130, before batching)
+def test_type_best_response_evaluates_density_once_per_payment_pass(monkeypatch):
+    # a deterministic cost guard: one income.pdf call for every winning
+    # report's payment and one for the on-path payment, each a single
+    # ``_expected_payments`` pass (one call per report, about 130, before
+    # batching)
     inst = mixed_pair()
     rc.tables_for(inst)
     for i, th in ((0, 1.4), (1, 0.8)):
@@ -418,7 +419,7 @@ def test_type_best_response_evaluates_density_once_per_cut_group(monkeypatch):
 
         monkeypatch.setattr(income, "pdf", counted)
         rc.best_response_type(inst, i, th, 128, "grid_best", 128)
-        assert len(calls) <= len(cut_counts(inst, i, th)) + 1 <= 6
+        assert len(calls) == 2
 
 
 def test_income_deviations_and_crossing_evaluate_each_report_once(monkeypatch, pair_inst,

@@ -37,7 +37,10 @@ takes an instance, so that a change shows how far each one moves:
 * per shipped config and tabulated instance, each agent's
   ``best_responses`` at the true types CLI ``verify-ic`` certifies (16
   interior types, the config's grids): per income strategy, the truthful
-  utility, the best-deviation utility and the advantage at every type.
+  utility, the best-deviation utility and the advantage at every type;
+* the regime-change types ``mech._threshold_kinks`` (the table grid's
+  breakpoints) of every agent of the shipped configs and tabulated
+  instances, and of the swept agent at each value of a ``sweep`` section.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import io
 import json
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +160,18 @@ def _best_response_values(out: dict, name: str, text: str):
                     getattr(r[strategy], key) for r in responses)
 
 
+def _kink_values(out: dict, name: str, text: str):
+    cfg = parse_config(text)
+    for i, agent in enumerate(cfg.instance.agents):
+        out[f"api/{name}/threshold_kinks/{i}"] = _values(mech._threshold_kinks(agent))
+    if cfg.sweep is not None:
+        spec = cfg.sweep
+        agent = cfg.instance.agents[spec.agent]
+        for v in spec.values:
+            out[f"api/{name}/threshold_kinks/sweep/{spec.axis}/{v!r}"] = _values(
+                mech._threshold_kinks(replace(agent, **{spec.axis: v})))
+
+
 def main() -> int:
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -170,6 +185,7 @@ def main() -> int:
             _library_digests(out, name, text)
             _instance_values(out, name, parse_config(text).instance)
             _best_response_values(out, name, text)
+            _kink_values(out, name, text)
             if name in PLAY_CONFIGS:
                 _play_digests(out, name, parse_config(text).instance)
         st = ROOT / "configs" / "scaled_triangular.yaml"
@@ -184,6 +200,7 @@ def main() -> int:
             _cli_digests(out, cfg.name, config, ("check", "solve", "verify-ic"), workdir)
             _library_digests(out, cfg.name, cfg.text)
             _best_response_values(out, cfg.name, cfg.text)
+            _kink_values(out, cfg.name, cfg.text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
