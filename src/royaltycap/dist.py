@@ -430,6 +430,9 @@ class IncomeFamily:
     family: str = "abstract"
     # types at which the law may jump: a tabulated family's row types
     type_knots = np.empty(0)
+    # True where -G_theta/g is nonincreasing in income at every type, which
+    # proves the audit surplus single-crossing in income (no scan needed)
+    ratio_nonincreasing = False
 
     def __init__(self, params: dict):
         self.params = dict(params)
@@ -470,10 +473,11 @@ class AdditiveErrorFamily(IncomeFamily):
     """Income = type + mean-zero error: pi = theta + eps.
 
     G(pi | theta) = H(pi - theta), so dG/dtheta = -h and the ratio
-    dG/dtheta / g is identically -1.
+    dG/dtheta / g is identically -1 (so ``ratio_nonincreasing``).
     """
 
     family = "additive_error"
+    ratio_nonincreasing = True
 
     def __init__(self, error, params: dict):
         super().__init__(params)
@@ -510,10 +514,12 @@ class ScaledErrorFamily(IncomeFamily):
 
     The support shrinks as the type approaches 1.  The ratio
     dG/dtheta / g = (pi - 1) / (1 - theta) does not depend on the error
-    distribution's shape.  Requires the type support to lie in [0, 1].
+    distribution's shape and rises in income (``ratio_nonincreasing``).
+    Requires the type support to lie in [0, 1].
     """
 
     family = "scaled_error"
+    ratio_nonincreasing = True
 
     def __init__(self, error, params: dict):
         super().__init__(params)

@@ -25,7 +25,9 @@ has one expression, ``_audit_surplus``; the scan is the only judgement of
 single crossing in income (``verify.check_regularity`` reports it too), and
 ``_edge_pays`` the only judgement of whether auditing pays at an end of the
 income support, which the audit threshold, the regime kinks and the menu
-cutoff share.
+cutoff share.  The scan answers 0.0 unprobed where the income family proves
+single crossing (additive and scaled errors); a kernel block whose types
+share one row of incomes has the family evaluate it once (``_shared_row``).
 The mechanism's two rules have one function each, which the simulator, the
 IC certificate, the CLI and the scalar entry points share: ``_allocate``
 (winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
@@ -601,14 +603,35 @@ def _blocked(fn, width: int, *cols):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
+def _shared_row(x: np.ndarray) -> np.ndarray:
+    """``x[:1]`` when every row of ``x`` equals its first, else ``x``: a
+    family evaluates that row once and broadcasts it against the types, with
+    the same per-element arithmetic.  A tabulated family's support is
+    constant on each knot interval, so its blocks often share a row."""
+    return x[:1] if np.all(x == x[:1]) else x
+
+
 def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
-    """The single-crossing scan: per type, ``_worst_single_crossing`` of
-    mu*phi - c over 65 incomes spread inside the type's own income support.
-    Single crossing from above fails where this exceeds ``_SLACK``."""
+    """The single-crossing scan: per type, the worst violation of single
+    crossing from above of mu*phi - c in income; it fails above ``_SLACK``.
+
+    0.0 where the family is ``ratio_nonincreasing`` (additive and scaled
+    errors): the surplus (-G_theta/g) * (ih * phi) - c is then a chain of
+    steps each monotone in income under rounding, so it never rises along
+    the probes and ``_probe_single_crossing`` reads exactly 0.0 too.  Other
+    families, tabulated or lacking the attribute, are probed."""
+    if getattr(agent.income, "ratio_nonincreasing", False):
+        return np.zeros(np.size(thetas))
+    return _probe_single_crossing(agent, thetas)
+
+
+def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
+    """Per type, ``_worst_single_crossing`` of mu*phi - c over 65 incomes
+    spread inside the type's own income support."""
     lo, hi = _income_bounds(agent, thetas)
 
     def worst(t, l, h):
-        probe = np.linspace(l + _NU * (h - l), h - _NU * (h - l), 65, axis=1)
+        probe = _shared_row(np.linspace(l + _NU * (h - l), h - _NU * (h - l), 65, axis=1))
         ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)[:, None]
         with np.errstate(invalid="ignore"):
             s = _audit_surplus(agent, t[:, None], probe, ih)
@@ -668,7 +691,7 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     fam = agent.income
     ih = np.asarray(inverse_hazard(agent.types, ts), dtype=float)
     plo, b, nodes, wts = _audit_region(agent, ts, pstar)
-    g, g2 = fam.cdf_and_dtheta(nodes, ts[:, None])
+    g, g2 = fam.cdf_and_dtheta(_shared_row(nodes), ts[:, None])
     cap = np.clip(phi * np.sum(-np.asarray(g2, dtype=float) * wts, axis=1), 0.0, phi)
     survival = 1.0 - np.asarray(g, dtype=float)
     e_min = np.minimum(b, plo) + np.sum(survival * wts, axis=1)

@@ -191,6 +191,57 @@ def test_audit_threshold_single_crossing_guard(ua_agent):
         rc.audit_threshold(agent, 1.2)
 
 
+@st.composite
+def _mean_zero_error(draw):
+    """A mean-zero error law straddling zero: uniform, triangular, or a
+    symmetric table (a mix of the uniform and the tent law on 3-15 knots)."""
+    a = draw(st.floats(0.05, 1.0))
+    kind = draw(st.sampled_from(["uniform", "triangular", "table"]))
+    if kind == "uniform":
+        return {"family": "uniform", "lo": -a, "hi": a}
+    if kind == "triangular":
+        b = draw(st.floats(0.5, 2.0)) * a
+        return {"family": "triangular", "lo": -a, "hi": b, "mode": a - b}
+    g = np.linspace(-a, a, 2 * draw(st.integers(1, 7)) + 1)
+    tent = np.where(g < 0, 0.5 * (g / a + 1) ** 2, 1 - 0.5 * (1 - g / a) ** 2)
+    w = draw(st.floats(0.0, 1.0))
+    return {"family": "table", "grid": g, "cdf": w * (g + a) / (2 * a) + (1 - w) * tent}
+
+
+@given(family=st.sampled_from(["additive_error", "scaled_error"]), error=_mean_zero_error(),
+       lo=st.floats(0.5, 0.9), width=st.floats(0.01, 1.0), mode=st.floats(0.0, 1.0),
+       triangular=st.booleans(), c=st.floats(0.0, 2.0), phi=st.floats(0.0, 1.0),
+       u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_families_that_prove_single_crossing_probe_to_exactly_zero(
+        family, error, lo, width, mode, triangular, c, phi, u):
+    # -G_theta/g is 1 (additive) or (1 - pi)/(1 - theta) (scaled): the surplus
+    # never rises along the increasing probes, so the 65-probe scan reads
+    # exactly 0.0 at every type, the answer _single_crossing_scan returns
+    # without probing; the type law may vanish at its bottom (ih = +inf)
+    if family == "scaled_error":
+        hi = min(1.0, lo + width)
+    else:
+        lo, hi = 1.0 + lo, 1.0 + lo + 2 * width
+    support = {"lo": lo, "hi": hi}
+    types = (rc.make_type_dist("triangular", {**support, "mode": lo + mode * (hi - lo)})
+             if triangular else rc.make_type_dist("uniform", support))
+    agent = rc.AgentSpec(types, rc.make_income_family(family, {"error": error}), c, phi)
+    assert agent.income.ratio_nonincreasing
+    thetas = np.concatenate([[lo, hi], lo + np.array(u) * (hi - lo)])
+    probed = rc.mech._probe_single_crossing(agent, thetas)
+    assert probed.tolist() == [0.0] * thetas.size
+    assert np.array_equal(rc.mech._single_crossing_scan(agent, thetas).view(np.int64),
+                          probed.view(np.int64))
+
+
+def test_tabulated_families_are_probed():
+    # only a family that declares the proof skips the scan; duck-typed ones
+    # lack the attribute (test_audit_threshold_single_crossing_guard)
+    assert not table_income_agent((1.0, 1.4, 2.0), 0.0).income.ratio_nonincreasing
+    assert not rc.IncomeFamily.ratio_nonincreasing
+
+
 def test_phi_cap_golden(ua_agent, su_agent):
     assert rc.phi_cap(ua_agent, 1.5) == pytest.approx(0.5, abs=1e-9)
     assert rc.phi_cap(ua_agent, 1.8) == 0.0
@@ -764,13 +815,40 @@ def test_blocked_keeps_blocks_within_the_element_budget(monkeypatch):
     mixed_pair()], ids=["table_income", "tent_error", "mixed_pair"])
 def test_tables_do_not_depend_on_the_block_budget(monkeypatch, inst):
     built = []
-    for budget in (1 << 11, 1 << 14, 1 << 20):
+    # at 1 << 22 every grid type is in one block, whose rows differ (it
+    # spans every knot), so no block shares a row of incomes: the smaller
+    # budgets' shared-row evaluations must equal the full broadcast
+    for budget in (1 << 11, 1 << 14, 1 << 20, 1 << 22):
         monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
         built.append(rc.mech.MechanismTables.build(inst))
     for tables in built[1:]:
         for got, want in zip(tables.agents, built[0].agents):
             for f in fields(want):
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_table_build_evaluates_a_shared_income_row_once(monkeypatch):
+    # a tabulated family's support is constant on each knot interval, so the
+    # blocks inside one interval share their scan probes and, where pi_star
+    # sits at a support end, their nodes: the family locates one row per
+    # block, not one per type (1.92 M incomes per build without sharing)
+    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
+    located = []
+    pair_cells = rc.TableIncomeFamily._pair_cells
+    monkeypatch.setattr(rc.TableIncomeFamily, "_pair_cells",
+                        lambda self, j, pi: located.append(np.size(pi)) or pair_cells(self, j, pi))
+    counts = []
+    for budget in (1 << 14, 1 << 22):  # 1 << 22: one block spanning the knot 1.4
+        monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
+        located.clear()
+        rc.mech._agent_curves(agent)
+        counts.append(sum(located))
+    assert counts[0] * 10 < counts[1]
+    # a block shares its row only when every element of every row agrees
+    x = np.tile(np.linspace(1.0, 2.0, 5), (3, 1))
+    assert np.array_equal(rc.mech._shared_row(x), x[:1])
+    x[2, -1] = 3.0
+    assert rc.mech._shared_row(x) is x
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +990,7 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
     assert "g2_over_g" not in verify_src and "maximum.accumulate" not in verify_src
     # _edge_pays alone decides whether auditing pays at a support end: the
     # regime kinks and the menu cutoff read it, and the only other surplus
-    # sites are the threshold's bisection, the scan, check and the
+    # sites are the threshold's bisection, the scan's probes, check and the
     # endogenous virtual value (a nested helper counts as its enclosing
     # top-level function)
     surplus_callers, calls_of = set(), {}
@@ -923,7 +1001,7 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
                                        for call in ast.walk(node) if isinstance(call, ast.Call)}
                 if "_audit_surplus" in calls_of[node.name]:
                     surplus_callers.add(node.name)
-    assert surplus_callers == {"_edge_pays", "_pi_star_vec", "_single_crossing_scan",
+    assert surplus_callers == {"_edge_pays", "_pi_star_vec", "_probe_single_crossing",
                                "check_regularity", "endogenous_virtual"}
     assert "_edge_pays" in calls_of["_threshold_kinks"] & calls_of["menu_cutoffs"]
     # no stand-in surplus for a diverging inverse hazard
