@@ -279,20 +279,21 @@ def allocation(inst: AuctionInstance, theta_profile) -> list:
 
 
 def _audit_mask(pi_report, cap, supp_hi):
-    """Audit indicator: report strictly below the threshold, or equal to it
-    when the threshold coincides with the top of the reported support.
+    """Audit indicator: report strictly below the threshold, or any report
+    when it reaches the reported support's top, within 1e-12*max(1, |top|).
 
     The boundary case matters with shifting supports: when the whole
     reported support is worth auditing, the cap equals the support's upper
     endpoint and the only report at or above the cap is that endpoint.
-    Leaving it unaudited would let a winner under-report his type and then
-    park his income report at the cap, evading the penalty; auditing it
+    Leaving it unaudited would let a winner under-report their type and then
+    park their income report at the cap, evading the penalty; auditing it
     restores exact deviation indifference (it is also the case the
     dominant-strategy envelope argument prices at the dampened slope).
-    On path the event has measure zero, so payments are unchanged.
+    On path the event has measure zero, so payments are unchanged.  The band
+    covers an interpolated cap's few ulps; a wider one would audit reports
+    above a cap just below the top, refunding phi*(report - pi) to them.
     """
-    edge = supp_hi - 1e-6 * np.maximum(1.0, np.abs(supp_hi))
-    return (pi_report < cap) | ((cap >= edge) & (pi_report >= edge))
+    return (pi_report < cap) | (cap >= supp_hi - 1e-12 * np.maximum(1.0, np.abs(supp_hi)))
 
 
 def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None):
@@ -471,16 +472,21 @@ def binary_menu(agent: AgentSpec) -> list:
     otherwise a lump-sum at (1-phi) theta_0 + phi theta_star plus a royalty
     contract (rate phi, certain auditing) at (1-phi) theta_0.
     """
+    return _binary_menu(agent)[0]
+
+
+def _binary_menu(agent: AgentSpec) -> tuple:
+    """``binary_menu`` and the ``menu_cutoffs`` it was built from."""
     if not isinstance(agent.income, AdditiveErrorFamily):
         raise UnsupportedInstanceError("menus require the additive-errors income family")
-    theta_star, theta_0 = menu_cutoffs(agent)
+    theta_star, theta_0 = cutoffs = menu_cutoffs(agent)
     phi = agent.sensitivity
     if theta_0 >= theta_star:
-        return [MenuContract("lump_sum", float(theta_0), 0.0, False)]
+        return [MenuContract("lump_sum", float(theta_0), 0.0, False)], cutoffs
     return [
         MenuContract("lump_sum", float((1.0 - phi) * theta_0 + phi * theta_star), 0.0, False),
         MenuContract("linear_royalty", float((1.0 - phi) * theta_0), phi, True),
-    ]
+    ], cutoffs
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Independent numerical verification of the mechanism.
 
 Nothing here trusts the closed-form reasoning behind the mechanism: incentive
-compatibility is certified by brute grid search over deviations (including
-double deviations via an inner income-report optimization), regularity by
-grid evidence, payment crossing by bisection plus an ordering certificate,
+compatibility is certified by brute grid search over type deviations
+(including double deviations via an inner income-report optimization) and,
+at each certified true type, over income reports at every income (the
+search's cheapest report is affine in income between a few cuts), regularity
+by grid evidence, payment crossing by bisection plus an ordering certificate,
 and the noisy-audit reduction by Monte Carlo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,6 +97,7 @@ class DeviationReport:
     grid: tuple
     ir_ok: bool = True
     info_rent: float = float("nan")
+    income_advantage: float = float("nan")
 
     def __post_init__(self):
         gap = self.best_deviation_utility - self.truthful_utility
@@ -102,15 +105,8 @@ class DeviationReport:
             raise ValueError("advantage must equal best - truthful")
 
     def to_dict(self) -> dict:
-        return {
-            "truthful_utility": self.truthful_utility,
-            "best_deviation_utility": self.best_deviation_utility,
-            "best_deviation": list(self.best_deviation),
-            "advantage": self.advantage,
-            "grid": list(self.grid),
-            "ir_ok": self.ir_ok,
-            "info_rent": self.info_rent,
-        }
+        return {**asdict(self), "best_deviation": list(self.best_deviation),
+                "grid": list(self.grid)}
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +239,16 @@ def _income_reports(r_lo, r_hi, caps, phi: float, pi_grid: int):
 
 
 def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
-                       caps: np.ndarray, pi_grid: int, best_response: bool) -> np.ndarray:
+                       caps: np.ndarray, income=None) -> np.ndarray:
     """E over pi ~ G(. | theta_true) of the winner's payment (royalty plus
     penalty), one row per (true type, type report) pair: ``theta_true``
     holds one true type per row of ``reports`` (or one for all), ``caps``
     the reports' audit thresholds.
 
-    ``best_response=False`` reports income as the projection onto the
-    reported support; ``best_response=True`` takes the cheapest of
-    ``pi_grid`` income reports per realized income (the double deviation),
-    which pays min(phi*pi + A, U) (``_income_reports``).  Both payments are
+    ``income=None`` reports income as the projection onto the reported
+    support; ``income=(A, U)``, one pair per row from ``_income_reports``,
+    takes the cheapest income report per realized income (the double
+    deviation), which pays min(phi*pi + A, U).  Both payments are
     affine in pi between cuts: the true support's ends and, inside it, the
     reported support's ends, the audit threshold, the switch (U - A)/phi
     and the law's breakpoints, between which the density has degree <= 2.
@@ -267,15 +263,13 @@ def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
     t_lo, t_hi = _income_bounds(agent, theta_true)
     r_lo, r_hi = _income_bounds(agent, reports)
     cuts = [t_lo, t_hi, r_lo, r_hi, caps]
-    if best_response:
-        _, first, which = np.unique(reports, return_index=True, return_inverse=True)
-        a, u = (x[which] for x in _income_reports(r_lo[first], r_hi[first], caps[first],
-                                                  phi, pi_grid))
+    if income is not None:
+        a, u = income
         with np.errstate(divide="ignore", invalid="ignore"):
             cuts.append((u - a) / phi)
 
     def pay_at(pis, rows):
-        if best_response:
+        if income is not None:
             return np.minimum(phi * pis + a[rows, None], u[rows, None])
         royalty, _, pen = _settle(pis, np.clip(pis, r_lo[rows, None], r_hi[rows, None]),
                                   caps[rows, None], r_hi[rows, None], phi)
@@ -350,7 +344,8 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     if not set(strategies) <= {"truthful_projection", "grid_best"}:
         raise ValueError(f"unknown income strategy in {strategies!r}")
     thetas = np.asarray(thetas_true, dtype=float).ravel()
-    inst.agents[i].types._check_domain(thetas)
+    agent = inst.agents[i]
+    agent.types._check_domain(thetas)
     tables = tables_for(inst)
     t = tables.agents[i]
 
@@ -366,18 +361,31 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     # losing reports (q <= 0) pay nothing and earn nothing; the on-path
     # payment is the projection's at the true report, computed once
     win = tried & (q > 0.0)
+    # the double deviation's report side, once per type report
+    phi = agent.sensitivity
+    r_lo, r_hi = _income_bounds(agent, reports)
+    a, u = _income_reports(r_lo, r_hi, caps, phi, pi_grid)
     rows = {s: win for s in strategies}
     rows["truthful_projection"] = rows.get("truthful_projection", False) | on_path
     utility = {}
     for s, mask in rows.items():
         j, r = np.nonzero(mask)
         pay = np.zeros(mask.shape)
-        pay[j, r] = _expected_payments(inst.agents[i], thetas[j], reports[r], caps[r],
-                                       pi_grid, best_response=(s == "grid_best"))
+        pay[j, r] = _expected_payments(agent, thetas[j], reports[r], caps[r],
+                                       (a[r], u[r]) if s == "grid_best" else None)
         utility[s] = np.where(win, q * (thetas[:, None] - pay) - t_pay, 0.0)
         if s == "truthful_projection":
             truthful = (q[k] * (thetas - pay[on_path]) - t_pay[k]).tolist()
     info_rent = tables.locate(i, thetas).interp(t.interim_rent).tolist()
+    # after the own report, the truthful income charge minus the cheapest,
+    # min(phi*pi + A, U), is affine in pi between cuts, so it peaks at one
+    lo, hi = r_lo[k, None], r_hi[k, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = np.column_stack([lo, hi, caps[k], (u[k] - a[k]) / phi])
+    cuts = np.where(np.isfinite(cuts), np.clip(cuts, lo, hi), lo)
+    royalty, _, pen = _settle(cuts, cuts, caps[k, None], hi, phi)
+    gap = royalty + pen - np.minimum(phi * cuts + a[k, None], u[k, None])
+    income_adv = np.where(q[k] > 0.0, np.max(gap, axis=1), 0.0).tolist()
 
     out = []
     for m, own in enumerate(tried):
@@ -390,7 +398,8 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
                 truthful_utility=u0, best_deviation_utility=float(u[best]),
                 best_deviation=(float(reports[own][best]), s),
                 advantage=float(u[best] - u0), grid=(int(own.sum()), pi_grid),
-                ir_ok=bool(u0 >= -1e-9 and abs(u0 - rent) <= 1e-6), info_rent=rent)
+                ir_ok=bool(u0 >= -1e-9 and abs(u0 - rent) <= 1e-6), info_rent=rent,
+                income_advantage=income_adv[m])
     return out
 
 
@@ -409,6 +418,8 @@ def best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     realized income over a ``pi_grid``-point grid (double deviations).  Also
     checks individual rationality: the truthful utility (the on-path
     projected report) must be nonnegative and match the information rent.
+    ``income_advantage``: the most the cheapest grid income report gains on
+    the truthful one at any income, after the true type report (0 if it loses).
     """
     return _best_responses(inst, i, thetas_true, theta_grid, pi_grid,
                            ("truthful_projection", "grid_best"))

@@ -226,11 +226,10 @@ def wins(psis, i):
 
 def settle(pi_true, pi_report, cap, supp_hi, phi):
     """Royalty, audit indicator and penalty of one income report: the
-    royalty min(report, cap) * phi; an audit below the cap, and at the top
-    of the reported support when the cap reaches it (within
-    1e-6 * max(1, |top|)); the penalty (pi_true - report) * phi if audited."""
-    tol = 1e-6 * max(1.0, abs(supp_hi))
-    audited = pi_report < cap or (cap >= supp_hi - tol and pi_report >= supp_hi - tol)
+    royalty min(report, cap) * phi; an audit below the cap, and of every
+    report when the cap reaches the top of the reported support (within
+    1e-12 * max(1, |top|)); the penalty (pi_true - report) * phi if audited."""
+    audited = pi_report < cap or cap >= supp_hi - 1e-12 * max(1.0, abs(supp_hi))
     return min(pi_report, cap) * phi, audited, (pi_true - pi_report) * phi if audited else 0.0
 
 

@@ -223,7 +223,7 @@ _GOLDEN_VERIFY_IC = {
         {"agent": 0, "type_deviation": {"advantage": 2.220446049250313e-16,
                                         "theta": 1.2941176470588236,
                                         "strategy": "truthful_projection"},
-         "income_deviation_worst": 5.551115123125783e-17, "ir_ok": True, "ok": True}],
+         "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
     "scaled_uniform": [
         {"agent": 0, "type_deviation": {"advantage": 2.0534107331160456e-09,
                                         "theta": 0.5294117647058824,
@@ -237,7 +237,7 @@ _GOLDEN_VERIFY_IC = {
         {"agent": 0, "type_deviation": {"advantage": 1.1102230246251565e-16,
                                         "theta": 1.4705882352941178,
                                         "strategy": "truthful_projection"},
-         "income_deviation_worst": 5.551115123125783e-17, "ir_ok": True, "ok": True},
+         "income_deviation_worst": 0.0, "ir_ok": True, "ok": True},
         {"agent": 1, "type_deviation": {"advantage": 0.0, "theta": 0.5294117647058824,
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
@@ -250,6 +250,18 @@ def test_cli_verify_ic_golden_agents(tmp_path):
         assert main(["verify-ic", "--config", str(CONFIG_DIR / f"{name}.yaml"),
                      "--out", str(out)]) == 0
         assert json.loads((out / "verify_ic.json").read_text())["agents"] == want, name
+
+
+def test_cli_verify_ic_does_not_depend_on_the_seed(tmp_path):
+    # the income check is exact at every certified type, not a seeded sample
+    for name in _GOLDEN_VERIFY_IC:
+        agents = []
+        for seed in ("0", "7"):
+            out = tmp_path / name / seed
+            assert main(["verify-ic", "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                         "--out", str(out), "--seed", seed]) == 0
+            agents.append(json.loads((out / "verify_ic.json").read_text())["agents"])
+        assert agents[0] == agents[1], name
 
 
 def test_cli_exit_codes(tmp_path):

@@ -298,16 +298,20 @@ def test_allocate_matches_reference_rule(rows):
 
 def test_settle_matches_reference_rule():
     # every combination of income, report, cap, support top and phi, with
-    # the report at the cap both below and at the support top
+    # the report at the cap both below and at the support top, and caps just
+    # inside (1 - 1e-13) and outside (1 - 1e-7) the audit band below a top of 1
     pi_true, report, cap, top, phi = (a.ravel() for a in np.meshgrid(
-        [0.2, 1.7], [0.0, 0.5, 1.0 - 1e-7, 1.0, 3.0], [0.5, 1.0 - 1e-7, 1.0, 3.0],
-        [1.0, 3.0], [0.5, 1.0], indexing="ij"))
+        [0.2, 1.7], [0.0, 0.5, 1.0 - 1e-7, 1.0 - 1e-13, 1.0, 3.0],
+        [0.5, 1.0 - 1e-7, 1.0 - 1e-13, 1.0, 3.0], [1.0, 3.0], [0.5, 1.0], indexing="ij"))
     got = rc.mech._settle(pi_true, report, cap, top, phi)
     want = [oracles.settle(*args) for args in zip(pi_true, report, cap, top, phi)]
     for k, (r, a, p) in enumerate(want):
         assert (got[0][k], bool(got[1][k]), got[2][k]) == (r, a, p), k
     assert got[1][(report == 3.0) & (cap == 3.0) & (top == 3.0)].all()
     assert not got[1][(report == 1.0) & (cap == 1.0) & (top == 3.0)].any()
+    # the band: a cap 1e-13 below a top of 1 audits the top report, 1e-7 below does not
+    assert got[1][(report == 1.0) & (cap == 1.0 - 1e-13) & (top == 1.0)].all()
+    assert not got[1][(report == 1.0) & (cap == 1.0 - 1e-7) & (top == 1.0)].any()
     # a randomized audit rule supplies its own draws: the royalty stays, the
     # penalty follows the draws
     draws = np.arange(pi_true.size) % 3 == 0

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ import oracles
 import royaltycap as rc
 from conftest import table_income_agent, tent_error_inst
 from royaltycap import verify
-from royaltycap.instances import mixed_pair, uniform_additive_agent
+from royaltycap.cli import main
+from royaltycap.errors import DomainError
+from royaltycap.instances import (
+    mixed_pair,
+    scaled_triangular_agent,
+    uniform_additive_agent,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +203,12 @@ def winning_reports(inst, i, theta_true, theta_grid=128):
     return reports[qs > 0.0], caps[qs > 0.0]
 
 
+def double_deviation(agent, reports, caps, pi_grid=128):
+    """The double deviation's (A, U) of each type report."""
+    r_lo, r_hi = rc.mech._income_bounds(agent, reports)
+    return verify._income_reports(r_lo, r_hi, caps, agent.sensitivity, pi_grid)
+
+
 def cut_counts(inst, i, theta_true, theta_grid=128):
     """Distinct numbers of payment cuts over the winning type reports."""
     return {oracles.payment_cuts(inst.agents[i], theta_true, rep, cap).size
@@ -236,9 +250,10 @@ def test_type_best_response_matches_scalar_oracle(shipped_instances):
             for strat in ("truthful_projection", "grid_best"):
                 got = rc.best_response_type(inst, i, th, 128, strat, 128)
                 pays = assert_matches_oracle(got, inst, i, th, strat, 128)
-                batched = verify._expected_payments(inst.agents[i], th,
-                                                    *winning_reports(inst, i, th), 128,
-                                                    strat == "grid_best")
+                reports, caps = winning_reports(inst, i, th)
+                income = (double_deviation(inst.agents[i], reports, caps)
+                          if strat == "grid_best" else None)
+                batched = verify._expected_payments(inst.agents[i], th, reports, caps, income)
                 assert np.max(np.abs(batched - pays), initial=0.0) <= 1e-14, (i, th, strat)
             groups.append(len(cut_counts(inst, i, th)))
     assert max(groups) >= 2
@@ -307,16 +322,14 @@ def test_double_deviation_with_an_empty_report_set_matches_the_oracle(agent, emp
             assert_matches_oracle(got, inst, 0, th, strat, 64)
 
 
-def test_double_deviation_is_integrated_exactly_across_its_switch(monkeypatch):
+def test_double_deviation_is_integrated_exactly_across_its_switch():
     # under the mechanism's settlement the switch (U - A)/phi falls on the
     # audit threshold, already a cut; with any other A and U the payment
     # min(phi*pi + A, U) is still integrated exactly.  Income U[0.5, 2.5]
     # (density 1/2), cap 0.6, A = -0.05, U = 0.8, phi = 0.5: the switch is
     # 1.7, and E = (0.66 - 0.06) / 2 + 0.8 * 0.8 / 2 = 0.62
-    monkeypatch.setattr(verify, "_income_reports",
-                        lambda *args: (np.array([-0.05]), np.array([0.8])))
     pay = verify._expected_payments(uniform_additive_agent(), 1.5, np.array([1.5]),
-                                    np.array([0.6]), 64, True)
+                                    np.array([0.6]), (np.array([-0.05]), np.array([0.8])))
     assert abs(pay[0] - 0.62) <= 1e-15
 
 
@@ -334,10 +347,10 @@ def test_best_responses_evaluate_the_density_twice_per_piece(monkeypatch):
         nodes.append(np.size(pis))
         return pdf(pis, theta)
 
-    def counted_payments(agent, theta_true, reports, caps, pi_grid, best_response):
+    def counted_payments(agent, theta_true, reports, caps, income):
         n_bp = agent.income.breakpoints(np.array([agent.types.lo])).shape[1]
-        bound.append(reports.size * 2 * (5 + best_response + n_bp - 1))
-        return payments(agent, theta_true, reports, caps, pi_grid, best_response)
+        bound.append(reports.size * 2 * (5 + (income is not None) + n_bp - 1))
+        return payments(agent, theta_true, reports, caps, income)
 
     monkeypatch.setattr(agent.income, "pdf", counted_pdf)
     monkeypatch.setattr(verify, "_expected_payments", counted_payments)
@@ -386,7 +399,8 @@ def test_payment_minimum_does_not_depend_on_the_block_budget(monkeypatch):
         pays = []
         for budget in (1 << 11, 1 << 14, 1 << 20):
             monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
-            pays.append(verify._expected_payments(inst.agents[i], th, reports, caps, 128, True))
+            pays.append(verify._expected_payments(inst.agents[i], th, reports, caps,
+                                                  double_deviation(inst.agents[i], reports, caps)))
         assert all(np.array_equal(p, pays[0]) for p in pays[1:]), i
 
 
@@ -454,6 +468,88 @@ def test_rival_reports_must_match_the_rivals(pair_inst):
             rc.allocation(pair_inst, profile)
         with pytest.raises(ValueError):
             rc.transfer(pair_inst, 0, profile)
+
+
+@pytest.mark.parametrize("name", ["uniform_additive", "scaled_uniform", "scaled_triangular",
+                                  "tab_error", "tab_income"])
+def test_income_advantage_is_the_brute_search_at_the_cuts(shipped_instances, name):
+    # at each true type CLI verify-ic certifies, the income certificate
+    # equals the largest gain of the brute income-report search
+    # (best_response_income) over the cut incomes: the support's ends, the
+    # cap and the double deviation's switch (U - A)/phi
+    inst = {**shipped_instances, "tab_error": TENT_ERROR_INST,
+            "tab_income": TABLE_INCOME_INST}[name]
+    agent, phi = inst.agents[0], inst.agents[0].sensitivity
+    thetas = rc.mech._interior_grid(agent.types, 16)
+    caps = rc.tables_for(inst).pi_star(0, thetas)
+    a, u = double_deviation(agent, thetas, caps)
+    for th, cap, switch, by_strategy in zip(thetas.tolist(), caps.tolist(), (u - a) / phi,
+                                            rc.best_responses(inst, 0, thetas, 128, 128)):
+        lo, hi = (float(x) for x in rc.mech._income_bounds(agent, th))
+        cuts = [lo, hi, cap] + ([float(switch)] if np.isfinite(switch) else [])
+        try:
+            brute = max(rc.best_response_income(inst, 0, th, [], min(max(p, lo), hi)).advantage
+                        for p in cuts)
+        except DomainError:   # the own report loses
+            brute = 0.0
+        for rep in by_strategy.values():
+            assert abs(rep.income_advantage - brute) <= 1e-15, (name, th)
+
+
+def _wide_audit_band(pi_report, cap, supp_hi):
+    """The audit rule with a 1e-6 band below the support top."""
+    edge = supp_hi - 1e-6 * np.maximum(1.0, np.abs(supp_hi))
+    return (pi_report < cap) | ((cap >= edge) & (pi_report >= edge))
+
+
+def _verify_ic_cheap_audits(tmp_path):
+    """CLI verify-ic on configs/scaled_triangular.yaml at c = 1e-6: its exit
+    code and the agents block of verify_ic.json."""
+    config = tmp_path / "st.yaml"
+    config.write_text((Path(__file__).resolve().parents[1] / "configs" / "scaled_triangular.yaml")
+                      .read_text().replace("audit_cost: 0.5", "audit_cost: 0.000001"))
+    code = main(["verify-ic", "--config", str(config), "--out", str(tmp_path / "o")])
+    return code, json.loads((tmp_path / "o" / "verify_ic.json").read_text())["agents"]
+
+
+def test_income_certificate_prices_a_wide_audit_band(monkeypatch, tmp_path):
+    # under a 1e-6 band every cap of scaled_triangular at c = 1e-6 lies in
+    # the band, so reports above the cap are audited and refunded: a winner
+    # gains phi*(top - cap) by reporting the top, and verify-ic must fail
+    monkeypatch.setattr(rc.mech, "_audit_mask", _wide_audit_band)
+    inst = rc.AuctionInstance((scaled_triangular_agent(1e-6, 1.0),))
+    agent = inst.agents[0]
+    thetas = rc.mech._interior_grid(agent.types, 16)
+    tables = rc.tables_for(inst)
+    q = tables.locate(0, thetas).interp(tables.agents[0].win_prob)
+    caps = tables.pi_star(0, thetas)
+    won = 0
+    for th, w, cap, by_strategy in zip(thetas, q, caps, rc.best_responses(inst, 0, thetas,
+                                                                          128, 128)):
+        if w > 0.0:
+            won += 1
+            gain = agent.sensitivity * (float(agent.income.supp_hi(th)) - cap)
+            assert gain > 1e-7
+            for rep in by_strategy.values():
+                assert abs(rep.income_advantage - gain) <= 1e-15, th
+    assert won == thetas.size
+    assert _verify_ic_cheap_audits(tmp_path)[0] == 1
+
+
+def test_caps_just_below_the_support_top_leave_no_income_gain(tmp_path):
+    # scaled_triangular at c = 1e-6: every cap lies within 1e-6 of the
+    # support top.  With a 1e-6 audit band a winner halfway up its support
+    # gained 3.3e-7, 7.5e-7 and 9.5e-7 at these types by reporting the top,
+    # and verify-ic exited 1
+    inst = rc.AuctionInstance((scaled_triangular_agent(1e-6, 1.0),))
+    agent = inst.agents[0]
+    for th in (0.6, 0.8, 0.95):
+        lo = float(agent.income.supp_lo(th))
+        cap = float(rc.tables_for(inst).pi_star(0, th))
+        rep = rc.best_response_income(inst, 0, th, [], 0.5 * (lo + cap))
+        assert rep.advantage <= 1e-15, (th, rep.to_dict())
+    code, agents = _verify_ic_cheap_audits(tmp_path)
+    assert code == 0 and agents[0]["income_deviation_worst"] == 0.0
 
 
 def test_ir_zero_at_bottom_type(ua_inst):

@@ -37,7 +37,8 @@ takes an instance, so that a change shows how far each one moves:
 * per shipped config and tabulated instance, each agent's
   ``best_responses`` at the true types CLI ``verify-ic`` certifies (16
   interior types, the config's grids): per income strategy, the truthful
-  utility, the best-deviation utility and the advantage at every type;
+  utility, the best-deviation utility and the advantage at every type, and
+  the largest income-report gain (``income_advantage``) at every type;
 * the regime-change types ``mech._threshold_kinks`` (the table grid's
   breakpoints) of every agent of the shipped configs and tabulated
   instances, and of the swept agent at each value of a ``sweep`` section.
@@ -158,6 +159,9 @@ def _best_response_values(out: dict, name: str, text: str):
             for key in ("truthful_utility", "best_deviation_utility", "advantage"):
                 out[f"api/{name}/best_responses/{i}/{strategy}/{key}"] = _values(
                     getattr(r[strategy], key) for r in responses)
+        # the income certificate is one value per true type for both strategies
+        out[f"api/{name}/best_responses/{i}/income_advantage"] = _values(
+            r["grid_best"].income_advantage for r in responses)
 
 
 def _kink_values(out: dict, name: str, text: str):
