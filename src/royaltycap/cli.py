@@ -7,9 +7,9 @@ Subcommands:
                     transfer on a type grid, to CSV + JSON.
 * ``simulate``   -- Monte Carlo revenue estimate under truthful play.
 * ``verify-ic``  -- best-response grid certification of incentive
-                    compatibility (type deviations with inner income
-                    optimization, income deviations at every income,
-                    participation); it only echoes the seed.
+                    compatibility (type deviations, alone and with the
+                    cheapest income report, income deviations at every
+                    income, participation); it only echoes the seed.
 * ``sweep``      -- parameter sweep with analytic benchmark columns.
 * ``menu``       -- the one-buyer posted menu (lump sum / linear royalty).
 
@@ -129,7 +129,7 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
     ok = True
     for i, agent in enumerate(inst.agents):
         thetas = mech._interior_grid(agent.types, n_types)
-        responses = verify.best_responses(inst, i, thetas, cfg.theta_points, cfg.pi_points)
+        responses = verify.best_responses(inst, i, thetas, cfg.theta_points)
         rows = [(r, th, strategy) for th, by_strategy in zip(thetas.tolist(), responses)
                 for strategy, r in by_strategy.items()]
         r, th, strategy = max(rows, key=lambda row: row[0].advantage)   # the first worst
@@ -240,10 +240,12 @@ def main(argv=None) -> int:
         n_runs = cfg.n_runs if args.runs is None else args.runs
         if args.command in ("simulate", "sweep") and n_runs < sim._MIN_RUNS:
             raise ConfigError("--runs", f"must be at least {sim._MIN_RUNS}")
-        # grid floors of the library calls behind check and verify-ic
+        # grid floors of the library calls behind check and verify-ic (which
+        # reads no income grid)
         floor = {"check": verify._MIN_REGULARITY_GRID,
                  "verify-ic": verify._MIN_RESPONSE_GRID}.get(args.command, 0)
-        for key in ("theta_points", "pi_points"):
+        keys = ("theta_points",) if args.command == "verify-ic" else ("theta_points", "pi_points")
+        for key in keys:
             if getattr(cfg, key) < floor:
                 raise ConfigError("--grid" if args.grid is not None else f"grids.{key}",
                                   f"must be at least {floor} for {args.command}")

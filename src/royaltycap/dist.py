@@ -372,7 +372,8 @@ class TypeDist:
 
     def _check_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if np.any(theta < self.lo - 1e-12) or np.any(theta > self.hi + 1e-12):
+        # NaN fails every comparison, so it is rejected here
+        if not (np.all(theta >= self.lo - 1e-12) and np.all(theta <= self.hi + 1e-12)):
             raise DomainError(f"type {theta} outside support [{self.lo}, {self.hi}]")
 
 

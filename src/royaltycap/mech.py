@@ -260,6 +260,14 @@ def _allocate(psi: np.ndarray):
     return (w + 1) * (top > rival) - 1, rival
 
 
+def _agent(inst: AuctionInstance, i) -> AgentSpec:
+    """Agent ``i`` of ``inst``; ``DomainError`` unless ``i`` is an int in
+    range(n_agents) (a negative index would name another agent)."""
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n_agents:
+        raise DomainError(f"agent index {i!r} not in range({inst.n_agents})")
+    return inst.agents[i]
+
+
 def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
     """The tables' virtual values at rows of type ``profiles`` (one column
     per agent), each type checked against its agent's support first."""
@@ -426,6 +434,7 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     z the lowest winning type (observed: at most 4.5e-9 against adaptive
     quadrature on the shipped instances).
     """
+    _agent(inst, i)
     winner, rival = _allocate(_profile_psi(inst, [theta_profile]))
     if winner[0] != i:
         return 0.0
@@ -506,7 +515,7 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     a * (-G_2 * ih * phi - c * g) has degree at most 3 in income, so the
     2-point Gauss-Legendre rule is exact on each piece.
     """
-    agent = inst.agents[i]
+    agent = _agent(inst, i)
     theta_i = float(theta_profile[i])
     agent.types._check_domain(theta_i)
     lo, hi = (float(x) for x in _income_bounds(agent, theta_i))

@@ -2,11 +2,12 @@
 
 Nothing here trusts the closed-form reasoning behind the mechanism: incentive
 compatibility is certified by brute grid search over type deviations
-(including double deviations via an inner income-report optimization) and,
-at each certified true type, over income reports at every income (the
-search's cheapest report is affine in income between a few cuts), regularity
-by grid evidence, payment crossing by bisection plus an ordering certificate,
-and the noisy-audit reduction by Monte Carlo.
+(including double deviations, whose cheapest income report the settlement
+rule gives in closed form, tested against a brute grid) and, at each
+certified true type, over income reports at every income (the cheapest
+report is affine in income between a few cuts), regularity by grid
+evidence, payment crossing by bisection plus an ordering certificate, and
+the noisy-audit reduction by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .mech import (
     AuctionInstance,
     _GL2,
     _SLACK,
+    _agent,
     _allocate,
     _audit_region,
     _audit_surplus,
@@ -217,25 +219,19 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 
 
-def _income_reports(r_lo, r_hi, caps, phi: float, pi_grid: int):
+def _income_reports(r_lo, r_hi, caps, phi: float):
     """The report side of the double deviation, per type report (income
-    support [``r_lo``, ``r_hi``], audit threshold ``caps``), over
-    ``pi_grid`` income reports r.  An audited report pays
-    phi*pi + phi*(min(r, cap) - r) at the true income pi, an unaudited one
-    its royalty phi*min(r, cap) at every income.  Returns A, the least
-    phi*(min(r, cap) - r) over the audited reports, and U, the least royalty
-    over the unaudited ones (inf where there are none): the cheapest report
-    pays min(phi*pi + A, U)."""
-    r_lo, r_hi, caps = r_lo[:, None], r_hi[:, None], caps[:, None]
-    # np.linspace computes every row differently once one has zero width,
-    # so zero-width rows (a point support) are filled in apart
-    grid = np.repeat(r_lo, pi_grid, axis=1)
-    wide = (r_hi > r_lo)[:, 0]
-    grid[wide] = np.linspace(r_lo[wide, 0], r_hi[wide, 0], pi_grid, axis=-1)
-    # settled at true income 0, an audited report's penalty is -phi*r
-    royalty, audited, pen = _settle(0.0, grid, caps, r_hi, phi)
-    return (np.min(np.where(audited, royalty + pen, np.inf), axis=1),
-            np.min(np.where(audited, np.inf, royalty), axis=1))
+    support [``r_lo``, ``r_hi``], audit threshold ``caps``): A, the least
+    phi*(min(r, cap) - r) over the audited reports r, whose payment at true
+    income pi is phi*pi plus that, and U, the least royalty phi*min(r, cap)
+    over the unaudited ones (inf where there are none), so the cheapest
+    report pays min(phi*pi + A, U).  The audited reports are those below the
+    cap, or all where the cap reaches the top (``mech._audit_mask``), and
+    are charged 0 below the cap and least at the top above it; the others
+    pay phi*cap.  So the support's two ends attain both minima exactly."""
+    royalty, audited, pen = _settle(0.0, np.stack([r_lo, r_hi]), caps, r_hi, phi)
+    return (np.min(np.where(audited, royalty + pen, np.inf), axis=0),
+            np.min(np.where(audited, np.inf, royalty), axis=0))
 
 
 def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
@@ -315,7 +311,7 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     The truthful (projected) report must tie the grid maximum for the
     mechanism to be income-incentive-compatible.
     """
-    agent = inst.agents[i]
+    agent = _agent(inst, i)
     if _allocate_at(inst, i, theta_minus, [theta_report])[0][0] != i:
         raise DomainError("agent does not win at this report profile")
     cap = float(tables_for(inst).pi_star(i, theta_report))
@@ -338,13 +334,13 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
 
 
 def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
-                    pi_grid: int, strategies: tuple) -> list:
-    if min(theta_grid, pi_grid) < _MIN_RESPONSE_GRID:
+                    strategies: tuple) -> list:
+    if theta_grid < _MIN_RESPONSE_GRID:
         raise ValueError(f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
     if not set(strategies) <= {"truthful_projection", "grid_best"}:
         raise ValueError(f"unknown income strategy in {strategies!r}")
     thetas = np.asarray(thetas_true, dtype=float).ravel()
-    agent = inst.agents[i]
+    agent = _agent(inst, i)
     agent.types._check_domain(thetas)
     tables = tables_for(inst)
     t = tables.agents[i]
@@ -364,7 +360,7 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     # the double deviation's report side, once per type report
     phi = agent.sensitivity
     r_lo, r_hi = _income_bounds(agent, reports)
-    a, u = _income_reports(r_lo, r_hi, caps, phi, pi_grid)
+    a, u = _income_reports(r_lo, r_hi, caps, phi)
     rows = {s: win for s in strategies}
     rows["truthful_projection"] = rows.get("truthful_projection", False) | on_path
     utility = {}
@@ -397,14 +393,13 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
             out[-1][s] = DeviationReport(
                 truthful_utility=u0, best_deviation_utility=float(u[best]),
                 best_deviation=(float(reports[own][best]), s),
-                advantage=float(u[best] - u0), grid=(int(own.sum()), pi_grid),
+                advantage=float(u[best] - u0), grid=(int(own.sum()),),
                 ir_ok=bool(u0 >= -1e-9 and abs(u0 - rent) <= 1e-6), info_rent=rent,
                 income_advantage=income_adv[m])
     return out
 
 
-def best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
-                   pi_grid: int) -> list:
+def best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int) -> list:
     """Grid search over type misreports at each true type in ``thetas_true``,
     rivals truthful and integrated out: one dict per true type, mapping each
     income strategy to its ``DeviationReport``.
@@ -414,23 +409,25 @@ def best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     strategy prices the winning reports of all true types, and the best
     report is the first one that attains the maximum utility.
     ``'truthful_projection'`` reports income as truthfully as possible after
-    the misreport; ``'grid_best'`` also optimizes the income report per
-    realized income over a ``pi_grid``-point grid (double deviations).  Also
-    checks individual rationality: the truthful utility (the on-path
-    projected report) must be nonnegative and match the information rent.
-    ``income_advantage``: the most the cheapest grid income report gains on
-    the truthful one at any income, after the true type report (0 if it loses).
+    the misreport; ``'grid_best'`` also takes the cheapest income report in
+    the reported support at each realized income (double deviations; exact,
+    see ``_income_reports``).  Also checks individual rationality: the
+    truthful utility (the on-path projected report) must be nonnegative and
+    match the information rent.  ``income_advantage``: the most the cheapest
+    income report gains on the truthful one at any income, after the true
+    type report (0 if it loses).
     """
-    return _best_responses(inst, i, thetas_true, theta_grid, pi_grid,
+    return _best_responses(inst, i, thetas_true, theta_grid,
                            ("truthful_projection", "grid_best"))
 
 
 def best_response_type(inst: AuctionInstance, i: int, theta_true: float,
                        theta_grid: int = 128,
                        income_strategy: str = "grid_best",
-                       pi_grid: int = 128) -> DeviationReport:
-    """``best_responses`` at one true type, for one income strategy."""
-    return _best_responses(inst, i, [theta_true], theta_grid, pi_grid,
+                       pi_grid=None) -> DeviationReport:
+    """``best_responses`` at one true type, for one income strategy.
+    ``pi_grid`` is ignored: the income side is exact, with no grid."""
+    return _best_responses(inst, i, [theta_true], theta_grid,
                            (income_strategy,))[0][income_strategy]
 
 
@@ -462,7 +459,7 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     """
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
-    agent = inst.agents[i]
+    agent = _agent(inst, i)
     winner, rival = _allocate_at(inst, i, theta_minus, [theta_lo, theta_hi])
     for th, w in zip((theta_lo, theta_hi), winner):
         if w != i:

@@ -12,7 +12,10 @@ slow (up to a second per call on a tabulated family), so tests call them on
 a few points.
 
 The type best response is the scalar loop of the certificate: one expected
-payment per type report, each integrated on its own cuts.
+payment per type report, each integrated on its own cuts, the double
+deviation's by the cheapest of 128 income reports at each income.
+``income_reports`` is the double deviation's report side by brute minimum
+over a grid of income reports.
 
 ``wins`` and ``settle`` are the allocation and settlement rules in scalars,
 as the scalar API, the simulator and the certificate each wrote them out
@@ -38,7 +41,7 @@ from scipy.optimize import brentq
 
 import royaltycap as rc
 from royaltycap.dist import _gl_segments
-from royaltycap.mech import _audit_mask, _income_bounds, _threshold_kinks
+from royaltycap.mech import _audit_mask, _income_bounds, _settle, _threshold_kinks
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
 # relative nudge for one-sided limits at support endpoints
@@ -243,18 +246,28 @@ def payment_cuts(agent, theta_true, theta_rep, cap):
     return np.unique([t_lo, t_hi] + [x for x in (r_lo, r_hi, cap, *knots) if t_lo < x < t_hi])
 
 
-def expected_payment(agent, theta_true, theta_rep, cap, pi_points, best_response):
+def income_reports(r_lo, r_hi, cap, phi, n):
+    """The double deviation's (A, U) of one type report by brute search over
+    ``n`` evenly spaced income reports on [r_lo, r_hi], settled at true
+    income 0: the least royalty plus penalty over the audited reports, and
+    the least royalty over the unaudited ones (inf where there are none)."""
+    royalty, audited, pen = _settle(0.0, np.linspace(r_lo, r_hi, n), cap, r_hi, phi)
+    return (float(np.min(np.where(audited, royalty + pen, np.inf))),
+            float(np.min(np.where(audited, np.inf, royalty))))
+
+
+def expected_payment(agent, theta_true, theta_rep, cap, best_response):
     """E over pi ~ G(. | theta_true) of the winner's payment for one type
     report: 32-point Gauss-Legendre between ``payment_cuts``, or the payment
-    at the atom of a point-mass law.  ``best_response`` minimizes over a grid
-    of income reports per income; otherwise the report is the projection."""
+    at the atom of a point-mass law.  ``best_response`` minimizes over 128
+    income reports per income; otherwise the report is the projection."""
     phi = agent.sensitivity
     t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
     r_lo, r_hi = (float(x) for x in _income_bounds(agent, theta_rep))
 
     def pay_at(pis):
         if best_response:
-            grid = np.linspace(r_lo, r_hi, pi_points)
+            grid = np.linspace(r_lo, r_hi, 128)
             audited = _audit_mask(grid, cap, r_hi)
             pay_all = (np.minimum(grid, cap)[None, :] * phi
                        + audited[None, :] * (pis[:, None] - grid[None, :]) * phi)
@@ -283,7 +296,7 @@ def type_reports(inst, i, theta_true, theta_grid):
             at.interp(t.interim_transfer).tolist(), tables.pi_star(i, at).tolist())
 
 
-def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid):
+def best_response_type(inst, i, theta_true, theta_grid, income_strategy):
     """Type-misreport search, one ``expected_payment`` per winning report.
     Returns the ``DeviationReport`` and the list of those payments."""
     agent = inst.agents[i]
@@ -295,15 +308,14 @@ def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid
         if q <= 0.0:
             u = 0.0
         else:
-            pay = expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
+            pay = expected_payment(agent, theta_true, theta_rep, cap,
                                    best_response=(income_strategy == "grid_best"))
             pays.append(pay)
             u = q * (theta_true - pay) - t_pay
         if u > best_u:
             best_u, best_rep = u, theta_rep
         if theta_rep == theta_true:
-            pay = expected_payment(agent, theta_true, theta_rep, cap, pi_grid,
-                                   best_response=False)
+            pay = expected_payment(agent, theta_true, theta_rep, cap, best_response=False)
             truthful_u = q * (theta_true - pay) - t_pay
     info_rent = float(tables.locate(i, theta_true).interp(tables.agents[i].interim_rent))
     return rc.DeviationReport(
@@ -311,7 +323,7 @@ def best_response_type(inst, i, theta_true, theta_grid, income_strategy, pi_grid
         best_deviation_utility=float(best_u),
         best_deviation=(float(best_rep), income_strategy),
         advantage=float(best_u - truthful_u),
-        grid=(len(reports), pi_grid),
+        grid=(len(reports),),
         ir_ok=bool(truthful_u >= -1e-9 and abs(truthful_u - info_rent) <= 1e-6),
         info_rent=info_rent,
     ), pays

@@ -116,7 +116,7 @@ def test_criterion_4_incentive_compatibility(ua_inst, su_inst, st_inst):
         lo, hi = agent.types.lo, agent.types.hi
         for th in np.linspace(lo, hi, 23)[1:-1]:
             for strat in ("truthful_projection", "grid_best"):
-                r = rc.best_response_type(inst, 0, float(th), 128, strat, 128)
+                r = rc.best_response_type(inst, 0, float(th), 128, strat)
                 worst_type = max(worst_type, r.advantage)
                 ir_ok = ir_ok and r.ir_ok
         rs = np.random.default_rng(17)

@@ -292,7 +292,7 @@ def test_cli_exit_codes(tmp_path):
     (["check", "--grid", "16"], None, "--grid"),
     (["verify-ic", "--grid", "32"], None, "--grid"),
     (["check"], "{theta_points: 16, pi_points: 64}", "grids.theta_points"),
-    (["verify-ic"], "{theta_points: 64, pi_points: 48}", "grids.pi_points"),
+    (["verify-ic"], "{theta_points: 48, pi_points: 64}", "grids.theta_points"),
     (["simulate", "--runs", "10"], None, "--runs"),
     (["sweep", "--runs", "10"], None, "--runs"),
     (["simulate", "--workers", "0"], None, "--workers"),
@@ -311,6 +311,20 @@ def test_cli_usage_floors_exit_2(tmp_path, capsys, argv, grids, field):
     assert err.startswith(f"error: {field}: must be at least ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_verify_ic_reads_no_income_grid(tmp_path):
+    # verify-ic prices the double deviation without an income grid, so
+    # grids.pi_points (read by check alone) neither floors nor moves it
+    runs = []
+    for pi_points in (8, 128):
+        cfg = tmp_path / f"pair{pi_points}.yaml"
+        cfg.write_text((CONFIG_DIR / "mixed_pair.yaml").read_text()
+                       .replace("pi_points: 128", f"pi_points: {pi_points}"))
+        out = tmp_path / f"o{pi_points}"
+        code = main(["verify-ic", "--config", str(cfg), "--out", str(out)])
+        runs.append((code, json.loads((out / "verify_ic.json").read_text())["agents"]))
+    assert runs[0] == runs[1]
 
 
 def test_cli_seed_beyond_a_philox_key_exits_2(tmp_path, capsys):

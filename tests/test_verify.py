@@ -181,7 +181,7 @@ def test_type_best_response_certifies_ic(ua_inst, su_inst, st_inst):
 
 def test_type_best_response_multi_agent(pair_inst):
     for i, th in ((0, 1.4), (1, 0.8)):
-        r = rc.best_response_type(pair_inst, i, th, 96, "grid_best", 96)
+        r = rc.best_response_type(pair_inst, i, th, 96, "grid_best")
         assert r.advantage <= 1e-6
         assert r.truthful_utility >= -1e-9
 
@@ -192,7 +192,7 @@ def test_type_best_response_on_tabulated_income():
     inst = rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))
     for th in (1.2, 1.5):
         for strat in ("truthful_projection", "grid_best"):
-            r = rc.best_response_type(inst, 0, th, 128, strat, 128)
+            r = rc.best_response_type(inst, 0, th, 128, strat)
             assert r.advantage <= 1e-6 and r.ir_ok, (th, strat, r.to_dict())
 
 
@@ -203,10 +203,10 @@ def winning_reports(inst, i, theta_true, theta_grid=128):
     return reports[qs > 0.0], caps[qs > 0.0]
 
 
-def double_deviation(agent, reports, caps, pi_grid=128):
+def double_deviation(agent, reports, caps):
     """The double deviation's (A, U) of each type report."""
     r_lo, r_hi = rc.mech._income_bounds(agent, reports)
-    return verify._income_reports(r_lo, r_hi, caps, agent.sensitivity, pi_grid)
+    return verify._income_reports(r_lo, r_hi, caps, agent.sensitivity)
 
 
 def cut_counts(inst, i, theta_true, theta_grid=128):
@@ -221,7 +221,7 @@ def assert_matches_oracle(got, inst, i, theta_true, strat, grid):
     strategy exactly, and its best deviation is a best report under the loop
     (to 1e-14: exact ties may resolve to another report).  Returns the
     loop's payments of the winning reports."""
-    want, pays = oracles.best_response_type(inst, i, theta_true, grid, strat, grid)
+    want, pays = oracles.best_response_type(inst, i, theta_true, grid, strat)
     g, w = got.to_dict(), want.to_dict()
     for key in ("truthful_utility", "best_deviation_utility", "advantage", "info_rent"):
         assert abs(g[key] - w[key]) <= 1e-14, (i, theta_true, strat, key)
@@ -248,7 +248,7 @@ def test_type_best_response_matches_scalar_oracle(shipped_instances):
         lo, hi = inst.agents[i].types.lo, inst.agents[i].types.hi
         for th in (lo, lo + 0.37 * (hi - lo), lo + 0.81 * (hi - lo), hi):
             for strat in ("truthful_projection", "grid_best"):
-                got = rc.best_response_type(inst, i, th, 128, strat, 128)
+                got = rc.best_response_type(inst, i, th, 128, strat)
                 pays = assert_matches_oracle(got, inst, i, th, strat, 128)
                 reports, caps = winning_reports(inst, i, th)
                 income = (double_deviation(inst.agents[i], reports, caps)
@@ -275,7 +275,7 @@ def test_best_responses_match_the_scalar_oracle(shipped_instances, data):
     lo, hi = inst.agents[i].types.lo, inst.agents[i].types.hi
     at = data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
     thetas = [lo, hi] + [lo + a * (hi - lo) for a in at]
-    got = rc.best_responses(inst, i, thetas, 64, 64)
+    got = rc.best_responses(inst, i, thetas, 64)
     assert len(got) == len(thetas)
     for th, by_strategy in zip(thetas, got):
         assert list(by_strategy) == ["truthful_projection", "grid_best"]
@@ -302,6 +302,39 @@ def test_settlement_is_affine_in_the_true_income(pi, pi2, r, cap, top, phi):
         assert not audited2 and royalty + pen == royalty2 + pen2 == phi * min(r, cap)
 
 
+_CAP_AT = {"below": lambda lo, hi, at: lo - 1.0 - at,
+           "inside": lambda lo, hi, at: lo + at * (hi - lo),
+           "top": lambda lo, hi, at: hi,
+           "band": lambda lo, hi, at: hi - at * 1e-12 * max(1.0, abs(hi)),
+           "above": lambda lo, hi, at: hi + 1.0 + at}
+
+
+@given(lo=st.floats(-4.0, 4.0), width=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       where=st.sampled_from(sorted(_CAP_AT)), at=st.floats(0.0, 1.0),
+       phi=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), n=st.sampled_from([2, 8, 128]))
+@example(lo=0.5, width=0.0, where="top", at=0.0, phi=0.5, n=2).via("a point support")
+@example(lo=0.5, width=2.0, where="band", at=0.5, phi=0.0, n=8).via("a refund at phi = 0")
+@example(lo=-1.0, width=2.0, where="inside", at=0.3, phi=1.0, n=128).via("both sides")
+@example(lo=-1.0, width=1.0000000000001, where="band", at=0.6, phi=0.0, n=8).via("a cap below 0")
+@settings(max_examples=300, deadline=None)
+def test_income_reports_are_the_brute_minimum(lo, width, where, at, phi, n):
+    # the closed-form (A, U) is the brute search's over n income reports,
+    # bit for bit, for caps below the support, inside it, at its top, inside
+    # the audit band below the top and above it
+    hi = lo + width
+    cap = _CAP_AT[where](lo, hi, at)
+    got = verify._income_reports(np.array([lo]), np.array([hi]), np.array([cap]), phi)
+    want = oracles.income_reports(lo, hi, cap, phi, n)
+    assert np.concatenate(got).tobytes() == np.array(want).tobytes(), (got, want)
+
+
+def test_best_response_type_ignores_an_income_grid(ua_inst):
+    # the trailing income-grid slot is kept for old callers and ignored
+    want = rc.best_response_type(ua_inst, 0, 1.3, 64, "grid_best")
+    assert rc.best_response_type(ua_inst, 0, 1.3, 64, "grid_best", 8) == want
+    assert want.grid == (65,)
+
+
 @pytest.mark.parametrize("agent,empty", [
     (uniform_additive_agent(audit_cost=0.0, sensitivity=1.0), "unaudited"),
     (uniform_additive_agent(sensitivity=0.0), "audited")])
@@ -315,10 +348,10 @@ def test_double_deviation_with_an_empty_report_set_matches_the_oracle(agent, emp
         reports, caps = winning_reports(inst, 0, th, 64)
         assert reports.size
         r_lo, r_hi = rc.mech._income_bounds(agent, reports)
-        a, u = verify._income_reports(r_lo, r_hi, caps, agent.sensitivity, 64)
+        a, u = verify._income_reports(r_lo, r_hi, caps, agent.sensitivity)
         assert np.all(np.isinf(u if empty == "unaudited" else a))
         for strat in ("truthful_projection", "grid_best"):
-            got = rc.best_response_type(inst, 0, th, 64, strat, 64)
+            got = rc.best_response_type(inst, 0, th, 64, strat)
             assert_matches_oracle(got, inst, 0, th, strat, 64)
 
 
@@ -354,14 +387,14 @@ def test_best_responses_evaluate_the_density_twice_per_piece(monkeypatch):
 
     monkeypatch.setattr(agent.income, "pdf", counted_pdf)
     monkeypatch.setattr(verify, "_expected_payments", counted_payments)
-    rc.best_responses(TABLE_INCOME_INST, 0, rc.mech._interior_grid(agent.types, 16), 128, 128)
+    rc.best_responses(TABLE_INCOME_INST, 0, rc.mech._interior_grid(agent.types, 16), 128)
     assert len(bound) == 2 and 0 < sum(nodes) <= sum(bound)
 
 
 def test_best_responses_build_the_income_report_side_once(monkeypatch, pair_inst):
-    # a deterministic cost guard: the income-report grids, their audit masks
-    # and orderings are built once per call, for each distinct winning type
-    # report (they were built once per true type and strategy)
+    # a deterministic cost guard: the double deviation's (A, U) is built once
+    # per call, for each distinct type report (it was built once per true
+    # type and strategy)
     calls = []
     income_reports = verify._income_reports
 
@@ -373,7 +406,7 @@ def test_best_responses_build_the_income_report_side_once(monkeypatch, pair_inst
     for i in range(pair_inst.n_agents):
         calls.clear()
         thetas = rc.mech._interior_grid(pair_inst.agents[i].types, 16)
-        rc.best_responses(pair_inst, i, thetas, 128, 128)
+        rc.best_responses(pair_inst, i, thetas, 128)
         assert len(calls) == 1 and calls[0] <= 128 + 16
 
 
@@ -385,7 +418,7 @@ def test_best_responses_hold_bounded_memory(pair_inst):
     thetas = rc.mech._interior_grid(pair_inst.agents[0].types, 16)
     tracemalloc.start()
     try:
-        rc.best_responses(pair_inst, 0, thetas, 128, 128)
+        rc.best_responses(pair_inst, 0, thetas, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,7 +444,7 @@ def test_top_type_of_scaled_error_agent_has_no_deviation_gain(shipped_instances,
     # pays its royalty and penalty there instead of nothing
     inst = shipped_instances[name]
     for strat in ("truthful_projection", "grid_best"):
-        r = rc.best_response_type(inst, i, inst.agents[i].types.hi, 128, strat, 128)
+        r = rc.best_response_type(inst, i, inst.agents[i].types.hi, 128, strat)
         assert r.advantage <= 1e-6 and r.ir_ok, r.to_dict()
 
 
@@ -432,7 +465,7 @@ def test_type_best_response_evaluates_density_once_per_payment_pass(monkeypatch)
             return pdf(*args)
 
         monkeypatch.setattr(income, "pdf", counted)
-        rc.best_response_type(inst, i, th, 128, "grid_best", 128)
+        rc.best_response_type(inst, i, th, 128, "grid_best")
         assert len(calls) == 2
 
 
@@ -455,6 +488,32 @@ def test_income_deviations_and_crossing_evaluate_each_report_once(monkeypatch, p
     calls.clear()
     rc.crossing_point(st_inst, 0, 0.75, 0.8)
     assert calls == []
+
+
+def test_nan_types_are_outside_the_support(pair_inst):
+    # NaN fails every comparison, so a range check written as two rejections
+    # let it through: allocation returned [0, 0] and transfer 0.0
+    nan = float("nan")
+    for call in (lambda: rc.allocation(pair_inst, [nan, 0.8]),
+                 lambda: rc.transfer(pair_inst, 0, [nan, 0.8]),
+                 lambda: rc.best_responses(pair_inst, 0, [nan], 64)):
+        with pytest.raises(DomainError, match="outside support"):
+            call()
+
+
+@pytest.mark.parametrize("i", [2, -1, 0.0, np.int64(5)])
+@pytest.mark.parametrize("call", [
+    lambda inst, i: rc.transfer(inst, i, [1.5, 0.8]),
+    lambda inst, i: rc.endogenous_virtual(inst, i, [1.5, 0.8], lambda prof, p: 1.0),
+    lambda inst, i: rc.best_response_income(inst, i, 1.6, [0.6], 1.2),
+    lambda inst, i: rc.best_response_type(inst, i, 1.5, 64),
+    lambda inst, i: rc.crossing_point(inst, i, 1.7, 1.8, [0.6]),
+], ids=["transfer", "endogenous_virtual", "best_response_income", "best_response_type",
+        "crossing_point"])
+def test_agent_index_must_name_an_agent(pair_inst, call, i):
+    # a missing agent used to get transfer 0.0, and -1 certified agent 1
+    with pytest.raises(DomainError, match="agent index"):
+        call(pair_inst, i)
 
 
 def test_rival_reports_must_match_the_rivals(pair_inst):
@@ -484,7 +543,7 @@ def test_income_advantage_is_the_brute_search_at_the_cuts(shipped_instances, nam
     caps = rc.tables_for(inst).pi_star(0, thetas)
     a, u = double_deviation(agent, thetas, caps)
     for th, cap, switch, by_strategy in zip(thetas.tolist(), caps.tolist(), (u - a) / phi,
-                                            rc.best_responses(inst, 0, thetas, 128, 128)):
+                                            rc.best_responses(inst, 0, thetas, 128)):
         lo, hi = (float(x) for x in rc.mech._income_bounds(agent, th))
         cuts = [lo, hi, cap] + ([float(switch)] if np.isfinite(switch) else [])
         try:
@@ -524,8 +583,7 @@ def test_income_certificate_prices_a_wide_audit_band(monkeypatch, tmp_path):
     q = tables.locate(0, thetas).interp(tables.agents[0].win_prob)
     caps = tables.pi_star(0, thetas)
     won = 0
-    for th, w, cap, by_strategy in zip(thetas, q, caps, rc.best_responses(inst, 0, thetas,
-                                                                          128, 128)):
+    for th, w, cap, by_strategy in zip(thetas, q, caps, rc.best_responses(inst, 0, thetas, 128)):
         if w > 0.0:
             won += 1
             gain = agent.sensitivity * (float(agent.income.supp_hi(th)) - cap)
@@ -553,13 +611,13 @@ def test_caps_just_below_the_support_top_leave_no_income_gain(tmp_path):
 
 
 def test_ir_zero_at_bottom_type(ua_inst):
-    r = rc.best_response_type(ua_inst, 0, 1.0, 64, "truthful_projection", 64)
+    r = rc.best_response_type(ua_inst, 0, 1.0, 64, "truthful_projection")
     assert abs(r.truthful_utility) <= 1e-9
 
 
 def test_rent_matches_utility(ua_inst):
     # truthful utility equals the information-rent integral
-    r = rc.best_response_type(ua_inst, 0, 1.3, 64, "truthful_projection", 64)
+    r = rc.best_response_type(ua_inst, 0, 1.3, 64, "truthful_projection")
     assert r.truthful_utility == pytest.approx(0.15, abs=1e-7)   # 0.5 (theta - 1)
     assert r.info_rent == pytest.approx(r.truthful_utility, abs=1e-6)
 
@@ -567,7 +625,7 @@ def test_rent_matches_utility(ua_inst):
 def test_full_extraction_all_strategies_worthless():
     inst = rc.AuctionInstance(
         (uniform_additive_agent(audit_cost=0.0, sensitivity=1.0),))
-    r = rc.best_response_type(inst, 0, 1.5, 64, "grid_best", 64)
+    r = rc.best_response_type(inst, 0, 1.5, 64, "grid_best")
     assert abs(r.truthful_utility) <= 1e-7
     assert r.advantage <= 1e-6
 

@@ -36,7 +36,7 @@ takes an instance, so that a change shows how far each one moves:
   (0.6, 0.7), (0.75, 0.8) and (0.75, 0.75);
 * per shipped config and tabulated instance, each agent's
   ``best_responses`` at the true types CLI ``verify-ic`` certifies (16
-  interior types, the config's grids): per income strategy, the truthful
+  interior types, the config's type grid): per income strategy, the truthful
   utility, the best-deviation utility and the advantage at every type, and
   the largest income-report gain (``income_advantage``) at every type;
 * the regime-change types ``mech._threshold_kinks`` (the table grid's
@@ -153,8 +153,7 @@ def _best_response_values(out: dict, name: str, text: str):
     n_types = max(8, cfg.theta_points // 8)   # as CLI verify-ic
     for i, agent in enumerate(cfg.instance.agents):
         thetas = mech._interior_grid(agent.types, n_types)
-        responses = verify.best_responses(cfg.instance, i, thetas, cfg.theta_points,
-                                          cfg.pi_points)
+        responses = verify.best_responses(cfg.instance, i, thetas, cfg.theta_points)
         for strategy in ("truthful_projection", "grid_best"):
             for key in ("truthful_utility", "best_deviation_utility", "advantage"):
                 out[f"api/{name}/best_responses/{i}/{strategy}/{key}"] = _values(
