@@ -34,6 +34,17 @@ _MEAN_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
+# points per predicate call up to which ``_bisect`` resolves several levels
+_BISECT_POINTS = 256
+
+
+def _levels(n: int) -> int:
+    """Levels one ``_bisect`` call resolves for n brackets: the most, d, whose
+    2^d - 1 midpoints per bracket fit in ``_BISECT_POINTS`` points, and at
+    least one (floor(log2(B/n + 1)))."""
+    return max(1, (_BISECT_POINTS // max(n, 1) + 1).bit_length() - 1)
+
+
 def _bisect(below, a, b, steps: int):
     """Bisect the brackets [a, b] (arrays or scalars) ``steps`` times and
     return their midpoints.  ``below(mid)`` must hold left of the sought point
@@ -41,17 +52,49 @@ def _bisect(below, a, b, steps: int):
 
     The one root finder of the package: quantiles of tabulated laws, audit
     thresholds, menu cutoffs, regime-change types and payment crossings.
-    A step is a function of the brackets alone, so once one leaves every
-    bracket bit for bit unchanged the rest would too, and the loop stops."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    for _ in range(steps):
+
+    Each predicate call resolves d = ``_levels(n)`` levels of the n brackets
+    (8 for one bracket, 1 from 129 on).  With d > 1, ``below`` gets the
+    2^d - 1 midpoints of each bracket's next d levels at once, in increasing
+    order along a new leading axis, and must be elementwise over leading
+    axes.  Each midpoint is the 0.5 * (lo + hi) of the bracket the one-level
+    loop would split there, and the walk down keeps the half the predicate
+    picks at each level, so every bracket is bit for bit what d single
+    steps give.  A one-level call is that loop's step, at the brackets' own
+    shape; a 0-d bracket's first call is one, so the brackets take the
+    predicate's shape as in that loop.  A step is a function of the brackets
+    alone, so once one leaves every bracket bit for bit unchanged the rest
+    would too, and the loop stops after that call."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    d = 1 if a.ndim == 0 else _levels(a.size)
+    while steps > 0:
+        d = min(d, steps)
         m = 0.5 * (a + b)
-        ok = below(m)
-        step = np.where(ok, m, a), np.where(ok, b, m)
-        if all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip((a, b), step)):
+        lo, hi = a, b   # the last level's bracket, whose midpoint is m
+        if d > 1:
+            # the 2^d + 1 points of the next d levels in increasing order,
+            # each new one the midpoint of its two neighbours a level up
+            pts = np.empty(((1 << d) + 1,) + a.shape)
+            pts[0], pts[1 << (d - 1)], pts[-1] = a, m, b
+            for k in range(d - 1, 0, -1):
+                s = 1 << k
+                pts[s // 2::s] = 0.5 * (pts[:-1:s] + pts[s::s])
+            ok = np.asarray(below(pts[1:-1]), dtype=bool).reshape(len(pts) - 2, a.size)
+            # walk down d - 1 levels: ``node`` is each bracket's lower end
+            # among the points, the verdict on its midpoint ok[node + half - 1]
+            pts, cols, node = pts.reshape(len(pts), a.size), np.arange(a.size), 0
+            for k in range(d - 1, 0, -1):
+                node = node + (1 << k) * ok[node + (1 << k) - 1, cols]
+            lo, m, hi = (pts[node + i, cols].reshape(a.shape) for i in range(3))
+            ok = ok[node, cols].reshape(a.shape)
+        else:
+            ok = below(m)
+        # the last level, as the one-level loop takes it
+        a, b = np.where(ok, m, lo), np.where(ok, hi, m)
+        if all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in ((lo, a), (hi, b))):
             break
-        a, b = step
+        steps -= d
+        d = _levels(a.size)
     return 0.5 * (a + b)
 
 
@@ -148,6 +191,9 @@ class _Standardized:
         out = np.where((z >= 0) & (z <= 1), self._pdf(np.clip(z, 0, 1)) / self.scale,
                        np.where(np.isnan(z), np.nan, 0.0))
         return out[()]
+
+    def cdf_and_pdf(self, x):
+        return self.cdf(x), self.pdf(x)
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
@@ -310,6 +356,13 @@ class _TableCdf:
     def pdf(self, x):
         return self._pdf(np.asarray(x, dtype=float))[()]
 
+    def cdf_and_pdf(self, x):
+        """``(cdf(x), pdf(x))``, from one clip of x and one search of its cells."""
+        x = np.asarray(x, dtype=float)
+        inside = np.clip(x, self.lo, self.hi)
+        i = _cells(self.knots, self._guide, inside)
+        return self._cdf_inside(inside, i)[()], self._pdf(x, i)[()]
+
     def ppf(self, u):
         out = np.interp(u, self._inv_f, self._inv_x)
         return out if np.ndim(u) else float(out)
@@ -423,7 +476,10 @@ class IncomeFamily:
     * ``breakpoints(theta)`` -- for a 1-d array of types, one row per type of
       the income levels (support ends included) between which the law is a
       polynomial in income.  The mechanism kernels split their income
-      integrals there.
+      integrals there;
+    * optionally ``locate_types(theta)`` -- the types in a form that every
+      method but ``ppf`` takes in place of them, found once for many calls
+      (the default is theta as a float array).
 
     All other methods accept scalars or broadcastable arrays.
     """
@@ -459,6 +515,19 @@ class IncomeFamily:
         """``(cdf(pi, theta), dcdf_dtheta(pi, theta))`` at the same points;
         families whose two share work override it."""
         return self.cdf(pi, theta), self.dcdf_dtheta(pi, theta)
+
+    def _cdf_and_dtheta(self, pi, theta):
+        """``cdf_and_dtheta`` for the mechanism kernels, which broadcast the
+        second array: a family whose dG/dtheta does not vary over the types
+        may return it at pi's shape."""
+        return self.cdf_and_dtheta(pi, theta)
+
+    def locate_types(self, theta):
+        """The types ``theta`` as every method here takes them: a family
+        that looks its types up (a tabulated one) does so once, and the
+        methods accept the result in place of ``theta``; others return
+        theta as a float array."""
+        return np.asarray(theta, dtype=float)
 
     def g2_over_g(self, pi, theta):
         raise NotImplementedError
@@ -498,6 +567,10 @@ class AdditiveErrorFamily(IncomeFamily):
 
     def dcdf_dtheta(self, pi, theta):
         return -self._err.pdf(np.asarray(pi, dtype=float) - theta)
+
+    def cdf_and_dtheta(self, pi, theta):
+        g, h = self._err.cdf_and_pdf(np.asarray(pi, dtype=float) - theta)
+        return g, -h
 
     def g2_over_g(self, pi, theta):
         shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
@@ -564,6 +637,16 @@ class ScaledErrorFamily(IncomeFamily):
                        0.0)
         return out if np.ndim(out) else float(out)
 
+    def cdf_and_dtheta(self, pi, theta):
+        pi = np.asarray(pi, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        s = 1.0 - theta
+        safe = np.where(s > 0, s, 1.0)
+        g, h = self._err.cdf_and_pdf((pi - theta) / safe)
+        g = np.where(s > 0, g, (pi >= theta).astype(float))
+        g2 = np.where(s > 0, h * (pi - 1.0) / (safe * safe), 0.0)
+        return tuple(x if np.ndim(x) else float(x) for x in (g, g2))
+
     def g2_over_g(self, pi, theta):
         pi = np.asarray(pi, dtype=float)
         s = self._scale(theta)
@@ -580,6 +663,27 @@ class ScaledErrorFamily(IncomeFamily):
         return theta + self._scale(theta) * self._err.knots
 
 
+@dataclass(frozen=True)
+class KnotTypes:
+    """Types located on a ``TableIncomeFamily``'s type knots: interval ``j``
+    and weight ``w`` on row j + 1 of each type.  The family's methods take
+    it in place of the types; indexing it indexes each type."""
+
+    j: np.ndarray
+    w: np.ndarray
+
+    @property
+    def shape(self):
+        return self.j.shape
+
+    @property
+    def ndim(self):
+        return self.j.ndim
+
+    def __getitem__(self, key):
+        return KnotTypes(self.j[key], self.w[key])
+
+
 class TableIncomeFamily(IncomeFamily):
     """Tabulated conditional CDFs: monotone-cubic in income, linear in type.
 
@@ -594,12 +698,15 @@ class TableIncomeFamily(IncomeFamily):
     dG/dtheta lives.
 
     Quantiles invert this mixture CDF with the shared bisection ``_bisect``
-    (80 steps), all draws of a call at once.  Every evaluation locates each
-    income once per row pair, on the union of both rows' knots (``_cells``
-    with the union's guide table): no knot of either row lies strictly
-    inside a union cell, so the union cell decides both rows' cells.
+    (80 steps), all draws of a call in one knot interval at once.  Every
+    evaluation locates each income once per row pair, on the union of both
+    rows' knots (``_cells`` with the union's guide table): no knot of either
+    row lies strictly inside a union cell, so the union cell decides both
+    rows' cells.
     ``cdf_and_dtheta`` and ``g2_over_g`` evaluate the two rows once for both
-    of their quantities.
+    of their quantities.  Types are located on the knots by ``_locate``, or
+    once for many calls by ``locate_types``, whose ``KnotTypes`` every method
+    but ``ppf`` takes in place of the types.
     """
 
     family = "table"
@@ -651,10 +758,16 @@ class TableIncomeFamily(IncomeFamily):
         return out
 
     def _locate(self, theta):
+        """Knot interval j and weight w on row j + 1 of each type."""
+        if isinstance(theta, KnotTypes):
+            return theta.j, theta.w
         theta = np.asarray(theta, dtype=float)
         j = np.clip(np.searchsorted(self._tg, theta, side="right") - 1, 0, self._tg.size - 2)
         w = (theta - self._tg[j]) / (self._tg[j + 1] - self._tg[j])
         return j, np.clip(w, 0.0, 1.0)
+
+    def locate_types(self, theta):
+        return KnotTypes(*self._locate(theta))
 
     def supp_lo(self, theta):
         j = self._locate(theta)[0]
@@ -666,18 +779,20 @@ class TableIncomeFamily(IncomeFamily):
         out = np.maximum(self._his[j], self._his[j + 1])
         return out if np.ndim(theta) else float(out)
 
-    def _by_interval(self, fn, pi, theta):
+    def _by_interval(self, fn, pi, theta, broadcast=True):
         """The arrays ``fn(j, pi, w, cells)`` on each knot interval j of the
         types, over the broadcast of pi and theta (types are located before
         broadcasting); ``cells`` are pi's cells in rows j and j + 1, from one
         search of the pair's union grid.  When all types share one interval,
-        fn runs once on the unbroadcast arrays."""
+        fn runs once on the unbroadcast arrays, and an output that does not
+        depend on the type keeps pi's shape unless ``broadcast``."""
         pi = np.asarray(pi, dtype=float)
         j, w = self._locate(theta)
         shape = np.broadcast_shapes(pi.shape, j.shape)
         j0 = j.flat[0] if j.size else 0
         if np.all(j == j0):
-            outs = [o if np.shape(o) == shape else np.broadcast_to(o, shape).copy()
+            outs = [o if np.shape(o) == shape or not broadcast
+                    else np.broadcast_to(o, shape).copy()
                     for o in fn(j0, pi, w, self._pair_cells(j0, pi))]
         else:
             outs = []
@@ -705,7 +820,9 @@ class TableIncomeFamily(IncomeFamily):
     @staticmethod
     def _mix(w, lo, hi):
         """The mixture of the two rows' values, weight w on row j + 1."""
-        return (1.0 - w) * lo + w * hi
+        out = (1.0 - w) * lo
+        out += w * hi
+        return out
 
     def _slope(self, j, lo, hi):
         """dG/dtheta on knot interval j from the two rows' values."""
@@ -726,29 +843,39 @@ class TableIncomeFamily(IncomeFamily):
             lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),),
             pi, theta)[0]
 
-    def cdf_and_dtheta(self, pi, theta):
-        def both(j, p, w, cells):
-            lo, hi = self._pair_cdfs(j, p, cells)
-            return self._mix(w, lo, hi), self._slope(j, lo, hi)
+    def _both(self, j, p, w, cells):
+        lo, hi = self._pair_cdfs(j, p, cells)
+        return self._mix(w, lo, hi), self._slope(j, lo, hi)
 
-        return self._by_interval(both, pi, theta)
+    def cdf_and_dtheta(self, pi, theta):
+        return self._by_interval(self._both, pi, theta)
+
+    def _cdf_and_dtheta(self, pi, theta):
+        # dG/dtheta is the rows' slope, the same at every type of an interval
+        return self._by_interval(self._both, pi, theta, broadcast=False)
 
     def g2_over_g(self, pi, theta):
         num, den = self._by_interval(
             lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),
                                     self._mix(w, *self._pair_pdfs(j, p, cells))),
-            pi, theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / np.where(den > 0, den, np.nan)
-        out = np.where(np.isnan(out), 0.0, out)
+            pi, theta, broadcast=False)
+        # the mixed pdf has the broadcast shape; the ratio is 0 where it
+        # vanishes (a NaN income's rows give slope NaN and pdf 0)
+        out = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0)
         return out if np.ndim(out) else float(out)
 
     def ppf(self, u, theta):
         u, theta = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(theta, dtype=float))
-        out = _bisect(lambda p: self.cdf(p, theta) < u,
-                      self.supp_lo(theta), self.supp_hi(theta), 80)
-        return out if out.ndim else float(out)
+        u, at = u.ravel(), self.locate_types(theta.ravel())
+        out = np.empty(u.shape)
+        # one bisection per knot interval, each of whose predicate calls
+        # evaluates one row pair
+        for j in np.unique(at.j):
+            m = at.j == j
+            a, um = at[m], u[m]
+            out[m] = _bisect(lambda p: self.cdf(p, a) < um, self.supp_lo(a), self.supp_hi(a), 80)
+        return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
     def breakpoints(self, theta):
         return self._bp[self._locate(theta)[0]]

@@ -26,10 +26,14 @@ single crossing in income (``verify.check_regularity`` reports it too), and
 ``_edge_pays`` the only judgement of whether auditing pays at an end of the
 income support, which the audit threshold, the regime kinks and the menu
 cutoff share.  The scan answers 0.0 unprobed where the income family proves
-single crossing (additive and scaled errors); a kernel block whose types
-share one row of incomes has the family evaluate it once (``_shared_row``).
-The mechanism's two rules have one function each, which the simulator, the
-IC certificate, the CLI and the scalar entry points share: ``_allocate``
+single crossing (additive and scaled errors).  The kernels take their types
+as ``_Types``, which holds what depends on the type alone (the inverse
+hazard, the income support and the family's located types), computed once
+per array of types.  A kernel block whose types share one row of incomes has
+the family evaluate it once (``_shared_row``), and the integrals keep that
+row's nodes, weights, type-free dG/dtheta and cap sum unbroadcast.  The
+mechanism's two rules have one function each, which the simulator, the IC
+certificate, the CLI and the scalar entry points share: ``_allocate``
 (winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
 integrals over the audit region are split at the income law's breakpoints
 (``IncomeFamily.breakpoints``) and integrated piece by piece with the
@@ -44,7 +48,11 @@ build evaluates the mechanism: the information rent and the simulator's
 mean audit threshold are exact integrals of the tables' linear interpolants
 (``_cum_trapezoid``).  Every inversion (the audit threshold, the menu
 cutoffs, the types where the audit region changes regime and the cash
-auction's reserve type) goes through the vectorized bisection ``dist._bisect``.
+auction's reserve type) goes through the vectorized bisection
+``dist._bisect``.  With few brackets it resolves several levels per
+predicate call, handing the predicate the midpoints of the next levels along
+a new leading axis (up to 256 points), so every predicate here is
+elementwise over leading axes.
 """
 
 from __future__ import annotations
@@ -172,9 +180,11 @@ def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
     after a negative one (zero when the sequence is single-crossing from
     above).  NaN entries are skipped."""
     values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    seen_neg = np.maximum.accumulate(values < 0, axis=-1)[..., :-1]
-    later = values[..., 1:]
-    return np.max(np.where(seen_neg & (later > 0), later, 0.0), axis=-1, initial=0.0)
+    neg = values < 0
+    # the first negative entry, or the end where there is none
+    first = np.where(neg.any(axis=-1), np.argmax(neg, axis=-1), values.shape[-1])
+    later = np.arange(values.shape[-1]) > first[..., None]
+    return np.max(np.where(later & (values > 0), values, 0.0), axis=-1, initial=0.0)
 
 
 def myerson_virtual(agent: AgentSpec, theta):
@@ -373,12 +383,11 @@ def _edge_pays(agent: AgentSpec, thetas) -> np.ndarray:
     each type's income support: audit surplus >= 0 at each end nudged inside
     by ``_NU``.  Where phi * (1 - F)/f == 0 (phi == 0 or the top type) the
     surplus is -c at every income, so auditing pays iff c == 0."""
-    thetas = np.asarray(thetas, dtype=float)
-    lo, hi = _income_bounds(agent, thetas)
+    t = _Types.of(agent, thetas)
+    lo, hi, ih = t.lo, t.hi, t.ih
     ends = np.stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)])
-    ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
     with np.errstate(invalid="ignore"):
-        pays = _audit_surplus(agent, thetas, ends, ih) >= 0
+        pays = _audit_surplus(agent, t.at, ends, ih) >= 0
     trivial = agent.sensitivity * np.where(np.isfinite(ih), ih, 1.0) == 0.0
     return np.where(trivial, agent.audit_cost == 0.0, pays)
 
@@ -395,8 +404,7 @@ def _threshold_kinks(agent: AgentSpec) -> list:
     end, k = np.nonzero(np.diff(pays, axis=1))
     if k.size == 0:
         return []
-    col = np.arange(k.size)
-    kinks = _bisect(lambda t: _edge_pays(agent, t)[end, col] == pays[end, k],
+    kinks = _bisect(lambda t: np.choose(end, _edge_pays(agent, t)) == pays[end, k],
                     grid[k], grid[k + 1], 64)
     return sorted({k for k in kinks.tolist() if lo < k < hi})
 
@@ -521,7 +529,8 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     lo, hi = (float(x) for x in _income_bounds(agent, theta_i))
 
     def audit(x):
-        return np.array([audit_rule_fn(theta_profile, p) for p in x.tolist()], dtype=float)
+        return np.array([audit_rule_fn(theta_profile, p) for p in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
 
     scan = np.linspace(lo, hi, 257)
     a = audit(scan)
@@ -607,6 +616,42 @@ def full_extraction_revenue(inst: AuctionInstance) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Types:
+    """Types with what the kernels read of them alone, computed once: the
+    income family's located types ``at`` (``IncomeFamily.locate_types``),
+    the inverse hazards ``ih`` = (1 - F)/f and the income supports
+    [``lo``, ``hi``].  The kernels take it in place of an array of types;
+    indexing it indexes each type."""
+
+    theta: np.ndarray
+    at: object
+    ih: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @staticmethod
+    def of(agent: AgentSpec, thetas) -> "_Types":
+        """``thetas`` as ``_Types`` (checked against the type support)."""
+        if isinstance(thetas, _Types):
+            return thetas
+        theta = np.asarray(thetas, dtype=float)
+        ih = np.asarray(inverse_hazard(agent.types, theta), dtype=float)
+        # a duck-typed family without locate_types takes the types as they are
+        at = getattr(agent.income, "locate_types", np.asarray)(theta)
+        return _Types(theta, at, ih, *_income_bounds(agent, at))
+
+    @property
+    def size(self) -> int:
+        return self.theta.size
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, key) -> "_Types":
+        return _Types(self.theta[key], self.at[key], self.ih[key], self.lo[key], self.hi[key])
+
+
 def _blocked(fn, width: int, *cols):
     """``fn`` applied to blocks of rows of the ``cols``, each of its outputs
     concatenated over the blocks.  ``fn``'s temporaries hold ``width``
@@ -643,49 +688,51 @@ def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
 def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """Per type, ``_worst_single_crossing`` of mu*phi - c over 65 incomes
     spread inside the type's own income support."""
-    lo, hi = _income_bounds(agent, thetas)
 
-    def worst(t, l, h):
-        probe = _shared_row(np.linspace(l + _NU * (h - l), h - _NU * (h - l), 65, axis=1))
-        ih = np.asarray(inverse_hazard(agent.types, t), dtype=float)[:, None]
+    def worst(t):
+        lo, hi = t.lo, t.hi
+        # linspace starts and ends each row at its ends, so rows agree iff their ends do
+        ends = _shared_row(np.column_stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)]))
+        probe = np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)
         with np.errstate(invalid="ignore"):
-            s = _audit_surplus(agent, t[:, None], probe, ih)
+            s = _audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
         return (_worst_single_crossing(s, axis=1),)
 
-    return _blocked(worst, 65, thetas, lo, hi)[0]
+    return _blocked(worst, 65, _Types.of(agent, thetas))[0]
 
 
 def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
-    """Audit threshold on an array of types, behind the single-crossing
-    precondition (``RegularityError`` when the scan fails at any of them):
-    bisection of the crossing, supp_hi when auditing pays on the whole
-    support, 0 when it pays nowhere."""
-    thetas = np.asarray(thetas, dtype=float)
-    bad = _single_crossing_scan(agent, thetas) > _SLACK
+    """Audit threshold on an array of types (or ``_Types``), behind the
+    single-crossing precondition (``RegularityError`` when the scan fails at
+    any of them): bisection of the crossing, supp_hi when auditing pays on
+    the whole support, 0 when it pays nowhere."""
+    t = _Types.of(agent, thetas)
+    bad = _single_crossing_scan(agent, t) > _SLACK
     if np.any(bad):
         raise RegularityError(
-            f"mu*phi - c is not single-crossing in income at theta={thetas[bad][0]}")
-    at_lo, at_hi = _edge_pays(agent, thetas)
-    lo, hi = _income_bounds(agent, thetas)
-    out = np.where(at_lo & at_hi, hi, 0.0)
+            f"mu*phi - c is not single-crossing in income at theta={t.theta[bad][0]}")
+    at_lo, at_hi = _edge_pays(agent, t)
+    out = np.where(at_lo & at_hi, t.hi, 0.0)
     k = np.nonzero(at_lo & ~at_hi)[0]
-    ih = inverse_hazard(agent.types, thetas[k])
-    out[k] = _bisect(lambda m: _audit_surplus(agent, thetas[k], m, ih) >= 0, lo[k], hi[k], 64)
+    tk = t[k]
+    out[k] = _bisect(lambda m: _audit_surplus(agent, tk.at, m, tk.ih) >= 0, tk.lo, tk.hi, 64)
     return out
 
 
 def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     """supp_lo and b = min(pi_star, supp_hi) per type, and the nodes and
-    weights (one row per type) of the 2-point Gauss-Legendre rule on the
-    audit region [supp_lo, max(b, supp_lo)] split at the income law's
-    breakpoints."""
-    lo, hi = _income_bounds(agent, ts)
-    b = np.minimum(pstar, hi)
-    top = np.maximum(b, lo)
-    cuts = np.clip(agent.income.breakpoints(ts), lo[:, None], top[:, None])
-    edges = np.sort(np.concatenate([lo[:, None], top[:, None], cuts], axis=1), axis=1)
+    weights of the 2-point Gauss-Legendre rule on the audit region
+    [supp_lo, max(b, supp_lo)] split at the income law's breakpoints: one
+    row per type, or one row for all when every type's region and
+    breakpoints agree (``_shared_row``)."""
+    t = _Types.of(agent, ts)
+    b = np.minimum(pstar, t.hi)
+    rows = _shared_row(np.column_stack([t.lo, np.maximum(b, t.lo),
+                                        agent.income.breakpoints(t.at)]))
+    lo, top = rows[:, :1], rows[:, 1:2]
+    edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
     nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
-    return lo, b, nodes.reshape(ts.size, -1), wts.reshape(ts.size, -1)
+    return t.lo, b, nodes.reshape(len(rows), -1), wts.reshape(len(rows), -1)
 
 
 def _region_width(agent: AgentSpec) -> int:
@@ -704,17 +751,22 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     so the kernel integrates only -G_2 and 1 - G."""
     c, phi = agent.audit_cost, agent.sensitivity
     fam = agent.income
-    ih = np.asarray(inverse_hazard(agent.types, ts), dtype=float)
-    plo, b, nodes, wts = _audit_region(agent, ts, pstar)
-    g, g2 = fam.cdf_and_dtheta(_shared_row(nodes), ts[:, None])
+    t = _Types.of(agent, ts)
+    plo, b, nodes, wts = _audit_region(agent, t, pstar)
+    # where the types share a row of nodes, a family whose dG/dtheta is
+    # type-free returns one row of it, and the cap is summed once
+    g, g2 = fam._cdf_and_dtheta(nodes, t.at[:, None])
     cap = np.clip(phi * np.sum(-np.asarray(g2, dtype=float) * wts, axis=1), 0.0, phi)
     survival = 1.0 - np.asarray(g, dtype=float)
-    e_min = np.minimum(b, plo) + np.sum(survival * wts, axis=1)
-    psi_m = ts - ih
+    survival *= wts
+    e_min = np.minimum(b, plo) + np.sum(survival, axis=1)
+    psi_m = t.theta - t.ih
     # psi is inf - inf (NaN) where the type density vanishes (ih = +inf)
     with np.errstate(invalid="ignore"):
-        psi = psi_m + ih * cap - c * np.asarray(fam.cdf(b, ts), dtype=float)
-    return psi_m, psi, cap, ts - phi * e_min
+        psi = psi_m + t.ih * cap
+        if c:  # c * G(b) is +0.0 at c == 0, and x - 0.0 is x
+            psi -= c * np.asarray(fam.cdf(b, t.at), dtype=float)
+    return psi_m, psi, np.broadcast_to(cap, psi.shape), t.theta - phi * e_min
 
 
 @dataclass(frozen=True)
@@ -799,10 +851,10 @@ class AgentTables:
 
 def _mech_curves(agent: AgentSpec, ts: np.ndarray):
     """psi_m, psi, pi_star, Phi and E[pi - royalty] on an array of types."""
-    ts = np.asarray(ts, dtype=float)
-    pstar = _pi_star_vec(agent, ts)
-    psi_m, psi, cap, e_net = _blocked(lambda t, p: _integrals(agent, t, p),
-                                      _region_width(agent), ts, pstar)
+    t = _Types.of(agent, ts)
+    pstar = _pi_star_vec(agent, t)
+    psi_m, psi, cap, e_net = _blocked(lambda tb, p: _integrals(agent, tb, p),
+                                      _region_width(agent), t, pstar)
     return psi_m, psi, pstar, cap, e_net
 
 

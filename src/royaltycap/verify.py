@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import AgentSpec, TypeDist, _bisect, _gl_segments, inverse_hazard, project_to_support
+from .dist import AgentSpec, TypeDist, _bisect, _gl_segments, project_to_support
 from .errors import (
     DomainError,
     InvalidAxisError,
@@ -29,6 +29,7 @@ from .mech import (
     AuctionInstance,
     _GL2,
     _SLACK,
+    _Types,
     _agent,
     _allocate,
     _audit_region,
@@ -131,12 +132,13 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     if min(theta_grid_size, pi_grid_size) < _MIN_REGULARITY_GRID:
         raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
     thetas = _interior_grid(agent.types, theta_grid_size)
+    types = _Types.of(agent, thetas)
+    at = types.at[:, None]
     worst: dict = {}
 
     # 1. normalization: supp_lo + int (1 - G) = theta, over the whole support
-    plo, phi_sup, nodes, wts = _audit_region(agent, thetas, np.full(thetas.size, np.inf))
-    means = plo + np.sum((1.0 - np.asarray(agent.income.cdf(nodes, thetas[:, None]))) * wts,
-                         axis=1)
+    plo, phi_sup, nodes, wts = _audit_region(agent, types, np.full(thetas.size, np.inf))
+    means = plo + np.sum((1.0 - np.asarray(agent.income.cdf(nodes, at))) * wts, axis=1)
     err = np.abs(means - thetas)
     k = int(np.argmax(err))
     worst["normalization"] = {"magnitude": float(err[k]), "theta": float(thetas[k])}
@@ -144,7 +146,7 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
 
     # 2. FOSD: G(pi | theta) weakly decreasing in theta at every income level
     pis = np.linspace(float(np.min(plo)), float(np.max(phi_sup)), pi_grid_size)
-    cdf_mat = np.asarray(agent.income.cdf(pis[None, :], thetas[:, None]))
+    cdf_mat = np.asarray(agent.income.cdf(pis[None, :], at))
     increase = np.diff(cdf_mat, axis=0)
     k = np.unravel_index(int(np.argmax(increase)), increase.shape)
     worst["fosd"] = {"magnitude": float(max(increase[k], 0.0)),
@@ -153,15 +155,14 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
 
     # 3. single crossing of the audit surplus in income: the scan that guards
     # every mechanism kernel (``mech._pi_star_vec``), at these types
-    per_type = _single_crossing_scan(agent, thetas)
+    per_type = _single_crossing_scan(agent, types)
     # 4. single crossing in type, on the common income grid at the incomes
     # that occur: inside the support, at positive density (a tabulated
     # family's support at a type knot also spans the next row's support)
-    ih = np.asarray(inverse_hazard(agent.types, thetas), dtype=float)
     with np.errstate(invalid="ignore"):
-        surplus = _audit_surplus(agent, thetas[:, None], pis[None, :], ih[:, None])
+        surplus = _audit_surplus(agent, at, pis[None, :], types.ih[:, None])
     inside = ((pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
-              & (np.asarray(agent.income.pdf(pis[None, :], thetas[:, None])) > 0))
+              & (np.asarray(agent.income.pdf(pis[None, :], at)) > 0))
     per_income = _worst_single_crossing(np.where(inside, surplus, np.nan), axis=0)
     for key, where, grid, per in (("single_crossing_pi", "theta", thetas, per_type),
                                   ("single_crossing_theta", "pi", pis, per_income)):
@@ -173,7 +174,7 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
 
     # 5. strictly increasing virtual value (undefined without single crossing)
     try:
-        diffs = np.diff(_mech_curves(agent, thetas)[1])
+        diffs = np.diff(_mech_curves(agent, types)[1])
         k = int(np.argmin(diffs))
         worst["psi_increasing"] = {"min_increment": float(diffs[k]), "theta": float(thetas[k])}
         psi_increasing_ok = bool(diffs[k] > 0)

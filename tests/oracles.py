@@ -24,6 +24,9 @@ before they shared ``mech._allocate`` and ``mech._settle``.
 ``bisect`` is the package's bisection as a fixed number of steps, without
 the early stop at a fixpoint that ``dist._bisect`` takes.
 
+``worst_single_crossing`` is the single-crossing rule of
+``mech._worst_single_crossing`` as a loop over each sequence.
+
 ``philox_uniforms`` is the simulator's per-run uniform stream written out
 from the raw Philox output: 53-bit doubles from the counter blocks of the
 runs, one row per run.
@@ -339,6 +342,20 @@ def bisect(below, a, b, steps):
         ok = below(m)
         a, b = np.where(ok, m, a), np.where(ok, b, m)
     return 0.5 * (a + b)
+
+
+def worst_single_crossing(values, axis):
+    """Per sequence along ``axis``, the largest value above 0 that comes
+    after a negative one, else 0.0; NaN never counts."""
+    values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    out = np.zeros(values.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        seen = False
+        for v in values[idx]:
+            if seen and v > out[idx]:
+                out[idx] = v
+            seen = seen or v < 0
+    return out
 
 
 def philox_uniforms(n_agents, seed, start, count):

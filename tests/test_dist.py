@@ -604,16 +604,22 @@ def _same_bits(got, want):
 
 @given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3) | st.just(5e-324),
        roots=st.lists(st.floats(-0.5, 1.5), max_size=20), steps=st.integers(0, 120),
-       rule=st.sampled_from(["less", "less_equal", "scrambled"]), scalar=st.booleans())
-@example(lo=0.0, width=1.0, roots=[], steps=64, rule="less", scalar=False)
-@example(lo=-0.0, width=0.0, roots=[0.5], steps=64, rule="less_equal", scalar=False)
+       rule=st.sampled_from(["less", "less_equal", "scrambled"]), scalar=st.booleans(),
+       size=st.sampled_from([None, 1, 2, 40, 300, 5000]))
+@example(lo=0.0, width=1.0, roots=[], steps=64, rule="less", scalar=False, size=None)
+@example(lo=-0.0, width=0.0, roots=[0.5], steps=64, rule="less_equal", scalar=False, size=None)
 @settings(max_examples=200, deadline=None)
 def test_bisect_stopping_at_its_fixpoint_equals_the_fixed_step_loop(lo, width, roots, steps,
-                                                                   rule, scalar):
+                                                                   rule, scalar, size):
     # a step is a function of the brackets alone, so stopping once a step
-    # moves no bracket changes no bit: monotone or not, empty or scalar
+    # moves no bracket changes no bit: monotone or not, empty or scalar.
+    # ``size`` brackets (the roots repeated, each bracket its own width) take
+    # every number of levels per predicate call, 8 at one bracket to 1 at 300
+    if size is not None and not scalar:
+        roots = np.resize(np.array(roots or [0.5]), size)
     a = lo if scalar else np.full(len(roots), lo)
-    b = lo + width if scalar else a + width
+    b = lo + width if scalar else a + width * (
+        1.0 if size is None else np.linspace(1.0, 0.5, len(roots)))
     target = lo + width * (np.array(roots[:1] or [0.5]) if scalar else np.array(roots))
     below = {"less": lambda m: m < target,
              "less_equal": lambda m: m <= target,
@@ -624,17 +630,23 @@ def test_bisect_stopping_at_its_fixpoint_equals_the_fixed_step_loop(lo, width, r
 
 def test_bisect_stops_once_the_brackets_stop_moving():
     # a deterministic cost guard: [0, 1] narrows to adjacent floats around
-    # 0.3 (spacing 2^-54) in 54 steps and the 55th moves nothing; an empty
-    # bracket array takes one step
+    # 0.3 (spacing 2^-54) in 54 steps and the 55th moves nothing.  A scalar
+    # bracket's first call takes one level, every later one 8 (255 points),
+    # so level 55 falls in the eighth call; an empty bracket array takes one
+    # call.  No call sees more than max(n, 256) points for n brackets
     calls = []
 
     def below(m):
-        calls.append(1)
+        calls.append(np.size(m))
         return m < 0.3
 
     assert _same_bits(dist._bisect(below, 0.0, 1.0, 200),
                       oracles.bisect(lambda m: m < 0.3, 0.0, 1.0, 200))
-    assert len(calls) == 55
+    assert calls == [1] + [255] * 7
     calls.clear()
     assert dist._bisect(below, np.empty(0), np.empty(0), 64).size == 0
     assert len(calls) == 1
+    for n in (1, 2, 40, 129, 300, 5000):
+        calls.clear()
+        dist._bisect(below, np.zeros(n), np.linspace(0.5, 1.0, n), 64)
+        assert max(calls) <= max(n, dist._BISECT_POINTS) == max(n, 256), n

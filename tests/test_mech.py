@@ -20,7 +20,9 @@ from conftest import (
 )
 from royaltycap.instances import (
     mixed_pair,
+    scaled_triangular,
     scaled_triangular_agent,
+    scaled_uniform,
     scaled_uniform_agent,
     uniform_additive_agent,
 )
@@ -816,7 +818,12 @@ def test_blocked_keeps_blocks_within_the_element_budget(monkeypatch):
 @pytest.mark.parametrize("inst", [
     rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),)),
     tent_error_inst(),
-    mixed_pair()], ids=["table_income", "tent_error", "mixed_pair"])
+    mixed_pair(),
+    # an interior threshold at every grid type: the bisection of all 8,193
+    # at once, fed by the inverse hazards and supports computed once
+    scaled_triangular(),
+    scaled_uniform()],
+    ids=["table_income", "tent_error", "mixed_pair", "scaled_triangular", "scaled_uniform"])
 def test_tables_do_not_depend_on_the_block_budget(monkeypatch, inst):
     built = []
     # at 1 << 22 every grid type is in one block, whose rows differ (it
@@ -853,6 +860,37 @@ def test_table_build_evaluates_a_shared_income_row_once(monkeypatch):
     assert np.array_equal(rc.mech._shared_row(x), x[:1])
     x[2, -1] = 3.0
     assert rc.mech._shared_row(x) is x
+
+
+def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch):
+    # with c = 0 pi_star is the support top, so every block inside one knot
+    # interval shares one row of Gauss-Legendre nodes: the family returns its
+    # type-free dG/dtheta on that row alone and the cap is summed over it
+    # once, not once per type (only the block across the knot 1.4 has a row
+    # per type)
+    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
+    dtheta, node_rows = [], []
+    both, region = rc.TableIncomeFamily._cdf_and_dtheta, rc.mech._audit_region
+
+    def counted_both(self, pi, theta):
+        out = both(self, pi, theta)
+        dtheta.append(np.size(out[1]))
+        return out
+
+    def counted_region(agent, ts, pstar):
+        out = region(agent, ts, pstar)
+        node_rows.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(rc.TableIncomeFamily, "_cdf_and_dtheta", counted_both)
+    monkeypatch.setattr(rc.mech, "_audit_region", counted_region)
+    types = rc.mech._agent_curves(agent)["theta"].size
+    width = rc.mech._region_width(agent)
+    rows = rc.mech._BLOCK_ELEMENTS // width
+    assert len(node_rows) == len(dtheta) == -(-types // rows)
+    # one row per block, plus the straddling block's own rows
+    assert sum(node_rows) < len(node_rows) + rows
+    assert sum(dtheta) == sum(node_rows) * width
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +1001,21 @@ def test_single_crossing_rule_and_slack(monkeypatch, ua_agent):
                 rc.audit_threshold(ua_agent, 1.5)
         else:
             assert rc.audit_threshold(ua_agent, 1.5) == pytest.approx(2.5)
+
+
+@given(values=st.lists(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0, np.nan,
+                                                   np.inf, -np.inf]) | st.floats(-3, 3),
+                                  min_size=1, max_size=12), min_size=1, max_size=6)
+       .filter(lambda rows: len({len(r) for r in rows}) == 1))
+@settings(max_examples=200, deadline=None)
+def test_worst_single_crossing_equals_the_loop(values):
+    # the rule read off the first negative entry of each sequence, bit for
+    # bit the running-flag loop, along either axis
+    values = np.array(values)
+    for axis in (0, 1):
+        got = rc.mech._worst_single_crossing(values, axis)
+        want = oracles.worst_single_crossing(values, axis)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), axis
 
 
 def test_audit_surplus_and_single_crossing_rule_have_one_home():

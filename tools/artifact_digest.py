@@ -41,7 +41,15 @@ takes an instance, so that a change shows how far each one moves:
   the largest income-report gain (``income_advantage``) at every type;
 * the regime-change types ``mech._threshold_kinks`` (the table grid's
   breakpoints) of every agent of the shipped configs and tabulated
-  instances, and of the swept agent at each value of a ``sweep`` section.
+  instances, and of the swept agent at each value of a ``sweep`` section;
+* per agent of the shipped configs and tabulated instances, the kernel
+  entry points ``audit_threshold``, ``virtual_value``, ``phi_cap`` and
+  ``expected_income_net_royalty`` at 9 interior types, and
+  ``endogenous_virtual`` at those types (rivals at their midpoint types)
+  under a threshold audit rule: audit below 0.4 of the way up the income
+  support.  With the kinks, ``crossing_point``, ``menu`` and the tabulated
+  instances' quantiles behind ``estimate_revenue``, these reach every call
+  of the bisection ``dist._bisect``.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ PLAY_RUNS = 70_000
 PLAY_CONFIGS = ("uniform_additive", "mixed_pair")
 PROFILES = 40
 CROSSING_PAIRS = ((0.6, 0.7), (0.75, 0.8), (0.75, 0.75))
+KERNEL_TYPES = 9
 
 
 def _sha(data: bytes) -> str:
@@ -175,6 +184,23 @@ def _kink_values(out: dict, name: str, text: str):
                 mech._threshold_kinks(replace(agent, **{spec.axis: v})))
 
 
+def _kernel_values(out: dict, name: str, text: str):
+    inst = parse_config(text).instance
+    mids = [0.5 * (a.types.lo + a.types.hi) for a in inst.agents]
+    for i, agent in enumerate(inst.agents):
+        thetas = mech._interior_grid(agent.types, KERNEL_TYPES).tolist()
+        for fn in (mech.audit_threshold, mech.virtual_value, mech.phi_cap,
+                   mech.expected_income_net_royalty):
+            out[f"api/{name}/{fn.__name__}/{i}"] = _values(fn(agent, th) for th in thetas)
+        values = []
+        for th in thetas:
+            lo, hi = float(agent.income.supp_lo(th)), float(agent.income.supp_hi(th))
+            cut = lo + 0.4 * (hi - lo)
+            values.append(mech.endogenous_virtual(inst, i, mids[:i] + [th] + mids[i + 1:],
+                                                  lambda prof, p, cut=cut: float(p < cut)))
+        out[f"api/{name}/endogenous_virtual/{i}"] = _values(values)
+
+
 def main() -> int:
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -189,6 +215,7 @@ def main() -> int:
             _instance_values(out, name, parse_config(text).instance)
             _best_response_values(out, name, text)
             _kink_values(out, name, text)
+            _kernel_values(out, name, text)
             if name in PLAY_CONFIGS:
                 _play_digests(out, name, parse_config(text).instance)
         st = ROOT / "configs" / "scaled_triangular.yaml"
@@ -204,6 +231,7 @@ def main() -> int:
             _library_digests(out, cfg.name, cfg.text)
             _best_response_values(out, cfg.name, cfg.text)
             _kink_values(out, cfg.name, cfg.text)
+            _kernel_values(out, cfg.name, cfg.text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
