@@ -31,7 +31,9 @@ as ``_Types``, which holds what depends on the type alone (the inverse
 hazard, the income support and the family's located types), computed once
 per array of types.  A kernel block whose types share one row of incomes has
 the family evaluate it once (``_shared_row``), and the integrals keep that
-row's nodes, weights, type-free dG/dtheta and cap sum unbroadcast.  The
+row's nodes, weights, type-free dG/dtheta and cap sum unbroadcast; for a
+family that mixes type-free rows (a tabulated one) they are evaluated once
+per build and knot interval, and only the mixture is per block.  The
 mechanism's two rules have one function each, which the simulator, the IC
 certificate, the CLI and the scalar entry points share: ``_allocate``
 (winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
@@ -66,8 +68,8 @@ import numpy as np
 from .dist import (
     AgentSpec,
     AdditiveErrorFamily,
+    GridPoints,
     _bisect,
-    _cells,
     _gl_segments,
     _guide_table,
     inverse_hazard,
@@ -621,14 +623,17 @@ class _Types:
     """Types with what the kernels read of them alone, computed once: the
     income family's located types ``at`` (``IncomeFamily.locate_types``),
     the inverse hazards ``ih`` = (1 - F)/f and the income supports
-    [``lo``, ``hi``].  The kernels take it in place of an array of types;
-    indexing it indexes each type."""
+    [``lo``, ``hi``], and, where a caller has run it, the single-crossing
+    scan ``scan`` (``_single_crossing_scan``), which ``_pi_star_vec`` then
+    reads instead of scanning again.  The kernels take it in place of an
+    array of types; indexing it indexes each type."""
 
     theta: np.ndarray
     at: object
     ih: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    scan: Optional[np.ndarray] = None
 
     @staticmethod
     def of(agent: AgentSpec, thetas) -> "_Types":
@@ -649,7 +654,8 @@ class _Types:
         return len(self.theta)
 
     def __getitem__(self, key) -> "_Types":
-        return _Types(self.theta[key], self.at[key], self.ih[key], self.lo[key], self.hi[key])
+        return _Types(self.theta[key], self.at[key], self.ih[key], self.lo[key], self.hi[key],
+                      None if self.scan is None else self.scan[key])
 
 
 def _blocked(fn, width: int, *cols):
@@ -707,7 +713,7 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     any of them): bisection of the crossing, supp_hi when auditing pays on
     the whole support, 0 when it pays nowhere."""
     t = _Types.of(agent, thetas)
-    bad = _single_crossing_scan(agent, t) > _SLACK
+    bad = (_single_crossing_scan(agent, t) if t.scan is None else t.scan) > _SLACK
     if np.any(bad):
         raise RegularityError(
             f"mu*phi - c is not single-crossing in income at theta={t.theta[bad][0]}")
@@ -719,6 +725,23 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _region_rows(agent: AgentSpec, t: "_Types", b: np.ndarray) -> np.ndarray:
+    """Per type, the audit region [supp_lo, max(b, supp_lo)] and the income
+    law's breakpoints, as one row [supp_lo, top, breakpoints...]; one row
+    for all when every type's row agrees (``_shared_row``)."""
+    return _shared_row(np.column_stack([t.lo, np.maximum(b, t.lo),
+                                        agent.income.breakpoints(t.at)]))
+
+
+def _region_nodes(rows: np.ndarray):
+    """The nodes and weights of the 2-point Gauss-Legendre rule on each of
+    ``_region_rows``' regions, split at its breakpoints: one row each."""
+    lo, top = rows[:, :1], rows[:, 1:2]
+    edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
+    nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
+    return nodes.reshape(len(rows), -1), wts.reshape(len(rows), -1)
+
+
 def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     """supp_lo and b = min(pi_star, supp_hi) per type, and the nodes and
     weights of the 2-point Gauss-Legendre rule on the audit region
@@ -727,12 +750,7 @@ def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     breakpoints agree (``_shared_row``)."""
     t = _Types.of(agent, ts)
     b = np.minimum(pstar, t.hi)
-    rows = _shared_row(np.column_stack([t.lo, np.maximum(b, t.lo),
-                                        agent.income.breakpoints(t.at)]))
-    lo, top = rows[:, :1], rows[:, 1:2]
-    edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
-    nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
-    return t.lo, b, nodes.reshape(len(rows), -1), wts.reshape(len(rows), -1)
+    return (t.lo, b, *_region_nodes(_region_rows(agent, t, b)))
 
 
 def _region_width(agent: AgentSpec) -> int:
@@ -741,25 +759,48 @@ def _region_width(agent: AgentSpec) -> int:
     return 2 * (agent.income.breakpoints(np.array([agent.types.lo])).shape[1] + 1)
 
 
-def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
+def _cap(phi: float, g2, wts: np.ndarray) -> np.ndarray:
+    """Phi = phi * int (-G_2) over the audit region, per row of nodes, kept
+    in [0, phi]."""
+    return np.clip(phi * np.sum(-np.asarray(g2, dtype=float) * wts, axis=1), 0.0, phi)
+
+
+def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray, memo: dict):
     """psi_m, psi, Phi and E[pi - royalty] at types ``ts`` whose audit
     thresholds are ``pstar``.
 
     With b = min(pi_star, supp_hi), the audit gain is
     int_{supp_lo}^b (mu phi - c) g dpi = ih * Phi - c * G(b) (mu g = -G_2 * ih),
     and E[min(pi, pi_star)] = min(b, supp_lo) + int_{supp_lo}^b (1 - G) dpi,
-    so the kernel integrates only -G_2 and 1 - G."""
+    so the kernel integrates only -G_2 and 1 - G.
+
+    A family that mixes type-free rows (``IncomeFamily.row_key``) is
+    evaluated once per row of incomes and key in ``memo``, shared by the
+    blocks of one build: the nodes and weights, the rows' terms with the
+    type-free dG/dtheta, and the cap.  Only the mixture is per type.  The
+    memo keeps one entry, since a build's blocks of one key follow one
+    another."""
     c, phi = agent.audit_cost, agent.sensitivity
     fam = agent.income
     t = _Types.of(agent, ts)
-    plo, b, nodes, wts = _audit_region(agent, t, pstar)
-    # where the types share a row of nodes, a family whose dG/dtheta is
-    # type-free returns one row of it, and the cap is summed once
-    g, g2 = fam._cdf_and_dtheta(nodes, t.at[:, None])
-    cap = np.clip(phi * np.sum(-np.asarray(g2, dtype=float) * wts, axis=1), 0.0, phi)
+    b = np.minimum(pstar, t.hi)
+    rows = _region_rows(agent, t, b)
+    key = getattr(fam, "row_key", lambda at: None)(t.at) if len(rows) == 1 else None
+    if key is None:
+        nodes, wts = _region_nodes(rows)
+        g, g2 = fam._cdf_and_dtheta(nodes, t.at[:, None])
+        cap = _cap(phi, g2, wts)
+    else:
+        key = (key, rows.tobytes())
+        if memo.get("key") != key:
+            nodes, wts = _region_nodes(rows)
+            terms = fam.row_terms(key[0], nodes)
+            memo.update(key=key, wts=wts, terms=terms, cap=_cap(phi, terms[-1], wts))
+        wts, cap = memo["wts"], memo["cap"]
+        g = fam.mix_terms(memo["terms"], t.at[:, None])
     survival = 1.0 - np.asarray(g, dtype=float)
     survival *= wts
-    e_min = np.minimum(b, plo) + np.sum(survival, axis=1)
+    e_min = np.minimum(b, t.lo) + np.sum(survival, axis=1)
     psi_m = t.theta - t.ih
     # psi is inf - inf (NaN) where the type density vanishes (ih = +inf)
     with np.errstate(invalid="ignore"):
@@ -767,66 +808,6 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
         if c:  # c * G(b) is +0.0 at c == 0, and x - 0.0 is x
             psi -= c * np.asarray(fam.cdf(b, t.at), dtype=float)
     return psi_m, psi, np.broadcast_to(cap, psi.shape), t.theta - phi * e_min
-
-
-@dataclass(frozen=True)
-class GridPoints:
-    """Points located on a sorted table grid ``xp``: cell ``j`` (np.interp's
-    last index with xp[j] <= x, kept in 0 .. len(xp) - 2), offset
-    ``d = x - xp[j]`` and cell width ``w = xp[j+1] - xp[j]``, plus the points
-    np.interp answers with a grid value (outside the grid, at its top or
-    exactly on a grid point): positions ``snap`` and value indices
-    ``snap_to``.  ``interp`` evaluates any array on the grid with np.interp's
-    arithmetic, so the two agree bit for bit on finite tables."""
-
-    j: np.ndarray
-    d: np.ndarray
-    w: np.ndarray
-    snap: np.ndarray
-    snap_to: np.ndarray
-    shape: tuple
-
-    @staticmethod
-    def locate(xp: np.ndarray, guide: np.ndarray, x) -> "GridPoints":
-        """Locate ``x`` by the guide table of ``_guide_table(xp)``
-        (``dist._cells``), so no point costs more than np.interp's binary
-        search.  The points at or above xp[-1] snap to fp[-1]."""
-        x = np.asarray(x, dtype=float)
-        shape, x = x.shape, x.ravel()
-        top = xp[-1]
-        j = _cells(xp, guide, x)
-        x0 = xp[j]
-        w = xp[1:][j]
-        w -= x0
-        d = np.subtract(x, x0, out=x0)
-        snap = np.flatnonzero((d <= 0.0) | (x >= top))
-        xv = x[snap]
-        snap_to = np.where(xv >= top, xp.size - 1, np.where(xv < xp[0], 0, j[snap]))
-        # neutral offsets where the grid value is used, so that a repeated
-        # grid point or an infinite x cannot raise a floating-point warning
-        d[snap] = 0.0
-        w[snap] = 1.0
-        return GridPoints(j, d, w, snap, snap_to, shape)
-
-    def take(self, sel: np.ndarray) -> "GridPoints":
-        """The points at the increasing indices ``sel``."""
-        pos = np.searchsorted(sel, self.snap)
-        hit = pos < sel.size
-        hit[hit] = sel[pos[hit]] == self.snap[hit]
-        return GridPoints(self.j[sel], self.d[sel], self.w[sel], pos[hit],
-                          self.snap_to[hit], sel.shape)
-
-    def interp(self, fp: np.ndarray):
-        """np.interp(x, xp, fp): (fp[j+1] - fp[j]) / w * d + fp[j], or the
-        snapped grid value."""
-        f0 = fp[self.j]
-        out = fp[1:][self.j]
-        out -= f0
-        out /= self.w
-        out *= self.d
-        out += f0
-        out[self.snap] = fp[self.snap_to]
-        return out.reshape(self.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -853,7 +834,8 @@ def _mech_curves(agent: AgentSpec, ts: np.ndarray):
     """psi_m, psi, pi_star, Phi and E[pi - royalty] on an array of types."""
     t = _Types.of(agent, ts)
     pstar = _pi_star_vec(agent, t)
-    psi_m, psi, cap, e_net = _blocked(lambda tb, p: _integrals(agent, tb, p),
+    memo: dict = {}
+    psi_m, psi, cap, e_net = _blocked(lambda tb, p: _integrals(agent, tb, p, memo),
                                       _region_width(agent), t, pstar)
     return psi_m, psi, pstar, cap, e_net
 
@@ -953,9 +935,16 @@ class MechanismTables:
     def transfer_win(self, i: int, theta, rival_value):
         """Winner's transfer at type report ``theta`` against the best rival
         positive virtual value."""
-        # the rent below the threshold type first: its two searches' arrays
-        # are freed before the lookups at ``theta`` allocate theirs
-        rent_z = self.rent_below(i, self.threshold_type(i, rival_value))
+        # the rent below the threshold type first, whose searches' arrays
+        # are freed before the lookups at ``theta`` allocate theirs.  The
+        # type grid shares the psi grid's indices, and the threshold type
+        # never lies below theta[j] of the rival value's psi cell j, so its
+        # cell is found by stepping up from j
+        t = self.agents[i]
+        v = GridPoints.locate(t.psi, t.psi_guide, rival_value)
+        rent_z = GridPoints.locate(t.theta, t.theta_guide, v.interp(t.theta),
+                                   start=v.j).interp(t.rent_cum)
+        del v
         at = self.locate(i, theta)
         return self.income_net_royalty(i, at) - (self.rent_below(i, at) - rent_z)
 

@@ -125,9 +125,9 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     and a strictly increasing virtual value.
 
     Single crossing in income is the scan behind every mechanism kernel
-    (``mech._single_crossing_scan``) at this report's types, so the kernels
-    raise at exactly the grid types this report flags.  Failures are report
-    content, not exceptions.
+    (``mech._single_crossing_scan``) at this report's types, run once: the
+    virtual-value step reads it, so the kernels raise at exactly the grid
+    types this report flags.  Failures are report content, not exceptions.
     """
     if min(theta_grid_size, pi_grid_size) < _MIN_REGULARITY_GRID:
         raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
@@ -172,9 +172,10 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     single_crossing_pi_ok = bool(worst["single_crossing_pi"]["magnitude"] <= _SLACK)
     single_crossing_theta_ok = bool(worst["single_crossing_theta"]["magnitude"] <= _SLACK)
 
-    # 5. strictly increasing virtual value (undefined without single crossing)
+    # 5. strictly increasing virtual value (undefined without single
+    # crossing): the kernels read step 3's scan instead of scanning again
     try:
-        diffs = np.diff(_mech_curves(agent, types)[1])
+        diffs = np.diff(_mech_curves(agent, replace(types, scan=per_type))[1])
         k = int(np.argmin(diffs))
         worst["psi_increasing"] = {"min_increment": float(diffs[k]), "theta": float(thetas[k])}
         psi_increasing_ok = bool(diffs[k] > 0)

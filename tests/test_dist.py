@@ -11,13 +11,16 @@ import oracles
 
 from royaltycap import (
     AgentSpec,
+    AuctionInstance,
     ConstructionError,
     DomainError,
+    estimate_revenue,
     inverse_hazard,
     make_income_family,
     make_type_dist,
     project_to_support,
     sample_income,
+    tables_for,
 )
 from royaltycap import dist
 from royaltycap.dist import _cells, _gl_segments, _guide_table, _pchip_coefficients
@@ -97,7 +100,8 @@ def test_table_law_matches_scipy_pchip(table):
                          lo - 1.0, hi + 1.0]])
     assert np.array_equal(law.cdf(x), ref.cdf(x))
     assert np.array_equal(law.pdf(x), ref.pdf(x))
-    assert np.array_equal(law._inv_f, ref.inv_f) and np.array_equal(law._inv_x, ref.inv_x)
+    inv_f, inv_x, _ = law._inverse
+    assert np.array_equal(inv_f, ref.inv_f) and np.array_equal(inv_x, ref.inv_x)
     assert law.mean == ref.mean
     for xi in (lo, hi, grid[len(grid) // 2]):
         assert law.cdf(xi) == ref.cdf(xi) and law.pdf(xi) == ref.pdf(xi)
@@ -408,6 +412,9 @@ def test_located_cells_match_binary_search(steps, start, data):
                                                    -np.inf, np.inf]])
     guide = _guide_table(xp)
     assert np.array_equal(_cells(xp, guide, x), oracles.cell(xp, x))
+    # from start cells at or below each point's own, 0 to 3 cells below it
+    below = np.maximum(oracles.cell(xp, x) - np.arange(x.size) % 4, 0)
+    assert np.array_equal(_cells(xp, guide, x, below), oracles.cell(xp, x))
     assert np.array_equal(_cells(xp, guide, x[:4].reshape(2, 2)),
                           oracles.cell(xp, x[:4].reshape(2, 2)))
     assert _cells(xp, guide, x[0]).shape == () and _cells(xp, guide, x[0]) == oracles.cell(xp, x[0])
@@ -511,6 +518,146 @@ def test_table_ppf_array_matches_scalar_and_inverts_cdf():
     dense = np.asarray(fam.pdf(out, theta)) > 0
     assert dense.sum() >= 40
     assert np.max(np.abs(back - u)[dense]) <= 1e-12
+
+
+def _symmetric_rows(draw, knots):
+    """One row per type knot t: a law symmetric about t on [t - 1, t + 1]
+    (so its mean is t), tabulated on an odd number of evenly spaced
+    points: linear, a tent, or a smoothstep, whose cells are curved."""
+    n = draw(st.sampled_from([3, 5, 11, 21]))
+    shape = draw(st.sampled_from(["linear", "tent", "smoothstep"]))
+    z = np.linspace(0.0, 1.0, n)
+    cdf = {"linear": z, "tent": np.where(z < 0.5, 2 * z * z, 1 - 2 * (1 - z) ** 2),
+           "smoothstep": z * z * (3 - 2 * z)}[shape]
+    return [(np.linspace(t - 1.0, t + 1.0, n), cdf) for t in knots]
+
+
+@st.composite
+def _table_families(draw):
+    """Tabulated families on 2-5 type knots in [1, 2]: the additive
+    family's uneven linear rows, or curved symmetric rows."""
+    knots, rows = draw(_additive_table_families())
+    if draw(st.booleans()):
+        rows = _symmetric_rows(draw, knots)
+    return knots, rows
+
+
+@given(table=_table_families(), data=st.data())
+@example(table=([1.0, 1.4, 2.0], [(np.linspace(t - 1, t + 1, 11),
+                                    np.where(np.linspace(0, 1, 11) < 0.5,
+                                             2 * np.linspace(0, 1, 11) ** 2,
+                                             1 - 2 * (1 - np.linspace(0, 1, 11)) ** 2))
+                                   for t in (1.0, 1.4, 2.0)]), data=None)
+@settings(max_examples=60, deadline=None)
+def test_table_family_ppf_inverts_the_mixture(table, data):
+    # max |G(ppf(u | theta) | theta) - u| <= 1e-12 at every u in [0, 1]: G
+    # is continuous, so this holds in its flat pieces too (at a knot the
+    # support spans the next row's, where G is 1), and the ends are exact
+    knots, rows = table
+    fam = make_income_family("table", {"theta_grid": knots, "rows": rows})
+    tiny = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
+    u = np.array(tiny + ([] if data is None else
+                         data.draw(st.lists(st.floats(0.0, 1.0), max_size=30))))
+    thetas = np.concatenate([knots, np.nextafter(knots[1:], 0.0),
+                             [] if data is None else data.draw(
+                                 st.lists(st.floats(1.0, 2.0), max_size=4))])
+    uu, tt = (a.ravel() for a in np.meshgrid(u, thetas))
+    x = fam.ppf(uu, tt)
+    assert np.all(fam.supp_lo(tt) <= x) and np.all(x <= fam.supp_hi(tt))
+    assert np.max(np.abs(fam.cdf(x, tt) - uu)) <= 1e-12
+    assert np.array_equal(x[uu == 0.0], fam.supp_lo(tt[uu == 0.0]))
+    assert np.array_equal(x[uu == 1.0], fam.supp_hi(tt[uu == 1.0]))
+    # each draw's quantile depends on that draw alone
+    assert np.array_equal(x, [fam.ppf(float(a), float(t)) for a, t in zip(uu, tt)])
+
+
+def test_cubic_roots_settle_flat_and_linear_cells():
+    # rows: a line, s^3 reaching 1e-30 (flat at the root, so plain Newton
+    # crawls and the safeguarded steps finish), and (s - 0.5)^3 + 0.125 at
+    # its triple root; each row's result is the one it gets alone
+    coef = np.array([[0.2, 0.0, 0.125], [0.5, 0.0, 0.75], [0.0, 0.0, -1.5], [0.0, 1.0, 1.0]])
+    u = np.array([0.45, 1e-30, 0.125])
+    h = np.array([1.0, 1.0, 1.0])
+    s = np.array([0.5, 1e-30, 0.125])
+    got = dist._cubic_roots(coef, u, h, s.copy())
+    c0, c1, c2, c3 = coef
+    assert np.all(np.abs(((c3 * got + c2) * got + c1) * got + c0 - u) <= dist._CDF_TOL)
+    assert np.all((0.0 <= got) & (got <= h)) and got[0] == 0.5
+    for k in range(3):
+        assert dist._cubic_roots(coef[:, k:k + 1], u[k:k + 1], h[k:k + 1],
+                                 s[k:k + 1].copy())[0] == got[k]
+
+
+def _quantile_laws():
+    """Every law with a quantile: the uniform, triangular and tabulated
+    type laws (as ``TypeDist``), and the income families over them, with
+    their types."""
+    tab = _families()[2][1]
+    return [("uniform", make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}), None),
+            ("triangular", make_type_dist("triangular", {"lo": -1.0, "hi": 1.0, "mode": 0.3}),
+             None),
+            ("table", make_type_dist("table", _tent_error()), None),
+            ("additive_table_error",
+             make_income_family("additive_error", {"error": _tent_error()}), (1.0, 2.0)),
+            ("scaled", make_income_family("scaled_error", UNIT_ERR), (0.5, 1.0)),
+            ("table_income", tab, (1.0, 2.0))]
+
+
+@given(u=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+           [0.0, -0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0)), -5e-324,
+            float(np.nextafter(1.0, 2.0))]),
+       at=st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.4, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_every_quantile_is_nan_outside_the_unit_interval_and_exact_at_its_ends(u, at):
+    for name, law, types in _quantile_laws():
+        if types is None:
+            lo, hi, ppf = law.lo, law.hi, law.ppf
+        else:
+            theta = types[0] + at * (types[1] - types[0])
+            lo, hi = float(law.supp_lo(theta)), float(law.supp_hi(theta))
+            ppf = lambda q, law=law, theta=theta: law.ppf(q, theta)  # noqa: E731
+        got = ppf(u)
+        assert isinstance(got, float), name
+        assert np.array_equal(np.asarray(ppf(np.array([u, u]))), [got, got], equal_nan=True)
+        if not 0.0 <= u <= 1.0:
+            assert np.isnan(got), name
+        elif u == 0.0:
+            assert got == lo, name
+        elif u == 1.0:
+            assert got == hi, name
+        else:
+            assert lo <= got <= hi, name
+
+
+@given(table=_cdf_tables(), u=st.lists(st.floats(0.0, 1.0), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_table_ppf_is_np_interp_of_its_inverse_table(table, u):
+    # the guide-table search finds np.interp's cell, and the interpolation
+    # is np.interp's arithmetic, bit for bit; the table is built on the
+    # first quantile
+    grid, values = table
+    law = make_type_dist("table", {"grid": grid, "cdf": values})._backend
+    assert "_inverse" not in vars(law)
+    u = np.concatenate([u, np.linspace(0.0, 1.0, 257)])
+    got = law.ppf(u)
+    inv_f, inv_x, _ = law._inverse
+    want = np.interp(u, inv_f, inv_x)
+    inner = u < 1.0
+    assert np.array_equal(got[inner], want[inner])
+    assert np.all(got[~inner] == law.hi)
+
+
+def test_table_income_rows_build_no_inverse_table():
+    # a tabulated family's rows are sampled through the family's own
+    # inversion, never through their ppf
+    fam = _families()[2][1]
+    inst = AuctionInstance((AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
+                                      fam, 0.0, 0.5),))
+    tables_for(inst)
+    estimate_revenue(inst, None, 1000, 0)
+    assert not any("_inverse" in vars(r) for r in fam._rows)
+    assert all(v.size < 8193 for r in fam._rows for v in vars(r).values()
+               if isinstance(v, np.ndarray))
 
 
 def test_sampling_mean_normalization_additive():

@@ -751,6 +751,29 @@ def test_located_lookup_equals_np_interp(lookup_tables, data):
     assert _bitwise_equal(tables.transfer_win(i, x, rival), want)
 
 
+def test_transfer_win_equals_the_two_search_transfer(lookup_tables):
+    # the threshold type's cell is found by stepping up from the rival
+    # value's psi cell: bit for bit the guide-table search of the threshold
+    # type, at random rival values and at every psi grid value and its
+    # neighbours (runs of equal psi values, both ends, kink triplets)
+    rng = np.random.default_rng(11)
+    for tables, i in lookup_tables:
+        t = tables.agents[i]
+        top = float(t.psi[-1])
+        rival = np.concatenate([rng.uniform(0.0, top, 2000), t.psi, np.nextafter(t.psi, -np.inf),
+                                np.nextafter(t.psi, np.inf), [0.0, top, 2.0 * top + 1.0]])
+        rival = np.maximum(rival, 0.0)
+        theta = rng.uniform(t.theta[0], t.theta[-1], rival.size)
+        want = (tables.income_net_royalty(i, theta)
+                - (tables.rent_below(i, theta)
+                   - tables.rent_below(i, tables.threshold_type(i, rival))))
+        assert _bitwise_equal(tables.transfer_win(i, theta, rival), want)
+        # a lone bidder's single rival value
+        lone = tables.transfer_win(i, theta[:5], 0.0)
+        assert _bitwise_equal(lone, tables.income_net_royalty(i, theta[:5]) - (
+            tables.rent_below(i, theta[:5]) - tables.rent_below(i, tables.threshold_type(i, 0.0))))
+
+
 @given(steps=st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0, 3.0]), min_size=2, max_size=40),
        data=st.data())
 @settings(max_examples=150, deadline=None)
@@ -864,33 +887,27 @@ def test_table_build_evaluates_a_shared_income_row_once(monkeypatch):
 
 def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch):
     # with c = 0 pi_star is the support top, so every block inside one knot
-    # interval shares one row of Gauss-Legendre nodes: the family returns its
-    # type-free dG/dtheta on that row alone and the cap is summed over it
-    # once, not once per type (only the block across the knot 1.4 has a row
-    # per type)
+    # interval shares one row of Gauss-Legendre nodes: a build evaluates
+    # that row's two row cdfs, its type-free dG/dtheta and its cap once for
+    # all the interval's blocks, and only the block across the knot 1.4 has
+    # a row per type
     agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
-    dtheta, node_rows = [], []
-    both, region = rc.TableIncomeFamily._cdf_and_dtheta, rc.mech._audit_region
-
-    def counted_both(self, pi, theta):
-        out = both(self, pi, theta)
-        dtheta.append(np.size(out[1]))
-        return out
-
-    def counted_region(agent, ts, pstar):
-        out = region(agent, ts, pstar)
-        node_rows.append(len(out[2]))
-        return out
-
-    monkeypatch.setattr(rc.TableIncomeFamily, "_cdf_and_dtheta", counted_both)
-    monkeypatch.setattr(rc.mech, "_audit_region", counted_region)
+    terms, per_type, caps = [], [], []
+    row_terms, both, cap = (rc.TableIncomeFamily.row_terms,
+                            rc.TableIncomeFamily._cdf_and_dtheta, rc.mech._cap)
+    monkeypatch.setattr(rc.TableIncomeFamily, "row_terms", lambda self, j, pi: (
+        terms.append((j, pi.tobytes())) or row_terms(self, j, pi)))
+    monkeypatch.setattr(rc.TableIncomeFamily, "_cdf_and_dtheta", lambda self, pi, theta: (
+        per_type.append(len(pi)) or both(self, pi, theta)))
+    monkeypatch.setattr(rc.mech, "_cap", lambda phi, g2, wts: (
+        caps.append(len(wts)) or cap(phi, g2, wts)))
     types = rc.mech._agent_curves(agent)["theta"].size
-    width = rc.mech._region_width(agent)
-    rows = rc.mech._BLOCK_ELEMENTS // width
-    assert len(node_rows) == len(dtheta) == -(-types // rows)
-    # one row per block, plus the straddling block's own rows
-    assert sum(node_rows) < len(node_rows) + rows
-    assert sum(dtheta) == sum(node_rows) * width
+    rows = rc.mech._BLOCK_ELEMENTS // rc.mech._region_width(agent)
+    assert types > 80 * rows
+    # one evaluation per distinct row of the build: one per knot interval
+    assert [j for j, _ in terms] == [0, 1] and len(set(terms)) == 2
+    assert len(per_type) == 1 and 1 < per_type[0] <= rows
+    assert sorted(caps) == [1, 1, per_type[0]]
 
 
 # ---------------------------------------------------------------------------

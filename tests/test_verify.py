@@ -90,6 +90,25 @@ def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, theta):
             call()
 
 
+@pytest.mark.parametrize("audit_cost", [0.0, 0.01])
+def test_check_runs_the_single_crossing_scan_once(monkeypatch, audit_cost):
+    # the virtual-value step reads the single-crossing step's scan: one
+    # probe per check, and where the scan fails, the kernels' own error
+    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost)
+    calls = []
+    probe = rc.mech._probe_single_crossing
+    monkeypatch.setattr(rc.mech, "_probe_single_crossing",
+                        lambda a, t: calls.append(np.size(t.theta)) or probe(a, t))
+    rep = rc.check_regularity(agent)
+    assert calls == [64]
+    if audit_cost:
+        with pytest.raises(rc.RegularityError) as err:
+            rc.mech._pi_star_vec(agent, rc.mech._interior_grid(agent.types, 64))
+        assert rep.worst["psi_increasing"] == {"error": str(err.value)}
+    else:
+        assert rep.all_ok
+
+
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
 def test_instance_entry_points_refuse_what_the_table_build_refuses(knots):
     # with c = 1e-12 the virtual value dips at the knot and the build raises;

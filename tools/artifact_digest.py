@@ -47,9 +47,15 @@ takes an instance, so that a change shows how far each one moves:
   ``expected_income_net_royalty`` at 9 interior types, and
   ``endogenous_virtual`` at those types (rivals at their midpoint types)
   under a threshold audit rule: audit below 0.4 of the way up the income
-  support.  With the kinks, ``crossing_point``, ``menu`` and the tabulated
-  instances' quantiles behind ``estimate_revenue``, these reach every call
-  of the bisection ``dist._bisect``.
+  support.  With the kinks, ``crossing_point`` and ``menu``, these reach
+  every call of the bisection ``dist._bisect``;
+* per tabulated instance, its income law's quantiles ``ppf(u, theta)`` at
+  u = 0, 1 and interior values, including both sides of 0 and 1 by one
+  float: on ``tab_error`` (a ``table`` error law, inverted on its dense
+  table) at the type support's ends and midpoint, and on ``tab_income`` (a
+  ``TableIncomeFamily``, inverted cell by cell) at its type knots, where
+  the weight on the next row is 0 (or 1 at the top knot), and between
+  them.
 """
 
 from __future__ import annotations
@@ -81,6 +87,8 @@ PLAY_CONFIGS = ("uniform_additive", "mixed_pair")
 PROFILES = 40
 CROSSING_PAIRS = ((0.6, 0.7), (0.75, 0.8), (0.75, 0.75))
 KERNEL_TYPES = 9
+QUANTILES = (0.0, 5e-324, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-12,
+             float(np.nextafter(1.0, 0.0)), 1.0)
 
 
 def _sha(data: bytes) -> str:
@@ -201,6 +209,19 @@ def _kernel_values(out: dict, name: str, text: str):
         out[f"api/{name}/endogenous_virtual/{i}"] = _values(values)
 
 
+def _quantile_values(out: dict, name: str, text: str):
+    agent = parse_config(text).instance.agents[0]
+    knots = agent.income.type_knots
+    if knots.size:
+        thetas = np.union1d(knots, 0.5 * (knots[1:] + knots[:-1]))
+    else:
+        thetas = np.array([agent.types.lo, 0.5 * (agent.types.lo + agent.types.hi),
+                           agent.types.hi])
+    for th in thetas.tolist():
+        out[f"api/{name}/income_ppf/{th!r}"] = _values(
+            agent.income.ppf(np.array(QUANTILES), th).tolist())
+
+
 def main() -> int:
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -232,6 +253,7 @@ def main() -> int:
             _best_response_values(out, cfg.name, cfg.text)
             _kink_values(out, cfg.name, cfg.text)
             _kernel_values(out, cfg.name, cfg.text)
+            _quantile_values(out, cfg.name, cfg.text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
