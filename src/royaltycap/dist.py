@@ -607,9 +607,11 @@ class IncomeFamily:
 
     * ``supp_lo(theta)``, ``supp_hi(theta)`` -- support endpoints;
     * ``cdf(pi, theta)``, ``pdf(pi, theta)`` -- conditional CDF/density;
-    * ``dcdf_dtheta(pi, theta)`` -- partial derivative of G in theta
-      (zero outside the support); ``cdf_and_dtheta`` returns both;
-    * ``g2_over_g(pi, theta)`` -- the ratio dcdf_dtheta / pdf in its
+    * ``cdf_and_dtheta(pi, theta)`` -- G and its partial derivative in
+      theta (zero outside the support) at the same points, both at the
+      broadcast shape of pi and theta: the one statement of dG/dtheta,
+      which ``dcdf_dtheta`` reads;
+    * ``g2_over_g(pi, theta)`` -- the ratio dG/dtheta / pdf in its
       family closed form, which extends continuously beyond the support
       edge (one-sided limits at the boundary);
     * ``ppf(u, theta)`` -- conditional quantile, used for inverse-transform
@@ -655,19 +657,12 @@ class IncomeFamily:
     def pdf(self, pi, theta):
         raise NotImplementedError
 
-    def dcdf_dtheta(self, pi, theta):
+    def cdf_and_dtheta(self, pi, theta):
         raise NotImplementedError
 
-    def cdf_and_dtheta(self, pi, theta):
-        """``(cdf(pi, theta), dcdf_dtheta(pi, theta))`` at the same points;
-        families whose two share work override it."""
-        return self.cdf(pi, theta), self.dcdf_dtheta(pi, theta)
-
-    def _cdf_and_dtheta(self, pi, theta):
-        """``cdf_and_dtheta`` for the mechanism kernels, which broadcast the
-        second array: a family whose dG/dtheta does not vary over the types
-        may return it at pi's shape."""
-        return self.cdf_and_dtheta(pi, theta)
+    def dcdf_dtheta(self, pi, theta):
+        """The partial derivative of G in theta, as ``cdf_and_dtheta`` gives it."""
+        return self.cdf_and_dtheta(pi, theta)[1]
 
     def locate_types(self, theta):
         """The types ``theta`` as every method here takes them: a family
@@ -712,9 +707,6 @@ class AdditiveErrorFamily(IncomeFamily):
     def pdf(self, pi, theta):
         return self._err.pdf(np.asarray(pi, dtype=float) - theta)
 
-    def dcdf_dtheta(self, pi, theta):
-        return -self._err.pdf(np.asarray(pi, dtype=float) - theta)
-
     def cdf_and_dtheta(self, pi, theta):
         g, h = self._err.cdf_and_pdf(np.asarray(pi, dtype=float) - theta)
         return g, -h
@@ -757,39 +749,30 @@ class ScaledErrorFamily(IncomeFamily):
         theta = np.asarray(theta, dtype=float)
         return theta + self._scale(theta) * self._err.hi
 
-    def cdf(self, pi, theta):
+    def _standard(self, pi, theta):
+        """pi and theta as float arrays, the scale s = 1 - theta, the scale
+        made safe to divide by (1 where s == 0) and the standardized error
+        z = (pi - theta) / safe."""
         pi = np.asarray(pi, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        s = 1.0 - theta
-        z = (pi - theta) / np.where(s > 0, s, 1.0)
+        s = self._scale(theta)
+        safe = np.where(s > 0, s, 1.0)
+        return pi, theta, s, safe, (pi - theta) / safe
+
+    def cdf(self, pi, theta):
+        pi, theta, s, _, z = self._standard(pi, theta)
         # degenerate top type (s == 0): income is deterministic at theta
         out = np.where(s > 0, self._err.cdf(z), (pi >= theta).astype(float))
         return out if np.ndim(out) else float(out)
 
     def pdf(self, pi, theta):
-        pi = np.asarray(pi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        s = 1.0 - theta
-        safe = np.where(s > 0, s, 1.0)
-        out = np.where(s > 0, self._err.pdf((pi - theta) / safe) / safe, 0.0)
-        return out if np.ndim(out) else float(out)
-
-    def dcdf_dtheta(self, pi, theta):
-        pi = np.asarray(pi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        s = 1.0 - theta
-        safe = np.where(s > 0, s, 1.0)
-        out = np.where(s > 0,
-                       self._err.pdf((pi - theta) / safe) * (pi - 1.0) / (safe * safe),
-                       0.0)
+        _, _, s, safe, z = self._standard(pi, theta)
+        out = np.where(s > 0, self._err.pdf(z) / safe, 0.0)
         return out if np.ndim(out) else float(out)
 
     def cdf_and_dtheta(self, pi, theta):
-        pi = np.asarray(pi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        s = 1.0 - theta
-        safe = np.where(s > 0, s, 1.0)
-        g, h = self._err.cdf_and_pdf((pi - theta) / safe)
+        pi, theta, s, safe, z = self._standard(pi, theta)
+        g, h = self._err.cdf_and_pdf(z)
         g = np.where(s > 0, g, (pi >= theta).astype(float))
         g2 = np.where(s > 0, h * (pi - 1.0) / (safe * safe), 0.0)
         return tuple(x if np.ndim(x) else float(x) for x in (g, g2))
@@ -818,10 +801,6 @@ class KnotTypes:
 
     j: np.ndarray
     w: np.ndarray
-
-    @property
-    def shape(self):
-        return self.j.shape
 
     @property
     def ndim(self):
@@ -945,21 +924,19 @@ class TableIncomeFamily(IncomeFamily):
         out = np.maximum(self._his[j], self._his[j + 1])
         return out if np.ndim(theta) else float(out)
 
-    def _by_interval(self, fn, pi, theta, broadcast=True):
+    def _by_interval(self, fn, pi, theta):
         """The arrays ``fn(j, pi, w, cells)`` on each knot interval j of the
         types, over the broadcast of pi and theta (types are located before
         broadcasting); ``cells`` are pi's cells in rows j and j + 1, from one
         search of the pair's union grid.  When all types share one interval,
-        fn runs once on the unbroadcast arrays, and an output that does not
-        depend on the type keeps pi's shape unless ``broadcast``."""
+        fn runs once on the unbroadcast arrays, so an output that does not
+        depend on the type keeps pi's shape."""
         pi = np.asarray(pi, dtype=float)
         j, w = self._locate(theta)
         shape = np.broadcast_shapes(pi.shape, j.shape)
         j0 = j.flat[0] if j.size else 0
         if np.all(j == j0):
-            outs = [o if np.shape(o) == shape or not broadcast
-                    else np.broadcast_to(o, shape).copy()
-                    for o in fn(j0, pi, w, self._pair_cells(j0, pi))]
+            outs = fn(j0, pi, w, self._pair_cells(j0, pi))
         else:
             outs = []
             for jj in np.unique(j):
@@ -1004,15 +981,6 @@ class TableIncomeFamily(IncomeFamily):
             lambda j, p, w, cells: (self._mix(w, *self._pair_pdfs(j, p, cells)),),
             pi, theta)[0]
 
-    def dcdf_dtheta(self, pi, theta):
-        return self._by_interval(
-            lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),),
-            pi, theta)[0]
-
-    def _both(self, j, p, w, cells):
-        lo, hi = self._pair_cdfs(j, p, cells)
-        return self._mix(w, lo, hi), self._slope(j, lo, hi)
-
     def row_key(self, theta):
         """The knot interval of every type of ``theta``, or None when they
         lie in more than one."""
@@ -1031,17 +999,22 @@ class TableIncomeFamily(IncomeFamily):
         return self._mix(self._locate(theta)[1], *terms[:2])
 
     def cdf_and_dtheta(self, pi, theta):
-        return self._by_interval(self._both, pi, theta)
+        def both(j, p, w, cells):
+            lo, hi = self._pair_cdfs(j, p, cells)
+            return self._mix(w, lo, hi), self._slope(j, lo, hi)
 
-    def _cdf_and_dtheta(self, pi, theta):
-        # dG/dtheta is the rows' slope, the same at every type of an interval
-        return self._by_interval(self._both, pi, theta, broadcast=False)
+        g, g2 = self._by_interval(both, pi, theta)
+        # dG/dtheta is the rows' slope, the same at every type of an
+        # interval, so it may have pi's shape; G has the broadcast shape
+        if np.shape(g2) != np.shape(g):
+            g2 = np.broadcast_to(g2, np.shape(g)).copy()
+        return g, g2
 
     def g2_over_g(self, pi, theta):
         num, den = self._by_interval(
             lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),
                                     self._mix(w, *self._pair_pdfs(j, p, cells))),
-            pi, theta, broadcast=False)
+            pi, theta)
         # the mixed pdf has the broadcast shape; the ratio is 0 where it
         # vanishes (a NaN income's rows give slope NaN and pdf 0)
         out = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0)

@@ -201,21 +201,32 @@ def _income_bounds(agent: AgentSpec, theta):
     return np.asarray(fam.supp_lo(theta), dtype=float), np.asarray(fam.supp_hi(theta), dtype=float)
 
 
-def audit_threshold(agent: AgentSpec, theta) -> float:
+def _types_at(agent: AgentSpec, theta) -> np.ndarray:
+    """The type or types ``theta`` of a scalar entry point as a 1-d array,
+    checked against the type support."""
+    agent.types._check_domain(theta)
+    return np.atleast_1d(np.asarray(theta, dtype=float))
+
+
+def _per_type(theta, values: np.ndarray):
+    """An entry point's answer: ``values`` for an array of types, a float
+    for a scalar type."""
+    return values if np.ndim(theta) else float(values[0])
+
+
+def audit_threshold(agent: AgentSpec, theta):
     """Audit threshold pi_star: the largest income at which auditing still
-    pays (mu * phi >= c), or 0 when it never pays.
+    pays (mu * phi >= c), or 0 when it never pays; one value per type.
 
     Requires mu*phi - c to be single-crossing from above in income; a
     violation detected on the scan grid raises ``RegularityError``.
     Bisection resolves the crossing to absolute tolerance below 1e-10.
     """
-    agent.types._check_domain(theta)
-    return float(_pi_star_vec(agent, np.array([float(theta)]))[0])
+    return _per_type(theta, _pi_star_vec(agent, _types_at(agent, theta)))
 
 
 def _curves_at(agent: AgentSpec, theta):
-    agent.types._check_domain(theta)
-    return _mech_curves(agent, np.atleast_1d(np.asarray(theta, dtype=float)))
+    return _mech_curves(agent, _types_at(agent, theta))
 
 
 def virtual_value(agent: AgentSpec, theta):
@@ -224,17 +235,18 @@ def virtual_value(agent: AgentSpec, theta):
     psi = _curves_at(agent, theta)[1]
     if np.any(np.isnan(psi)):
         raise DomainError(f"virtual value undefined at type {theta}: the type density vanishes")
-    return psi if np.ndim(theta) else float(psi[0])
+    return _per_type(theta, psi)
 
 
-def phi_cap(agent: AgentSpec, theta) -> float:
-    """Royalty recovery share Phi(theta) = phi * int_0^{pi_star} (-G_2) dpi.
+def phi_cap(agent: AgentSpec, theta):
+    """Royalty recovery share Phi(theta) = phi * int_0^{pi_star} (-G_2) dpi,
+    one value per type.
 
     Lies in [0, phi]: equals phi when the whole income support is audited
     and 0 when auditing never pays.  (The integrand vanishes below the
     income support, so integration starts at supp_lo.)
     """
-    return float(_curves_at(agent, theta)[3][0])
+    return _per_type(theta, _curves_at(agent, theta)[3])
 
 
 def _top_two(psi: np.ndarray):
@@ -370,8 +382,10 @@ def penalty(agent: AgentSpec, theta_report: float, pi_report: float, pi_true: fl
 
     Negative values are refunds of overpaid royalties.  The same linear
     formula applies off path, for true incomes outside the reported type's
-    support.
+    support; a type report outside the type support raises ``DomainError``,
+    as in ``royalty`` and ``audit_rule``.
     """
+    agent.types._check_domain(theta_report)
     return float(_settle(pi_true, pi_report, np.inf, np.inf, agent.sensitivity, True)[2])
 
 
@@ -411,9 +425,10 @@ def _threshold_kinks(agent: AgentSpec) -> list:
     return sorted({k for k in kinks.tolist() if lo < k < hi})
 
 
-def expected_income_net_royalty(agent: AgentSpec, theta: float) -> float:
-    """E[pi - royalty | theta] = theta - phi * E[min(pi, pi_star(theta))]."""
-    return float(_curves_at(agent, theta)[4][0])
+def expected_income_net_royalty(agent: AgentSpec, theta):
+    """E[pi - royalty | theta] = theta - phi * E[min(pi, pi_star(theta))],
+    one value per type."""
+    return _per_type(theta, _curves_at(agent, theta)[4])
 
 
 def _psi_floor(agent: AgentSpec) -> float:
@@ -441,8 +456,10 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     off the instance's tables (``tables_for``): the rent is the exact
     integral of the tables' interpolant of Phi, so its error is at most
     (theta - z) times the largest interpolation error of Phi on the table,
-    z the lowest winning type (observed: at most 4.5e-9 against adaptive
-    quadrature on the shipped instances).
+    z the lowest winning type.  Observed against a 131,073-point build, over
+    20,001 type reports and 513 rival values per agent of the shipped
+    configs: at most 5.4e-9 (``scaled_triangular``), 2.2e-9 on the scaled
+    uniform agents, 0 on the additive ones.
     """
     _agent(inst, i)
     winner, rival = _allocate(_profile_psi(inst, [theta_profile]))
@@ -788,7 +805,7 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray, memo: dict):
     key = getattr(fam, "row_key", lambda at: None)(t.at) if len(rows) == 1 else None
     if key is None:
         nodes, wts = _region_nodes(rows)
-        g, g2 = fam._cdf_and_dtheta(nodes, t.at[:, None])
+        g, g2 = fam.cdf_and_dtheta(nodes, t.at[:, None])
         cap = _cap(phi, g2, wts)
     else:
         key = (key, rows.tobytes())

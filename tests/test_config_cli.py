@@ -10,6 +10,7 @@ import yaml
 import royaltycap as rc
 from royaltycap.cli import main
 from royaltycap.config import parse_config
+from royaltycap.instances import SHIPPED_INSTANCES
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -91,6 +92,45 @@ def test_config_seed_must_key_philox():
         assert str(exc.value) == "simulation.seed: must be below 2**128 (a Philox key)"
 
 
+@pytest.mark.parametrize("text,path", [
+    ("- 1\n- 2\n", ""),
+    ("v: one\n" + MINIMAL[len("v: 1\n"):], "v"),
+    ("v: 1\nagents: {a: 1}\n", "agents"),
+    ("v: 1\nagents: [3]\n", "agents[0]"),
+    (MINIMAL.replace("type_dist: {family: uniform, lo: 1.0, hi: 2.0}", "type_dist: 5"),
+     "agents[0].type_dist"),
+    (MINIMAL.replace("family: additive_error", "family: 7"), "agents[0].income.family"),
+    (MINIMAL.replace("    audit_cost: 0.2\n", ""), "agents[0].audit_cost"),
+    (MINIMAL.replace("audit_cost: 0.2", "audit_cost: cheap"), "agents[0].audit_cost"),
+    (MINIMAL.replace("audit_cost: 0.2", "audit_cost: true"), "agents[0].audit_cost"),
+    (MINIMAL.replace("lo: -1.0, hi: 1.0", "lo: 0.0, hi: 1.0"), "agents[0].income"),
+    (MINIMAL.replace("      error: {family: uniform, lo: -1.0, hi: 1.0}\n", ""),
+     "agents[0].income"),
+    (MINIMAL.replace("family: additive_error", "family: scaled_error"), "agents[0]"),
+    (MINIMAL + "grids: [1, 2]\n", "grids"),
+    (MINIMAL + "grids: {theta_points: many}\n", "grids.theta_points"),
+    (MINIMAL + "simulation: 5\n", "simulation"),
+    (MINIMAL + "output: [a]\n", "output"),
+    (MINIMAL + "output: {directory: 5}\n", "output.directory"),
+    (MINIMAL + "output: {formats: [xml]}\n", "output.formats"),
+    (MINIMAL + "output: {formats: []}\n", "output.formats"),
+    (MINIMAL + "output: {formats: csv}\n", "output.formats"),
+    (MINIMAL + "sweep: [1]\n", "sweep"),
+    (MINIMAL + "sweep: {values: [0.1]}\n", "sweep.axis"),
+    (MINIMAL + "sweep: {axis: c, values: [0.1]}\n", "sweep.axis"),
+    (MINIMAL + "sweep: {axis: audit_cost, agent: 1, values: [0.1]}\n", "sweep.agent"),
+    (MINIMAL + "sweep: {axis: audit_cost, values: 0.1}\n", "sweep.values"),
+    (MINIMAL + "sweep: {axis: audit_cost, values: [0.1, x]}\n", "sweep.values[1]"),
+    (MINIMAL + "sweep: {axis: audit_cost, values: [true]}\n", "sweep.values[0]"),
+    (MINIMAL + "name: 5\n", "name"),
+])
+def test_config_rejections_name_their_field(text, path):
+    # every rejection is a ConfigError carrying the offending field's path
+    with pytest.raises(rc.ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.path == path, str(exc.value)
+
+
 def test_config_rejects_bad_yaml():
     with pytest.raises(rc.ConfigError):
         parse_config(":\n  - ][")
@@ -114,6 +154,20 @@ def test_shipped_configs_parse():
     for p in CONFIG_DIR.glob("*.yaml"):
         cfg = parse_config(p.read_text())
         assert cfg.instance.n_agents >= 1, p
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_INSTANCES))
+def test_shipped_configs_build_the_shipped_instances(name):
+    # configs/*.yaml (CLI, benchmark) and royaltycap.instances (tests,
+    # README) define the same four instances
+    assert {p.stem for p in CONFIG_DIR.glob("*.yaml")} == set(SHIPPED_INSTANCES)
+    got = parse_config((CONFIG_DIR / f"{name}.yaml").read_text()).instance
+    want = SHIPPED_INSTANCES[name]()
+    assert got.n_agents == want.n_agents
+    for a, b in zip(got.agents, want.agents):
+        assert (a.types.family, a.types.params) == (b.types.family, b.types.params)
+        assert (a.income.family, a.income.params) == (b.income.family, b.income.params)
+        assert (a.audit_cost, a.sensitivity) == (b.audit_cost, b.sensitivity)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +365,22 @@ def test_cli_usage_floors_exit_2(tmp_path, capsys, argv, grids, field):
     assert err.startswith(f"error: {field}: must be at least ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--grid", "4"], "error: --grid: must be at least 8\n"),
+    (["simulate", "--seed", "-1"], "error: --seed: must be nonnegative\n"),
+    (["sweep"], "error: sweep: the sweep subcommand needs a sweep section\n"),
+])
+def test_cli_flag_and_section_errors_exit_2(tmp_path, capsys, argv, message):
+    # a bad flag, or sweep on a config without a sweep section, is a usage
+    # error naming the flag or section, with no artifact
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL)
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_verify_ic_reads_no_income_grid(tmp_path):

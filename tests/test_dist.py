@@ -715,6 +715,49 @@ def test_agent_validation(ua_agent):
     with pytest.raises(ConstructionError):
         AgentSpec(u12, sca, 0.1, 0.5)   # scaled family needs types within [0, 1]
 
+    class Degenerate(dist.IncomeFamily):   # income is the type itself
+        def supp_lo(self, theta):
+            return np.asarray(theta, dtype=float)
+
+        supp_hi = supp_lo
+
+    with pytest.raises(ConstructionError, match="nondegenerate on the interior"):
+        AgentSpec(u12, Degenerate({}), 0.1, 0.5)
+
+
+def _additive_rows(knots):
+    """41-point rows of the additive family theta + U[-1, 1], one per knot."""
+    return [(g, (g - g[0]) / 2.0) for g in (np.linspace(t - 1.0, t + 1.0, 41) for t in knots)]
+
+
+@pytest.mark.parametrize("family,params,match", [
+    ("table", {"grid": [1.0], "cdf": [0.0]}, "matching 1-d grids"),
+    ("table", {"grid": [1.0, 2.0], "cdf": [0.0, 0.5, 1.0]}, "matching 1-d grids"),
+    ("table", {"grid": [1.0, 1.0, 2.0], "cdf": [0.0, 0.5, 1.0]}, "strictly increasing"),
+    ("triangular", {"lo": 1.0, "hi": 1.0}, "lo < hi"),
+])
+def test_type_law_construction_errors(family, params, match):
+    with pytest.raises(ConstructionError, match=match):
+        make_type_dist(family, params)
+
+
+@pytest.mark.parametrize("family,params,match", [
+    ("table", {"theta_grid": [2.0, 1.0], "rows": _additive_rows([2.0, 1.0])},
+     "theta grid must be strictly increasing"),
+    ("table", {"theta_grid": [1.0, 1.4, 2.0], "rows": _additive_rows([1.0, 2.0])},
+     "one row per theta knot"),
+    ("table", {"theta_grid": [0.5, 1.0], "rows": _additive_rows([0.5, 1.0])},
+     "ordered nonnegative supports"),
+    ("table", {"theta_grid": [1.0, 1.5], "rows": _additive_rows([1.0, 2.0])},
+     "row 1 has mean 2"),
+    ("additive_error", {"error": {"family": "uniform", "lo": 0.0, "hi": 1e-8}},
+     "straddle zero"),
+    ("lognormal", {}, "unknown income family"),
+])
+def test_income_family_rejections(family, params, match):
+    with pytest.raises(ConstructionError, match=match):
+        make_income_family(family, params)
+
 
 def test_agent_rejects_unbounded_income_support(ua_agent):
     # pi = theta - 1 + Exp(1): nothing in the mechanism copes with an

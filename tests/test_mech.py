@@ -359,6 +359,27 @@ def test_penalty_linear(ua_agent):
         assert rc.penalty(ua_agent, 1.5, 0.3, 0.7 + h) - base == pytest.approx(0.5 * h)
 
 
+def test_instance_and_contract_construction_errors(ua_agent):
+    for call, match in (
+            (lambda: rc.AuctionInstance(()), "at least one agent"),
+            (lambda: rc.AuctionInstance((ua_agent, "agent")), "expected AgentSpec, got str"),
+            (lambda: rc.MenuContract("lump_sum", 1.0, 0.5, False), "no royalties or audits"),
+            (lambda: rc.MenuContract("lump_sum", 1.0, 0.0, True), "no royalties or audits"),
+            (lambda: rc.MenuContract("linear_royalty", 1.0, 0.5, False), "always audited")):
+        with pytest.raises(rc.ConstructionError, match=match):
+            call()
+
+
+def test_settlement_entry_points_reject_type_reports_outside_the_support(ua_agent):
+    # penalty checks the type report as royalty and audit_rule do
+    for theta in (99.0, 0.5, float("nan")):
+        for call in (lambda: rc.royalty(ua_agent, theta, 1.0),
+                     lambda: rc.audit_rule(ua_agent, theta, 1.0),
+                     lambda: rc.penalty(ua_agent, theta, 1.0, 2.0)):
+            with pytest.raises(rc.DomainError):
+                call()
+
+
 @given(pi_rep=st.floats(0.21, 0.99), pi_true=st.floats(0.0, 1.2))
 @settings(max_examples=150, deadline=None)
 def test_royalty_capped_and_nonnegative(pi_rep, pi_true):
@@ -642,6 +663,26 @@ def test_scalar_entry_points_match_quad_oracles(shipped_instances):
                     oracles.transfer(inst, i, prof), abs=1e-8)
 
 
+@pytest.mark.parametrize("fn", ["audit_threshold", "virtual_value", "phi_cap",
+                                "expected_income_net_royalty"])
+def test_agent_entry_points_answer_once_per_type(fn, shipped_instances):
+    # an array of types gets one value per type, bit for bit the scalar
+    # calls, and a scalar type gets a float
+    insts = [*shipped_instances.values(), tent_error_inst(),
+             rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), 0.0),))]
+    for inst in insts:
+        for agent in inst.agents:
+            thetas = rc.mech._interior_grid(agent.types, 9)
+            want = [getattr(rc, fn)(agent, float(th)) for th in thetas]
+            assert all(type(w) is float for w in want)
+            got = getattr(rc, fn)(agent, thetas)
+            assert isinstance(got, np.ndarray) and got.shape == thetas.shape
+            assert got.tobytes() == np.array(want).tobytes()
+    agent = scaled_uniform_agent()
+    assert getattr(rc, fn)(agent, [0.6, 0.9]).tolist() == [
+        getattr(rc, fn)(agent, 0.6), getattr(rc, fn)(agent, 0.9)]
+
+
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
 def test_tables_exact_on_kinked_table_family(knots):
     # the income law has kinks at the row grid points and support jumps at
@@ -894,10 +935,10 @@ def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch)
     agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
     terms, per_type, caps = [], [], []
     row_terms, both, cap = (rc.TableIncomeFamily.row_terms,
-                            rc.TableIncomeFamily._cdf_and_dtheta, rc.mech._cap)
+                            rc.TableIncomeFamily.cdf_and_dtheta, rc.mech._cap)
     monkeypatch.setattr(rc.TableIncomeFamily, "row_terms", lambda self, j, pi: (
         terms.append((j, pi.tobytes())) or row_terms(self, j, pi)))
-    monkeypatch.setattr(rc.TableIncomeFamily, "_cdf_and_dtheta", lambda self, pi, theta: (
+    monkeypatch.setattr(rc.TableIncomeFamily, "cdf_and_dtheta", lambda self, pi, theta: (
         per_type.append(len(pi)) or both(self, pi, theta)))
     monkeypatch.setattr(rc.mech, "_cap", lambda phi, g2, wts: (
         caps.append(len(wts)) or cap(phi, g2, wts)))

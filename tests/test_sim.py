@@ -130,6 +130,15 @@ def test_min_runs_guard(ua_inst):
         rc.estimate_revenue(ua_inst, None, n_runs=10, seed=0)
 
 
+def test_strategy_profile_must_cover_every_agent(pair_inst):
+    one = rc.StrategyProfile.truthful(1)
+    for call in (lambda: one.validate(2),
+                 lambda: rc.estimate_revenue(pair_inst, one, n_runs=1000),
+                 lambda: rc.run_auction(pair_inst, one, np.random.default_rng(0))):
+        with pytest.raises(rc.ConstructionError, match="cover every agent"):
+            call()
+
+
 def test_workers_guard(ua_inst, ua_agent):
     # no silent serial fallback; a sweep raises rather than failing each row
     with pytest.raises(rc.ConstructionError):

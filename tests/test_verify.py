@@ -146,6 +146,11 @@ def test_check_single_crossing_iff_the_build_scan_raises(inner, c, phi):
 # Condition 1 (double monotonicity)
 # ---------------------------------------------------------------------------
 
+def test_condition1_needs_a_sorted_grid():
+    with pytest.raises(ValueError, match="sorted"):
+        rc.check_condition1([0.0, 1.0, 0.5], [0.0, 0.5, 0.25], 0.5)
+
+
 def test_condition1_linear_penalty_tight():
     grid = np.linspace(0, 2, 65)
     ok, worst, _ = rc.check_condition1(grid, (grid - 0.7) * 0.5, 0.5)
@@ -629,6 +634,13 @@ def test_caps_just_below_the_support_top_leave_no_income_gain(tmp_path):
     assert code == 0 and agents[0]["income_deviation_worst"] == 0.0
 
 
+def test_best_responses_need_a_grid_and_a_known_strategy(ua_inst):
+    with pytest.raises(ValueError, match="at least 64 points"):
+        rc.best_responses(ua_inst, 0, [1.5], 32)
+    with pytest.raises(ValueError, match="unknown income strategy"):
+        rc.best_response_type(ua_inst, 0, 1.5, 64, income_strategy="bogus")
+
+
 def test_ir_zero_at_bottom_type(ua_inst):
     r = rc.best_response_type(ua_inst, 0, 1.0, 64, "truthful_projection")
     assert abs(r.truthful_utility) <= 1e-9
@@ -669,9 +681,14 @@ def test_crossing_degenerate_pair(st_inst):
     assert rep.crossing == pytest.approx(2 / 3, abs=1e-9)
 
 
-def test_crossing_unsupported_pair(ua_inst):
+def test_crossing_unsupported_pair(ua_inst, st_inst, pair_inst):
     with pytest.raises(rc.UnsupportedPairError):
         rc.crossing_point(ua_inst, 0, 1.3, 1.5)
+    with pytest.raises(rc.UnsupportedPairError, match="ordered"):
+        rc.crossing_point(st_inst, 0, 0.8, 0.75)
+    # agent 0 at 1.1 loses to agent 1 at 0.99; at 1.9 it wins
+    with pytest.raises(rc.UnsupportedPairError, match="type 1.1 does not win"):
+        rc.crossing_point(pair_inst, 0, 1.1, 1.9, [0.99])
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +759,12 @@ def test_scan_preconditions(ua_agent):
         rc.comparative_statics_scan(ua_agent, "c", [0.3, 0.1, 0.2])
     with pytest.raises(rc.InvalidAxisError):
         rc.comparative_statics_scan(ua_agent, "spin", [1, 2, 3])
+    u12, u02 = (rc.make_type_dist("uniform", {"lo": lo, "hi": 2.0}) for lo in (1.0, 0.0))
+    for axis, values, match in (("phi", [0.5, 0.25, 0.75], "sorted ascending"),
+                                ("hazard_family", [u12, "uniform", u12], "TypeDist objects"),
+                                ("hazard_family", [u12, u02, u12], "common support")):
+        with pytest.raises(rc.InvalidAxisError, match=match):
+            rc.comparative_statics_scan(ua_agent, axis, values)
 
 
 def test_joint_scaling_leaves_threshold_unchanged(ua_agent, su_agent):
