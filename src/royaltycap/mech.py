@@ -205,13 +205,13 @@ def _types_at(agent: AgentSpec, theta) -> np.ndarray:
     """The type or types ``theta`` of a scalar entry point as a 1-d array,
     checked against the type support."""
     agent.types._check_domain(theta)
-    return np.atleast_1d(np.asarray(theta, dtype=float))
+    return np.asarray(theta, dtype=float).ravel()
 
 
 def _per_type(theta, values: np.ndarray):
-    """An entry point's answer: ``values`` for an array of types, a float
-    for a scalar type."""
-    return values if np.ndim(theta) else float(values[0])
+    """An entry point's answer from ``values`` at ``_types_at(theta)``: an
+    array of theta's shape, or a float for a scalar type."""
+    return values.reshape(np.shape(theta)) if np.ndim(theta) else float(values[0])
 
 
 def audit_threshold(agent: AgentSpec, theta):

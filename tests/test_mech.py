@@ -679,8 +679,8 @@ def test_agent_entry_points_answer_once_per_type(fn, shipped_instances):
             assert isinstance(got, np.ndarray) and got.shape == thetas.shape
             assert got.tobytes() == np.array(want).tobytes()
     agent = scaled_uniform_agent()
-    assert getattr(rc, fn)(agent, [0.6, 0.9]).tolist() == [
-        getattr(rc, fn)(agent, 0.6), getattr(rc, fn)(agent, 0.9)]
+    assert getattr(rc, fn)(agent, [[0.6, 0.9]]).tolist() == [
+        [getattr(rc, fn)(agent, 0.6), getattr(rc, fn)(agent, 0.9)]]
 
 
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
