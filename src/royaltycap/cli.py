@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -190,7 +191,11 @@ def _cmd_menu(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse sizes a
+    help formatter to the terminal for every argument it adds, and parsing
+    leaves the parser as it was."""
     p = argparse.ArgumentParser(
         prog="royaltycap",
         description="Royalty-cap auctions with costly income verification: "

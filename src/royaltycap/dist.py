@@ -625,10 +625,18 @@ class IncomeFamily:
       (the default is theta as a float array);
     * optionally, for a law that mixes type-free rows of incomes (a
       tabulated family), ``row_key(theta)`` -- a key naming the rows that
-      every type of ``theta`` mixes, or None; ``row_terms(key, pi)`` -- the
-      rows' type-free terms at incomes pi, dG/dtheta last; and
-      ``mix_terms(terms, theta)`` -- G(pi | theta) from them.  The mechanism
-      kernels evaluate the terms once per key and row of incomes.
+      every type of ``theta`` mixes (those types then share their
+      ``breakpoints``), or None; ``row_terms(key, pi)`` -- the rows'
+      type-free terms at incomes pi, each evaluated on first use, with
+      dG/dtheta as ``dtheta``; ``mix_terms(terms, theta, out=None)`` --
+      G(pi | theta) from them; and ``mix_ratio(terms, theta, out=None)`` --
+      ``g2_over_g`` from them.  Both write into ``out``, a pair of arrays of
+      the result's shape, when given, so that many blocks of types reuse
+      one pair.
+      Two mechanism kernels keep the terms of one key and row of incomes
+      for all the blocks of types that share them: the single-crossing
+      scan (its probes: the rows' pdfs and dG/dtheta) and the integrals
+      (their Gauss-Legendre nodes: the rows' cdfs and dG/dtheta).
 
     All other methods accept scalars or broadcastable arrays.
     """
@@ -810,6 +818,37 @@ class KnotTypes:
         return KnotTypes(self.j[key], self.w[key])
 
 
+class RowPair:
+    """The two rows of a ``TableIncomeFamily`` on knot interval ``j`` at the
+    incomes ``pi``, each quantity evaluated on first use: the incomes' cells
+    in both rows (one search of the pair's union grid), both rows' cdfs and
+    pdfs, and dG/dtheta, the rows' slope, which is the same at every type of
+    the interval.  None depends on a type, so one evaluation serves every
+    type of the interval (``row_terms``)."""
+
+    def __init__(self, fam: "TableIncomeFamily", j, pi):
+        self._fam, self.j, self.pi = fam, j, pi
+
+    @cached_property
+    def cells(self):
+        return self._fam._pair_cells(self.j, self.pi)
+
+    @cached_property
+    def cdfs(self):
+        fam, j, pi, (lo, hi) = self._fam, self.j, self.pi, self.cells
+        return fam._row_cdf(j, pi, lo), fam._row_cdf(j + 1, pi, hi)
+
+    @cached_property
+    def pdfs(self):
+        rows, pi, (lo, hi) = self._fam._rows, self.pi, self.cells
+        return rows[self.j]._pdf(pi, lo), rows[self.j + 1]._pdf(pi, hi)
+
+    @cached_property
+    def dtheta(self):
+        tg, (lo, hi) = self._fam._tg, self.cdfs
+        return (hi - lo) / (tg[self.j + 1] - tg[self.j])
+
+
 class TableIncomeFamily(IncomeFamily):
     """Tabulated conditional CDFs: monotone-cubic in income, linear in type.
 
@@ -838,12 +877,16 @@ class TableIncomeFamily(IncomeFamily):
     4,097 evenly spaced u and 68 types is 2.2e-16 on the benchmark's linear
     41-point rows and 3.8e-15 on 11-point tent rows.  The quantile is NaN
     outside [0, 1] and at NaN, and exactly ``supp_lo`` and ``supp_hi`` at 0
-    and 1.  ``cdf_and_dtheta`` and ``g2_over_g`` evaluate the two rows once
-    for both of their quantities, and the mechanism kernels evaluate them
-    once per knot interval and row of incomes (``row_terms``).  Types are
-    located on the knots by ``_locate``, or once for many calls by
-    ``locate_types``, whose ``KnotTypes`` every method but ``ppf`` takes in
-    place of the types.
+    and 1.  Every method evaluates the rows of a knot interval once for all
+    its types (``RowPair``): on the incomes as given where the types share
+    them (the types' axes lead the broadcast, the incomes' trail it), else
+    on the incomes of the interval's (type, income) pairs.
+    ``cdf_and_dtheta`` and ``g2_over_g`` evaluate the two rows once for both
+    of their quantities, and the mechanism kernels keep the rows of one
+    knot interval and row of incomes for many blocks of types
+    (``row_terms``).  Types are located on the knots by ``_locate``, or once
+    for many calls by ``locate_types``, whose ``KnotTypes`` every method but
+    ``ppf`` takes in place of the types.
     """
 
     family = "table"
@@ -925,28 +968,44 @@ class TableIncomeFamily(IncomeFamily):
         return out if np.ndim(theta) else float(out)
 
     def _by_interval(self, fn, pi, theta):
-        """The arrays ``fn(j, pi, w, cells)`` on each knot interval j of the
-        types, over the broadcast of pi and theta (types are located before
-        broadcasting); ``cells`` are pi's cells in rows j and j + 1, from one
-        search of the pair's union grid.  When all types share one interval,
-        fn runs once on the unbroadcast arrays, so an output that does not
-        depend on the type keeps pi's shape."""
+        """The arrays ``fn(rows, w)`` on each knot interval j of the types,
+        over the broadcast of pi and theta (types are located before
+        broadcasting): ``rows`` is the interval's ``RowPair`` at the incomes
+        and ``w`` the weights on row j + 1 of the interval's types.  When
+        all types share one interval, fn runs once on the unbroadcast
+        arrays, so an output that does not depend on the type keeps pi's
+        shape.  Otherwise each interval's types are selected, and the rows
+        are evaluated on pi itself where the types share its incomes (the
+        types' axes lead the broadcast and the incomes' trail it), else on
+        the incomes of the interval's (type, income) pairs."""
         pi = np.asarray(pi, dtype=float)
         j, w = self._locate(theta)
         shape = np.broadcast_shapes(pi.shape, j.shape)
         j0 = j.flat[0] if j.size else 0
         if np.all(j == j0):
-            outs = fn(j0, pi, w, self._pair_cells(j0, pi))
-        else:
-            outs = []
-            for jj in np.unique(j):
-                m = np.broadcast_to(j == jj, shape)
+            outs = fn(RowPair(self, j0, pi), w)
+            return tuple(o if np.ndim(o) else float(o) for o in outs)
+        # on the broadcast's axes, the types share the incomes when j spans
+        # none of the axes from pi's first one on
+        dims = len(shape)
+        p_dims, j_dims = ((1,) * (dims - x.ndim) + x.shape for x in (pi, j))
+        first = next((a for a, d in enumerate(p_dims) if d != 1), dims)
+        shared = all(d == 1 for d in j_dims[first:])
+        if shared:   # one row of types by one row of incomes
+            j, w, pi = j.ravel(), w.ravel()[:, None], pi.ravel()
+        outs = []
+        for jj in np.unique(j):
+            m = j == jj
+            if shared:
+                parts = fn(RowPair(self, jj, pi), w[m])
+            else:
+                m = np.broadcast_to(m, shape)
                 p = np.broadcast_to(pi, shape)[m]
-                parts = fn(jj, p, np.broadcast_to(w, shape)[m], self._pair_cells(jj, p))
-                outs = outs or [np.empty(shape) for _ in parts]
-                for out, part in zip(outs, parts):
-                    out[m] = part
-        return tuple(o if np.ndim(o) else float(o) for o in outs)
+                parts = fn(RowPair(self, jj, p), np.broadcast_to(w, shape)[m])
+            outs = outs or [np.empty((j.size, pi.size) if shared else shape) for _ in parts]
+            for out, part in zip(outs, parts):
+                out[m] = part
+        return tuple(o.reshape(shape) for o in outs)
 
     def _pair_cells(self, j, pi):
         """Cells of the incomes pi in rows j and j + 1."""
@@ -954,32 +1013,30 @@ class TableIncomeFamily(IncomeFamily):
         c = _cells(u, guide, pi)
         return lo_cells[c], hi_cells[c]
 
-    def _pair_cdfs(self, j, pi, cells):
-        return self._row_cdf(j, pi, cells[0]), self._row_cdf(j + 1, pi, cells[1])
-
-    def _pair_pdfs(self, j, pi, cells):
-        return self._rows[j]._pdf(pi, cells[0]), self._rows[j + 1]._pdf(pi, cells[1])
-
     @staticmethod
-    def _mix(w, lo, hi):
-        """The mixture of the two rows' values, weight w on row j + 1."""
-        out = (1.0 - w) * lo
-        out += w * hi
-        return out
+    def _mix(w, lo, hi, out=None):
+        """The mixture of the two rows' values, weight w on row j + 1, in
+        the first of ``out`` when given: two arrays of the mixture's shape,
+        the second one scratch."""
+        mixed, scratch = (None, None) if out is None else out
+        mixed = np.multiply(1.0 - w, lo, out=mixed)
+        mixed += np.multiply(w, hi, out=scratch)
+        return mixed
 
-    def _slope(self, j, lo, hi):
-        """dG/dtheta on knot interval j from the two rows' values."""
-        return (hi - lo) / (self._tg[j + 1] - self._tg[j])
+    def _ratio(self, rows: RowPair, w, out=None):
+        """dG/dtheta over the mixed pdf at weights w, 0 where the pdf
+        vanishes (a NaN income's rows give slope NaN and pdf 0); in the
+        second of ``out`` when given (``_mix``)."""
+        den = self._mix(w, *rows.pdfs, out=out)
+        ratio = np.empty(den.shape) if out is None else out[1]
+        ratio.fill(0.0)
+        return np.divide(rows.dtheta, den, out=ratio, where=den > 0)
 
     def cdf(self, pi, theta):
-        return self._by_interval(
-            lambda j, p, w, cells: (self._mix(w, *self._pair_cdfs(j, p, cells)),),
-            pi, theta)[0]
+        return self._by_interval(lambda rows, w: (self._mix(w, *rows.cdfs),), pi, theta)[0]
 
     def pdf(self, pi, theta):
-        return self._by_interval(
-            lambda j, p, w, cells: (self._mix(w, *self._pair_pdfs(j, p, cells)),),
-            pi, theta)[0]
+        return self._by_interval(lambda rows, w: (self._mix(w, *rows.pdfs),), pi, theta)[0]
 
     def row_key(self, theta):
         """The knot interval of every type of ``theta``, or None when they
@@ -988,22 +1045,24 @@ class TableIncomeFamily(IncomeFamily):
         return int(j.flat[0]) if j.size and np.all(j == j.flat[0]) else None
 
     def row_terms(self, j, pi):
-        """On knot interval j, both rows' cdfs at the incomes pi and
-        dG/dtheta there (the rows' slope), from one search of the pair's
-        union grid."""
-        lo, hi = self._pair_cdfs(j, pi, self._pair_cells(j, pi))
-        return lo, hi, self._slope(j, lo, hi)
+        """The ``RowPair`` of knot interval j at the incomes pi."""
+        return RowPair(self, j, np.asarray(pi, dtype=float))
 
-    def mix_terms(self, terms, theta):
-        """G(pi | theta) from ``row_terms`` at types in their interval."""
-        return self._mix(self._locate(theta)[1], *terms[:2])
+    def mix_terms(self, terms, theta, out=None):
+        """G(pi | theta) from ``row_terms`` at types in their interval, at
+        the broadcast shape of the terms' incomes and the types (in the
+        first of ``out``, two arrays of that shape, when given)."""
+        return self._mix(self._locate(theta)[1], *terms.cdfs, out=out)
+
+    def mix_ratio(self, terms, theta, out=None):
+        """``g2_over_g`` from ``row_terms`` at types in their interval, at
+        the broadcast shape of the terms' incomes and the types (in the
+        second of ``out``, two arrays of that shape, when given)."""
+        return self._ratio(terms, self._locate(theta)[1], out)
 
     def cdf_and_dtheta(self, pi, theta):
-        def both(j, p, w, cells):
-            lo, hi = self._pair_cdfs(j, p, cells)
-            return self._mix(w, lo, hi), self._slope(j, lo, hi)
-
-        g, g2 = self._by_interval(both, pi, theta)
+        g, g2 = self._by_interval(lambda rows, w: (self._mix(w, *rows.cdfs), rows.dtheta),
+                                  pi, theta)
         # dG/dtheta is the rows' slope, the same at every type of an
         # interval, so it may have pi's shape; G has the broadcast shape
         if np.shape(g2) != np.shape(g):
@@ -1011,14 +1070,7 @@ class TableIncomeFamily(IncomeFamily):
         return g, g2
 
     def g2_over_g(self, pi, theta):
-        num, den = self._by_interval(
-            lambda j, p, w, cells: (self._slope(j, *self._pair_cdfs(j, p, cells)),
-                                    self._mix(w, *self._pair_pdfs(j, p, cells))),
-            pi, theta)
-        # the mixed pdf has the broadcast shape; the ratio is 0 where it
-        # vanishes (a NaN income's rows give slope NaN and pdf 0)
-        out = np.divide(num, den, out=np.zeros(np.shape(den)), where=den > 0)
-        return out if np.ndim(out) else float(out)
+        return self._by_interval(lambda rows, w: (self._ratio(rows, w),), pi, theta)[0]
 
     @cached_property
     def _cubics(self):
@@ -1037,7 +1089,7 @@ class TableIncomeFamily(IncomeFamily):
         for j, (u, _, *cells) in enumerate(self._union):
             n = u.size
             x[j, :n], x[j, n:] = u, u[-1]
-            cubics[:, 0, j, :n] = self._pair_cdfs(j, u, self._pair_cells(j, u))
+            cubics[:, 0, j, :n] = RowPair(self, j, u).cdfs
             for cubic, r, i in zip(cubics[:, 1:, j], self._rows[j:j + 2], cells):
                 c = r._c[:, i]   # the row's cubics, in the offset from its own knots
                 d = u[:-1] - r.knots[i]

@@ -32,8 +32,9 @@ hazard, the income support and the family's located types), computed once
 per array of types.  A kernel block whose types share one row of incomes has
 the family evaluate it once (``_shared_row``), and the integrals keep that
 row's nodes, weights, type-free dG/dtheta and cap sum unbroadcast; for a
-family that mixes type-free rows (a tabulated one) they are evaluated once
-per build and knot interval, and only the mixture is per block.  The
+family that mixes type-free rows (a tabulated one) the scan's probe rows and
+the integrals' rows are evaluated once per call and knot interval
+(``_memo``), and only the mixture is per block.  The
 mechanism's two rules have one function each, which the simulator, the IC
 certificate, the CLI and the scalar entry points share: ``_allocate``
 (winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
@@ -169,12 +170,20 @@ def mu(agent: AgentSpec, theta, pi):
     return out if np.ndim(out) else float(out)
 
 
-def _audit_surplus(agent: AgentSpec, theta, pi, ih):
+def _audit_surplus(agent: AgentSpec, theta, pi, ih, ratio=None):
     """Audit surplus mu*phi - c at incomes ``pi`` and types ``theta`` whose
-    inverse hazards (1 - F)/f are ``ih``, as (-G_2/g) * (ih * phi) - c.  No
-    domain check; every site that weighs auditing evaluates it here."""
-    ratio = -np.asarray(agent.income.g2_over_g(pi, theta), dtype=float)
-    return ratio * (ih * agent.sensitivity) - agent.audit_cost
+    inverse hazards (1 - F)/f are ``ih``, as (-G_2/g) * (ih * phi) - c, from
+    the family's ratio G_2/g (``g2_over_g``), or from ``ratio`` where the
+    caller has it as a float array of the surplus's shape, which then holds
+    the surplus.  No domain check; every site that weighs auditing
+    evaluates it here."""
+    if ratio is None:
+        s = -np.asarray(agent.income.g2_over_g(pi, theta), dtype=float)
+    else:
+        s = np.negative(ratio, out=ratio)
+    s = np.multiply(s, ih * agent.sensitivity, out=ratio)
+    s -= agent.audit_cost
+    return s
 
 
 def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
@@ -182,11 +191,12 @@ def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
     after a negative one (zero when the sequence is single-crossing from
     above).  NaN entries are skipped."""
     values = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    neg = values < 0
-    # the first negative entry, or the end where there is none
-    first = np.where(neg.any(axis=-1), np.argmax(neg, axis=-1), values.shape[-1])
-    later = np.arange(values.shape[-1]) > first[..., None]
-    return np.max(np.where(later & (values > 0), values, 0.0), axis=-1, initial=0.0)
+    # the entries from the first negative one on (which is not positive), by
+    # one running maximum of the 0/1 bytes of ``values < 0``: numpy runs it
+    # over bytes about three times as fast as logical_or over booleans
+    late = np.maximum.accumulate((values < 0).view(np.uint8), axis=-1).view(bool)
+    late &= values > 0
+    return np.max(values, axis=-1, initial=0.0, where=late)
 
 
 def myerson_virtual(agent: AgentSpec, theta):
@@ -694,6 +704,34 @@ def _shared_row(x: np.ndarray) -> np.ndarray:
     return x[:1] if np.all(x == x[:1]) else x
 
 
+def _row_key(agent: AgentSpec, t: "_Types"):
+    """The income family's ``row_key`` of the types ``t``: a key naming the
+    type-free rows that every one of them mixes, or None (always, for a
+    family without the optional surface)."""
+    return getattr(agent.income, "row_key", lambda at: None)(t.at)
+
+
+def _memo(memo: dict, key, make):
+    """``make()`` for ``key``, from the one entry of ``memo`` when it holds
+    that key, else made and kept there: the blocks of types that share one
+    row of incomes follow one another."""
+    if memo.get("key") != key:
+        memo.update(key=key, value=make())
+    return memo["value"]
+
+
+def _scratch(memo: dict, shape: tuple) -> tuple:
+    """Two float arrays of a block's ``shape`` (rows, width), views of a
+    pair kept in ``memo`` for the blocks of one call (its first block has
+    the most rows).  Blocks that reuse them allocate none of their own; the
+    heap would often hand a freed block's arrays back to the system and
+    page them in afresh for the next block."""
+    pair = memo.get("scratch")
+    if pair is None or pair[0].shape[0] < shape[0] or pair[0].shape[1:] != shape[1:]:
+        pair = memo["scratch"] = (np.empty(shape), np.empty(shape))
+    return pair[0][:shape[0]], pair[1][:shape[0]]
+
+
 def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """The single-crossing scan: per type, the worst violation of single
     crossing from above of mu*phi - c in income; it fails above ``_SLACK``.
@@ -710,15 +748,30 @@ def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """Per type, ``_worst_single_crossing`` of mu*phi - c over 65 incomes
-    spread inside the type's own income support."""
+    spread inside the type's own income support.
+
+    Where a block's types share their probes and mix one key's type-free
+    rows (``IncomeFamily.row_key``), the rows' pdfs and dG/dtheta at the
+    probes are evaluated once for all such blocks of the scan (``_memo``)
+    and only the ratio's mixture is per type, formed with the surplus in
+    the blocks' one scratch pair (``_scratch``)."""
+    fam, memo = agent.income, {}
 
     def worst(t):
-        lo, hi = t.lo, t.hi
-        # linspace starts and ends each row at its ends, so rows agree iff their ends do
-        ends = _shared_row(np.column_stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)]))
-        probe = np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)
+        # the probes depend on the type through its income support alone
+        support = _shared_row(np.column_stack([t.lo, t.hi]))
+        key = _row_key(agent, t) if len(support) == 1 else None
+        lo, hi = support[:, 0], support[:, 1]
+        ends = np.column_stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)])
         with np.errstate(invalid="ignore"):
-            s = _audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
+            if key is None:
+                probe = np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)
+                s = _audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
+            else:
+                terms = _memo(memo, (key, ends.tobytes()), lambda: fam.row_terms(
+                    key, np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)))
+                ratio = fam.mix_ratio(terms, t.at[:, None], _scratch(memo, (len(t), 65)))
+                s = _audit_surplus(agent, None, None, t.ih[:, None], ratio)
         return (_worst_single_crossing(s, axis=1),)
 
     return _blocked(worst, 65, _Types.of(agent, thetas))[0]
@@ -742,12 +795,18 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _region_rows(agent: AgentSpec, t: "_Types", b: np.ndarray) -> np.ndarray:
+def _region_rows(agent: AgentSpec, t: "_Types", b: np.ndarray):
     """Per type, the audit region [supp_lo, max(b, supp_lo)] and the income
     law's breakpoints, as one row [supp_lo, top, breakpoints...]; one row
-    for all when every type's row agrees (``_shared_row``)."""
-    return _shared_row(np.column_stack([t.lo, np.maximum(b, t.lo),
-                                        agent.income.breakpoints(t.at)]))
+    for all when every type's row agrees (``_shared_row``).  Returns the
+    rows and, for one row whose types mix one key's type-free rows, that
+    ``_row_key``, else None.  Types of one key share their breakpoints, so
+    only their region ends are compared."""
+    ends = np.column_stack([t.lo, np.maximum(b, t.lo)])
+    key = _row_key(agent, t)
+    if key is not None and (ends == ends[:1]).all():
+        return np.concatenate([ends[:1], agent.income.breakpoints(t.at[:1])], axis=1), key
+    return _shared_row(np.concatenate([ends, agent.income.breakpoints(t.at)], axis=1)), None
 
 
 def _region_nodes(rows: np.ndarray):
@@ -756,7 +815,9 @@ def _region_nodes(rows: np.ndarray):
     lo, top = rows[:, :1], rows[:, 1:2]
     edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
     nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
-    return nodes.reshape(len(rows), -1), wts.reshape(len(rows), -1)
+    # (rows, pieces, points) to (rows, nodes), also for zero rows
+    n, pieces, points = nodes.shape
+    return nodes.reshape(n, pieces * points), wts.reshape(n, pieces * points)
 
 
 def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
@@ -767,7 +828,7 @@ def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
     breakpoints agree (``_shared_row``)."""
     t = _Types.of(agent, ts)
     b = np.minimum(pstar, t.hi)
-    return (t.lo, b, *_region_nodes(_region_rows(agent, t, b)))
+    return (t.lo, b, *_region_nodes(_region_rows(agent, t, b)[0]))
 
 
 def _region_width(agent: AgentSpec) -> int:
@@ -792,30 +853,29 @@ def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray, memo: dict):
     so the kernel integrates only -G_2 and 1 - G.
 
     A family that mixes type-free rows (``IncomeFamily.row_key``) is
-    evaluated once per row of incomes and key in ``memo``, shared by the
-    blocks of one build: the nodes and weights, the rows' terms with the
-    type-free dG/dtheta, and the cap.  Only the mixture is per type.  The
-    memo keeps one entry, since a build's blocks of one key follow one
-    another."""
+    evaluated once per row of incomes and key in ``memo`` (``_memo``),
+    shared by the blocks of one build: the nodes and weights, the rows'
+    terms with the type-free dG/dtheta, and the cap.  Only the mixture is
+    per type, formed in the blocks' one scratch pair (``_scratch``)."""
     c, phi = agent.audit_cost, agent.sensitivity
     fam = agent.income
     t = _Types.of(agent, ts)
     b = np.minimum(pstar, t.hi)
-    rows = _region_rows(agent, t, b)
-    key = getattr(fam, "row_key", lambda at: None)(t.at) if len(rows) == 1 else None
+    rows, key = _region_rows(agent, t, b)
     if key is None:
         nodes, wts = _region_nodes(rows)
         g, g2 = fam.cdf_and_dtheta(nodes, t.at[:, None])
         cap = _cap(phi, g2, wts)
+        survival = 1.0 - np.asarray(g, dtype=float)
     else:
-        key = (key, rows.tobytes())
-        if memo.get("key") != key:
+        def make():
             nodes, wts = _region_nodes(rows)
-            terms = fam.row_terms(key[0], nodes)
-            memo.update(key=key, wts=wts, terms=terms, cap=_cap(phi, terms[-1], wts))
-        wts, cap = memo["wts"], memo["cap"]
-        g = fam.mix_terms(memo["terms"], t.at[:, None])
-    survival = 1.0 - np.asarray(g, dtype=float)
+            terms = fam.row_terms(key, nodes)
+            return wts, terms, _cap(phi, terms.dtheta, wts)
+
+        wts, terms, cap = _memo(memo, (key, rows.tobytes()), make)
+        g = fam.mix_terms(terms, t.at[:, None], _scratch(memo, (len(t), wts.shape[1])))
+        survival = np.subtract(1.0, g, out=g)
     survival *= wts
     e_min = np.minimum(b, t.lo) + np.sum(survival, axis=1)
     psi_m = t.theta - t.ih

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import royaltycap as rc
+from royaltycap import cli
 from royaltycap.cli import main
 from royaltycap.config import parse_config
 from royaltycap.instances import SHIPPED_INSTANCES
@@ -187,6 +188,23 @@ def test_cli_check_pass(ua_config, tmp_path):
                  "--grid", "48"]) == 0
     rep = json.loads((out / "check.json").read_text())
     assert rep["all_ok"] is True
+
+
+def test_cli_calls_share_one_parser_and_parse_independently(ua_config, tmp_path, monkeypatch):
+    # the parser is built once per process; each call's flags are its own,
+    # so an earlier call's --workers and --grid do not carry over
+    calls = []
+    for name in ("check", "simulate"):
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda cfg, out, seed, *rest, name=name: (
+            calls.append((name, cfg.theta_points, cfg.pi_points, rest)) or 0))
+    base = ["--config", str(ua_config), "--out", str(tmp_path / "o")]
+    assert main(["simulate", *base, "--workers", "2", "--grid", "16", "--runs", "5000"]) == 0
+    assert main(["check", *base]) == 0
+    assert main(["simulate", *base]) == 0
+    assert main(["check", *base, "--grid", "48"]) == 0
+    assert calls == [("simulate", 16, 16, (5000, 2)), ("check", 128, 128, ()),
+                     ("simulate", 128, 128, (100_000, 1)), ("check", 48, 48, ())]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_cli_solve_table(ua_config, tmp_path):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ def test_scaled_family_closed_forms():
 
 @pytest.mark.parametrize("params", [
     {"error": {"family": "uniform", "lo": -0.5, "hi": 1.0}},   # mean 0.25
-    {"error": {"family": "uniform", "lo": 0.1, "hi": 1.0}},    # does not straddle 0
+    {"error": {"family": "uniform", "lo": 0.1, "hi": 1.0}},    # mean 0.55
     {},                                                        # missing error spec
 ])
 def test_income_family_construction_errors(params):
@@ -468,6 +469,72 @@ def test_table_family_locates_each_income_once_per_row_pair(monkeypatch):
             sizes.clear()
             method(pi, theta)
             assert sum(sizes) == pi.size, method.__name__
+
+
+@pytest.mark.parametrize("method", ["cdf", "pdf", "g2_over_g", "dcdf_dtheta", "cdf_and_dtheta"])
+def test_table_family_shared_income_grid_equals_the_broadcast(monkeypatch, method):
+    # types across both knot intervals on one grid of incomes (as check's
+    # 128 x 128 grid): each interval's rows are evaluated once on the grid,
+    # bit for bit the evaluation at every (type, income) pair
+    fam = _families()[2][1]   # type knots 1, 1.4, 2
+    pi = np.concatenate([np.linspace(-0.5, 3.5, 101), np.nextafter([0.4, 2.4], np.inf),
+                         [0.0, -0.0, np.nan]])
+    theta = np.concatenate([np.linspace(1.0, 2.0, 23), np.nextafter([1.4, 2.0], 0.0)])
+    sizes = []
+    pair_cells = dist.TableIncomeFamily._pair_cells
+    monkeypatch.setattr(dist.TableIncomeFamily, "_pair_cells", lambda self, j, p: (
+        sizes.append(np.size(p)) or pair_cells(self, j, p)))
+    p2, t2 = np.broadcast_arrays(pi[None, :], theta[:, None])
+    want = getattr(fam, method)(p2.ravel(), t2.ravel())   # one point per pair
+    want = [np.reshape(w, p2.shape) for w in (want if method == "cdf_and_dtheta" else (want,))]
+    at = fam.locate_types(theta)
+    # the shared layouts (types' axes first) and a transposed one, which
+    # takes the incomes of each interval's pairs
+    n, m = theta.size, pi.size
+    for args, shape, shared in (((pi, theta[:, None]), (n, m), True),
+                                ((pi[None, :], at[:, None]), (n, m), True),
+                                ((pi[None, None, :], theta[None, :, None]), (1, n, m), True),
+                                ((pi[:, None], theta[None, :]), (m, n), False)):
+        sizes.clear()
+        got = getattr(fam, method)(*args)
+        got = got if method == "cdf_and_dtheta" else (got,)
+        for g, w in zip(got, want):
+            assert np.shape(g) == shape, method
+            g = g.reshape(n, m) if shared else g.T
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), (method, shape)
+        assert sum(sizes) == (2 * m if shared else m * n)
+    # one income for all types: both intervals' rows at that income alone
+    sizes.clear()
+    got = getattr(fam, method)(pi[3], theta)
+    got = got if method == "cdf_and_dtheta" else (got,)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w[:, 3].view(np.int64)), method
+    assert sizes == [1, 1]
+
+
+def test_table_family_mixes_row_terms_into_given_arrays():
+    # the kernels' blocks mix one interval's row terms into one reused pair
+    # of arrays: bit for bit the fresh mixture, whatever the pair held (the
+    # ratio is 0 where the mixed pdf vanishes, beyond both rows' supports)
+    fam = _families()[2][1]   # type knots 1, 1.4, 2
+    pi = np.concatenate([np.linspace(-0.5, 3.5, 65), [np.nan]])
+    theta = fam.locate_types(np.linspace(1.0, 1.4, 9, endpoint=False))[:, None]
+    terms = fam.row_terms(0, pi)
+    for mix in (fam.mix_terms, fam.mix_ratio):
+        want = mix(terms, theta)
+        assert want.shape == (9, pi.size) and np.any(want == 0.0)
+        out = (np.full(want.shape, np.nan), np.full(want.shape, -7.0))
+        got = mix(terms, theta, out)
+        assert any(got is o for o in out)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), mix.__name__
+    assert np.array_equal(fam.mix_ratio(terms, theta), fam.g2_over_g(pi, theta))
+    # where the mixed pdf is not positive (a rounding dip below 0 in one row
+    # here) the ratio is 0, also where the scratch array held another value
+    rows = SimpleNamespace(pdfs=(np.array([-1.0, 1.0]), np.array([0.5, 1.0])),
+                           dtheta=np.array([1.0, 1.0]))
+    w = np.array([[0.5]])
+    for out in (None, (np.full((1, 2), 3.0), np.full((1, 2), 3.0))):
+        assert fam._ratio(rows, w, out).tolist() == [[0.0, 1.0]]
 
 
 @pytest.mark.parametrize("points", [2, 4, 32])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import fields, replace
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy.integrate import quad
 
 import oracles
@@ -683,6 +683,21 @@ def test_agent_entry_points_answer_once_per_type(fn, shipped_instances):
         [getattr(rc, fn)(agent, 0.6), getattr(rc, fn)(agent, 0.9)]]
 
 
+@pytest.mark.parametrize("fn", ["audit_threshold", "virtual_value", "phi_cap",
+                                "expected_income_net_royalty"])
+def test_agent_entry_points_answer_no_types_with_an_empty_array(fn, shipped_instances):
+    # an empty array of types (of any empty shape) gets an empty float array
+    # of its shape, as every other array does
+    insts = [*shipped_instances.values(), tent_error_inst(),
+             rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), 0.0),))]
+    for inst in insts:
+        for agent in inst.agents:
+            for thetas in ([], np.empty(0), np.empty((0, 3)), np.empty((2, 0))):
+                got = getattr(rc, fn)(agent, thetas)
+                assert isinstance(got, np.ndarray) and got.dtype == float
+                assert got.shape == np.shape(thetas)
+
+
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
 def test_tables_exact_on_kinked_table_family(knots):
     # the income law has kinks at the row grid points and support jumps at
@@ -931,7 +946,8 @@ def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch)
     # interval shares one row of Gauss-Legendre nodes: a build evaluates
     # that row's two row cdfs, its type-free dG/dtheta and its cap once for
     # all the interval's blocks, and only the block across the knot 1.4 has
-    # a row per type
+    # a row per type.  The scan's 65 probes are rows of their own, also
+    # evaluated once per knot interval, before the integrals
     agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
     terms, per_type, caps = [], [], []
     row_terms, both, cap = (rc.TableIncomeFamily.row_terms,
@@ -945,10 +961,88 @@ def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch)
     types = rc.mech._agent_curves(agent)["theta"].size
     rows = rc.mech._BLOCK_ELEMENTS // rc.mech._region_width(agent)
     assert types > 80 * rows
+    assert [len(pi) // 8 for _, pi in terms[:2]] == [65, 65]
+    terms = terms[2:]
     # one evaluation per distinct row of the build: one per knot interval
     assert [j for j, _ in terms] == [0, 1] and len(set(terms)) == 2
     assert len(per_type) == 1 and 1 < per_type[0] <= rows
     assert sorted(caps) == [1, 1, per_type[0]]
+
+
+def test_table_scan_evaluates_each_intervals_probe_rows_once(monkeypatch):
+    # tab_income's law: the scan's blocks inside one knot interval share one
+    # row of 65 probes, located and evaluated once per interval; only the
+    # block across the knot 1.4 locates probes per type
+    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
+    grid = rc.mech._agent_curves(agent)["theta"]
+    located = []
+    pair_cells = rc.TableIncomeFamily._pair_cells
+    monkeypatch.setattr(rc.TableIncomeFamily, "_pair_cells", lambda self, j, pi: (
+        located.append((int(j), np.size(pi))) or pair_cells(self, j, pi)))
+    rows = rc.mech._BLOCK_ELEMENTS // 65
+    assert grid.size > 30 * rows
+    scan = rc.mech._probe_single_crossing(agent, grid)
+    assert located[0] == (0, 65) and located[-1] == (1, 65)
+    # the block across the knot: its types' own probes, one search per interval
+    across = located[1:-1]
+    assert [j for j, _ in across] == [0, 1] and sum(size for _, size in across) == rows * 65
+    assert np.all(scan <= rc.mech._SLACK)
+
+
+@st.composite
+def _mixed_table_agents(draw):
+    """Types U[1, 2] and a tabulated income law on 2-4 type knots in [1, 2]:
+    row j is theta_j plus an error on [-a, a] that mixes the uniform and the
+    tent law with its own weight, on 3-13 points, so the audit surplus bends
+    in income (rows that cross, which the family rejects, are drawn again);
+    c = 0 or drawn from [0, 0.3]."""
+    inner = draw(st.lists(st.integers(1, 19), max_size=2, unique=True))
+    knots = [1.0] + sorted(1.0 + k / 20 for k in inner) + [2.0]
+    a = draw(st.floats(0.05, 0.15))
+    rows = []
+    for t in knots:
+        g = np.linspace(-a, a, 2 * draw(st.integers(1, 6)) + 1)
+        tent = np.where(g < 0, 0.5 * (g / a + 1) ** 2, 1 - 0.5 * (1 - g / a) ** 2)
+        w = draw(st.floats(0.0, 1.0))
+        rows.append((t + g, w * (g + a) / (2 * a) + (1 - w) * tent))
+    try:
+        fam = rc.make_income_family("table", {"theta_grid": knots, "rows": rows})
+    except rc.ConstructionError:   # rows of different shapes may cross
+        reject()
+    c = draw(st.just(0.0) | st.floats(0.0, 0.3))
+    return rc.AgentSpec(rc.make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}), fam, c,
+                        draw(st.floats(0.1, 1.0)))
+
+
+@given(agent=_mixed_table_agents(), n=st.integers(20, 300), rows=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_shared_probe_rows_scan_bit_for_bit(agent, n, rows):
+    # the scan that keeps each knot interval's probe rows for its blocks
+    # equals the surplus evaluated at every type's own probes, bit for bit,
+    # in blocks of ``rows`` types, some of which straddle an inner knot
+    knots = agent.income.type_knots
+    thetas = np.sort(np.concatenate([np.linspace(1.0, 2.0, n), knots,
+                                     np.nextafter(knots, 0.0)]))
+
+    def straddles(thetas):
+        j = agent.income.locate_types(thetas).j
+        return any(np.ptp(j[k:k + rows]) > 0 for k in range(0, j.size, rows))
+
+    if knots.size > 2 and rows > 1 and not straddles(thetas):
+        # each knot and the float below it lie in one block once shifted by one
+        thetas = np.concatenate([[1.0], thetas])
+        assert straddles(thetas)
+    t = rc.mech._Types.of(agent, thetas)
+    nu = rc.mech._NU
+    ends = np.column_stack([t.lo + nu * (t.hi - t.lo), t.hi - nu * (t.hi - t.lo)])
+    probe = np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)
+    with np.errstate(invalid="ignore"):
+        surplus = rc.mech._audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
+    want = rc.mech._worst_single_crossing(surplus, axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc.mech, "_BLOCK_ELEMENTS", 65 * rows)
+        got = rc.mech._probe_single_crossing(agent, thetas)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -1074,6 +1168,28 @@ def test_worst_single_crossing_equals_the_loop(values):
         got = rc.mech._worst_single_crossing(values, axis)
         want = oracles.worst_single_crossing(values, axis)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), axis
+
+
+def test_worst_single_crossing_on_edge_rows():
+    # NaN, signed zeros, infinities, all-negative rows and empty sequences,
+    # along either axis: bit for bit the running-flag loop (+0.0 where no
+    # positive value follows a negative one)
+    nan, inf = np.nan, np.inf
+    rows = np.array([[nan, -1.0, nan, 2.0, 1.0, nan],
+                     [-0.0, 1.0, -1.0, 0.0, -0.0, 3.0],
+                     [-1.0, -2.0, -0.5, -inf, -1e-300, -3.0],
+                     [0.0, -0.0, 0.0, -0.0, nan, nan],
+                     [1.0, 2.0, 3.0, -1.0, nan, -0.0],
+                     [-inf, inf, nan, 5e-324, -5e-324, 5e-324],
+                     [nan] * 6])
+    for values in (rows, np.empty((3, 0)), np.empty((0, 6)), np.empty((0, 0)),
+                   np.stack([rows, -rows])):
+        for axis in range(values.ndim):
+            got = rc.mech._worst_single_crossing(values, axis)
+            want = oracles.worst_single_crossing(values, axis)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (values.shape, axis)
+    assert rc.mech._worst_single_crossing(rows, 1).tolist() == [2.0, 3.0, 0.0, 0.0, 0.0, inf, 0.0]
 
 
 def test_audit_surplus_and_single_crossing_rule_have_one_home():

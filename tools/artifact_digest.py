@@ -16,8 +16,11 @@ to see which artifacts a change moves.  The digests cover:
   documents that ``perfbench/workloads.py`` builds (``verify-ic`` there
   takes the kinked families' piecewise income law, one true type per
   row);
-* per instance, every ``AgentTables`` array, ``payoff_bound`` and one
-  ``estimate_revenue`` report (20,000 runs, seed 0);
+* per instance, every ``AgentTables`` array, each agent's single-crossing
+  scan ``mech._single_crossing_scan`` on its table grid (0.0 unprobed on
+  the closed-form families) and the probes ``mech._probe_single_crossing``
+  there, ``payoff_bound`` and one ``estimate_revenue`` report (20,000 runs,
+  seed 0);
 * on ``uniform_additive`` and ``mixed_pair``, ``estimate_revenue`` reports
   off truthful play (70,000 runs, seed 0, workers 1 and 2, so that two
   threads split the runs into uneven chunks): under a type-report map,
@@ -113,6 +116,8 @@ def _library_digests(out: dict, name: str, text: str):
         for f in fields(t):
             arr = np.ascontiguousarray(getattr(t, f.name))
             out[f"tables/{name}/{i}/{f.name}"] = _sha(arr.tobytes())
+        for scan in (mech._single_crossing_scan, mech._probe_single_crossing):
+            out[f"{scan.__name__}/{name}/{i}"] = _sha(scan(inst.agents[i], t.theta).tobytes())
     out[f"payoff_bound/{name}"] = repr(mech.payoff_bound(inst))
     rep = sim.estimate_revenue(inst, None, RUNS, SEED)
     out[f"estimate_revenue/{name}"] = _sha(json.dumps(rep.to_dict()).encode())
