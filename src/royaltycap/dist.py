@@ -28,8 +28,12 @@ from .errors import ConstructionError, DomainError
 
 # Tolerance for "mean zero" / "integrates to one" construction checks.
 _MEAN_TOL = 1e-8
-# exact on each cubic piece of a tabulated law
-_GL4 = np.polynomial.legendre.leggauss(4)
+# exact per piece: a tabulated income law is at most cubic between breakpoints
+_GL2 = np.polynomial.legendre.leggauss(2)
+# float64 elements per row-blocked kernel temporary (``_blocked``): small
+# enough that the temporaries are reused rather than mapped afresh, large
+# enough that a few blocks cover a table build's 8193 types
+_BLOCK_ELEMENTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,38 @@ def _gl_segments(a, b, rule):
         nodes[..., k] += mid
         np.multiply(half, w[k], out=wts[..., k])
     return nodes, wts
+
+
+def _blocked(fn, width: int, *cols):
+    """``fn`` applied to blocks of rows of the ``cols``, each of its outputs
+    concatenated over the blocks.  ``fn``'s temporaries hold ``width``
+    elements per row; a block holds as many rows as fit in
+    ``_BLOCK_ELEMENTS``, and at least one."""
+    n = len(cols[0])
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    parts = [fn(*(c[k:k + rows] for c in cols)) for k in range(0, max(n, 1), rows)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _memo(memo: dict, key, make):
+    """``make()`` for ``key``, from the one entry of ``memo`` when it holds
+    that key, else made and kept there: the blocks of types that share one
+    row of incomes follow one another."""
+    if memo.get("key") != key:
+        memo.update(key=key, value=make())
+    return memo["value"]
+
+
+def _scratch(memo: dict, shape: tuple) -> tuple:
+    """Two float arrays of a block's ``shape`` (rows, width), views of a
+    pair kept in ``memo`` for the blocks of one call (its first block has
+    the most rows).  Blocks that reuse them allocate none of their own; the
+    heap would often hand a freed block's arrays back to the system and
+    page them in afresh for the next block."""
+    pair = memo.get("scratch")
+    if pair is None or pair[0].shape[0] < shape[0] or pair[0].shape[1:] != shape[1:]:
+        pair = memo["scratch"] = (np.empty(shape), np.empty(shape))
+    return pair[0][:shape[0]], pair[1][:shape[0]]
 
 
 def _buckets(xp: np.ndarray, x, k: int) -> np.ndarray:
@@ -320,6 +356,10 @@ class _Standardized:
     def cdf_and_pdf(self, x):
         return self.cdf(x), self.pdf(x)
 
+    def cdf_integral(self, x):
+        """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
+        return (self._cdf_integral(np.clip(self._z(x), 0.0, 1.0)) * self.scale)[()]
+
     def ppf(self, q):
         q, ok = _quantile_domain(q)
         out = np.where(ok, self._ppf(np.where(ok, q, 0.0)) * self.scale + self.loc, np.nan)
@@ -335,6 +375,9 @@ class _Uniform(_Standardized):
 
     def _pdf(self, z):
         return np.ones_like(z)
+
+    def _cdf_integral(self, z):
+        return 0.5 * z * z
 
     def _ppf(self, q):
         return q
@@ -359,6 +402,13 @@ class _Triangular(_Standardized):
         c = self.c
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(z < c, 2 * z / c, np.where(c == 1, 2 * z, 2 * (1 - z) / (1 - c)))
+
+    def _cdf_integral(self, z):
+        # int_0^z of each branch of ``_cdf``, which meet at c^2 / 3 at z = c
+        c = self.c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(z < c, z ** 3 / (3 * c), np.where(
+                c == 1, z ** 3 / 3, z - (c + 1) / 3 + (1 - z) ** 3 / (3 * (1 - c))))
 
     def _ppf(self, q):
         c = self.c
@@ -413,7 +463,9 @@ class _TableCdf:
     evaluated with scipy's arithmetic, so every value equals scipy's
     ``PchipInterpolator`` bit for bit.  The law is a cubic polynomial
     between grid points, which are its ``knots``; the pdf is its analytic
-    derivative.
+    derivative.  Its antiderivative K(x) = int_lo^x F (``cdf_integral``) is a
+    quartic per cell whose constant is the previous cell's value at its end,
+    as scipy's ``PPoly.antiderivative`` fixes it; the mean is hi - K(hi).
 
     The ppf interpolates linearly in a dense inverse table (PCHIP preserves
     monotonicity, so the inverse is well defined), in two stages: the guide
@@ -445,9 +497,13 @@ class _TableCdf:
         self._guide = _guide_table(grid)
         self._c = _pchip_coefficients(grid, values)
         self._dc = self._c[:-1] * np.array([[3.0], [2.0], [1.0]])  # the pdf's pieces
-        # mean = lo + int (1 - F); Gauss-Legendre with 4 nodes is exact on each cubic piece
-        nodes, wts = _gl_segments(grid[:-1], grid[1:], _GL4)
-        self.mean = self.lo + float(np.sum(wts * (1.0 - self._cdf_inside(nodes))))
+        self._ic = np.vstack([self._c / [[4.0], [3.0], [2.0], [1.0]], np.zeros(grid.size - 1)])
+        k = [0.0]
+        for a4, a3, a2, a1, h in zip(*self._ic[:4].tolist(), np.diff(grid).tolist()):
+            h2 = h * h   # summed as ``_poly`` sums: lowest power first
+            k.append(k[-1] + a1 * h + a2 * h2 + a3 * (h2 * h) + a4 * (h2 * h * h))
+        self._ic[-1] = k[:-1]
+        self.mean = self.hi - k[-1]   # lo + int (1 - F)
 
     @cached_property
     def _inverse(self):
@@ -500,6 +556,10 @@ class _TableCdf:
         inside = np.clip(x, self.lo, self.hi)
         i = _cells(self.knots, self._guide, inside)
         return self._cdf_inside(inside, i)[()], self._pdf(x, i)[()]
+
+    def cdf_integral(self, x):
+        """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
+        return self._poly(self._ic, np.clip(np.asarray(x, dtype=float), self.lo, self.hi))[()]
 
     def ppf(self, u):
         u, ok = _quantile_domain(u)
@@ -614,29 +674,29 @@ class IncomeFamily:
     * ``g2_over_g(pi, theta)`` -- the ratio dG/dtheta / pdf in its
       family closed form, which extends continuously beyond the support
       edge (one-sided limits at the boundary);
+    * ``audit_region(theta, b)`` -- per type of a 1-d array and its audit
+      region's top b, with b' = clip(b, supp_lo, supp_hi): G(b | theta),
+      int_{supp_lo}^{b'} -dG/dtheta dpi (Phi / phi) and
+      int_{supp_lo}^{b'} (1 - G) dpi: all that the mechanism kernels need
+      of the law, so every custom family must implement it;
     * ``ppf(u, theta)`` -- conditional quantile, used for inverse-transform
       sampling;
     * ``breakpoints(theta)`` -- for a 1-d array of types, one row per type of
       the income levels (support ends included) between which the law is a
-      polynomial in income.  The mechanism kernels split their income
-      integrals there;
+      polynomial in income, where ``verify``'s payment integrals and
+      ``endogenous_virtual`` split;
+    * optionally ``ratio_crossing(theta, level)`` -- per type, the income
+      where -dG/dtheta / g falls to ``level`` > 0, in closed form (the
+      default None has the audit threshold bisected);
     * optionally ``locate_types(theta)`` -- the types in a form that every
       method but ``ppf`` takes in place of them, found once for many calls
       (the default is theta as a float array);
     * optionally, for a law that mixes type-free rows of incomes (a
       tabulated family), ``row_key(theta)`` -- a key naming the rows that
-      every type of ``theta`` mixes (those types then share their
-      ``breakpoints``), or None; ``row_terms(key, pi)`` -- the rows'
-      type-free terms at incomes pi, each evaluated on first use, with
-      dG/dtheta as ``dtheta``; ``mix_terms(terms, theta, out=None)`` --
-      G(pi | theta) from them; and ``mix_ratio(terms, theta, out=None)`` --
-      ``g2_over_g`` from them.  Both write into ``out``, a pair of arrays of
-      the result's shape, when given, so that many blocks of types reuse
-      one pair.
-      Two mechanism kernels keep the terms of one key and row of incomes
-      for all the blocks of types that share them: the single-crossing
-      scan (its probes: the rows' pdfs and dG/dtheta) and the integrals
-      (their Gauss-Legendre nodes: the rows' cdfs and dG/dtheta).
+      every type of ``theta`` mixes, or None; ``row_terms(key, pi)`` -- the
+      rows' terms at incomes pi; and ``mix_ratio(terms, theta, out=None)``
+      -- ``g2_over_g`` from them (in ``out``, two arrays, when given), with
+      which the single-crossing scan evaluates a row once for many blocks.
 
     All other methods accept scalars or broadcastable arrays.
     """
@@ -682,6 +742,12 @@ class IncomeFamily:
     def g2_over_g(self, pi, theta):
         raise NotImplementedError
 
+    def audit_region(self, theta, b):
+        raise NotImplementedError
+
+    def ratio_crossing(self, theta, level):
+        return None
+
     def ppf(self, u, theta):
         raise NotImplementedError
 
@@ -693,7 +759,9 @@ class AdditiveErrorFamily(IncomeFamily):
     """Income = type + mean-zero error: pi = theta + eps.
 
     G(pi | theta) = H(pi - theta), so dG/dtheta = -h and the ratio
-    dG/dtheta / g is identically -1 (so ``ratio_nonincreasing``).
+    dG/dtheta / g is identically -1 (so ``ratio_nonincreasing``).  With
+    z = b' - theta and K(z) = int_{eps_lo}^z H, the audit region has
+    Phi / phi = H(z) and int (1 - G) = (z - eps_lo) - K(z).
     """
 
     family = "additive_error"
@@ -723,6 +791,12 @@ class AdditiveErrorFamily(IncomeFamily):
         shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
         return np.full(shape, -1.0) if shape else -1.0
 
+    def audit_region(self, theta, b):
+        err = self._err
+        z = np.clip(np.asarray(b, dtype=float) - theta, err.lo, err.hi)
+        h = err.cdf(z)
+        return h, h, (z - err.lo) - err.cdf_integral(z)
+
     def ppf(self, u, theta):
         return np.asarray(theta, dtype=float) + self._err.ppf(u)
 
@@ -735,8 +809,12 @@ class ScaledErrorFamily(IncomeFamily):
 
     The support shrinks as the type approaches 1.  The ratio
     dG/dtheta / g = (pi - 1) / (1 - theta) does not depend on the error
-    distribution's shape and rises in income (``ratio_nonincreasing``).
-    Requires the type support to lie in [0, 1].
+    distribution's shape and rises in income (``ratio_nonincreasing``); it
+    falls to k at the income 1 - k s, s = 1 - theta (``ratio_crossing``).
+    With z = (b' - theta) / s and K(z) = int_{eps_lo}^z H, -dG/dtheta dpi =
+    h(z) (1 - z) dz, so Phi / phi = H(z) (1 - z) + K(z) and int (1 - G) =
+    s ((z - eps_lo) - K(z)), both 0 at the top type (s = 0).  Requires the
+    type support to lie in [0, 1].
     """
 
     family = "scaled_error"
@@ -791,6 +869,17 @@ class ScaledErrorFamily(IncomeFamily):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (pi - 1.0) / s
         return out if np.ndim(out) else float(out)
+
+    def audit_region(self, theta, b):
+        err = self._err
+        b, theta, s, _, z = self._standard(b, theta)
+        z = np.clip(z, err.lo, err.hi)
+        h, k, top = err.cdf(z), err.cdf_integral(z), s == 0
+        return (np.where(top, b >= theta, h), np.where(top, 0.0, h * (1.0 - z) + k),
+                s * ((z - err.lo) - k))
+
+    def ratio_crossing(self, theta, level):
+        return 1.0 - level * self._scale(theta)
 
     def ppf(self, u, theta):
         theta = np.asarray(theta, dtype=float)
@@ -882,11 +971,9 @@ class TableIncomeFamily(IncomeFamily):
     them (the types' axes lead the broadcast, the incomes' trail it), else
     on the incomes of the interval's (type, income) pairs.
     ``cdf_and_dtheta`` and ``g2_over_g`` evaluate the two rows once for both
-    of their quantities, and the mechanism kernels keep the rows of one
-    knot interval and row of incomes for many blocks of types
-    (``row_terms``).  Types are located on the knots by ``_locate``, or once
-    for many calls by ``locate_types``, whose ``KnotTypes`` every method but
-    ``ppf`` takes in place of the types.
+    of their quantities, and the scan and ``audit_region`` keep one knot
+    interval's rows at one row of incomes for many blocks of types.  Types
+    are located once for many calls by ``locate_types`` (``KnotTypes``).
     """
 
     family = "table"
@@ -1072,6 +1159,46 @@ class TableIncomeFamily(IncomeFamily):
     def g2_over_g(self, pi, theta):
         return self._by_interval(lambda rows, w: (self._ratio(rows, w),), pi, theta)[0]
 
+    def _region_width(self) -> int:
+        """Nodes per type of ``audit_region``: two per piece."""
+        return 2 * (self._bp.shape[1] + 1)
+
+    def audit_region(self, theta, b):
+        """By the 2-point Gauss-Legendre rule on [supp_lo, b'] split at the
+        breakpoints, exact on the cubic pieces, over blocks of types
+        (``_blocked``).  Where a block's types lie in one knot interval and
+        share their region, the rows at its nodes, dG/dtheta and its
+        integral are evaluated once for the blocks that share them
+        (``_memo``), and only the mixture is per type (``_scratch``)."""
+        at = self.locate_types(theta)
+        lo, hi = self.supp_lo(at), self.supp_hi(at)
+        memo: dict = {}
+        cap, survival = _blocked(lambda *cols: self._region_block(*cols, memo),
+                                 self._region_width(), lo, np.clip(b, lo, hi), at)
+        return self.cdf(b, at), cap, survival
+
+    def _region_block(self, lo, top, at, memo):
+        """``audit_region``'s integrals on the regions [lo, top] of a block."""
+        ends = np.column_stack([lo, top])
+        key = self.row_key(at)
+        if key is None or not (ends == ends[:1]).all():
+            nodes, wts = _region_nodes(np.concatenate([ends, self.breakpoints(at)], axis=1))
+            g, g2 = self.cdf_and_dtheta(nodes, at[:, None])
+            cap, survival = np.sum(-g2 * wts, axis=1), 1.0 - g
+        else:
+            rows = np.concatenate([ends[:1], self.breakpoints(at[:1])], axis=1)
+
+            def make():
+                nodes, wts = _region_nodes(rows)
+                terms = self.row_terms(key, nodes)
+                return wts, terms, np.sum(-terms.dtheta * wts, axis=1)
+
+            wts, terms, cap = _memo(memo, (key, rows.tobytes()), make)
+            g = self.mix_terms(terms, at[:, None], _scratch(memo, (len(lo), wts.shape[1])))
+            survival = np.subtract(1.0, g, out=g)
+        survival *= wts
+        return np.broadcast_to(cap, lo.shape), np.sum(survival, axis=1)
+
     @cached_property
     def _cubics(self):
         """Each row pair's union grid for ``ppf``, one block of P = 2^m + 1
@@ -1138,6 +1265,17 @@ class TableIncomeFamily(IncomeFamily):
 
     def breakpoints(self, theta):
         return self._bp[self._locate(theta)[0]]
+
+
+def _region_nodes(rows: np.ndarray):
+    """The 2-point Gauss-Legendre nodes and weights on each row
+    [lo, top, breakpoints...]'s region [lo, top], split there."""
+    lo, top = rows[:, :1], rows[:, 1:2]
+    edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
+    nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
+    # (rows, pieces, points) to (rows, nodes), also for zero rows
+    n, pieces, points = nodes.shape
+    return nodes.reshape(n, pieces * points), wts.reshape(n, pieces * points)
 
 
 def make_income_family(family: str, params: dict) -> IncomeFamily:

@@ -19,43 +19,26 @@ sensitivity capped at phi.  The central quantities:
   strategy.
 
 Two vectorized kernels are the only implementation of these quantities:
-``_pi_star_vec`` (``_single_crossing_scan``, then bisection) and
-``_mech_curves`` (psi, Phi, E[pi - royalty]).  The audit surplus mu*phi - c
-has one expression, ``_audit_surplus``; the scan is the only judgement of
-single crossing in income (``verify.check_regularity`` reports it too), and
-``_edge_pays`` the only judgement of whether auditing pays at an end of the
-income support, which the audit threshold, the regime kinks and the menu
-cutoff share.  The scan answers 0.0 unprobed where the income family proves
-single crossing (additive and scaled errors).  The kernels take their types
-as ``_Types``, which holds what depends on the type alone (the inverse
-hazard, the income support and the family's located types), computed once
-per array of types.  A kernel block whose types share one row of incomes has
-the family evaluate it once (``_shared_row``), and the integrals keep that
-row's nodes, weights, type-free dG/dtheta and cap sum unbroadcast; for a
-family that mixes type-free rows (a tabulated one) the scan's probe rows and
-the integrals' rows are evaluated once per call and knot interval
-(``_memo``), and only the mixture is per block.  The
-mechanism's two rules have one function each, which the simulator, the IC
-certificate, the CLI and the scalar entry points share: ``_allocate``
-(winner and rival value) and ``_settle`` (royalty, audit, penalty).  Income
-integrals over the audit region are split at the income law's breakpoints
-(``IncomeFamily.breakpoints``) and integrated piece by piece with the
-2-point Gauss-Legendre rule, exact because the supported laws are
-polynomials of degree <= 3 between breakpoints.  ``MechanismTables`` holds
-dense grids of the same quantities and the interim transfer curve, built
-once per instance.  An entry point that takes an agent evaluates the
-kernels at its types; one that takes an instance and needs psi or pi_star
-reads them off the instance's tables (``tables_for``, ``_profile_psi``), so
-it raises whenever ``tables_for`` raises.  The type grid is the only place a
-build evaluates the mechanism: the information rent and the simulator's
-mean audit threshold are exact integrals of the tables' linear interpolants
-(``_cum_trapezoid``).  Every inversion (the audit threshold, the menu
-cutoffs, the types where the audit region changes regime and the cash
-auction's reserve type) goes through the vectorized bisection
-``dist._bisect``.  With few brackets it resolves several levels per
-predicate call, handing the predicate the midpoints of the next levels along
-a new leading axis (up to 256 points), so every predicate here is
-elementwise over leading axes.
+``_pi_star_vec`` (the single-crossing scan, then the threshold) and
+``_mech_curves`` (psi, Phi and E[pi - royalty], combined from the three
+income integrals of the family's ``IncomeFamily.audit_region``).  The audit
+surplus mu*phi - c has one expression, ``_audit_surplus``; the scan
+(``_single_crossing_scan``, 0.0 unprobed where the family proves single
+crossing) is the only judgement of single crossing in income, and
+``_edge_pays`` the only one of whether auditing pays at an end of the income
+support.  Where it pays at the bottom only, the threshold is the family's
+closed-form crossing (``IncomeFamily.ratio_crossing``) or else found by the
+bisection ``dist._bisect``, as are the menu cutoffs, the regime kinks and
+the cash reserve type; with few brackets it resolves several levels per
+call, handing the predicate midpoints along a new leading axis, so every
+predicate here is elementwise over leading axes.  The kernels take their
+types as ``_Types``, which holds what depends on the type alone, computed
+once.  ``_allocate`` and ``_settle`` are the allocation and settlement
+rules of every caller.  ``MechanismTables`` holds the quantities on a dense
+type grid, the only place a build evaluates the mechanism (the rents are
+exact integrals of its linear interpolants, ``_cum_trapezoid``); an entry
+point that takes an instance reads them off ``tables_for`` and raises
+whenever it raises, one that takes an agent evaluates the kernels.
 """
 
 from __future__ import annotations
@@ -70,9 +53,13 @@ from .dist import (
     AgentSpec,
     AdditiveErrorFamily,
     GridPoints,
+    _GL2,
     _bisect,
+    _blocked,
     _gl_segments,
     _guide_table,
+    _memo,
+    _scratch,
     inverse_hazard,
 )
 from .errors import (
@@ -86,12 +73,6 @@ from .errors import (
 # relative nudge for one-sided limits at support endpoints
 _NU = 1e-9
 _SLACK = 1e-9  # numeric slack for weak inequalities on grids
-# exact per piece: the income integrands are at most cubic between breakpoints
-_GL2 = np.polynomial.legendre.leggauss(2)
-# float64 elements per row-blocked kernel temporary (``_blocked``): small
-# enough that the temporaries are reused rather than mapped afresh, large
-# enough that a closed-form family's 8193 table types take a few blocks
-_BLOCK_ELEMENTS = 1 << 14
 # points of the dense type grid behind MechanismTables
 _TABLE_POINTS = 8193
 
@@ -685,51 +666,11 @@ class _Types:
                       None if self.scan is None else self.scan[key])
 
 
-def _blocked(fn, width: int, *cols):
-    """``fn`` applied to blocks of rows of the ``cols``, each of its outputs
-    concatenated over the blocks.  ``fn``'s temporaries hold ``width``
-    elements per row; a block holds as many rows as fit in
-    ``_BLOCK_ELEMENTS``, and at least one."""
-    n = len(cols[0])
-    rows = max(1, _BLOCK_ELEMENTS // width)
-    parts = [fn(*(c[k:k + rows] for c in cols)) for k in range(0, max(n, 1), rows)]
-    return [np.concatenate(p) for p in zip(*parts)]
-
-
 def _shared_row(x: np.ndarray) -> np.ndarray:
-    """``x[:1]`` when every row of ``x`` equals its first, else ``x``: a
-    family evaluates that row once and broadcasts it against the types, with
-    the same per-element arithmetic.  A tabulated family's support is
-    constant on each knot interval, so its blocks often share a row."""
+    """``x[:1]`` when every row of ``x`` equals its first, else ``x``: the
+    scan probes one row for a block of types of one support (a tabulated
+    family's knot interval), with the same per-element arithmetic."""
     return x[:1] if np.all(x == x[:1]) else x
-
-
-def _row_key(agent: AgentSpec, t: "_Types"):
-    """The income family's ``row_key`` of the types ``t``: a key naming the
-    type-free rows that every one of them mixes, or None (always, for a
-    family without the optional surface)."""
-    return getattr(agent.income, "row_key", lambda at: None)(t.at)
-
-
-def _memo(memo: dict, key, make):
-    """``make()`` for ``key``, from the one entry of ``memo`` when it holds
-    that key, else made and kept there: the blocks of types that share one
-    row of incomes follow one another."""
-    if memo.get("key") != key:
-        memo.update(key=key, value=make())
-    return memo["value"]
-
-
-def _scratch(memo: dict, shape: tuple) -> tuple:
-    """Two float arrays of a block's ``shape`` (rows, width), views of a
-    pair kept in ``memo`` for the blocks of one call (its first block has
-    the most rows).  Blocks that reuse them allocate none of their own; the
-    heap would often hand a freed block's arrays back to the system and
-    page them in afresh for the next block."""
-    pair = memo.get("scratch")
-    if pair is None or pair[0].shape[0] < shape[0] or pair[0].shape[1:] != shape[1:]:
-        pair = memo["scratch"] = (np.empty(shape), np.empty(shape))
-    return pair[0][:shape[0]], pair[1][:shape[0]]
 
 
 def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
@@ -760,7 +701,8 @@ def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     def worst(t):
         # the probes depend on the type through its income support alone
         support = _shared_row(np.column_stack([t.lo, t.hi]))
-        key = _row_key(agent, t) if len(support) == 1 else None
+        # a family without the optional ``row_key`` never shares rows
+        key = getattr(fam, "row_key", lambda at: None)(t.at) if len(support) == 1 else None
         lo, hi = support[:, 0], support[:, 1]
         ends = np.column_stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)])
         with np.errstate(invalid="ignore"):
@@ -780,8 +722,9 @@ def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
 def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """Audit threshold on an array of types (or ``_Types``), behind the
     single-crossing precondition (``RegularityError`` when the scan fails at
-    any of them): bisection of the crossing, supp_hi when auditing pays on
-    the whole support, 0 when it pays nowhere."""
+    any of them): supp_hi when auditing pays on the whole support, 0 when it
+    pays nowhere, else where -G_2/g falls to c / (ih * phi), in closed form
+    (``ratio_crossing``, clipped to the support) or by bisection."""
     t = _Types.of(agent, thetas)
     bad = (_single_crossing_scan(agent, t) if t.scan is None else t.scan) > _SLACK
     if np.any(bad):
@@ -791,100 +734,12 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     out = np.where(at_lo & at_hi, t.hi, 0.0)
     k = np.nonzero(at_lo & ~at_hi)[0]
     tk = t[k]
-    out[k] = _bisect(lambda m: _audit_surplus(agent, tk.at, m, tk.ih) >= 0, tk.lo, tk.hi, 64)
+    # auditing pays at the bottom only, so ih * phi > 0 and c > 0 there
+    cross = agent.income.ratio_crossing(tk.at, agent.audit_cost / (tk.ih * agent.sensitivity))
+    if cross is None:
+        cross = _bisect(lambda m: _audit_surplus(agent, tk.at, m, tk.ih) >= 0, tk.lo, tk.hi, 64)
+    out[k] = np.clip(cross, tk.lo, tk.hi)
     return out
-
-
-def _region_rows(agent: AgentSpec, t: "_Types", b: np.ndarray):
-    """Per type, the audit region [supp_lo, max(b, supp_lo)] and the income
-    law's breakpoints, as one row [supp_lo, top, breakpoints...]; one row
-    for all when every type's row agrees (``_shared_row``).  Returns the
-    rows and, for one row whose types mix one key's type-free rows, that
-    ``_row_key``, else None.  Types of one key share their breakpoints, so
-    only their region ends are compared."""
-    ends = np.column_stack([t.lo, np.maximum(b, t.lo)])
-    key = _row_key(agent, t)
-    if key is not None and (ends == ends[:1]).all():
-        return np.concatenate([ends[:1], agent.income.breakpoints(t.at[:1])], axis=1), key
-    return _shared_row(np.concatenate([ends, agent.income.breakpoints(t.at)], axis=1)), None
-
-
-def _region_nodes(rows: np.ndarray):
-    """The nodes and weights of the 2-point Gauss-Legendre rule on each of
-    ``_region_rows``' regions, split at its breakpoints: one row each."""
-    lo, top = rows[:, :1], rows[:, 1:2]
-    edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
-    nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
-    # (rows, pieces, points) to (rows, nodes), also for zero rows
-    n, pieces, points = nodes.shape
-    return nodes.reshape(n, pieces * points), wts.reshape(n, pieces * points)
-
-
-def _audit_region(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray):
-    """supp_lo and b = min(pi_star, supp_hi) per type, and the nodes and
-    weights of the 2-point Gauss-Legendre rule on the audit region
-    [supp_lo, max(b, supp_lo)] split at the income law's breakpoints: one
-    row per type, or one row for all when every type's region and
-    breakpoints agree (``_shared_row``)."""
-    t = _Types.of(agent, ts)
-    b = np.minimum(pstar, t.hi)
-    return (t.lo, b, *_region_nodes(_region_rows(agent, t, b)[0]))
-
-
-def _region_width(agent: AgentSpec) -> int:
-    """Nodes per type of ``_audit_region``: two per piece between the
-    breakpoints and the region's ends."""
-    return 2 * (agent.income.breakpoints(np.array([agent.types.lo])).shape[1] + 1)
-
-
-def _cap(phi: float, g2, wts: np.ndarray) -> np.ndarray:
-    """Phi = phi * int (-G_2) over the audit region, per row of nodes, kept
-    in [0, phi]."""
-    return np.clip(phi * np.sum(-np.asarray(g2, dtype=float) * wts, axis=1), 0.0, phi)
-
-
-def _integrals(agent: AgentSpec, ts: np.ndarray, pstar: np.ndarray, memo: dict):
-    """psi_m, psi, Phi and E[pi - royalty] at types ``ts`` whose audit
-    thresholds are ``pstar``.
-
-    With b = min(pi_star, supp_hi), the audit gain is
-    int_{supp_lo}^b (mu phi - c) g dpi = ih * Phi - c * G(b) (mu g = -G_2 * ih),
-    and E[min(pi, pi_star)] = min(b, supp_lo) + int_{supp_lo}^b (1 - G) dpi,
-    so the kernel integrates only -G_2 and 1 - G.
-
-    A family that mixes type-free rows (``IncomeFamily.row_key``) is
-    evaluated once per row of incomes and key in ``memo`` (``_memo``),
-    shared by the blocks of one build: the nodes and weights, the rows'
-    terms with the type-free dG/dtheta, and the cap.  Only the mixture is
-    per type, formed in the blocks' one scratch pair (``_scratch``)."""
-    c, phi = agent.audit_cost, agent.sensitivity
-    fam = agent.income
-    t = _Types.of(agent, ts)
-    b = np.minimum(pstar, t.hi)
-    rows, key = _region_rows(agent, t, b)
-    if key is None:
-        nodes, wts = _region_nodes(rows)
-        g, g2 = fam.cdf_and_dtheta(nodes, t.at[:, None])
-        cap = _cap(phi, g2, wts)
-        survival = 1.0 - np.asarray(g, dtype=float)
-    else:
-        def make():
-            nodes, wts = _region_nodes(rows)
-            terms = fam.row_terms(key, nodes)
-            return wts, terms, _cap(phi, terms.dtheta, wts)
-
-        wts, terms, cap = _memo(memo, (key, rows.tobytes()), make)
-        g = fam.mix_terms(terms, t.at[:, None], _scratch(memo, (len(t), wts.shape[1])))
-        survival = np.subtract(1.0, g, out=g)
-    survival *= wts
-    e_min = np.minimum(b, t.lo) + np.sum(survival, axis=1)
-    psi_m = t.theta - t.ih
-    # psi is inf - inf (NaN) where the type density vanishes (ih = +inf)
-    with np.errstate(invalid="ignore"):
-        psi = psi_m + t.ih * cap
-        if c:  # c * G(b) is +0.0 at c == 0, and x - 0.0 is x
-            psi -= c * np.asarray(fam.cdf(b, t.at), dtype=float)
-    return psi_m, psi, np.broadcast_to(cap, psi.shape), t.theta - phi * e_min
 
 
 @dataclass(frozen=True)
@@ -908,13 +763,23 @@ class AgentTables:
 
 
 def _mech_curves(agent: AgentSpec, ts: np.ndarray):
-    """psi_m, psi, pi_star, Phi and E[pi - royalty] on an array of types."""
+    """psi_m, psi, pi_star, Phi and E[pi - royalty] on an array of types,
+    from the family's ``audit_region`` at b = min(pi_star, supp_hi): the
+    audit gain int (mu phi - c) g dpi is ih * Phi - c * G(b) (mu g =
+    -G_2 * ih), and E[min(pi, pi_star)] = min(b, supp_lo) + int (1 - G)."""
+    c, phi = agent.audit_cost, agent.sensitivity
     t = _Types.of(agent, ts)
     pstar = _pi_star_vec(agent, t)
-    memo: dict = {}
-    psi_m, psi, cap, e_net = _blocked(lambda tb, p: _integrals(agent, tb, p, memo),
-                                      _region_width(agent), t, pstar)
-    return psi_m, psi, pstar, cap, e_net
+    b = np.minimum(pstar, t.hi)
+    g, recovery, survival = agent.income.audit_region(t.at, b)
+    cap = np.clip(phi * np.asarray(recovery, dtype=float), 0.0, phi)
+    psi_m = t.theta - t.ih
+    # psi is inf - inf (NaN) where the type density vanishes (ih = +inf)
+    with np.errstate(invalid="ignore"):
+        psi = psi_m + t.ih * cap
+        if c:  # c * G(b) is +0.0 at c == 0, and x - 0.0 is x
+            psi -= c * np.asarray(g, dtype=float)
+    return psi_m, psi, pstar, cap, t.theta - phi * (np.minimum(b, t.lo) + survival)
 
 
 def _cum_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import AgentSpec, TypeDist, _bisect, _gl_segments, project_to_support
+from .dist import AgentSpec, TypeDist, _GL2, _bisect, _blocked, _gl_segments, project_to_support
 from .errors import (
     DomainError,
     InvalidAxisError,
@@ -27,14 +27,11 @@ from .errors import (
 )
 from .mech import (
     AuctionInstance,
-    _GL2,
     _SLACK,
     _Types,
     _agent,
     _allocate,
-    _audit_region,
     _audit_surplus,
-    _blocked,
     _income_bounds,
     _interior_grid,
     _mech_curves,
@@ -137,9 +134,8 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     worst: dict = {}
 
     # 1. normalization: supp_lo + int (1 - G) = theta, over the whole support
-    plo, phi_sup, nodes, wts = _audit_region(agent, types, np.full(thetas.size, np.inf))
-    means = plo + np.sum((1.0 - np.asarray(agent.income.cdf(nodes, at))) * wts, axis=1)
-    err = np.abs(means - thetas)
+    plo, phi_sup = types.lo, types.hi
+    err = np.abs(plo + agent.income.audit_region(types.at, phi_sup)[2] - thetas)
     k = int(np.argmax(err))
     worst["normalization"] = {"magnitude": float(err[k]), "theta": float(thetas[k])}
     normalization_ok = bool(err[k] <= 1e-7)
@@ -252,7 +248,7 @@ def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
     and the law's breakpoints, between which the density has degree <= 2.
     So the 2-point Gauss-Legendre rule is exact on each piece.  Every row
     has the same number of cuts (zero-width pieces weigh nothing), so each
-    row's sum is the same in any block of ``mech._blocked`` (rows x
+    row's sum is the same in any block of ``dist._blocked`` (rows x
     incomes).  A point-mass income law (the scaled-error top type) is
     evaluated at its atom.
     """

@@ -14,6 +14,9 @@ a few points.
 The type best response is the scalar loop of the certificate: one expected
 payment per type report, each integrated on its own cuts, the double
 deviation's by the cheapest of 128 income reports at each income.
+``audit_region`` is a family's three audit-region numbers (``G(b)``, and
+the integrals of ``-G_theta`` and ``1 - G``) by ``quad`` at one type.
+
 ``income_reports`` is the double deviation's report side by brute minimum
 over a grid of income reports.
 
@@ -87,6 +90,25 @@ def audit_threshold(agent, theta):
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def audit_region(fam, theta, b):
+    """``IncomeFamily.audit_region`` at one type by adaptive ``quad``:
+    G(b | theta), and int -dG/dtheta and int (1 - G) over [supp_lo, b'],
+    b' = clip(b, supp_lo, supp_hi), split at the law's breakpoints, where
+    the integrands are polynomials that the 21-point Kronrod rule
+    integrates exactly up to rounding."""
+    theta, b = float(theta), float(b)
+    lo, hi = float(fam.supp_lo(theta)), float(fam.supp_hi(theta))
+    top = min(max(b, lo), hi)
+    g = float(fam.cdf(b, theta))
+    if top <= lo:
+        return g, 0.0, 0.0
+    pts = [p for p in fam.breakpoints(np.array([theta]))[0] if lo < p < top] or None
+    opts = dict(points=pts, epsabs=1e-13, epsrel=1e-12, limit=200)
+    recovery = quad(lambda x: -float(fam.dcdf_dtheta(x, theta)), lo, top, **opts)[0]
+    survival = quad(lambda x: 1.0 - float(fam.cdf(x, theta)), lo, top, **opts)[0]
+    return g, recovery, survival
 
 
 def _audit_top(agent, theta):
@@ -377,8 +399,8 @@ def pchip_coefficients(x, y):
 class PchipTableCdf:
     """A tabulated CDF interpolated by scipy's ``PchipInterpolator``: its
     cdf and pdf, the dense inverse table (``inv_f``, ``inv_x``) and the
-    mean, computed as ``dist._TableCdf`` computes them (the values are
-    taken as given: no construction checks)."""
+    mean hi - K(hi) from scipy's antiderivative K (the values are taken as
+    given: no construction checks)."""
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
@@ -390,8 +412,8 @@ class PchipTableCdf:
         fd = np.asarray(self.interp(dense))
         keep = np.concatenate(([True], np.diff(fd) > 0))
         self.inv_f, self.inv_x = fd[keep], dense[keep]
-        nodes, wts = _gl_segments(grid[:-1], grid[1:], np.polynomial.legendre.leggauss(4))
-        self.mean = self.lo + float(np.sum(wts * (1.0 - self.interp(nodes))))
+        # lo + int (1 - F) = hi - int F, by scipy's own antiderivative
+        self.mean = self.hi - float(self.interp.antiderivative()(self.hi))
 
     def cdf(self, x):
         return self.interp(np.clip(np.asarray(x, dtype=float), self.lo, self.hi))

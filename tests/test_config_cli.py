@@ -297,7 +297,7 @@ _GOLDEN_VERIFY_IC = {
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
     "scaled_uniform": [
-        {"agent": 0, "type_deviation": {"advantage": 2.0534107331160456e-09,
+        {"agent": 0, "type_deviation": {"advantage": 2.053410719238258e-09,
                                         "theta": 0.5294117647058824,
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],

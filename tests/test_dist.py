@@ -23,7 +23,7 @@ from royaltycap import (
     sample_income,
     tables_for,
 )
-from royaltycap import dist
+from royaltycap import dist, mech
 from royaltycap.dist import _cells, _gl_segments, _guide_table, _pchip_coefficients
 from conftest import UNIT_ERR
 
@@ -349,6 +349,75 @@ def test_income_fosd(name, fam, rng):
     pis = np.linspace(lo, hi, 65)
     mat = np.asarray(fam.cdf(pis[None, :], thetas[:, None]))
     assert np.all(np.diff(mat, axis=0) <= 1e-9)
+
+
+@st.composite
+def _audit_region_cases(draw):
+    """An income family with its type and an audit-region top b: additive or
+    scaled errors (uniform, triangular with the mode at lo, inside or at hi,
+    or a symmetric table law), or a tabulated copy of theta + U[-1, 1]; b
+    below supp_lo, inside the support or at supp_hi (the scaled family also
+    at its top type theta = 1)."""
+    kind = draw(st.sampled_from(["additive_error", "scaled_error", "table"]))
+    if kind == "table":
+        knots = [1.0, draw(st.sampled_from([1.25, 1.4, 1.5])), 2.0]
+        rows = [(g, (g - g[0]) / 2.0) for g in (np.linspace(t - 1.0, t + 1.0, 41) for t in knots)]
+        fam = make_income_family("table", {"theta_grid": knots, "rows": rows})
+        theta = draw(st.floats(1.0, 2.0) | st.sampled_from(knots))
+    else:
+        a = draw(st.floats(0.05, 1.0))
+        law = draw(st.sampled_from(["uniform", "lo", "inside", "hi", "table"]))
+        if law == "uniform":
+            err = {"family": "uniform", "lo": -a, "hi": a}
+        elif law == "table":
+            g = np.linspace(-a, a, 2 * draw(st.integers(1, 7)) + 1)
+            tent = np.where(g < 0, 0.5 * (g / a + 1) ** 2, 1 - 0.5 * (1 - g / a) ** 2)
+            w = draw(st.floats(0.0, 1.0))
+            err = {"family": "table", "grid": g, "cdf": w * (g + a) / (2 * a) + (1 - w) * tent}
+        else:   # mean zero: lo + mode + hi = 0
+            b = {"lo": 2 * a, "hi": 0.5 * a, "inside": draw(st.floats(0.6, 1.9)) * a}[law]
+            err = {"family": "triangular", "lo": -a, "hi": b, "mode": a - b}
+        fam = make_income_family(kind, {"error": err})
+        # z = (b - theta) / s carries a rounding error of about 1e-16 / s,
+        # so the scaled family's inner types keep s = 1 - theta >= 1e-3
+        theta = draw(st.floats(0.0, 0.999) | st.just(1.0)) if kind == "scaled_error" \
+            else draw(st.floats(0.0, 3.0))
+    lo, hi = float(fam.supp_lo(theta)), float(fam.supp_hi(theta))
+    where = draw(st.sampled_from(["below", "inside", "top"]))
+    b = {"below": lo - draw(st.floats(0.0, 1.0)), "top": hi,
+         "inside": lo + draw(st.floats(0.0, 1.0)) * (hi - lo)}[where]
+    return fam, theta, b
+
+
+@given(case=_audit_region_cases())
+@settings(max_examples=200, deadline=None)
+def test_audit_region_matches_adaptive_quadrature(case):
+    # the closed forms in the error law's antiderivative (additive and
+    # scaled errors) and the tabulated family's Gauss-Legendre nodes give
+    # G(b), int -G_theta and int (1 - G) over [supp_lo, b'] as quad does
+    fam, theta, b = case
+    got = fam.audit_region(np.array([theta]), np.array([b]))
+    want = oracles.audit_region(fam, theta, b)
+    for g, w in zip(got, want):
+        assert np.shape(g) == (1,)
+        assert abs(float(g[0]) - w) <= 1e-12, (got, want)
+
+
+@pytest.mark.parametrize("name,i", [("scaled_uniform", 0), ("scaled_triangular", 0),
+                                    ("mixed_pair", 1)])
+def test_scaled_threshold_formula_matches_the_bisection(shipped_instances, name, i):
+    # pi_star = 1 - c s / (ih phi) where auditing pays at the bottom only,
+    # against the 64-step bisection of the audit surplus that it replaces,
+    # at every type of the agent's table grid
+    agent = shipped_instances[name].agents[i]
+    t = mech._Types.of(agent, tables_for(shipped_instances[name]).agents[i].theta)
+    at_lo, at_hi = mech._edge_pays(agent, t)
+    tk = t[np.flatnonzero(at_lo & ~at_hi)]
+    assert tk.size > 1000
+    bisected = dist._bisect(lambda m: mech._audit_surplus(agent, tk.at, m, tk.ih) >= 0,
+                            tk.lo, tk.hi, 64)
+    assert np.all(np.abs(mech._pi_star_vec(agent, tk) - bisected)
+                  <= 2 * np.spacing(np.abs(bisected)))
 
 
 def test_additive_ratio_is_minus_one():

@@ -876,7 +876,7 @@ def test_located_lookup_cost_ignores_grid_spread():
 
 
 def test_blocked_keeps_blocks_within_the_element_budget(monkeypatch):
-    monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", 1000)
+    monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", 1000)
     a = np.arange(2500.0)
     for width in (1, 7, 65, 166, 1000, 1001, 5000):
         rows = []
@@ -885,13 +885,13 @@ def test_blocked_keeps_blocks_within_the_element_budget(monkeypatch):
             rows.append(x.size)
             return 2.0 * x, y
 
-        out = rc.mech._blocked(fn, width, a, a + 1.0)
+        out = rc.dist._blocked(fn, width, a, a + 1.0)
         assert np.array_equal(out[0], 2.0 * a) and np.array_equal(out[1], a + 1.0)
         assert sum(rows) == a.size
         # more than the budget only where one row alone exceeds it
         assert all(r * width <= 1000 or r == 1 for r in rows), width
         assert max(rows) == max(1, 1000 // width)
-    assert [o.size for o in rc.mech._blocked(lambda x: (x,), 10, np.empty(0))] == [0]
+    assert [o.size for o in rc.dist._blocked(lambda x: (x,), 10, np.empty(0))] == [0]
 
 
 @pytest.mark.parametrize("inst", [
@@ -909,7 +909,7 @@ def test_tables_do_not_depend_on_the_block_budget(monkeypatch, inst):
     # spans every knot), so no block shares a row of incomes: the smaller
     # budgets' shared-row evaluations must equal the full broadcast
     for budget in (1 << 11, 1 << 14, 1 << 20, 1 << 22):
-        monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", budget)
         built.append(rc.mech.MechanismTables.build(inst))
     for tables in built[1:]:
         for got, want in zip(tables.agents, built[0].agents):
@@ -929,7 +929,7 @@ def test_table_build_evaluates_a_shared_income_row_once(monkeypatch):
                         lambda self, j, pi: located.append(np.size(pi)) or pair_cells(self, j, pi))
     counts = []
     for budget in (1 << 14, 1 << 22):  # 1 << 22: one block spanning the knot 1.4
-        monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", budget)
         located.clear()
         rc.mech._agent_curves(agent)
         counts.append(sum(located))
@@ -950,16 +950,17 @@ def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch)
     # evaluated once per knot interval, before the integrals
     agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
     terms, per_type, caps = [], [], []
-    row_terms, both, cap = (rc.TableIncomeFamily.row_terms,
-                            rc.TableIncomeFamily.cdf_and_dtheta, rc.mech._cap)
+    row_terms, both, nodes = (rc.TableIncomeFamily.row_terms,
+                              rc.TableIncomeFamily.cdf_and_dtheta, rc.dist._region_nodes)
     monkeypatch.setattr(rc.TableIncomeFamily, "row_terms", lambda self, j, pi: (
         terms.append((j, pi.tobytes())) or row_terms(self, j, pi)))
     monkeypatch.setattr(rc.TableIncomeFamily, "cdf_and_dtheta", lambda self, pi, theta: (
         per_type.append(len(pi)) or both(self, pi, theta)))
-    monkeypatch.setattr(rc.mech, "_cap", lambda phi, g2, wts: (
-        caps.append(len(wts)) or cap(phi, g2, wts)))
+    # each cap sum is taken on the nodes of one call of _region_nodes
+    monkeypatch.setattr(rc.dist, "_region_nodes", lambda rows: (
+        caps.append(len(rows)) or nodes(rows)))
     types = rc.mech._agent_curves(agent)["theta"].size
-    rows = rc.mech._BLOCK_ELEMENTS // rc.mech._region_width(agent)
+    rows = rc.dist._BLOCK_ELEMENTS // agent.income._region_width()
     assert types > 80 * rows
     assert [len(pi) // 8 for _, pi in terms[:2]] == [65, 65]
     terms = terms[2:]
@@ -979,7 +980,7 @@ def test_table_scan_evaluates_each_intervals_probe_rows_once(monkeypatch):
     pair_cells = rc.TableIncomeFamily._pair_cells
     monkeypatch.setattr(rc.TableIncomeFamily, "_pair_cells", lambda self, j, pi: (
         located.append((int(j), np.size(pi))) or pair_cells(self, j, pi)))
-    rows = rc.mech._BLOCK_ELEMENTS // 65
+    rows = rc.dist._BLOCK_ELEMENTS // 65
     assert grid.size > 30 * rows
     scan = rc.mech._probe_single_crossing(agent, grid)
     assert located[0] == (0, 65) and located[-1] == (1, 65)
@@ -1040,7 +1041,7 @@ def test_shared_probe_rows_scan_bit_for_bit(agent, n, rows):
         surplus = rc.mech._audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
     want = rc.mech._worst_single_crossing(surplus, axis=1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rc.mech, "_BLOCK_ELEMENTS", 65 * rows)
+        mp.setattr(rc.dist, "_BLOCK_ELEMENTS", 65 * rows)
         got = rc.mech._probe_single_crossing(agent, thetas)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

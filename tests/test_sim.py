@@ -395,17 +395,17 @@ _GOLDEN_REPORTS = {
         "agent_utility_se": [0.00130471389773881], "audit_frequency": 0.5995712280273438,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "scaled_uniform": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498266142434,
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498266142435,
         "revenue_se": 0.000665339320448823, "agent_utility": [0.14880782525667818],
         "agent_utility_se": [0.0004786422087279021], "audit_frequency": 0.152679443359375,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "scaled_triangular": {
         "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.6312910731123158,
-        "revenue_se": 0.000706667129006535, "agent_utility": [0.11530709585784708],
+        "revenue_se": 0.0007066671290065351, "agent_utility": [0.11530709585784708],
         "agent_utility_se": [0.00031183628949167755], "audit_frequency": 0.17331695556640625,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "mixed_pair": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309460810315,
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309460810318,
         "revenue_se": 0.0008693194573504738,
         "agent_utility": [0.21918366539889186, 0.01852855498633387],
         "agent_utility_se": [0.0012566897224633557, 0.00017326123886011929],

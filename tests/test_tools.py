@@ -24,3 +24,33 @@ def test_artifact_digest_runs_and_repeats_itself():
     digests = json.loads(runs[0])
     assert any(k.startswith("cli/uniform_additive/") for k in digests)
     assert any(k.startswith("cli/tab_income/") for k in digests)
+
+
+def test_artifact_digest_compare_names_moved_keys(tmp_path):
+    # --compare lists each changed key, with the largest absolute move of a
+    # value entry's numbers (space-separated reprs or JSON) and nothing more
+    # for a digest
+    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = {"tables/a/psi": "0" * 64, "tables/a/pi_star": "1" * 64,
+           "api/a/phi_cap/0": "0.5 0.25 1e-09", "api/a/report": '{"x": [1.0, 2.5], "ok": true}',
+           "api/a/gone": "1.0", "api/a/nan": "nan 1.0"}
+    new = {"tables/a/psi": "2" * 64, "tables/a/pi_star": "1" * 64,
+           "api/a/phi_cap/0": "0.5 0.2500000000000001 1.5e-09",
+           "api/a/report": '{"x": [1.0, 2.0], "ok": true}',
+           "api/a/nan": "nan 1.0", "api/a/new": "3.0"}
+    paths = []
+    for name, doc in (("old.json", old), ("new.json", new)):
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(json.dumps(doc), encoding="utf-8")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert tool.main(["--compare", *paths]) == 0
+    assert buf.getvalue().splitlines() == [
+        "5 of 7 keys changed",
+        "api/a/gone: only in old",
+        "api/a/new: only in new",
+        f"api/a/phi_cap/0: largest move {abs(1.5e-09 - 1e-09)!r}",
+        "api/a/report: largest move 0.5",
+        "tables/a/psi"]

@@ -45,6 +45,9 @@ def test_regularity_flags_oscillating_surplus(ua_agent):
         def g2_over_g(self, pi, th): return -(1.0 + 0.9 * np.sin(8 * np.asarray(pi)))
         def ppf(self, u, th): return np.asarray(th) - 1 + 2 * np.asarray(u)
         def breakpoints(self, th): return np.asarray(th)[:, None] + np.array([-1.0, 1.0])
+        def audit_region(self, th, b):
+            z = np.clip(np.asarray(b) - th, -1.0, 1.0)
+            return (z + 1) / 2, (z + 1) / 2, (z + 1) - (z + 1) ** 2 / 4
 
     agent = replace(ua_agent, income=Oscillating(), audit_cost=0.45)
     rep = rc.check_regularity(agent, 64, 64)
@@ -435,7 +438,7 @@ def test_best_responses_build_the_income_report_side_once(monkeypatch, pair_inst
 
 
 def test_best_responses_hold_bounded_memory(pair_inst):
-    # the rows of all true types are evaluated in blocks of mech._blocked
+    # the rows of all true types are evaluated in blocks of dist._blocked
     # (rows x incomes): 1.7 MB observed for CLI verify-ic's 16 types, against
     # 7.9 MB with every row at once
     rc.tables_for(pair_inst)
@@ -455,7 +458,7 @@ def test_payment_minimum_does_not_depend_on_the_block_budget(monkeypatch):
         reports, caps = winning_reports(inst, i, th)
         pays = []
         for budget in (1 << 11, 1 << 14, 1 << 20):
-            monkeypatch.setattr(rc.mech, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", budget)
             pays.append(verify._expected_payments(inst.agents[i], th, reports, caps,
                                                   double_deviation(inst.agents[i], reports, caps)))
         assert all(np.array_equal(p, pays[0]) for p in pays[1:]), i

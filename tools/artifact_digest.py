@@ -4,8 +4,14 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/artifact_digest.py > digest.json
 
-Run it on two checkouts and compare the outputs (``diff`` of the two files)
-to see which artifacts a change moves.  The digests cover:
+Run it on two checkouts and compare the outputs to see which artifacts a
+change moves:
+
+    python3 tools/artifact_digest.py --compare old.json new.json
+
+prints each key whose entry differs (or that only one file has) and, for a
+value entry (floats printed with ``repr``, or JSON holding numbers), the
+largest absolute move of its numbers.  The digests cover:
 
 * the CLI ``check``, ``solve``, ``verify-ic``, ``menu`` and ``simulate``
   (20,000 runs) artifacts of the shipped configs in ``configs/``, the CLI
@@ -63,10 +69,13 @@ takes an instance, so that a change shows how far each one moves:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -75,7 +84,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.workloads import SHIPPED, Tabulated  # noqa: E402
 from royaltycap import cli, mech, sim, verify  # noqa: E402
@@ -227,7 +236,67 @@ def _quantile_values(out: dict, name: str, text: str):
             agent.income.ppf(np.array(QUANTILES), th).tolist())
 
 
-def main() -> int:
+def _numbers(entry: str):
+    """The numbers of a value entry in order (floats separated by spaces,
+    or the numbers of a JSON document), or None for a digest or text."""
+    if re.fullmatch(r"[0-9a-f]{64}", entry):
+        return None
+    try:
+        return [float(x) for x in entry.split()]
+    except ValueError:
+        pass
+    try:
+        doc = json.loads(entry)
+    except ValueError:
+        return None
+    out, stack = [], [doc]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(reversed(list(x.values())))
+        elif isinstance(x, list):
+            stack.extend(reversed(x))
+        elif isinstance(x, (int, float)) and not isinstance(x, bool):
+            out.append(float(x))
+    return out
+
+
+def _move(old: str, new: str):
+    """The largest absolute move between two value entries' numbers (inf
+    where a number turns NaN or infinite), or None unless both are value
+    entries with as many numbers."""
+    a, b = _numbers(old), _numbers(new)
+    if a is None or b is None or len(a) != len(b):
+        return None
+    moves = [0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+             for x, y in zip(a, b)]
+    return max((m if m == m else math.inf for m in moves), default=0.0)
+
+
+def compare(old: dict, new: dict) -> list:
+    """One line per key whose entry differs between two digest files:
+    the key, with the largest move of a value entry or the side a key is
+    missing from."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new or key not in old:
+            lines.append(f"{key}: only in {'old' if key in old else 'new'}")
+        elif old[key] != new[key]:
+            move = _move(old[key], new[key])
+            lines.append(key if move is None else f"{key}: largest move {move!r}")
+    return lines
+
+
+def main(argv=()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the keys that changed between two digest files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(f).read_text(encoding="utf-8")) for f in args.compare)
+        lines = compare(old, new)
+        print(f"{len(lines)} of {len(old.keys() | new.keys())} keys changed", *lines, sep="\n")
+        return 0
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -265,4 +334,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
