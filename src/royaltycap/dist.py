@@ -10,7 +10,10 @@ Two kinds of objects live here:
   given the type, with a support [supp_lo(theta), supp_hi(theta)] that may
   shift with the type.  Families are normalized so that E[pi | theta] = theta
   and are strictly ordered by first-order stochastic dominance in theta
-  (the partial derivative of G in theta is negative on the interior).
+  (the partial derivative of G in theta is negative on the interior).  Each
+  family integrates its own audit region in closed form
+  (``IncomeFamily.audit_region``), the package's only income integral; a
+  tabulated family interpolates its rows between type knots in quantile.
 
 All objects are immutable after construction and safe to share across
 threads; samplers take an explicit numpy ``Generator`` so concurrent callers
@@ -28,8 +31,6 @@ from .errors import ConstructionError, DomainError
 
 # Tolerance for "mean zero" / "integrates to one" construction checks.
 _MEAN_TOL = 1e-8
-# exact per piece: a tabulated income law is at most cubic between breakpoints
-_GL2 = np.polynomial.legendre.leggauss(2)
 # float64 elements per row-blocked kernel temporary (``_blocked``): small
 # enough that the temporaries are reused rather than mapped afresh, large
 # enough that a few blocks cover a table build's 8193 types
@@ -59,7 +60,7 @@ def _bisect(below, a, b, steps: int):
 
     The root finder of the mechanism: audit thresholds, menu cutoffs,
     regime-change types and payment crossings.  (A tabulated income law's
-    quantiles find their cell by integer bisection and finish by Newton's
+    cdf finds its cell by integer bisection and finishes by Newton's
     method, ``_cubic_roots``.)
 
     Each predicate call resolves d = ``_levels(n)`` levels of the n brackets
@@ -107,52 +108,45 @@ def _bisect(below, a, b, steps: int):
     return 0.5 * (a + b)
 
 
-# plain Newton steps, then bisection-safeguarded ones, of ``_cubic_roots``,
-# and the cdf residual at which a point has converged
-_NEWTON_STEPS = 8
-_SAFE_STEPS = 64
-_CDF_TOL = 2.0 ** -48
+# bisection-safeguarded Newton steps of ``_cubic_roots``, and the residual,
+# relative to max(1, |target|), at which a point has converged
+_NEWTON_STEPS = 72
+_ROOT_TOL = 2.0 ** -48
 
 
 def _cubic_roots(coef: np.ndarray, u: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per row, the offset in [0, h] at which the cubic with coefficients
     ``coef`` (lowest power first, one column per row) reaches ``u``, given
     that it is nondecreasing there, below u at 0 and at least u at h: the
-    first iterate from ``s`` whose residual is at most ``_CDF_TOL``.
+    first iterate from ``s`` whose residual is at most ``_ROOT_TOL`` times
+    max(1, |u|).
 
-    Newton's method: up to ``_NEWTON_STEPS`` steps kept in [0, h], which
-    from a secant start settle a smooth cell in 0-4 steps (0 on a linear
-    one).  A row not settled by then continues with steps safeguarded by
-    bisection (``rtsafe`` in Press et al., *Numerical Recipes*, sec. 9.4):
-    the iterates bracket the root and a step that leaves the bracket halves
-    it instead, so a cubic flat near the root converges too.  Settled rows
-    leave the loop, so each row's result depends on its own inputs alone."""
+    Newton's method safeguarded by bisection (``rtsafe`` in Press et al.,
+    *Numerical Recipes*, sec. 9.4): the iterates bracket the root, from
+    [0, h] on, and a step that leaves the bracket halves it instead, so a
+    cubic flat near the root converges too.  From a secant start a smooth
+    cell settles in 0-4 steps (0 on a linear one).  Settled rows leave the
+    loop, so each row's result depends on its own inputs alone."""
     out = np.empty_like(s)
     rows = np.arange(s.size)
-    a = b = None
-    for step in range(_NEWTON_STEPS + _SAFE_STEPS):
+    tol = _ROOT_TOL * np.fmax(1.0, np.abs(u))
+    a, b = np.zeros_like(s), h
+    for _ in range(_NEWTON_STEPS):
         c0, c1, c2, c3 = coef
         f = ((c3 * s + c2) * s + c1) * s + c0 - u
-        done = np.abs(f) <= _CDF_TOL
-        if done.all():
-            out[rows] = s
-            return out
+        done = np.abs(f) <= tol
         if done.any():
             out[rows[done]] = s[done]
             keep = ~done
-            rows, s, f, u, h, coef = (x[..., keep] for x in (rows, s, f, u, h, coef))
-            if a is not None:
-                a, b = a[keep], b[keep]
+            if not keep.any():
+                return out
+            rows, s, f, u, tol, a, b, coef = (x[..., keep]
+                                              for x in (rows, s, f, u, tol, a, b, coef))
             c0, c1, c2, c3 = coef
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = s - f / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
-        if step < _NEWTON_STEPS:
-            s = np.fmin(np.fmax(nxt, 0.0), h)
-            continue
-        if a is None:
-            a, b = np.zeros_like(s), h
         a = np.where(f < 0, s, a)
         b = np.where(f > 0, s, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = s - f / ((3.0 * c3 * s + 2.0 * c2) * s + c1)
         s = np.where((nxt >= a) & (nxt <= b), nxt, 0.5 * (a + b))
     out[rows] = s
     return out
@@ -187,27 +181,6 @@ def _blocked(fn, width: int, *cols):
     rows = max(1, _BLOCK_ELEMENTS // width)
     parts = [fn(*(c[k:k + rows] for c in cols)) for k in range(0, max(n, 1), rows)]
     return [np.concatenate(p) for p in zip(*parts)]
-
-
-def _memo(memo: dict, key, make):
-    """``make()`` for ``key``, from the one entry of ``memo`` when it holds
-    that key, else made and kept there: the blocks of types that share one
-    row of incomes follow one another."""
-    if memo.get("key") != key:
-        memo.update(key=key, value=make())
-    return memo["value"]
-
-
-def _scratch(memo: dict, shape: tuple) -> tuple:
-    """Two float arrays of a block's ``shape`` (rows, width), views of a
-    pair kept in ``memo`` for the blocks of one call (its first block has
-    the most rows).  Blocks that reuse them allocate none of their own; the
-    heap would often hand a freed block's arrays back to the system and
-    page them in afresh for the next block."""
-    pair = memo.get("scratch")
-    if pair is None or pair[0].shape[0] < shape[0] or pair[0].shape[1:] != shape[1:]:
-        pair = memo["scratch"] = (np.empty(shape), np.empty(shape))
-    return pair[0][:shape[0]], pair[1][:shape[0]]
 
 
 def _buckets(xp: np.ndarray, x, k: int) -> np.ndarray:
@@ -455,66 +428,26 @@ def _pchip_coefficients(x, y):
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
-class _TableCdf:
-    """Monotone-cubic (PCHIP) interpolant of a tabulated CDF.
+class _Pchip:
+    """The Fritsch-Carlson monotone cubic (PCHIP) through (x, y), with
+    scipy's endpoint rule and arithmetic (``_pchip_coefficients``): one
+    cubic between each pair of neighbouring ``knots`` x, evaluated as
+    scipy's ``PPoly`` evaluates it (``_poly``), and its antiderivative
+    int_{x[0]}^x, a quartic per cell whose constant is the previous cell's
+    value at its end, as scipy's ``PPoly.antiderivative`` fixes it;
+    ``total`` is its value at x[-1]."""
 
-    The interpolant is Fritsch & Carlson's ("Monotone piecewise cubic
-    interpolation", SIAM J. Numer. Anal. 1980) with scipy's endpoint rule,
-    evaluated with scipy's arithmetic, so every value equals scipy's
-    ``PchipInterpolator`` bit for bit.  The law is a cubic polynomial
-    between grid points, which are its ``knots``; the pdf is its analytic
-    derivative.  Its antiderivative K(x) = int_lo^x F (``cdf_integral``) is a
-    quartic per cell whose constant is the previous cell's value at its end,
-    as scipy's ``PPoly.antiderivative`` fixes it; the mean is hi - K(hi).
-
-    The ppf interpolates linearly in a dense inverse table (PCHIP preserves
-    monotonicity, so the inverse is well defined), in two stages: the guide
-    table of the table's cdf values finds each draw's cell (``GridPoints``,
-    Chen & Asau 1974), then np.interp's arithmetic interpolates in it, bit
-    for bit what np.interp gives.  The table and its guide table are built
-    on the first ppf call (a ``TableIncomeFamily`` row never needs them).
-    The inversion error ``max |F(ppf(u)) - u|`` over 4,097 evenly spaced u
-    is 1.7e-8 on the 11-knot tent law of the benchmark and below 4e-18 on
-    linear 41-point tables.  The ppf is NaN outside [0, 1] and at NaN, and
-    exactly ``lo`` and ``hi`` at 0 and 1.
-    """
-
-    def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
-            raise ConstructionError("table needs matching 1-d grids with >= 2 points")
-        if np.any(np.diff(grid) <= 0):
-            raise ConstructionError("table grid must be strictly increasing")
-        if np.any(np.diff(values) <= 0):
-            raise ConstructionError("table CDF must be strictly increasing (density > 0)")
-        if abs(values[0]) > _MEAN_TOL or abs(values[-1] - 1.0) > _MEAN_TOL:
-            raise ConstructionError("table CDF must run from 0 to 1")
-        values = values.copy()
-        values[0], values[-1] = 0.0, 1.0
-        self.lo, self.hi = float(grid[0]), float(grid[-1])
-        self.knots = grid
-        self._guide = _guide_table(grid)
-        self._c = _pchip_coefficients(grid, values)
-        self._dc = self._c[:-1] * np.array([[3.0], [2.0], [1.0]])  # the pdf's pieces
-        self._ic = np.vstack([self._c / [[4.0], [3.0], [2.0], [1.0]], np.zeros(grid.size - 1)])
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.knots = x
+        self._guide = _guide_table(x)
+        self._c = _pchip_coefficients(x, y)
+        self._ic = np.vstack([self._c / [[4.0], [3.0], [2.0], [1.0]], np.zeros(x.size - 1)])
         k = [0.0]
-        for a4, a3, a2, a1, h in zip(*self._ic[:4].tolist(), np.diff(grid).tolist()):
+        for a4, a3, a2, a1, h in zip(*self._ic[:4].tolist(), np.diff(x).tolist()):
             h2 = h * h   # summed as ``_poly`` sums: lowest power first
             k.append(k[-1] + a1 * h + a2 * h2 + a3 * (h2 * h) + a4 * (h2 * h * h))
         self._ic[-1] = k[:-1]
-        self.mean = self.hi - k[-1]   # lo + int (1 - F)
-
-    @cached_property
-    def _inverse(self):
-        """The dense inverse table: cdf values at 8,193 evenly spaced points
-        (each strictly above the last), those points, and the values' guide
-        table."""
-        dense = np.linspace(self.lo, self.hi, 8193)
-        fd = self._cdf_inside(dense)
-        keep = np.concatenate(([True], np.diff(fd) > 0))
-        f = fd[keep]
-        return f, dense[keep], _guide_table(f)
+        self.total = k[-1]
 
     def _poly(self, coef, x, i=None):
         """The piecewise polynomial ``coef`` at the array x, each point in
@@ -532,10 +465,65 @@ class _TableCdf:
                 z = z * s
         return out
 
-    def _cdf_inside(self, x, i=None):
-        """The interpolant at the array x (in its cells i, if given), whose
-        points outside [lo, hi] the caller clips or overwrites."""
-        return self._poly(self._c, x, i)
+
+def _cdf_table(grid, values):
+    """A tabulated CDF's grid and values as float arrays, checked (matching
+    1-d grids of >= 2 points, both strictly increasing, values from 0 to 1
+    within ``_MEAN_TOL``), with the values' ends set to exactly 0 and 1."""
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
+        raise ConstructionError("table needs matching 1-d grids with >= 2 points")
+    if np.any(np.diff(grid) <= 0):
+        raise ConstructionError("table grid must be strictly increasing")
+    if np.any(np.diff(values) <= 0):
+        raise ConstructionError("table CDF must be strictly increasing (density > 0)")
+    if abs(values[0]) > _MEAN_TOL or abs(values[-1] - 1.0) > _MEAN_TOL:
+        raise ConstructionError("table CDF must run from 0 to 1")
+    values = values.copy()
+    values[0], values[-1] = 0.0, 1.0
+    return grid, values
+
+
+class _TableCdf(_Pchip):
+    """Monotone-cubic (PCHIP) interpolant of a tabulated CDF.
+
+    The interpolant is Fritsch & Carlson's ("Monotone piecewise cubic
+    interpolation", SIAM J. Numer. Anal. 1980) with scipy's endpoint rule,
+    evaluated with scipy's arithmetic, so every value equals scipy's
+    ``PchipInterpolator`` bit for bit.  The law is a cubic polynomial
+    between grid points, which are its ``knots``; the pdf is its analytic
+    derivative.  Its antiderivative K(x) = int_lo^x F (``cdf_integral``) is
+    ``_Pchip``'s quartic per cell; the mean is hi - K(hi).
+
+    The ppf interpolates linearly in a dense inverse table (PCHIP preserves
+    monotonicity, so the inverse is well defined), in two stages: the guide
+    table of the table's cdf values finds each draw's cell (``GridPoints``,
+    Chen & Asau 1974), then np.interp's arithmetic interpolates in it, bit
+    for bit what np.interp gives.  The table and its guide table are built
+    on the first ppf call.  The inversion error ``max |F(ppf(u)) - u|`` over
+    4,097 evenly spaced u is 1.7e-8 on the 11-knot tent law of the
+    benchmark and below 4e-18 on linear 41-point tables.  The ppf is NaN
+    outside [0, 1] and at NaN, and exactly ``lo`` and ``hi`` at 0 and 1.
+    """
+
+    def __init__(self, grid, values):
+        grid, values = _cdf_table(grid, values)
+        super().__init__(grid, values)
+        self.lo, self.hi = float(grid[0]), float(grid[-1])
+        self.mean = self.hi - self.total   # lo + int (1 - F)
+        self._dc = self._c[:-1] * np.array([[3.0], [2.0], [1.0]])  # the pdf's pieces
+
+    @cached_property
+    def _inverse(self):
+        """The dense inverse table: cdf values at 8,193 evenly spaced points
+        (each strictly above the last), those points, and the values' guide
+        table."""
+        dense = np.linspace(self.lo, self.hi, 8193)
+        fd = self._poly(self._c, dense)
+        keep = np.concatenate(([True], np.diff(fd) > 0))
+        f = fd[keep]
+        return f, dense[keep], _guide_table(f)
 
     def _pdf(self, x, i=None):
         """The pdf at the array x (in its cells i, if given), 0 outside
@@ -545,7 +533,7 @@ class _TableCdf:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return self._cdf_inside(np.clip(x, self.lo, self.hi))[()]
+        return self._poly(self._c, np.clip(x, self.lo, self.hi))[()]
 
     def pdf(self, x):
         return self._pdf(np.asarray(x, dtype=float))[()]
@@ -555,7 +543,7 @@ class _TableCdf:
         x = np.asarray(x, dtype=float)
         inside = np.clip(x, self.lo, self.hi)
         i = _cells(self.knots, self._guide, inside)
-        return self._cdf_inside(inside, i)[()], self._pdf(x, i)[()]
+        return self._poly(self._c, inside, i)[()], self._pdf(x, i)[()]
 
     def cdf_integral(self, x):
         """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
@@ -674,35 +662,25 @@ class IncomeFamily:
     * ``g2_over_g(pi, theta)`` -- the ratio dG/dtheta / pdf in its
       family closed form, which extends continuously beyond the support
       edge (one-sided limits at the boundary);
-    * ``audit_region(theta, b)`` -- per type of a 1-d array and its audit
-      region's top b, with b' = clip(b, supp_lo, supp_hi): G(b | theta),
+    * ``audit_region(theta, b)`` -- per type of a 1-d array and the top b
+      of its audit region (one per type), with
+      b' = clip(b, supp_lo, supp_hi): G(b | theta),
       int_{supp_lo}^{b'} -dG/dtheta dpi (Phi / phi) and
-      int_{supp_lo}^{b'} (1 - G) dpi: all that the mechanism kernels need
-      of the law, so every custom family must implement it;
+      int_{supp_lo}^{b'} (1 - G) dpi: every income integral of the package
+      (the mechanism kernels', and ``verify``'s and ``endogenous_virtual``'s
+      as differences at their cuts), so every custom family must implement
+      it;
     * ``ppf(u, theta)`` -- conditional quantile, used for inverse-transform
       sampling;
-    * ``breakpoints(theta)`` -- for a 1-d array of types, one row per type of
-      the income levels (support ends included) between which the law is a
-      polynomial in income, where ``verify``'s payment integrals and
-      ``endogenous_virtual`` split;
     * optionally ``ratio_crossing(theta, level)`` -- per type, the income
       where -dG/dtheta / g falls to ``level`` > 0, in closed form (the
-      default None has the audit threshold bisected);
-    * optionally ``locate_types(theta)`` -- the types in a form that every
-      method but ``ppf`` takes in place of them, found once for many calls
-      (the default is theta as a float array);
-    * optionally, for a law that mixes type-free rows of incomes (a
-      tabulated family), ``row_key(theta)`` -- a key naming the rows that
-      every type of ``theta`` mixes, or None; ``row_terms(key, pi)`` -- the
-      rows' terms at incomes pi; and ``mix_ratio(terms, theta, out=None)``
-      -- ``g2_over_g`` from them (in ``out``, two arrays, when given), with
-      which the single-crossing scan evaluates a row once for many blocks.
+      default None has the audit threshold bisected).
 
     All other methods accept scalars or broadcastable arrays.
     """
 
     family: str = "abstract"
-    # types at which the law may jump: a tabulated family's row types
+    # types at which the law may kink: a tabulated family's row types
     type_knots = np.empty(0)
     # True where -G_theta/g is nonincreasing in income at every type, which
     # proves the audit surplus single-crossing in income (no scan needed)
@@ -732,13 +710,6 @@ class IncomeFamily:
         """The partial derivative of G in theta, as ``cdf_and_dtheta`` gives it."""
         return self.cdf_and_dtheta(pi, theta)[1]
 
-    def locate_types(self, theta):
-        """The types ``theta`` as every method here takes them: a family
-        that looks its types up (a tabulated one) does so once, and the
-        methods accept the result in place of ``theta``; others return
-        theta as a float array."""
-        return np.asarray(theta, dtype=float)
-
     def g2_over_g(self, pi, theta):
         raise NotImplementedError
 
@@ -749,9 +720,6 @@ class IncomeFamily:
         return None
 
     def ppf(self, u, theta):
-        raise NotImplementedError
-
-    def breakpoints(self, theta):
         raise NotImplementedError
 
 
@@ -799,9 +767,6 @@ class AdditiveErrorFamily(IncomeFamily):
 
     def ppf(self, u, theta):
         return np.asarray(theta, dtype=float) + self._err.ppf(u)
-
-    def breakpoints(self, theta):
-        return np.asarray(theta, dtype=float)[:, None] + self._err.knots
 
 
 class ScaledErrorFamily(IncomeFamily):
@@ -885,95 +850,45 @@ class ScaledErrorFamily(IncomeFamily):
         theta = np.asarray(theta, dtype=float)
         return theta + self._scale(theta) * self._err.ppf(u)
 
-    def breakpoints(self, theta):
-        theta = np.asarray(theta, dtype=float)[:, None]
-        return theta + self._scale(theta) * self._err.knots
-
-
-@dataclass(frozen=True)
-class KnotTypes:
-    """Types located on a ``TableIncomeFamily``'s type knots: interval ``j``
-    and weight ``w`` on row j + 1 of each type.  The family's methods take
-    it in place of the types; indexing it indexes each type."""
-
-    j: np.ndarray
-    w: np.ndarray
-
-    @property
-    def ndim(self):
-        return self.j.ndim
-
-    def __getitem__(self, key):
-        return KnotTypes(self.j[key], self.w[key])
-
-
-class RowPair:
-    """The two rows of a ``TableIncomeFamily`` on knot interval ``j`` at the
-    incomes ``pi``, each quantity evaluated on first use: the incomes' cells
-    in both rows (one search of the pair's union grid), both rows' cdfs and
-    pdfs, and dG/dtheta, the rows' slope, which is the same at every type of
-    the interval.  None depends on a type, so one evaluation serves every
-    type of the interval (``row_terms``)."""
-
-    def __init__(self, fam: "TableIncomeFamily", j, pi):
-        self._fam, self.j, self.pi = fam, j, pi
-
-    @cached_property
-    def cells(self):
-        return self._fam._pair_cells(self.j, self.pi)
-
-    @cached_property
-    def cdfs(self):
-        fam, j, pi, (lo, hi) = self._fam, self.j, self.pi, self.cells
-        return fam._row_cdf(j, pi, lo), fam._row_cdf(j + 1, pi, hi)
-
-    @cached_property
-    def pdfs(self):
-        rows, pi, (lo, hi) = self._fam._rows, self.pi, self.cells
-        return rows[self.j]._pdf(pi, lo), rows[self.j + 1]._pdf(pi, hi)
-
-    @cached_property
-    def dtheta(self):
-        tg, (lo, hi) = self._fam._tg, self.cdfs
-        return (hi - lo) / (tg[self.j + 1] - tg[self.j])
-
 
 class TableIncomeFamily(IncomeFamily):
-    """Tabulated conditional CDFs: monotone-cubic in income, linear in type.
+    """Tabulated conditional laws, interpolated between type knots in
+    quantile (displacement interpolation: McCann, "A convexity principle for
+    interacting gases", Adv. Math. 1997; Genest, "Vincentization
+    revisited", Ann. Statist. 1992).
 
     ``theta_grid`` gives the type knots; ``rows`` holds one (pi_grid, cdf)
-    table per knot.  Between knots the conditional law is the mixture of the
-    two neighboring rows, which preserves the FOSD ordering and the mean
-    normalization exactly and makes dG/dtheta piecewise constant in type.
-    The support on [theta_j, theta_j+1) is accordingly the union of the two
-    rows' supports (a right-continuous step function of the type; the last
-    knot closes the last interval).  At a knot this includes the part of
-    row j+1's support where the density is zero: it is where the one-sided
-    dG/dtheta lives.
+    table per knot, checked as a ``table`` law is.  Row j is read as its
+    quantile Q_j: the monotone cubic (PCHIP, ``_Pchip``) through the swapped
+    table (cdf, income).  So a row's law is the PCHIP of its quantile, not
+    of its cdf: the two agree on a linear table, and on a tent law (density
+    vanishing at both ends) tabulated on 11 points their cdfs differ by at
+    most 2.7e-3, near the ends (1.7e-4 on 41 points: the gap shrinks as the
+    square of the spacing).  Between knots j and j + 1 the law is
 
-    Every evaluation locates each income once per row pair, on the union of
-    both rows' knots (``_cells`` with the union's guide table): no knot of
-    either row lies strictly inside a union cell, so the union cell decides
-    both rows' cells, and on it the mixture is one cubic.  Quantiles invert
-    the mixture in two stages (numerical inversion with a cell search, as in
-    Hoermann, Leydold & Derflinger, *Automatic Nonuniform Random Variate
-    Generation*, 2004): an integer bisection on the mixture's values at the
-    union knots finds each draw's cell (about 7 gathers for 80 knots), and
-    Newton's method on that cell's cubic, from the secant start and
-    safeguarded by bisection (``_cubic_roots``), finishes the draw.  Each
-    draw stops once its residual in the cubic is at most ``_CDF_TOL``
-    (2^-48); the inversion error ``max |G(ppf(u | theta) | theta) - u|`` over
-    4,097 evenly spaced u and 68 types is 2.2e-16 on the benchmark's linear
-    41-point rows and 3.8e-15 on 11-point tent rows.  The quantile is NaN
-    outside [0, 1] and at NaN, and exactly ``supp_lo`` and ``supp_hi`` at 0
-    and 1.  Every method evaluates the rows of a knot interval once for all
-    its types (``RowPair``): on the incomes as given where the types share
-    them (the types' axes lead the broadcast, the incomes' trail it), else
-    on the incomes of the interval's (type, income) pairs.
-    ``cdf_and_dtheta`` and ``g2_over_g`` evaluate the two rows once for both
-    of their quantities, and the scan and ``audit_region`` keep one knot
-    interval's rows at one row of incomes for many blocks of types.  Types
-    are located once for many calls by ``locate_types`` (``KnotTypes``).
+        Q(u | theta) = (1 - w) Q_j(u) + w Q_{j+1}(u),
+        w = (theta - theta_j) / (theta_{j+1} - theta_j),
+
+    which keeps FOSD (Q_{j+1} >= Q_j is checked) and the mean normalization
+    (each row's int_0^1 Q_j = theta_j is checked to 1e-6) exactly; the
+    support [Q(0 | theta), Q(1 | theta)] moves continuously with the type.
+    Linear rows copying an additive or a scaled uniform family give that
+    family exactly.
+
+    On a knot interval each row is one cubic between the union of both
+    rows' u-knots, and everything has a closed form in u.  -G_theta / g is
+    D_j(u) = (Q_{j+1}(u) - Q_j(u)) / (theta_{j+1} - theta_j), the same at
+    every type of the interval, so ``ratio_nonincreasing`` is decided cell
+    by cell at construction; ``audit_region`` reads u* = G(b' | theta),
+    int_0^{u*} D_j and (b' - Q(0 | theta)) - u* b' + int_0^{u*} Q off the
+    rows' quartic antiderivatives; ``ppf`` is two row quantiles and one mix;
+    and ``ratio_crossing`` bisects D_j(u) = level in u.  Only ``cdf`` (with
+    ``cdf_and_dtheta``), ``pdf`` and ``g2_over_g`` invert Q (``_solve``): an
+    income at or beyond a support end takes u = 0 or 1, and any other finds
+    its cell by integer bisection on the mixed quantile at the union knots,
+    then Newton's method on the cell's mixed cubic, from the secant start
+    and safeguarded by bisection (``_cubic_roots``, to a residual of 2^-48
+    in income).  Each point's result depends on that point alone.
     """
 
     family = "table"
@@ -985,297 +900,211 @@ class TableIncomeFamily(IncomeFamily):
             raise ConstructionError("income table theta grid must be strictly increasing")
         if len(rows) != self._tg.size:
             raise ConstructionError("income table needs one row per theta knot")
-        self._rows = [_TableCdf(g, v) for g, v in rows]
-        los = np.array([r.lo for r in self._rows])
-        his = np.array([r.hi for r in self._rows])
-        if np.any(los < -1e-12) or np.any(his <= los):
+        tables = [_cdf_table(g, v) for g, v in rows]
+        if any(g[0] < -1e-12 for g, _ in tables):
             raise ConstructionError("income table rows must have ordered nonnegative supports")
-        # FOSD across knots, checked on the union of row grids
-        probe = np.linspace(los.min(), his.max(), 257)
-        vals = np.array([self._row_cdf(j, probe) for j in range(len(self._rows))])
-        if np.any(np.diff(vals, axis=0) > 1e-9):
+        rows = [(_Pchip(v, g), g[-1]) for g, v in tables]   # each quantile and its top
+        # FOSD across knots: each row's quantile at or above the last one's
+        probe = np.linspace(0.0, 1.0, 257)
+        vals = np.array([np.append(q._poly(q._c, probe[:-1]), top) for q, top in rows])
+        if np.any(np.diff(vals, axis=0) < -1e-9):
             raise ConstructionError("income table rows must be FOSD-ordered in theta")
-        # mean normalization per knot: E[pi | theta_j] = theta_j
-        for j, r in enumerate(self._rows):
-            if abs(r.mean - self._tg[j]) > 1e-6:
+        # mean normalization per knot: E[pi | theta_j] = int_0^1 Q_j = theta_j
+        for j, (q, _) in enumerate(rows):
+            if abs(q.total - self._tg[j]) > 1e-6:
                 raise ConstructionError(
-                    f"income table row {j} has mean {r.mean:.8g}, expected {self._tg[j]:.8g}")
-        self._los, self._his = los, his
-        # between knots j and j+1 the law is cubic between the union of both
-        # rows' grid points (padded to a common width by repeating the last)
-        pairs = [np.concatenate([a.knots, b.knots])
-                 for a, b in zip(self._rows[:-1], self._rows[1:])]
-        width = max(p.size for p in pairs)
-        self._bp = np.array([np.pad(p, (0, width - p.size), mode="edge") for p in pairs])
-        # per row pair: the sorted union of its knots, the union's guide
-        # table, and each union cell's cell in row j and in row j + 1
-        self._union = []
-        for a, b in zip(self._rows[:-1], self._rows[1:]):
-            u = np.union1d(a.knots, b.knots)
-            self._union.append((u, _guide_table(u), *(_cells(r.knots, r._guide, u[:-1])
-                                                      for r in (a, b))))
+                    f"income table row {j} has mean {q.total:.8g}, expected {self._tg[j]:.8g}")
+        self._lay_out(rows)
 
-    def _row_cdf(self, j, pi, i=None):
-        """Row j's CDF at pi (in its cells i, if given)."""
-        r = self._rows[j]
-        pi = np.asarray(pi, dtype=float)
-        out = np.asarray(r._cdf_inside(pi, i))
-        out[pi >= r.hi] = 1.0
-        out[pi <= r.lo] = 0.0
+    def _lay_out(self, rows):
+        """Lay each knot interval's union of both rows' u-knots out in one
+        block of P = 2^m + 1 slots (2^m >= the most cells of an interval),
+        padded with u = 1.  Per slot: ``_u``, its u; ``_cubic[r, p]``, the
+        interval's row r's cubic re-expanded about that u, power p from the
+        lowest (the power-0 term is the row's income there, its top exactly
+        at u = 1); ``_area[r]``, the row's integral from 0 to u; and
+        ``_gap`` and ``_gap_area``, the same of D_j.  A slot's cubic holds
+        up to the next slot's u, and the slots at u = 1 hold the last cell's.
+        ``ratio_nonincreasing`` holds where D_j's derivative is at most 1e-9
+        on every cell."""
+        unions = [np.union1d(a.knots, b.knots) for (a, _), (b, _) in zip(rows[:-1], rows[1:])]
+        m = max(u.size - 2 for u in unions).bit_length()
+        self._width = width = (1 << m) + 1
+        self._steps = [1 << k for k in range(m - 1, -1, -1)]
+        u_at = np.ones((len(unions), width))
+        cubic = np.empty((2, 4, len(unions), width))
+        area = np.empty((2, len(unions), width))
+        for j, u in enumerate(unions):
+            x = u_at[j]
+            x[:u.size] = u
+            top = x >= 1.0
+            for r, (q, hi) in enumerate(rows[j:j + 2]):
+                i = _cells(q.knots, q._guide, x)
+                c, d = q._c[:, i], x - q.knots[i]
+                cubic[r, :, j] = (np.where(top, hi, q._poly(q._c, x, i)),
+                                  (3.0 * c[0] * d + 2.0 * c[1]) * d + c[2],
+                                  3.0 * c[0] * d + c[1], c[0])
+                area[r, j] = np.where(top, q.total, q._poly(q._ic, x, i))
+        dtheta = np.repeat(np.diff(self._tg), width)
+        self._u = u_at.ravel()
+        self._cubic = cubic.reshape(2, 4, -1)
+        self._values = np.ascontiguousarray(self._cubic[:, 0])   # the rows' incomes
+        self._area = area.reshape(2, -1)
+        self._gap = (self._cubic[1] - self._cubic[0]) / dtheta
+        self._gap_area = (self._area[1] - self._area[0]) / dtheta
+        # D_j' = g1 + 2 g2 s + 3 g3 s^2 on each cell [0, h]: its largest value
+        # is at an end or, where g3 < 0, at its vertex s = -g2 / (3 g3)
+        cells = np.flatnonzero(np.diff(self._u) > 0)
+        h = self._u[cells + 1] - self._u[cells]
+        _, g1, g2, g3 = self._gap[:, cells]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -g2 / (3.0 * g3)
+            peak = np.where((g3 < 0) & (vertex > 0) & (vertex < h), g1 - g2 * g2 / (3.0 * g3), g1)
+        rise = np.maximum(peak, g1 + (2.0 * g2 + 3.0 * g3 * h) * h)
+        self.ratio_nonincreasing = bool(np.all(rise <= 1e-9))
+
+    @staticmethod
+    def _mix(pair, w):
+        """Two rows' values (leading axis: the row), weight w on the second."""
+        out = pair[0] * (1.0 - w)
+        out += w * pair[1]
         return out
 
-    def _interval(self, theta):
-        """Knot interval j of each type: the last knot at or below it, kept
-        in 0 .. len(knots) - 2."""
-        if isinstance(theta, KnotTypes):
-            return theta.j
-        j = np.searchsorted(self._tg, theta, side="right") - 1
-        return np.clip(j, 0, self._tg.size - 2)
+    def _rows_at(self, k, s):
+        """Both rows' quantiles at offset s from the slots k."""
+        return _cubic_at(self._cubic.take(k, axis=-1).swapaxes(0, 1), s)
 
-    def _locate(self, theta):
-        """Knot interval j and weight w on row j + 1 of each type."""
-        if isinstance(theta, KnotTypes):
-            return theta.j, theta.w
+    def _slot(self, start, u):
+        """The slot, in the blocks from ``start``, whose cell holds each u in
+        [0, 1]: integer bisection on the blocks' u, and the last slot at 1."""
+        k = np.broadcast_to(start, np.shape(u)).copy()
+        for step in self._steps:
+            k += step * (self._u[k + step] <= u)
+        return np.where(u < 1.0, k, start + self._width - 1)
+
+    def _ends(self, theta):
+        """The weight w on row j + 1 of each type's knot interval j, the
+        interval's first slot and the type's support ends."""
         theta = np.asarray(theta, dtype=float)
-        j = self._interval(theta)
-        w = (theta - self._tg[j]) / (self._tg[j + 1] - self._tg[j])
-        return j, np.clip(w, 0.0, 1.0)
-
-    def locate_types(self, theta):
-        return KnotTypes(*self._locate(theta))
+        j = np.clip(np.searchsorted(self._tg, theta, side="right") - 1, 0, self._tg.size - 2)
+        w = np.clip((theta - self._tg[j]) / (self._tg[j + 1] - self._tg[j]), 0.0, 1.0)
+        start = j * self._width
+        return (w, start, self._mix(self._values.take(start, axis=-1), w),
+                self._mix(self._values.take(start + self._width - 1, axis=-1), w))
 
     def supp_lo(self, theta):
-        j = self._interval(theta)
-        out = np.minimum(self._los[j], self._los[j + 1])
+        out = self._ends(theta)[2]
         return out if np.ndim(theta) else float(out)
 
     def supp_hi(self, theta):
-        j = self._interval(theta)
-        out = np.maximum(self._his[j], self._his[j + 1])
+        out = self._ends(theta)[3]
         return out if np.ndim(theta) else float(out)
 
-    def _by_interval(self, fn, pi, theta):
-        """The arrays ``fn(rows, w)`` on each knot interval j of the types,
-        over the broadcast of pi and theta (types are located before
-        broadcasting): ``rows`` is the interval's ``RowPair`` at the incomes
-        and ``w`` the weights on row j + 1 of the interval's types.  When
-        all types share one interval, fn runs once on the unbroadcast
-        arrays, so an output that does not depend on the type keeps pi's
-        shape.  Otherwise each interval's types are selected, and the rows
-        are evaluated on pi itself where the types share its incomes (the
-        types' axes lead the broadcast and the incomes' trail it), else on
-        the incomes of the interval's (type, income) pairs."""
+    def _solve(self, pi, theta):
+        """Incomes pi at types theta, over their broadcast (flattened): the
+        slot k of each one's cell in u, its offset s there, the weight w,
+        u = G(pi | theta), whether pi lies in the support [lo, hi], and lo
+        and hi.  Incomes at or below lo take the bottom (the block's first
+        slot, s = 0), those at or above hi the top (its last slot, where
+        u = 1); only the others are inverted."""
         pi = np.asarray(pi, dtype=float)
-        j, w = self._locate(theta)
-        shape = np.broadcast_shapes(pi.shape, j.shape)
-        j0 = j.flat[0] if j.size else 0
-        if np.all(j == j0):
-            outs = fn(RowPair(self, j0, pi), w)
-            return tuple(o if np.ndim(o) else float(o) for o in outs)
-        # on the broadcast's axes, the types share the incomes when j spans
-        # none of the axes from pi's first one on
-        dims = len(shape)
-        p_dims, j_dims = ((1,) * (dims - x.ndim) + x.shape for x in (pi, j))
-        first = next((a for a, d in enumerate(p_dims) if d != 1), dims)
-        shared = all(d == 1 for d in j_dims[first:])
-        if shared:   # one row of types by one row of incomes
-            j, w, pi = j.ravel(), w.ravel()[:, None], pi.ravel()
-        outs = []
-        for jj in np.unique(j):
-            m = j == jj
-            if shared:
-                parts = fn(RowPair(self, jj, pi), w[m])
-            else:
-                m = np.broadcast_to(m, shape)
-                p = np.broadcast_to(pi, shape)[m]
-                parts = fn(RowPair(self, jj, p), np.broadcast_to(w, shape)[m])
-            outs = outs or [np.empty((j.size, pi.size) if shared else shape) for _ in parts]
-            for out, part in zip(outs, parts):
-                out[m] = part
-        return tuple(o.reshape(shape) for o in outs)
+        w, start, lo, hi = self._ends(theta)
+        shape = np.broadcast_shapes(pi.shape, w.shape)
+        pi, w, start, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (pi, w, start, lo, hi))
+        k = np.where(pi >= hi, start + self._width - 1, start)
+        s = np.where(np.isnan(pi), np.nan, 0.0)
+        inner = np.flatnonzero((pi > lo) & (pi < hi))
+        if inner.size:
+            p, kk, ww = pi[inner], start[inner], w[inner]
+            lo_row, hi_row, one_w = self._values[0], self._values[1], 1.0 - ww
+            for step in self._steps:
+                at = kk + step
+                kk += step * (lo_row[at] * one_w + ww * hi_row[at] <= p)
+            coef = self._mix(self._cubic.take(kk, axis=-1), ww)
+            h = self._u[kk + 1] - self._u[kk]
+            right = self._mix(self._values.take(kk + 1, axis=-1), ww)
+            s[inner] = _cubic_roots(coef, p, h, h * ((p - coef[0]) / (right - coef[0])))
+            k[inner] = kk
+        return shape, k, s, w, self._u[k] + s, (pi >= lo) & (pi <= hi), lo, hi
 
-    def _pair_cells(self, j, pi):
-        """Cells of the incomes pi in rows j and j + 1."""
-        u, guide, lo_cells, hi_cells = self._union[j]
-        c = _cells(u, guide, pi)
-        return lo_cells[c], hi_cells[c]
+    def _slope(self, k, s, w):
+        """dQ/du at offset s from the slots k, at weights w."""
+        c1, c2, c3 = self._mix(self._cubic[:, 1:].take(k, axis=-1), w)
+        return (3.0 * c3 * s + 2.0 * c2) * s + c1
 
-    @staticmethod
-    def _mix(w, lo, hi, out=None):
-        """The mixture of the two rows' values, weight w on row j + 1, in
-        the first of ``out`` when given: two arrays of the mixture's shape,
-        the second one scratch."""
-        mixed, scratch = (None, None) if out is None else out
-        mixed = np.multiply(1.0 - w, lo, out=mixed)
-        mixed += np.multiply(w, hi, out=scratch)
-        return mixed
-
-    def _ratio(self, rows: RowPair, w, out=None):
-        """dG/dtheta over the mixed pdf at weights w, 0 where the pdf
-        vanishes (a NaN income's rows give slope NaN and pdf 0); in the
-        second of ``out`` when given (``_mix``)."""
-        den = self._mix(w, *rows.pdfs, out=out)
-        ratio = np.empty(den.shape) if out is None else out[1]
-        ratio.fill(0.0)
-        return np.divide(rows.dtheta, den, out=ratio, where=den > 0)
+    def _gap_at(self, k, s):
+        """D_j at offset s from the slots k."""
+        return _cubic_at(self._gap.take(k, axis=-1), s)
 
     def cdf(self, pi, theta):
-        return self._by_interval(lambda rows, w: (self._mix(w, *rows.cdfs),), pi, theta)[0]
+        shape, *_, u, _, _, _ = self._solve(pi, theta)
+        return _shaped(u, shape)
 
     def pdf(self, pi, theta):
-        return self._by_interval(lambda rows, w: (self._mix(w, *rows.pdfs),), pi, theta)[0]
-
-    def row_key(self, theta):
-        """The knot interval of every type of ``theta``, or None when they
-        lie in more than one."""
-        j = self._interval(theta)
-        return int(j.flat[0]) if j.size and np.all(j == j.flat[0]) else None
-
-    def row_terms(self, j, pi):
-        """The ``RowPair`` of knot interval j at the incomes pi."""
-        return RowPair(self, j, np.asarray(pi, dtype=float))
-
-    def mix_terms(self, terms, theta, out=None):
-        """G(pi | theta) from ``row_terms`` at types in their interval, at
-        the broadcast shape of the terms' incomes and the types (in the
-        first of ``out``, two arrays of that shape, when given)."""
-        return self._mix(self._locate(theta)[1], *terms.cdfs, out=out)
-
-    def mix_ratio(self, terms, theta, out=None):
-        """``g2_over_g`` from ``row_terms`` at types in their interval, at
-        the broadcast shape of the terms' incomes and the types (in the
-        second of ``out``, two arrays of that shape, when given)."""
-        return self._ratio(terms, self._locate(theta)[1], out)
+        shape, k, s, w, _, inside, _, _ = self._solve(pi, theta)
+        with np.errstate(divide="ignore"):
+            return _shaped(np.where(inside, 1.0 / self._slope(k, s, w), 0.0), shape)
 
     def cdf_and_dtheta(self, pi, theta):
-        g, g2 = self._by_interval(lambda rows, w: (self._mix(w, *rows.cdfs), rows.dtheta),
-                                  pi, theta)
-        # dG/dtheta is the rows' slope, the same at every type of an
-        # interval, so it may have pi's shape; G has the broadcast shape
-        if np.shape(g2) != np.shape(g):
-            g2 = np.broadcast_to(g2, np.shape(g)).copy()
-        return g, g2
+        # G_theta = -g dQ/dtheta = -D_j / (dQ/du)
+        shape, k, s, w, u, inside, _, _ = self._solve(pi, theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g2 = np.where(inside, -self._gap_at(k, s) / self._slope(k, s, w), 0.0)
+        return _shaped(u, shape), _shaped(g2, shape)
 
     def g2_over_g(self, pi, theta):
-        return self._by_interval(lambda rows, w: (self._ratio(rows, w),), pi, theta)[0]
-
-    def _region_width(self) -> int:
-        """Nodes per type of ``audit_region``: two per piece."""
-        return 2 * (self._bp.shape[1] + 1)
+        shape, k, s, *_ = self._solve(pi, theta)
+        return _shaped(-self._gap_at(k, s), shape)
 
     def audit_region(self, theta, b):
-        """By the 2-point Gauss-Legendre rule on [supp_lo, b'] split at the
-        breakpoints, exact on the cubic pieces, over blocks of types
-        (``_blocked``).  Where a block's types lie in one knot interval and
-        share their region, the rows at its nodes, dG/dtheta and its
-        integral are evaluated once for the blocks that share them
-        (``_memo``), and only the mixture is per type (``_scratch``)."""
-        at = self.locate_types(theta)
-        lo, hi = self.supp_lo(at), self.supp_hi(at)
-        memo: dict = {}
-        cap, survival = _blocked(lambda *cols: self._region_block(*cols, memo),
-                                 self._region_width(), lo, np.clip(b, lo, hi), at)
-        return self.cdf(b, at), cap, survival
+        shape, k, s, w, u, _, lo, hi = self._solve(b, theta)
+        # int_0^u = the integral to the slot plus int_0^s of the slot's cubic
+        quantile = self._mix(self._cubic.take(k, axis=-1), w)
+        area = self._mix(self._area.take(k, axis=-1), w) + s * _cubic_at(quantile / _POWERS, s)
+        cap = self._gap_area[k] + s * _cubic_at(self._gap.take(k, axis=-1) / _POWERS, s)
+        top = np.clip(np.broadcast_to(b, shape).ravel(), lo, hi)
+        return (_shaped(u, shape), _shaped(cap, shape),
+                _shaped((top - lo) - u * top + area, shape))
 
-    def _region_block(self, lo, top, at, memo):
-        """``audit_region``'s integrals on the regions [lo, top] of a block."""
-        ends = np.column_stack([lo, top])
-        key = self.row_key(at)
-        if key is None or not (ends == ends[:1]).all():
-            nodes, wts = _region_nodes(np.concatenate([ends, self.breakpoints(at)], axis=1))
-            g, g2 = self.cdf_and_dtheta(nodes, at[:, None])
-            cap, survival = np.sum(-g2 * wts, axis=1), 1.0 - g
-        else:
-            rows = np.concatenate([ends[:1], self.breakpoints(at[:1])], axis=1)
+    def ratio_crossing(self, theta, level):
+        w, start, _, _ = self._ends(theta)
 
-            def make():
-                nodes, wts = _region_nodes(rows)
-                terms = self.row_terms(key, nodes)
-                return wts, terms, np.sum(-terms.dtheta * wts, axis=1)
+        def above(u):   # D_j(u) >= level, elementwise over leading axes
+            k = self._slot(start, u)
+            return self._gap_at(k, u - self._u[k]) >= level
 
-            wts, terms, cap = _memo(memo, (key, rows.tobytes()), make)
-            g = self.mix_terms(terms, at[:, None], _scratch(memo, (len(lo), wts.shape[1])))
-            survival = np.subtract(1.0, g, out=g)
-        survival *= wts
-        return np.broadcast_to(cap, lo.shape), np.sum(survival, axis=1)
-
-    @cached_property
-    def _cubics(self):
-        """Each row pair's union grid for ``ppf``, one block of P = 2^m + 1
-        slots per pair (2^m >= the longest pair's cells): the grid points,
-        both rows' cdfs there (as ``cdf`` evaluates them), and each union
-        cell's cubic of each row in the offset from the cell's left end
-        (row, then power from the lowest; constant outside the row's
-        support).  A block repeats its last point, with cdf 1, to its end.
-        Returns them with P and the bisection's steps 2^(m-1), ..., 1."""
-        m = max(u.size - 2 for u, *_ in self._union).bit_length()
-        width = (1 << m) + 1
-        x = np.empty((len(self._union), width))
-        cubics = np.zeros((2, 4, len(self._union), width))
-        cubics[:, 0] = 1.0
-        for j, (u, _, *cells) in enumerate(self._union):
-            n = u.size
-            x[j, :n], x[j, n:] = u, u[-1]
-            cubics[:, 0, j, :n] = RowPair(self, j, u).cdfs
-            for cubic, r, i in zip(cubics[:, 1:, j], self._rows[j:j + 2], cells):
-                c = r._c[:, i]   # the row's cubics, in the offset from its own knots
-                d = u[:-1] - r.knots[i]
-                inside = (u[:-1] >= r.lo) & (u[1:] <= r.hi)
-                for power, coef in enumerate(((3.0 * c[0] * d + 2.0 * c[1]) * d + c[2],
-                                              3.0 * c[0] * d + c[1], c[0])):
-                    cubic[power, :n - 1] = np.where(inside, coef, 0.0)
-        steps = [1 << k for k in range(m - 1, -1, -1)]
-        return x.ravel(), cubics.reshape(2, 4, -1), width, steps
+        u = _bisect(above, np.zeros(np.shape(start)), np.ones(np.shape(start)), 64)
+        k = self._slot(start, u)
+        return self._mix(self._rows_at(k, u - self._u[k]), w)
 
     def ppf(self, u, theta):
-        u, theta = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                       np.asarray(theta, dtype=float))
-        u, at = u.ravel(), self.locate_types(theta.ravel())
-        x, (lo, hi), width, steps = self._cubics
-        inner = (u > 0.0) & (u < 1.0)
-        q = np.where(inner, u, 0.5)
-        w, one_w = at.w, 1.0 - at.w
-
-        def mix(k, power=0):
-            """``_mix`` of both rows' coefficients of ``power`` at the points
-            k of the union grids (power 0: their cdfs)."""
-            out = lo[power].take(k)
-            out *= one_w
-            out += w * hi[power].take(k)
-            return out
-
-        # stage 1: the union cell k whose mixture cdf is below q at its left
-        # end and at least q at its right end, by branchless integer
-        # bisection in the pair's block (its padding never lies below q)
-        k = at.j * width
-        for step in steps:
-            k += step * (mix(k + step) < q)
-        # stage 2: the cell's mixture cubic, from the secant start
-        coef = np.stack([mix(k, power) for power in range(4)])
-        h = x[k + 1] - x[k]
-        start = h * ((q - coef[0]) / (mix(k + 1) - coef[0]))
-        out = x[k] + _cubic_roots(coef, q, h, start)
-        # the support's ends at 0 and 1, NaN outside [0, 1]
-        e = np.flatnonzero(~inner)
-        if e.size:
-            ue, ae = u[e], at[e]
-            out[e] = np.where(ue == 0.0, self.supp_lo(ae),
-                              np.where(ue == 1.0, self.supp_hi(ae), np.nan))
-        return out.reshape(theta.shape) if theta.ndim else float(out[0])
-
-    def breakpoints(self, theta):
-        return self._bp[self._locate(theta)[0]]
+        u = np.asarray(u, dtype=float)
+        w, start, lo, hi = self._ends(theta)
+        shape = np.broadcast_shapes(u.shape, w.shape)
+        u, w, start, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (u, w, start, lo, hi))
+        q, ok = _quantile_domain(u)
+        q = np.where(ok, q, 0.0)
+        k = self._slot(start, q)
+        # the cubic may round an ulp beyond the support near its ends
+        out = np.clip(self._mix(self._rows_at(k, q - self._u[k]), w), lo, hi)
+        out[~ok] = np.nan
+        return _shaped(out, shape)
 
 
-def _region_nodes(rows: np.ndarray):
-    """The 2-point Gauss-Legendre nodes and weights on each row
-    [lo, top, breakpoints...]'s region [lo, top], split there."""
-    lo, top = rows[:, :1], rows[:, 1:2]
-    edges = np.sort(np.concatenate([lo, top, np.clip(rows[:, 2:], lo, top)], axis=1), axis=1)
-    nodes, wts = _gl_segments(edges[:, :-1], edges[:, 1:], _GL2)
-    # (rows, pieces, points) to (rows, nodes), also for zero rows
-    n, pieces, points = nodes.shape
-    return nodes.reshape(n, pieces * points), wts.reshape(n, pieces * points)
+# the powers 1-4 that divide a cubic's coefficients in its antiderivative
+_POWERS = np.array([[1.0], [2.0], [3.0], [4.0]])
+
+
+def _cubic_at(coef, s):
+    """The cubic with coefficients ``coef`` (power along the first axis, from
+    the lowest) at s, by Horner's rule."""
+    return ((coef[3] * s + coef[2]) * s + coef[1]) * s + coef[0]
+
+
+def _shaped(x: np.ndarray, shape: tuple):
+    """A flat array of a broadcast's values in its ``shape``, or a float
+    for a scalar broadcast."""
+    return x.reshape(shape) if shape else float(x[0])
 
 
 def make_income_family(family: str, params: dict) -> IncomeFamily:

@@ -21,8 +21,10 @@ sensitivity capped at phi.  The central quantities:
 Two vectorized kernels are the only implementation of these quantities:
 ``_pi_star_vec`` (the single-crossing scan, then the threshold) and
 ``_mech_curves`` (psi, Phi and E[pi - royalty], combined from the three
-income integrals of the family's ``IncomeFamily.audit_region``).  The audit
-surplus mu*phi - c has one expression, ``_audit_surplus``; the scan
+income integrals of the family's ``IncomeFamily.audit_region``, which
+``endogenous_virtual`` and ``verify``'s payments difference at their
+cuts).  The audit surplus mu*phi - c has one expression,
+``_audit_surplus``; the scan
 (``_single_crossing_scan``, 0.0 unprobed where the family proves single
 crossing) is the only judgement of single crossing in income, and
 ``_edge_pays`` the only one of whether auditing pays at an end of the income
@@ -53,13 +55,10 @@ from .dist import (
     AgentSpec,
     AdditiveErrorFamily,
     GridPoints,
-    _GL2,
     _bisect,
     _blocked,
     _gl_segments,
     _guide_table,
-    _memo,
-    _scratch,
     inverse_hazard,
 )
 from .errors import (
@@ -151,18 +150,12 @@ def mu(agent: AgentSpec, theta, pi):
     return out if np.ndim(out) else float(out)
 
 
-def _audit_surplus(agent: AgentSpec, theta, pi, ih, ratio=None):
+def _audit_surplus(agent: AgentSpec, theta, pi, ih):
     """Audit surplus mu*phi - c at incomes ``pi`` and types ``theta`` whose
     inverse hazards (1 - F)/f are ``ih``, as (-G_2/g) * (ih * phi) - c, from
-    the family's ratio G_2/g (``g2_over_g``), or from ``ratio`` where the
-    caller has it as a float array of the surplus's shape, which then holds
-    the surplus.  No domain check; every site that weighs auditing
-    evaluates it here."""
-    if ratio is None:
-        s = -np.asarray(agent.income.g2_over_g(pi, theta), dtype=float)
-    else:
-        s = np.negative(ratio, out=ratio)
-    s = np.multiply(s, ih * agent.sensitivity, out=ratio)
+    the family's ratio G_2/g (``g2_over_g``).  No domain check; every site
+    that weighs auditing at an income evaluates it here."""
+    s = -np.asarray(agent.income.g2_over_g(pi, theta), dtype=float) * (ih * agent.sensitivity)
     s -= agent.audit_cost
     return s
 
@@ -394,14 +387,14 @@ def _edge_pays(agent: AgentSpec, thetas) -> np.ndarray:
     lo, hi, ih = t.lo, t.hi, t.ih
     ends = np.stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)])
     with np.errstate(invalid="ignore"):
-        pays = _audit_surplus(agent, t.at, ends, ih) >= 0
+        pays = _audit_surplus(agent, t.theta, ends, ih) >= 0
     trivial = agent.sensitivity * np.where(np.isfinite(ih), ih, 1.0) == 0.0
     return np.where(trivial, agent.audit_cost == 0.0, pays)
 
 
 def _threshold_kinks(agent: AgentSpec) -> list:
     """Types at which the audit region changes regime (the threshold leaves
-    a support end), used as breakpoints in the type: changes of
+    a support end), marked on the type grid of the tables: changes of
     ``_edge_pays`` at either end on a 513-point type grid, refined by
     bisecting all brackets at once.  The grid stops one float below the top
     type, whose answer is a convention; the tables interpolate below it."""
@@ -527,11 +520,12 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     Myerson virtual value plus E[a(theta, pi) (mu*phi - c)].
 
     Maximized pointwise by auditing exactly when mu*phi >= c, where it
-    equals ``virtual_value``.  The income integral is split at the law's
-    breakpoints, at the tables' pi_star and at the rule's switches (a
-    257-point scan, then bisection).  Between cuts the integrand
-    a * (-G_2 * ih * phi - c * g) has degree at most 3 in income, so the
-    2-point Gauss-Legendre rule is exact on each piece.
+    equals ``virtual_value``.  The income support is cut at the tables'
+    pi_star and at the rule's switches (a 257-point scan, then bisection),
+    and the rule is read at each piece's midpoint.  On a piece the integral
+    of (mu*phi - c) g = -G_2 * ih * phi - c * g is ih * phi times the change
+    of int -G_2 and c times that of G, both from the family's
+    ``audit_region`` at the cuts, so it is exact for every family.
     """
     agent = _agent(inst, i)
     theta_i = float(theta_profile[i])
@@ -546,14 +540,13 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     a = audit(scan)
     k = np.flatnonzero(np.diff(a))
     switches = _bisect(lambda x: audit(x) == a[k], scan[k], scan[k + 1], 64)
-    cuts = np.concatenate([[lo, hi, tables_for(inst).pi_star(i, theta_i)], switches,
-                           agent.income.breakpoints(np.array([theta_i]))[0]])
+    cuts = np.concatenate([[lo, hi, tables_for(inst).pi_star(i, theta_i)], switches])
     cuts = np.unique(np.clip(cuts, lo, hi))
-    nodes, wts = _gl_segments(cuts[:-1], cuts[1:], _GL2)
-    x = nodes.ravel()
-    s = _audit_surplus(agent, theta_i, x, inverse_hazard(agent.types, theta_i))
-    term = np.sum(audit(x) * s * agent.income.pdf(x, theta_i) * wts.ravel())
-    return myerson_virtual(agent, theta_i) + float(term)
+    g, recovery, _ = agent.income.audit_region(np.full(cuts.size, theta_i), cuts)
+    gain = (inverse_hazard(agent.types, theta_i) * agent.sensitivity * np.diff(recovery)
+            - agent.audit_cost * np.diff(g))
+    gain *= audit(0.5 * (cuts[:-1] + cuts[1:]))
+    return myerson_virtual(agent, theta_i) + float(np.sum(gain))
 
 
 def _check_increasing(grids: list):
@@ -629,15 +622,13 @@ def full_extraction_revenue(inst: AuctionInstance) -> float:
 @dataclass(frozen=True)
 class _Types:
     """Types with what the kernels read of them alone, computed once: the
-    income family's located types ``at`` (``IncomeFamily.locate_types``),
-    the inverse hazards ``ih`` = (1 - F)/f and the income supports
-    [``lo``, ``hi``], and, where a caller has run it, the single-crossing
-    scan ``scan`` (``_single_crossing_scan``), which ``_pi_star_vec`` then
-    reads instead of scanning again.  The kernels take it in place of an
-    array of types; indexing it indexes each type."""
+    inverse hazards ``ih`` = (1 - F)/f and the income supports [``lo``,
+    ``hi``], and, where a caller has run it, the single-crossing scan
+    ``scan`` (``_single_crossing_scan``), which ``_pi_star_vec`` then reads
+    instead of scanning again.  The kernels take it in place of an array of
+    types; indexing it indexes each type."""
 
     theta: np.ndarray
-    at: object
     ih: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -650,9 +641,7 @@ class _Types:
             return thetas
         theta = np.asarray(thetas, dtype=float)
         ih = np.asarray(inverse_hazard(agent.types, theta), dtype=float)
-        # a duck-typed family without locate_types takes the types as they are
-        at = getattr(agent.income, "locate_types", np.asarray)(theta)
-        return _Types(theta, at, ih, *_income_bounds(agent, at))
+        return _Types(theta, ih, *_income_bounds(agent, theta))
 
     @property
     def size(self) -> int:
@@ -662,15 +651,8 @@ class _Types:
         return len(self.theta)
 
     def __getitem__(self, key) -> "_Types":
-        return _Types(self.theta[key], self.at[key], self.ih[key], self.lo[key], self.hi[key],
+        return _Types(self.theta[key], self.ih[key], self.lo[key], self.hi[key],
                       None if self.scan is None else self.scan[key])
-
-
-def _shared_row(x: np.ndarray) -> np.ndarray:
-    """``x[:1]`` when every row of ``x`` equals its first, else ``x``: the
-    scan probes one row for a block of types of one support (a tabulated
-    family's knot interval), with the same per-element arithmetic."""
-    return x[:1] if np.all(x == x[:1]) else x
 
 
 def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
@@ -689,31 +671,14 @@ def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """Per type, ``_worst_single_crossing`` of mu*phi - c over 65 incomes
-    spread inside the type's own income support.
-
-    Where a block's types share their probes and mix one key's type-free
-    rows (``IncomeFamily.row_key``), the rows' pdfs and dG/dtheta at the
-    probes are evaluated once for all such blocks of the scan (``_memo``)
-    and only the ratio's mixture is per type, formed with the surplus in
-    the blocks' one scratch pair (``_scratch``)."""
-    fam, memo = agent.income, {}
+    spread inside the type's own income support, in blocks of types
+    (``dist._blocked``)."""
 
     def worst(t):
-        # the probes depend on the type through its income support alone
-        support = _shared_row(np.column_stack([t.lo, t.hi]))
-        # a family without the optional ``row_key`` never shares rows
-        key = getattr(fam, "row_key", lambda at: None)(t.at) if len(support) == 1 else None
-        lo, hi = support[:, 0], support[:, 1]
-        ends = np.column_stack([lo + _NU * (hi - lo), hi - _NU * (hi - lo)])
+        lo, hi = t.lo, t.hi
+        probe = np.linspace(lo + _NU * (hi - lo), hi - _NU * (hi - lo), 65, axis=1)
         with np.errstate(invalid="ignore"):
-            if key is None:
-                probe = np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)
-                s = _audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
-            else:
-                terms = _memo(memo, (key, ends.tobytes()), lambda: fam.row_terms(
-                    key, np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)))
-                ratio = fam.mix_ratio(terms, t.at[:, None], _scratch(memo, (len(t), 65)))
-                s = _audit_surplus(agent, None, None, t.ih[:, None], ratio)
+            s = _audit_surplus(agent, t.theta[:, None], probe, t.ih[:, None])
         return (_worst_single_crossing(s, axis=1),)
 
     return _blocked(worst, 65, _Types.of(agent, thetas))[0]
@@ -735,9 +700,10 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     k = np.nonzero(at_lo & ~at_hi)[0]
     tk = t[k]
     # auditing pays at the bottom only, so ih * phi > 0 and c > 0 there
-    cross = agent.income.ratio_crossing(tk.at, agent.audit_cost / (tk.ih * agent.sensitivity))
+    cross = agent.income.ratio_crossing(tk.theta, agent.audit_cost / (tk.ih * agent.sensitivity))
     if cross is None:
-        cross = _bisect(lambda m: _audit_surplus(agent, tk.at, m, tk.ih) >= 0, tk.lo, tk.hi, 64)
+        cross = _bisect(lambda m: _audit_surplus(agent, tk.theta, m, tk.ih) >= 0,
+                        tk.lo, tk.hi, 64)
     out[k] = np.clip(cross, tk.lo, tk.hi)
     return out
 
@@ -771,7 +737,7 @@ def _mech_curves(agent: AgentSpec, ts: np.ndarray):
     t = _Types.of(agent, ts)
     pstar = _pi_star_vec(agent, t)
     b = np.minimum(pstar, t.hi)
-    g, recovery, survival = agent.income.audit_region(t.at, b)
+    g, recovery, survival = agent.income.audit_region(t.theta, b)
     cap = np.clip(phi * np.asarray(recovery, dtype=float), 0.0, phi)
     psi_m = t.theta - t.ih
     # psi is inf - inf (NaN) where the type density vanishes (ih = +inf)
@@ -793,13 +759,12 @@ def _agent_curves(agent: AgentSpec) -> dict:
     w = hi - lo
     floor = _psi_floor(agent)
     base = np.linspace(floor, hi, _TABLE_POINTS)
-    knots, jumps = (k[(k > lo) & (k < hi)] for k in (agent.types.knots, agent.income.type_knots))
-    # bracket each regime change and each interior type knot tightly so
-    # linear interpolation cannot smear a kink in pi_star or Phi across a
-    # full grid cell; an income family's support may jump at its type knots,
-    # so the float just below each of them carries the left limit
-    marks = np.concatenate([_threshold_kinks(agent), knots, jumps])
-    extra = [marks - 1e-12 * w, marks, marks + 1e-12 * w, np.nextafter(jumps, lo)]
+    knots = np.concatenate([agent.types.knots, agent.income.type_knots])
+    # bracket each regime change and each interior knot of the type law or
+    # of the income law's type dependence tightly so linear interpolation
+    # cannot smear a kink in pi_star or Phi across a full grid cell
+    marks = np.concatenate([_threshold_kinks(agent), knots[(knots > lo) & (knots < hi)]])
+    extra = [marks - 1e-12 * w, marks, marks + 1e-12 * w]
     ts = np.unique(np.clip(np.concatenate([base, *extra]), floor, hi))
 
     psi_m, psi, pstar, cap, e_net = _mech_curves(agent, ts)

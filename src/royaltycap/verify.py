@@ -7,7 +7,9 @@ rule gives in closed form, tested against a brute grid) and, at each
 certified true type, over income reports at every income (the cheapest
 report is affine in income between a few cuts), regularity by grid
 evidence, payment crossing by bisection plus an ordering certificate, and
-the noisy-audit reduction by Monte Carlo.
+the noisy-audit reduction by Monte Carlo.  Expected payments are affine
+between cuts and integrated exactly from the income family's
+``audit_region`` at the cuts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import AgentSpec, TypeDist, _GL2, _bisect, _blocked, _gl_segments, project_to_support
+from .dist import AgentSpec, TypeDist, _bisect, project_to_support
 from .errors import (
     DomainError,
     InvalidAxisError,
@@ -130,19 +132,19 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
         raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
     thetas = _interior_grid(agent.types, theta_grid_size)
     types = _Types.of(agent, thetas)
-    at = types.at[:, None]
+    th = thetas[:, None]
     worst: dict = {}
 
     # 1. normalization: supp_lo + int (1 - G) = theta, over the whole support
     plo, phi_sup = types.lo, types.hi
-    err = np.abs(plo + agent.income.audit_region(types.at, phi_sup)[2] - thetas)
+    err = np.abs(plo + agent.income.audit_region(thetas, phi_sup)[2] - thetas)
     k = int(np.argmax(err))
     worst["normalization"] = {"magnitude": float(err[k]), "theta": float(thetas[k])}
     normalization_ok = bool(err[k] <= 1e-7)
 
     # 2. FOSD: G(pi | theta) weakly decreasing in theta at every income level
     pis = np.linspace(float(np.min(plo)), float(np.max(phi_sup)), pi_grid_size)
-    cdf_mat = np.asarray(agent.income.cdf(pis[None, :], at))
+    cdf_mat = np.asarray(agent.income.cdf(pis[None, :], th))
     increase = np.diff(cdf_mat, axis=0)
     k = np.unravel_index(int(np.argmax(increase)), increase.shape)
     worst["fosd"] = {"magnitude": float(max(increase[k], 0.0)),
@@ -153,12 +155,11 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     # every mechanism kernel (``mech._pi_star_vec``), at these types
     per_type = _single_crossing_scan(agent, types)
     # 4. single crossing in type, on the common income grid at the incomes
-    # that occur: inside the support, at positive density (a tabulated
-    # family's support at a type knot also spans the next row's support)
+    # that occur: inside the support, at positive density
     with np.errstate(invalid="ignore"):
-        surplus = _audit_surplus(agent, at, pis[None, :], types.ih[:, None])
+        surplus = _audit_surplus(agent, th, pis[None, :], types.ih[:, None])
     inside = ((pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
-              & (np.asarray(agent.income.pdf(pis[None, :], at)) > 0))
+              & (np.asarray(agent.income.pdf(pis[None, :], th)) > 0))
     per_income = _worst_single_crossing(np.where(inside, surplus, np.nan), axis=0)
     for key, where, grid, per in (("single_crossing_pi", "theta", thetas, per_type),
                                   ("single_crossing_theta", "pi", pis, per_income)):
@@ -243,14 +244,16 @@ def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
     support; ``income=(A, U)``, one pair per row from ``_income_reports``,
     takes the cheapest income report per realized income (the double
     deviation), which pays min(phi*pi + A, U).  Both payments are
-    affine in pi between cuts: the true support's ends and, inside it, the
-    reported support's ends, the audit threshold, the switch (U - A)/phi
-    and the law's breakpoints, between which the density has degree <= 2.
-    So the 2-point Gauss-Legendre rule is exact on each piece.  Every row
-    has the same number of cuts (zero-width pieces weigh nothing), so each
-    row's sum is the same in any block of ``dist._blocked`` (rows x
-    incomes).  A point-mass income law (the scaled-error top type) is
-    evaluated at its atom.
+    continuous and affine in pi between cuts: the true support's ends and,
+    inside it, the reported support's ends, the audit threshold and the
+    switch (U - A)/phi.  On a piece, int (alpha + beta pi) dG = dG times the
+    payment at the piece's mean income dM / dG, with G and
+    M(x) = int_{supp_lo}^x pi dG = x G(x) - (x - supp_lo) + S(x) from the
+    family's ``audit_region`` at the cuts (S its third output), so the
+    expectation is exact for every family.  The mean is clipped to its
+    piece, which bounds its rounding error's effect by the piece's weight.
+    A point-mass income law (the scaled-error top type) is evaluated at its
+    atom.
     """
     phi = agent.sensitivity
     theta_true = np.broadcast_to(np.asarray(theta_true, dtype=float), reports.shape)
@@ -269,27 +272,28 @@ def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
                                   caps[rows, None], r_hi[rows, None], phi)
         return royalty + pen
 
-    def expectation(c, rows):
-        nodes, wts = _gl_segments(c[:, :-1], c[:, 1:], rule=_GL2)
-        pis = nodes.reshape(rows.size, -1)
-        pay = pay_at(pis, rows)
-        pay *= np.asarray(agent.income.pdf(pis, theta_true[rows, None]), dtype=float)
-        pay *= wts.reshape(rows.size, -1)
-        return (np.sum(pay, axis=1),)
-
     out = np.empty(reports.size)
     point = t_hi <= t_lo
     rows = np.flatnonzero(point)
     out[rows] = pay_at(t_lo[rows, None], rows)[:, 0]
+    rows = np.flatnonzero(~point)
     # cut candidates outside (t_lo, t_hi), a NaN or infinite switch among
     # them, fall back onto the cut t_lo
-    cuts = np.column_stack(cuts + [agent.income.breakpoints(theta_true)])
-    inside = (cuts[:, 2:] > t_lo[:, None]) & (cuts[:, 2:] < t_hi[:, None])
-    cuts[:, 2:] = np.where(inside, cuts[:, 2:], t_lo[:, None])
+    cuts = np.column_stack(cuts)[rows]
+    lo = t_lo[rows, None]
+    inside = (cuts[:, 2:] > lo) & (cuts[:, 2:] < t_hi[rows, None])
+    cuts[:, 2:] = np.where(inside, cuts[:, 2:], lo)
     cuts.sort(axis=1)
-    rows = np.flatnonzero(~point)
-    if rows.size:   # the scaled-error top type has only point rows
-        out[rows] = _blocked(expectation, 2 * (cuts.shape[1] - 1), cuts[rows], rows)[0]
+    g, _, survival = agent.income.audit_region(
+        np.repeat(theta_true[rows], cuts.shape[1]), cuts.ravel())
+    g, survival = (np.reshape(x, cuts.shape) for x in (g, survival))
+    dg = np.diff(g, axis=1)
+    dm = np.diff(cuts * g - (cuts - lo) + survival, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.clip(dm / dg, cuts[:, :-1], cuts[:, 1:])
+    # a piece of no weight may take any of its incomes
+    mean = np.where(dg > 0.0, mean, cuts[:, :-1])
+    out[rows] = np.sum(dg * pay_at(mean, rows), axis=1)
     return out
 
 

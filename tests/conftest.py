@@ -78,9 +78,10 @@ def cash_only_agent(lo: float, hi: float, mode=None) -> AgentSpec:
 
 def table_income_agent(knots, audit_cost, sensitivity=0.5):
     """Types U[1, 2] with a tabulated copy of the additive family
-    theta + U[-1, 1]: one 41-point row per type knot.  Between knots the
-    family is a mixture, so psi = 1.5 theta - 1, E[pi - royalty] = theta / 2
-    and Phi = phi exactly when c = 0 and phi = 0.5."""
+    theta + U[-1, 1]: one 41-point row per type knot.  Its linear quantile
+    rows interpolate to that family at every type, so psi = 1.5 theta - 1,
+    E[pi - royalty] = theta / 2 and Phi = phi exactly when c = 0 and
+    phi = 0.5, and at any c its tables are those of the additive family."""
     rows = []
     for t in knots:
         g = np.linspace(t - 1.0, t + 1.0, 41)
@@ -130,3 +131,17 @@ def st_pi_star(theta, c=0.5, phi=1.0):
     if crossing < 2 * theta - 1:
         return 0.0
     return min(1.0, crossing)
+
+
+def rising_gap_agent(audit_cost, sensitivity=0.5, knots=(1.0, 2.0)):
+    """Types U[1, 2] and a tabulated income law irregular in income: at each
+    type knot t the linear quantile row Q_t(u) = t + (1 + t) (u - 1/2) (a
+    two-point table), so Q_1(u) = 2u, Q_2(u) = 0.5 + 3u and, at any knots,
+    -G_theta/g = 0.5 + u rises in income.  The audit surplus
+    (0.5 + u) (2 - theta) phi - c is single-crossing from above at c = 0 and
+    fails wherever it changes sign (at c = 0.2, phi = 0.5: types in
+    (1.2, 1.73))."""
+    rows = [([t - (1 + t) / 2, t + (1 + t) / 2], [0.0, 1.0]) for t in knots]
+    return AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
+                     make_income_family("table", {"theta_grid": list(knots), "rows": rows}),
+                     audit_cost, sensitivity)

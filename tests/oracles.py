@@ -36,8 +36,12 @@ runs, one row per run.
 
 ``PchipTableCdf`` is a tabulated law built on scipy's ``PchipInterpolator``,
 the reference that ``dist._TableCdf`` reproduces bit for bit.
-``TableFamilyRows`` evaluates a tabulated income family row by row with it,
-and ``cell`` is the binary-search cell rule that ``dist._cells`` reproduces.
+``TableFamilyRows`` evaluates a tabulated income family point by point by
+other means: scipy's ``PchipInterpolator`` through each row's swapped table,
+``brentq`` on the mixed quantile and ``quad`` for the region integrals.
+``income_knots`` are the incomes between which a family's law is smooth,
+where the quadratures split.  ``cell`` is the binary-search cell rule that
+``dist._cells`` reproduces.
 """
 
 import numpy as np
@@ -92,19 +96,33 @@ def audit_threshold(agent, theta):
     return 0.5 * (a + b)
 
 
+def income_knots(fam, theta):
+    """The incomes between which the law G(. | theta) of an additive,
+    scaled or tabulated family is smooth: the error law's knots moved to
+    the type, or the tabulated law's quantile at both rows' u-knots."""
+    if isinstance(fam, rc.TableIncomeFamily):
+        return TableFamilyRows(fam.params["theta_grid"], fam.params["rows"]).knots(theta)
+    scale = 1.0 if fam.family == "additive_error" else 1.0 - theta
+    return theta + scale * fam._err.knots
+
+
 def audit_region(fam, theta, b):
     """``IncomeFamily.audit_region`` at one type by adaptive ``quad``:
     G(b | theta), and int -dG/dtheta and int (1 - G) over [supp_lo, b'],
-    b' = clip(b, supp_lo, supp_hi), split at the law's breakpoints, where
-    the integrands are polynomials that the 21-point Kronrod rule
-    integrates exactly up to rounding."""
+    b' = clip(b, supp_lo, supp_hi), split at ``income_knots``, where the
+    additive and scaled families' integrands are polynomials that the
+    21-point Kronrod rule integrates exactly up to rounding.  A tabulated
+    family's are ``TableFamilyRows.audit_region``'s."""
+    if isinstance(fam, rc.TableIncomeFamily):
+        return TableFamilyRows(fam.params["theta_grid"], fam.params["rows"]).audit_region(
+            theta, b)
     theta, b = float(theta), float(b)
     lo, hi = float(fam.supp_lo(theta)), float(fam.supp_hi(theta))
     top = min(max(b, lo), hi)
     g = float(fam.cdf(b, theta))
     if top <= lo:
         return g, 0.0, 0.0
-    pts = [p for p in fam.breakpoints(np.array([theta]))[0] if lo < p < top] or None
+    pts = [p for p in income_knots(fam, theta) if lo < p < top] or None
     opts = dict(points=pts, epsabs=1e-13, epsrel=1e-12, limit=200)
     recovery = quad(lambda x: -float(fam.dcdf_dtheta(x, theta)), lo, top, **opts)[0]
     survival = quad(lambda x: 1.0 - float(fam.cdf(x, theta)), lo, top, **opts)[0]
@@ -264,10 +282,10 @@ def settle(pi_true, pi_report, cap, supp_hi, phi):
 def payment_cuts(agent, theta_true, theta_rep, cap):
     """Where the winner's payment or the true income law changes form: the
     true support's ends, and the reported support's ends, the audit
-    threshold and the law's breakpoints inside it."""
+    threshold and the law's ``income_knots`` inside it."""
     t_lo, t_hi = (float(x) for x in _income_bounds(agent, theta_true))
     r_lo, r_hi = (float(x) for x in _income_bounds(agent, theta_rep))
-    knots = agent.income.breakpoints(np.array([theta_true]))[0]
+    knots = income_knots(agent.income, theta_true)
     return np.unique([t_lo, t_hi] + [x for x in (r_lo, r_hi, cap, *knots) if t_lo < x < t_hi])
 
 
@@ -432,29 +450,77 @@ def cell(xp, x):
 
 class TableFamilyRows:
     """A tabulated income family (``dist.TableIncomeFamily``) evaluated
-    point by point: each point's knot interval j and weight w by binary
-    search, and both rows j and j + 1 by their own ``PchipTableCdf``."""
+    point by point by other means: each type's knot interval j and weight w
+    by binary search; row j's quantile Q_j by scipy's ``PchipInterpolator``
+    through its swapped table (cdf, income), and the law's quantile
+    (1 - w) Q_j + w Q_{j+1}; G by ``brentq`` on that quantile; and the audit
+    region's integrals by ``quad`` over the region's u-range, where
+    int -dG/dtheta dpi = int D du and int (1 - G) dpi = int (1 - u) dQ, with
+    D = (Q_{j+1} - Q_j) / (theta_{j+1} - theta_j)."""
 
     def __init__(self, theta_grid, rows):
         self.tg = np.asarray(theta_grid, dtype=float)
-        self.rows = [PchipTableCdf(g, v) for g, v in rows]
+        self.rows, self.tops = [], []
+        for g, v in rows:
+            v = np.array(v, dtype=float)
+            v[0], v[-1] = 0.0, 1.0
+            self.rows.append(PchipInterpolator(v, np.asarray(g, dtype=float)))
+            self.tops.append(float(g[-1]))
 
-    def _row_cdf(self, j, x):
-        r = self.rows[j]
-        return np.where(x <= r.lo, 0.0, np.where(x >= r.hi, 1.0, r.cdf(x)))
+    def _at(self, t):
+        """The type's interval j, its weight w and the two rows."""
+        j = int(cell(self.tg, t))
+        w = float(np.clip((t - self.tg[j]) / (self.tg[j + 1] - self.tg[j]), 0.0, 1.0))
+        return j, w, self.rows[j], self.rows[j + 1]
+
+    def quantile(self, u, t):
+        """(1 - w) Q_j(u) + w Q_{j+1}(u), each row's top its table's at u = 1."""
+        j, w, lo, hi = self._at(t)
+        a, b = (self.tops[j], self.tops[j + 1]) if u >= 1.0 else (float(lo(u)), float(hi(u)))
+        return (1.0 - w) * a + w * b
+
+    def knots(self, t):
+        _, _, lo, hi = self._at(t)
+        return np.array([self.quantile(u, t) for u in np.union1d(lo.x, hi.x)])
+
+    def cdf(self, p, t):
+        lo, hi = self.quantile(0.0, t), self.quantile(1.0, t)
+        if p <= lo:
+            return 0.0
+        if p >= hi:
+            return 1.0
+        return brentq(lambda u: self.quantile(u, t) - p, 0.0, 1.0, xtol=1e-300,
+                      rtol=4 * np.finfo(float).eps)
 
     def values(self, pi, theta):
         """cdf, pdf, dcdf_dtheta and g2_over_g at the 1-d arrays pi and
-        theta, point by point."""
+        theta, point by point: g = 1 / Q' and -G_theta / g = D at u = G,
+        g and G_theta 0 outside the support."""
         out = {k: [] for k in ("cdf", "pdf", "dcdf_dtheta", "g2_over_g")}
         for p, t in zip(np.asarray(pi, dtype=float), np.asarray(theta, dtype=float)):
-            j = int(cell(self.tg, t))
-            w = np.clip((t - self.tg[j]) / (self.tg[j + 1] - self.tg[j]), 0.0, 1.0)
-            g_lo, g_hi = self._row_cdf(j, p), self._row_cdf(j + 1, p)
-            den = (1.0 - w) * self.rows[j].pdf(p) + w * self.rows[j + 1].pdf(p)
-            num = (g_hi - g_lo) / (self.tg[j + 1] - self.tg[j])
-            out["cdf"].append((1.0 - w) * g_lo + w * g_hi)
-            out["pdf"].append(den)
-            out["dcdf_dtheta"].append(num)
-            out["g2_over_g"].append(num / den if den > 0 else 0.0)
+            j, w, lo, hi = self._at(t)
+            u = self.cdf(p, t)
+            slope = (1.0 - w) * float(lo(u, 1)) + w * float(hi(u, 1))
+            gap = (float(hi(u)) - float(lo(u))) / (self.tg[j + 1] - self.tg[j])
+            inside = self.quantile(0.0, t) <= p <= self.quantile(1.0, t)
+            out["cdf"].append(u)
+            out["pdf"].append(1.0 / slope if inside else 0.0)
+            out["dcdf_dtheta"].append(-gap / slope if inside else 0.0)
+            out["g2_over_g"].append(-gap)
         return {k: np.array(v, dtype=float) for k, v in out.items()}
+
+    def audit_region(self, theta, b):
+        """G(b | theta), int -dG/dtheta and int (1 - G) over [supp_lo, b'],
+        by ``quad`` over [0, G(b')] split at both rows' u-knots."""
+        theta, b = float(theta), float(b)
+        j, w, lo, hi = self._at(theta)
+        u = self.cdf(b, theta)
+        if u <= 0.0:
+            return u, 0.0, 0.0
+        pts = [x for x in np.union1d(lo.x, hi.x) if 0.0 < x < u] or None
+        opts = dict(points=pts, epsabs=1e-13, epsrel=1e-12, limit=200)
+        dtheta = self.tg[j + 1] - self.tg[j]
+        recovery = quad(lambda x: (float(hi(x)) - float(lo(x))) / dtheta, 0.0, u, **opts)[0]
+        survival = quad(lambda x: (1.0 - x) * ((1.0 - w) * float(lo(x, 1)) + w * float(hi(x, 1))),
+                        0.0, u, **opts)[0]
+        return u, recovery, survival

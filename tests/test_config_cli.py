@@ -289,11 +289,12 @@ def test_cli_verify_ic(ua_config, tmp_path):
 
 
 # the ``agents`` block of verify_ic.json on each shipped config (seed 0),
-# captured with the closed-form double deviation, min(phi*pi + A, U)
+# captured with the closed-form double deviation, min(phi*pi + A, U), and
+# the payments integrated as differences of ``audit_region`` at their cuts
 _GOLDEN_VERIFY_IC = {
     "uniform_additive": [
-        {"agent": 0, "type_deviation": {"advantage": 2.220446049250313e-16,
-                                        "theta": 1.2941176470588236,
+        {"agent": 0, "type_deviation": {"advantage": 1.1102230246251565e-16,
+                                        "theta": 1.0588235294117647,
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
     "scaled_uniform": [
@@ -306,8 +307,8 @@ _GOLDEN_VERIFY_IC = {
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True}],
     "mixed_pair": [
-        {"agent": 0, "type_deviation": {"advantage": 1.1102230246251565e-16,
-                                        "theta": 1.4705882352941178,
+        {"agent": 0, "type_deviation": {"advantage": 0.0,
+                                        "theta": 1.0588235294117647,
                                         "strategy": "truthful_projection"},
          "income_deviation_worst": 0.0, "ir_ok": True, "ok": True},
         {"agent": 1, "type_deviation": {"advantage": 0.0, "theta": 0.5294117647058824,
@@ -438,14 +439,14 @@ def test_cli_config_seed_beyond_a_philox_key_names_the_field(tmp_path, capsys):
 
 
 def test_cli_rejects_non_single_crossing_instance_before_output(tmp_path):
-    # tabulated copy of the additive family at knots 1, 1.5, 2 with c > 0:
-    # the audit surplus is not single-crossing in income, so check fails and
-    # solve / simulate must fail the same way without writing an artifact
-    grids = [np.linspace(t - 1, t + 1, 41) for t in (1.0, 1.5, 2.0)]
+    # tabulated rows whose quantile gap 0.5 + u rises in income
+    # (conftest.rising_gap_agent) with c > 0: the audit surplus is not
+    # single-crossing in income, so check fails and solve / simulate must
+    # fail the same way without writing an artifact
     doc = {"v": 1, "agents": [{
         "type_dist": {"family": "uniform", "lo": 1.0, "hi": 2.0},
-        "income": {"family": "table", "theta_grid": [1.0, 1.5, 2.0],
-                   "rows": [[g.tolist(), ((g - g[0]) / 2).tolist()] for g in grids]},
+        "income": {"family": "table", "theta_grid": [1.0, 2.0],
+                   "rows": [[[0.0, 2.0], [0.0, 1.0]], [[0.5, 3.5], [0.0, 1.0]]]},
         "audit_cost": 0.2, "sensitivity": 0.5}],
         "simulation": {"n_runs": 1000, "seed": 0}}
     cfg = tmp_path / "irregular.yaml"

@@ -1,6 +1,5 @@
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,7 +392,7 @@ def _audit_region_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_audit_region_matches_adaptive_quadrature(case):
     # the closed forms in the error law's antiderivative (additive and
-    # scaled errors) and the tabulated family's Gauss-Legendre nodes give
+    # scaled errors) and in the tabulated rows' quartic antiderivatives give
     # G(b), int -G_theta and int (1 - G) over [supp_lo, b'] as quad does
     fam, theta, b = case
     got = fam.audit_region(np.array([theta]), np.array([b]))
@@ -414,7 +413,7 @@ def test_scaled_threshold_formula_matches_the_bisection(shipped_instances, name,
     at_lo, at_hi = mech._edge_pays(agent, t)
     tk = t[np.flatnonzero(at_lo & ~at_hi)]
     assert tk.size > 1000
-    bisected = dist._bisect(lambda m: mech._audit_surplus(agent, tk.at, m, tk.ih) >= 0,
+    bisected = dist._bisect(lambda m: mech._audit_surplus(agent, tk.theta, m, tk.ih) >= 0,
                             tk.lo, tk.hi, 64)
     assert np.all(np.abs(mech._pi_star_vec(agent, tk) - bisected)
                   <= 2 * np.spacing(np.abs(bisected)))
@@ -507,6 +506,9 @@ def _additive_table_families(draw):
 @given(table=_additive_table_families(), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_table_family_matches_row_by_row_oracle(table, data):
+    # against scipy's PCHIP quantiles, mixed, and brentq on the mixture:
+    # the quantile and G to 1e-14, and the pdf, dG/dtheta and their ratio
+    # (about 1/2, -1/2 and -1 on these rows) to 1e-12
     knots, rows = table
     fam = make_income_family("table", {"theta_grid": knots, "rows": rows})
     ref = oracles.TableFamilyRows(knots, rows)
@@ -517,93 +519,89 @@ def test_table_family_matches_row_by_row_oracle(table, data):
     p2, t2 = np.broadcast_arrays(pis[None, :], thetas[:, None])
     want = ref.values(p2.ravel(), t2.ravel())
     for name, values in want.items():
+        tol = 1e-14 if name == "cdf" else 1e-12
         method = getattr(fam, name)
-        assert np.array_equal(method(pis[None, :], thetas[:, None]).ravel(), values), name
-        assert np.array_equal(method(p2.ravel(), t2.ravel()), values), name
-        assert method(float(pis[3]), float(thetas[-1])) == values[-pis.size + 3], name
+        got = method(p2.ravel(), t2.ravel())
+        assert np.max(np.abs(got - values)) <= tol, name
+        assert np.array_equal(method(pis[None, :], thetas[:, None]).ravel(), got), name
+        assert method(float(pis[3]), float(thetas[-1])) == got[-pis.size + 3], name
     g, g2 = fam.cdf_and_dtheta(p2.ravel(), t2.ravel())
-    assert np.array_equal(g, want["cdf"]) and np.array_equal(g2, want["dcdf_dtheta"])
+    assert np.array_equal(g, fam.cdf(p2.ravel(), t2.ravel()))
+    assert np.array_equal(g2, fam.dcdf_dtheta(p2.ravel(), t2.ravel()))
+    u = np.linspace(0.0, 1.0, 33)
+    for t in thetas:
+        want = [ref.quantile(x, t) for x in u]
+        assert np.max(np.abs(fam.ppf(u, np.full(u.size, t)) - want)) <= 1e-14
 
 
-def test_table_family_locates_each_income_once_per_row_pair(monkeypatch):
+def test_table_family_inverts_only_incomes_inside_the_support(monkeypatch):
+    # incomes at or beyond a support end take u = 0 or 1 without a root
+    # search, so audit_region at the support's top (a build with c = 0) and
+    # at its bottom solves nothing, and cdf solves the inner incomes alone
     fam = _families()[2][1]   # type knots 1, 1.4, 2
-    sizes = []
-    cells = dist._cells
-    monkeypatch.setattr(dist, "_cells",
-                        lambda xp, guide, x: sizes.append(np.size(x)) or cells(xp, guide, x))
+    solved = []
+    roots = dist._cubic_roots
+    monkeypatch.setattr(dist, "_cubic_roots", lambda coef, u, h, s: (
+        solved.append(u.size) or roots(coef, u, h, s)))
+    theta = np.linspace(1.0, 2.0, 101)
+    lo, hi = fam.supp_lo(theta), fam.supp_hi(theta)
+    for b in (hi, hi + 1.0, lo, lo - 1.0):
+        g, cap, survival = fam.audit_region(theta, b)
+        assert np.all(g == (b >= hi))
+    assert solved == []
     pi = np.linspace(-0.5, 3.5, 101)
-    # types inside one knot interval, then types across both
-    for theta in (1.2, np.linspace(1.1, 1.9, 101)):
-        for method in (fam.cdf, fam.pdf, fam.dcdf_dtheta, fam.cdf_and_dtheta, fam.g2_over_g):
-            sizes.clear()
-            method(pi, theta)
-            assert sum(sizes) == pi.size, method.__name__
+    inner = (pi[None, :] > lo[:, None]) & (pi[None, :] < hi[:, None])
+    fam.cdf(pi[None, :], theta[:, None])
+    assert solved == [np.count_nonzero(inner)]
 
 
 @pytest.mark.parametrize("method", ["cdf", "pdf", "g2_over_g", "dcdf_dtheta", "cdf_and_dtheta"])
-def test_table_family_shared_income_grid_equals_the_broadcast(monkeypatch, method):
+def test_table_family_shared_income_grid_equals_the_broadcast(method):
     # types across both knot intervals on one grid of incomes (as check's
-    # 128 x 128 grid): each interval's rows are evaluated once on the grid,
-    # bit for bit the evaluation at every (type, income) pair
+    # 128 x 128 grid): bit for bit the evaluation at every (type, income)
+    # pair, in any layout of the broadcast
     fam = _families()[2][1]   # type knots 1, 1.4, 2
     pi = np.concatenate([np.linspace(-0.5, 3.5, 101), np.nextafter([0.4, 2.4], np.inf),
                          [0.0, -0.0, np.nan]])
     theta = np.concatenate([np.linspace(1.0, 2.0, 23), np.nextafter([1.4, 2.0], 0.0)])
-    sizes = []
-    pair_cells = dist.TableIncomeFamily._pair_cells
-    monkeypatch.setattr(dist.TableIncomeFamily, "_pair_cells", lambda self, j, p: (
-        sizes.append(np.size(p)) or pair_cells(self, j, p)))
     p2, t2 = np.broadcast_arrays(pi[None, :], theta[:, None])
     want = getattr(fam, method)(p2.ravel(), t2.ravel())   # one point per pair
     want = [np.reshape(w, p2.shape) for w in (want if method == "cdf_and_dtheta" else (want,))]
-    at = fam.locate_types(theta)
-    # the shared layouts (types' axes first) and a transposed one, which
-    # takes the incomes of each interval's pairs
     n, m = theta.size, pi.size
-    for args, shape, shared in (((pi, theta[:, None]), (n, m), True),
-                                ((pi[None, :], at[:, None]), (n, m), True),
-                                ((pi[None, None, :], theta[None, :, None]), (1, n, m), True),
-                                ((pi[:, None], theta[None, :]), (m, n), False)):
-        sizes.clear()
+    for args, shape, transposed in (((pi, theta[:, None]), (n, m), False),
+                                    ((pi[None, None, :], theta[None, :, None]), (1, n, m), False),
+                                    ((pi[:, None], theta[None, :]), (m, n), True)):
         got = getattr(fam, method)(*args)
         got = got if method == "cdf_and_dtheta" else (got,)
         for g, w in zip(got, want):
             assert np.shape(g) == shape, method
-            g = g.reshape(n, m) if shared else g.T
+            g = g.T if transposed else g.reshape(n, m)
             assert np.array_equal(g.view(np.int64), w.view(np.int64)), (method, shape)
-        assert sum(sizes) == (2 * m if shared else m * n)
-    # one income for all types: both intervals' rows at that income alone
-    sizes.clear()
+    # one income for all types
     got = getattr(fam, method)(pi[3], theta)
     got = got if method == "cdf_and_dtheta" else (got,)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.int64), w[:, 3].view(np.int64)), method
-    assert sizes == [1, 1]
 
 
-def test_table_family_mixes_row_terms_into_given_arrays():
-    # the kernels' blocks mix one interval's row terms into one reused pair
-    # of arrays: bit for bit the fresh mixture, whatever the pair held (the
-    # ratio is 0 where the mixed pdf vanishes, beyond both rows' supports)
-    fam = _families()[2][1]   # type knots 1, 1.4, 2
-    pi = np.concatenate([np.linspace(-0.5, 3.5, 65), [np.nan]])
-    theta = fam.locate_types(np.linspace(1.0, 1.4, 9, endpoint=False))[:, None]
-    terms = fam.row_terms(0, pi)
-    for mix in (fam.mix_terms, fam.mix_ratio):
-        want = mix(terms, theta)
-        assert want.shape == (9, pi.size) and np.any(want == 0.0)
-        out = (np.full(want.shape, np.nan), np.full(want.shape, -7.0))
-        got = mix(terms, theta, out)
-        assert any(got is o for o in out)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), mix.__name__
-    assert np.array_equal(fam.mix_ratio(terms, theta), fam.g2_over_g(pi, theta))
-    # where the mixed pdf is not positive (a rounding dip below 0 in one row
-    # here) the ratio is 0, also where the scratch array held another value
-    rows = SimpleNamespace(pdfs=(np.array([-1.0, 1.0]), np.array([0.5, 1.0])),
-                           dtheta=np.array([1.0, 1.0]))
-    w = np.array([[0.5]])
-    for out in (None, (np.full((1, 2), 3.0), np.full((1, 2), 3.0))):
-        assert fam._ratio(rows, w, out).tolist() == [[0.0, 1.0]]
+def test_table_ratio_crossing_matches_the_surplus_bisection(shipped_instances):
+    # a tabulated copy of scaled_uniform's family: where auditing pays at
+    # the bottom only, the bisection of D_j(u) = level in u gives the audit
+    # threshold that bisecting the audit surplus in income gives
+    agent = shipped_instances["scaled_uniform"].agents[0]
+    knots = [0.5, 0.7, 0.9]
+    rows = [(g, (g - g[0]) / (g[-1] - g[0])) for g in (np.linspace(2 * t - 1, 1.0, 41)
+                                                       for t in knots)]
+    copy = AgentSpec(make_type_dist("uniform", {"lo": 0.5, "hi": 0.9}),
+                     make_income_family("table", {"theta_grid": knots, "rows": rows}),
+                     agent.audit_cost, agent.sensitivity)
+    t = mech._Types.of(copy, np.linspace(0.5, 0.9, 401))
+    at_lo, at_hi = mech._edge_pays(copy, t)
+    tk = t[np.flatnonzero(at_lo & ~at_hi)]
+    assert tk.size > 100
+    bisected = dist._bisect(lambda m: mech._audit_surplus(copy, tk.theta, m, tk.ih) >= 0,
+                            tk.lo, tk.hi, 64)
+    assert np.max(np.abs(mech._pi_star_vec(copy, tk) - bisected)) <= 1e-12
 
 
 @pytest.mark.parametrize("points", [2, 4, 32])
@@ -630,7 +628,7 @@ def test_sampling_matches_conditional_law():
     scaled = make_income_family("scaled_error", UNIT_ERR)
     table = _families()[2][1]
     # G(theta | theta) = 0.5 within 5 sigma: the scaled family at 0.6, and the
-    # tabulated family at 1.7, the even mixture of its rows at 1.4 and 2.0
+    # tabulated family at 1.7, halfway between its rows at 1.4 and 2.0
     for fam, theta, n in ((scaled, 0.6, 200_000), (table, 1.7, 20_000)):
         rng = np.random.default_rng(13)
         draws = np.asarray(sample_income(fam, np.full(n, theta), rng))
@@ -686,9 +684,8 @@ def _table_families(draw):
                                    for t in (1.0, 1.4, 2.0)]), data=None)
 @settings(max_examples=60, deadline=None)
 def test_table_family_ppf_inverts_the_mixture(table, data):
-    # max |G(ppf(u | theta) | theta) - u| <= 1e-12 at every u in [0, 1]: G
-    # is continuous, so this holds in its flat pieces too (at a knot the
-    # support spans the next row's, where G is 1), and the ends are exact
+    # max |G(ppf(u | theta) | theta) - u| <= 1e-12 at every u in [0, 1],
+    # the cdf inverting the quantile cell by cell, and the ends are exact
     knots, rows = table
     fam = make_income_family("table", {"theta_grid": knots, "rows": rows})
     tiny = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, np.nextafter(1.0, 0.0), 1.0]
@@ -708,16 +705,16 @@ def test_table_family_ppf_inverts_the_mixture(table, data):
 
 
 def test_cubic_roots_settle_flat_and_linear_cells():
-    # rows: a line, s^3 reaching 1e-30 (flat at the root, so plain Newton
-    # crawls and the safeguarded steps finish), and (s - 0.5)^3 + 0.125 at
-    # its triple root; each row's result is the one it gets alone
+    # rows: a line, s^3 reaching 1e-30 (flat at the root), and
+    # (s - 0.5)^3 + 0.125 at its triple root, where Newton's steps shrink
+    # the error by a third each; each row's result is the one it gets alone
     coef = np.array([[0.2, 0.0, 0.125], [0.5, 0.0, 0.75], [0.0, 0.0, -1.5], [0.0, 1.0, 1.0]])
     u = np.array([0.45, 1e-30, 0.125])
     h = np.array([1.0, 1.0, 1.0])
     s = np.array([0.5, 1e-30, 0.125])
     got = dist._cubic_roots(coef, u, h, s.copy())
     c0, c1, c2, c3 = coef
-    assert np.all(np.abs(((c3 * got + c2) * got + c1) * got + c0 - u) <= dist._CDF_TOL)
+    assert np.all(np.abs(((c3 * got + c2) * got + c1) * got + c0 - u) <= dist._ROOT_TOL)
     assert np.all((0.0 <= got) & (got <= h)) and got[0] == 0.5
     for k in range(3):
         assert dist._cubic_roots(coef[:, k:k + 1], u[k:k + 1], h[k:k + 1],
@@ -784,16 +781,15 @@ def test_table_ppf_is_np_interp_of_its_inverse_table(table, u):
 
 
 def test_table_income_rows_build_no_inverse_table():
-    # a tabulated family's rows are sampled through the family's own
-    # inversion, never through their ppf
+    # a tabulated family samples its rows' quantiles directly and keeps only
+    # its knot intervals' slots, never a dense inverse table
     fam = _families()[2][1]
     inst = AuctionInstance((AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
                                       fam, 0.0, 0.5),))
     tables_for(inst)
     estimate_revenue(inst, None, 1000, 0)
-    assert not any("_inverse" in vars(r) for r in fam._rows)
-    assert all(v.size < 8193 for r in fam._rows for v in vars(r).values()
-               if isinstance(v, np.ndarray))
+    arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(v.size < 8193 for v in arrays)
 
 
 def test_sampling_mean_normalization_additive():

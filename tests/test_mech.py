@@ -11,7 +11,9 @@ from scipy.integrate import quad
 import oracles
 import royaltycap as rc
 from conftest import (
+    UNIT_ERR,
     cash_only_agent,
+    rising_gap_agent,
     st_pi_star,
     su_psi,
     table_income_agent,
@@ -238,9 +240,12 @@ def test_families_that_prove_single_crossing_probe_to_exactly_zero(
 
 
 def test_tabulated_families_are_probed():
-    # only a family that declares the proof skips the scan; duck-typed ones
-    # lack the attribute (test_audit_threshold_single_crossing_guard)
-    assert not table_income_agent((1.0, 1.4, 2.0), 0.0).income.ratio_nonincreasing
+    # only a family that declares the proof skips the scan; a tabulated one
+    # declares it where every knot interval's quantile gap D_j is
+    # nonincreasing in u (decided at construction), and duck-typed ones lack
+    # the attribute (test_audit_threshold_single_crossing_guard)
+    assert table_income_agent((1.0, 1.4, 2.0), 0.0).income.ratio_nonincreasing
+    assert not rising_gap_agent(0.0).income.ratio_nonincreasing
     assert not rc.IncomeFamily.ratio_nonincreasing
 
 
@@ -700,14 +705,14 @@ def test_agent_entry_points_answer_no_types_with_an_empty_array(fn, shipped_inst
 
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
 def test_tables_exact_on_kinked_table_family(knots):
-    # the income law has kinks at the row grid points and support jumps at
-    # the type knots; piecewise quadrature reproduces the closed forms on
-    # the whole grid, knots included
+    # the income law is one linear quantile row per type knot; the rows'
+    # antiderivatives reproduce the closed forms on the whole grid, knots
+    # included
     agent = table_income_agent(knots, audit_cost=0.0)
     tables = rc.tables_for(rc.AuctionInstance((agent,)))
     t = tables.agents[0]
-    # pi_star = supp_hi jumps at the middle knot (from 2.4 to 3.0 at 1.4):
-    # the grid brackets it, so both one-sided limits come out exact
+    # pi_star = supp_hi, the grid brackets the knot, and both sides of it
+    # come out exact
     at = np.array([knots[1] - 1e-13, knots[1], knots[1] + 1e-13])
     assert np.max(np.abs(tables.pi_star(0, at) - rc.mech._pi_star_vec(agent, at))) <= 1e-9
     assert np.max(np.abs(t.psi - (1.5 * t.theta - 1.0))) <= 1e-9
@@ -719,15 +724,15 @@ def test_tables_exact_on_kinked_table_family(knots):
 
 
 def test_entry_points_reject_non_single_crossing_family():
-    # with c > 0 the audit surplus of the knots-1/1.5/2 copy dips below zero
-    # at the bottom of the income support and recovers: no entry point may
-    # return numbers for it
-    inst = rc.AuctionInstance((table_income_agent((1.0, 1.5, 2.0), audit_cost=0.2),))
+    # with c > 0 the audit surplus of the rising-gap law is below zero at
+    # the bottom of the income support and above it at the top, for types
+    # in (1.2, 1.73): no entry point may return numbers for it
+    inst = rc.AuctionInstance((rising_gap_agent(0.2, knots=(1.0, 1.5, 2.0)),))
     assert not rc.check_regularity(inst.agents[0]).all_ok
     for call in (lambda: rc.tables_for(inst),
                  lambda: rc.estimate_revenue(inst, n_runs=1000),
-                 lambda: rc.virtual_value(inst.agents[0], 1.2),
-                 lambda: rc.audit_threshold(inst.agents[0], 1.2)):
+                 lambda: rc.virtual_value(inst.agents[0], 1.4),
+                 lambda: rc.audit_threshold(inst.agents[0], 1.4)):
         with pytest.raises(rc.RegularityError):
             call()
 
@@ -917,77 +922,76 @@ def test_tables_do_not_depend_on_the_block_budget(monkeypatch, inst):
                 assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
-def test_table_build_evaluates_a_shared_income_row_once(monkeypatch):
-    # a tabulated family's support is constant on each knot interval, so the
-    # blocks inside one interval share their scan probes and, where pi_star
-    # sits at a support end, their nodes: the family locates one row per
-    # block, not one per type (1.92 M incomes per build without sharing)
-    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
-    located = []
-    pair_cells = rc.TableIncomeFamily._pair_cells
-    monkeypatch.setattr(rc.TableIncomeFamily, "_pair_cells",
-                        lambda self, j, pi: located.append(np.size(pi)) or pair_cells(self, j, pi))
-    counts = []
-    for budget in (1 << 14, 1 << 22):  # 1 << 22: one block spanning the knot 1.4
-        monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", budget)
-        located.clear()
-        rc.mech._agent_curves(agent)
-        counts.append(sum(located))
-    assert counts[0] * 10 < counts[1]
-    # a block shares its row only when every element of every row agrees
-    x = np.tile(np.linspace(1.0, 2.0, 5), (3, 1))
-    assert np.array_equal(rc.mech._shared_row(x), x[:1])
-    x[2, -1] = 3.0
-    assert rc.mech._shared_row(x) is x
+_TABLE_FIELDS = ("psi", "pi_star", "phi_cap", "income_net_royalty", "rent_cum", "win_prob",
+                 "interim_transfer")
 
 
-def test_table_build_takes_dtheta_and_the_cap_once_per_shared_block(monkeypatch):
-    # with c = 0 pi_star is the support top, so every block inside one knot
-    # interval shares one row of Gauss-Legendre nodes: a build evaluates
-    # that row's two row cdfs, its type-free dG/dtheta and its cap once for
-    # all the interval's blocks, and only the block across the knot 1.4 has
-    # a row per type.  The scan's 65 probes are rows of their own, also
-    # evaluated once per knot interval, before the integrals
-    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
-    terms, per_type, caps = [], [], []
-    row_terms, both, nodes = (rc.TableIncomeFamily.row_terms,
-                              rc.TableIncomeFamily.cdf_and_dtheta, rc.dist._region_nodes)
-    monkeypatch.setattr(rc.TableIncomeFamily, "row_terms", lambda self, j, pi: (
-        terms.append((j, pi.tobytes())) or row_terms(self, j, pi)))
-    monkeypatch.setattr(rc.TableIncomeFamily, "cdf_and_dtheta", lambda self, pi, theta: (
-        per_type.append(len(pi)) or both(self, pi, theta)))
-    # each cap sum is taken on the nodes of one call of _region_nodes
-    monkeypatch.setattr(rc.dist, "_region_nodes", lambda rows: (
-        caps.append(len(rows)) or nodes(rows)))
-    types = rc.mech._agent_curves(agent)["theta"].size
-    rows = rc.dist._BLOCK_ELEMENTS // agent.income._region_width()
-    assert types > 80 * rows
-    assert [len(pi) // 8 for _, pi in terms[:2]] == [65, 65]
-    terms = terms[2:]
-    # one evaluation per distinct row of the build: one per knot interval
-    assert [j for j, _ in terms] == [0, 1] and len(set(terms)) == 2
-    assert len(per_type) == 1 and 1 < per_type[0] <= rows
-    assert sorted(caps) == [1, 1, per_type[0]]
+def _uniform_copy(kind, knots, audit_cost, sensitivity):
+    """A tabulated copy, with linear 41-point rows at the type knots, of the
+    additive family theta + U[-1, 1] on U[1, 2] types or of the scaled
+    family theta + (1 - theta) U[-1, 1] on U[0.5, 0.9] types, and the
+    closed-form family itself with the copy's type knots (so that both
+    table grids carry the same marks)."""
+    rows = []
+    for t in knots:
+        half = 1.0 if kind == "additive_error" else 1.0 - t
+        g = np.linspace(t - half, t + half, 41)
+        rows.append((g, (g - g[0]) / (g[-1] - g[0])))
+    types = rc.make_type_dist("uniform", {"lo": knots[0], "hi": knots[-1]})
+    closed = rc.make_income_family(kind, UNIT_ERR)
+    closed.type_knots = np.asarray(knots, dtype=float)
+    copy = rc.make_income_family("table", {"theta_grid": list(knots), "rows": rows})
+    return (rc.AgentSpec(types, copy, audit_cost, sensitivity),
+            rc.AgentSpec(types, closed, audit_cost, sensitivity))
 
 
-def test_table_scan_evaluates_each_intervals_probe_rows_once(monkeypatch):
-    # tab_income's law: the scan's blocks inside one knot interval share one
-    # row of 65 probes, located and evaluated once per interval; only the
-    # block across the knot 1.4 locates probes per type
-    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
-    grid = rc.mech._agent_curves(agent)["theta"]
-    located = []
-    pair_cells = rc.TableIncomeFamily._pair_cells
-    monkeypatch.setattr(rc.TableIncomeFamily, "_pair_cells", lambda self, j, pi: (
-        located.append((int(j), np.size(pi))) or pair_cells(self, j, pi)))
-    rows = rc.dist._BLOCK_ELEMENTS // 65
-    assert grid.size > 30 * rows
-    scan = rc.mech._probe_single_crossing(agent, grid)
-    assert located[0] == (0, 65) and located[-1] == (1, 65)
-    # the block across the knot: its types' own probes, one search per interval
-    across = located[1:-1]
-    assert [j for j, _ in across] == [0, 1] and sum(size for _, size in across) == rows * 65
-    assert np.all(scan <= rc.mech._SLACK)
+def _assert_copy_tables_match(copy, closed):
+    """The copy's tables are the family's within 1e-12, but inside the
+    brackets of their regime kinks (the grid types within 1e-12 (hi - lo)
+    of a kink): at a kink the audit surplus at a support end is zero up to
+    rounding, and the copy's -G_theta/g, 1 or (1 - pi)/(1 - theta) up to
+    about 1e-15, may take another regime there, or two kinks a few ulps
+    apart, so the grids' brackets differ by ulps across a jump.  The rents
+    integrate across the brackets within the tolerance."""
+    got, want = (rc.tables_for(rc.AuctionInstance((a,))).agents[0] for a in (copy, closed))
+    kinks = np.array(rc.mech._threshold_kinks(copy) + rc.mech._threshold_kinks(closed))
+    bracket = 1.1e-12 * (got.theta[-1] - got.theta[0])
+    keep = np.all(np.abs(got.theta[:, None] - kinks) > bracket, axis=1)
+    for name in _TABLE_FIELDS:
+        gap = np.max(np.abs(getattr(got, name)
+                            - np.interp(got.theta, want.theta, getattr(want, name)))[keep])
+        assert gap <= 1e-12, (name, gap)
+
+
+@pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0),
+                                   (1.0, 1.25, 1.5, 1.75, 2.0)])
+@pytest.mark.parametrize("audit_cost", [1e-6, 1e-3, 0.05, 0.2])
+def test_tabulated_copies_build_at_a_positive_audit_cost(knots, audit_cost):
+    # every one of these builds raised "not single-crossing in income" while
+    # the family mixed its rows' cdfs; as quantiles the rows are the
+    # additive family, whose tables the copy's match
+    _assert_copy_tables_match(*_uniform_copy("additive_error", knots, audit_cost, 0.5))
+
+
+@given(kind=st.sampled_from(["additive_error", "scaled_error"]),
+       inner=st.lists(st.integers(1, 39), unique=True, max_size=3),
+       c=st.floats(0.0, 0.5, exclude_max=True), phi=st.sampled_from([0.5, 1.0]))
+@settings(max_examples=20, deadline=None)
+def test_tabulated_uniform_copies_have_the_family_tables(kind, inner, c, phi):
+    # c < 0.5: at c = phi = 0.5 the additive family's regime changes at the
+    # lowest type itself, which the table grid does not bracket, so a
+    # rounding-level difference there moves every rent by O(h)
+    lo, hi = (1.0, 2.0) if kind == "additive_error" else (0.5, 0.9)
+    knots = [lo] + sorted(lo + k * (hi - lo) / 40 for k in inner) + [hi]
+    _assert_copy_tables_match(*_uniform_copy(kind, knots, c, phi))
+
+
+def test_tabulated_copy_revenue_matches_the_payoff_bound():
+    # Monte Carlo on the c = 0.2 copy of uniform_additive against its
+    # analytic revenue
+    inst = rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), 0.2),))
+    rep = rc.estimate_revenue(inst, None, 100_000, 3)
+    assert abs(rep.revenue_net_audits - rc.payoff_bound(inst)) <= 4 * rep.revenue_se
 
 
 @st.composite
@@ -1018,15 +1022,15 @@ def _mixed_table_agents(draw):
 @given(agent=_mixed_table_agents(), n=st.integers(20, 300), rows=st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_shared_probe_rows_scan_bit_for_bit(agent, n, rows):
-    # the scan that keeps each knot interval's probe rows for its blocks
-    # equals the surplus evaluated at every type's own probes, bit for bit,
-    # in blocks of ``rows`` types, some of which straddle an inner knot
+    # the scan in blocks of ``rows`` types, some of which straddle an inner
+    # knot, equals the surplus evaluated at every type's own probes at
+    # once, bit for bit
     knots = agent.income.type_knots
     thetas = np.sort(np.concatenate([np.linspace(1.0, 2.0, n), knots,
                                      np.nextafter(knots, 0.0)]))
 
     def straddles(thetas):
-        j = agent.income.locate_types(thetas).j
+        j = np.clip(np.searchsorted(knots, thetas, side="right") - 1, 0, knots.size - 2)
         return any(np.ptp(j[k:k + rows]) > 0 for k in range(0, j.size, rows))
 
     if knots.size > 2 and rows > 1 and not straddles(thetas):
@@ -1038,7 +1042,7 @@ def test_shared_probe_rows_scan_bit_for_bit(agent, n, rows):
     ends = np.column_stack([t.lo + nu * (t.hi - t.lo), t.hi - nu * (t.hi - t.lo)])
     probe = np.linspace(ends[:, 0], ends[:, 1], 65, axis=1)
     with np.errstate(invalid="ignore"):
-        surplus = rc.mech._audit_surplus(agent, t.at[:, None], probe, t.ih[:, None])
+        surplus = rc.mech._audit_surplus(agent, t.theta[:, None], probe, t.ih[:, None])
     want = rc.mech._worst_single_crossing(surplus, axis=1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rc.dist, "_BLOCK_ELEMENTS", 65 * rows)
@@ -1222,9 +1226,8 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
     assert "g2_over_g" not in verify_src and "maximum.accumulate" not in verify_src
     # _edge_pays alone decides whether auditing pays at a support end: the
     # regime kinks and the menu cutoff read it, and the only other surplus
-    # sites are the threshold's bisection, the scan's probes, check and the
-    # endogenous virtual value (a nested helper counts as its enclosing
-    # top-level function)
+    # sites are the threshold's bisection, the scan's probes and check (a
+    # nested helper counts as its enclosing top-level function)
     surplus_callers, calls_of = set(), {}
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -1234,11 +1237,26 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
                 if "_audit_surplus" in calls_of[node.name]:
                     surplus_callers.add(node.name)
     assert surplus_callers == {"_edge_pays", "_pi_star_vec", "_probe_single_crossing",
-                               "check_regularity", "endogenous_virtual"}
+                               "check_regularity"}
     assert "_edge_pays" in calls_of["_threshold_kinks"] & calls_of["menu_cutoffs"]
     # no stand-in surplus for a diverging inverse hazard
     mech_tree = ast.parse((src / "mech.py").read_text(encoding="utf-8"))
     assert all(getattr(node, "value", None) != 1e30 for node in ast.walk(mech_tree))
+    # audit_region is the only income integral: no module defines or calls
+    # a family's breakpoints, and verify integrates no rule of its own
+    breakpoints = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "breakpoints":
+                breakpoints.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) == "breakpoints":
+                breakpoints.add(f"{path.stem} calls breakpoints")
+    assert breakpoints == set()
+    verify_tree = ast.parse((src / "verify.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(verify_tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    assert not imported & {"_gl_segments", "_GL2"}
 
 
 def test_allocation_and_settlement_rules_have_one_home():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import royaltycap as rc
-from conftest import table_income_agent, tent_error_inst
+from conftest import rising_gap_agent, table_income_agent, tent_error_inst
 from royaltycap import verify
 from royaltycap.cli import main
 from royaltycap.errors import DomainError
@@ -44,7 +44,6 @@ def test_regularity_flags_oscillating_surplus(ua_agent):
         def dcdf_dtheta(self, pi, th): return -self.pdf(pi, th)
         def g2_over_g(self, pi, th): return -(1.0 + 0.9 * np.sin(8 * np.asarray(pi)))
         def ppf(self, u, th): return np.asarray(th) - 1 + 2 * np.asarray(u)
-        def breakpoints(self, th): return np.asarray(th)[:, None] + np.array([-1.0, 1.0])
         def audit_region(self, th, b):
             z = np.clip(np.asarray(b) - th, -1.0, 1.0)
             return (z + 1) / 2, (z + 1) / 2, (z + 1) - (z + 1) ** 2 / 4
@@ -57,8 +56,8 @@ def test_regularity_flags_oscillating_surplus(ua_agent):
 
 @pytest.mark.parametrize("grid", [64, 128])
 def test_regularity_exact_on_tabulated_income(grid):
-    # knots 1, 1.4, 2: the mixture has kinks at every row grid point and
-    # support jumps at the knots; the normalization integral is split there
+    # knots 1, 1.4, 2: the law kinks in the type at 1.4; the normalization
+    # integral is the rows' quartic antiderivatives at u = 1
     rep = rc.check_regularity(table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0), grid, grid)
     assert rep.normalization_ok, rep.worst["normalization"]
     assert rep.worst["normalization"]["magnitude"] <= 1e-12
@@ -70,16 +69,18 @@ def test_regularity_grid_precondition(ua_agent):
         rc.check_regularity(ua_agent, 16, 64)
 
 
-@pytest.mark.parametrize("knots,theta", [((1.0, 1.4, 2.0), 1.0154), ((1.0, 1.5, 2.0), 1.4923)])
-def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, theta):
-    # with c = 0.01 the audit surplus dips below zero and recovers inside
-    # every type's income support, in a band that a masked 64 x 64 income
-    # grid misses (it read magnitude 0 while the table build raised)
-    agent = table_income_agent(knots, audit_cost=0.01)
+@pytest.mark.parametrize("knots,audit_cost,theta", [((1.0, 1.4, 2.0), 0.01, 1.9692),
+                                                     ((1.0, 1.5, 2.0), 0.2, 1.2154)])
+def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, audit_cost, theta):
+    # the audit surplus (0.5 + u) (2 - theta) phi - c rises in income: it
+    # is below zero at the bottom of the income support and above it at the
+    # top for the types in (2 - 2c / phi, 2 - 2c / (3 phi)); check reports
+    # the build's own scan at its grid types, and every entry point raises
+    agent = rising_gap_agent(audit_cost, knots=knots)
     rep = rc.check_regularity(agent)
     assert not rep.single_crossing_pi_ok and not rep.all_ok
     assert rep.worst["single_crossing_pi"]["theta"] == pytest.approx(theta, abs=1e-4)
-    assert rep.worst["single_crossing_pi"]["magnitude"] > 10
+    assert rep.worst["single_crossing_pi"]["magnitude"] > audit_cost
     inst = rc.AuctionInstance((agent,))
     for call in (lambda: rc.tables_for(inst),
                  lambda: rc.payoff_bound(inst),
@@ -97,7 +98,7 @@ def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, theta):
 def test_check_runs_the_single_crossing_scan_once(monkeypatch, audit_cost):
     # the virtual-value step reads the single-crossing step's scan: one
     # probe per check, and where the scan fails, the kernels' own error
-    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost)
+    agent = rising_gap_agent(audit_cost)
     calls = []
     probe = rc.mech._probe_single_crossing
     monkeypatch.setattr(rc.mech, "_probe_single_crossing",
@@ -114,10 +115,15 @@ def test_check_runs_the_single_crossing_scan_once(monkeypatch, audit_cost):
 
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])
 def test_instance_entry_points_refuse_what_the_table_build_refuses(knots):
-    # with c = 1e-12 the virtual value dips at the knot and the build raises;
-    # allocation and best_response_income used to price such an instance by
-    # the scalar kernel regardless
-    inst = rc.AuctionInstance((table_income_agent(knots, audit_cost=1e-12),))
+    # a tabulated income copy over a tabulated type law whose density drops
+    # from about 1.1 to 0.2 on [1.45, 1.55]: (1 - F)/f jumps there, so the
+    # virtual value dips and the build raises; allocation and
+    # best_response_income used to price such an instance by the scalar
+    # kernel regardless
+    types = rc.make_type_dist("table", {"grid": [1.0, 1.45, 1.55, 2.0],
+                                        "cdf": [0.0, 0.49, 0.51, 1.0]})
+    inst = rc.AuctionInstance((replace(table_income_agent(knots, audit_cost=1e-12),
+                                       types=types),))
     with pytest.raises(rc.RegularityError, match="not increasing on the table grid"):
         rc.tables_for(inst)
     for call in (lambda: rc.allocation(inst, [1.8]),
@@ -131,11 +137,11 @@ def test_instance_entry_points_refuse_what_the_table_build_refuses(knots):
 
 @given(inner=st.lists(st.integers(1, 39), unique=True, max_size=2),
        c=st.floats(0.0, 0.3), phi=st.sampled_from([0.5, 1.0]))
-@example(inner=[16], c=0.01, phi=0.5).via("the knots-1/1.4/2 copy")
-@example(inner=[20], c=0.0, phi=0.5).via("the knots-1/1.5/2 copy, free audits")
+@example(inner=[16], c=0.01, phi=0.5).via("knots 1/1.4/2, a band of types near the top")
+@example(inner=[20], c=0.0, phi=0.5).via("knots 1/1.5/2, free audits")
 @settings(max_examples=25, deadline=None)
 def test_check_single_crossing_iff_the_build_scan_raises(inner, c, phi):
-    agent = table_income_agent((1.0, *sorted(1.0 + k / 40 for k in inner), 2.0), c, phi)
+    agent = rising_gap_agent(c, phi, (1.0, *sorted(1.0 + k / 40 for k in inner), 2.0))
     rep = rc.check_regularity(agent, 32, 32)
     try:
         rc.mech._pi_star_vec(agent, np.linspace(1.0, 2.0, 34)[1:-1])  # check's types
@@ -214,8 +220,8 @@ def test_type_best_response_multi_agent(pair_inst):
 
 
 def test_type_best_response_on_tabulated_income():
-    # the expected payment is integrated piecewise between the income law's
-    # breakpoints, so the kinked family raises no false IC or IR alarm
+    # the expected payment is integrated exactly from the family's audit
+    # region, so the tabulated family raises no false IC or IR alarm
     inst = rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))
     for th in (1.2, 1.5):
         for strat in ("truthful_projection", "grid_best"):
@@ -393,29 +399,29 @@ def test_double_deviation_is_integrated_exactly_across_its_switch():
     assert abs(pay[0] - 0.62) <= 1e-15
 
 
-def test_best_responses_evaluate_the_density_twice_per_piece(monkeypatch):
-    # a deterministic cost guard: on the tabulated income law (41-point
-    # rows, so dozens of breakpoints per type) one call evaluates the
-    # density at no more than 2 x (cut columns - 1) incomes per row, the
-    # exact 2-point rule on every piece (32 incomes per piece before)
-    agent = TABLE_INCOME_INST.agents[0]
-    rc.tables_for(TABLE_INCOME_INST)
-    nodes, bound = [], []
-    pdf, payments = agent.income.pdf, verify._expected_payments
-
-    def counted_pdf(pis, theta):
-        nodes.append(np.size(pis))
-        return pdf(pis, theta)
-
-    def counted_payments(agent, theta_true, reports, caps, income):
-        n_bp = agent.income.breakpoints(np.array([agent.types.lo])).shape[1]
-        bound.append(reports.size * 2 * (5 + (income is not None) + n_bp - 1))
-        return payments(agent, theta_true, reports, caps, income)
-
-    monkeypatch.setattr(agent.income, "pdf", counted_pdf)
-    monkeypatch.setattr(verify, "_expected_payments", counted_payments)
-    rc.best_responses(TABLE_INCOME_INST, 0, rc.mech._interior_grid(agent.types, 16), 128)
-    assert len(bound) == 2 and 0 < sum(nodes) <= sum(bound)
+@pytest.mark.parametrize("name", ["tab_income", "mixed_pair"])
+def test_best_responses_read_the_income_law_once_per_payment_pass(monkeypatch, name):
+    # a deterministic cost guard: each payment pass (one per income strategy)
+    # reads the true income law once, through audit_region at no more than
+    # six cuts per (true type, report) row, and never evaluates its density
+    inst = TABLE_INCOME_INST if name == "tab_income" else mixed_pair()
+    rc.tables_for(inst)
+    sizes, payments = [], []
+    expected = verify._expected_payments
+    monkeypatch.setattr(verify, "_expected_payments", lambda agent, th, reports, *rest: (
+        payments.append(reports.size) or expected(agent, th, reports, *rest)))
+    for i, agent in enumerate(inst.agents):
+        sizes.clear()
+        payments.clear()
+        region = agent.income.audit_region
+        monkeypatch.setattr(agent.income, "audit_region", lambda th, b, region=region: (
+            sizes.append(np.size(th)) or region(th, b)))
+        monkeypatch.setattr(agent.income, "pdf", None)
+        rc.best_responses(inst, i, rc.mech._interior_grid(agent.types, 16), 128)
+        rc.best_response_type(inst, i, agent.types.lo + 0.4 * (agent.types.hi - agent.types.lo),
+                              128, "grid_best")
+        assert len(sizes) == len(payments) == 4
+        assert all(0 < n <= 6 * rows for n, rows in zip(sizes, payments))
 
 
 def test_best_responses_build_the_income_report_side_once(monkeypatch, pair_inst):
@@ -473,27 +479,6 @@ def test_top_type_of_scaled_error_agent_has_no_deviation_gain(shipped_instances,
     for strat in ("truthful_projection", "grid_best"):
         r = rc.best_response_type(inst, i, inst.agents[i].types.hi, 128, strat)
         assert r.advantage <= 1e-6 and r.ir_ok, r.to_dict()
-
-
-def test_type_best_response_evaluates_density_once_per_payment_pass(monkeypatch):
-    # a deterministic cost guard: one income.pdf call for every winning
-    # report's payment and one for the on-path payment, each a single
-    # ``_expected_payments`` pass (one call per report, about 130, before
-    # batching)
-    inst = mixed_pair()
-    rc.tables_for(inst)
-    for i, th in ((0, 1.4), (1, 0.8)):
-        income = inst.agents[i].income
-        calls = []
-        pdf = income.pdf
-
-        def counted(*args):
-            calls.append(1)
-            return pdf(*args)
-
-        monkeypatch.setattr(income, "pdf", counted)
-        rc.best_response_type(inst, i, th, 128, "grid_best")
-        assert len(calls) == 2
 
 
 def test_income_deviations_and_crossing_evaluate_each_report_once(monkeypatch, pair_inst,

@@ -19,9 +19,14 @@ largest absolute move of its numbers.  The digests cover:
   each call's exit code;
 * the CLI ``check``, ``solve`` and ``verify-ic`` artifacts of the
   benchmark's tabulated instances ``tab_error`` and ``tab_income``, from the
-  documents that ``perfbench/workloads.py`` builds (``verify-ic`` there
-  takes the kinked families' piecewise income law, one true type per
-  row);
+  documents that ``perfbench/workloads.py`` builds;
+* the CLI ``check`` artifacts of two variants of ``tab_income``:
+  ``tab_income_c0.2``, its audit cost raised to 0.2 (a copy of
+  ``uniform_additive``, so it runs the tabulated law with an audit cost),
+  and ``tab_rising_gap``, the linear quantile rows Q(u) = 2u at type 1 and
+  0.5 + 3u at type 2 at c = 0.2, whose audit surplus is not single-crossing
+  in income (``check`` exits 1), and the library digests below of the
+  first;
 * per instance, every ``AgentTables`` array, each agent's single-crossing
   scan ``mech._single_crossing_scan`` on its table grid (0.0 unprobed on
   the closed-form families) and the probes ``mech._probe_single_crossing``
@@ -48,8 +53,8 @@ takes an instance, so that a change shows how far each one moves:
   interior types, the config's type grid): per income strategy, the truthful
   utility, the best-deviation utility and the advantage at every type, and
   the largest income-report gain (``income_advantage``) at every type;
-* the regime-change types ``mech._threshold_kinks`` (the table grid's
-  breakpoints) of every agent of the shipped configs and tabulated
+* the regime-change types ``mech._threshold_kinks`` (marked on the table
+  grid) of every agent of the shipped configs and tabulated
   instances, and of the swept agent at each value of a ``sweep`` section;
 * per agent of the shipped configs and tabulated instances, the kernel
   entry points ``audit_threshold``, ``virtual_value``, ``phi_cap`` and
@@ -62,7 +67,7 @@ takes an instance, so that a change shows how far each one moves:
   u = 0, 1 and interior values, including both sides of 0 and 1 by one
   float: on ``tab_error`` (a ``table`` error law, inverted on its dense
   table) at the type support's ends and midpoint, and on ``tab_income`` (a
-  ``TableIncomeFamily``, inverted cell by cell) at its type knots, where
+  ``TableIncomeFamily``, whose rows are quantiles) at its type knots, where
   the weight on the next row is 0 (or 1 at the top knot), and between
   them.
 """
@@ -82,6 +87,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
@@ -101,6 +107,19 @@ CROSSING_PAIRS = ((0.6, 0.7), (0.75, 0.8), (0.75, 0.75))
 KERNEL_TYPES = 9
 QUANTILES = (0.0, 5e-324, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-12,
              float(np.nextafter(1.0, 0.0)), 1.0)
+
+
+def _tabulated_variants(tab_income: str) -> dict:
+    """The documents of ``tab_income`` at audit cost 0.2 and of the
+    rising-gap instance, by name."""
+    copy = yaml.safe_load(tab_income)
+    copy["name"] = "tab_income_c0.2"
+    copy["agents"][0]["audit_cost"] = 0.2
+    rising = yaml.safe_load(yaml.safe_dump(copy))
+    rising["name"] = "tab_rising_gap"
+    rising["agents"][0]["income"] = {"family": "table", "theta_grid": [1.0, 2.0],
+                                     "rows": [[[0.0, 2.0], [0.0, 1.0]], [[0.5, 3.5], [0.0, 1.0]]]}
+    return {doc["name"]: yaml.safe_dump(doc, sort_keys=False) for doc in (copy, rising)}
 
 
 def _sha(data: bytes) -> str:
@@ -328,6 +347,13 @@ def main(argv=()) -> int:
             _kink_values(out, cfg.name, cfg.text)
             _kernel_values(out, cfg.name, cfg.text)
             _quantile_values(out, cfg.name, cfg.text)
+            if cfg.name == "tab_income":
+                for name, text in _tabulated_variants(cfg.text).items():
+                    config = workdir / f"{name}.yaml"
+                    config.write_text(text, encoding="utf-8")
+                    _cli_digests(out, name, config, ("check",), workdir)
+                    if name == "tab_income_c0.2":
+                        _library_digests(out, name, text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
