@@ -970,16 +970,23 @@ class TableIncomeFamily(IncomeFamily):
         out += w * pair[1]
         return out
 
-    def _rows_at(self, k, s):
-        """Both rows' quantiles at offset s from the slots k."""
-        return _cubic_at(self._cubic.take(k, axis=-1).swapaxes(0, 1), s)
+    def _quantile(self, start, u, w):
+        """Q(u | theta) at u in [0, 1], in the blocks from ``start``, at the
+        weights w."""
+        k = self._slot(start, u)
+        return self._mix(_cubic_at(self._cubic.take(k, axis=-1).swapaxes(0, 1), u - self._u[k]), w)
+
+    def _search(self, k, value, target):
+        """The last slot, in the blocks from the slots k (updated in place),
+        whose ``value(slot)`` is at most ``target``: integer bisection."""
+        for step in self._steps:
+            k += step * (value(k + step) <= target)
+        return k
 
     def _slot(self, start, u):
         """The slot, in the blocks from ``start``, whose cell holds each u in
-        [0, 1]: integer bisection on the blocks' u, and the last slot at 1."""
-        k = np.broadcast_to(start, np.shape(u)).copy()
-        for step in self._steps:
-            k += step * (self._u[k + step] <= u)
+        [0, 1]: bisection on the blocks' u, and the last slot at 1."""
+        k = self._search(np.broadcast_to(start, np.shape(u)).copy(), self._u.take, u)
         return np.where(u < 1.0, k, start + self._width - 1)
 
     def _ends(self, theta):
@@ -1015,11 +1022,9 @@ class TableIncomeFamily(IncomeFamily):
         s = np.where(np.isnan(pi), np.nan, 0.0)
         inner = np.flatnonzero((pi > lo) & (pi < hi))
         if inner.size:
-            p, kk, ww = pi[inner], start[inner], w[inner]
-            lo_row, hi_row, one_w = self._values[0], self._values[1], 1.0 - ww
-            for step in self._steps:
-                at = kk + step
-                kk += step * (lo_row[at] * one_w + ww * hi_row[at] <= p)
+            p, ww = pi[inner], w[inner]
+            kk = self._search(start[inner],
+                              lambda at: self._mix(self._values.take(at, axis=-1), ww), p)
             coef = self._mix(self._cubic.take(kk, axis=-1), ww)
             h = self._u[kk + 1] - self._u[kk]
             right = self._mix(self._values.take(kk + 1, axis=-1), ww)
@@ -1074,8 +1079,7 @@ class TableIncomeFamily(IncomeFamily):
             return self._gap_at(k, u - self._u[k]) >= level
 
         u = _bisect(above, np.zeros(np.shape(start)), np.ones(np.shape(start)), 64)
-        k = self._slot(start, u)
-        return self._mix(self._rows_at(k, u - self._u[k]), w)
+        return self._quantile(start, u, w)
 
     def ppf(self, u, theta):
         u = np.asarray(u, dtype=float)
@@ -1084,9 +1088,8 @@ class TableIncomeFamily(IncomeFamily):
         u, w, start, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (u, w, start, lo, hi))
         q, ok = _quantile_domain(u)
         q = np.where(ok, q, 0.0)
-        k = self._slot(start, q)
         # the cubic may round an ulp beyond the support near its ends
-        out = np.clip(self._mix(self._rows_at(k, q - self._u[k]), w), lo, hi)
+        out = np.clip(self._quantile(start, q, w), lo, hi)
         out[~ok] = np.nan
         return _shaped(out, shape)
 

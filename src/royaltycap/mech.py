@@ -396,17 +396,19 @@ def _threshold_kinks(agent: AgentSpec) -> list:
     """Types at which the audit region changes regime (the threshold leaves
     a support end), marked on the type grid of the tables: changes of
     ``_edge_pays`` at either end on a 513-point type grid, refined by
-    bisecting all brackets at once.  The grid stops one float below the top
-    type, whose answer is a convention; the tables interpolate below it."""
+    bisecting all brackets at once.  The grid starts at the tables' lowest
+    type (``_psi_floor``) and stops one float below the top type, whose
+    answer is a convention; the tables interpolate below it."""
     lo, hi = agent.types.lo, agent.types.hi
     grid = np.linspace(lo + 1e-7 * (hi - lo), np.nextafter(hi, lo), 513)
+    grid = np.insert(grid, 0, _psi_floor(agent))   # at most lo + _NU (hi - lo)
     pays = _edge_pays(agent, grid)
     end, k = np.nonzero(np.diff(pays, axis=1))
     if k.size == 0:
         return []
     kinks = _bisect(lambda t: np.choose(end, _edge_pays(agent, t)) == pays[end, k],
                     grid[k], grid[k + 1], 64)
-    return sorted({k for k in kinks.tolist() if lo < k < hi})
+    return sorted({k for k in kinks.tolist() if grid[0] <= k < hi})
 
 
 def expected_income_net_royalty(agent: AgentSpec, theta):
@@ -643,10 +645,6 @@ class _Types:
         ih = np.asarray(inverse_hazard(agent.types, theta), dtype=float)
         return _Types(theta, ih, *_income_bounds(agent, theta))
 
-    @property
-    def size(self) -> int:
-        return self.theta.size
-
     def __len__(self) -> int:
         return len(self.theta)
 
@@ -665,7 +663,7 @@ def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     the probes and ``_probe_single_crossing`` reads exactly 0.0 too.  Other
     families, tabulated or lacking the attribute, are probed."""
     if getattr(agent.income, "ratio_nonincreasing", False):
-        return np.zeros(np.size(thetas))
+        return np.zeros(len(thetas))
     return _probe_single_crossing(agent, thetas)
 
 

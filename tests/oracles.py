@@ -473,11 +473,14 @@ class TableFamilyRows:
         w = float(np.clip((t - self.tg[j]) / (self.tg[j + 1] - self.tg[j]), 0.0, 1.0))
         return j, w, self.rows[j], self.rows[j + 1]
 
+    def _row(self, j, u):
+        """Q_j(u), its top its table's at u = 1."""
+        return self.tops[j] if u >= 1.0 else float(self.rows[j](u))
+
     def quantile(self, u, t):
-        """(1 - w) Q_j(u) + w Q_{j+1}(u), each row's top its table's at u = 1."""
-        j, w, lo, hi = self._at(t)
-        a, b = (self.tops[j], self.tops[j + 1]) if u >= 1.0 else (float(lo(u)), float(hi(u)))
-        return (1.0 - w) * a + w * b
+        """(1 - w) Q_j(u) + w Q_{j+1}(u)."""
+        j, w, _, _ = self._at(t)
+        return (1.0 - w) * self._row(j, u) + w * self._row(j + 1, u)
 
     def knots(self, t):
         _, _, lo, hi = self._at(t)
@@ -501,7 +504,7 @@ class TableFamilyRows:
             j, w, lo, hi = self._at(t)
             u = self.cdf(p, t)
             slope = (1.0 - w) * float(lo(u, 1)) + w * float(hi(u, 1))
-            gap = (float(hi(u)) - float(lo(u))) / (self.tg[j + 1] - self.tg[j])
+            gap = (self._row(j + 1, u) - self._row(j, u)) / (self.tg[j + 1] - self.tg[j])
             inside = self.quantile(0.0, t) <= p <= self.quantile(1.0, t)
             out["cdf"].append(u)
             out["pdf"].append(1.0 / slope if inside else 0.0)

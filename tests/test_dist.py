@@ -412,7 +412,7 @@ def test_scaled_threshold_formula_matches_the_bisection(shipped_instances, name,
     t = mech._Types.of(agent, tables_for(shipped_instances[name]).agents[i].theta)
     at_lo, at_hi = mech._edge_pays(agent, t)
     tk = t[np.flatnonzero(at_lo & ~at_hi)]
-    assert tk.size > 1000
+    assert len(tk) > 1000
     bisected = dist._bisect(lambda m: mech._audit_surplus(agent, tk.theta, m, tk.ih) >= 0,
                             tk.lo, tk.hi, 64)
     assert np.all(np.abs(mech._pi_star_vec(agent, tk) - bisected)
@@ -503,31 +503,65 @@ def _additive_table_families(draw):
     return knots, rows
 
 
-@given(table=_additive_table_families(), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_table_family_matches_row_by_row_oracle(table, data):
-    # against scipy's PCHIP quantiles, mixed, and brentq on the mixture:
-    # the quantile and G to 1e-14, and the pdf, dG/dtheta and their ratio
-    # (about 1/2, -1/2 and -1 on these rows) to 1e-12
+def _table_points(table, data):
+    """A family from ``table``, its oracle, and a (type, income) grid: the
+    type knots and up to 4 drawn types by every row income, the midpoints
+    between them, their neighbouring floats and two incomes off the
+    supports."""
     knots, rows = table
     fam = make_income_family("table", {"theta_grid": knots, "rows": rows})
-    ref = oracles.TableFamilyRows(knots, rows)
     grids = np.unique(np.concatenate([g for g, _ in rows]))
     pis = np.concatenate([grids, 0.5 * (grids[1:] + grids[:-1]), np.nextafter(grids, -np.inf),
                           np.nextafter(grids, np.inf), [-1.0, 4.0]])
     thetas = np.concatenate([knots, data.draw(st.lists(st.floats(1.0, 2.0), max_size=4))])
-    p2, t2 = np.broadcast_arrays(pis[None, :], thetas[:, None])
-    want = ref.values(p2.ravel(), t2.ravel())
+    return fam, oracles.TableFamilyRows(knots, rows), pis, thetas
+
+
+@given(table=_additive_table_families(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_family_matches_row_by_row_oracle(table, data):
+    # bit for bit, what the family computes without a root search: each
+    # type's support ends; G, g, dG/dtheta and -D off the support; and at
+    # each type knot Q at the row's cdf column, which is the row's incomes.
+    # Each point alone, the flat and the broadcast layout agree, and
+    # cdf_and_dtheta is cdf and dcdf_dtheta
+    knots, rows = table
+    fam, ref, pis, thetas = _table_points(table, data)
+    assert np.array_equal(fam.supp_lo(thetas), [ref.quantile(0.0, t) for t in thetas])
+    assert np.array_equal(fam.supp_hi(thetas), [ref.quantile(1.0, t) for t in thetas])
+    p2, t2 = (x.ravel() for x in np.broadcast_arrays(pis[None, :], thetas[:, None]))
+    outside = (p2 < fam.supp_lo(t2)) | (p2 > fam.supp_hi(t2))
+    want = ref.values(p2[outside], t2[outside])
     for name, values in want.items():
-        tol = 1e-14 if name == "cdf" else 1e-12
         method = getattr(fam, name)
-        got = method(p2.ravel(), t2.ravel())
-        assert np.max(np.abs(got - values)) <= tol, name
+        got = method(p2, t2)
+        assert np.array_equal(got[outside], values), name
         assert np.array_equal(method(pis[None, :], thetas[:, None]).ravel(), got), name
-        assert method(float(pis[3]), float(thetas[-1])) == got[-pis.size + 3], name
-    g, g2 = fam.cdf_and_dtheta(p2.ravel(), t2.ravel())
-    assert np.array_equal(g, fam.cdf(p2.ravel(), t2.ravel()))
-    assert np.array_equal(g2, fam.dcdf_dtheta(p2.ravel(), t2.ravel()))
+        alone = [method(float(p), float(thetas[-1])) for p in pis]
+        assert np.array_equal(alone, got[-pis.size:]), name
+    g, g2 = fam.cdf_and_dtheta(p2, t2)
+    assert np.array_equal(g, fam.cdf(p2, t2)) and np.array_equal(g2, fam.dcdf_dtheta(p2, t2))
+    for t, (incomes, cdf) in zip(knots, rows):
+        assert np.array_equal(fam.ppf(cdf, np.full(cdf.size, t)), incomes)
+
+
+@given(table=_additive_table_families(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_family_matches_the_quantile_oracle(table, data):
+    # against scipy's PCHIP quantiles, mixed, and brentq on the mixture: a
+    # root found two ways agrees to rounding, not bit for bit, so the
+    # quantile and G to 1e-14, and the pdf, dG/dtheta and their ratio
+    # (about 1/2, -1/2 and -1 on these rows) to 1e-12; at each type knot G
+    # at the row's incomes is its cdf column to 1e-14 (not bit for bit where
+    # two rows' u-knots lie ulps apart)
+    knots, rows = table
+    fam, ref, pis, thetas = _table_points(table, data)
+    for t, (incomes, cdf) in zip(knots, rows):
+        assert np.max(np.abs(fam.cdf(incomes, t) - cdf)) <= 1e-14
+    p2, t2 = (x.ravel() for x in np.broadcast_arrays(pis[None, :], thetas[:, None]))
+    for name, values in ref.values(p2, t2).items():
+        tol = 1e-14 if name == "cdf" else 1e-12
+        assert np.max(np.abs(getattr(fam, name)(p2, t2) - values)) <= tol, name
     u = np.linspace(0.0, 1.0, 33)
     for t in thetas:
         want = [ref.quantile(x, t) for x in u]
@@ -598,7 +632,7 @@ def test_table_ratio_crossing_matches_the_surplus_bisection(shipped_instances):
     t = mech._Types.of(copy, np.linspace(0.5, 0.9, 401))
     at_lo, at_hi = mech._edge_pays(copy, t)
     tk = t[np.flatnonzero(at_lo & ~at_hi)]
-    assert tk.size > 100
+    assert len(tk) > 100
     bisected = dist._bisect(lambda m: mech._audit_surplus(copy, tk.theta, m, tk.ih) >= 0,
                             tk.lo, tk.hi, 64)
     assert np.max(np.abs(mech._pi_star_vec(copy, tk) - bisected)) <= 1e-12

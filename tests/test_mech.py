@@ -946,20 +946,29 @@ def _uniform_copy(kind, knots, audit_cost, sensitivity):
 
 
 def _assert_copy_tables_match(copy, closed):
-    """The copy's tables are the family's within 1e-12, but inside the
-    brackets of their regime kinks (the grid types within 1e-12 (hi - lo)
-    of a kink): at a kink the audit surplus at a support end is zero up to
-    rounding, and the copy's -G_theta/g, 1 or (1 - pi)/(1 - theta) up to
-    about 1e-15, may take another regime there, or two kinks a few ulps
-    apart, so the grids' brackets differ by ulps across a jump.  The rents
-    integrate across the brackets within the tolerance."""
-    got, want = (rc.tables_for(rc.AuctionInstance((a,))).agents[0] for a in (copy, closed))
+    """The copy's tables are the family's, evaluated on the copy's type
+    grid, within 1e-12, at every type where both agents put the audit
+    region in the same regime (``_edge_pays`` at both support ends).  They
+    may differ in regime only at a regime kink, where the audit surplus at
+    a support end is zero up to rounding and the copy's -G_theta/g, 1 or
+    (1 - pi)/(1 - theta) up to about 1e-15, decides it: within 1e-9
+    (hi - lo) of a kink of either agent (the two agents' kinks lie 3e-11
+    apart where the surplus is flattest, near the top type at c = 1e-12).
+    The grid brackets every kink within 1e-12 (hi - lo), so the rents
+    integrate across such a type within the tolerance."""
+    got = rc.tables_for(rc.AuctionInstance((copy,))).agents[0]
+    theta = got.theta
+    psi_m, psi, pi_star, cap, e_net = rc.mech._mech_curves(closed, theta)
+    want = dict(theta=theta, psi=np.maximum.accumulate(psi), pi_star=pi_star, phi_cap=cap,
+                income_net_royalty=e_net, rent_cum=rc.mech._cum_trapezoid(1.0 - cap, theta))
+    want.update(rc.mech._interim_curves(rc.AuctionInstance((closed,)), 0, [want]))
+    tie = np.any(rc.mech._edge_pays(copy, theta) != rc.mech._edge_pays(closed, theta), axis=0)
     kinks = np.array(rc.mech._threshold_kinks(copy) + rc.mech._threshold_kinks(closed))
-    bracket = 1.1e-12 * (got.theta[-1] - got.theta[0])
-    keep = np.all(np.abs(got.theta[:, None] - kinks) > bracket, axis=1)
+    w = theta[-1] - theta[0]
+    assert np.all(np.min(np.abs(theta[tie, None] - kinks), axis=1, initial=np.inf)
+                  <= 1e-9 * w), theta[tie]
     for name in _TABLE_FIELDS:
-        gap = np.max(np.abs(getattr(got, name)
-                            - np.interp(got.theta, want.theta, getattr(want, name)))[keep])
+        gap = np.max(np.abs(getattr(got, name) - want[name])[~tie])
         assert gap <= 1e-12, (name, gap)
 
 
@@ -975,12 +984,14 @@ def test_tabulated_copies_build_at_a_positive_audit_cost(knots, audit_cost):
 
 @given(kind=st.sampled_from(["additive_error", "scaled_error"]),
        inner=st.lists(st.integers(1, 39), unique=True, max_size=3),
-       c=st.floats(0.0, 0.5, exclude_max=True), phi=st.sampled_from([0.5, 1.0]))
+       c=st.floats(0.0, 0.5), phi=st.sampled_from([0.5, 1.0]))
+@example(kind="additive_error", inner=[2], c=0.5, phi=0.5)
+@example(kind="scaled_error", inner=[2], c=0.5, phi=0.5)
 @settings(max_examples=20, deadline=None)
 def test_tabulated_uniform_copies_have_the_family_tables(kind, inner, c, phi):
-    # c < 0.5: at c = phi = 0.5 the additive family's regime changes at the
-    # lowest type itself, which the table grid does not bracket, so a
-    # rounding-level difference there moves every rent by O(h)
+    # at c = phi = 0.5 the additive family's regime changes at the lowest
+    # type itself: auditing pays on the whole support there (the surplus is
+    # 0) and nowhere above it
     lo, hi = (1.0, 2.0) if kind == "additive_error" else (0.5, 0.9)
     knots = [lo] + sorted(lo + k * (hi - lo) / 40 for k in inner) + [hi]
     _assert_copy_tables_match(*_uniform_copy(kind, knots, c, phi))
@@ -1115,15 +1126,17 @@ def test_threshold_kinks_keep_crossings_inside_the_last_cell(monkeypatch, ua_age
 def test_threshold_kinks_are_the_regime_changes_of_pi_star(make):
     # over c in {0, 0.05, ..., 1} and phi in {0, 0.25, 0.5, 1}: every change
     # of pi_star's regime (0, interior, supp_hi) between neighbours of a
-    # 4097-type grid over the kinks' scan range has a kink in its cell, and
-    # every kink lies in or next to such a cell (with c = 0 auditing pays
-    # everywhere, so a scaled agent has no kink at all)
+    # 4097-type grid over the kinks' scan range (from the tables' lowest
+    # type) has a kink in its cell, and every kink lies in or next to such a
+    # cell (with c = 0 auditing pays everywhere, so a scaled agent has no
+    # kink at all)
     changes = 0
     for c in np.arange(21) * 0.05:
         for phi in (0.0, 0.25, 0.5, 1.0):
             agent = make(float(c), phi)
             lo, hi = agent.types.lo, agent.types.hi
             grid = np.linspace(lo + 1e-7 * (hi - lo), np.nextafter(hi, lo), 4097)
+            grid = np.concatenate([[rc.mech._psi_floor(agent)], grid])
             pstar = rc.mech._pi_star_vec(agent, grid)
             top = agent.income.supp_hi(grid)
             cells = np.flatnonzero(np.diff(np.where(pstar == top, 2, np.sign(pstar))))

@@ -75,12 +75,16 @@ def test_check_reports_the_build_scan_on_small_cost_knot_copies(knots, audit_cos
     # the audit surplus (0.5 + u) (2 - theta) phi - c rises in income: it
     # is below zero at the bottom of the income support and above it at the
     # top for the types in (2 - 2c / phi, 2 - 2c / (3 phi)); check reports
-    # the build's own scan at its grid types, and every entry point raises
+    # the build's own scan at its grid types, the worst at the lowest such
+    # type, with its surplus at the top of the support, 1.5 (2 - theta) phi
+    # - c (0.0131 and 0.388 here), and every entry point raises
     agent = rising_gap_agent(audit_cost, knots=knots)
     rep = rc.check_regularity(agent)
     assert not rep.single_crossing_pi_ok and not rep.all_ok
-    assert rep.worst["single_crossing_pi"]["theta"] == pytest.approx(theta, abs=1e-4)
-    assert rep.worst["single_crossing_pi"]["magnitude"] > audit_cost
+    worst = rep.worst["single_crossing_pi"]
+    assert worst["theta"] == pytest.approx(theta, abs=1e-4)
+    assert worst["magnitude"] == pytest.approx(
+        1.5 * (2.0 - worst["theta"]) * agent.sensitivity - audit_cost, abs=1e-9)
     inst = rc.AuctionInstance((agent,))
     for call in (lambda: rc.tables_for(inst),
                  lambda: rc.payoff_bound(inst),
@@ -444,9 +448,9 @@ def test_best_responses_build_the_income_report_side_once(monkeypatch, pair_inst
 
 
 def test_best_responses_hold_bounded_memory(pair_inst):
-    # the rows of all true types are evaluated in blocks of dist._blocked
-    # (rows x incomes): 1.7 MB observed for CLI verify-ic's 16 types, against
-    # 7.9 MB with every row at once
+    # each (true type, report) row's payment is integrated over its at most
+    # 7 cuts (``audit_region`` there), with no income grid: 1.1 MB observed
+    # for CLI verify-ic's 16 types
     rc.tables_for(pair_inst)
     thetas = rc.mech._interior_grid(pair_inst.agents[0].types, 16)
     tracemalloc.start()
@@ -456,18 +460,6 @@ def test_best_responses_hold_bounded_memory(pair_inst):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
-
-
-def test_payment_minimum_does_not_depend_on_the_block_budget(monkeypatch):
-    inst = mixed_pair()
-    for i, th in ((0, 1.37), (1, 0.71)):
-        reports, caps = winning_reports(inst, i, th)
-        pays = []
-        for budget in (1 << 11, 1 << 14, 1 << 20):
-            monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", budget)
-            pays.append(verify._expected_payments(inst.agents[i], th, reports, caps,
-                                                  double_deviation(inst.agents[i], reports, caps)))
-        assert all(np.array_equal(p, pays[0]) for p in pays[1:]), i
 
 
 @pytest.mark.parametrize("name,i", [("scaled_uniform", 0), ("scaled_triangular", 0),
