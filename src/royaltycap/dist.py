@@ -196,9 +196,11 @@ def _guide_table(xp: np.ndarray) -> np.ndarray:
     """Guide table of the sorted grid ``xp`` for indexed search (Chen & Asau
     1974): over 2 len(xp) buckets, the last grid index that lies in an earlier
     bucket, which is at or below every point of the bucket (clipped to the
-    cells 0 .. len(xp) - 2)."""
+    cells 0 .. len(xp) - 2).  The grid points of the earlier buckets are
+    counted by bucket."""
     k = 2 * xp.size
-    first = np.searchsorted(_buckets(xp, xp, k), np.arange(k))
+    counts = np.bincount(_buckets(xp, xp, k), minlength=k)
+    first = np.cumsum(counts) - counts
     return np.clip(first - 1, 0, xp.size - 2)
 
 

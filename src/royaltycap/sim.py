@@ -21,10 +21,19 @@ agent column, then settlement on the runs each agent wins.  When one agent
 wins every run of a chunk (a lone bidder does whenever no run goes unsold),
 its stages read and write whole columns instead of gathering and scattering
 the won runs.
+
+A report reduces the runs over fixed blocks of ``_BLOCK`` runs aligned to
+the run index.  Chunks hold whole blocks, and each chunk reduces its own in
+the thread that simulated it, to a few numbers per block (``_block_moments``)
+and integer counts; the blocks' terms are then added exactly by
+``math.fsum`` (``_mean_se``).  The report depends only on (instance,
+strategies, n_runs, seed), and memory does not grow with ``n_runs``.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -146,11 +155,14 @@ def run_rng(inst: AuctionInstance, seed: int, run_index: int) -> np.random.Gener
     return _stream(inst.n_agents, seed, run_index)
 
 
-def _uniform_matrix(n_agents: int, seed: int, start: int, count: int) -> np.ndarray:
+def _uniform_matrix(n_agents: int, seed: int, start: int, count: int,
+                    buf: Optional[np.ndarray] = None) -> np.ndarray:
     """Uniforms for runs [start, start+count), one row per run: the stream of
-    run ``start``, continued through ``count`` runs' counter blocks."""
+    run ``start``, continued through ``count`` runs' counter blocks, filled
+    into the front of ``buf`` when one is given."""
     width = 4 * _blocks_per_run(n_agents)
-    u = _stream(n_agents, seed, start).random(width * count)
+    u = np.empty(width * count) if buf is None else buf[: width * count]
+    _stream(n_agents, seed, start).random(out=u)
     return u.reshape(count, width)[:, : n_agents + 2]
 
 
@@ -169,7 +181,7 @@ def _unsold(n: int, N: int) -> tuple:
     """The outputs of ``n`` runs among ``N`` agents with nothing sold: zero
     transfers, royalties, audits, penalties, audit costs and utilities."""
     return (np.zeros((N, n)).T, np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n),
-            np.zeros(n), np.zeros((n, N)))
+            np.zeros(n), np.zeros((N, n)).T)
 
 
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
@@ -284,7 +296,13 @@ def run_auction(inst: AuctionInstance, strategies: StrategyProfile,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 16
+# runs in memory at once: one serial chunk, or one chunk on each thread
+# with chunks of _CHUNK / threads runs
+_CHUNK = 1 << 15
+# runs per reduction block.  Blocks are aligned to the run index and every
+# chunk holds whole blocks, so a block is reduced the same way however the
+# runs are chunked; a power of two, so that _BLOCK * x is exact (``_mean_se``)
+_BLOCK = 1 << 10
 # fewest runs a revenue estimate accepts
 _MIN_RUNS = 1_000
 
@@ -304,6 +322,50 @@ def _check_run_args(n_runs, seed, workers):
         raise ConstructionError("workers must be at least 1")
 
 
+def _blocks(x: np.ndarray) -> list:
+    """The 1-D array ``x``, which starts on a block boundary, as rows of
+    ``_BLOCK`` values, then its shorter last block (if any) as one row."""
+    full = x.size - x.size % _BLOCK
+    return [r for r in (x[:full].reshape(-1, _BLOCK), x[full:].reshape(1, -1)) if r.size]
+
+
+def _block_moments(x: np.ndarray) -> np.ndarray:
+    """One row per block of ``x`` (``_blocks``): the block's first value x0,
+    the sum s of its offsets d = x - x0, and their centred sum of squares
+    M2 = sum((d - s / n_b)**2).  A constant block has s = M2 = 0.  Works in
+    place: ``x`` is overwritten."""
+    parts = []
+    for d in _blocks(x):
+        x0 = d[:, 0].copy()
+        d -= x0[:, None]
+        s = d.sum(axis=1)
+        d -= (s / d.shape[1])[:, None]
+        d *= d
+        parts.append(np.column_stack((x0, s, d.sum(axis=1))))
+    return np.concatenate(parts)
+
+
+def _mean_se(parts: np.ndarray, n: int) -> tuple:
+    """Mean and standard error of ``n`` values from their ``_block_moments``
+    rows in run order.  Each block is read as offsets from m0, the first
+    value of the last block, so that every other block is whole and its
+    shift x0_b - m0 times ``_BLOCK`` is exact: the total offset,
+    sum(n_b (x0_b - m0) + s_b), is summed exactly by ``math.fsum`` and
+    divided once, and M2 = sum(M2_b) + sum(n_b (o_b - o)**2) over the block
+    mean offsets o_b and their mean o (Chan, Golub & LeVeque 1983) is summed
+    by ``fsum`` as well.  The result does not depend on the order of the
+    terms, and a constant column has a standard error of 0."""
+    x0, s, m2 = parts.T
+    sizes = np.full(x0.size, float(_BLOCK))
+    sizes[-1] = n - _BLOCK * (x0.size - 1)
+    m0 = float(x0[-1])
+    shift = x0 - m0
+    o = math.fsum([*(shift * _BLOCK).tolist(), *s.tolist()]) / n
+    dev = shift + s / sizes - o
+    m2_total = math.fsum([*m2.tolist(), *(sizes * dev * dev).tolist()])
+    return m0 + o, math.sqrt(m2_total / (n - 1)) / math.sqrt(n)
+
+
 def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile] = None,
                      n_runs: int = 100_000, seed: int = 0,
                      workers: int = 1,
@@ -311,24 +373,37 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     """Monte Carlo estimate of expected revenue net audit costs.
 
     Under truthful strategies the estimate matches the analytic expected
-    revenue E[max_i psi_i(theta_i)_+] up to Monte Carlo error.  Aggregation
-    runs over per-run arrays assembled in run order, so the report is
-    independent of chunking and of the number of worker threads.
+    revenue E[max_i psi_i(theta_i)_+] up to Monte Carlo error.  Each chunk
+    reduces its runs, in the thread that simulated them, to partials of
+    fixed blocks of ``_BLOCK`` runs aligned to the run index (``_mean_se``)
+    and to integer counts, so memory does not grow with ``n_runs`` and the
+    report does not depend on chunking or on the number of worker threads.
     """
     _check_run_args(n_runs, seed, workers)
+    n_runs = int(n_runs)
     if strategies is None:
         strategies = StrategyProfile.truthful(inst.n_agents)
     strategies.validate(inst.n_agents)
     tables = tables_for(inst)
+    N = inst.n_agents
 
-    # one chunk runs in-line; threads share one serial chunk's runs at a time
+    # one chunk runs in-line; threads share one serial chunk's runs at a
+    # time, each taking whole blocks
     threads = min(workers, -(-n_runs // _CHUNK))
-    size = _CHUNK // threads
+    size = max(_CHUNK // threads // _BLOCK, 1) * _BLOCK
+
+    # each thread fills the uniforms of all its chunks into one buffer
+    local = threading.local()
 
     def chunk(start):
-        u = _uniform_matrix(inst.n_agents, seed, start, min(size, n_runs - start))
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(4 * _blocks_per_run(N) * min(size, n_runs))
+        u = _uniform_matrix(N, seed, start, min(size, n_runs - start), local.buf)
         b = _simulate_batch(inst, strategies, u, tables, audit_prob)
-        return [b[k] for k in ("revenue", "utility", "audited", "penalty", "winner")]
+        moments = np.stack([_block_moments(x) for x in (b["revenue"], *b["utility"].T)])
+        pen = np.concatenate([np.abs(r, out=r).sum(axis=1) for r in _blocks(b["penalty"])])
+        wins = np.bincount(b["winner"] + 1, minlength=N + 1)[1:]
+        return moments, pen, np.count_nonzero(b["audited"]), wins
 
     starts = range(0, n_runs, size)
     if threads > 1:
@@ -339,22 +414,21 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
             parts = list(pool.map(chunk, starts))
     else:
         parts = [chunk(s) for s in starts]
-    revenue, utility, audited, pen, winner = (np.concatenate(c) for c in zip(*parts))
+    moments, pen, audits, wins = zip(*parts)
+    moments = np.concatenate(moments, axis=1)
 
-    sqrtn = np.sqrt(n_runs)
-    util_mean = utility.mean(axis=0)
-    util_se = utility.std(axis=0, ddof=1) / sqrtn
-    alloc = tuple(float(np.mean(winner == i)) for i in range(inst.n_agents))
+    revenue, revenue_se = _mean_se(moments[0], n_runs)
+    utility = [_mean_se(m, n_runs) for m in moments[1:]]
     return SimReport(
-        n_runs=int(n_runs),
+        n_runs=n_runs,
         seed=int(seed),
-        revenue_net_audits=float(revenue.mean()),
-        revenue_se=float(revenue.std(ddof=1) / sqrtn),
-        agent_utility=tuple(float(x) for x in util_mean),
-        agent_utility_se=tuple(float(x) for x in util_se),
-        audit_frequency=float(audited.mean()),
-        mean_on_path_penalty=float(np.abs(pen).mean()),
-        allocation_frequency=alloc,
+        revenue_net_audits=revenue,
+        revenue_se=revenue_se,
+        agent_utility=tuple(m for m, _ in utility),
+        agent_utility_se=tuple(se for _, se in utility),
+        audit_frequency=int(sum(audits)) / n_runs,
+        mean_on_path_penalty=math.fsum(np.concatenate(pen).tolist()) / n_runs,
+        allocation_frequency=tuple(int(w) / n_runs for w in sum(wins)),
     )
 
 

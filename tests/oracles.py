@@ -32,7 +32,9 @@ the early stop at a fixpoint that ``dist._bisect`` takes.
 
 ``philox_uniforms`` is the simulator's per-run uniform stream written out
 from the raw Philox output: 53-bit doubles from the counter blocks of the
-runs, one row per run.
+runs, one row per run.  ``sim_report`` is ``estimate_revenue``'s report
+from all runs' outputs at once, its means summed exactly by ``math.fsum``
+and its variances computed in ``Fraction``s by ``statistics.variance``.
 
 ``PchipTableCdf`` is a tabulated law built on scipy's ``PchipInterpolator``,
 the reference that ``dist._TableCdf`` reproduces bit for bit.
@@ -41,8 +43,12 @@ other means: scipy's ``PchipInterpolator`` through each row's swapped table,
 ``brentq`` on the mixed quantile and ``quad`` for the region integrals.
 ``income_knots`` are the incomes between which a family's law is smooth,
 where the quadratures split.  ``cell`` is the binary-search cell rule that
-``dist._cells`` reproduces.
+``dist._cells`` reproduces, and ``guide_table`` the guide table of
+``dist._guide_table`` by binary search of each bucket's first grid point.
 """
+
+import math
+import statistics
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,7 +56,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 import royaltycap as rc
-from royaltycap.dist import _gl_segments
+from royaltycap import sim
+from royaltycap.dist import _buckets, _gl_segments
 from royaltycap.mech import _audit_mask, _income_bounds, _settle, _threshold_kinks
 
 QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -409,6 +416,33 @@ def philox_uniforms(n_agents, seed, start, count):
     return u.reshape(count, 4 * m)[:, : n_agents + 2]
 
 
+def sim_report(inst, n_runs, seed, strategies=None, audit_prob=None):
+    """``estimate_revenue``'s report as a dict, from the outputs of runs
+    [0, n_runs) simulated as one batch on the same Philox stream: each mean
+    is the exact sum rounded once and divided by n_runs, and each standard
+    error the square root of the exactly rounded sample variance over
+    sqrt(n_runs)."""
+    strategies = strategies or rc.StrategyProfile.truthful(inst.n_agents)
+    u = philox_uniforms(inst.n_agents, seed, 0, n_runs)
+    b = sim._simulate_batch(inst, strategies, u, rc.tables_for(inst), audit_prob)
+
+    def mean_se(x):
+        x = x.tolist()
+        return math.fsum(x) / n_runs, math.sqrt(statistics.variance(x)) / math.sqrt(n_runs)
+
+    revenue = mean_se(b["revenue"])
+    utility = [mean_se(b["utility"][:, i]) for i in range(inst.n_agents)]
+    return {
+        "n_runs": n_runs, "seed": seed,
+        "revenue_net_audits": revenue[0], "revenue_se": revenue[1],
+        "agent_utility": [m for m, _ in utility], "agent_utility_se": [se for _, se in utility],
+        "audit_frequency": int(np.count_nonzero(b["audited"])) / n_runs,
+        "mean_on_path_penalty": math.fsum(np.abs(b["penalty"]).tolist()) / n_runs,
+        "allocation_frequency": [int(np.count_nonzero(b["winner"] == i)) / n_runs
+                                 for i in range(inst.n_agents)],
+    }
+
+
 def pchip_coefficients(x, y):
     """scipy's PCHIP coefficients through (x, y), highest power first."""
     return PchipInterpolator(x, y).c
@@ -446,6 +480,15 @@ def cell(xp, x):
     """Cell of x on the sorted grid xp by binary search: the last index j
     with xp[j] <= x, clipped to 0 .. len(xp) - 2."""
     return np.clip(np.searchsorted(xp, x, "right") - 1, 0, len(xp) - 2)
+
+
+def guide_table(xp):
+    """Over 2 len(xp) buckets of ``dist._buckets``, the last grid index in
+    an earlier bucket, found by binary search for each bucket's first grid
+    point (clipped to the cells 0 .. len(xp) - 2)."""
+    k = 2 * xp.size
+    first = np.searchsorted(_buckets(xp, xp, k), np.arange(k))
+    return np.clip(first - 1, 0, xp.size - 2)
 
 
 class TableFamilyRows:

@@ -489,6 +489,26 @@ def test_located_cells_match_binary_search(steps, start, data):
     assert _cells(xp, guide, x[0]).shape == () and _cells(xp, guide, x[0]) == oracles.cell(xp, x[0])
 
 
+@given(steps=st.lists(st.floats(1e-9, 5.0) | st.just(1e9), min_size=1, max_size=60),
+       start=st.floats(-10.0, 10.0))
+@example(steps=[1.0], start=0.0)
+@example(steps=[1e9] + [0.5] * 20, start=0.0)
+@settings(max_examples=200, deadline=None)
+def test_guide_table_counts_match_binary_search(steps, start):
+    # counting the grid points by bucket gives the binary search's indices
+    xp = np.unique(start + np.concatenate([[0.0], np.cumsum(steps)]))
+    if xp.size < 2:
+        return
+    assert np.array_equal(_guide_table(xp), oracles.guide_table(xp))
+
+
+def test_guide_tables_of_shipped_grids_match_binary_search(shipped_instances):
+    for name, inst in shipped_instances.items():
+        for t in tables_for(inst).agents:
+            assert np.array_equal(t.theta_guide, oracles.guide_table(t.theta)), name
+            assert np.array_equal(t.psi_guide, oracles.guide_table(t.psi)), name
+
+
 @st.composite
 def _additive_table_families(draw):
     """Copies of the additive family theta + U[-1, 1] on 2-5 type knots in

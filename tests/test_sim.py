@@ -1,6 +1,9 @@
 import concurrent.futures
+import math
+import statistics
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import royaltycap as rc
 from royaltycap import sim as S
 from royaltycap.instances import scaled_triangular, scaled_uniform, uniform_additive_agent
 
+import oracles
 from conftest import st_pi_star
 from oracles import philox_uniforms
 
@@ -183,11 +187,16 @@ def test_seed_and_run_count_guard(ua_inst, ua_agent, kw):
 
 
 def test_numpy_integer_seed_and_run_count(ua_inst):
-    # numpy integers are accepted and recorded as Python ints
+    # numpy integers are accepted and recorded as Python ints, and every
+    # estimate is a Python float
     want = rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3)
     got = rc.estimate_revenue(ua_inst, None, n_runs=np.int64(1000), seed=np.uint32(3))
     assert got == want
     assert type(got.seed) is int and type(got.n_runs) is int
+    values = [got.revenue_net_audits, got.revenue_se, got.audit_frequency,
+              got.mean_on_path_penalty, *got.agent_utility, *got.agent_utility_se,
+              *got.allocation_frequency]
+    assert all(type(v) is float for v in values)
 
 
 def test_deviating_strategy_never_gains(ua_inst):
@@ -367,48 +376,107 @@ def test_cli_import_leaves_out_the_worker_pool():
 
 
 def test_reports_independent_of_chunk_size(ua_inst, pair_inst, monkeypatch):
-    # runs are assembled in run order whatever the chunk size and thread
-    # count, including Python-level strategy and audit callables
+    # every block of runs is reduced the same way whatever the chunk size and
+    # thread count, including Python-level strategy and audit callables, and
+    # with a last block shorter than the others or whole
     shade = rc.StrategyProfile(type_reports=(lambda th: 0.9 * th + 0.1,),
                                income_reports=(None,))
     cases = [(ua_inst, {}), (pair_inst, {}),
              (ua_inst, {"strategies": shade,
                         "audit_prob": lambda th, pi: np.full_like(th, 0.5)})]
-    for inst, kw in cases:
-        want = rc.estimate_revenue(inst, n_runs=20_000, seed=9, **kw)
-        for chunk in (1 << 12, 1 << 14):
-            monkeypatch.setattr(S, "_CHUNK", chunk)
+    for n_runs in (20_011, 20 * S._BLOCK):
+        for inst, kw in cases:
+            monkeypatch.undo()
+            want = rc.estimate_revenue(inst, n_runs=n_runs, seed=9, **kw)
+            for chunk in (1 << 12, 1 << 14):
+                monkeypatch.setattr(S, "_CHUNK", chunk)
+                for workers in (1, 2, 3, 6):
+                    got = rc.estimate_revenue(inst, n_runs=n_runs, seed=9,
+                                              workers=workers, **kw)
+                    assert got == want, (n_runs, chunk, workers)
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 12])
+def test_reports_match_exact_moments(ua_inst, pair_inst, monkeypatch, chunk):
+    # each mean is within 1e-14 of the exact sum of the runs rounded once,
+    # each standard error within 1e-14 of the exactly rounded variance's,
+    # and the counts are exact; the income under-report draws penalties
+    if chunk is not None:
+        monkeypatch.setattr(S, "_CHUNK", chunk)
+    under = rc.StrategyProfile((None,), ((lambda th, tr, pi: 0.9 * pi),))
+    for inst, strategies in ((ua_inst, None), (pair_inst, None), (ua_inst, under)):
+        for n_runs in (1000, 20_011):
+            want = oracles.sim_report(inst, n_runs, 4, strategies)
             for workers in (1, 2, 3):
-                got = rc.estimate_revenue(inst, n_runs=20_000, seed=9,
-                                          workers=workers, **kw)
-                assert got == want, (chunk, workers)
+                got = rc.estimate_revenue(inst, strategies, n_runs, 4, workers).to_dict()
+                for key in ("revenue_net_audits", "revenue_se", "agent_utility",
+                            "agent_utility_se", "mean_on_path_penalty"):
+                    assert np.allclose(got[key], want[key], rtol=1e-14, atol=0), key
+                for key in ("n_runs", "seed", "audit_frequency", "allocation_frequency"):
+                    assert got[key] == want[key], key
+            assert strategies is None or want["mean_on_path_penalty"] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_does_not_grow_with_runs(ua_inst, workers):
+    # the runs are reduced chunk by chunk: 16 times the runs take no more
+    # memory at the peak
+    rc.estimate_revenue(ua_inst, None, 1 << 15, 0, workers)
+    peaks = []
+    for n_runs in (1 << 15, 1 << 19):
+        tracemalloc.start()
+        try:
+            rc.estimate_revenue(ua_inst, None, n_runs, 0, workers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2 << 20, peaks
+
+
+@pytest.mark.parametrize("n", [1000, S._BLOCK, 5 * S._BLOCK + 3])
+@pytest.mark.parametrize("c", [0.0, 0.1, -3.7, 1e8 + 0.3])
+def test_constant_runs_have_zero_standard_error(n, c):
+    mean, se = S._mean_se(S._block_moments(np.full(n, c)), n)
+    assert mean == c and se == 0.0
+
+
+def test_block_moments_of_offset_data():
+    # 1e8 + U[0, 1]: the blocks' offsets from their first values keep the
+    # spread exact to 1e-12 against the sample variance in Fractions
+    x = 1e8 + np.random.default_rng(3).random(20_011)
+    xs = x.tolist()
+    mean, se = S._mean_se(S._block_moments(x), x.size)
+    assert mean == pytest.approx(math.fsum(xs) / x.size, rel=1e-12, abs=0)
+    assert se == pytest.approx(math.sqrt(statistics.variance(xs)) / math.sqrt(x.size),
+                               rel=1e-12, abs=0)
 
 
 # estimate_revenue(inst, None, 2**17, seed=1) on the shipped instances, with
 # 1 and 2 workers, as computed with the information rent integrated by the
-# trapezoid rule on the table grid; any change here breaks the bit-identity
-# of the simulator
+# trapezoid rule on the table grid and the runs reduced over blocks of 1,024
+# (each field within an ulp of the exactly rounded one); any change here
+# breaks the bit-identity of the simulator
 _GOLDEN_REPORTS = {
     "uniform_additive": {
         "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.0894076071307652,
         "revenue_se": 0.0007998485993311312, "agent_utility": [0.2904995983696257],
-        "agent_utility_se": [0.00130471389773881], "audit_frequency": 0.5995712280273438,
+        "agent_utility_se": [0.0013047138977388103], "audit_frequency": 0.5995712280273438,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "scaled_uniform": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498266142435,
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.5245498266142434,
         "revenue_se": 0.000665339320448823, "agent_utility": [0.14880782525667818],
         "agent_utility_se": [0.0004786422087279021], "audit_frequency": 0.152679443359375,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "scaled_triangular": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.6312910731123158,
-        "revenue_se": 0.0007066671290065351, "agent_utility": [0.11530709585784708],
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 0.6312910731123157,
+        "revenue_se": 0.000706667129006535, "agent_utility": [0.11530709585784707],
         "agent_utility_se": [0.00031183628949167755], "audit_frequency": 0.17331695556640625,
         "mean_on_path_penalty": 0.0, "allocation_frequency": [1.0]},
     "mixed_pair": {
-        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309460810318,
-        "revenue_se": 0.0008693194573504738,
-        "agent_utility": [0.21918366539889186, 0.01852855498633387],
-        "agent_utility_se": [0.0012566897224633557, 0.00017326123886011929],
+        "n_runs": 131072, "seed": 1, "revenue_net_audits": 1.1286309460810315,
+        "revenue_se": 0.0008693194573504739,
+        "agent_utility": [0.2191836653988946, 0.01852855498633395],
+        "agent_utility_se": [0.001256689722463198, 0.0001732612388598899],
         "audit_frequency": 0.43735504150390625, "mean_on_path_penalty": 0.0,
         "allocation_frequency": [0.8357772827148438, 0.16422271728515625]},
 }

@@ -30,17 +30,18 @@ largest absolute move of its numbers.  The digests cover:
 * per instance, every ``AgentTables`` array, each agent's single-crossing
   scan ``mech._single_crossing_scan`` on its table grid (0.0 unprobed on
   the closed-form families) and the probes ``mech._probe_single_crossing``
-  there, ``payoff_bound`` and one ``estimate_revenue`` report (20,000 runs,
-  seed 0);
-* on ``uniform_additive`` and ``mixed_pair``, ``estimate_revenue`` reports
-  off truthful play (70,000 runs, seed 0, workers 1 and 2, so that two
-  threads split the runs into uneven chunks): under a type-report map,
-  under an income-report map, and under a probabilistic audit rule
-  ``audit_prob``.
+  there, and ``payoff_bound``.
 
 It also prints, as values rather than digests, the outputs of the API that
 takes an instance, so that a change shows how far each one moves:
 
+* per instance above, one ``estimate_revenue`` report (20,000 runs, seed
+  0), as JSON;
+* on ``uniform_additive`` and ``mixed_pair``, ``estimate_revenue`` reports
+  off truthful play (70,000 runs, seed 0, workers 1 and 2, so that two
+  threads split the runs into chunks), as JSON: under a type-report map,
+  under an income-report map, and under a probabilistic audit rule
+  ``audit_prob``;
 * per shipped config, ``allocation`` and every agent's ``transfer`` on 40
   profiles of independent uniform draws over the type supports (seed 0),
   and ``best_response_income`` of each agent at the types 0.6 and 0.9 of
@@ -148,7 +149,7 @@ def _library_digests(out: dict, name: str, text: str):
             out[f"{scan.__name__}/{name}/{i}"] = _sha(scan(inst.agents[i], t.theta).tobytes())
     out[f"payoff_bound/{name}"] = repr(mech.payoff_bound(inst))
     rep = sim.estimate_revenue(inst, None, RUNS, SEED)
-    out[f"estimate_revenue/{name}"] = _sha(json.dumps(rep.to_dict()).encode())
+    out[f"estimate_revenue/{name}"] = json.dumps(rep.to_dict())
 
 
 def _play_digests(out: dict, name: str, inst: mech.AuctionInstance):
@@ -167,8 +168,8 @@ def _play_digests(out: dict, name: str, inst: mech.AuctionInstance):
     for label, (strategies, audit_prob) in profiles.items():
         for workers in (1, 2):
             rep = sim.estimate_revenue(inst, strategies, PLAY_RUNS, SEED, workers, audit_prob)
-            out[f"estimate_revenue/{name}/{label}/workers{workers}"] = _sha(
-                json.dumps(rep.to_dict()).encode())
+            out[f"estimate_revenue/{name}/{label}/workers{workers}"] = json.dumps(
+                rep.to_dict())
 
 
 def _values(xs) -> str:
