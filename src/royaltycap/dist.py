@@ -328,9 +328,6 @@ class _Standardized:
                        np.where(np.isnan(z), np.nan, 0.0))
         return out[()]
 
-    def cdf_and_pdf(self, x):
-        return self.cdf(x), self.pdf(x)
-
     def cdf_integral(self, x):
         """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
         return (self._cdf_integral(np.clip(self._z(x), 0.0, 1.0)) * self.scale)[()]
@@ -527,25 +524,15 @@ class _TableCdf(_Pchip):
         f = fd[keep]
         return f, dense[keep], _guide_table(f)
 
-    def _pdf(self, x, i=None):
-        """The pdf at the array x (in its cells i, if given), 0 outside
-        [lo, hi]; x and its clip to [lo, hi] share their cells."""
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, self._poly(self._dc, np.clip(x, self.lo, self.hi), i), 0.0)
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return self._poly(self._c, np.clip(x, self.lo, self.hi))[()]
 
     def pdf(self, x):
-        return self._pdf(np.asarray(x, dtype=float))[()]
-
-    def cdf_and_pdf(self, x):
-        """``(cdf(x), pdf(x))``, from one clip of x and one search of its cells."""
+        """The pdf, 0 outside [lo, hi]."""
         x = np.asarray(x, dtype=float)
-        inside = np.clip(x, self.lo, self.hi)
-        i = _cells(self.knots, self._guide, inside)
-        return self._poly(self._c, inside, i)[()], self._pdf(x, i)[()]
+        inside = (x >= self.lo) & (x <= self.hi)
+        return np.where(inside, self._poly(self._dc, np.clip(x, self.lo, self.hi)), 0.0)[()]
 
     def cdf_integral(self, x):
         """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
@@ -606,14 +593,6 @@ class TypeDist:
     def ppf(self, u):
         return self._backend.ppf(u)
 
-    def hazard(self, theta):
-        """f / (1 - F); +inf at the top of the support."""
-        theta = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(theta >= self.hi, np.inf,
-                           self.pdf(theta) / (1.0 - self.cdf(theta)))
-        return out if out.ndim else float(out)
-
     def _check_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
         # NaN fails every comparison, so it is rejected here
@@ -657,13 +636,10 @@ class IncomeFamily:
 
     * ``supp_lo(theta)``, ``supp_hi(theta)`` -- support endpoints;
     * ``cdf(pi, theta)``, ``pdf(pi, theta)`` -- conditional CDF/density;
-    * ``cdf_and_dtheta(pi, theta)`` -- G and its partial derivative in
-      theta (zero outside the support) at the same points, both at the
-      broadcast shape of pi and theta: the one statement of dG/dtheta,
-      which ``dcdf_dtheta`` reads;
     * ``g2_over_g(pi, theta)`` -- the ratio dG/dtheta / pdf in its
       family closed form, which extends continuously beyond the support
-      edge (one-sided limits at the boundary);
+      edge (one-sided limits at the boundary); the partial derivative of
+      G in theta is ``g2_over_g * pdf``, which no kernel needs;
     * ``audit_region(theta, b)`` -- per type of a 1-d array and the top b
       of its audit region (one per type), with
       b' = clip(b, supp_lo, supp_hi): G(b | theta),
@@ -705,13 +681,6 @@ class IncomeFamily:
     def pdf(self, pi, theta):
         raise NotImplementedError
 
-    def cdf_and_dtheta(self, pi, theta):
-        raise NotImplementedError
-
-    def dcdf_dtheta(self, pi, theta):
-        """The partial derivative of G in theta, as ``cdf_and_dtheta`` gives it."""
-        return self.cdf_and_dtheta(pi, theta)[1]
-
     def g2_over_g(self, pi, theta):
         raise NotImplementedError
 
@@ -752,10 +721,6 @@ class AdditiveErrorFamily(IncomeFamily):
 
     def pdf(self, pi, theta):
         return self._err.pdf(np.asarray(pi, dtype=float) - theta)
-
-    def cdf_and_dtheta(self, pi, theta):
-        g, h = self._err.cdf_and_pdf(np.asarray(pi, dtype=float) - theta)
-        return g, -h
 
     def g2_over_g(self, pi, theta):
         shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
@@ -823,13 +788,6 @@ class ScaledErrorFamily(IncomeFamily):
         out = np.where(s > 0, self._err.pdf(z) / safe, 0.0)
         return out if np.ndim(out) else float(out)
 
-    def cdf_and_dtheta(self, pi, theta):
-        pi, theta, s, safe, z = self._standard(pi, theta)
-        g, h = self._err.cdf_and_pdf(z)
-        g = np.where(s > 0, g, (pi >= theta).astype(float))
-        g2 = np.where(s > 0, h * (pi - 1.0) / (safe * safe), 0.0)
-        return tuple(x if np.ndim(x) else float(x) for x in (g, g2))
-
     def g2_over_g(self, pi, theta):
         pi = np.asarray(pi, dtype=float)
         s = self._scale(theta)
@@ -884,8 +842,8 @@ class TableIncomeFamily(IncomeFamily):
     by cell at construction; ``audit_region`` reads u* = G(b' | theta),
     int_0^{u*} D_j and (b' - Q(0 | theta)) - u* b' + int_0^{u*} Q off the
     rows' quartic antiderivatives; ``ppf`` is two row quantiles and one mix;
-    and ``ratio_crossing`` bisects D_j(u) = level in u.  Only ``cdf`` (with
-    ``cdf_and_dtheta``), ``pdf`` and ``g2_over_g`` invert Q (``_solve``): an
+    and ``ratio_crossing`` bisects D_j(u) = level in u.  Only ``cdf``,
+    ``pdf`` (1 / Q') and ``g2_over_g`` (-D_j) invert Q (``_solve``): an
     income at or beyond a support end takes u = 0 or 1, and any other finds
     its cell by integer bisection on the mixed quantile at the union knots,
     then Newton's method on the cell's mixed cubic, from the secant start
@@ -1051,13 +1009,6 @@ class TableIncomeFamily(IncomeFamily):
         shape, k, s, w, _, inside, _, _ = self._solve(pi, theta)
         with np.errstate(divide="ignore"):
             return _shaped(np.where(inside, 1.0 / self._slope(k, s, w), 0.0), shape)
-
-    def cdf_and_dtheta(self, pi, theta):
-        # G_theta = -g dQ/dtheta = -D_j / (dQ/du)
-        shape, k, s, w, u, inside, _, _ = self._solve(pi, theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g2 = np.where(inside, -self._gap_at(k, s) / self._slope(k, s, w), 0.0)
-        return _shaped(u, shape), _shaped(g2, shape)
 
     def g2_over_g(self, pi, theta):
         shape, k, s, *_ = self._solve(pi, theta)

@@ -395,13 +395,12 @@ def _edge_pays(agent: AgentSpec, thetas) -> np.ndarray:
 def _threshold_kinks(agent: AgentSpec) -> list:
     """Types at which the audit region changes regime (the threshold leaves
     a support end), marked on the type grid of the tables: changes of
-    ``_edge_pays`` at either end on a 513-point type grid, refined by
+    ``_edge_pays`` at either end on a 514-point type grid, refined by
     bisecting all brackets at once.  The grid starts at the tables' lowest
     type (``_psi_floor``) and stops one float below the top type, whose
     answer is a convention; the tables interpolate below it."""
     lo, hi = agent.types.lo, agent.types.hi
-    grid = np.linspace(lo + 1e-7 * (hi - lo), np.nextafter(hi, lo), 513)
-    grid = np.insert(grid, 0, _psi_floor(agent))   # at most lo + _NU (hi - lo)
+    grid = np.linspace(_psi_floor(agent), np.nextafter(hi, lo), 514)
     pays = _edge_pays(agent, grid)
     end, k = np.nonzero(np.diff(pays, axis=1))
     if k.size == 0:

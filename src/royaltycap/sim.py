@@ -48,7 +48,6 @@ from .mech import (
     _allocate,
     _cum_trapezoid,
     _settle,
-    _top_two,  # noqa: F401 - the allocation's ordering, kept importable here
     _where_zero,
     full_extraction_revenue,
     myerson_cash_revenue,

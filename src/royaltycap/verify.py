@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import AgentSpec, TypeDist, _bisect, project_to_support
+from .dist import AgentSpec, TypeDist, _bisect, inverse_hazard, project_to_support
 from .errors import (
     DomainError,
     InvalidAxisError,
@@ -155,11 +155,10 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     # every mechanism kernel (``mech._pi_star_vec``), at these types
     per_type = _single_crossing_scan(agent, types)
     # 4. single crossing in type, on the common income grid at the incomes
-    # that occur: inside the support, at positive density
+    # that occur: inside the support
     with np.errstate(invalid="ignore"):
         surplus = _audit_surplus(agent, th, pis[None, :], types.ih[:, None])
-    inside = ((pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
-              & (np.asarray(agent.income.pdf(pis[None, :], th)) > 0))
+    inside = (pis[None, :] > plo[:, None] + 1e-12) & (pis[None, :] < phi_sup[:, None] - 1e-12)
     per_income = _worst_single_crossing(np.where(inside, surplus, np.nan), axis=0)
     for key, where, grid, per in (("single_crossing_pi", "theta", thetas, per_type),
                                   ("single_crossing_theta", "pi", pis, per_income)):
@@ -630,7 +629,7 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
             if abs(d.lo - dists[0].lo) > 1e-12 or abs(d.hi - dists[0].hi) > 1e-12:
                 raise InvalidAxisError("hazard comparison needs a common support")
         probe = _interior_grid(dists[0], 256)
-        hz = np.array([np.asarray(d.hazard(probe), dtype=float) for d in dists])
+        hz = np.array([1.0 / inverse_hazard(d, probe) for d in dists])
         if np.any(np.diff(hz, axis=0) > 1e-9):
             raise InvalidAxisError("type distributions are not hazard-rate ordered")
         agents = [replace(agent, types=d) for d in dists]

@@ -15,7 +15,8 @@ The type best response is the scalar loop of the certificate: one expected
 payment per type report, each integrated on its own cuts, the double
 deviation's by the cheapest of 128 income reports at each income.
 ``audit_region`` is a family's three audit-region numbers (``G(b)``, and
-the integrals of ``-G_theta`` and ``1 - G``) by ``quad`` at one type.
+the integrals of ``-G_theta`` and ``1 - G``) by ``quad`` at one type, with
+G_theta from ``dcdf_dtheta``, the product ``g2_over_g * pdf``.
 
 ``income_reports`` is the double deviation's report side by brute minimum
 over a grid of income reports.
@@ -113,6 +114,15 @@ def income_knots(fam, theta):
     return theta + scale * fam._err.knots
 
 
+def dcdf_dtheta(fam, pi, theta):
+    """The partial derivative of G in theta, ``g2_over_g * pdf``, taken as
+    0 where the density is 0 (outside the support, and at the scaled
+    family's top type, where the ratio is not finite)."""
+    g = np.asarray(fam.pdf(pi, theta), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g == 0.0, 0.0, np.asarray(fam.g2_over_g(pi, theta)) * g)[()]
+
+
 def audit_region(fam, theta, b):
     """``IncomeFamily.audit_region`` at one type by adaptive ``quad``:
     G(b | theta), and int -dG/dtheta and int (1 - G) over [supp_lo, b'],
@@ -131,7 +141,7 @@ def audit_region(fam, theta, b):
         return g, 0.0, 0.0
     pts = [p for p in income_knots(fam, theta) if lo < p < top] or None
     opts = dict(points=pts, epsabs=1e-13, epsrel=1e-12, limit=200)
-    recovery = quad(lambda x: -float(fam.dcdf_dtheta(x, theta)), lo, top, **opts)[0]
+    recovery = quad(lambda x: -float(dcdf_dtheta(fam, x, theta)), lo, top, **opts)[0]
     survival = quad(lambda x: 1.0 - float(fam.cdf(x, theta)), lo, top, **opts)[0]
     return g, recovery, survival
 
@@ -160,7 +170,7 @@ def phi_cap(agent, theta):
     b = _audit_top(agent, theta)
     if phi == 0.0 or b <= lo:
         return 0.0
-    val = quad(lambda x: -float(agent.income.dcdf_dtheta(x, theta)), lo, b, **QUAD_OPTS)[0]
+    val = quad(lambda x: -float(dcdf_dtheta(agent.income, x, theta)), lo, b, **QUAD_OPTS)[0]
     return min(max(val * phi, 0.0), phi)
 
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
+import oracles
 import royaltycap as rc
 from conftest import su_psi
 from royaltycap.cli import main
@@ -231,7 +232,7 @@ def test_criterion_8_distribution_identities(shipped_instances):
             for th in np.linspace(types.lo, types.hi, 9)[1:-1]:
                 th = float(th)
                 lo, hi = float(fam.supp_lo(th)), float(fam.supp_hi(th))
-                mass, _ = quad(lambda x: -fam.dcdf_dtheta(x, th), lo, hi,
+                mass, _ = quad(lambda x: -oracles.dcdf_dtheta(fam, x, th), lo, hi,
                                epsabs=1e-13, epsrel=1e-11)
                 worst_mass = max(worst_mass, abs(mass - 1.0))
                 val, _ = quad(lambda x: (x - rc.mu(agent, th, x)) * fam.pdf(x, th),

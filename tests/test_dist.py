@@ -264,38 +264,14 @@ def _families():
             ("table", tab, (1.0, 2.0))]
 
 
-@pytest.mark.parametrize("name,fam,rng", _families() + [
-    ("additive_table_error", make_income_family("additive_error", {"error": _tent_error()}),
-     (1.0, 2.0)),
-    ("scaled_triangular_error", make_income_family(
-        "scaled_error", {"error": {"family": "triangular", "lo": -1.0, "hi": 1.0,
-                                   "mode": 0.0}}), (0.5, 1.0))])
-def test_cdf_and_dtheta_equals_separate_calls(name, fam, rng):
-    lo, hi = rng
-    blocks = [np.linspace(lo, hi, 37)[1:-1]]
-    if name == "table":
-        # knots 1, 1.4, 2: one block inside the first interval (one row pair)
-        # and one across the knot at 1.4 (both row pairs)
-        blocks = [np.linspace(1.05, 1.35, 9), np.linspace(1.2, 1.8, 13), np.array([1.4])]
-    for th in blocks:
-        nodes = (np.asarray(fam.supp_lo(th))[:, None] - 0.1
-                 + np.linspace(0.0, 1.0, 23) * (np.asarray(fam.supp_hi(th))
-                                                - np.asarray(fam.supp_lo(th)) + 0.2)[:, None])
-        for pi, theta in ((nodes, th[:, None]), (nodes[:, 5], th), (1.5, th),
-                          (float(nodes[0, 7]), float(th[0]))):
-            g, g2 = fam.cdf_and_dtheta(pi, theta)
-            assert np.array_equal(g, fam.cdf(pi, theta))
-            assert np.array_equal(g2, fam.dcdf_dtheta(pi, theta))
-            assert np.shape(g) == np.shape(g2) == np.broadcast_shapes(np.shape(pi),
-                                                                      np.shape(theta))
-    if name == "table":
-        # the one-interval evaluation equals the same types inside a block
-        # that spans two intervals
-        inside = np.linspace(1.05, 1.35, 9)
-        across = np.concatenate([inside, np.linspace(1.5, 1.8, 7)])
-        assert np.array_equal(fam.cdf_and_dtheta(1.6, inside)[1],
-                              fam.cdf_and_dtheta(1.6, across)[1][:9])
-        assert np.array_equal(fam.cdf(1.6, inside), fam.cdf(1.6, across)[:9])
+def test_table_family_one_interval_equals_a_block_across_two():
+    # knots 1, 1.4, 2: types inside the first interval (one row pair) give
+    # the same values as inside a block that spans both intervals
+    fam = _families()[2][1]
+    inside = np.linspace(1.05, 1.35, 9)
+    across = np.concatenate([inside, np.linspace(1.5, 1.8, 7)])
+    for method in (fam.cdf, fam.pdf, fam.g2_over_g):
+        assert np.array_equal(method(1.6, inside), method(1.6, across)[:9]), method.__name__
 
 
 @pytest.mark.parametrize("name,fam,rng", _families())
@@ -314,7 +290,7 @@ def test_income_density_normalizations(name, fam, rng):
         lo, hi = float(fam.supp_lo(th)), float(fam.supp_hi(th))
         total, _ = quad(lambda x: fam.pdf(x, th), lo, hi, epsabs=1e-12, epsrel=1e-10)
         assert total == pytest.approx(1.0, rel=1e-8)
-        mass, _ = quad(lambda x: -fam.dcdf_dtheta(x, th), lo, hi,
+        mass, _ = quad(lambda x: -oracles.dcdf_dtheta(fam, x, th), lo, hi,
                        epsabs=1e-12, epsrel=1e-10)
         assert mass == pytest.approx(1.0, rel=1e-8)
         mean, _ = quad(lambda x: x * fam.pdf(x, th), lo, hi,
@@ -322,11 +298,19 @@ def test_income_density_normalizations(name, fam, rng):
         assert mean == pytest.approx(th, rel=1e-8)
 
 
-@pytest.mark.parametrize("name,fam,rng", _families())
+@pytest.mark.parametrize("name,fam,rng", _families() + [
+    ("additive_table_error", make_income_family("additive_error", {"error": _tent_error()}),
+     (1.0, 2.0)),
+    ("scaled_triangular_error", make_income_family(
+        "scaled_error", {"error": {"family": "triangular", "lo": -1.0, "hi": 1.0,
+                                   "mode": 0.0}}), (0.5, 1.0))])
 def test_dcdf_dtheta_matches_finite_difference(name, fam, rng):
-    # 50 interior points; centered difference with h = 1e-4.  Points stay
-    # away from the top of the type range, where a shrinking support makes
-    # the oracle's own truncation error exceed the tolerance.
+    # G_theta = g2_over_g * pdf, the ratio every audit surplus reads, against
+    # a fourth-order centered difference of the cdf with h = 1e-4 at 50
+    # interior points (the two-point difference is 1.2e-5 off at a scaled
+    # type of 0.9, where G_theta is -7.6).  Points stay away from the top of
+    # the type range, where a shrinking support makes the oracle's own
+    # truncation error exceed the tolerance.
     h = 1e-4
     tol = max(1e-6, 1e3 * h * h)
     rs = np.random.default_rng(7)
@@ -335,8 +319,9 @@ def test_dcdf_dtheta_matches_finite_difference(name, fam, rng):
     for th in thetas:
         lo, hi = float(fam.supp_lo(th)), float(fam.supp_hi(th))
         pi = lo + (hi - lo) * rs.uniform(0.1, 0.9)
-        fd = (fam.cdf(pi, th + h) - fam.cdf(pi, th - h)) / (2 * h)
-        worst = max(worst, abs(fd - float(fam.dcdf_dtheta(pi, th))))
+        fd = (8 * (fam.cdf(pi, th + h) - fam.cdf(pi, th - h))
+              - (fam.cdf(pi, th + 2 * h) - fam.cdf(pi, th - 2 * h))) / (12 * h)
+        worst = max(worst, abs(fd - float(fam.g2_over_g(pi, th) * fam.pdf(pi, th))))
     assert worst <= tol
 
 
@@ -433,7 +418,7 @@ def test_scaled_family_closed_forms():
     assert float(fam.supp_hi(0.6)) == pytest.approx(1.0)
     assert float(fam.cdf(0.6, 0.6)) == pytest.approx(0.5)
     # dG/dtheta = (pi - 1) / (2 (1 - theta)^2)
-    assert float(fam.dcdf_dtheta(0.6, 0.6)) == pytest.approx(
+    assert float(oracles.dcdf_dtheta(fam, 0.6, 0.6)) == pytest.approx(
         (0.6 - 1) / (2 * 0.4 ** 2), abs=1e-12)
     assert float(fam.g2_over_g(0.4, 0.75)) == pytest.approx(-2.4, abs=1e-12)
 
@@ -537,14 +522,22 @@ def _table_points(table, data):
     return fam, oracles.TableFamilyRows(knots, rows), pis, thetas
 
 
+def _table_method(fam, name):
+    """The family's method ``name`` of ``TableFamilyRows.values``;
+    dG/dtheta is ``g2_over_g * pdf``."""
+    if name == "dcdf_dtheta":
+        return lambda pi, theta: oracles.dcdf_dtheta(fam, pi, theta)
+    return getattr(fam, name)
+
+
 @given(table=_additive_table_families(), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_table_family_matches_row_by_row_oracle(table, data):
     # bit for bit, what the family computes without a root search: each
-    # type's support ends; G, g, dG/dtheta and -D off the support; and at
-    # each type knot Q at the row's cdf column, which is the row's incomes.
-    # Each point alone, the flat and the broadcast layout agree, and
-    # cdf_and_dtheta is cdf and dcdf_dtheta
+    # type's support ends; G, g, dG/dtheta = g2_over_g * g and -D off the
+    # support; and at each type knot Q at the row's cdf column, which is the
+    # row's incomes.  Each point alone, the flat and the broadcast layout
+    # agree
     knots, rows = table
     fam, ref, pis, thetas = _table_points(table, data)
     assert np.array_equal(fam.supp_lo(thetas), [ref.quantile(0.0, t) for t in thetas])
@@ -553,14 +546,12 @@ def test_table_family_matches_row_by_row_oracle(table, data):
     outside = (p2 < fam.supp_lo(t2)) | (p2 > fam.supp_hi(t2))
     want = ref.values(p2[outside], t2[outside])
     for name, values in want.items():
-        method = getattr(fam, name)
+        method = _table_method(fam, name)
         got = method(p2, t2)
         assert np.array_equal(got[outside], values), name
         assert np.array_equal(method(pis[None, :], thetas[:, None]).ravel(), got), name
         alone = [method(float(p), float(thetas[-1])) for p in pis]
         assert np.array_equal(alone, got[-pis.size:]), name
-    g, g2 = fam.cdf_and_dtheta(p2, t2)
-    assert np.array_equal(g, fam.cdf(p2, t2)) and np.array_equal(g2, fam.dcdf_dtheta(p2, t2))
     for t, (incomes, cdf) in zip(knots, rows):
         assert np.array_equal(fam.ppf(cdf, np.full(cdf.size, t)), incomes)
 
@@ -581,7 +572,7 @@ def test_table_family_matches_the_quantile_oracle(table, data):
     p2, t2 = (x.ravel() for x in np.broadcast_arrays(pis[None, :], thetas[:, None]))
     for name, values in ref.values(p2, t2).items():
         tol = 1e-14 if name == "cdf" else 1e-12
-        assert np.max(np.abs(getattr(fam, name)(p2, t2) - values)) <= tol, name
+        assert np.max(np.abs(_table_method(fam, name)(p2, t2) - values)) <= tol, name
     u = np.linspace(0.0, 1.0, 33)
     for t in thetas:
         want = [ref.quantile(x, t) for x in u]
@@ -609,7 +600,7 @@ def test_table_family_inverts_only_incomes_inside_the_support(monkeypatch):
     assert solved == [np.count_nonzero(inner)]
 
 
-@pytest.mark.parametrize("method", ["cdf", "pdf", "g2_over_g", "dcdf_dtheta", "cdf_and_dtheta"])
+@pytest.mark.parametrize("method", ["cdf", "pdf", "g2_over_g"])
 def test_table_family_shared_income_grid_equals_the_broadcast(method):
     # types across both knot intervals on one grid of incomes (as check's
     # 128 x 128 grid): bit for bit the evaluation at every (type, income)
@@ -619,23 +610,18 @@ def test_table_family_shared_income_grid_equals_the_broadcast(method):
                          [0.0, -0.0, np.nan]])
     theta = np.concatenate([np.linspace(1.0, 2.0, 23), np.nextafter([1.4, 2.0], 0.0)])
     p2, t2 = np.broadcast_arrays(pi[None, :], theta[:, None])
-    want = getattr(fam, method)(p2.ravel(), t2.ravel())   # one point per pair
-    want = [np.reshape(w, p2.shape) for w in (want if method == "cdf_and_dtheta" else (want,))]
+    want = np.reshape(getattr(fam, method)(p2.ravel(), t2.ravel()), p2.shape)   # one per pair
     n, m = theta.size, pi.size
     for args, shape, transposed in (((pi, theta[:, None]), (n, m), False),
                                     ((pi[None, None, :], theta[None, :, None]), (1, n, m), False),
                                     ((pi[:, None], theta[None, :]), (m, n), True)):
         got = getattr(fam, method)(*args)
-        got = got if method == "cdf_and_dtheta" else (got,)
-        for g, w in zip(got, want):
-            assert np.shape(g) == shape, method
-            g = g.T if transposed else g.reshape(n, m)
-            assert np.array_equal(g.view(np.int64), w.view(np.int64)), (method, shape)
+        assert np.shape(got) == shape, method
+        got = got.T if transposed else got.reshape(n, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (method, shape)
     # one income for all types
     got = getattr(fam, method)(pi[3], theta)
-    got = got if method == "cdf_and_dtheta" else (got,)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.view(np.int64), w[:, 3].view(np.int64)), method
+    assert np.array_equal(got.view(np.int64), want[:, 3].view(np.int64)), method
 
 
 def test_table_ratio_crossing_matches_the_surplus_bisection(shipped_instances):

@@ -178,6 +178,90 @@ def test_audit_threshold_closed_form_curve(st_agent):
             st_pi_star(th), abs=1e-9)
 
 
+class ScaledUniformByHand(rc.IncomeFamily):
+    """scaled_uniform's income law pi = theta + s eps, s = 1 - theta,
+    eps ~ U[-1, 1], written out through the seven methods of the family
+    contract alone: no ``ratio_crossing`` (the audit threshold is bisected)
+    and no ``ratio_nonincreasing`` (the single-crossing scan probes).  With
+    z = (b' - theta) / s: G = (z + 1) / 2, g = 1 / (2 s),
+    -G_theta / g = (1 - pi) / s, Phi / phi = G (1 - z) + (z + 1)^2 / 4 and
+    int (1 - G) = s ((z + 1) - (z + 1)^2 / 4); the top type (s = 0) earns
+    its type."""
+
+    family = "scaled_uniform_by_hand"
+
+    def __init__(self):
+        super().__init__({})
+
+    @staticmethod
+    def _z(pi, theta):
+        s = 1.0 - np.asarray(theta, dtype=float)
+        return s, (np.asarray(pi, dtype=float) - theta) / np.where(s > 0, s, 1.0)
+
+    def supp_lo(self, theta):
+        return np.asarray(theta, dtype=float) - (1.0 - np.asarray(theta, dtype=float))
+
+    def supp_hi(self, theta):
+        return np.asarray(theta, dtype=float) + (1.0 - np.asarray(theta, dtype=float))
+
+    def cdf(self, pi, theta):
+        s, z = self._z(pi, theta)
+        return np.where(s > 0, np.clip((z + 1.0) / 2.0, 0.0, 1.0), np.asarray(pi) >= theta)[()]
+
+    def pdf(self, pi, theta):
+        s, z = self._z(pi, theta)
+        return np.where((s > 0) & (np.abs(z) <= 1.0), 0.5 / np.where(s > 0, s, 1.0), 0.0)[()]
+
+    def g2_over_g(self, pi, theta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ((np.asarray(pi, dtype=float) - 1.0) / (1.0 - np.asarray(theta)))[()]
+
+    def audit_region(self, theta, b):
+        s, z = self._z(b, theta)
+        z = np.clip(z, -1.0, 1.0)
+        g, k, top = (z + 1.0) / 2.0, (z + 1.0) ** 2 / 4.0, s == 0
+        return (np.where(top, np.asarray(b) >= theta, g), np.where(top, 0.0, g * (1.0 - z) + k),
+                s * ((z + 1.0) - k))
+
+    def ppf(self, u, theta):
+        theta = np.asarray(theta, dtype=float)
+        return theta + (1.0 - theta) * (2.0 * np.asarray(u, dtype=float) - 1.0)
+
+
+@pytest.fixture(scope="module")
+def by_hand_inst(su_inst):
+    """scaled_uniform with its income law written by hand (U[1/2, 1] types,
+    c = 0.5, phi = 1)."""
+    return rc.AuctionInstance((replace(su_inst.agents[0], income=ScaledUniformByHand()),))
+
+
+# a family with supp_lo, supp_hi, cdf, pdf, g2_over_g, audit_region and ppf
+# alone passes check, builds scaled_uniform's tables, simulates its revenue
+# and certifies truthful play
+
+def test_seven_method_family_passes_check(by_hand_inst):
+    assert rc.check_regularity(by_hand_inst.agents[0], 64, 64).all_ok
+
+
+def test_seven_method_family_builds_the_family_tables(by_hand_inst, su_inst):
+    got, want = rc.tables_for(by_hand_inst).agents[0], rc.tables_for(su_inst).agents[0]
+    for f in fields(got):
+        a, b = (np.asarray(getattr(t, f.name)) for t in (got, want))
+        assert a.shape == b.shape and np.allclose(a, b, rtol=0.0, atol=1e-12), f.name
+
+
+def test_seven_method_family_revenue_matches_the_payoff_bound(by_hand_inst):
+    rep = rc.estimate_revenue(by_hand_inst, None, n_runs=100_000, seed=7)
+    assert abs(rep.revenue_net_audits - rc.payoff_bound(by_hand_inst)) <= 4 * rep.revenue_se
+
+
+def test_seven_method_family_certifies_truthful_play(by_hand_inst):
+    thetas = rc.mech._interior_grid(by_hand_inst.agents[0].types, 8)
+    for response in rc.best_responses(by_hand_inst, 0, thetas, 64):
+        for strategy in ("truthful_projection", "grid_best"):
+            assert response[strategy].advantage <= 1e-6, (strategy, response[strategy])
+
+
 def test_audit_threshold_single_crossing_guard(ua_agent):
     class Oscillating:
         family = "osc"
@@ -186,7 +270,6 @@ def test_audit_threshold_single_crossing_guard(ua_agent):
         def supp_hi(self, th): return np.asarray(th) + 1.0
         def cdf(self, pi, th): return np.clip((np.asarray(pi) - np.asarray(th) + 1) / 2, 0, 1)
         def pdf(self, pi, th): return np.full(np.broadcast_shapes(np.shape(pi), np.shape(th)), 0.5)
-        def dcdf_dtheta(self, pi, th): return -self.pdf(pi, th)
         def g2_over_g(self, pi, th): return -(1.0 + 0.9 * np.sin(8 * np.asarray(pi)))
         def ppf(self, u, th): return np.asarray(th) - 1 + 2 * np.asarray(u)
 
@@ -424,7 +507,7 @@ def test_transfer_quadrature_oracle(su_inst):
         c = 0.5 if z <= 0.75 else 0.0
         if c <= lo:
             return 1.0
-        val = quad(lambda x: -float(agent.income.dcdf_dtheta(x, z)), lo, c,
+        val = quad(lambda x: -float(oracles.dcdf_dtheta(agent.income, x, z)), lo, c,
                    epsabs=1e-13)[0]
         return 1.0 - val
 
@@ -1256,16 +1339,21 @@ def test_audit_surplus_and_single_crossing_rule_have_one_home():
     mech_tree = ast.parse((src / "mech.py").read_text(encoding="utf-8"))
     assert all(getattr(node, "value", None) != 1e30 for node in ast.walk(mech_tree))
     # audit_region is the only income integral: no module defines or calls
-    # a family's breakpoints, and verify integrates no rule of its own
-    breakpoints = set()
+    # a family's breakpoints, and verify integrates no rule of its own.
+    # Each law quantity is stated once: G_theta is g2_over_g * pdf and the
+    # hazard 1 / inverse_hazard, so no module defines or calls a method for
+    # them, or one for cdf and pdf together
+    derived = {"breakpoints", "cdf_and_dtheta", "dcdf_dtheta", "cdf_and_pdf", "hazard"}
+    found = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and node.name == "breakpoints":
-                breakpoints.add(f"{path.stem}.{node.name}")
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "attr", getattr(node.func, "id", None)) == "breakpoints":
-                breakpoints.add(f"{path.stem} calls breakpoints")
-    assert breakpoints == set()
+            if isinstance(node, ast.FunctionDef) and node.name in derived:
+                found.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if callee in derived:
+                    found.add(f"{path.stem} calls {callee}")
+    assert found == set()
     verify_tree = ast.parse((src / "verify.py").read_text(encoding="utf-8"))
     imported = {a.name for n in ast.walk(verify_tree) if isinstance(n, ast.ImportFrom)
                 for a in n.names}
@@ -1276,7 +1364,7 @@ def test_allocation_and_settlement_rules_have_one_home():
     # one allocation rule and one settlement rule, both in mech: no other
     # function compares a value with the rival value, takes the royalty
     # min(report, cap), charges the penalty (income - report) or applies the
-    # audit mask, and the simulator's _top_two is mech's
+    # audit mask
     src = Path(rc.__file__).parent
     homes = {"defs": set(), "rival": set(), "royalty": set(), "penalty": set(),
              "audit": set(), "top_two": set()}
@@ -1314,7 +1402,6 @@ def test_allocation_and_settlement_rules_have_one_home():
                      "rival": {"mech._allocate"}, "royalty": {"mech._settle"},
                      "penalty": {"mech._settle"}, "audit": {"mech._settle"},
                      "top_two": {"mech._allocate"}}
-    assert rc.sim._top_two is rc.mech._top_two
 
 
 def test_instance_entry_points_read_only_the_tables():

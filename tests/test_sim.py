@@ -332,7 +332,7 @@ def test_top_two_matches_stable_argsort():
     cases += [rs.normal(size=(400, n)) for n in (2, 3)]
     for psi in cases:
         n_agents = psi.shape[1]
-        w, top, second = S._top_two(psi)
+        w, top, second = rc.mech._top_two(psi)
         order = np.argsort(psi, axis=1, kind="stable")
         assert np.array_equal(w, order[:, -1])
         assert np.array_equal(top, psi[np.arange(400), order[:, -1]])

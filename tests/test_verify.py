@@ -41,7 +41,6 @@ def test_regularity_flags_oscillating_surplus(ua_agent):
         def cdf(self, pi, th): return np.clip((np.asarray(pi) - np.asarray(th) + 1) / 2, 0, 1)
         def pdf(self, pi, th):
             return np.full(np.broadcast_shapes(np.shape(pi), np.shape(th)), 0.5)
-        def dcdf_dtheta(self, pi, th): return -self.pdf(pi, th)
         def g2_over_g(self, pi, th): return -(1.0 + 0.9 * np.sin(8 * np.asarray(pi)))
         def ppf(self, u, th): return np.asarray(th) - 1 + 2 * np.asarray(u)
         def audit_region(self, th, b):
@@ -115,6 +114,82 @@ def test_check_runs_the_single_crossing_scan_once(monkeypatch, audit_cost):
         assert rep.worst["psi_increasing"] == {"error": str(err.value)}
     else:
         assert rep.all_ok
+
+
+def test_check_evaluates_the_income_law_twice_on_its_grid(monkeypatch):
+    # on a tabulated income law each evaluation on check's 128 x 128 grid is
+    # a full inversion: one for FOSD (cdf) and one for the audit surplus
+    # (g2_over_g), no density pass
+    agent = table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0)
+    sizes = []
+    solve = rc.TableIncomeFamily._solve
+    monkeypatch.setattr(rc.TableIncomeFamily, "_solve", lambda fam, pi, theta: (
+        sizes.append(np.broadcast(pi, theta).size) or solve(fam, pi, theta)))
+    assert rc.check_regularity(agent, 128, 128).all_ok
+    assert sizes.count(128 * 128) == 2
+
+
+@st.composite
+def _table_shape(draw):
+    """A random tabulated law on [0, 1]: 3-12 knots at random spacing and
+    random positive cdf steps."""
+    n = draw(st.integers(3, 12))
+    steps = [draw(st.lists(st.floats(lo, 1.0), min_size=n - 1, max_size=n - 1))
+             for lo in (0.05, 0.02)]
+    grid, cdf = (np.concatenate([[0.0], np.cumsum(x)]) for x in steps)
+    return grid / grid[-1], cdf / cdf[-1]
+
+
+@st.composite
+def _tabulated_agent(draw):
+    """An agent whose income law is tabulated: a random ``table`` error law
+    of width 1, shifted to mean zero, under the additive family (types
+    U[1, 2]) or the scaled family (types U[0.5, 1]); or random quantile rows
+    of a ``TableIncomeFamily`` at 2-4 type knots (types over the knots),
+    each row of width at most 0.45 times the least knot gap, shifted to
+    its knot's mean, so that the rows are FOSD-ordered."""
+    kind = draw(st.sampled_from(["additive_error", "scaled_error", "table"]))
+    c, phi = draw(st.floats(0.0, 0.5)), draw(st.sampled_from([0.5, 1.0]))
+    if kind == "table":
+        knots = np.cumsum([1.0] + draw(st.lists(st.floats(0.3, 1.0), min_size=1, max_size=3)))
+        rows = []
+        for t in knots:
+            grid, cdf = draw(_table_shape())
+            grid = grid * draw(st.floats(0.05, 0.45)) * np.min(np.diff(knots))
+            rows.append((grid + (t - rc.dist._Pchip(cdf, grid).total), cdf))
+        income = rc.make_income_family("table", {"theta_grid": knots.tolist(), "rows": rows})
+        types = {"lo": knots[0], "hi": knots[-1]}
+    else:
+        grid, cdf = draw(_table_shape())
+        grid = grid - rc.dist._TableCdf(grid, cdf).mean
+        income = rc.make_income_family(kind, {"error": {"family": "table", "grid": grid,
+                                                        "cdf": cdf}})
+        types = {"lo": 1.0, "hi": 2.0} if kind == "additive_error" else {"lo": 0.5, "hi": 1.0}
+    return rc.AgentSpec(rc.make_type_dist("uniform", types), income, c, phi)
+
+
+@given(agent=_tabulated_agent())
+@settings(max_examples=30, deadline=None)
+def test_check_grid_has_positive_density_inside_the_support(agent):
+    # check's single crossing in type keeps the grid incomes strictly inside
+    # each type's support: the density there is positive on every income law
+    # the package tabulates, so masking incomes of zero density as well
+    # would leave its entry unchanged
+    n = 64
+    rep = rc.check_regularity(agent, n, n)
+    thetas = rc.mech._interior_grid(agent.types, n)
+    types = rc.mech._Types.of(agent, thetas)
+    th = thetas[:, None]
+    pis = np.linspace(float(np.min(types.lo)), float(np.max(types.hi)), n)
+    inside = (pis[None, :] > types.lo[:, None] + 1e-12) & (pis[None, :] < types.hi[:, None] - 1e-12)
+    pdf = np.asarray(agent.income.pdf(pis[None, :], th))
+    assert np.all(pdf[inside] > 0)
+    with np.errstate(invalid="ignore"):
+        surplus = rc.mech._audit_surplus(agent, th, pis[None, :], types.ih[:, None])
+    per = rc.mech._worst_single_crossing(np.where(inside & (pdf > 0), surplus, np.nan), axis=0)
+    k = int(np.argmax(per))
+    assert rep.worst["single_crossing_theta"] == {
+        "magnitude": float(per[k]), "pi": float(pis[k]) if per[k] > 0 else None}
 
 
 @pytest.mark.parametrize("knots", [(1.0, 1.4, 2.0), (1.0, 1.5, 2.0)])

@@ -49,6 +49,11 @@ takes an instance, so that a change shows how far each one moves:
   and 0.8 of the way up the reported income support;
 * ``crossing_point`` of ``scaled_triangular`` at the report pairs
   (0.6, 0.7), (0.75, 0.8) and (0.75, 0.75);
+* per agent of the shipped configs, the ``comparative_statics_scan``
+  report (64 types) on each axis, as JSON, or the error it raises: ``c``
+  at 0, 0.1, 0.2, 0.3 and 0.4, ``phi`` at 0.25, 0.5, 0.75 and 1, and
+  ``hazard_family`` over the type laws F = ((theta - lo) / (hi - lo))^a,
+  a = 1, 1.5 and 2, tabulated on 257 points of the agent's type support;
 * per shipped config and tabulated instance, each agent's
   ``best_responses`` at the true types CLI ``verify-ic`` certifies (16
   interior types, the config's type grid): per income strategy, the truthful
@@ -96,7 +101,8 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.workloads import SHIPPED, Tabulated  # noqa: E402
 from royaltycap import cli, mech, sim, verify  # noqa: E402
 from royaltycap.config import parse_config  # noqa: E402
-from royaltycap.errors import DomainError  # noqa: E402
+from royaltycap.dist import make_type_dist  # noqa: E402
+from royaltycap.errors import DomainError, RoyaltycapError  # noqa: E402
 
 SEED = 0
 RUNS = 20_000
@@ -106,6 +112,8 @@ PLAY_CONFIGS = ("uniform_additive", "mixed_pair")
 PROFILES = 40
 CROSSING_PAIRS = ((0.6, 0.7), (0.75, 0.8), (0.75, 0.75))
 KERNEL_TYPES = 9
+SCAN_AXES = {"c": (0.0, 0.1, 0.2, 0.3, 0.4), "phi": (0.25, 0.5, 0.75, 1.0)}
+HAZARD_POWERS = (1.0, 1.5, 2.0)
 QUANTILES = (0.0, 5e-324, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-12,
              float(np.nextafter(1.0, 0.0)), 1.0)
 
@@ -243,6 +251,20 @@ def _kernel_values(out: dict, name: str, text: str):
         out[f"api/{name}/endogenous_virtual/{i}"] = _values(values)
 
 
+def _scan_values(out: dict, name: str, inst: mech.AuctionInstance):
+    for i, agent in enumerate(inst.agents):
+        grid = np.linspace(agent.types.lo, agent.types.hi, 257)
+        x = (grid - agent.types.lo) / (agent.types.hi - agent.types.lo)
+        axes = {**SCAN_AXES, "hazard_family": [
+            make_type_dist("table", {"grid": grid, "cdf": x ** a}) for a in HAZARD_POWERS]}
+        for axis, values in axes.items():
+            try:
+                rep = json.dumps(verify.comparative_statics_scan(agent, axis, values))
+            except RoyaltycapError as e:
+                rep = f"{type(e).__name__}: {e}"
+            out[f"api/{name}/comparative_statics/{i}/{axis}"] = rep
+
+
 def _quantile_values(out: dict, name: str, text: str):
     agent = parse_config(text).instance.agents[0]
     knots = agent.income.type_knots
@@ -331,6 +353,7 @@ def main(argv=()) -> int:
             _best_response_values(out, name, text)
             _kink_values(out, name, text)
             _kernel_values(out, name, text)
+            _scan_values(out, name, parse_config(text).instance)
             if name in PLAY_CONFIGS:
                 _play_digests(out, name, parse_config(text).instance)
         st = ROOT / "configs" / "scaled_triangular.yaml"
