@@ -183,13 +183,23 @@ def _blocked(fn, width: int, *cols):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _buckets(xp: np.ndarray, x, k: int) -> np.ndarray:
-    """Bucket of each point among ``k`` equal-width buckets over [xp[0],
-    xp[-1]]: nondecreasing in x, so the points of a bucket never precede the
-    grid points of an earlier one; NaN falls in the last bucket."""
-    b = x - xp[0]
+def _buffers(out, size: int, *dtypes) -> tuple:
+    """A kernel's ``out``: its result and scratch arrays, or, when ``out`` is
+    None, fresh arrays of ``size`` elements of ``dtypes``."""
+    return tuple(np.empty(size, dt) for dt in dtypes) if out is None else out
+
+
+def _buckets(xp: np.ndarray, x, k: int, out=None) -> np.ndarray:
+    """Bucket of each point of the 1-d array ``x`` among ``k`` equal-width
+    buckets over [xp[0], xp[-1]]: nondecreasing in x, so the points of a
+    bucket never precede the grid points of an earlier one; NaN falls in the
+    last bucket.  ``out``: the buckets (intp) and a float scratch array."""
+    j, b = _buffers(out, x.size, np.intp, float)
+    np.subtract(x, xp[0], out=b)
     b *= k / (xp[-1] - xp[0])
-    return np.fmin(b, k - 1, out=b).astype(np.intp)
+    np.fmin(b, k - 1, out=b)
+    np.copyto(j, b, casting="unsafe")  # truncates, as astype does
+    return j
 
 
 def _guide_table(xp: np.ndarray) -> np.ndarray:
@@ -204,7 +214,7 @@ def _guide_table(xp: np.ndarray) -> np.ndarray:
     return np.clip(first - 1, 0, xp.size - 2)
 
 
-def _cells(xp: np.ndarray, guide: np.ndarray, x, start=None) -> np.ndarray:
+def _cells(xp: np.ndarray, guide: np.ndarray, x, start=None, out=None) -> np.ndarray:
     """Cell of each point of the array ``x`` on the sorted grid ``xp``: the
     last index j with xp[j] <= x, kept in 0 .. len(xp) - 2 (the end cells
     extend beyond the grid).  The one search of the package's tables.
@@ -215,12 +225,19 @@ def _cells(xp: np.ndarray, guide: np.ndarray, x, start=None) -> np.ndarray:
     every point of a well-spread grid; a point that must step further sits
     in a bucket crowded with grid points (a far outlier squeezes the other
     grid points into a few buckets) and is located by binary search, so no
-    point costs more than a binary search."""
+    point costs more than a binary search.  ``out``: the cells (intp) and two
+    float scratch arrays, of x's size."""
     x = np.asarray(x, dtype=float)
-    xs = np.clip(x, xp[0], np.nextafter(xp[-1], -np.inf)).ravel()
-    j = guide[_buckets(xp, xs, guide.size)] if start is None else start.ravel().copy()
+    j, xs, scratch = _buffers(out, x.size, np.intp, float, float)
+    np.clip(x.ravel(), xp[0], np.nextafter(xp[-1], -np.inf), out=xs)
+    if start is None:
+        # each bucket's guide entry, read in place: take reads an index
+        # before it writes that position
+        np.take(guide, _buckets(xp, xs, guide.size, out=(j, scratch)), out=j, mode="wrap")
+    else:
+        np.copyto(j, start.ravel())
     nxt = xp[1:]
-    move = np.flatnonzero(nxt[j] <= xs)
+    move = np.flatnonzero(np.take(nxt, j, out=scratch, mode="wrap") <= xs)
     j[move] += 1
     move = move[nxt[j[move]] <= xs[move]]
     j[move] = np.searchsorted(xp, xs[move], side="right") - 1
@@ -245,19 +262,21 @@ class GridPoints:
     shape: tuple
 
     @staticmethod
-    def locate(xp: np.ndarray, guide: np.ndarray, x, start=None) -> "GridPoints":
+    def locate(xp: np.ndarray, guide: np.ndarray, x, start=None, out=None) -> "GridPoints":
         """Locate ``x`` by the guide table of ``_guide_table(xp)``, or by
         stepping up from the cells ``start`` (``_cells``), so no point costs
         more than np.interp's binary search.  The points at or above xp[-1]
-        snap to fp[-1]."""
+        snap to fp[-1].  ``out``: the arrays j, d and w (intp, float, float,
+        of x's size, none of them x's memory; ``start`` may be j)."""
         x = np.asarray(x, dtype=float)
         shape, x = x.shape, x.ravel()
         top = xp[-1]
-        j = _cells(xp, guide, x, start)
-        x0 = xp[j]
-        w = xp[1:][j]
+        j, d, w = _buffers(out, x.size, np.intp, float, float)
+        _cells(xp, guide, x, start, out=(j, d, w))
+        x0 = np.take(xp, j, out=d, mode="wrap")
+        np.take(xp[1:], j, out=w, mode="wrap")
         w -= x0
-        d = np.subtract(x, x0, out=x0)
+        np.subtract(x, x0, out=d)
         snap = np.flatnonzero((d <= 0.0) | (x >= top))
         xv = x[snap]
         snap_to = np.where(xv >= top, xp.size - 1, np.where(xv < xp[0], 0, j[snap]))
@@ -267,25 +286,30 @@ class GridPoints:
         w[snap] = 1.0
         return GridPoints(j, d, w, snap, snap_to, shape)
 
-    def take(self, sel: np.ndarray) -> "GridPoints":
-        """The points at the increasing indices ``sel``."""
+    def take(self, sel: np.ndarray, out=None) -> "GridPoints":
+        """The points at the increasing indices ``sel`` (``out``: as for
+        ``locate``, of sel's size)."""
         pos = np.searchsorted(sel, self.snap)
         hit = pos < sel.size
         hit[hit] = sel[pos[hit]] == self.snap[hit]
-        return GridPoints(self.j[sel], self.d[sel], self.w[sel], pos[hit],
-                          self.snap_to[hit], sel.shape)
+        j, d, w = _buffers(out, sel.size, np.intp, float, float)
+        for src, dst in ((self.j, j), (self.d, d), (self.w, w)):
+            np.take(src, sel, out=dst, mode="wrap")
+        return GridPoints(j, d, w, pos[hit], self.snap_to[hit], sel.shape)
 
-    def interp(self, fp: np.ndarray):
+    def interp(self, fp: np.ndarray, out=None):
         """np.interp(x, xp, fp): (fp[j+1] - fp[j]) / w * d + fp[j], or the
-        snapped grid value."""
-        f0 = fp[self.j]
-        out = fp[1:][self.j]
-        out -= f0
-        out /= self.w
-        out *= self.d
-        out += f0
-        out[self.snap] = fp[self.snap_to]
-        return out.reshape(self.shape)[()]
+        snapped grid value.  ``out``: the result and a float scratch array,
+        of the points' size."""
+        res, f0 = _buffers(out, self.j.size, float, float)
+        np.take(fp, self.j, out=f0, mode="wrap")
+        np.take(fp[1:], self.j, out=res, mode="wrap")
+        res -= f0
+        res /= self.w
+        res *= self.d
+        res += f0
+        res[self.snap] = fp[self.snap_to]
+        return res.reshape(self.shape)[()]
 
 
 def _quantile_domain(u):
@@ -332,10 +356,20 @@ class _Standardized:
         """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
         return (self._cdf_integral(np.clip(self._z(x), 0.0, 1.0)) * self.scale)[()]
 
-    def ppf(self, q):
+    def ppf(self, q, out=None):
+        """The quantiles; ``out``: the result and a float scratch array, of
+        q's shape (``_ppf`` allocates its scratch when None)."""
         q, ok = _quantile_domain(q)
-        out = np.where(ok, self._ppf(np.where(ok, q, 0.0)) * self.scale + self.loc, np.nan)
-        return out[()]
+        res, scratch = (np.empty(q.shape), None) if out is None else out
+        # np.where(ok, _ppf(q) * scale + loc, nan), in res; q is clipped
+        # first, so that no value outside [0, 1] reaches _ppf
+        np.clip(q, 0.0, 1.0, out=res)
+        self._ppf(res, scratch)
+        res *= self.scale
+        res += self.loc
+        if not ok.all():
+            np.copyto(res, np.nan, where=~ok)
+        return res[()]
 
 
 class _Uniform(_Standardized):
@@ -351,7 +385,7 @@ class _Uniform(_Standardized):
     def _cdf_integral(self, z):
         return 0.5 * z * z
 
-    def _ppf(self, q):
+    def _ppf(self, q, scratch=None):
         return q
 
 
@@ -382,9 +416,18 @@ class _Triangular(_Standardized):
             return np.where(z < c, z ** 3 / (3 * c), np.where(
                 c == 1, z ** 3 / 3, z - (c + 1) / 3 + (1 - z) ** 3 / (3 * (1 - c))))
 
-    def _ppf(self, q):
+    def _ppf(self, q, scratch=None):
+        """np.where(q < c, sqrt(c q), 1 - sqrt((1 - c) (1 - q))), in place."""
         c = self.c
-        return np.where(q < c, np.sqrt(c * q), 1 - np.sqrt((1 - c) * (1 - q)))
+        rises = q < c
+        falls = np.subtract(1, q, out=np.empty_like(q) if scratch is None else scratch)
+        falls *= 1 - c
+        np.sqrt(falls, out=falls)
+        np.subtract(1, falls, out=falls)
+        np.multiply(c, q, out=q)
+        np.sqrt(q, out=q)
+        np.copyto(q, falls, where=~rises)
+        return q
 
 
 def _pchip_end(h0, h1, m0, m1):
@@ -538,12 +581,18 @@ class _TableCdf(_Pchip):
         """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
         return self._poly(self._ic, np.clip(np.asarray(x, dtype=float), self.lo, self.hi))[()]
 
-    def ppf(self, u):
+    def ppf(self, u, out=None):
+        """The quantiles; ``out``: the result and a float scratch array, of
+        u's shape."""
         u, ok = _quantile_domain(u)
         f, x, guide = self._inverse
-        out = np.asarray(GridPoints.locate(f, guide, np.where(ok, u, 0.0)).interp(x))
-        out = np.where(ok, np.where(u < 1.0, out, self.hi), np.nan)
-        return out if out.ndim else float(out)
+        res, scratch = _buffers(out, u.shape, float, float)
+        at = GridPoints.locate(f, guide, np.where(ok, u, 0.0))
+        at.interp(x, out=(res.ravel(), scratch.ravel()))
+        # np.where(ok, np.where(u < 1.0, res, hi), nan), in res
+        np.copyto(res, self.hi, where=u >= 1.0)
+        np.copyto(res, np.nan, where=~ok)
+        return res if res.ndim else float(res)
 
 
 def _build_univariate(family: str, params: dict):
@@ -590,8 +639,10 @@ class TypeDist:
     def pdf(self, theta):
         return self._backend.pdf(theta)
 
-    def ppf(self, u):
-        return self._backend.ppf(u)
+    def ppf(self, u, out=None):
+        """The quantiles; ``out``: the result and a float scratch array, of
+        u's shape (allocated when None)."""
+        return self._backend.ppf(u, out)
 
     def _check_domain(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -1092,15 +1143,17 @@ def sample_income(fam: IncomeFamily, theta, rng: np.random.Generator):
     return fam.ppf(u, theta)
 
 
-def project_to_support(fam: IncomeFamily, theta_report, pi_true):
+def project_to_support(fam: IncomeFamily, theta_report, pi_true, out=None):
     """Closest point of [supp_lo(theta_report), supp_hi(theta_report)] to pi_true.
 
     This is the on-path income report of a winner whose realized income is
     not feasible under his reported type ("as truthfully as possible").
+    ``out``: an array of the result's shape to write it into.
     """
-    lo = fam.supp_lo(theta_report)
-    hi = fam.supp_hi(theta_report)
-    out = np.minimum(np.maximum(pi_true, lo), hi)
+    # one bound at a time, so that the first is freed before the second
+    # is made
+    out = np.maximum(pi_true, fam.supp_lo(theta_report), out=out)
+    out = np.minimum(out, fam.supp_hi(theta_report), out=out if np.ndim(out) else None)
     return out if np.ndim(out) else float(out)
 
 

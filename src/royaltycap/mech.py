@@ -57,6 +57,7 @@ from .dist import (
     GridPoints,
     _bisect,
     _blocked,
+    _buffers,
     _gl_segments,
     _guide_table,
     inverse_hazard,
@@ -233,9 +234,11 @@ def phi_cap(agent: AgentSpec, theta):
     return _per_type(theta, _curves_at(agent, theta)[3])
 
 
-def _top_two(psi: np.ndarray):
+def _top_two(psi: np.ndarray, out=None):
     """Per row: the index of the highest virtual value, that value, and the
-    second highest (0 for a lone bidder).
+    second highest (0 for a lone bidder).  ``out``: the index (intp), top
+    and second arrays and a float scratch array, one entry per row; a lone
+    bidder's top is psi's column.
 
     One pass per agent column, with no data-dependent branch: a column at or
     above the top so far takes the top (index j exceeds every earlier one),
@@ -245,27 +248,34 @@ def _top_two(psi: np.ndarray):
     makes the second value equal the top, so the asset stays unsold and the
     rule never shows in an outcome."""
     n, N = psi.shape
-    w = np.zeros(n, dtype=np.intp)
+    w, top, second, scratch = _buffers(out, n, np.intp, float, float, float)
+    w.fill(0)
     if N == 1:
-        return w, psi[:, 0], np.zeros(n)
-    top, second = psi[:, 0], np.full(n, -np.inf)
+        second.fill(0.0)
+        return w, psi[:, 0], second
+    np.copyto(top, psi[:, 0])
+    second.fill(-np.inf)
     for j in range(1, N):
         col = psi[:, j]
-        np.maximum(w, j * (col >= top), out=w)
-        np.maximum(second, np.minimum(top, col), out=second)
-        top = np.maximum(col, top)
+        np.maximum(w, np.multiply(col >= top, j, out=scratch.view(np.intp)), out=w)
+        np.maximum(second, np.minimum(top, col, out=scratch), out=second)
+        np.maximum(col, top, out=top)
     return w, top, second
 
 
-def _allocate(psi: np.ndarray):
+def _allocate(psi: np.ndarray, out=None):
     """The allocation rule per row of virtual values ``psi`` (one column per
     agent): the agent strictly above zero and every rival wins, so a tie for
     the top leaves the asset unsold.  Returns the winner index (-1 when
-    unsold) and the rival value max(second highest value, 0)."""
-    w, top, second = _top_two(psi)
+    unsold) and the rival value max(second highest value, 0), in the first
+    and third arrays of ``out`` (``_top_two``'s)."""
+    w, top, second = _top_two(psi, out)
     rival = np.maximum(second, 0.0, out=second)
     # w where sold, else -1, without a data-dependent branch
-    return (w + 1) * (top > rival) - 1, rival
+    w += 1
+    w *= top > rival
+    w -= 1
+    return w, rival
 
 
 def _agent(inst: AuctionInstance, i) -> AgentSpec:
@@ -294,7 +304,7 @@ def allocation(inst: AuctionInstance, theta_profile) -> list:
     return [int(winner == i) for i in range(inst.n_agents)]
 
 
-def _audit_mask(pi_report, cap, supp_hi):
+def _audit_mask(pi_report, cap, supp_hi, out=None):
     """Audit indicator: report strictly below the threshold, or any report
     when it reaches the reported support's top, within 1e-12*max(1, |top|).
 
@@ -308,30 +318,42 @@ def _audit_mask(pi_report, cap, supp_hi):
     On path the event has measure zero, so payments are unchanged.  The band
     covers an interpolated cap's few ulps; a wider one would audit reports
     above a cap just below the top, refunding phi*(report - pi) to them.
+    ``out``: the mask (bool) and a float scratch array, of the result's
+    shape; None allocates them.
     """
-    return (pi_report < cap) | (cap >= supp_hi - 1e-12 * np.maximum(1.0, np.abs(supp_hi)))
+    mask, s = (None, None) if out is None else out
+    band = np.multiply(1e-12, np.maximum(1.0, np.abs(supp_hi, out=s), out=s), out=s)
+    top = np.greater_equal(cap, np.subtract(supp_hi, band, out=s), out=mask)
+    return np.bitwise_or(pi_report < cap, top, out=mask)
 
 
-def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None):
+def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None, out=None):
     """The settlement rule for a winner with true income ``pi_true`` and
     income report ``pi_report`` under audit threshold ``cap``, reported
     support top ``supp_hi`` (arrays broadcast): the royalty
     min(pi_report, cap)*phi, the audit indicator (``_audit_mask``, unless a
     randomized rule's draws ``audited`` are given) and the penalty
-    (pi_true - pi_report)*phi where audited, 0 elsewhere."""
-    royalty = np.minimum(pi_report, cap) * phi
+    (pi_true - pi_report)*phi where audited, 0 elsewhere.  ``out``: the
+    royalty, audit indicator (bool) and penalty arrays and a float scratch
+    array, of the result's shape; None allocates them."""
+    royalty, mask, penalty, s = (None,) * 4 if out is None else out
+    royalty = np.multiply(np.minimum(pi_report, cap, out=royalty), phi, out=royalty)
     if audited is None:
-        audited = _audit_mask(pi_report, cap, supp_hi)
-    return royalty, audited, _where_zero(audited, (pi_true - pi_report) * phi)
+        audited = _audit_mask(pi_report, cap, supp_hi, None if out is None else (mask, s))
+    gap = np.multiply(np.subtract(pi_true, pi_report, out=s), phi, out=s)
+    return royalty, audited, _where_zero(audited, gap, out=penalty)
 
 
-def _where_zero(mask, x):
+def _where_zero(mask, x, out=None):
     """``np.where(mask, x, 0.0)`` bit for bit, for float ``x``: the bits of
     ``x`` ANDed with all ones where ``mask`` holds and with zeros elsewhere.
     np.where branches on every element, so a random mask, such as the audit
-    indicator of a chunk of runs, makes it about six times slower."""
-    bits = np.asarray(x, dtype=float).view(np.int64)
-    return (bits & -np.asarray(mask, dtype=np.int64)).view(np.float64)
+    indicator of a chunk of runs, makes it about six times slower.  ``out``:
+    a float array of the result's shape, not x's memory."""
+    bits = None if out is None else out.view(np.int64)
+    keep = np.subtract(0, mask, out=bits, dtype=np.int64)
+    return np.bitwise_and(np.asarray(x, dtype=float).view(np.int64), keep,
+                          out=bits).view(np.float64)
 
 
 def _settle_report(agent: AgentSpec, theta_report: float, pi_report: float):
@@ -792,7 +814,8 @@ class MechanismTables:
     """Dense per-agent grids of the mechanism quantities, for fast
     vectorized evaluation and inversion inside the simulator.
 
-    Immutable after construction; all evaluation methods are pure."""
+    Immutable after construction; all evaluation methods are pure (apart
+    from writing into the arrays passed as ``out``)."""
 
     agents: tuple
 
@@ -804,23 +827,25 @@ class MechanismTables:
                         theta_guide=_guide_table(c["theta"]), psi_guide=_guide_table(c["psi"]))
             for i, c in enumerate(curves)))
 
-    def locate(self, i: int, theta) -> GridPoints:
-        """Types ``theta`` located on agent i's type grid.  Every type lookup
-        below accepts the result in place of ``theta``, so points looked up
-        several times are searched for once."""
+    def locate(self, i: int, theta, out=None) -> GridPoints:
+        """Types ``theta`` located on agent i's type grid (``out``: as for
+        ``GridPoints.locate``).  Every type lookup below accepts the result
+        in place of ``theta``, so points looked up several times are searched
+        for once; ``psi`` and ``pi_star`` write into ``out`` as
+        ``GridPoints.interp`` does."""
         if isinstance(theta, GridPoints):
             return theta
         t = self.agents[i]
-        return GridPoints.locate(t.theta, t.theta_guide, theta)
+        return GridPoints.locate(t.theta, t.theta_guide, theta, out=out)
 
-    def psi(self, i: int, theta):
-        return self.locate(i, theta).interp(self.agents[i].psi)
+    def psi(self, i: int, theta, out=None):
+        return self.locate(i, theta).interp(self.agents[i].psi, out)
 
     def psi_m(self, i: int, theta):
         return self.locate(i, theta).interp(self.agents[i].psi_m)
 
-    def pi_star(self, i: int, theta):
-        return self.locate(i, theta).interp(self.agents[i].pi_star)
+    def pi_star(self, i: int, theta, out=None):
+        return self.locate(i, theta).interp(self.agents[i].pi_star, out)
 
     def phi_cap(self, i: int, theta):
         return self.locate(i, theta).interp(self.agents[i].phi_cap)
@@ -836,21 +861,31 @@ class MechanismTables:
         t = self.agents[i]
         return GridPoints.locate(t.psi, t.psi_guide, rival_value).interp(t.theta)
 
-    def transfer_win(self, i: int, theta, rival_value):
+    def transfer_win(self, i: int, theta, rival_value, out=None):
         """Winner's transfer at type report ``theta`` against the best rival
-        positive virtual value."""
-        # the rent below the threshold type first, whose searches' arrays
-        # are freed before the lookups at ``theta`` allocate theirs.  The
-        # type grid shares the psi grid's indices, and the threshold type
-        # never lies below theta[j] of the rival value's psi cell j, so its
-        # cell is found by stepping up from j
+        positive virtual value ``rival_value`` (one value, or one per type):
+        income_net_royalty - (rent_below - the rent below the threshold
+        type).  ``out``: the result and four scratch arrays (intp, float,
+        float, float), of theta's size; one rival value's threshold type is
+        looked up in arrays of its own."""
         t = self.agents[i]
-        v = GridPoints.locate(t.psi, t.psi_guide, rival_value)
-        rent_z = GridPoints.locate(t.theta, t.theta_guide, v.interp(t.theta),
-                                   start=v.j).interp(t.rent_cum)
-        del v
         at = self.locate(i, theta)
-        return self.income_net_royalty(i, at) - (self.rent_below(i, at) - rent_z)
+        res, j, d, w, f0 = _buffers(out, at.j.size, float, np.intp, float, float, float)
+        beat = np.asarray(rival_value, dtype=float)
+        cells, into = ((j, d, w), (res, f0)) if beat.size == res.size else (None, None)
+        # the rent below the threshold type first, into res.  The type grid
+        # shares the psi grid's indices, and the threshold type never lies
+        # below theta[j] of the rival value's psi cell j, so its cell is
+        # found by stepping up from j
+        v = GridPoints.locate(t.psi, t.psi_guide, beat, out=cells)
+        z = v.interp(t.theta, out=into)
+        rent_z = GridPoints.locate(t.theta, t.theta_guide, z, start=v.j,
+                                   out=cells).interp(t.rent_cum, out=into)
+        at.interp(t.rent_cum, out=(d, f0))
+        np.subtract(d, rent_z, out=d)
+        at.interp(t.income_net_royalty, out=(res, f0))
+        np.subtract(res, d, out=res)
+        return res.reshape(at.shape)[()]
 
 
 def tables_for(inst: AuctionInstance) -> MechanismTables:

@@ -28,6 +28,16 @@ the thread that simulated it, to a few numbers per block (``_block_moments``)
 and integer counts; the blocks' terms are then added exactly by
 ``math.fsum`` (``_mean_se``).  The report depends only on (instance,
 strategies, n_runs, seed), and memory does not grow with ``n_runs``.
+
+Each thread simulates its chunks in one workspace (``_Workspace``) of
+run-sized arrays: ``_simulate_batch`` and the kernels it calls (type ppf,
+``GridPoints``, the ``MechanismTables`` lookups, ``_allocate``, ``_settle``,
+``project_to_support``) write into its columns through ``out=``, so a chunk
+after the thread's first allocates nothing of its size and faults in no
+fresh memory.  Only the income family's methods allocate their results.
+``_simulate_batch``'s results are views into the workspace, valid until
+the thread's next chunk.  A calling thread keeps its workspace from call to
+call; the pool threads of a call each work in their own runs of it.
 """
 
 from __future__ import annotations
@@ -170,22 +180,74 @@ def _uniform_matrix(n_agents: int, seed: int, start: int, count: int,
 # ---------------------------------------------------------------------------
 
 
-def _apply_map(fn: Optional[Callable], *cols):
-    if fn is None:
-        return np.array(cols[-1], dtype=float, copy=True)
+class _Workspace:
+    """A thread's run-sized arrays, kept from chunk to chunk.
+
+    ``start`` readies it for a chunk of ``n`` runs; ``rows`` then hands out
+    its arrays in request order, each one a block of rows of ``n`` floats
+    (``col`` one row, viewed as another 8- or 1-byte dtype), and ``release``
+    hands the later ones back.  The k-th request of a chunk gets the k-th
+    stored array, made on first use and remade larger when a chunk needs
+    more runs or rows, so a thread's chunks allocate none of their size
+    after the first.  A fresh workspace allocates every array it hands out:
+    that is ``_simulate_batch`` without one.
+
+    ``parts`` splits a workspace between pool threads: part k borrows runs
+    [k * runs, (k + 1) * runs) of each stored array (and the k-th share of
+    the uniforms' buffer) where the array has room, and makes its own
+    arrays elsewhere, which end with it.  The parts only read the lender,
+    so they may run at once while its thread waits."""
+
+    def __init__(self, lender: Optional["_Workspace"] = None, first: int = 0, k: int = 0):
+        self._arrays = []
+        self._u = np.empty(0)
+        self._lender, self._first, self._k = lender, first, k
+        self.n = self.used = 0
+
+    def parts(self, count: int, runs: int) -> list:
+        return [_Workspace(self, k * runs, k) for k in range(count)]
+
+    def start(self, n: int) -> "_Workspace":
+        self.n, self.used = n, 0
+        return self
+
+    def uniforms(self, size: int) -> np.ndarray:
+        lent = None if self._lender is None else self._lender._u[self._k * size:]
+        if lent is not None and lent.size >= size:
+            return lent[:size]
+        if self._u.size < size:
+            self._u = np.empty(size)
+        return self._u[:size]
+
+    def rows(self, k: int) -> np.ndarray:
+        at, end = self.used, self._first + self.n
+        self.used += 1
+        if self._lender is not None and at < len(self._lender._arrays):
+            a = self._lender._arrays[at]
+            if a.shape[0] >= k and a.shape[1] >= end:
+                return a[:k, self._first:end]
+        while len(self._arrays) <= at:
+            self._arrays.append(np.empty((0, 0)))
+        a = self._arrays[at]
+        if a.shape[0] < k or a.shape[1] < self.n:
+            a = self._arrays[at] = np.empty((max(k, a.shape[0]), max(self.n, a.shape[1])))
+        return a[:k, :self.n]
+
+    def col(self, dtype=float) -> np.ndarray:
+        return self.rows(1)[0].view(dtype)[:self.n]
+
+    def release(self, used: int):
+        self.used = used
+
+
+def _apply_map(fn: Callable, *cols):
     return np.array([fn(*args) for args in zip(*cols)], dtype=float)
-
-
-def _unsold(n: int, N: int) -> tuple:
-    """The outputs of ``n`` runs among ``N`` agents with nothing sold: zero
-    transfers, royalties, audits, penalties, audit costs and utilities."""
-    return (np.zeros((N, n)).T, np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n),
-            np.zeros(n), np.zeros((N, n)).T)
 
 
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
                     u: np.ndarray, tables: MechanismTables,
-                    audit_prob: Optional[Callable] = None) -> dict:
+                    audit_prob: Optional[Callable] = None,
+                    ws: Optional[_Workspace] = None) -> dict:
     """Vectorized protocol over a matrix of per-run uniforms.
 
     ``audit_prob``, if given, replaces the deterministic audit rule with a
@@ -193,72 +255,110 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     resolved per run with the run's own audit-randomization uniform.  (Used
     for simulating user mechanisms; the revenue-optimal rule stays
     deterministic.)
+
+    The run-sized arrays, results included, are the columns of the
+    workspace ``ws``: the results are views into it, valid until the
+    thread's next chunk.  Without one they are allocated afresh.  The
+    income family's methods allocate their results either way.
     """
     n = u.shape[0]
     N = inst.n_agents
+    ws = (ws or _Workspace()).start(n)
 
-    # one contiguous column per agent, for the allocation's column pass
-    psi_rep = np.empty((N, n)).T
+    # the outputs' rows; until settlement the first N hold the virtual
+    # values, one contiguous column per agent, and row N the top of
+    # ``_top_two``
+    out = ws.rows(2 * N + 4)
+    transfers, utility = out[:N].T, out[N:2 * N].T
+    royalty, pen, audit_cost = out[2 * N], out[2 * N + 2], out[2 * N + 3]
+    audited = out[2 * N + 1].view(bool)[:n]
+    winner, rival, scratch = ws.col(np.intp), ws.col(), ws.col()
+
     draws = []
     for i, agent in enumerate(inst.agents):
-        th_true = agent.types.ppf(u[:, i])
-        th_rep = _apply_map(strategies.type_reports[i], th_true)
-        np.clip(th_rep, agent.types.lo, agent.types.hi, out=th_rep)
+        th_true, th_rep = ws.col(), ws.col()
+        agent.types.ppf(u[:, i], out=(th_true, th_rep))
+        fn = strategies.type_reports[i]
+        np.clip(th_true if fn is None else _apply_map(fn, th_true),
+                agent.types.lo, agent.types.hi, out=th_rep)
         # one grid search per report, shared by every table lookup below
-        located = tables.locate(i, th_rep)
-        psi_rep[:, i] = tables.psi(i, located)
+        located = tables.locate(i, th_rep, out=(ws.col(np.intp), ws.col(), ws.col()))
+        tables.psi(i, located, out=(out[i], scratch))
         draws.append((th_true, th_rep, located))
 
-    winner, rival = _allocate(psi_rep)
-    del psi_rep  # its memory serves the settlement's arrays
+    _allocate(out[:N].T, out=(winner, out[N], rival, scratch))
 
-    outputs = None  # transfers, royalty, audited, penalty, audit cost, utility
+    counts = [np.count_nonzero(winner == i) for i in range(N)]
+    if counts != [n]:
+        out.fill(0.0)  # unsold: zero transfers, royalty, audits, ... (False)
     for i, (agent, (th_true, th_rep, located)) in enumerate(zip(inst.agents, draws)):
-        hit = winner == i
-        count = np.count_nonzero(hit)
+        count = counts[i]
         if not count:
             continue
-        # the runs the agent wins; all of them by a slice, which copies nothing
+        used, tmp = ws.used, scratch[:count]
         whole = count == n
-        m = slice(None) if whole else np.flatnonzero(hit)
-        th_t, th_r = th_true[m], th_rep[m]
-        at = located if whole else located.take(m)
-        # only the winner's income is ever realized
-        pi = agent.income.ppf(u[m, N], th_t)
+        if whole:
+            # the agent wins every run: its stages read and write whole columns
+            m = slice(None)
+            th_t, th_r, at, pi_u = th_true, th_rep, located, u[:, N]
+            t, r, a, p, cost, gain = (transfers[:, i], royalty, audited, pen, audit_cost,
+                                      utility[:, i])
+        else:
+            # the runs the agent wins, gathered into columns of their own;
+            # the agent's whole columns, spent once gathered, then hold its
+            # royalties, penalties, costs, utilities and audits
+            m = np.flatnonzero(winner == i)
+            th_t, th_r, t = (ws.col()[:count] for _ in range(3))
+            at = located.take(m, out=(ws.col(np.intp)[:count], ws.col()[:count],
+                                      ws.col()[:count]))
+            for x, into in ((th_true, th_t), (th_rep, th_r), (u[:, N], t)):
+                np.take(x, m, out=into, mode="wrap")
+            pi_u = t
+            r, p, cost, gain = (x[:count] for x in (th_true, th_rep, located.d, located.w))
+            a = located.j.view(bool)[:count]
+        # only the winner's income is ever realized (a new array: its draws
+        # and types are spent once the income report is made)
+        pi = agent.income.ppf(pi_u, th_t)
         rep_fn = strategies.income_reports[i]
         pi_rep = pi if rep_fn is None else _apply_map(rep_fn, th_t, th_r, pi)
-        pi_rep = project_to_support(agent.income, th_r, pi_rep)
+        # a lone bidder always faces the rival value 0: one threshold type
+        # instead of one per run (about a third of the serial time otherwise)
+        beat = 0.0 if N == 1 else rival if whole else np.take(rival, m, out=th_t, mode="wrap")
+        # the income report and the threshold lie in gain's and t's columns,
+        # which are filled last
+        pi_rep = project_to_support(agent.income, th_r, pi_rep, out=gain)
 
         draw = None
         if audit_prob is not None:
-            draw = u[m, N + 1] < np.asarray(audit_prob(th_r, pi_rep), dtype=float)
-        r, a, p = _settle(pi, pi_rep, tables.pi_star(i, at),
-                          np.asarray(agent.income.supp_hi(th_r)), agent.sensitivity, draw)
-        # a lone bidder always faces the rival value 0: one threshold type
-        # instead of one per run (about a third of the serial time otherwise)
-        t = tables.transfer_win(i, at, rival[m] if N > 1 else 0.0)
-        cost = _where_zero(a, agent.audit_cost)
-        gain = pi - r - p - t
-        if N == 1 and whole:
-            # a lone bidder that wins every run: its results are the outputs
-            outputs = (t[:, None], r, a, p, cost, gain[:, None])
-            break
-        if outputs is None:
-            outputs = _unsold(n, N)
-        transfers, royalty, audited, pen, audit_cost, utility = outputs
-        transfers[m, i] = t
-        royalty[m] = r
-        audited[m] = a
-        pen[m] = p
-        audit_cost[m] = cost
-        utility[m, i] = gain
+            draw = np.less(u[m, N + 1], np.asarray(audit_prob(th_r, pi_rep), dtype=float), out=a)
+        r, a, p = _settle(pi, pi_rep, tables.pi_star(i, at, out=(t, tmp)),
+                          np.asarray(agent.income.supp_hi(th_r)), agent.sensitivity, draw,
+                          out=(r, a, p, tmp))
+        # the reported types and the income report are spent, and the costs
+        # not yet charged, so their columns serve as scratch
+        tables.transfer_win(i, at, beat, out=(t, th_r.view(np.intp), gain, cost, tmp))
+        _where_zero(a, agent.audit_cost, out=cost)
+        np.subtract(pi, r, out=gain)
+        gain -= p
+        gain -= t
+        if not whole:
+            transfers[m, i] = t
+            royalty[m] = r
+            audited[m] = a
+            pen[m] = p
+            audit_cost[m] = cost
+            utility[m, i] = gain
+        ws.release(used)
 
-    transfers, royalty, audited, pen, audit_cost, utility = outputs or _unsold(n, N)
-    # each row holds one transfer at most, so column adds give its row sum
-    paid = transfers[:, 0]
+    # each row holds one transfer at most, so column adds give its row sum;
+    # the first agent's true types are spent by now
+    revenue = draws[0][0]
+    np.copyto(revenue, transfers[:, 0])
     for i in range(1, N):
-        paid = paid + transfers[:, i]
-    revenue = paid + royalty + pen - audit_cost
+        revenue += transfers[:, i]
+    revenue += royalty
+    revenue += pen
+    revenue -= audit_cost
     return {
         "winner": winner,
         "transfers": transfers,
@@ -304,6 +404,8 @@ _CHUNK = 1 << 15
 _BLOCK = 1 << 10
 # fewest runs a revenue estimate accepts
 _MIN_RUNS = 1_000
+# each thread's ``_Workspace`` for its serial calls
+_CALLER = threading.local()
 
 
 def _check_run_args(n_runs, seed, workers):
@@ -391,28 +493,39 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     threads = min(workers, -(-n_runs // _CHUNK))
     size = max(_CHUNK // threads // _BLOCK, 1) * _BLOCK
 
-    # each thread fills the uniforms of all its chunks into one buffer
-    local = threading.local()
-
-    def chunk(start):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty(4 * _blocks_per_run(N) * min(size, n_runs))
-        u = _uniform_matrix(N, seed, start, min(size, n_runs - start), local.buf)
-        b = _simulate_batch(inst, strategies, u, tables, audit_prob)
+    def chunk(start, ws):
+        u = _uniform_matrix(N, seed, start, min(size, n_runs - start),
+                            ws.uniforms(4 * _blocks_per_run(N) * min(size, n_runs)))
+        b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws)
         moments = np.stack([_block_moments(x) for x in (b["revenue"], *b["utility"].T)])
         pen = np.concatenate([np.abs(r, out=r).sum(axis=1) for r in _blocks(b["penalty"])])
-        wins = np.bincount(b["winner"] + 1, minlength=N + 1)[1:]
+        wins = np.bincount(np.add(b["winner"], 1, out=b["winner"]), minlength=N + 1)[1:]
         return moments, pen, np.count_nonzero(b["audited"]), wins
 
-    starts = range(0, n_runs, size)
-    if threads > 1:
-        # imported here: it costs start-up time, and only a pool needs it
-        from concurrent.futures import ThreadPoolExecutor
+    # the calling thread's workspace, kept between calls; taken while in
+    # use, so that a call made from a strategy callable gets one of its own
+    ws = _CALLER.__dict__.pop("ws", None) or _Workspace()
+    try:
+        starts = range(0, n_runs, size)
+        if threads > 1:
+            # imported here: it costs start-up time, and only a pool needs it
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(chunk, starts))
-    else:
-        parts = [chunk(s) for s in starts]
+            # each pool thread takes a part of the caller's workspace
+            spare = ws.parts(threads, size)
+            local = threading.local()
+
+            def pooled(start):
+                if not hasattr(local, "ws"):
+                    local.ws = spare.pop()
+                return chunk(start, local.ws)
+
+            with ThreadPoolExecutor(threads) as pool:
+                parts = list(pool.map(pooled, starts))
+        else:
+            parts = [chunk(s, ws) for s in starts]
+    finally:
+        _CALLER.ws = ws
     moments, pen, audits, wins = zip(*parts)
     moments = np.concatenate(moments, axis=1)
 

@@ -1393,9 +1393,15 @@ def test_allocation_and_settlement_rules_have_one_home():
                         homes["audit"].add(where)
                     if callee == "_top_two":
                         homes["top_two"].add(where)
-                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-                        and isinstance(node.left, ast.Name) and node.left.id.startswith("pi")
-                        and isinstance(node.right, ast.Name) and "rep" in node.right.id):
+                # income minus report, as an operator or as np.subtract
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                    operands = (node.left, node.right)
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "subtract":
+                    operands = tuple(node.args[:2])
+                else:
+                    operands = ()
+                if (len(operands) == 2 and all(isinstance(a, ast.Name) for a in operands)
+                        and operands[0].id.startswith("pi") and "rep" in operands[1].id):
                     homes["penalty"].add(where)
     assert homes == {"defs": {"mech._top_two", "mech._allocate", "mech._settle",
                               "mech._audit_mask"},

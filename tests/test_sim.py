@@ -3,6 +3,7 @@ import math
 import statistics
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from dataclasses import replace
 from scipy.integrate import quad
 
 import royaltycap as rc
+from royaltycap import AgentSpec, make_income_family, make_type_dist
 from royaltycap import sim as S
 from royaltycap.instances import scaled_triangular, scaled_uniform, uniform_additive_agent
 
@@ -431,6 +433,101 @@ def test_memory_does_not_grow_with_runs(ua_inst, workers):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 2 << 20, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+@pytest.mark.parametrize("name", ["uniform_additive", "mixed_pair"])
+def test_chunks_fault_in_no_new_memory(shipped_instances, name):
+    # each thread reuses one workspace for every chunk, so after a warm-up
+    # call more serial chunks fault in no more memory: 8 chunks may take at
+    # most 2,000 more minor page faults than 2 (a chunk's arrays faulted in
+    # afresh take about 900 each)
+    import resource
+
+    inst = shipped_instances[name]
+    rc.estimate_revenue(inst, None, 8 * S._CHUNK, 1)
+
+    def faults(n_runs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rc.estimate_revenue(inst, None, n_runs, 1)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    assert faults(8 * S._CHUNK) - faults(2 * S._CHUNK) <= 2000
+
+
+def _in_new_thread(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` called in a thread of its own, so with a
+    fresh workspace."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(fn(*args, **kwargs)))
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive() and len(got) == 1
+    return got[0]
+
+
+def test_concurrent_callers_match_the_serial_reports(pair_inst):
+    # four threads simulate one shared instance at once, each with its own
+    # workspace, warmed by a serial call (with 2 workers, its pool threads
+    # borrow parts of it): every report equals the serial one, under the
+    # optimal and a random audit rule
+    coin = lambda th, pi: np.full_like(th, 0.5)  # noqa: E731
+    cases = [(workers, audit) for workers in (1, 2) for audit in (None, coin)]
+    want = {audit: rc.estimate_revenue(pair_inst, None, 70_000, 5, audit_prob=audit)
+            for audit in (None, coin)}
+    start = threading.Barrier(len(cases))
+
+    def call(workers, audit):
+        assert rc.estimate_revenue(pair_inst, None, 70_000, 5, audit_prob=audit) == want[audit]
+        start.wait(timeout=300)
+        return rc.estimate_revenue(pair_inst, None, 70_000, 5, workers, audit_prob=audit)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside every stage
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(cases)) as pool:
+            futures = [pool.submit(call, *case) for case in cases]
+            got = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (workers, audit), rep in zip(cases, got):
+        assert rep == want[audit], workers
+
+
+def test_workspace_grows_and_shrinks_without_stale_values(shipped_instances):
+    # in one thread: a one-agent call, a two-agent call (the workspace
+    # grows), then one-agent calls of 20,011 runs, whose last chunk is
+    # shorter, one with unsold runs; each report equals the golden one or
+    # that of a fresh workspace, and the oracle's counts exactly
+    reserve = rc.AuctionInstance((AgentSpec(
+        types=make_type_dist("uniform", {"lo": 0.5, "hi": 2.0}),
+        income=make_income_family("additive_error",
+                                  {"error": {"family": "uniform", "lo": -0.5, "hi": 0.5}}),
+        audit_cost=0.2, sensitivity=0.5),))
+    short = {name: _in_new_thread(rc.estimate_revenue, inst, None, 20_011, 1)
+             for name, inst in (("uniform_additive", shipped_instances["uniform_additive"]),
+                                ("reserve", reserve))}
+    assert 0.5 < short["reserve"].allocation_frequency[0] < 0.95
+
+    def sequence():
+        reports = [rc.estimate_revenue(shipped_instances[name], None, 1 << 17, 1)
+                   for name in ("uniform_additive", "mixed_pair")]
+        reports += [rc.estimate_revenue(inst, None, 20_011, 1)
+                    for inst in (shipped_instances["uniform_additive"], reserve)]
+        return reports
+
+    golden_ua, golden_pair, short_ua, short_reserve = _in_new_thread(sequence)
+    assert golden_ua.to_dict() == _GOLDEN_REPORTS["uniform_additive"]
+    assert golden_pair.to_dict() == _GOLDEN_REPORTS["mixed_pair"]
+    assert short_ua == short["uniform_additive"] and short_reserve == short["reserve"]
+    for inst, rep in ((shipped_instances["uniform_additive"], short_ua), (reserve, short_reserve)):
+        want = oracles.sim_report(inst, 20_011, 1)
+        got = rep.to_dict()
+        for key in ("n_runs", "seed", "audit_frequency", "allocation_frequency"):
+            assert got[key] == want[key], key
+        for key in ("revenue_net_audits", "revenue_se", "agent_utility", "agent_utility_se"):
+            assert np.allclose(got[key], want[key], rtol=1e-14, atol=0), key
 
 
 @pytest.mark.parametrize("n", [1000, S._BLOCK, 5 * S._BLOCK + 3])

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
@@ -54,3 +55,23 @@ def test_artifact_digest_compare_names_moved_keys(tmp_path):
         f"api/a/phi_cap/0: largest move {abs(1.5e-09 - 1e-09)!r}",
         "api/a/report: largest move 0.5",
         "tables/a/psi"]
+
+
+def test_artifact_digest_refuses_another_royaltycap_on_pythonpath(tmp_path, monkeypatch, capsys):
+    # the tool digests its own checkout's src, so a PYTHONPATH naming another
+    # tree's package would digest the wrong tree without a word: it exits 2
+    # and names the entry, before any artifact is made
+    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    other = tmp_path / "other" / "src"
+    (other / "royaltycap").mkdir(parents=True)
+    (other / "royaltycap" / "__init__.py").write_text("", encoding="utf-8")
+    own = str(TOOL.parents[1] / "src")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([own, str(other)]))
+    assert tool.main() == 2
+    captured = capsys.readouterr()
+    assert str(other) in captured.err and captured.out == ""
+    # its own src, a tree without the package and an empty entry pass
+    assert tool.foreign_packages(os.pathsep.join([own, "", str(tmp_path)])) == []
+    assert tool.foreign_packages(str(other)) == [str(other)]

@@ -634,8 +634,9 @@ def test_income_advantage_is_the_brute_search_at_the_cuts(shipped_instances, nam
             assert abs(rep.income_advantage - brute) <= 1e-15, (name, th)
 
 
-def _wide_audit_band(pi_report, cap, supp_hi):
-    """The audit rule with a 1e-6 band below the support top."""
+def _wide_audit_band(pi_report, cap, supp_hi, out=None):
+    """The audit rule with a 1e-6 band below the support top (allocating its
+    result whatever ``out`` holds: verify settles without one)."""
     edge = supp_hi - 1e-6 * np.maximum(1.0, np.abs(supp_hi))
     return (pi_report < cap) | ((cap >= edge) & (pi_report >= edge))
 

@@ -4,8 +4,11 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/artifact_digest.py > digest.json
 
-Run it on two checkouts and compare the outputs to see which artifacts a
-change moves:
+Each checkout digests itself: the tool imports the ``royaltycap`` of its
+own ``src``, and refuses to run (exit code 2) when a ``PYTHONPATH`` entry
+holds another ``royaltycap`` package, which it would otherwise pass over
+silently.  Run each checkout's own copy of the tool and compare the outputs
+to see which artifacts a change moves:
 
     python3 tools/artifact_digest.py --compare old.json new.json
 
@@ -86,6 +89,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -329,6 +333,15 @@ def compare(old: dict, new: dict) -> list:
     return lines
 
 
+def foreign_packages(pythonpath: str) -> list:
+    """The entries of ``pythonpath`` that hold a ``royaltycap`` package other
+    than this checkout's ``src``."""
+    own = (ROOT / "src").resolve()
+    return [entry for entry in pythonpath.split(os.pathsep)
+            if entry and (Path(entry) / "royaltycap" / "__init__.py").is_file()
+            and Path(entry).resolve() != own]
+
+
 def main(argv=()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
@@ -339,6 +352,12 @@ def main(argv=()) -> int:
         lines = compare(old, new)
         print(f"{len(lines)} of {len(old.keys() | new.keys())} keys changed", *lines, sep="\n")
         return 0
+    foreign = foreign_packages(os.environ.get("PYTHONPATH", ""))
+    if foreign:
+        print(f"artifact_digest: PYTHONPATH entry {foreign[0]} holds a royaltycap package, "
+              f"but this tool digests {ROOT / 'src'}; run that checkout's own tool",
+              file=sys.stderr)
+        return 2
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
