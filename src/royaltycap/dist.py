@@ -2,9 +2,9 @@
 
 Two kinds of objects live here:
 
-* ``TypeDist`` -- the distribution F of a bidder's type (his expected income
-  from the asset), on a bounded interval.  Exposes cdf/pdf/ppf and the
-  inverse hazard rate (1 - F)/f.
+* ``TypeDist`` -- the distribution F of a bidder's type (the bidder's
+  expected income from the asset), on a bounded interval: the law object
+  itself, with cdf/pdf/ppf; ``inverse_hazard`` gives (1 - F)/f.
 
 * ``IncomeFamily`` -- the conditional law G(. | theta) of realized income
   given the type, with a support [supp_lo(theta), supp_hi(theta)] that may
@@ -12,8 +12,10 @@ Two kinds of objects live here:
   and are strictly ordered by first-order stochastic dominance in theta
   (the partial derivative of G in theta is negative on the interior).  Each
   family integrates its own audit region in closed form
-  (``IncomeFamily.audit_region``), the package's only income integral; a
-  tabulated family interpolates its rows between type knots in quantile.
+  (``IncomeFamily.audit_region``), the package's only income integral.
+  The additive and scaled families share one location-scale law whose
+  error law is a ``TypeDist``; a tabulated family interpolates its rows
+  between type knots in quantile.
 
 All objects are immutable after construction and safe to share across
 threads; samplers take an explicit numpy ``Generator`` so concurrent callers
@@ -22,7 +24,7 @@ never share mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -320,11 +322,27 @@ def _quantile_domain(u):
 
 
 # ---------------------------------------------------------------------------
-# Scalar distribution backends (shared by type and error distributions)
+# Type distributions (and the error laws of the additive and scaled families)
 # ---------------------------------------------------------------------------
 
 
-class _Standardized:
+class TypeDist:
+    """Bidder type distribution F on [lo, hi] with strictly positive density
+    on the open support (the density may vanish at an endpoint): the law
+    object itself (``_Standardized`` or ``_TableCdf``), whose ``family`` and
+    ``params`` ``make_type_dist`` sets.  Error laws take the same form."""
+
+    def __repr__(self):
+        return f"TypeDist(family={self.family!r}, lo={self.lo!r}, hi={self.hi!r})"
+
+    def _check_domain(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        # NaN fails every comparison, so it is rejected here
+        if not (np.all(theta >= self.lo - 1e-12) and np.all(theta <= self.hi + 1e-12)):
+            raise DomainError(f"type {theta} outside support [{self.lo}, {self.hi}]")
+
+
+class _Standardized(TypeDist):
     """Law on [lo, hi] given by a standard form on [0, 1], shifted by ``loc``
     and stretched by ``scale``.
 
@@ -527,7 +545,7 @@ def _cdf_table(grid, values):
     return grid, values
 
 
-class _TableCdf(_Pchip):
+class _TableCdf(_Pchip, TypeDist):
     """Monotone-cubic (PCHIP) interpolant of a tabulated CDF.
 
     The interpolant is Fritsch & Carlson's ("Monotone piecewise cubic
@@ -595,71 +613,32 @@ class _TableCdf(_Pchip):
         return res if res.ndim else float(res)
 
 
-def _build_univariate(family: str, params: dict):
-    """Closed-form bounded law with vectorized cdf/pdf/ppf, its support
-    [lo, hi], its mean and the knots where it is not smooth."""
+def make_type_dist(family: str, params: dict) -> TypeDist:
+    """Build a type distribution from a family tag and parameters: a bounded
+    law with vectorized cdf/pdf/ppf, its mean and the knots where it is not
+    smooth.  Families: ``uniform`` (lo, hi), ``triangular`` (lo, hi,
+    optional mode, default mode = hi), ``table`` (grid, cdf values;
+    monotone-cubic interpolated).
+    """
     if family == "uniform":
         lo, hi = float(params["lo"]), float(params["hi"])
         if not lo < hi:
             raise ConstructionError(f"uniform bounds must satisfy lo < hi, got [{lo}, {hi}]")
-        return _Uniform(lo, hi)
-    if family == "triangular":
+        law = _Uniform(lo, hi)
+    elif family == "triangular":
         lo, hi = float(params["lo"]), float(params["hi"])
         mode = float(params.get("mode", hi))
         if not lo < hi:
             raise ConstructionError(f"triangular bounds must satisfy lo < hi, got [{lo}, {hi}]")
         if not lo <= mode <= hi:
             raise ConstructionError(f"triangular mode {mode} outside [{lo}, {hi}]")
-        return _Triangular(lo, mode, hi)
-    if family == "table":
-        return _TableCdf(params["grid"], params["cdf"])
-    raise ConstructionError(f"unknown distribution family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# Type distributions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TypeDist:
-    """Bidder type distribution F on [lo, hi] with strictly positive density
-    on the open support (the density may vanish at an endpoint)."""
-
-    family: str
-    params: dict = field(repr=False)
-    lo: float
-    hi: float
-    knots: np.ndarray = field(repr=False, compare=False)  # F is one polynomial between knots
-    _backend: object = field(repr=False)
-
-    def cdf(self, theta):
-        return self._backend.cdf(theta)
-
-    def pdf(self, theta):
-        return self._backend.pdf(theta)
-
-    def ppf(self, u, out=None):
-        """The quantiles; ``out``: the result and a float scratch array, of
-        u's shape (allocated when None)."""
-        return self._backend.ppf(u, out)
-
-    def _check_domain(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        # NaN fails every comparison, so it is rejected here
-        if not (np.all(theta >= self.lo - 1e-12) and np.all(theta <= self.hi + 1e-12)):
-            raise DomainError(f"type {theta} outside support [{self.lo}, {self.hi}]")
-
-
-def make_type_dist(family: str, params: dict) -> TypeDist:
-    """Build a type distribution from a family tag and parameters.
-
-    Families: ``uniform`` (lo, hi), ``triangular`` (lo, hi, optional mode,
-    default mode = hi), ``table`` (grid, cdf values; monotone-cubic
-    interpolated).
-    """
-    backend = _build_univariate(family, params)
-    return TypeDist(family, dict(params), backend.lo, backend.hi, backend.knots, backend)
+        law = _Triangular(lo, mode, hi)
+    elif family == "table":
+        law = _TableCdf(params["grid"], params["cdf"])
+    else:
+        raise ConstructionError(f"unknown distribution family {family!r}")
+    law.family, law.params = family, dict(params)
+    return law
 
 
 def inverse_hazard(d: TypeDist, theta):
@@ -705,7 +684,8 @@ class IncomeFamily:
       where -dG/dtheta / g falls to ``level`` > 0, in closed form (the
       default None has the audit threshold bisected).
 
-    All other methods accept scalars or broadcastable arrays.
+    All other methods accept scalars or broadcastable arrays.  The additive
+    and scaled families implement them once, in ``_ErrorFamily``.
     """
 
     family: str = "abstract"
@@ -745,70 +725,25 @@ class IncomeFamily:
         raise NotImplementedError
 
 
-class AdditiveErrorFamily(IncomeFamily):
-    """Income = type + mean-zero error: pi = theta + eps.
-
-    G(pi | theta) = H(pi - theta), so dG/dtheta = -h and the ratio
-    dG/dtheta / g is identically -1 (so ``ratio_nonincreasing``).  With
-    z = b' - theta and K(z) = int_{eps_lo}^z H, the audit region has
-    Phi / phi = H(z) and int (1 - G) = (z - eps_lo) - K(z).
+class _ErrorFamily(IncomeFamily):
+    """Income pi = theta + s(theta) eps, the location-scale law of the
+    additive and scaled families: a mean-zero error law (a ``TypeDist``) on
+    [eps_lo, eps_hi] with cdf H and K(z) = int_{eps_lo}^z H, and a scale s
+    affine in the type, of slope s' = s(1) - s(0) <= 0.  With
+    z = (pi - theta) / s, G = H(z), g = h(z) / s and -dG/dtheta / g =
+    1 + s' z, nonincreasing in income (``ratio_nonincreasing``); the audit
+    region up to b' = theta + s z has Phi / phi = H(z) (1 + s' z) - s' K(z)
+    and int (1 - G) = s ((z - eps_lo) - K(z)).  Where s = 0 (the scaled
+    family's top type) income is theta: G steps there, g = 0 and
+    Phi / phi = 0.  A subclass gives ``_scale`` and ``g2_over_g``.
     """
 
-    family = "additive_error"
     ratio_nonincreasing = True
 
     def __init__(self, error, params: dict):
         super().__init__(params)
         self._err = error
-
-    def supp_lo(self, theta):
-        return np.asarray(theta, dtype=float) + self._err.lo
-
-    def supp_hi(self, theta):
-        return np.asarray(theta, dtype=float) + self._err.hi
-
-    def cdf(self, pi, theta):
-        return self._err.cdf(np.asarray(pi, dtype=float) - theta)
-
-    def pdf(self, pi, theta):
-        return self._err.pdf(np.asarray(pi, dtype=float) - theta)
-
-    def g2_over_g(self, pi, theta):
-        shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
-        return np.full(shape, -1.0) if shape else -1.0
-
-    def audit_region(self, theta, b):
-        err = self._err
-        z = np.clip(np.asarray(b, dtype=float) - theta, err.lo, err.hi)
-        h = err.cdf(z)
-        return h, h, (z - err.lo) - err.cdf_integral(z)
-
-    def ppf(self, u, theta):
-        return np.asarray(theta, dtype=float) + self._err.ppf(u)
-
-
-class ScaledErrorFamily(IncomeFamily):
-    """Income = type + (1 - type) * error: pi = theta + (1 - theta) eps.
-
-    The support shrinks as the type approaches 1.  The ratio
-    dG/dtheta / g = (pi - 1) / (1 - theta) does not depend on the error
-    distribution's shape and rises in income (``ratio_nonincreasing``); it
-    falls to k at the income 1 - k s, s = 1 - theta (``ratio_crossing``).
-    With z = (b' - theta) / s and K(z) = int_{eps_lo}^z H, -dG/dtheta dpi =
-    h(z) (1 - z) dz, so Phi / phi = H(z) (1 - z) + K(z) and int (1 - G) =
-    s ((z - eps_lo) - K(z)), both 0 at the top type (s = 0).  Requires the
-    type support to lie in [0, 1].
-    """
-
-    family = "scaled_error"
-    ratio_nonincreasing = True
-
-    def __init__(self, error, params: dict):
-        super().__init__(params)
-        self._err = error
-
-    def _scale(self, theta):
-        return 1.0 - np.asarray(theta, dtype=float)
+        self._slope = float(self._scale(1.0) - self._scale(0.0))
 
     def supp_lo(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -819,8 +754,8 @@ class ScaledErrorFamily(IncomeFamily):
         return theta + self._scale(theta) * self._err.hi
 
     def _standard(self, pi, theta):
-        """pi and theta as float arrays, the scale s = 1 - theta, the scale
-        made safe to divide by (1 where s == 0) and the standardized error
+        """pi and theta as float arrays, the scale s, the scale made safe to
+        divide by (1 where s is not positive) and the standardized error
         z = (pi - theta) / safe."""
         pi = np.asarray(pi, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -839,6 +774,52 @@ class ScaledErrorFamily(IncomeFamily):
         out = np.where(s > 0, self._err.pdf(z) / safe, 0.0)
         return out if np.ndim(out) else float(out)
 
+    def audit_region(self, theta, b):
+        err, slope = self._err, self._slope
+        b, theta, s, _, z = self._standard(b, theta)
+        z = np.clip(z, err.lo, err.hi)
+        h, k, top = err.cdf(z), err.cdf_integral(z), s == 0
+        # H (1 + s' z) - s' K: 1.0 * H and H - 0.0 * K are H for additive errors
+        return (np.where(top, b >= theta, h), np.where(top, 0.0, h * (1.0 + slope * z) - slope * k),
+                s * ((z - err.lo) - k))
+
+    def ppf(self, u, theta):
+        theta = np.asarray(theta, dtype=float)
+        return theta + self._scale(theta) * self._err.ppf(u)
+
+
+class AdditiveErrorFamily(_ErrorFamily):
+    """Income = type + mean-zero error: pi = theta + eps (s = 1, s' = 0).
+    G(pi | theta) = H(pi - theta), so dG/dtheta = -h and the ratio
+    dG/dtheta / g is identically -1.  With z = b' - theta the audit region
+    has Phi / phi = H(z) and int (1 - G) = (z - eps_lo) - K(z).
+    """
+
+    family = "additive_error"
+
+    def _scale(self, theta):
+        return 1.0
+
+    def g2_over_g(self, pi, theta):
+        shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
+        return np.full(shape, -1.0) if shape else -1.0
+
+
+class ScaledErrorFamily(_ErrorFamily):
+    """Income = type + (1 - type) * error: pi = theta + (1 - theta) eps
+    (s = 1 - theta, s' = -1).  The support shrinks as the type approaches
+    1.  The ratio dG/dtheta / g = (pi - 1) / (1 - theta) does not depend on
+    the error distribution's shape and rises in income; it falls to k at
+    the income 1 - k s (``ratio_crossing``).  With z = (b' - theta) / s,
+    Phi / phi = H(z) (1 - z) + K(z) and int (1 - G) = s ((z - eps_lo) - K(z)),
+    both 0 at the top type.  Requires the type support to lie in [0, 1].
+    """
+
+    family = "scaled_error"
+
+    def _scale(self, theta):
+        return 1.0 - np.asarray(theta, dtype=float)
+
     def g2_over_g(self, pi, theta):
         pi = np.asarray(pi, dtype=float)
         s = self._scale(theta)
@@ -846,20 +827,8 @@ class ScaledErrorFamily(IncomeFamily):
             out = (pi - 1.0) / s
         return out if np.ndim(out) else float(out)
 
-    def audit_region(self, theta, b):
-        err = self._err
-        b, theta, s, _, z = self._standard(b, theta)
-        z = np.clip(z, err.lo, err.hi)
-        h, k, top = err.cdf(z), err.cdf_integral(z), s == 0
-        return (np.where(top, b >= theta, h), np.where(top, 0.0, h * (1.0 - z) + k),
-                s * ((z - err.lo) - k))
-
     def ratio_crossing(self, theta, level):
         return 1.0 - level * self._scale(theta)
-
-    def ppf(self, u, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta + self._scale(theta) * self._err.ppf(u)
 
 
 class TableIncomeFamily(IncomeFamily):
@@ -1125,7 +1094,7 @@ def make_income_family(family: str, params: dict) -> IncomeFamily:
         err_spec = params.get("error")
         if not isinstance(err_spec, dict) or "family" not in err_spec:
             raise ConstructionError("error distribution spec required (family + params)")
-        err = _build_univariate(err_spec["family"], err_spec)
+        err = make_type_dist(err_spec["family"], err_spec)
         if abs(err.mean) > _MEAN_TOL:
             raise ConstructionError(f"error distribution must have mean zero, got {err.mean:.3g}")
         if not (err.lo < 0.0 < err.hi):

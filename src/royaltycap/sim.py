@@ -159,8 +159,12 @@ def _stream(n_agents: int, seed: int, run_index: int) -> np.random.Generator:
 
 def run_rng(inst: AuctionInstance, seed: int, run_index: int) -> np.random.Generator:
     """The exact random stream consumed by run ``run_index`` of a simulation
-    with this seed."""
+    with this seed.  The run index must be a nonnegative integer (numpy
+    integers accepted, bool rejected)."""
     _check_seed(seed)
+    if (isinstance(run_index, bool) or not isinstance(run_index, (int, np.integer))
+            or run_index < 0):
+        raise ConstructionError(f"run_index must be a nonnegative integer, got {run_index!r}")
     return _stream(inst.n_agents, seed, run_index)
 
 
@@ -489,9 +493,9 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     N = inst.n_agents
 
     # one chunk runs in-line; threads share one serial chunk's runs at a
-    # time, each taking whole blocks
-    threads = min(workers, -(-n_runs // _CHUNK))
-    size = max(_CHUNK // threads // _BLOCK, 1) * _BLOCK
+    # time, each taking whole blocks, so there are at most _CHUNK // _BLOCK
+    threads = min(workers, -(-n_runs // _CHUNK), _CHUNK // _BLOCK)
+    size = _CHUNK // threads // _BLOCK * _BLOCK
 
     def chunk(start, ws):
         u = _uniform_matrix(N, seed, start, min(size, n_runs - start),

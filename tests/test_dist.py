@@ -92,7 +92,7 @@ _STEEP_OUTSIDE = ([0.0, 1.0, 2.0], [0.0, 0.99, 1.0])
 @settings(max_examples=150, deadline=None)
 def test_table_law_matches_scipy_pchip(table):
     grid, values = (np.asarray(a, dtype=float) for a in table)
-    law = make_type_dist("table", {"grid": grid, "cdf": values})._backend
+    law = make_type_dist("table", {"grid": grid, "cdf": values})
     ref = oracles.PchipTableCdf(grid, values)
     lo, hi = grid[0], grid[-1]
     x = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), np.linspace(lo, hi, 257),
@@ -402,6 +402,103 @@ def test_scaled_threshold_formula_matches_the_bisection(shipped_instances, name,
                             tk.lo, tk.hi, 64)
     assert np.all(np.abs(mech._pi_star_vec(agent, tk) - bisected)
                   <= 2 * np.spacing(np.abs(bisected)))
+
+
+class _PerFamilyFormulas:
+    """The additive and scaled families' formulas as each class wrote them
+    before they shared one location-scale implementation: the reference
+    that the shared one must equal bit for bit."""
+
+    def __init__(self, err, scaled):
+        self.err, self.scaled = err, scaled
+
+    def supp(self, theta):
+        e = self.err
+        if not self.scaled:
+            return theta + e.lo, theta + e.hi
+        return theta + (1.0 - theta) * e.lo, theta + (1.0 - theta) * e.hi
+
+    def _standard(self, pi, theta):
+        s = 1.0 - theta
+        safe = np.where(s > 0, s, 1.0)
+        return s, safe, (pi - theta) / safe
+
+    def cdf(self, pi, theta):
+        if not self.scaled:
+            return self.err.cdf(pi - theta)
+        s, _, z = self._standard(pi, theta)
+        return np.where(s > 0, self.err.cdf(z), (pi >= theta).astype(float))
+
+    def pdf(self, pi, theta):
+        if not self.scaled:
+            return self.err.pdf(pi - theta)
+        s, safe, z = self._standard(pi, theta)
+        return np.where(s > 0, self.err.pdf(z) / safe, 0.0)
+
+    def audit_region(self, theta, b):
+        e = self.err
+        if not self.scaled:
+            z = np.clip(b - theta, e.lo, e.hi)
+            h = e.cdf(z)
+            return h, h, (z - e.lo) - e.cdf_integral(z)
+        s, _, z = self._standard(b, theta)
+        z = np.clip(z, e.lo, e.hi)
+        h, k, top = e.cdf(z), e.cdf_integral(z), s == 0
+        return (np.where(top, b >= theta, h), np.where(top, 0.0, h * (1.0 - z) + k),
+                s * ((z - e.lo) - k))
+
+    def ppf(self, u, theta):
+        x = self.err.ppf(u)
+        return theta + x if not self.scaled else theta + (1.0 - theta) * x
+
+
+@st.composite
+def _error_family_cases(draw):
+    """An additive or scaled family over a uniform, triangular (random mode,
+    the ends included) or table error law, types (the scaled family's top
+    type 1 included), incomes below, inside and above each type's support
+    and at its ends, and quantile levels in and outside [0, 1]."""
+    lo, hi = -draw(st.floats(0.01, 2.0)), draw(st.floats(0.01, 2.0))
+    law = draw(st.sampled_from(["uniform", "triangular", "table"]))
+    if law == "uniform":
+        err = make_type_dist("uniform", {"lo": lo, "hi": hi})
+    elif law == "triangular":
+        frac = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]))
+        mode = min(lo + frac * (hi - lo), hi)
+        err = make_type_dist("triangular", {"lo": lo, "hi": hi, "mode": mode})
+    else:
+        grid, values = draw(_cdf_tables())
+        err = make_type_dist("table", {"grid": grid, "cdf": values})
+    scaled = draw(st.booleans())
+    cls = dist.ScaledErrorFamily if scaled else dist.AdditiveErrorFamily
+    n = draw(st.integers(1, 8))
+    types = (st.floats(0.0, 1.0) | st.just(1.0)) if scaled else st.floats(-3.0, 3.0)
+    theta = np.array(draw(st.lists(types, min_size=n, max_size=n)))
+    where = np.array(draw(st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]),
+                                   min_size=n, max_size=n)))
+    ref = _PerFamilyFormulas(err, scaled)
+    s_lo, s_hi = ref.supp(theta)
+    pi = s_lo + where * (s_hi - s_lo)
+    u = np.array(draw(st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]),
+                               min_size=n, max_size=n)))
+    return cls(err, {}), ref, theta, pi, u
+
+
+@given(case=_error_family_cases())
+@settings(max_examples=300, deadline=None)
+def test_error_families_keep_the_per_family_formulas_bit_for_bit(case):
+    # the shared location-scale formulas (s = 1 or 1 - theta, slope 0 or -1)
+    # give every bit the per-family ones gave, on arrays and on scalars
+    fam, ref, theta, pi, u = case
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for at in (slice(None), 0):
+            th, p, q = theta[at], pi[at], u[at]
+            pairs = [(fam.supp_lo(th), ref.supp(th)[0]), (fam.supp_hi(th), ref.supp(th)[1]),
+                     (fam.cdf(p, th), ref.cdf(p, th)), (fam.pdf(p, th), ref.pdf(p, th)),
+                     (fam.ppf(q, th), ref.ppf(q, th))]
+            pairs += zip(fam.audit_region(th, p), ref.audit_region(th, p))
+            for got, want in pairs:
+                assert _same_bits(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
 
 
 def test_additive_ratio_is_minus_one():
@@ -809,7 +906,7 @@ def test_table_ppf_is_np_interp_of_its_inverse_table(table, u):
     # is np.interp's arithmetic, bit for bit; the table is built on the
     # first quantile
     grid, values = table
-    law = make_type_dist("table", {"grid": grid, "cdf": values})._backend
+    law = make_type_dist("table", {"grid": grid, "cdf": values})
     assert "_inverse" not in vars(law)
     u = np.concatenate([u, np.linspace(0.0, 1.0, 257)])
     got = law.ppf(u)

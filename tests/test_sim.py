@@ -188,6 +188,19 @@ def test_seed_and_run_count_guard(ua_inst, ua_agent, kw):
             rc.run_rng(ua_inst, kw["seed"], 0)
 
 
+@pytest.mark.parametrize("run_index", [1.5, True, -1, "3"])
+def test_run_index_guard(ua_inst, run_index):
+    # a run index is a nonnegative integer, checked as a seed is: 1.5 and
+    # True would otherwise give run 1's stream, and -1 numpy's own error
+    with pytest.raises(rc.ConstructionError, match="run_index"):
+        rc.run_rng(ua_inst, 0, run_index)
+
+
+def test_numpy_integer_run_index(ua_inst):
+    assert np.array_equal(rc.run_rng(ua_inst, 5, np.int64(3)).random(3),
+                          rc.run_rng(ua_inst, 5, 3).random(3))
+
+
 def test_numpy_integer_seed_and_run_count(ua_inst):
     # numpy integers are accepted and recorded as Python ints, and every
     # estimate is a Python float
@@ -367,6 +380,31 @@ def test_workers_capped_by_chunks(ua_inst, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     assert rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3, workers=4) == serial
+
+
+def test_pool_threads_capped_at_one_per_block(ua_inst, monkeypatch):
+    # each thread takes at least one block of a serial chunk's runs, so a
+    # call asks for at most _CHUNK // _BLOCK = 32 threads however many
+    # workers it is given; the spy runs every task in the calling thread
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *items):
+            return map(fn, *items)
+
+    serial = rc.estimate_revenue(ua_inst, None, 1 << 21, 0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    assert rc.estimate_revenue(ua_inst, None, 1 << 21, 0, 1000) == serial
+    assert asked == [S._CHUNK // S._BLOCK] == [32]
 
 
 def test_cli_import_leaves_out_the_worker_pool():

@@ -30,6 +30,15 @@ largest absolute move of its numbers.  The digests cover:
   0.5 + 3u at type 2 at c = 0.2, whose audit surplus is not single-crossing
   in income (``check`` exits 1), and the library digests below of the
   first;
+* the CLI ``check`` artifacts and the library digests below of three
+  instances that run the error laws the others leave out:
+  ``additive_triangular_error`` (U[1, 2] types, additive errors from the
+  triangular law on [-1, 1.5] with mode -0.5, c = 0.2, phi = 0.5),
+  ``scaled_triangular_error`` (U[0.5, 1] types, scaled errors from the
+  triangular law on [-0.5, 1] with its mode at -0.5, c = 0.5, phi = 1) and
+  ``scaled_tent_error`` (the same types and costs with the benchmark's
+  tabulated tent error law ``tent_error``), so that the triangular law's
+  antiderivative and a scaled ``table`` error law are digested too;
 * per instance, every ``AgentTables`` array, each agent's single-crossing
   scan ``mech._single_crossing_scan`` on its table grid (0.0 unprobed on
   the closed-form families) and the probes ``mech._probe_single_crossing``
@@ -65,17 +74,19 @@ takes an instance, so that a change shows how far each one moves:
 * the regime-change types ``mech._threshold_kinks`` (marked on the table
   grid) of every agent of the shipped configs and tabulated
   instances, and of the swept agent at each value of a ``sweep`` section;
-* per agent of the shipped configs and tabulated instances, the kernel
-  entry points ``audit_threshold``, ``virtual_value``, ``phi_cap`` and
-  ``expected_income_net_royalty`` at 9 interior types, and
+* per agent of the shipped configs, tabulated instances and error-law
+  instances, the kernel entry points ``audit_threshold``,
+  ``virtual_value``, ``phi_cap`` and ``expected_income_net_royalty`` at 9
+  interior types, and
   ``endogenous_virtual`` at those types (rivals at their midpoint types)
   under a threshold audit rule: audit below 0.4 of the way up the income
   support.  With the kinks, ``crossing_point`` and ``menu``, these reach
   every call of the bisection ``dist._bisect``;
-* per tabulated instance, its income law's quantiles ``ppf(u, theta)`` at
-  u = 0, 1 and interior values, including both sides of 0 and 1 by one
-  float: on ``tab_error`` (a ``table`` error law, inverted on its dense
-  table) at the type support's ends and midpoint, and on ``tab_income`` (a
+* per tabulated and error-law instance, its income law's quantiles
+  ``ppf(u, theta)`` at u = 0, 1 and interior values, including both sides
+  of 0 and 1 by one float: on ``tab_error`` and the error-law instances at
+  the type support's ends and midpoint (the scaled family's top type, where
+  income is the type, included), and on ``tab_income`` (a
   ``TableIncomeFamily``, whose rows are quantiles) at its type knots, where
   the weight on the next row is 0 (or 1 at the top knot), and between
   them.
@@ -102,7 +113,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from perfbench.workloads import SHIPPED, Tabulated  # noqa: E402
+from perfbench.workloads import SHIPPED, Tabulated, base_doc, dump, tent_error  # noqa: E402
 from royaltycap import cli, mech, sim, verify  # noqa: E402
 from royaltycap.config import parse_config  # noqa: E402
 from royaltycap.dist import make_type_dist  # noqa: E402
@@ -133,6 +144,26 @@ def _tabulated_variants(tab_income: str) -> dict:
     rising["agents"][0]["income"] = {"family": "table", "theta_grid": [1.0, 2.0],
                                      "rows": [[[0.0, 2.0], [0.0, 1.0]], [[0.5, 3.5], [0.0, 1.0]]]}
     return {doc["name"]: yaml.safe_dump(doc, sort_keys=False) for doc in (copy, rising)}
+
+
+def _error_law_variants() -> dict:
+    """The documents of the three error-law instances, by name."""
+    # a scaled error law must end at or below 1, or G would rise with the
+    # type near the top (FOSD fails); the second law's mode is its lower end
+    specs = {
+        "additive_triangular_error": ({"family": "uniform", "lo": 1.0, "hi": 2.0}, "additive_error",
+                                      {"family": "triangular", "lo": -1.0, "mode": -0.5, "hi": 1.5},
+                                      0.2, 0.5),
+        "scaled_triangular_error": ({"family": "uniform", "lo": 0.5, "hi": 1.0}, "scaled_error",
+                                    {"family": "triangular", "lo": -0.5, "mode": -0.5, "hi": 1.0},
+                                    0.5, 1.0),
+        "scaled_tent_error": ({"family": "uniform", "lo": 0.5, "hi": 1.0},
+                              "scaled_error", tent_error(), 0.5, 1.0),
+    }
+    return {name: dump(base_doc(name, [{
+        "type_dist": types, "income": {"family": family, "error": error},
+        "audit_cost": c, "sensitivity": phi}], RUNS, SEED))
+        for name, (types, family, error, c, phi) in specs.items()}
 
 
 def _sha(data: bytes) -> str:
@@ -397,6 +428,13 @@ def main(argv=()) -> int:
                     _cli_digests(out, name, config, ("check",), workdir)
                     if name == "tab_income_c0.2":
                         _library_digests(out, name, text)
+        for name, text in _error_law_variants().items():
+            config = workdir / f"{name}.yaml"
+            config.write_text(text, encoding="utf-8")
+            _cli_digests(out, name, config, ("check",), workdir)
+            _library_digests(out, name, text)
+            _kernel_values(out, name, text)
+            _quantile_values(out, name, text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
