@@ -13,14 +13,17 @@ Subcommands:
 * ``sweep``      -- parameter sweep with analytic benchmark columns.
 * ``menu``       -- the one-buyer posted menu (lump sum / linear royalty).
 
-Flags: ``--config <path>`` (required), ``--out <dir>``, ``--seed <u64>``,
-``--runs <n>``, ``--grid <n>``.  The ``ROYALTYCAP_OUT`` environment
-variable overrides the configured output directory; ``--out`` overrides
-both.  Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Every subcommand takes ``--config <path>`` (required), ``--out <dir>`` and
+``--seed <n>``; ``check``, ``solve`` and ``verify-ic`` also ``--grid <n>``,
+``simulate`` and ``sweep`` also ``--runs <n>`` and ``--workers <n>``.  The
+``ROYALTYCAP_OUT`` environment variable overrides the configured output
+directory; ``--out`` overrides both.  Exit codes: 0 success, 1 verification
+failure, 2 usage/config error (an unread flag too).
 
 CSV cells carry 6 significant digits; the JSON twin of each table carries
-full-precision values plus the normalized settings and the seed, so a
-(config, seed, subcommand) triple reproduces byte-identical artifacts.
+full-precision values plus the normalized settings the command ran with
+(flags in place of config values) and the seed, so a (config, seed,
+subcommand) triple reproduces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -59,18 +62,16 @@ def _write_csv(path: Path, header, rows):
             w.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
 
 
-def _emit(cfg: InstanceConfig, out_dir: Path, stem: str, command: str, seed: int,
+def _emit(cfg: InstanceConfig, out_dir: Path, stem: str, command: str,
           header=None, rows=None, extra: dict | None = None):
     """Write <stem>.csv (if tabular and requested) and <stem>.json."""
-    artifacts = {}
     if header is not None and "csv" in cfg.formats:
         _write_csv(out_dir / f"{stem}.csv", header, rows)
-        artifacts["csv"] = f"{stem}.csv"
     if "json" in cfg.formats:
         payload = {
             "command": command,
             "settings": cfg.normalized,
-            "seed": seed,
+            "seed": cfg.seed,
         }
         if header is not None:
             payload["columns"] = list(header)
@@ -78,8 +79,6 @@ def _emit(cfg: InstanceConfig, out_dir: Path, stem: str, command: str, seed: int
         if extra:
             payload.update(extra)
         _write_json(out_dir / f"{stem}.json", payload)
-        artifacts["json"] = f"{stem}.json"
-    return artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +86,16 @@ def _emit(cfg: InstanceConfig, out_dir: Path, stem: str, command: str, seed: int
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
+def _cmd_check(cfg: InstanceConfig, out_dir: Path) -> int:
     reports = [verify.check_regularity(a, cfg.theta_points, cfg.pi_points)
                for a in cfg.instance.agents]
     ok = all(r.all_ok for r in reports)
-    _emit(cfg, out_dir, "check", "check", seed,
+    _emit(cfg, out_dir, "check", "check",
           extra={"agents": [r.to_dict() for r in reports], "all_ok": ok})
     return 0 if ok else 1
 
 
-def _cmd_solve(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
+def _cmd_solve(cfg: InstanceConfig, out_dir: Path) -> int:
     inst = cfg.instance
     tables = mech.tables_for(inst)
     header = ["agent", "theta", "psi_m", "psi", "pi_star", "phi_cap", "transfer"]
@@ -107,23 +106,22 @@ def _cmd_solve(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
         cols = [tables.psi_m(i, at), tables.psi(i, at), tables.pi_star(i, at),
                 tables.phi_cap(i, at), at.interp(tables.agents[i].interim_transfer)]
         rows.extend([i, *vals] for vals in zip(ths.tolist(), *(c.tolist() for c in cols)))
-    _emit(cfg, out_dir, "solve", "solve", seed, header=header, rows=rows)
+    _emit(cfg, out_dir, "solve", "solve", header=header, rows=rows)
     return 0
 
 
-def _cmd_simulate(cfg: InstanceConfig, out_dir: Path, seed: int, n_runs: int,
-                  workers: int) -> int:
-    rep = sim.estimate_revenue(cfg.instance, None, n_runs, seed, workers)
+def _cmd_simulate(cfg: InstanceConfig, out_dir: Path, workers: int) -> int:
+    rep = sim.estimate_revenue(cfg.instance, None, cfg.n_runs, cfg.seed, workers)
     d = rep.to_dict()
     header = ["n_runs", "seed", "revenue_net_audits", "revenue_se",
               "audit_frequency", "mean_on_path_penalty"]
     row = [[d[k] for k in header]]
-    _emit(cfg, out_dir, "simulate", "simulate", seed, header=header, rows=row,
+    _emit(cfg, out_dir, "simulate", "simulate", header=header, rows=row,
           extra={"report": d, "analytic": sim._benchmarks(cfg.instance)})
     return 0
 
 
-def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
+def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path) -> int:
     inst = cfg.instance
     n_types = max(8, cfg.theta_points // 8)
     agents_out = []
@@ -142,13 +140,12 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
         agents_out.append({"agent": i, "type_deviation": worst,
                            "income_deviation_worst": income_worst,
                            "ir_ok": ir_ok, "ok": agent_ok})
-    _emit(cfg, out_dir, "verify_ic", "verify-ic", seed,
+    _emit(cfg, out_dir, "verify_ic", "verify-ic",
           extra={"tolerance": _IC_TOL, "agents": agents_out, "all_ok": ok})
     return 0 if ok else 1
 
 
-def _cmd_sweep(cfg: InstanceConfig, out_dir: Path, seed: int, n_runs: int,
-               workers: int) -> int:
+def _cmd_sweep(cfg: InstanceConfig, out_dir: Path, workers: int) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep", "the sweep subcommand needs a sweep section")
     spec = cfg.sweep
@@ -158,25 +155,25 @@ def _cmd_sweep(cfg: InstanceConfig, out_dir: Path, seed: int, n_runs: int,
         agents[spec.agent] = replace(agents[spec.agent], **{spec.axis: float(v)})
         return mech.AuctionInstance(tuple(agents))
 
-    rows = sim.sweep(builder, spec.values, n_runs, seed, workers)
+    rows = sim.sweep(builder, spec.values, cfg.n_runs, cfg.seed, workers)
     header = ["value", "revenue_net_audits", "revenue_se", "payoff_bound",
               "myerson_cash_revenue", "full_extraction_revenue", "mean_pi_star",
               "audit_frequency", "failed"]
     table = [[row.get(k, "") if not isinstance(row.get(k), bool)
               else int(row[k]) for k in header] for row in rows]
-    _emit(cfg, out_dir, "sweep", "sweep", seed, header=header, rows=table,
+    _emit(cfg, out_dir, "sweep", "sweep", header=header, rows=table,
           extra={"axis": spec.axis, "agent": spec.agent, "rows_full": rows})
     return 0
 
 
-def _cmd_menu(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
+def _cmd_menu(cfg: InstanceConfig, out_dir: Path) -> int:
     if cfg.instance.n_agents != 1:
         raise UnsupportedInstanceError("menus are defined for single-agent instances")
     agent = cfg.instance.agents[0]
     contracts, (theta_star, theta_0) = mech._binary_menu(agent)
     lump = next(c for c in contracts if c.kind == "lump_sum")
     roy = next((c for c in contracts if c.kind == "linear_royalty"), None)
-    _emit(cfg, out_dir, "menu", "menu", seed, extra={
+    _emit(cfg, out_dir, "menu", "menu", extra={
         "lump_sum": lump.upfront_price,
         "royalty_contract": None if roy is None else roy.upfront_price,
         "royalty_rate": None if roy is None else roy.royalty_rate,
@@ -191,6 +188,25 @@ def _cmd_menu(cfg: InstanceConfig, out_dir: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# subcommand: handler, help, and the flags it reads besides --config, --out
+# and --seed (a handler that reads --workers takes the count)
+_COMMANDS = {
+    "check": (_cmd_check, "verify regularity of the configured instance", ("--grid",)),
+    "solve": (_cmd_solve, "tabulate the mechanism on a type grid", ("--grid",)),
+    "simulate": (_cmd_simulate, "Monte Carlo revenue estimate under truthful play",
+                 ("--runs", "--workers")),
+    "verify-ic": (_cmd_verify_ic, "grid-certify incentive compatibility", ("--grid",)),
+    "sweep": (_cmd_sweep, "parameter sweep with benchmark columns", ("--runs", "--workers")),
+    "menu": (_cmd_menu, "single-buyer posted menu", ()),
+}
+_FLAGS = {
+    "--grid": {"type": int, "help": "override both grid sizes"},
+    "--runs": {"type": int, "help": "override the configured n_runs"},
+    "--workers": {"type": int, "default": 1,
+                  "help": "worker threads for simulation (default 1)"},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse sizes a
@@ -202,27 +218,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "solve, verify, and simulate.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("check", "verify regularity of the configured instance"),
-        ("solve", "tabulate the mechanism on a type grid"),
-        ("simulate", "Monte Carlo revenue estimate under truthful play"),
-        ("verify-ic", "grid-certify incentive compatibility"),
-        ("sweep", "parameter sweep with benchmark columns"),
-        ("menu", "single-buyer posted menu"),
-    ]:
+    for name, (_, help_, flags) in _COMMANDS.items():
         q = sub.add_parser(name, help=help_)
         q.add_argument("--config", required=True, help="path to the YAML config")
         q.add_argument("--out", help="output directory (overrides env and config)")
         q.add_argument("--seed", type=int, help="override the configured seed")
-        q.add_argument("--runs", type=int, help="override the configured n_runs")
-        q.add_argument("--grid", type=int, help="override both grid sizes")
-        q.add_argument("--workers", type=int, default=1,
-                       help="worker threads for simulation (default 1)")
+        for flag in flags:
+            q.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run, _, flags = _COMMANDS[args.command]
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as e:
@@ -230,21 +238,20 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        if args.grid is not None:
-            if args.grid < 8:
-                raise ConfigError("--grid", "must be at least 8")
-            cfg = replace(cfg, theta_points=args.grid, pi_points=args.grid)
-        # parse_config bounds the configured seed, so these check the flag
-        seed = cfg.seed if args.seed is None else args.seed
-        if seed < 0:
+        # parse_config bounds the configured values, so these check the flags
+        grid, runs = getattr(args, "grid", None), getattr(args, "runs", None)
+        if grid is not None and grid < 8:
+            raise ConfigError("--grid", "must be at least 8")
+        if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed", "must be nonnegative")
-        if seed >= 1 << 128:
+        if args.seed is not None and args.seed >= sim._SEED_BOUND:
             raise ConfigError("--seed", "must be below 2**128 (a Philox key)")
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ConfigError("--workers", "must be at least 1")
-        n_runs = cfg.n_runs if args.runs is None else args.runs
-        if args.command in ("simulate", "sweep") and n_runs < sim._MIN_RUNS:
+        if runs is not None and runs < sim._MIN_RUNS:
             raise ConfigError("--runs", f"must be at least {sim._MIN_RUNS}")
+        flagged = {"theta_points": grid, "pi_points": grid, "seed": args.seed, "n_runs": runs}
+        cfg = replace(cfg, **{k: v for k, v in flagged.items() if v is not None})
         # grid floors of the library calls behind check and verify-ic (which
         # reads no income grid)
         floor = {"check": verify._MIN_REGULARITY_GRID,
@@ -252,24 +259,11 @@ def main(argv=None) -> int:
         keys = ("theta_points",) if args.command == "verify-ic" else ("theta_points", "pi_points")
         for key in keys:
             if getattr(cfg, key) < floor:
-                raise ConfigError("--grid" if args.grid is not None else f"grids.{key}",
+                raise ConfigError("--grid" if grid is not None else f"grids.{key}",
                                   f"must be at least {floor} for {args.command}")
         out_dir = Path(args.out or os.environ.get("ROYALTYCAP_OUT") or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "check":
-            return _cmd_check(cfg, out_dir, seed)
-        if args.command == "solve":
-            return _cmd_solve(cfg, out_dir, seed)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, out_dir, seed, n_runs, args.workers)
-        if args.command == "verify-ic":
-            return _cmd_verify_ic(cfg, out_dir, seed)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, out_dir, seed, n_runs, args.workers)
-        if args.command == "menu":
-            return _cmd_menu(cfg, out_dir, seed)
-        raise AssertionError(f"unhandled command {args.command}")
+        return run(cfg, out_dir, *([args.workers] if "--workers" in flags else []))
     except (ConfigError, UnsupportedInstanceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ import yaml
 from .dist import AgentSpec, make_income_family, make_type_dist
 from .errors import ConfigError, ConstructionError
 from .mech import AuctionInstance
-from .sim import _MIN_RUNS
+from .sim import _MIN_RUNS, _SEED_BOUND
 
 # libyaml's parser where PyYAML was built with it: the same SafeConstructor
 # and resolver as yaml.SafeLoader, so the same documents, about ten times
@@ -62,7 +62,23 @@ class InstanceConfig:
     out_dir: str
     formats: tuple
     sweep: Optional[SweepSpec]
-    normalized: dict = field(repr=False)  # defaults applied; echoed in sidecars
+    agents_raw: list = field(repr=False)  # the agents section as written
+
+    @property
+    def normalized(self) -> dict:
+        """The settings with defaults applied, as the JSON artifacts echo them."""
+        out = {
+            "v": 1,
+            "name": self.name,
+            "agents": self.agents_raw,
+            "grids": {"theta_points": self.theta_points, "pi_points": self.pi_points},
+            "simulation": {"n_runs": self.n_runs, "seed": self.seed},
+            "output": {"directory": self.out_dir, "formats": list(self.formats)},
+        }
+        if self.sweep is not None:
+            out["sweep"] = {"axis": self.sweep.axis, "agent": self.sweep.agent,
+                            "values": list(self.sweep.values)}
+        return out
 
 
 def _require(mapping, key, path, kind=None):
@@ -157,7 +173,7 @@ def parse_config(text: str) -> InstanceConfig:
         raise ConfigError("simulation", "must be a mapping")
     n_runs = _integer(sim, "n_runs", "simulation", _DEFAULTS["n_runs"], _MIN_RUNS)
     seed = _integer(sim, "seed", "simulation", _DEFAULTS["seed"], 0)
-    if seed >= 1 << 128:
+    if seed >= _SEED_BOUND:
         raise ConfigError("simulation.seed", "must be below 2**128 (a Philox key)")
 
     out = raw.get("output", {}) or {}
@@ -192,18 +208,6 @@ def parse_config(text: str) -> InstanceConfig:
     if not isinstance(name, str):
         raise ConfigError("name", "must be a string")
 
-    normalized = {
-        "v": 1,
-        "name": name,
-        "agents": agents_raw,
-        "grids": {"theta_points": theta_points, "pi_points": pi_points},
-        "simulation": {"n_runs": n_runs, "seed": seed},
-        "output": {"directory": out_dir, "formats": list(formats)},
-    }
-    if sweep_spec is not None:
-        normalized["sweep"] = {"axis": sweep_spec.axis, "agent": sweep_spec.agent,
-                               "values": list(sweep_spec.values)}
-
     return InstanceConfig(
         name=name,
         instance=instance,
@@ -214,5 +218,5 @@ def parse_config(text: str) -> InstanceConfig:
         out_dir=out_dir,
         formats=tuple(formats),
         sweep=sweep_spec,
-        normalized=normalized,
+        agents_raw=agents_raw,
     )

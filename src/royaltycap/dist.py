@@ -1088,7 +1088,8 @@ def make_income_family(family: str, params: dict) -> IncomeFamily:
 
     Families: ``additive_error`` and ``scaled_error`` take an ``error``
     sub-distribution (uniform / triangular / table) that must have mean zero
-    and straddle zero; ``table`` takes explicit conditional CDF rows.
+    and straddle zero, and end at or below 1 for ``scaled_error``; ``table``
+    takes explicit conditional CDF rows.
     """
     if family in ("additive_error", "scaled_error"):
         err_spec = params.get("error")
@@ -1099,6 +1100,8 @@ def make_income_family(family: str, params: dict) -> IncomeFamily:
             raise ConstructionError(f"error distribution must have mean zero, got {err.mean:.3g}")
         if not (err.lo < 0.0 < err.hi):
             raise ConstructionError("error support must straddle zero")
+        if family == "scaled_error" and err.hi > 1.0:   # -G_theta/g = 1 - z: FOSD fails
+            raise ConstructionError(f"scaled errors must end at or below 1, got {err.hi}")
         cls = AdditiveErrorFamily if family == "additive_error" else ScaledErrorFamily
         return cls(err, dict(params))
     if family == "table":

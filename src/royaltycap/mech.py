@@ -483,20 +483,17 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
 def menu_cutoffs(agent: AgentSpec) -> tuple:
     """Cutoff types of the posted menu.
 
-    theta_star bounds the region where auditing pays ((1-F)/f * phi >= c);
-    theta_0 is the lowest type with positive virtual value.  Both found by
-    bisection.
+    theta_star bounds the region where auditing pays ((1-F)/f * phi >= c):
+    the tables' regime kink (``_threshold_kinks``), else hi or lo; theta_0
+    is the lowest type with positive virtual value, found by bisection.
     """
     lo, hi = agent.types.lo, agent.types.hi
     lo_n = _psi_floor(agent)
-
-    # additive errors: mu = (1 - F)/f at every income, so either end decides
-    if not _edge_pays(agent, lo_n)[0]:
-        theta_star = lo
-    elif _edge_pays(agent, hi)[0]:
-        theta_star = hi
-    else:
-        theta_star = float(_bisect(lambda t: _edge_pays(agent, t)[0], lo_n, hi, 100))
+    # additive errors: mu = (1 - F)/f at every income, so both ends change regime at once
+    kinks = _threshold_kinks(agent)
+    if len(kinks) > 1:
+        raise UnsupportedInstanceError(f"menus need at most one audit regime change, got {kinks}")
+    theta_star = kinks[0] if kinks else (hi if _edge_pays(agent, lo_n)[0] else lo)
 
     if virtual_value(agent, lo_n) > 0:
         theta_0 = lo

@@ -147,7 +147,7 @@ def _check_seed(seed):
     """Reject a seed that is not a Philox key: a nonnegative integer below
     2**128 (numpy integers accepted, bool rejected)."""
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < 1 << 128):
+            or not 0 <= seed < _SEED_BOUND):
         raise ConstructionError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
@@ -408,6 +408,8 @@ _CHUNK = 1 << 15
 _BLOCK = 1 << 10
 # fewest runs a revenue estimate accepts
 _MIN_RUNS = 1_000
+# seeds are Philox keys, the integers in [0, _SEED_BOUND)
+_SEED_BOUND = 1 << 128
 # each thread's ``_Workspace`` for its serial calls
 _CALLER = threading.local()
 

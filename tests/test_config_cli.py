@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -192,19 +193,70 @@ def test_cli_check_pass(ua_config, tmp_path):
 
 def test_cli_calls_share_one_parser_and_parse_independently(ua_config, tmp_path, monkeypatch):
     # the parser is built once per process; each call's flags are its own,
-    # so an earlier call's --workers and --grid do not carry over
+    # so an earlier call's --workers, --runs, --seed and --grid do not carry over
     calls = []
     for name in ("check", "simulate"):
-        monkeypatch.setattr(cli, f"_cmd_{name}", lambda cfg, out, seed, *rest, name=name: (
-            calls.append((name, cfg.theta_points, cfg.pi_points, rest)) or 0))
+        spy = lambda cfg, out, *rest, name=name: (  # noqa: E731
+            calls.append((name, cfg.theta_points, cfg.pi_points, cfg.n_runs, cfg.seed, rest))
+            or 0)
+        monkeypatch.setitem(cli._COMMANDS, name, (spy, *cli._COMMANDS[name][1:]))
     base = ["--config", str(ua_config), "--out", str(tmp_path / "o")]
-    assert main(["simulate", *base, "--workers", "2", "--grid", "16", "--runs", "5000"]) == 0
-    assert main(["check", *base]) == 0
-    assert main(["simulate", *base]) == 0
+    assert main(["simulate", *base, "--workers", "2", "--runs", "5000", "--seed", "3"]) == 0
     assert main(["check", *base, "--grid", "48"]) == 0
-    assert calls == [("simulate", 16, 16, (5000, 2)), ("check", 128, 128, ()),
-                     ("simulate", 128, 128, (100_000, 1)), ("check", 48, 48, ())]
+    assert main(["simulate", *base]) == 0
+    assert main(["check", *base]) == 0
+    assert calls == [("simulate", 128, 128, 5000, 3, (2,)), ("check", 48, 48, 100_000, 0, ()),
+                     ("simulate", 128, 128, 100_000, 0, (1,)),
+                     ("check", 128, 128, 100_000, 0, ())]
     assert cli._build_parser() is cli._build_parser()
+
+
+# the flags each subcommand reads besides --config, --out and --seed
+_READS = {"check": ("--grid",), "solve": ("--grid",), "verify-ic": ("--grid",),
+          "simulate": ("--runs", "--workers"), "sweep": ("--runs", "--workers"), "menu": ()}
+_UNREAD = [(cmd, flag) for cmd, reads in _READS.items()
+           for flag in ("--grid", "--runs", "--workers") if flag not in reads]
+
+
+@pytest.mark.parametrize("cmd,flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
+def test_cli_rejects_flags_its_command_does_not_read(ua_config, tmp_path, capsys, cmd, flag):
+    # a flag the command would ignore is a usage error, before any output
+    assert len(_UNREAD) == 11
+    out = tmp_path / "o"
+    value = {"--grid": "48", "--runs": "2000", "--workers": "2"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--config", str(ua_config), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", sorted(_READS))
+def test_cli_help_lists_exactly_the_flags_the_command_reads(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config", "--out", "--seed", *_READS[cmd]}
+
+
+def test_cli_settings_echo_the_values_the_command_ran_with(ua_config, tmp_path):
+    # the JSON settings are the config's, with each flag's value in its place
+    normalized = parse_config(ua_config.read_text()).normalized
+    docs = {}
+    runs = {"check": ["--grid", "48"], "simulate": ["--runs", "2000", "--seed", "3"],
+            "menu": [], "solve": []}
+    for cmd, flags in runs.items():
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(ua_config), "--out", str(out), *flags]) == 0
+        docs[cmd] = json.loads((out / f"{cmd}.json").read_text())
+    assert docs["check"]["settings"] == {**normalized,
+                                         "grids": {"theta_points": 48, "pi_points": 48}}
+    assert docs["simulate"]["settings"] == {**normalized,
+                                            "simulation": {"n_runs": 2000, "seed": 3}}
+    assert docs["simulate"]["seed"] == 3 and docs["simulate"]["report"]["n_runs"] == 2000
+    assert docs["menu"]["settings"] == docs["solve"]["settings"] == normalized
+    assert docs["check"]["seed"] == docs["menu"]["seed"] == normalized["simulation"]["seed"]
 
 
 def test_cli_solve_table(ua_config, tmp_path):
@@ -468,9 +520,32 @@ def test_cli_accepts_type_law_with_zero_density_at_the_bottom(tmp_path):
     cfg.write_text(text)
     types = parse_config(text).instance.agents[0].types
     assert rc.inverse_hazard(types, 1.0) == np.inf
-    for cmd in ("check", "solve", "simulate", "menu"):
-        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd),
-                     "--runs", "20000", "--grid", "32"]) == 0, cmd
+    flags = {"check": ["--grid", "32"], "solve": ["--grid", "32"],
+             "simulate": ["--runs", "20000"], "menu": []}
+    for cmd, extra in flags.items():
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd), *extra]) == 0, cmd
+
+
+def test_scaled_errors_ending_above_one_are_refused(tmp_path, capsys):
+    # with the error's top above 1, -G_theta/g = 1 - z < 0 near the top type
+    # (FOSD fails): the config is refused, and no command writes numbers
+    text = (MINIMAL.replace("lo: 1.0, hi: 2.0", "lo: 0.5, hi: 1.0")
+            .replace("additive_error", "scaled_error")
+            .replace("{family: uniform, lo: -1.0, hi: 1.0}",
+                     "{family: triangular, lo: -1.0, mode: -0.5, hi: 1.5}"))
+    message = "agents[0].income: scaled errors must end at or below 1, got 1.5"
+    with pytest.raises(rc.ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    for cmd in ("check", "solve", "simulate"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2, cmd
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    # an error law that ends at 1 builds (mean zero: mode at its lower end)
+    parse_config(text.replace("lo: -1.0, mode: -0.5, hi: 1.5", "lo: -0.5, mode: -0.5, hi: 1.0"))
 
 
 def test_cli_env_output_override(ua_config, tmp_path, monkeypatch):

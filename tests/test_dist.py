@@ -361,6 +361,12 @@ def _audit_region_cases(draw):
         else:   # mean zero: lo + mode + hi = 0
             b = {"lo": 2 * a, "hi": 0.5 * a, "inside": draw(st.floats(0.6, 1.9)) * a}[law]
             err = {"family": "triangular", "lo": -a, "hi": b, "mode": a - b}
+        if kind == "scaled_error" and make_type_dist(err["family"], err).hi > 1.0:
+            # -G_theta/g = 1 - z is negative past z = 1: the scaled family
+            # refuses the law, which the additive family then takes
+            with pytest.raises(ConstructionError):
+                make_income_family(kind, {"error": err})
+            kind = "additive_error"
         fam = make_income_family(kind, {"error": err})
         # z = (b - theta) / s carries a rounding error of about 1e-16 / s,
         # so the scaled family's inner types keep s = 1 - theta >= 1e-3

@@ -313,6 +313,11 @@ def test_families_that_prove_single_crossing_probe_to_exactly_zero(
     support = {"lo": lo, "hi": hi}
     types = (rc.make_type_dist("triangular", {**support, "mode": lo + mode * (hi - lo)})
              if triangular else rc.make_type_dist("uniform", support))
+    if family == "scaled_error" and rc.make_type_dist(error["family"], error).hi > 1.0:
+        # -G_theta/g = 1 - z is negative past z = 1: such a family is refused
+        with pytest.raises(rc.ConstructionError):
+            rc.make_income_family(family, {"error": error})
+        return
     agent = rc.AgentSpec(types, rc.make_income_family(family, {"error": error}), c, phi)
     assert agent.income.ratio_nonincreasing
     thetas = np.concatenate([[lo, hi], lo + np.array(u) * (hi - lo)])
@@ -544,6 +549,32 @@ def test_menu_golden(ua_agent):
     assert menu[0].upfront_price == pytest.approx(1.3, abs=1e-9)
     assert menu[1].upfront_price == pytest.approx(0.5, abs=1e-9)
     assert menu[1].royalty_rate == 0.5 and menu[1].audited
+
+
+@pytest.mark.parametrize("c,theta_star", [
+    (0.0, 2.0), (0.05, 1.9), (0.2, 1.6), (0.37, 1.2600000000000002), (0.49, 1.02), (0.5, 1.0),
+    (0.6, 1.0)])
+def test_menu_theta_star_is_the_regime_kink(ua_agent, c, theta_star):
+    # theta_star is the tables' regime kink, where (2 - theta) phi = c (both
+    # support ends change regime there under additive errors), else hi or
+    # lo; the values are bit for bit those of a bisection over the support
+    agent = replace(ua_agent, audit_cost=c)
+    kinks = rc.mech._threshold_kinks(agent)
+    assert kinks == ([theta_star] if 0.0 < c <= 0.5 else [])
+    assert rc.menu_cutoffs(agent)[0] == theta_star
+
+
+def test_menu_refuses_an_audit_region_with_two_regime_changes(ua_agent):
+    # a PCHIP type law of density ~5, ~0.25, then ~0.8: (1 - F)/f rises from
+    # 0.17 past 3 and falls to 0, crossing c / phi = 0.4 twice, so auditing
+    # pays only between two regime changes
+    types = rc.make_type_dist("table", {"grid": [1.0, 1.1, 1.5, 2.0],
+                                        "cdf": [0.0, 0.5, 0.6, 1.0]})
+    agent = replace(ua_agent, types=types)
+    assert len(rc.mech._threshold_kinks(agent)) == 2
+    for menu in (rc.menu_cutoffs, rc.binary_menu):
+        with pytest.raises(rc.UnsupportedInstanceError):
+            menu(agent)
 
 
 def test_menu_single_contract_cases(ua_agent):
