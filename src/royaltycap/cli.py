@@ -15,10 +15,11 @@ Subcommands:
 
 Every subcommand takes ``--config <path>`` (required), ``--out <dir>`` and
 ``--seed <n>``; ``check``, ``solve`` and ``verify-ic`` also ``--grid <n>``,
-``simulate`` and ``sweep`` also ``--runs <n>`` and ``--workers <n>``.  The
-``ROYALTYCAP_OUT`` environment variable overrides the configured output
-directory; ``--out`` overrides both.  Exit codes: 0 success, 1 verification
-failure, 2 usage/config error (an unread flag too).
+``simulate`` and ``sweep`` also ``--runs <n>``, and ``simulate`` a
+``--workers <n>`` that is checked and ignored.  The ``ROYALTYCAP_OUT``
+environment variable overrides the configured output directory; ``--out``
+overrides both.  Exit codes: 0 success, 1 verification failure, 2
+usage/config error (an unread flag too).
 
 CSV cells carry 6 significant digits; the JSON twin of each table carries
 full-precision values plus the normalized settings the command ran with
@@ -110,8 +111,8 @@ def _cmd_solve(cfg: InstanceConfig, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: InstanceConfig, out_dir: Path, workers: int) -> int:
-    rep = sim.estimate_revenue(cfg.instance, None, cfg.n_runs, cfg.seed, workers)
+def _cmd_simulate(cfg: InstanceConfig, out_dir: Path) -> int:
+    rep = sim.estimate_revenue(cfg.instance, None, cfg.n_runs, cfg.seed)
     d = rep.to_dict()
     header = ["n_runs", "seed", "revenue_net_audits", "revenue_se",
               "audit_frequency", "mean_on_path_penalty"]
@@ -145,7 +146,7 @@ def _cmd_verify_ic(cfg: InstanceConfig, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-def _cmd_sweep(cfg: InstanceConfig, out_dir: Path, workers: int) -> int:
+def _cmd_sweep(cfg: InstanceConfig, out_dir: Path) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep", "the sweep subcommand needs a sweep section")
     spec = cfg.sweep
@@ -155,7 +156,7 @@ def _cmd_sweep(cfg: InstanceConfig, out_dir: Path, workers: int) -> int:
         agents[spec.agent] = replace(agents[spec.agent], **{spec.axis: float(v)})
         return mech.AuctionInstance(tuple(agents))
 
-    rows = sim.sweep(builder, spec.values, cfg.n_runs, cfg.seed, workers)
+    rows = sim.sweep(builder, spec.values, cfg.n_runs, cfg.seed)
     header = ["value", "revenue_net_audits", "revenue_se", "payoff_bound",
               "myerson_cash_revenue", "full_extraction_revenue", "mean_pi_star",
               "audit_frequency", "failed"]
@@ -188,22 +189,22 @@ def _cmd_menu(cfg: InstanceConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-# subcommand: handler, help, and the flags it reads besides --config, --out
-# and --seed (a handler that reads --workers takes the count)
+# subcommand: handler, help, and the flags it takes besides --config, --out
+# and --seed
 _COMMANDS = {
     "check": (_cmd_check, "verify regularity of the configured instance", ("--grid",)),
     "solve": (_cmd_solve, "tabulate the mechanism on a type grid", ("--grid",)),
     "simulate": (_cmd_simulate, "Monte Carlo revenue estimate under truthful play",
                  ("--runs", "--workers")),
     "verify-ic": (_cmd_verify_ic, "grid-certify incentive compatibility", ("--grid",)),
-    "sweep": (_cmd_sweep, "parameter sweep with benchmark columns", ("--runs", "--workers")),
+    "sweep": (_cmd_sweep, "parameter sweep with benchmark columns", ("--runs",)),
     "menu": (_cmd_menu, "single-buyer posted menu", ()),
 }
 _FLAGS = {
     "--grid": {"type": int, "help": "override both grid sizes"},
     "--runs": {"type": int, "help": "override the configured n_runs"},
     "--workers": {"type": int, "default": 1,
-                  "help": "worker threads for simulation (default 1)"},
+                  "help": "ignored: the simulation runs in one thread"},
 }
 
 
@@ -230,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    run, _, flags = _COMMANDS[args.command]
+    run = _COMMANDS[args.command][0]
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as e:
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
                                   f"must be at least {floor} for {args.command}")
         out_dir = Path(args.out or os.environ.get("ROYALTYCAP_OUT") or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return run(cfg, out_dir, *([args.workers] if "--workers" in flags else []))
+        return run(cfg, out_dir)
     except (ConfigError, UnsupportedInstanceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

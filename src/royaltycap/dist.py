@@ -735,15 +735,22 @@ class _ErrorFamily(IncomeFamily):
     region up to b' = theta + s z has Phi / phi = H(z) (1 + s' z) - s' K(z)
     and int (1 - G) = s ((z - eps_lo) - K(z)).  Where s = 0 (the scaled
     family's top type) income is theta: G steps there, g = 0 and
-    Phi / phi = 0.  A subclass gives ``_scale`` and ``g2_over_g``.
+    Phi / phi = 0.  A subclass gives ``_scale`` and ``g2_over_g``.  The
+    error law must have mean zero, straddle zero and end where 1 + s' z >= 0.
     """
 
     ratio_nonincreasing = True
 
     def __init__(self, error, params: dict):
+        if abs(error.mean) > _MEAN_TOL:
+            raise ConstructionError(f"error distribution must have mean zero, got {error.mean:.3g}")
+        if not (error.lo < 0.0 < error.hi):
+            raise ConstructionError("error support must straddle zero")
         super().__init__(params)
         self._err = error
         self._slope = float(self._scale(1.0) - self._scale(0.0))
+        if 1.0 + self._slope * error.hi < 0.0:   # -G_theta/g = 1 + s' z: FOSD fails
+            raise ConstructionError(f"scaled errors must end at or below 1, got {error.hi}")
 
     def supp_lo(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -1087,21 +1094,14 @@ def make_income_family(family: str, params: dict) -> IncomeFamily:
     """Build a conditional income family.
 
     Families: ``additive_error`` and ``scaled_error`` take an ``error``
-    sub-distribution (uniform / triangular / table) that must have mean zero
-    and straddle zero, and end at or below 1 for ``scaled_error``; ``table``
-    takes explicit conditional CDF rows.
+    sub-distribution (uniform / triangular / table), which their
+    constructors check; ``table`` takes explicit conditional CDF rows.
     """
     if family in ("additive_error", "scaled_error"):
         err_spec = params.get("error")
         if not isinstance(err_spec, dict) or "family" not in err_spec:
             raise ConstructionError("error distribution spec required (family + params)")
         err = make_type_dist(err_spec["family"], err_spec)
-        if abs(err.mean) > _MEAN_TOL:
-            raise ConstructionError(f"error distribution must have mean zero, got {err.mean:.3g}")
-        if not (err.lo < 0.0 < err.hi):
-            raise ConstructionError("error support must straddle zero")
-        if family == "scaled_error" and err.hi > 1.0:   # -G_theta/g = 1 - z: FOSD fails
-            raise ConstructionError(f"scaled errors must end at or below 1, got {err.hi}")
         cls = AdditiveErrorFamily if family == "additive_error" else ScaledErrorFamily
         return cls(err, dict(params))
     if family == "table":

@@ -291,7 +291,7 @@ def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
     per agent), each type checked against its agent's support first."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     if profiles.shape[1] != inst.n_agents:
-        raise ValueError(f"expected {inst.n_agents} types per profile, got {profiles.shape[1]}")
+        raise DomainError(f"expected {inst.n_agents} types per profile, got {profiles.shape[1]}")
     for a, col in zip(inst.agents, profiles.T):
         a.types._check_domain(col)
     tables = tables_for(inst)

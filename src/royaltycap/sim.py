@@ -9,8 +9,8 @@ and the principal's revenue nets out audit costs.
 Reproducibility contract: run ``r`` of a simulation with seed ``s`` consumes
 the Philox counter blocks ``[r*m, (r+1)*m)`` under key ``s``, where ``m`` is
 the number of 256-bit blocks needed for one run.  Streams therefore never
-overlap, results do not depend on chunking, and threaded execution is
-byte-identical to serial.  Equivalently, run ``r`` sees exactly the draws of
+overlap, and results do not depend on chunking.  Equivalently, run ``r``
+sees exactly the draws of
 ``numpy.random.Generator(numpy.random.Philox(key=s, counter=r*m))``, and a
 chunk of runs starting at ``r`` draws all its uniforms from that one
 generator, as a single ``random`` fill laid out one run per row.
@@ -23,21 +23,21 @@ its stages read and write whole columns instead of gathering and scattering
 the won runs.
 
 A report reduces the runs over fixed blocks of ``_BLOCK`` runs aligned to
-the run index.  Chunks hold whole blocks, and each chunk reduces its own in
-the thread that simulated it, to a few numbers per block (``_block_moments``)
-and integer counts; the blocks' terms are then added exactly by
-``math.fsum`` (``_mean_se``).  The report depends only on (instance,
+the run index.  Chunks hold whole blocks, and each chunk reduces its own,
+once simulated, to a few numbers per block (``_block_moments``) and
+integer counts; the blocks' terms are then added exactly by ``math.fsum``
+(``_mean_se``).  The report depends only on (instance,
 strategies, n_runs, seed), and memory does not grow with ``n_runs``.
 
-Each thread simulates its chunks in one workspace (``_Workspace``) of
-run-sized arrays: ``_simulate_batch`` and the kernels it calls (type ppf,
-``GridPoints``, the ``MechanismTables`` lookups, ``_allocate``, ``_settle``,
+Every chunk runs in the calling thread, in the workspace (``_Workspace``)
+of run-sized arrays that the thread keeps from call to call:
+``_simulate_batch`` and the kernels it calls (type ppf, ``GridPoints``, the
+``MechanismTables`` lookups, ``_allocate``, ``_settle``,
 ``project_to_support``) write into its columns through ``out=``, so a chunk
 after the thread's first allocates nothing of its size and faults in no
 fresh memory.  Only the income family's methods allocate their results.
 ``_simulate_batch``'s results are views into the workspace, valid until
-the thread's next chunk.  A calling thread keeps its workspace from call to
-call; the pool threads of a call each work in their own runs of it.
+the thread's next chunk.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class StrategyProfile:
     income report.  ``None`` entries mean truthful reporting (with income
     projected onto the reported type's support).  Whatever an income map
     returns is projected as well, so reports always land in the feasible
-    set.  Callables must accept scalars; with several workers they may run
-    on several threads at once.
+    set.  Callables must accept scalars.
     """
 
     type_reports: tuple = ()
@@ -194,43 +193,26 @@ class _Workspace:
     stored array, made on first use and remade larger when a chunk needs
     more runs or rows, so a thread's chunks allocate none of their size
     after the first.  A fresh workspace allocates every array it hands out:
-    that is ``_simulate_batch`` without one.
+    that is ``_simulate_batch`` without one."""
 
-    ``parts`` splits a workspace between pool threads: part k borrows runs
-    [k * runs, (k + 1) * runs) of each stored array (and the k-th share of
-    the uniforms' buffer) where the array has room, and makes its own
-    arrays elsewhere, which end with it.  The parts only read the lender,
-    so they may run at once while its thread waits."""
-
-    def __init__(self, lender: Optional["_Workspace"] = None, first: int = 0, k: int = 0):
+    def __init__(self):
         self._arrays = []
         self._u = np.empty(0)
-        self._lender, self._first, self._k = lender, first, k
         self.n = self.used = 0
-
-    def parts(self, count: int, runs: int) -> list:
-        return [_Workspace(self, k * runs, k) for k in range(count)]
 
     def start(self, n: int) -> "_Workspace":
         self.n, self.used = n, 0
         return self
 
     def uniforms(self, size: int) -> np.ndarray:
-        lent = None if self._lender is None else self._lender._u[self._k * size:]
-        if lent is not None and lent.size >= size:
-            return lent[:size]
         if self._u.size < size:
             self._u = np.empty(size)
         return self._u[:size]
 
     def rows(self, k: int) -> np.ndarray:
-        at, end = self.used, self._first + self.n
+        at = self.used
         self.used += 1
-        if self._lender is not None and at < len(self._lender._arrays):
-            a = self._lender._arrays[at]
-            if a.shape[0] >= k and a.shape[1] >= end:
-                return a[:k, self._first:end]
-        while len(self._arrays) <= at:
+        if at == len(self._arrays):
             self._arrays.append(np.empty((0, 0)))
         a = self._arrays[at]
         if a.shape[0] < k or a.shape[1] < self.n:
@@ -399,8 +381,7 @@ def run_auction(inst: AuctionInstance, strategies: StrategyProfile,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-# runs in memory at once: one serial chunk, or one chunk on each thread
-# with chunks of _CHUNK / threads runs
+# runs in memory at once: one chunk
 _CHUNK = 1 << 15
 # runs per reduction block.  Blocks are aligned to the run index and every
 # chunk holds whole blocks, so a block is reduced the same way however the
@@ -410,11 +391,11 @@ _BLOCK = 1 << 10
 _MIN_RUNS = 1_000
 # seeds are Philox keys, the integers in [0, _SEED_BOUND)
 _SEED_BOUND = 1 << 128
-# each thread's ``_Workspace`` for its serial calls
+# each thread's ``_Workspace`` for its calls
 _CALLER = threading.local()
 
 
-def _check_run_args(n_runs, seed, workers):
+def _check_run_args(n_runs, seed, workers=1):
     """Reject a run count that is not an integer of at least ``_MIN_RUNS``,
     a seed that is not a Philox key, and a worker count that is not an
     integer of at least 1."""
@@ -481,10 +462,11 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
 
     Under truthful strategies the estimate matches the analytic expected
     revenue E[max_i psi_i(theta_i)_+] up to Monte Carlo error.  Each chunk
-    reduces its runs, in the thread that simulated them, to partials of
-    fixed blocks of ``_BLOCK`` runs aligned to the run index (``_mean_se``)
-    and to integer counts, so memory does not grow with ``n_runs`` and the
-    report does not depend on chunking or on the number of worker threads.
+    reduces its runs to partials of fixed blocks of ``_BLOCK`` runs aligned
+    to the run index (``_mean_se``) and to integer counts, so memory does
+    not grow with ``n_runs`` and the report does not depend on chunking.
+    ``workers`` must be an integer of at least 1 and is otherwise ignored;
+    it goes once the benchmark stops passing it.
     """
     _check_run_args(n_runs, seed, workers)
     n_runs = int(n_runs)
@@ -494,45 +476,21 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     tables = tables_for(inst)
     N = inst.n_agents
 
-    # one chunk runs in-line; threads share one serial chunk's runs at a
-    # time, each taking whole blocks, so there are at most _CHUNK // _BLOCK
-    threads = min(workers, -(-n_runs // _CHUNK), _CHUNK // _BLOCK)
-    size = _CHUNK // threads // _BLOCK * _BLOCK
-
-    def chunk(start, ws):
-        u = _uniform_matrix(N, seed, start, min(size, n_runs - start),
-                            ws.uniforms(4 * _blocks_per_run(N) * min(size, n_runs)))
-        b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws)
-        moments = np.stack([_block_moments(x) for x in (b["revenue"], *b["utility"].T)])
-        pen = np.concatenate([np.abs(r, out=r).sum(axis=1) for r in _blocks(b["penalty"])])
-        wins = np.bincount(np.add(b["winner"], 1, out=b["winner"]), minlength=N + 1)[1:]
-        return moments, pen, np.count_nonzero(b["audited"]), wins
-
     # the calling thread's workspace, kept between calls; taken while in
     # use, so that a call made from a strategy callable gets one of its own
     ws = _CALLER.__dict__.pop("ws", None) or _Workspace()
+    moments, pen, audits, wins = [], [], 0, 0
     try:
-        starts = range(0, n_runs, size)
-        if threads > 1:
-            # imported here: it costs start-up time, and only a pool needs it
-            from concurrent.futures import ThreadPoolExecutor
-
-            # each pool thread takes a part of the caller's workspace
-            spare = ws.parts(threads, size)
-            local = threading.local()
-
-            def pooled(start):
-                if not hasattr(local, "ws"):
-                    local.ws = spare.pop()
-                return chunk(start, local.ws)
-
-            with ThreadPoolExecutor(threads) as pool:
-                parts = list(pool.map(pooled, starts))
-        else:
-            parts = [chunk(s, ws) for s in starts]
+        buf = ws.uniforms(4 * _blocks_per_run(N) * min(_CHUNK, n_runs))
+        for start in range(0, n_runs, _CHUNK):
+            u = _uniform_matrix(N, seed, start, min(_CHUNK, n_runs - start), buf)
+            b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws)
+            moments.append(np.stack([_block_moments(x) for x in (b["revenue"], *b["utility"].T)]))
+            pen += [np.abs(r, out=r).sum(axis=1) for r in _blocks(b["penalty"])]
+            audits += np.count_nonzero(b["audited"])
+            wins += np.bincount(np.add(b["winner"], 1, out=b["winner"]), minlength=N + 1)[1:]
     finally:
         _CALLER.ws = ws
-    moments, pen, audits, wins = zip(*parts)
     moments = np.concatenate(moments, axis=1)
 
     revenue, revenue_se = _mean_se(moments[0], n_runs)
@@ -544,9 +502,9 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
         revenue_se=revenue_se,
         agent_utility=tuple(m for m, _ in utility),
         agent_utility_se=tuple(se for _, se in utility),
-        audit_frequency=int(sum(audits)) / n_runs,
+        audit_frequency=int(audits) / n_runs,
         mean_on_path_penalty=math.fsum(np.concatenate(pen).tolist()) / n_runs,
-        allocation_frequency=tuple(int(w) / n_runs for w in sum(wins)),
+        allocation_frequency=tuple(int(w) / n_runs for w in wins),
     )
 
 
@@ -556,7 +514,7 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
 
 
 def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[float],
-          n_runs: int = 100_000, seed: int = 0, workers: int = 1) -> list:
+          n_runs: int = 100_000, seed: int = 0) -> list:
     """Simulate and benchmark an instance family along a parameter axis.
 
     ``inst_builder(v)`` constructs the instance at axis value ``v``.  Each
@@ -566,13 +524,13 @@ def sweep(inst_builder: Callable[[float], AuctionInstance], values: Sequence[flo
     without aborting the sweep; a cash benchmark that alone is undefined is
     None (``_benchmarks``).
     """
-    _check_run_args(n_runs, seed, workers)
+    _check_run_args(n_runs, seed)
     rows = []
     for v in values:
         row = {"value": float(v)}
         try:
             inst = inst_builder(v)
-            rep = estimate_revenue(inst, None, n_runs, seed, workers)
+            rep = estimate_revenue(inst, None, n_runs, seed)
             row.update(rep.to_dict())
             row.update(_benchmarks(inst))
             row["mean_pi_star"] = _mean_pi_star(inst)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .dist import AgentSpec, TypeDist, _bisect, inverse_hazard, project_to_support
 from .errors import (
+    ConstructionError,
     DomainError,
     InvalidAxisError,
     InvalidNoiseError,
@@ -458,6 +459,8 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     Requires both audit thresholds to lie in the intersection of the two
     income supports; otherwise the pair is unsupported.
     """
+    if grid < _MIN_REGULARITY_GRID:
+        raise ValueError(f"crossing grids need at least {_MIN_REGULARITY_GRID} points")
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     agent = _agent(inst, i)
@@ -515,6 +518,10 @@ class NoiseModel:
     halfwidth: float = 0.1
     bias: float = 0.0
 
+    def __post_init__(self):
+        if not self.halfwidth >= 0:
+            raise ConstructionError(f"noise halfwidth must be nonnegative, got {self.halfwidth!r}")
+
     def sample(self, rng: np.random.Generator, pi, size=None):
         if size is None:
             size = np.shape(pi)
@@ -535,6 +542,8 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
     errors, and a double-monotonicity check of the estimated effective
     penalty in the true income.
     """
+    if n_trials < 2:
+        raise ValueError(f"noisy audits need at least 2 trials, got {n_trials}")
     phi = agent.sensitivity
     lo, hi = (float(x) for x in _income_bounds(agent, theta))
 
@@ -607,6 +616,8 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
     increasing hazard-rate order: psi weakly decreasing, pi_star weakly
     increasing).
     """
+    if theta_grid < _MIN_REGULARITY_GRID:
+        raise ValueError(f"scan grids need at least {_MIN_REGULARITY_GRID} points")
     if len(values) < 3:
         raise InvalidAxisError("scan needs at least three axis values")
     if axis == "c":

@@ -193,27 +193,27 @@ def test_cli_check_pass(ua_config, tmp_path):
 
 def test_cli_calls_share_one_parser_and_parse_independently(ua_config, tmp_path, monkeypatch):
     # the parser is built once per process; each call's flags are its own,
-    # so an earlier call's --workers, --runs, --seed and --grid do not carry over
+    # so an earlier call's --runs, --seed and --grid do not carry over; every
+    # handler takes the config and the output directory only
     calls = []
     for name in ("check", "simulate"):
-        spy = lambda cfg, out, *rest, name=name: (  # noqa: E731
-            calls.append((name, cfg.theta_points, cfg.pi_points, cfg.n_runs, cfg.seed, rest))
-            or 0)
+        spy = lambda cfg, out, name=name: (  # noqa: E731
+            calls.append((name, cfg.theta_points, cfg.pi_points, cfg.n_runs, cfg.seed)) or 0)
         monkeypatch.setitem(cli._COMMANDS, name, (spy, *cli._COMMANDS[name][1:]))
     base = ["--config", str(ua_config), "--out", str(tmp_path / "o")]
     assert main(["simulate", *base, "--workers", "2", "--runs", "5000", "--seed", "3"]) == 0
     assert main(["check", *base, "--grid", "48"]) == 0
     assert main(["simulate", *base]) == 0
     assert main(["check", *base]) == 0
-    assert calls == [("simulate", 128, 128, 5000, 3, (2,)), ("check", 48, 48, 100_000, 0, ()),
-                     ("simulate", 128, 128, 100_000, 0, (1,)),
-                     ("check", 128, 128, 100_000, 0, ())]
+    assert calls == [("simulate", 128, 128, 5000, 3), ("check", 48, 48, 100_000, 0),
+                     ("simulate", 128, 128, 100_000, 0), ("check", 128, 128, 100_000, 0)]
     assert cli._build_parser() is cli._build_parser()
 
 
-# the flags each subcommand reads besides --config, --out and --seed
+# the flags each subcommand takes besides --config, --out and --seed (simulate
+# checks --workers and ignores it)
 _READS = {"check": ("--grid",), "solve": ("--grid",), "verify-ic": ("--grid",),
-          "simulate": ("--runs", "--workers"), "sweep": ("--runs", "--workers"), "menu": ()}
+          "simulate": ("--runs", "--workers"), "sweep": ("--runs",), "menu": ()}
 _UNREAD = [(cmd, flag) for cmd, reads in _READS.items()
            for flag in ("--grid", "--runs", "--workers") if flag not in reads]
 
@@ -221,7 +221,7 @@ _UNREAD = [(cmd, flag) for cmd, reads in _READS.items()
 @pytest.mark.parametrize("cmd,flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
 def test_cli_rejects_flags_its_command_does_not_read(ua_config, tmp_path, capsys, cmd, flag):
     # a flag the command would ignore is a usage error, before any output
-    assert len(_UNREAD) == 11
+    assert len(_UNREAD) == 12
     out = tmp_path / "o"
     value = {"--grid": "48", "--runs": "2000", "--workers": "2"}[flag]
     with pytest.raises(SystemExit) as exc:

@@ -463,19 +463,28 @@ def _error_family_cases(draw):
     """An additive or scaled family over a uniform, triangular (random mode,
     the ends included) or table error law, types (the scaled family's top
     type 1 included), incomes below, inside and above each type's support
-    and at its ends, and quantile levels in and outside [0, 1]."""
+    and at its ends, and quantile levels in and outside [0, 1].  The drawn
+    law is moved to mean zero, and a scaled one shrunk to end at 1 at most,
+    as the family constructors require."""
     lo, hi = -draw(st.floats(0.01, 2.0)), draw(st.floats(0.01, 2.0))
     law = draw(st.sampled_from(["uniform", "triangular", "table"]))
     if law == "uniform":
-        err = make_type_dist("uniform", {"lo": lo, "hi": hi})
+        knots, fixed = {"lo": lo, "hi": hi}, {}
     elif law == "triangular":
         frac = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]))
-        mode = min(lo + frac * (hi - lo), hi)
-        err = make_type_dist("triangular", {"lo": lo, "hi": hi, "mode": mode})
+        knots, fixed = {"lo": lo, "hi": hi, "mode": min(lo + frac * (hi - lo), hi)}, {}
     else:
         grid, values = draw(_cdf_tables())
-        err = make_type_dist("table", {"grid": grid, "cdf": values})
+        knots, fixed = {"grid": grid}, {"cdf": values}
+
+    def moved(shift, scale):
+        return make_type_dist(law, {**fixed, **{k: (v - shift) * scale for k, v in knots.items()}})
+
     scaled = draw(st.booleans())
+    mean = moved(0.0, 1.0).mean
+    err = moved(mean, 1.0)
+    if scaled and err.hi > 1.0:
+        err = moved(mean, 0.5 / err.hi)
     cls = dist.ScaledErrorFamily if scaled else dist.AdditiveErrorFamily
     n = draw(st.integers(1, 8))
     types = (st.floats(0.0, 1.0) | st.just(1.0)) if scaled else st.floats(-3.0, 3.0)
@@ -1032,6 +1041,23 @@ def test_type_law_construction_errors(family, params, match):
 def test_income_family_rejections(family, params, match):
     with pytest.raises(ConstructionError, match=match):
         make_income_family(family, params)
+
+
+@pytest.mark.parametrize("cls,family,params,match", [
+    # mean zero, but -G_theta/g = 1 - z turns negative above z = 1, so
+    # stochastic dominance fails near the top type
+    (dist.ScaledErrorFamily, "triangular", {"lo": -1.0, "mode": -0.5, "hi": 1.5},
+     "scaled errors must end at or below 1, got 1.5"),
+    # mean 0.25: the mean normalization E[pi | theta] = theta fails
+    (dist.AdditiveErrorFamily, "uniform", {"lo": -0.5, "hi": 1.0},
+     "error distribution must have mean zero, got 0.25"),
+    (dist.ScaledErrorFamily, "uniform", {"lo": 0.0, "hi": 1e-8}, "straddle zero"),
+])
+def test_error_family_constructors_check_the_error_law(cls, family, params, match):
+    # the checks live in the constructors, so a family built without
+    # make_income_family gets them too
+    with pytest.raises(ConstructionError, match=match):
+        cls(make_type_dist(family, params), {})
 
 
 def test_agent_rejects_unbounded_income_support(ua_agent):

@@ -365,6 +365,19 @@ def test_allocation_examples(ua_agent, su_agent):
     assert rc.allocation(rc.AuctionInstance((ua_agent,)), [1.01]) == [1]
 
 
+def test_wrong_length_type_profile_is_a_domain_error(pair_inst):
+    # a package error, and still a ValueError, for every entry point that
+    # builds a type profile
+    calls = [lambda: rc.allocation(pair_inst, [1.5]),
+             lambda: rc.transfer(pair_inst, 0, [1.5, 0.75, 0.75]),
+             lambda: rc.crossing_point(pair_inst, 0, 1.7, 1.8, []),
+             lambda: rc.best_response_income(pair_inst, 0, 1.8, [], 1.8)]
+    for call in calls:
+        with pytest.raises(rc.DomainError, match="expected 2 types per profile") as exc:
+            call()
+        assert isinstance(exc.value, ValueError)
+
+
 def test_allocation_at_most_one_winner(ua_agent, su_agent):
     inst = rc.AuctionInstance((ua_agent, su_agent))
     rs = np.random.default_rng(2)

@@ -145,30 +145,16 @@ def test_strategy_profile_must_cover_every_agent(pair_inst):
             call()
 
 
-def test_workers_guard(ua_inst, ua_agent):
-    # no silent serial fallback; a sweep raises rather than failing each row
+def test_workers_guard(ua_inst):
     with pytest.raises(rc.ConstructionError):
         rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=0, workers=0)
-    with pytest.raises(rc.ConstructionError):
-        rc.sweep(lambda c: rc.AuctionInstance((replace(ua_agent, audit_cost=c),)),
-                 [0.2], n_runs=1000, seed=0, workers=-2)
 
 
 @pytest.mark.parametrize("workers", [1.5, 2.0, np.float64(2), True, "2"])
-def test_worker_count_must_be_an_integer(ua_inst, ua_agent, workers):
-    # a float worker count used to reach range() as a TypeError; a sweep
-    # raises before it builds its first row
+def test_worker_count_must_be_an_integer(ua_inst, workers):
+    # ignored, the worker count is still checked
     with pytest.raises(rc.ConstructionError, match="workers must be an integer"):
         rc.estimate_revenue(ua_inst, None, 100_000, 0, workers)
-    built = []
-
-    def build(c):
-        built.append(c)
-        return rc.AuctionInstance((replace(ua_agent, audit_cost=c),))
-
-    with pytest.raises(rc.ConstructionError, match="workers must be an integer"):
-        rc.sweep(build, [0.2], n_runs=1000, seed=0, workers=workers)
-    assert built == []
 
 
 @pytest.mark.parametrize("kw", [{"seed": 1.5}, {"seed": -1}, {"seed": True},
@@ -371,45 +357,13 @@ def test_tied_virtual_values_leave_the_asset_unsold(ua_agent):
     assert b["transfers"][2, 0] == tables.transfer_win(0, 1.8, rival)
 
 
-def test_workers_capped_by_chunks(ua_inst, monkeypatch):
-    # 1000 runs are one chunk: no worker pool is started
-    serial = rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a single chunk must run in-line")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    assert rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=3, workers=4) == serial
-
-
-def test_pool_threads_capped_at_one_per_block(ua_inst, monkeypatch):
-    # each thread takes at least one block of a serial chunk's runs, so a
-    # call asks for at most _CHUNK // _BLOCK = 32 threads however many
-    # workers it is given; the spy runs every task in the calling thread
-    asked = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *items):
-            return map(fn, *items)
-
-    serial = rc.estimate_revenue(ua_inst, None, 1 << 21, 0)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-    assert rc.estimate_revenue(ua_inst, None, 1 << 21, 0, 1000) == serial
-    assert asked == [S._CHUNK // S._BLOCK] == [32]
-
-
 def test_cli_import_leaves_out_the_worker_pool():
-    # the thread pool's module is imported only when a pool is started
-    code = "import sys, royaltycap.cli; print('concurrent.futures' in sys.modules)"
+    # neither the import nor a two-chunk simulation with two workers loads
+    # the thread pool's module
+    code = ("import sys, royaltycap.cli, royaltycap as rc\n"
+            "from royaltycap.instances import uniform_additive\n"
+            "rc.estimate_revenue(uniform_additive(), None, 2 * rc.sim._CHUNK, 0, workers=2)\n"
+            "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "False"
@@ -417,7 +371,7 @@ def test_cli_import_leaves_out_the_worker_pool():
 
 def test_reports_independent_of_chunk_size(ua_inst, pair_inst, monkeypatch):
     # every block of runs is reduced the same way whatever the chunk size and
-    # thread count, including Python-level strategy and audit callables, and
+    # worker count, including Python-level strategy and audit callables, and
     # with a last block shorter than the others or whole
     shade = rc.StrategyProfile(type_reports=(lambda th: 0.9 * th + 0.1,),
                                income_reports=(None,))
@@ -507,9 +461,8 @@ def _in_new_thread(fn, *args, **kwargs):
 
 def test_concurrent_callers_match_the_serial_reports(pair_inst):
     # four threads simulate one shared instance at once, each with its own
-    # workspace, warmed by a serial call (with 2 workers, its pool threads
-    # borrow parts of it): every report equals the serial one, under the
-    # optimal and a random audit rule
+    # workspace, warmed by a first call: every report equals the serial
+    # one, under the optimal and a random audit rule
     coin = lambda th, pi: np.full_like(th, 0.5)  # noqa: E731
     cases = [(workers, audit) for workers in (1, 2) for audit in (None, coin)]
     want = {audit: rc.estimate_revenue(pair_inst, None, 70_000, 5, audit_prob=audit)
@@ -622,3 +575,15 @@ def test_estimate_revenue_golden_reports(shipped_instances, workers):
     for name, want in _GOLDEN_REPORTS.items():
         rep = rc.estimate_revenue(shipped_instances[name], None, 1 << 17, 1, workers)
         assert rep.to_dict() == want, name
+
+
+def test_every_chunk_runs_in_the_calling_thread(shipped_instances, monkeypatch):
+    # no thread is started, whatever the worker count
+    def no_thread(self):
+        raise AssertionError("estimate_revenue must start no thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for workers in (1, 2, 32):
+        for name, want in _GOLDEN_REPORTS.items():
+            rep = rc.estimate_revenue(shipped_instances[name], None, 1 << 17, 1, workers)
+            assert rep.to_dict() == want, (name, workers)

@@ -747,6 +747,16 @@ def test_crossing_unsupported_pair(ua_inst, st_inst, pair_inst):
         rc.crossing_point(pair_inst, 0, 1.1, 1.9, [0.99])
 
 
+def test_crossing_point_refuses_grids_that_certify_nothing(st_inst):
+    # a grid of 0 incomes would certify both sides over nothing
+    floor = verify._MIN_REGULARITY_GRID
+    for grid in (0, floor - 1):
+        with pytest.raises(ValueError, match=f"at least {floor} points"):
+            rc.crossing_point(st_inst, 0, 0.75, 0.8, grid=grid)
+    rep = rc.crossing_point(st_inst, 0, 0.75, 0.8, grid=floor)
+    assert rep.grid == floor and rep.lower_ok and rep.upper_ok
+
+
 # ---------------------------------------------------------------------------
 # Noisy auditing
 # ---------------------------------------------------------------------------
@@ -772,6 +782,22 @@ def test_noisy_audit_rejects_biased_signal(su_agent):
         rc.noisy_audit_equivalence(su_agent, 0.6,
                                    rc.NoiseModel(halfwidth=0.1, bias=0.03),
                                    n_trials=20_000, seed=2)
+
+
+def test_noisy_audit_needs_two_trials(su_agent):
+    # one trial has no standard error (numpy warns of zero degrees of
+    # freedom)
+    for n_trials in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            rc.noisy_audit_equivalence(su_agent, 0.6, rc.NoiseModel(), n_trials=n_trials)
+    assert rc.noisy_audit_equivalence(su_agent, 0.6, rc.NoiseModel(), n_trials=2)["n_trials"] == 2
+
+
+def test_noise_halfwidth_must_be_nonnegative():
+    for halfwidth in (-0.1, float("nan")):
+        with pytest.raises(rc.ConstructionError, match="halfwidth must be nonnegative"):
+            rc.NoiseModel(halfwidth=halfwidth)
+    assert rc.NoiseModel(halfwidth=0.0).halfwidth == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +847,16 @@ def test_scan_preconditions(ua_agent):
                                 ("hazard_family", [u12, u02, u12], "common support")):
         with pytest.raises(rc.InvalidAxisError, match=match):
             rc.comparative_statics_scan(ua_agent, axis, values)
+
+
+def test_scan_refuses_grids_that_certify_nothing(ua_agent):
+    # a grid of 0 types would report both curves monotone over nothing
+    floor = verify._MIN_REGULARITY_GRID
+    for theta_grid in (0, floor - 1):
+        with pytest.raises(ValueError, match=f"at least {floor} points"):
+            rc.comparative_statics_scan(ua_agent, "c", [0.1, 0.2, 0.3], theta_grid)
+    rep = rc.comparative_statics_scan(ua_agent, "c", [0.1, 0.2, 0.3], floor)
+    assert len(rep["theta"]) == floor and rep["psi_monotone_ok"]
 
 
 def test_joint_scaling_leaves_threshold_unchanged(ua_agent, su_agent):

@@ -50,8 +50,9 @@ takes an instance, so that a change shows how far each one moves:
 * per instance above, one ``estimate_revenue`` report (20,000 runs, seed
   0), as JSON;
 * on ``uniform_additive`` and ``mixed_pair``, ``estimate_revenue`` reports
-  off truthful play (70,000 runs, seed 0, workers 1 and 2, so that two
-  threads split the runs into chunks), as JSON: under a type-report map,
+  off truthful play (70,000 runs, seed 0, more than one chunk holds,
+  under the keys ``workers1`` and ``workers2``, whose reports agree since
+  ``workers`` is ignored), as JSON: under a type-report map,
   under an income-report map, and under a probabilistic audit rule
   ``audit_prob``;
 * per shipped config, ``allocation`` and every agent's ``transfer`` on 40
@@ -121,7 +122,7 @@ from royaltycap.errors import DomainError, RoyaltycapError  # noqa: E402
 
 SEED = 0
 RUNS = 20_000
-# more runs than one chunk holds, so that workers=2 starts two threads
+# more runs than one chunk holds, so that a report spans several chunks
 PLAY_RUNS = 70_000
 PLAY_CONFIGS = ("uniform_additive", "mixed_pair")
 PROFILES = 40
