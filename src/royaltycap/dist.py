@@ -24,6 +24,7 @@ never share mutable state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -1145,10 +1146,17 @@ class AgentSpec:
     sensitivity: float
 
     def __post_init__(self):
+        # any real number but a bool, kept as a Python float so that no
+        # float32 arithmetic reaches the kernels
+        for name in ("audit_cost", "sensitivity"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ConstructionError(f"{name} must be a real number, got {x!r}")
+            object.__setattr__(self, name, float(x))
         c, phi = self.audit_cost, self.sensitivity
-        if not (isinstance(c, (int, float)) and np.isfinite(c) and c >= 0):
+        if not (np.isfinite(c) and c >= 0):
             raise ConstructionError(f"audit_cost must be >= 0, got {c!r}")
-        if not (isinstance(phi, (int, float)) and 0.0 <= phi <= 1.0):
+        if not 0.0 <= phi <= 1.0:
             raise ConstructionError(f"sensitivity must lie in [0, 1], got {phi!r}")
         lo, hi = self.types.lo, self.types.hi
         if isinstance(self.income, ScaledErrorFamily) and hi > 1.0 + 1e-12:

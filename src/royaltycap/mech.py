@@ -280,8 +280,9 @@ def _allocate(psi: np.ndarray, out=None):
 
 def _agent(inst: AuctionInstance, i) -> AgentSpec:
     """Agent ``i`` of ``inst``; ``DomainError`` unless ``i`` is an int in
-    range(n_agents) (a negative index would name another agent)."""
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n_agents:
+    range(n_agents) (a negative index would name another agent; a bool is
+    not an index)."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n_agents:
         raise DomainError(f"agent index {i!r} not in range({inst.n_agents})")
     return inst.agents[i]
 

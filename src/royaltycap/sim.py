@@ -29,15 +29,15 @@ integer counts; the blocks' terms are then added exactly by ``math.fsum``
 (``_mean_se``).  The report depends only on (instance,
 strategies, n_runs, seed), and memory does not grow with ``n_runs``.
 
-Every chunk runs in the calling thread, in the workspace (``_Workspace``)
-of run-sized arrays that the thread keeps from call to call:
-``_simulate_batch`` and the kernels it calls (type ppf, ``GridPoints``, the
-``MechanismTables`` lookups, ``_allocate``, ``_settle``,
-``project_to_support``) write into its columns through ``out=``, so a chunk
-after the thread's first allocates nothing of its size and faults in no
-fresh memory.  Only the income family's methods allocate their results.
-``_simulate_batch``'s results are views into the workspace, valid until
-the thread's next chunk.
+Every chunk runs in the calling thread, in one buffer that the thread keeps
+from call to call: the chunk's uniforms, then its workspace of ``_rows(N)``
+rows of runs at fixed places.  ``_simulate_batch`` and the kernels it calls
+(type ppf, ``GridPoints``, the ``MechanismTables`` lookups, ``_allocate``,
+``_settle``, ``project_to_support``) write into those rows through
+``out=``, so a chunk after the thread's first allocates nothing of its size
+and faults in no fresh memory.  Only the income family's methods allocate
+their results.  ``_simulate_batch``'s results are views into the
+workspace, valid until the thread's next chunk.
 """
 
 from __future__ import annotations
@@ -93,6 +93,17 @@ class StrategyProfile:
     def validate(self, n_agents: int):
         if len(self.type_reports) != n_agents or len(self.income_reports) != n_agents:
             raise ConstructionError("strategy profile must cover every agent")
+        for fn in (*self.type_reports, *self.income_reports):
+            if fn is not None and not callable(fn):
+                raise ConstructionError(f"strategy entries must be None or callable, got {fn!r}")
+
+
+def _strategies(inst: AuctionInstance, strategies: Optional[StrategyProfile]) -> StrategyProfile:
+    """``strategies``, or truthful reporting for None, validated for ``inst``."""
+    if strategies is None:
+        strategies = StrategyProfile.truthful(inst.n_agents)
+    strategies.validate(inst.n_agents)
+    return strategies
 
 
 # ---------------------------------------------------------------------------
@@ -183,47 +194,15 @@ def _uniform_matrix(n_agents: int, seed: int, start: int, count: int,
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
-    """A thread's run-sized arrays, kept from chunk to chunk.
-
-    ``start`` readies it for a chunk of ``n`` runs; ``rows`` then hands out
-    its arrays in request order, each one a block of rows of ``n`` floats
-    (``col`` one row, viewed as another 8- or 1-byte dtype), and ``release``
-    hands the later ones back.  The k-th request of a chunk gets the k-th
-    stored array, made on first use and remade larger when a chunk needs
-    more runs or rows, so a thread's chunks allocate none of their size
-    after the first.  A fresh workspace allocates every array it hands out:
-    that is ``_simulate_batch`` without one."""
-
-    def __init__(self):
-        self._arrays = []
-        self._u = np.empty(0)
-        self.n = self.used = 0
-
-    def start(self, n: int) -> "_Workspace":
-        self.n, self.used = n, 0
-        return self
-
-    def uniforms(self, size: int) -> np.ndarray:
-        if self._u.size < size:
-            self._u = np.empty(size)
-        return self._u[:size]
-
-    def rows(self, k: int) -> np.ndarray:
-        at = self.used
-        self.used += 1
-        if at == len(self._arrays):
-            self._arrays.append(np.empty((0, 0)))
-        a = self._arrays[at]
-        if a.shape[0] < k or a.shape[1] < self.n:
-            a = self._arrays[at] = np.empty((max(k, a.shape[0]), max(self.n, a.shape[1])))
-        return a[:k, :self.n]
-
-    def col(self, dtype=float) -> np.ndarray:
-        return self.rows(1)[0].view(dtype)[:self.n]
-
-    def release(self, used: int):
-        self.used = used
+def _rows(N: int) -> int:
+    """Rows of ``_simulate_batch``'s workspace for ``N`` agents, each one
+    float per run: ``[0, 2N+4)`` the outputs; ``2N+4`` to ``2N+6`` the
+    winner (intp), the rival value and scratch; ``[2N+7, 7N+7)`` five per
+    agent, its true and reported types and their grid cells (j as intp, d,
+    w); ``[7N+7, 7N+13)`` six for the runs one agent wins, gathered agent by
+    agent (those five and the income draw), and written only when an agent
+    wins part of a chunk."""
+    return 7 * N + 13
 
 
 def _apply_map(fn: Callable, *cols):
@@ -233,7 +212,7 @@ def _apply_map(fn: Callable, *cols):
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
                     u: np.ndarray, tables: MechanismTables,
                     audit_prob: Optional[Callable] = None,
-                    ws: Optional[_Workspace] = None) -> dict:
+                    ws: Optional[np.ndarray] = None) -> dict:
     """Vectorized protocol over a matrix of per-run uniforms.
 
     ``audit_prob``, if given, replaces the deterministic audit rule with a
@@ -242,33 +221,33 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     for simulating user mechanisms; the revenue-optimal rule stays
     deterministic.)
 
-    The run-sized arrays, results included, are the columns of the
-    workspace ``ws``: the results are views into it, valid until the
-    thread's next chunk.  Without one they are allocated afresh.  The
-    income family's methods allocate their results either way.
+    The run-sized arrays, results included, are the rows of the workspace
+    ``ws``, a ``(_rows(N), n)`` float array laid out as ``_rows`` states
+    (None allocates one): the results are views into it.  The income
+    family's methods allocate their results either way.
     """
     n = u.shape[0]
     N = inst.n_agents
-    ws = (ws or _Workspace()).start(n)
+    ws = np.empty((_rows(N), n)) if ws is None else ws
 
     # the outputs' rows; until settlement the first N hold the virtual
     # values, one contiguous column per agent, and row N the top of
     # ``_top_two``
-    out = ws.rows(2 * N + 4)
+    out = ws[:2 * N + 4]
     transfers, utility = out[:N].T, out[N:2 * N].T
     royalty, pen, audit_cost = out[2 * N], out[2 * N + 2], out[2 * N + 3]
     audited = out[2 * N + 1].view(bool)[:n]
-    winner, rival, scratch = ws.col(np.intp), ws.col(), ws.col()
+    winner, rival, scratch = ws[2 * N + 4].view(np.intp), ws[2 * N + 5], ws[2 * N + 6]
 
     draws = []
     for i, agent in enumerate(inst.agents):
-        th_true, th_rep = ws.col(), ws.col()
+        th_true, th_rep, j, d, w = ws[2 * N + 7 + 5 * i:2 * N + 12 + 5 * i]
         agent.types.ppf(u[:, i], out=(th_true, th_rep))
         fn = strategies.type_reports[i]
         np.clip(th_true if fn is None else _apply_map(fn, th_true),
                 agent.types.lo, agent.types.hi, out=th_rep)
         # one grid search per report, shared by every table lookup below
-        located = tables.locate(i, th_rep, out=(ws.col(np.intp), ws.col(), ws.col()))
+        located = tables.locate(i, th_rep, out=(j.view(np.intp), d, w))
         tables.psi(i, located, out=(out[i], scratch))
         draws.append((th_true, th_rep, located))
 
@@ -281,22 +260,21 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
         count = counts[i]
         if not count:
             continue
-        used, tmp = ws.used, scratch[:count]
+        tmp = scratch[:count]
         whole = count == n
+        outs = (transfers[:, i], royalty, audited, pen, audit_cost, utility[:, i])
         if whole:
             # the agent wins every run: its stages read and write whole columns
             m = slice(None)
             th_t, th_r, at, pi_u = th_true, th_rep, located, u[:, N]
-            t, r, a, p, cost, gain = (transfers[:, i], royalty, audited, pen, audit_cost,
-                                      utility[:, i])
+            t, r, a, p, cost, gain = outs
         else:
             # the runs the agent wins, gathered into columns of their own;
             # the agent's whole columns, spent once gathered, then hold its
             # royalties, penalties, costs, utilities and audits
             m = np.flatnonzero(winner == i)
-            th_t, th_r, t = (ws.col()[:count] for _ in range(3))
-            at = located.take(m, out=(ws.col(np.intp)[:count], ws.col()[:count],
-                                      ws.col()[:count]))
+            th_t, th_r, t, j, d, w = ws[7 * N + 7:, :count]
+            at = located.take(m, out=(j.view(np.intp), d, w))
             for x, into in ((th_true, th_t), (th_rep, th_r), (u[:, N], t)):
                 np.take(x, m, out=into, mode="wrap")
             pi_u = t
@@ -328,20 +306,12 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
         gain -= p
         gain -= t
         if not whole:
-            transfers[m, i] = t
-            royalty[m] = r
-            audited[m] = a
-            pen[m] = p
-            audit_cost[m] = cost
-            utility[m, i] = gain
-        ws.release(used)
+            for into, x in zip(outs, (t, r, a, p, cost, gain)):
+                into[m] = x
 
-    # each row holds one transfer at most, so column adds give its row sum;
+    # each run holds one transfer at most, so the sum over agents is exact;
     # the first agent's true types are spent by now
-    revenue = draws[0][0]
-    np.copyto(revenue, transfers[:, 0])
-    for i in range(1, N):
-        revenue += transfers[:, i]
+    revenue = np.sum(out[:N], axis=0, out=draws[0][0])
     revenue += royalty
     revenue += pen
     revenue -= audit_cost
@@ -357,13 +327,14 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     }
 
 
-def run_auction(inst: AuctionInstance, strategies: StrategyProfile,
+def run_auction(inst: AuctionInstance, strategies: Optional[StrategyProfile],
                 rng: np.random.Generator,
                 audit_prob: Optional[Callable] = None) -> Outcome:
     """Execute one auction round, consuming ``n_agents + 2`` uniforms from
     ``rng`` (type draws, the winner's income draw, and one audit-
-    randomization draw that the deterministic rule leaves unused)."""
-    strategies.validate(inst.n_agents)
+    randomization draw that the deterministic rule leaves unused).  None
+    strategies report truthfully."""
+    strategies = _strategies(inst, strategies)
     u = rng.random(inst.n_agents + 2)[None, :]
     b = _simulate_batch(inst, strategies, u, tables_for(inst), audit_prob)
     w = int(b["winner"][0])
@@ -391,7 +362,7 @@ _BLOCK = 1 << 10
 _MIN_RUNS = 1_000
 # seeds are Philox keys, the integers in [0, _SEED_BOUND)
 _SEED_BOUND = 1 << 128
-# each thread's ``_Workspace`` for its calls
+# each thread's buffer for its calls (``estimate_revenue``)
 _CALLER = threading.local()
 
 
@@ -470,27 +441,30 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     """
     _check_run_args(n_runs, seed, workers)
     n_runs = int(n_runs)
-    if strategies is None:
-        strategies = StrategyProfile.truthful(inst.n_agents)
-    strategies.validate(inst.n_agents)
+    strategies = _strategies(inst, strategies)
     tables = tables_for(inst)
     N = inst.n_agents
 
-    # the calling thread's workspace, kept between calls; taken while in
-    # use, so that a call made from a strategy callable gets one of its own
-    ws = _CALLER.__dict__.pop("ws", None) or _Workspace()
+    # the calling thread's buffer, kept between calls: each chunk's uniforms
+    # at the front, its workspace rows after them.  Taken while in use, so
+    # that a call made from a strategy callable gets one of its own
+    width, rows = 4 * _blocks_per_run(N), _rows(N)
+    buf = _CALLER.__dict__.pop("buf", np.empty(0))
+    if buf.size < (width + rows) * min(_CHUNK, n_runs):
+        buf = np.empty((width + rows) * min(_CHUNK, n_runs))
     moments, pen, audits, wins = [], [], 0, 0
     try:
-        buf = ws.uniforms(4 * _blocks_per_run(N) * min(_CHUNK, n_runs))
         for start in range(0, n_runs, _CHUNK):
-            u = _uniform_matrix(N, seed, start, min(_CHUNK, n_runs - start), buf)
+            n = min(_CHUNK, n_runs - start)
+            u = _uniform_matrix(N, seed, start, n, buf)
+            ws = buf[width * n:(width + rows) * n].reshape(rows, n)
             b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws)
             moments.append(np.stack([_block_moments(x) for x in (b["revenue"], *b["utility"].T)]))
             pen += [np.abs(r, out=r).sum(axis=1) for r in _blocks(b["penalty"])]
             audits += np.count_nonzero(b["audited"])
             wins += np.bincount(np.add(b["winner"], 1, out=b["winner"]), minlength=N + 1)[1:]
     finally:
-        _CALLER.ws = ws
+        _CALLER.buf = buf
     moments = np.concatenate(moments, axis=1)
 
     revenue, revenue_se = _mean_se(moments[0], n_runs)

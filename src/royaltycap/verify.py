@@ -51,6 +51,16 @@ _MIN_REGULARITY_GRID = 32
 _MIN_RESPONSE_GRID = 64
 
 
+def _check_sizes(least: int, message: str, **sizes):
+    """``ConstructionError`` unless every size is an integer (numpy integers
+    accepted, bool rejected) of at least ``least``; ``message`` tells why."""
+    for name, n in sizes.items():
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ConstructionError(f"{name} must be an integer, got {n!r}")
+        if n < least:
+            raise ConstructionError(message)
+
+
 # ---------------------------------------------------------------------------
 # Report records
 # ---------------------------------------------------------------------------
@@ -105,7 +115,7 @@ class DeviationReport:
     def __post_init__(self):
         gap = self.best_deviation_utility - self.truthful_utility
         if abs(gap - self.advantage) > 1e-12:
-            raise ValueError("advantage must equal best - truthful")
+            raise ConstructionError("advantage must equal best - truthful")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "best_deviation": list(self.best_deviation),
@@ -129,8 +139,9 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     virtual-value step reads it, so the kernels raise at exactly the grid
     types this report flags.  Failures are report content, not exceptions.
     """
-    if min(theta_grid_size, pi_grid_size) < _MIN_REGULARITY_GRID:
-        raise ValueError(f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
+    _check_sizes(_MIN_REGULARITY_GRID,
+                 f"regularity grids need at least {_MIN_REGULARITY_GRID} points",
+                 theta_grid_size=theta_grid_size, pi_grid_size=pi_grid_size)
     thetas = _interior_grid(agent.types, theta_grid_size)
     types = _Types.of(agent, thetas)
     th = thetas[:, None]
@@ -201,7 +212,7 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
     pi_grid = np.asarray(pi_grid, dtype=float)
     penalties = np.asarray(penalties, dtype=float)
     if np.any(np.diff(pi_grid) < 0):
-        raise ValueError("income grid must be sorted")
+        raise ConstructionError("income grid must be sorted")
     dp = penalties[None, :] - penalties[:, None]
     dpi = pi_grid[None, :] - pi_grid[:, None]
     upper = np.triu(np.ones_like(dp, dtype=bool), k=1)
@@ -337,10 +348,11 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
 
 def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
                     strategies: tuple) -> list:
-    if theta_grid < _MIN_RESPONSE_GRID:
-        raise ValueError(f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
+    _check_sizes(_MIN_RESPONSE_GRID,
+                 f"best-response grids need at least {_MIN_RESPONSE_GRID} points",
+                 theta_grid=theta_grid)
     if not set(strategies) <= {"truthful_projection", "grid_best"}:
-        raise ValueError(f"unknown income strategy in {strategies!r}")
+        raise ConstructionError(f"unknown income strategy in {strategies!r}")
     thetas = np.asarray(thetas_true, dtype=float).ravel()
     agent = _agent(inst, i)
     agent.types._check_domain(thetas)
@@ -459,8 +471,8 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     Requires both audit thresholds to lie in the intersection of the two
     income supports; otherwise the pair is unsupported.
     """
-    if grid < _MIN_REGULARITY_GRID:
-        raise ValueError(f"crossing grids need at least {_MIN_REGULARITY_GRID} points")
+    _check_sizes(_MIN_REGULARITY_GRID,
+                 f"crossing grids need at least {_MIN_REGULARITY_GRID} points", grid=grid)
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     agent = _agent(inst, i)
@@ -542,8 +554,7 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
     errors, and a double-monotonicity check of the estimated effective
     penalty in the true income.
     """
-    if n_trials < 2:
-        raise ValueError(f"noisy audits need at least 2 trials, got {n_trials}")
+    _check_sizes(2, f"noisy audits need at least 2 trials, got {n_trials}", n_trials=n_trials)
     phi = agent.sensitivity
     lo, hi = (float(x) for x in _income_bounds(agent, theta))
 
@@ -616,8 +627,8 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
     increasing hazard-rate order: psi weakly decreasing, pi_star weakly
     increasing).
     """
-    if theta_grid < _MIN_REGULARITY_GRID:
-        raise ValueError(f"scan grids need at least {_MIN_REGULARITY_GRID} points")
+    _check_sizes(_MIN_REGULARITY_GRID,
+                 f"scan grids need at least {_MIN_REGULARITY_GRID} points", theta_grid=theta_grid)
     if len(values) < 3:
         raise InvalidAxisError("scan needs at least three axis values")
     if axis == "c":

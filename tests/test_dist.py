@@ -1060,6 +1060,21 @@ def test_error_family_constructors_check_the_error_law(cls, family, params, matc
         cls(make_type_dist(family, params), {})
 
 
+def test_agent_costs_are_real_numbers_kept_as_floats(ua_agent):
+    # True used to pass as a cost (and price virtual values at 1.0), and a
+    # float32 was refused as "must be >= 0"; any real number but a bool is
+    # a cost now, stored as a Python float so no float32 reaches the kernels
+    types, income = ua_agent.types, ua_agent.income
+    for c, phi in ((True, 0.5), (0.2, False), (np.bool_(True), 0.5), ("0.2", 0.5), (0.2, None)):
+        with pytest.raises(ConstructionError, match="must be a real number"):
+            AgentSpec(types, income, c, phi)
+    a = AgentSpec(types, income, np.float32(0.2), np.int64(1))
+    assert (type(a.audit_cost), type(a.sensitivity)) == (float, float)
+    assert (a.audit_cost, a.sensitivity) == (float(np.float32(0.2)), 1.0)
+    with pytest.raises(ConstructionError, match="audit_cost must be >= 0"):
+        AgentSpec(types, income, np.float32(-0.2), 0.5)
+
+
 def test_agent_rejects_unbounded_income_support(ua_agent):
     # pi = theta - 1 + Exp(1): nothing in the mechanism copes with an
     # infinite support end (it was cut at the 1 - 1e-10 quantile, and check,

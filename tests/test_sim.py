@@ -145,6 +145,21 @@ def test_strategy_profile_must_cover_every_agent(pair_inst):
             call()
 
 
+def test_strategy_entries_must_be_none_or_callable(ua_inst, pair_inst):
+    # a number used to fail mid-simulation ("'float' object is not
+    # callable"), and run_auction took no None
+    for bad in (rc.StrategyProfile((0.5,), (None,)), rc.StrategyProfile((None,), ("x",))):
+        for call in (lambda: bad.validate(1),
+                     lambda: rc.estimate_revenue(ua_inst, bad, n_runs=1000),
+                     lambda: rc.run_auction(ua_inst, bad, np.random.default_rng(0))):
+            with pytest.raises(rc.ConstructionError, match="None or callable"):
+                call()
+    truthful = rc.StrategyProfile.truthful(2)
+    for r in range(8):
+        assert (rc.run_auction(pair_inst, None, rc.run_rng(pair_inst, 3, r))
+                == rc.run_auction(pair_inst, truthful, rc.run_rng(pair_inst, 3, r)))
+
+
 def test_workers_guard(ua_inst):
     with pytest.raises(rc.ConstructionError):
         rc.estimate_revenue(ua_inst, None, n_runs=1000, seed=0, workers=0)
@@ -446,6 +461,32 @@ def test_chunks_fault_in_no_new_memory(shipped_instances, name):
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     assert faults(8 * S._CHUNK) - faults(2 * S._CHUNK) <= 2000
+
+
+@pytest.mark.parametrize("audit", [None, lambda th, pi: np.full_like(th, 0.5)],
+                         ids=["optimal", "coin"])
+@pytest.mark.parametrize("name", ["mixed_pair", "reserve"])
+def test_batch_results_are_views_into_the_given_workspace(pair_inst, name, audit):
+    # a chunk's arrays lie at fixed rows of the workspace (``S._rows``):
+    # given a NaN-filled one, every result is a view into it and equals the
+    # freshly allocated batch's bit for bit, whether one agent wins part of
+    # the runs (mixed_pair) or some runs go unsold (a reserve on U[0.5, 2])
+    inst = pair_inst if name == "mixed_pair" else rc.AuctionInstance((AgentSpec(
+        types=make_type_dist("uniform", {"lo": 0.5, "hi": 2.0}),
+        income=make_income_family("additive_error",
+                                  {"error": {"family": "uniform", "lo": -0.5, "hi": 0.5}}),
+        audit_cost=0.2, sensitivity=0.5),))
+    n, N = 3000, inst.n_agents
+    u = S._uniform_matrix(N, 5, 0, n)
+    strategies, tables = rc.StrategyProfile.truthful(N), rc.tables_for(inst)
+    want = S._simulate_batch(inst, strategies, u, tables, audit)
+    assert 0 < np.count_nonzero(want["winner"] == 0) < n
+    ws = np.full((S._rows(N), n), np.nan)
+    got = S._simulate_batch(inst, strategies, u, tables, audit, ws)
+    assert got.keys() == want.keys()
+    for key, x in got.items():
+        assert np.shares_memory(x, ws), key
+        assert x.dtype == want[key].dtype and x.tobytes() == want[key].tobytes(), key
 
 
 def _in_new_thread(fn, *args, **kwargs):

@@ -580,7 +580,7 @@ def test_nan_types_are_outside_the_support(pair_inst):
             call()
 
 
-@pytest.mark.parametrize("i", [2, -1, 0.0, np.int64(5)])
+@pytest.mark.parametrize("i", [2, -1, 0.0, np.int64(5), True])
 @pytest.mark.parametrize("call", [
     lambda inst, i: rc.transfer(inst, i, [1.5, 0.8]),
     lambda inst, i: rc.endogenous_virtual(inst, i, [1.5, 0.8], lambda prof, p: 1.0),
@@ -593,6 +593,35 @@ def test_agent_index_must_name_an_agent(pair_inst, call, i):
     # a missing agent used to get transfer 0.0, and -1 certified agent 1
     with pytest.raises(DomainError, match="agent index"):
         call(pair_inst, i)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda a, inst: rc.check_regularity(a, 64.5, 64), "theta_grid_size must be an integer"),
+    (lambda a, inst: rc.check_regularity(a, 64, True), "pi_grid_size must be an integer"),
+    (lambda a, inst: rc.check_regularity(a, 16, 64), "regularity grids need at least 32"),
+    (lambda a, inst: rc.best_responses(inst, 0, [1.5], 64.0), "theta_grid must be an integer"),
+    (lambda a, inst: rc.best_response_type(inst, 0, 1.5, 32), "need at least 64 points"),
+    (lambda a, inst: rc.best_response_type(inst, 0, 1.5, 64, "bogus"), "unknown income strategy"),
+    (lambda a, inst: rc.crossing_point(inst, 0, 1.3, 1.5, grid=257.0), "grid must be an integer"),
+    (lambda a, inst: rc.crossing_point(inst, 0, 1.3, 1.5, grid=16), "need at least 32 points"),
+    (lambda a, inst: rc.noisy_audit_equivalence(a, 1.5, rc.NoiseModel(), n_trials=2e3),
+     "n_trials must be an integer"),
+    (lambda a, inst: rc.noisy_audit_equivalence(a, 1.5, rc.NoiseModel(), n_trials=1),
+     "at least 2 trials"),
+    (lambda a, inst: rc.comparative_statics_scan(a, "c", [0.1, 0.2, 0.3], np.float64(64)),
+     "theta_grid must be an integer"),
+    (lambda a, inst: rc.comparative_statics_scan(a, "c", [0.1, 0.2, 0.3], 16),
+     "need at least 32 points"),
+    (lambda a, inst: rc.check_condition1([0.0, 1.0, 0.5], [0.0, 0.5, 0.25], 0.5), "sorted"),
+    (lambda a, inst: rc.DeviationReport(1.0, 2.0, (0.0, "x"), 0.5, (8, 8)), "advantage"),
+], ids=["regularity-float", "regularity-bool", "regularity-small", "responses-float",
+        "response-small", "strategy", "crossing-float", "crossing-small", "noisy-float",
+        "noisy-small", "scan-float", "scan-small", "condition1-unsorted", "deviation-report"])
+def test_verify_raises_the_package_errors(ua_agent, ua_inst, call, match):
+    # a size that is not an integer used to end in numpy's TypeError, and
+    # the rest raised bare ValueErrors
+    with pytest.raises(rc.ConstructionError, match=match):
+        call(ua_agent, ua_inst)
 
 
 def test_rival_reports_must_match_the_rivals(pair_inst):
