@@ -19,7 +19,6 @@ from .dist import (
     make_income_family,
     make_type_dist,
     project_to_support,
-    sample_income,
 )
 from .errors import (
     ConfigError,

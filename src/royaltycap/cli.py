@@ -103,9 +103,8 @@ def _cmd_solve(cfg: InstanceConfig, out_dir: Path) -> int:
     rows = []
     for i, agent in enumerate(inst.agents):
         ths = mech._interior_grid(agent.types, cfg.theta_points)
-        at = tables.locate(i, ths)
-        cols = [tables.psi_m(i, at), tables.psi(i, at), tables.pi_star(i, at),
-                tables.phi_cap(i, at), at.interp(tables.agents[i].interim_transfer)]
+        at, t = tables.locate(i, ths), tables.agents[i]
+        cols = [at.interp(c) for c in (t.psi_m, t.psi, t.pi_star, t.phi_cap, t.interim_transfer)]
         rows.extend([i, *vals] for vals in zip(ths.tolist(), *(c.tolist() for c in cols)))
     _emit(cfg, out_dir, "solve", "solve", header=header, rows=rows)
     return 0

@@ -614,6 +614,24 @@ class _TableCdf(_Pchip, TypeDist):
         return res if res.ndim else float(res)
 
 
+def _param(law: str, params: dict, key: str, read=float):
+    """``read(params[key])``, or ``ConstructionError`` naming the ``law`` and
+    the parameter where it is missing or ``read`` refuses it with a
+    ``TypeError`` or ``ValueError`` (a ``ConstructionError`` passes)."""
+    if key not in params:
+        raise ConstructionError(f"{law} needs the parameter {key!r}")
+    try:
+        return read(params[key])
+    except ConstructionError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConstructionError(f"{law} parameter {key!r} is malformed: {e}") from e
+
+
+def _floats(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)
+
+
 def make_type_dist(family: str, params: dict) -> TypeDist:
     """Build a type distribution from a family tag and parameters: a bounded
     law with vectorized cdf/pdf/ppf, its mean and the knots where it is not
@@ -621,21 +639,20 @@ def make_type_dist(family: str, params: dict) -> TypeDist:
     optional mode, default mode = hi), ``table`` (grid, cdf values;
     monotone-cubic interpolated).
     """
-    if family == "uniform":
-        lo, hi = float(params["lo"]), float(params["hi"])
+    law_name = f"{family} law"
+    if family in ("uniform", "triangular"):
+        lo, hi = (_param(law_name, params, key) for key in ("lo", "hi"))
         if not lo < hi:
-            raise ConstructionError(f"uniform bounds must satisfy lo < hi, got [{lo}, {hi}]")
+            raise ConstructionError(f"{family} bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if family == "uniform":
         law = _Uniform(lo, hi)
     elif family == "triangular":
-        lo, hi = float(params["lo"]), float(params["hi"])
-        mode = float(params.get("mode", hi))
-        if not lo < hi:
-            raise ConstructionError(f"triangular bounds must satisfy lo < hi, got [{lo}, {hi}]")
+        mode = _param(law_name, params, "mode") if "mode" in params else hi
         if not lo <= mode <= hi:
             raise ConstructionError(f"triangular mode {mode} outside [{lo}, {hi}]")
         law = _Triangular(lo, mode, hi)
     elif family == "table":
-        law = _TableCdf(params["grid"], params["cdf"])
+        law = _TableCdf(*(_param(law_name, params, key, _floats) for key in ("grid", "cdf")))
     else:
         raise ConstructionError(f"unknown distribution family {family!r}")
     law.family, law.params = family, dict(params)
@@ -883,12 +900,14 @@ class TableIncomeFamily(IncomeFamily):
 
     def __init__(self, theta_grid, rows, params: dict):
         super().__init__(params)
-        self.type_knots = self._tg = np.asarray(theta_grid, dtype=float)
+        given = {"theta_grid": theta_grid, "rows": rows}
+        self.type_knots = self._tg = _param("table income", given, "theta_grid", _floats)
         if self._tg.ndim != 1 or self._tg.size < 2 or np.any(np.diff(self._tg) <= 0):
             raise ConstructionError("income table theta grid must be strictly increasing")
-        if len(rows) != self._tg.size:
+        # each row a pair (income grid, cdf values)
+        tables = _param("table income", given, "rows", lambda rs: [_cdf_table(g, v) for g, v in rs])
+        if len(tables) != self._tg.size:
             raise ConstructionError("income table needs one row per theta knot")
-        tables = [_cdf_table(g, v) for g, v in rows]
         if any(g[0] < -1e-12 for g, _ in tables):
             raise ConstructionError("income table rows must have ordered nonnegative supports")
         rows = [(_Pchip(v, g), g[-1]) for g, v in tables]   # each quantile and its top
@@ -1106,14 +1125,9 @@ def make_income_family(family: str, params: dict) -> IncomeFamily:
         cls = AdditiveErrorFamily if family == "additive_error" else ScaledErrorFamily
         return cls(err, dict(params))
     if family == "table":
-        return TableIncomeFamily(params["theta_grid"], params["rows"], dict(params))
+        return TableIncomeFamily(*(_param("table income", params, key, lambda x: x)
+                                   for key in ("theta_grid", "rows")), dict(params))
     raise ConstructionError(f"unknown income family {family!r}")
-
-
-def sample_income(fam: IncomeFamily, theta, rng: np.random.Generator):
-    """Draw a realized income from G(. | theta) by inverse transform."""
-    u = rng.random(np.shape(theta)) if np.ndim(theta) else rng.random()
-    return fam.ppf(u, theta)
 
 
 def project_to_support(fam: IncomeFamily, theta_report, pi_true, out=None):

@@ -38,9 +38,13 @@ types as ``_Types``, which holds what depends on the type alone, computed
 once.  ``_allocate`` and ``_settle`` are the allocation and settlement
 rules of every caller.  ``MechanismTables`` holds the quantities on a dense
 type grid, the only place a build evaluates the mechanism (the rents are
-exact integrals of its linear interpolants, ``_cum_trapezoid``); an entry
-point that takes an instance reads them off ``tables_for`` and raises
-whenever it raises, one that takes an agent evaluates the kernels.
+exact integrals of its linear interpolants, ``_cum_trapezoid``).  Its
+columns are read at located types, ``locate(i, theta).interp(column)``;
+it keeps as lookups only ``psi``, ``pi_star`` and ``transfer_win``, which
+the simulator writes into its own arrays, and the inverse virtual value
+``threshold_type``.  An entry point that takes an instance reads the
+tables off ``tables_for`` and raises whenever it raises, one that takes an
+agent evaluates the kernels.
 """
 
 from __future__ import annotations
@@ -827,10 +831,13 @@ class MechanismTables:
 
     def locate(self, i: int, theta, out=None) -> GridPoints:
         """Types ``theta`` located on agent i's type grid (``out``: as for
-        ``GridPoints.locate``).  Every type lookup below accepts the result
-        in place of ``theta``, so points looked up several times are searched
-        for once; ``psi`` and ``pi_star`` write into ``out`` as
-        ``GridPoints.interp`` does."""
+        ``GridPoints.locate``).  Any column of ``agents[i]`` is read at them
+        as ``locate(i, theta).interp(column)``, and every type lookup below
+        accepts the result in place of ``theta``, so points looked up several
+        times are searched for once.  The lookups are the ones the simulator
+        calls with ``out``: ``psi`` and ``pi_star`` write into it as
+        ``GridPoints.interp`` does, and ``transfer_win`` composes the
+        transfer in it."""
         if isinstance(theta, GridPoints):
             return theta
         t = self.agents[i]
@@ -839,20 +846,8 @@ class MechanismTables:
     def psi(self, i: int, theta, out=None):
         return self.locate(i, theta).interp(self.agents[i].psi, out)
 
-    def psi_m(self, i: int, theta):
-        return self.locate(i, theta).interp(self.agents[i].psi_m)
-
     def pi_star(self, i: int, theta, out=None):
         return self.locate(i, theta).interp(self.agents[i].pi_star, out)
-
-    def phi_cap(self, i: int, theta):
-        return self.locate(i, theta).interp(self.agents[i].phi_cap)
-
-    def income_net_royalty(self, i: int, theta):
-        return self.locate(i, theta).interp(self.agents[i].income_net_royalty)
-
-    def rent_below(self, i: int, theta):
-        return self.locate(i, theta).interp(self.agents[i].rent_cum)
 
     def threshold_type(self, i: int, rival_value):
         """Inverse virtual value: lowest type beating ``rival_value``."""
@@ -862,10 +857,10 @@ class MechanismTables:
     def transfer_win(self, i: int, theta, rival_value, out=None):
         """Winner's transfer at type report ``theta`` against the best rival
         positive virtual value ``rival_value`` (one value, or one per type):
-        income_net_royalty - (rent_below - the rent below the threshold
-        type).  ``out``: the result and four scratch arrays (intp, float,
-        float, float), of theta's size; one rival value's threshold type is
-        looked up in arrays of its own."""
+        income_net_royalty - (rent_cum - rent_cum at the threshold type),
+        the columns read at ``theta``.  ``out``: the result and four scratch
+        arrays (intp, float, float, float), of theta's size; one rival
+        value's threshold type is looked up in arrays of its own."""
         t = self.agents[i]
         at = self.locate(i, theta)
         res, j, d, w, f0 = _buffers(out, at.j.size, float, np.intp, float, float, float)

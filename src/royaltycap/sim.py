@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -129,17 +129,7 @@ class SimReport:
     allocation_frequency: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "seed": self.seed,
-            "revenue_net_audits": self.revenue_net_audits,
-            "revenue_se": self.revenue_se,
-            "agent_utility": list(self.agent_utility),
-            "agent_utility_se": list(self.agent_utility_se),
-            "audit_frequency": self.audit_frequency,
-            "mean_on_path_penalty": self.mean_on_path_penalty,
-            "allocation_frequency": list(self.allocation_frequency),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------

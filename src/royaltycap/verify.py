@@ -75,28 +75,18 @@ class RegularityReport:
     single_crossing_theta_ok: bool
     single_crossing_pi_ok: bool
     psi_increasing_ok: bool
+    all_ok: bool = field(init=False)   # every check above passed
     worst: dict = field(repr=False)
     theta_grid: int = 0
     pi_grid: int = 0
 
-    @property
-    def all_ok(self) -> bool:
-        return (self.normalization_ok and self.fosd_ok
-                and self.single_crossing_theta_ok and self.single_crossing_pi_ok
-                and self.psi_increasing_ok)
+    def __post_init__(self):
+        object.__setattr__(self, "all_ok", (
+            self.normalization_ok and self.fosd_ok and self.single_crossing_theta_ok
+            and self.single_crossing_pi_ok and self.psi_increasing_ok))
 
     def to_dict(self) -> dict:
-        return {
-            "normalization_ok": self.normalization_ok,
-            "fosd_ok": self.fosd_ok,
-            "single_crossing_theta_ok": self.single_crossing_theta_ok,
-            "single_crossing_pi_ok": self.single_crossing_pi_ok,
-            "psi_increasing_ok": self.psi_increasing_ok,
-            "all_ok": self.all_ok,
-            "worst": self.worst,
-            "theta_grid": self.theta_grid,
-            "pi_grid": self.pi_grid,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -324,6 +314,7 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     The truthful (projected) report must tie the grid maximum for the
     mechanism to be income-incentive-compatible.
     """
+    _check_sizes(2, "income report grids need at least 2 points, the support's ends", grid=grid)
     agent = _agent(inst, i)
     if _allocate_at(inst, i, theta_minus, [theta_report])[0][0] != i:
         raise DomainError("agent does not win at this report profile")
@@ -458,8 +449,7 @@ class CrossingReport:
     grid: int
 
     def to_dict(self) -> dict:
-        return {"crossing": self.crossing, "lower_ok": self.lower_ok,
-                "upper_ok": self.upper_ok, "grid": self.grid}
+        return asdict(self)
 
 
 def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: float,
@@ -555,6 +545,7 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
     penalty in the true income.
     """
     _check_sizes(2, f"noisy audits need at least 2 trials, got {n_trials}", n_trials=n_trials)
+    _check_sizes(0, f"noisy-audit seeds must be nonnegative, got {seed}", seed=seed)
     phi = agent.sensitivity
     lo, hi = (float(x) for x in _income_bounds(agent, theta))
 

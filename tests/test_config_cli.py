@@ -548,6 +548,34 @@ def test_scaled_errors_ending_above_one_are_refused(tmp_path, capsys):
     parse_config(text.replace("lo: -1.0, mode: -0.5, hi: 1.5", "lo: -0.5, mode: -0.5, hi: 1.0"))
 
 
+_ROWS = [[[0.0, 2.0], [0.0, 1.0]], [[1.0, 3.0], [0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("field,law,message", [
+    ("income", {"family": "table", "rows": _ROWS},
+     "table income needs the parameter 'theta_grid'"),
+    ("income", {"family": "table", "theta_grid": [1.0, 2.0], "rows": [_ROWS[0], 5]},
+     "table income parameter 'rows' is malformed: "),
+    ("type_dist", {"family": "table", "grid": [1.0, 2.0]}, "table law needs the parameter 'cdf'"),
+    ("type_dist", {"family": "uniform", "lo": "a", "hi": 2.0},
+     "uniform law parameter 'lo' is malformed: "),
+], ids=["income-no-theta-grid", "income-row-not-a-pair", "types-no-cdf", "types-lo-not-a-number"])
+def test_malformed_law_parameters_exit_2(tmp_path, capsys, field, law, message):
+    # a missing or unreadable law parameter is a config error naming the
+    # agent's law: it used to escape as KeyError, TypeError or ValueError,
+    # a traceback and exit 1
+    agent = yaml.safe_load(MINIMAL)["agents"][0]
+    agent[field] = law
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"v": 1, "agents": [agent]}))
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: agents[0].{field}: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_env_output_override(ua_config, tmp_path, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.chdir(tmp_path)

@@ -767,9 +767,10 @@ def test_tables_match_exact_ops(shipped_instances):
                     oracles.virtual_value(agent, th), abs=2e-7)
                 assert tabs.pi_star(i, th) == pytest.approx(
                     oracles.audit_threshold(agent, th), abs=1e-6)
-                assert tabs.phi_cap(i, th) == pytest.approx(
+                at, t = tabs.locate(i, th), tabs.agents[i]
+                assert at.interp(t.phi_cap) == pytest.approx(
                     oracles.phi_cap(agent, th), abs=2e-7)
-                assert tabs.income_net_royalty(i, th) == pytest.approx(
+                assert at.interp(t.income_net_royalty) == pytest.approx(
                     oracles.expected_income_net_royalty(agent, th), abs=2e-7)
 
 
@@ -878,8 +879,7 @@ def test_pi_star_weakly_decreasing_fixed_support(su_agent, st_agent):
 
 _TYPE_ARRAYS = ("psi_m", "psi", "pi_star", "phi_cap", "income_net_royalty", "rent_cum",
                 "win_prob", "interim_transfer", "interim_rent")
-_LOOKUPS = {"psi_m": "psi_m", "psi": "psi", "pi_star": "pi_star", "phi_cap": "phi_cap",
-            "income_net_royalty": "income_net_royalty", "rent_below": "rent_cum"}
+_LOOKUPS = {"psi": "psi", "pi_star": "pi_star"}
 
 
 def _bitwise_equal(got, want):
@@ -952,14 +952,16 @@ def test_transfer_win_equals_the_two_search_transfer(lookup_tables):
                                 np.nextafter(t.psi, np.inf), [0.0, top, 2.0 * top + 1.0]])
         rival = np.maximum(rival, 0.0)
         theta = rng.uniform(t.theta[0], t.theta[-1], rival.size)
-        want = (tables.income_net_royalty(i, theta)
-                - (tables.rent_below(i, theta)
-                   - tables.rent_below(i, tables.threshold_type(i, rival))))
-        assert _bitwise_equal(tables.transfer_win(i, theta, rival), want)
+
+        def transfer(theta, rival):
+            at = tables.locate(i, theta)
+            rent_z = tables.locate(i, tables.threshold_type(i, rival)).interp(t.rent_cum)
+            return at.interp(t.income_net_royalty) - (at.interp(t.rent_cum) - rent_z)
+
+        assert _bitwise_equal(tables.transfer_win(i, theta, rival), transfer(theta, rival))
         # a lone bidder's single rival value
         lone = tables.transfer_win(i, theta[:5], 0.0)
-        assert _bitwise_equal(lone, tables.income_net_royalty(i, theta[:5]) - (
-            tables.rent_below(i, theta[:5]) - tables.rent_below(i, tables.threshold_type(i, 0.0))))
+        assert _bitwise_equal(lone, transfer(theta[:5], 0.0))
 
 
 @given(steps=st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0, 3.0]), min_size=2, max_size=40),

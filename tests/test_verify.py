@@ -608,6 +608,16 @@ def test_agent_index_must_name_an_agent(pair_inst, call, i):
      "n_trials must be an integer"),
     (lambda a, inst: rc.noisy_audit_equivalence(a, 1.5, rc.NoiseModel(), n_trials=1),
      "at least 2 trials"),
+    (lambda a, inst: rc.noisy_audit_equivalence(a, 1.5, rc.NoiseModel(), seed=-1),
+     "seeds must be nonnegative"),
+    (lambda a, inst: rc.noisy_audit_equivalence(a, 1.5, rc.NoiseModel(), seed=1.5),
+     "seed must be an integer"),
+    (lambda a, inst: rc.noisy_audit_equivalence(a, 1.5, rc.NoiseModel(), seed=True),
+     "seed must be an integer"),
+    (lambda a, inst: rc.best_response_income(inst, 0, 1.6, [], 1.2, grid=0),
+     "need at least 2 points"),
+    (lambda a, inst: rc.best_response_income(inst, 0, 1.6, [], 1.2, grid=64.5),
+     "grid must be an integer"),
     (lambda a, inst: rc.comparative_statics_scan(a, "c", [0.1, 0.2, 0.3], np.float64(64)),
      "theta_grid must be an integer"),
     (lambda a, inst: rc.comparative_statics_scan(a, "c", [0.1, 0.2, 0.3], 16),
@@ -616,10 +626,14 @@ def test_agent_index_must_name_an_agent(pair_inst, call, i):
     (lambda a, inst: rc.DeviationReport(1.0, 2.0, (0.0, "x"), 0.5, (8, 8)), "advantage"),
 ], ids=["regularity-float", "regularity-bool", "regularity-small", "responses-float",
         "response-small", "strategy", "crossing-float", "crossing-small", "noisy-float",
-        "noisy-small", "scan-float", "scan-small", "condition1-unsorted", "deviation-report"])
+        "noisy-small", "noisy-seed-negative", "noisy-seed-float", "noisy-seed-bool",
+        "income-grid-zero", "income-grid-float", "scan-float", "scan-small",
+        "condition1-unsorted", "deviation-report"])
 def test_verify_raises_the_package_errors(ua_agent, ua_inst, call, match):
     # a size that is not an integer used to end in numpy's TypeError, and
-    # the rest raised bare ValueErrors
+    # the rest raised bare ValueErrors; an income grid of 0 used to return
+    # advantage 0.0 from the truthful report and the cap alone, and a seed
+    # of True ran as seed 1
     with pytest.raises(rc.ConstructionError, match=match):
         call(ua_agent, ua_inst)
 
