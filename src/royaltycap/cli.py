@@ -159,8 +159,8 @@ def _cmd_sweep(cfg: InstanceConfig, out_dir: Path) -> int:
     header = ["value", "revenue_net_audits", "revenue_se", "payoff_bound",
               "myerson_cash_revenue", "full_extraction_revenue", "mean_pi_star",
               "audit_frequency", "failed"]
-    table = [[row.get(k, "") if not isinstance(row.get(k), bool)
-              else int(row[k]) for k in header] for row in rows]
+    # the last column, "failed", a bool, written as 0 or 1
+    table = [[*(row.get(k, "") for k in header[:-1]), int(row["failed"])] for row in rows]
     _emit(cfg, out_dir, "sweep", "sweep", header=header, rows=table,
           extra={"axis": spec.axis, "agent": spec.agent, "rows_full": rows})
     return 0

@@ -17,18 +17,20 @@ Configs are YAML with a required schema version ``v: 1``:
     sweep: {axis: audit_cost, agent: 0, values: [0.0, 0.2, 0.4]}   # optional
 
 Every validation failure carries the offending field path, e.g.
-``agents[0].sensitivity: must lie in [0, 1]``.
+``agents[0].sensitivity: sensitivity must lie in [0, 1], got 2``, the
+argument rules' refusals (``errors._integer``, ``errors._real``) too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import yaml
 
 from .dist import AgentSpec, make_income_family, make_type_dist
-from .errors import ConfigError, ConstructionError
+from .errors import ConfigError, ConstructionError, _integer, _real
 from .mech import AuctionInstance
 from .sim import _MIN_RUNS, _SEED_BOUND
 
@@ -93,28 +95,27 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
-def _number(mapping, key, path, default=None, lo=None, hi=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{path}.{key}", f"must be >= {lo} (got {v})")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{path}.{key}", f"must be <= {hi} (got {v})")
-    return v
+def _at(path, build, *args):
+    """``build(*args)``, its ``ConstructionError`` raised again as a
+    ``ConfigError`` at ``path``."""
+    try:
+        return build(*args)
+    except ConstructionError as e:
+        raise ConfigError(path, str(e)) from e
 
 
-def _integer(mapping, key, path, default, lo):
-    """``_number`` of a count, seed or index: an integral value (an integral
-    float such as 20000.0 too), as an int."""
-    v = _number(mapping, key, path, default=default, lo=lo)
+def _real_field(mapping, key, path, lo, hi=math.inf):
+    """A required real number, by the real rule."""
+    return _at(f"{path}.{key}", _real, _require(mapping, key, path), key, lo, hi)
+
+
+def _integer_field(mapping, key, path, default, least, bound=None):
+    """A count, seed or index, by the integer rule; an integral float such
+    as 20000.0 is its int."""
+    v = mapping.get(key, default)
     if isinstance(v, float) and not v.is_integer():
         raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return int(v)
+    return _at(f"{path}.{key}", _integer, int(v) if isinstance(v, float) else v, key, least, bound)
 
 
 def _build_agent(spec, path):
@@ -122,23 +123,14 @@ def _build_agent(spec, path):
         raise ConfigError(path, "each agent must be a mapping")
     td = _require(spec, "type_dist", path, dict)
     fam = _require(td, "family", f"{path}.type_dist", str)
-    try:
-        types = make_type_dist(fam, {k: v for k, v in td.items() if k != "family"})
-    except ConstructionError as e:
-        raise ConfigError(f"{path}.type_dist", str(e)) from e
+    types = _at(f"{path}.type_dist", make_type_dist, fam,
+                {k: v for k, v in td.items() if k != "family"})
     inc = _require(spec, "income", path, dict)
     ifam = _require(inc, "family", f"{path}.income", str)
-    try:
-        income = make_income_family(ifam, {k: v for k, v in inc.items() if k != "family"})
-    except ConstructionError as e:
-        raise ConfigError(f"{path}.income", str(e)) from e
-    c = _number(spec, "audit_cost", path, lo=0.0)
-    phi = _number(spec, "sensitivity", path, lo=0.0, hi=1.0)
-    try:
-        return AgentSpec(types=types, income=income, audit_cost=float(c),
-                         sensitivity=float(phi))
-    except ConstructionError as e:
-        raise ConfigError(path, str(e)) from e
+    income = _at(f"{path}.income", make_income_family, ifam,
+                 {k: v for k, v in inc.items() if k != "family"})
+    return _at(path, AgentSpec, types, income, _real_field(spec, "audit_cost", path, 0),
+               _real_field(spec, "sensitivity", path, 0, 1))
 
 
 def parse_config(text: str) -> InstanceConfig:
@@ -165,14 +157,14 @@ def parse_config(text: str) -> InstanceConfig:
     grids = raw.get("grids", {}) or {}
     if not isinstance(grids, dict):
         raise ConfigError("grids", "must be a mapping")
-    theta_points = _integer(grids, "theta_points", "grids", _DEFAULTS["theta_points"], 8)
-    pi_points = _integer(grids, "pi_points", "grids", _DEFAULTS["pi_points"], 8)
+    theta_points = _integer_field(grids, "theta_points", "grids", _DEFAULTS["theta_points"], 8)
+    pi_points = _integer_field(grids, "pi_points", "grids", _DEFAULTS["pi_points"], 8)
 
     sim = raw.get("simulation", {}) or {}
     if not isinstance(sim, dict):
         raise ConfigError("simulation", "must be a mapping")
-    n_runs = _integer(sim, "n_runs", "simulation", _DEFAULTS["n_runs"], _MIN_RUNS)
-    seed = _integer(sim, "seed", "simulation", _DEFAULTS["seed"], 0)
+    n_runs = _integer_field(sim, "n_runs", "simulation", _DEFAULTS["n_runs"], _MIN_RUNS)
+    seed = _integer_field(sim, "seed", "simulation", _DEFAULTS["seed"], 0)
     if seed >= _SEED_BOUND:
         raise ConfigError("simulation.seed", "must be below 2**128 (a Philox key)")
 
@@ -195,14 +187,10 @@ def parse_config(text: str) -> InstanceConfig:
         axis = _require(sw, "axis", "sweep", str)
         if axis not in _SWEEP_AXES:
             raise ConfigError("sweep.axis", f"must be one of {_SWEEP_AXES}")
-        agent_ix = _integer(sw, "agent", "sweep", 0, 0)
-        if agent_ix >= len(agents):
-            raise ConfigError("sweep.agent", f"no agent with index {agent_ix}")
+        agent_ix = _integer_field(sw, "agent", "sweep", 0, 0, len(agents))
         values = _require(sw, "values", "sweep", list)
-        for k, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep.values[{k}]", f"expected a number, got {v!r}")
-        sweep_spec = SweepSpec(axis, agent_ix, tuple(float(v) for v in values))
+        sweep_spec = SweepSpec(axis, agent_ix, tuple(
+            _at(f"sweep.values[{k}]", _real, v, "value") for k, v in enumerate(values)))
 
     name = raw.get("name", "instance")
     if not isinstance(name, str):

@@ -18,22 +18,24 @@ Two kinds of objects live here:
   between type knots in quantile.
 
 All objects are immutable after construction and safe to share across
-threads; samplers take an explicit numpy ``Generator`` so concurrent callers
-never share mutable state.
+threads; a law draws nothing itself (callers sample its ``ppf`` at their own
+uniforms).  Law parameters are read by the real rule (``errors._real``).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, _real
 
 # Tolerance for "mean zero" / "integrates to one" construction checks.
 _MEAN_TOL = 1e-8
+# Largest |E[pi | theta] - theta| of an income law: held by tabulated rows at
+# construction and by ``check``, so no law that ``check`` fails for it builds
+_NORMALIZATION_TOL = 1e-7
 # float64 elements per row-blocked kernel temporary (``_blocked``): small
 # enough that the temporaries are reused rather than mapped afresh, large
 # enough that a few blocks cover a table build's 8193 types
@@ -528,11 +530,10 @@ class _Pchip:
 
 
 def _cdf_table(grid, values):
-    """A tabulated CDF's grid and values as float arrays, checked (matching
-    1-d grids of >= 2 points, both strictly increasing, values from 0 to 1
+    """A tabulated CDF's grid and values as float arrays, checked (``_grid``s,
+    matching 1-d of >= 2 points, both strictly increasing, values from 0 to 1
     within ``_MEAN_TOL``), with the values' ends set to exactly 0 and 1."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
+    grid, values = _grid(grid, "grid"), _grid(values, "cdf")
     if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
         raise ConstructionError("table needs matching 1-d grids with >= 2 points")
     if np.any(np.diff(grid) <= 0):
@@ -614,22 +615,20 @@ class _TableCdf(_Pchip, TypeDist):
         return res if res.ndim else float(res)
 
 
-def _param(law: str, params: dict, key: str, read=float):
-    """``read(params[key])``, or ``ConstructionError`` naming the ``law`` and
-    the parameter where it is missing or ``read`` refuses it with a
-    ``TypeError`` or ``ValueError`` (a ``ConstructionError`` passes)."""
+def _param(law: str, params: dict, key: str, read=_real):
+    """``read(params[key], key)``, or ``ConstructionError`` naming the ``law``
+    and the parameter where it is missing or ``read`` refuses it with a
+    ``TypeError`` or ``ValueError`` (the rules' ``ConstructionError`` too)."""
     if key not in params:
         raise ConstructionError(f"{law} needs the parameter {key!r}")
     try:
-        return read(params[key])
-    except ConstructionError:
-        raise
+        return read(params[key], key)
     except (TypeError, ValueError) as e:
         raise ConstructionError(f"{law} parameter {key!r} is malformed: {e}") from e
 
 
-def _floats(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
+# a grid by the real rule: a float array, every point finite
+_grid = partial(_real, array=True)
 
 
 def make_type_dist(family: str, params: dict) -> TypeDist:
@@ -652,7 +651,7 @@ def make_type_dist(family: str, params: dict) -> TypeDist:
             raise ConstructionError(f"triangular mode {mode} outside [{lo}, {hi}]")
         law = _Triangular(lo, mode, hi)
     elif family == "table":
-        law = _TableCdf(*(_param(law_name, params, key, _floats) for key in ("grid", "cdf")))
+        law = _TableCdf(*(_param(law_name, params, key, _grid) for key in ("grid", "cdf")))
     else:
         raise ConstructionError(f"unknown distribution family {family!r}")
     law.family, law.params = family, dict(params)
@@ -875,7 +874,7 @@ class TableIncomeFamily(IncomeFamily):
         w = (theta - theta_j) / (theta_{j+1} - theta_j),
 
     which keeps FOSD (Q_{j+1} >= Q_j is checked) and the mean normalization
-    (each row's int_0^1 Q_j = theta_j is checked to 1e-6) exactly; the
+    (int_0^1 Q_j = theta_j is checked to ``_NORMALIZATION_TOL``) exactly; the
     support [Q(0 | theta), Q(1 | theta)] moves continuously with the type.
     Linear rows copying an additive or a scaled uniform family give that
     family exactly.
@@ -901,11 +900,11 @@ class TableIncomeFamily(IncomeFamily):
     def __init__(self, theta_grid, rows, params: dict):
         super().__init__(params)
         given = {"theta_grid": theta_grid, "rows": rows}
-        self.type_knots = self._tg = _param("table income", given, "theta_grid", _floats)
+        self.type_knots = self._tg = _param("table income", given, "theta_grid", _grid)
         if self._tg.ndim != 1 or self._tg.size < 2 or np.any(np.diff(self._tg) <= 0):
             raise ConstructionError("income table theta grid must be strictly increasing")
         # each row a pair (income grid, cdf values)
-        tables = _param("table income", given, "rows", lambda rs: [_cdf_table(g, v) for g, v in rs])
+        tables = _param("table income", given, "rows", lambda rs, _: [_cdf_table(*r) for r in rs])
         if len(tables) != self._tg.size:
             raise ConstructionError("income table needs one row per theta knot")
         if any(g[0] < -1e-12 for g, _ in tables):
@@ -918,7 +917,7 @@ class TableIncomeFamily(IncomeFamily):
             raise ConstructionError("income table rows must be FOSD-ordered in theta")
         # mean normalization per knot: E[pi | theta_j] = int_0^1 Q_j = theta_j
         for j, (q, _) in enumerate(rows):
-            if abs(q.total - self._tg[j]) > 1e-6:
+            if abs(q.total - self._tg[j]) > _NORMALIZATION_TOL:
                 raise ConstructionError(
                     f"income table row {j} has mean {q.total:.8g}, expected {self._tg[j]:.8g}")
         self._lay_out(rows)
@@ -1125,7 +1124,7 @@ def make_income_family(family: str, params: dict) -> IncomeFamily:
         cls = AdditiveErrorFamily if family == "additive_error" else ScaledErrorFamily
         return cls(err, dict(params))
     if family == "table":
-        return TableIncomeFamily(*(_param("table income", params, key, lambda x: x)
+        return TableIncomeFamily(*(_param("table income", params, key, lambda x, _: x)
                                    for key in ("theta_grid", "rows")), dict(params))
     raise ConstructionError(f"unknown income family {family!r}")
 
@@ -1160,18 +1159,10 @@ class AgentSpec:
     sensitivity: float
 
     def __post_init__(self):
-        # any real number but a bool, kept as a Python float so that no
-        # float32 arithmetic reaches the kernels
-        for name in ("audit_cost", "sensitivity"):
-            x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise ConstructionError(f"{name} must be a real number, got {x!r}")
-            object.__setattr__(self, name, float(x))
-        c, phi = self.audit_cost, self.sensitivity
-        if not (np.isfinite(c) and c >= 0):
-            raise ConstructionError(f"audit_cost must be >= 0, got {c!r}")
-        if not 0.0 <= phi <= 1.0:
-            raise ConstructionError(f"sensitivity must lie in [0, 1], got {phi!r}")
+        # by the real rule, kept as Python floats so that no float32
+        # arithmetic reaches the kernels
+        object.__setattr__(self, "audit_cost", _real(self.audit_cost, "audit_cost", 0))
+        object.__setattr__(self, "sensitivity", _real(self.sensitivity, "sensitivity", 0, 1))
         lo, hi = self.types.lo, self.types.hi
         if isinstance(self.income, ScaledErrorFamily) and hi > 1.0 + 1e-12:
             raise ConstructionError(

@@ -1,9 +1,16 @@
-"""Exception hierarchy for royaltycap.
+"""Exception hierarchy for royaltycap, and the two argument rules.
 
 Public functions raise these instead of bare ValueError so callers can map
 failures to exit codes (config errors vs. verification failures) without
-string matching.
+string matching.  Every count, seed, size and agent index goes through the
+integer rule (``_integer``), every real parameter through the real rule
+(``_real``).
 """
+
+import math
+import numbers
+
+import numpy as np
 
 
 class RoyaltycapError(Exception):
@@ -50,3 +57,40 @@ class ConfigError(RoyaltycapError, ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+def _integer(x, name: str, least: int = 0, bound=None, *, says=None,
+             error=ConstructionError) -> int:
+    """The integer rule: ``x`` as an int when it is an int or a numpy integer,
+    never a bool, in [least, bound) (bound None: no upper end).  Otherwise
+    ``error``, and for an integer out of range the message ``says``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise error(f"{name} must be an integer, got {x!r}")
+    if x < least or (bound is not None and x >= bound):
+        span = f"at least {least}" if bound is None else f"an integer in [{least}, {bound})"
+        raise error(f"{says or f'{name} must be {span}'}, got {x!r}")
+    return int(x)
+
+
+def _real(x, name: str, lo=-math.inf, hi=math.inf, *, says=None,
+          error=ConstructionError, array=False):
+    """The real rule: ``x`` as a float when it is a finite real number, never
+    a bool, in [lo, hi].  Otherwise ``error``, and for a real number refused
+    the message ``says``.  With ``array``, ``x`` is a grid: a float array
+    whose every point is finite."""
+    if array:   # numpy's TypeError or ValueError where x holds no numbers
+        a = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise error(f"{name} points must be finite, got {x!r}")
+        return a
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise error(f"{name} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:   # an int beyond the float range
+        v = math.inf
+    if not (math.isfinite(v) and lo <= v <= hi):
+        span = ("be finite" if not math.isfinite(v) else f"be >= {lo}" if hi == math.inf
+                else f"be <= {hi}" if lo == -math.inf else f"lie in [{lo}, {hi}]")
+        raise error(f"{says or f'{name} must {span}'}, got {x!r}")
+    return v

@@ -72,6 +72,7 @@ from .errors import (
     RegularityError,
     ReportRejectedError,
     UnsupportedInstanceError,
+    _integer,
 )
 
 # relative nudge for one-sided limits at support endpoints
@@ -282,13 +283,11 @@ def _allocate(psi: np.ndarray, out=None):
     return w, rival
 
 
-def _agent(inst: AuctionInstance, i) -> AgentSpec:
-    """Agent ``i`` of ``inst``; ``DomainError`` unless ``i`` is an int in
-    range(n_agents) (a negative index would name another agent; a bool is
-    not an index)."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n_agents:
-        raise DomainError(f"agent index {i!r} not in range({inst.n_agents})")
-    return inst.agents[i]
+def _agent(owner, i):
+    """``owner.agents[i]`` of an instance or its ``MechanismTables``;
+    ``DomainError`` unless the integer rule puts ``i`` in range(n_agents) (a
+    negative index would name another agent; a bool is not an index)."""
+    return owner.agents[_integer(i, "agent index", 0, len(owner.agents), error=DomainError)]
 
 
 def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
@@ -367,7 +366,7 @@ def _settle_report(agent: AgentSpec, theta_report: float, pi_report: float):
     agent.types._check_domain(theta_report)
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
     tol = 1e-9 * max(1.0, abs(hi))
-    if pi_report < lo - tol or pi_report > hi + tol:
+    if not lo - tol <= pi_report <= hi + tol:   # NaN included
         raise ReportRejectedError(
             f"income report {pi_report} outside [{lo}, {hi}] for type report {theta_report}")
     return _settle(pi_report, pi_report, audit_threshold(agent, theta_report), hi,
@@ -837,10 +836,10 @@ class MechanismTables:
         times are searched for once.  The lookups are the ones the simulator
         calls with ``out``: ``psi`` and ``pi_star`` write into it as
         ``GridPoints.interp`` does, and ``transfer_win`` composes the
-        transfer in it."""
+        transfer in it.  Each checks the agent index (``_agent``)."""
+        t = _agent(self, i)
         if isinstance(theta, GridPoints):
             return theta
-        t = self.agents[i]
         return GridPoints.locate(t.theta, t.theta_guide, theta, out=out)
 
     def psi(self, i: int, theta, out=None):
@@ -851,7 +850,7 @@ class MechanismTables:
 
     def threshold_type(self, i: int, rival_value):
         """Inverse virtual value: lowest type beating ``rival_value``."""
-        t = self.agents[i]
+        t = _agent(self, i)
         return GridPoints.locate(t.psi, t.psi_guide, rival_value).interp(t.theta)
 
     def transfer_win(self, i: int, theta, rival_value, out=None):
@@ -861,8 +860,8 @@ class MechanismTables:
         the columns read at ``theta``.  ``out``: the result and four scratch
         arrays (intp, float, float, float), of theta's size; one rival
         value's threshold type is looked up in arrays of its own."""
-        t = self.agents[i]
         at = self.locate(i, theta)
+        t = self.agents[i]
         res, j, d, w, f0 = _buffers(out, at.j.size, float, np.intp, float, float, float)
         beat = np.asarray(rival_value, dtype=float)
         cells, into = ((j, d, w), (res, f0)) if beat.size == res.size else (None, None)

@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dist import project_to_support
-from .errors import ConstructionError, RoyaltycapError
+from .errors import ConstructionError, RoyaltycapError, _integer
 from .mech import (
     AuctionInstance,
     MechanismTables,
@@ -143,14 +143,6 @@ def _blocks_per_run(n_agents: int) -> int:
     return (n_agents + 2 + 3) // 4
 
 
-def _check_seed(seed):
-    """Reject a seed that is not a Philox key: a nonnegative integer below
-    2**128 (numpy integers accepted, bool rejected)."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < _SEED_BOUND):
-        raise ConstructionError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-
-
 def _stream(n_agents: int, seed: int, run_index: int) -> np.random.Generator:
     """The generator whose first draws are run ``run_index``'s."""
     m = _blocks_per_run(n_agents)
@@ -159,13 +151,10 @@ def _stream(n_agents: int, seed: int, run_index: int) -> np.random.Generator:
 
 def run_rng(inst: AuctionInstance, seed: int, run_index: int) -> np.random.Generator:
     """The exact random stream consumed by run ``run_index`` of a simulation
-    with this seed.  The run index must be a nonnegative integer (numpy
-    integers accepted, bool rejected)."""
-    _check_seed(seed)
-    if (isinstance(run_index, bool) or not isinstance(run_index, (int, np.integer))
-            or run_index < 0):
-        raise ConstructionError(f"run_index must be a nonnegative integer, got {run_index!r}")
-    return _stream(inst.n_agents, seed, run_index)
+    with this seed.  The seed is a Philox key and the run index a
+    nonnegative integer, each under the integer rule."""
+    return _stream(inst.n_agents, _integer(seed, "seed", 0, _SEED_BOUND, says=_SEED_RULE),
+                   _integer(run_index, "run_index"))
 
 
 def _uniform_matrix(n_agents: int, seed: int, start: int, count: int,
@@ -352,23 +341,17 @@ _BLOCK = 1 << 10
 _MIN_RUNS = 1_000
 # seeds are Philox keys, the integers in [0, _SEED_BOUND)
 _SEED_BOUND = 1 << 128
+_SEED_RULE = "seed must be an integer in [0, 2**128)"
 # each thread's buffer for its calls (``estimate_revenue``)
 _CALLER = threading.local()
 
 
 def _check_run_args(n_runs, seed, workers=1):
-    """Reject a run count that is not an integer of at least ``_MIN_RUNS``,
-    a seed that is not a Philox key, and a worker count that is not an
-    integer of at least 1."""
-    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)):
-        raise ConstructionError(f"n_runs must be an integer, got {n_runs!r}")
-    if n_runs < _MIN_RUNS:
-        raise ConstructionError(f"n_runs must be at least {_MIN_RUNS}")
-    _check_seed(seed)
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ConstructionError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ConstructionError("workers must be at least 1")
+    """Reject, by the integer rule, a run count below ``_MIN_RUNS``, a seed
+    that is not a Philox key and a worker count below 1."""
+    _integer(n_runs, "n_runs", _MIN_RUNS)
+    _integer(seed, "seed", 0, _SEED_BOUND, says=_SEED_RULE)
+    _integer(workers, "workers", 1)
 
 
 def _blocks(x: np.ndarray) -> list:

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import AgentSpec, TypeDist, _bisect, inverse_hazard, project_to_support
+from .dist import (_NORMALIZATION_TOL, AgentSpec, TypeDist, _bisect, inverse_hazard,
+                   project_to_support)
 from .errors import (
     ConstructionError,
     DomainError,
@@ -27,6 +28,8 @@ from .errors import (
     InvalidNoiseError,
     RegularityError,
     UnsupportedPairError,
+    _integer,
+    _real,
 )
 from .mech import (
     AuctionInstance,
@@ -49,16 +52,6 @@ from .mech import (
 # smallest grids that regularity checks and best-response searches accept
 _MIN_REGULARITY_GRID = 32
 _MIN_RESPONSE_GRID = 64
-
-
-def _check_sizes(least: int, message: str, **sizes):
-    """``ConstructionError`` unless every size is an integer (numpy integers
-    accepted, bool rejected) of at least ``least``; ``message`` tells why."""
-    for name, n in sizes.items():
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ConstructionError(f"{name} must be an integer, got {n!r}")
-        if n < least:
-            raise ConstructionError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +122,9 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     virtual-value step reads it, so the kernels raise at exactly the grid
     types this report flags.  Failures are report content, not exceptions.
     """
-    _check_sizes(_MIN_REGULARITY_GRID,
-                 f"regularity grids need at least {_MIN_REGULARITY_GRID} points",
-                 theta_grid_size=theta_grid_size, pi_grid_size=pi_grid_size)
+    for name, n in (("theta_grid_size", theta_grid_size), ("pi_grid_size", pi_grid_size)):
+        _integer(n, name, _MIN_REGULARITY_GRID,
+                 says=f"regularity grids need at least {_MIN_REGULARITY_GRID} points")
     thetas = _interior_grid(agent.types, theta_grid_size)
     types = _Types.of(agent, thetas)
     th = thetas[:, None]
@@ -142,7 +135,7 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     err = np.abs(plo + agent.income.audit_region(thetas, phi_sup)[2] - thetas)
     k = int(np.argmax(err))
     worst["normalization"] = {"magnitude": float(err[k]), "theta": float(thetas[k])}
-    normalization_ok = bool(err[k] <= 1e-7)
+    normalization_ok = bool(err[k] <= _NORMALIZATION_TOL)
 
     # 2. FOSD: G(pi | theta) weakly decreasing in theta at every income level
     pis = np.linspace(float(np.min(plo)), float(np.max(phi_sup)), pi_grid_size)
@@ -314,7 +307,7 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     The truthful (projected) report must tie the grid maximum for the
     mechanism to be income-incentive-compatible.
     """
-    _check_sizes(2, "income report grids need at least 2 points, the support's ends", grid=grid)
+    _integer(grid, "grid", 2, says="income report grids need at least 2 points, the support's ends")
     agent = _agent(inst, i)
     if _allocate_at(inst, i, theta_minus, [theta_report])[0][0] != i:
         raise DomainError("agent does not win at this report profile")
@@ -339,9 +332,8 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
 
 def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
                     strategies: tuple) -> list:
-    _check_sizes(_MIN_RESPONSE_GRID,
-                 f"best-response grids need at least {_MIN_RESPONSE_GRID} points",
-                 theta_grid=theta_grid)
+    _integer(theta_grid, "theta_grid", _MIN_RESPONSE_GRID,
+             says=f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
     if not set(strategies) <= {"truthful_projection", "grid_best"}:
         raise ConstructionError(f"unknown income strategy in {strategies!r}")
     thetas = np.asarray(thetas_true, dtype=float).ravel()
@@ -461,8 +453,8 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     Requires both audit thresholds to lie in the intersection of the two
     income supports; otherwise the pair is unsupported.
     """
-    _check_sizes(_MIN_REGULARITY_GRID,
-                 f"crossing grids need at least {_MIN_REGULARITY_GRID} points", grid=grid)
+    _integer(grid, "grid", _MIN_REGULARITY_GRID,
+             says=f"crossing grids need at least {_MIN_REGULARITY_GRID} points")
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     agent = _agent(inst, i)
@@ -521,14 +513,15 @@ class NoiseModel:
     bias: float = 0.0
 
     def __post_init__(self):
-        if not self.halfwidth >= 0:
-            raise ConstructionError(f"noise halfwidth must be nonnegative, got {self.halfwidth!r}")
+        # by the real rule, kept as Python floats
+        object.__setattr__(self, "halfwidth", _real(
+            self.halfwidth, "noise halfwidth", 0,
+            says="noise halfwidth must be nonnegative and finite"))
+        object.__setattr__(self, "bias", _real(self.bias, "noise bias"))
 
-    def sample(self, rng: np.random.Generator, pi, size=None):
-        if size is None:
-            size = np.shape(pi)
-        draw = rng.uniform(-self.halfwidth, self.halfwidth, size=size) \
-            if self.halfwidth > 0 else np.zeros(size)
+    def sample(self, rng: np.random.Generator, pi):
+        draw = rng.uniform(-self.halfwidth, self.halfwidth, size=np.shape(pi)) \
+            if self.halfwidth > 0 else np.zeros(np.shape(pi))
         return np.asarray(pi) + self.bias + draw
 
 
@@ -544,8 +537,8 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
     errors, and a double-monotonicity check of the estimated effective
     penalty in the true income.
     """
-    _check_sizes(2, f"noisy audits need at least 2 trials, got {n_trials}", n_trials=n_trials)
-    _check_sizes(0, f"noisy-audit seeds must be nonnegative, got {seed}", seed=seed)
+    _integer(n_trials, "n_trials", 2, says="noisy audits need at least 2 trials")
+    _integer(seed, "seed", says="noisy-audit seeds must be nonnegative")
     phi = agent.sensitivity
     lo, hi = (float(x) for x in _income_bounds(agent, theta))
 
@@ -618,8 +611,8 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
     increasing hazard-rate order: psi weakly decreasing, pi_star weakly
     increasing).
     """
-    _check_sizes(_MIN_REGULARITY_GRID,
-                 f"scan grids need at least {_MIN_REGULARITY_GRID} points", theta_grid=theta_grid)
+    _integer(theta_grid, "theta_grid", _MIN_REGULARITY_GRID,
+             says=f"scan grids need at least {_MIN_REGULARITY_GRID} points")
     if len(values) < 3:
         raise InvalidAxisError("scan needs at least three axis values")
     if axis == "c":

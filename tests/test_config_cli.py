@@ -576,6 +576,53 @@ def test_malformed_law_parameters_exit_2(tmp_path, capsys, field, law, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("lo: 1.0, hi: 2.0", "lo: true, hi: 2.0",
+     "uniform law parameter 'lo' is malformed: lo must be a real number, got True"),
+    ("lo: 1.0, hi: 2.0", "lo: 1.0, hi: .inf",
+     "uniform law parameter 'hi' is malformed: hi must be finite, got inf"),
+    ("family: uniform, lo: 1.0, hi: 2.0", "family: table, grid: [1.0, .inf], cdf: [0.0, 1.0]",
+     "table law parameter 'grid' is malformed: grid points must be finite"),
+], ids=["lo-bool", "hi-inf", "grid-inf"])
+def test_refused_law_parameters_exit_2(tmp_path, capsys, old, new, message):
+    # a bool bound used to build a law on [1, 2], and an infinite bound or
+    # grid point failed later, as an income support that is not finite,
+    # after numpy warned
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL.replace(old, new, 1))
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: agents[0].type_dist: {message}"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift,code", [(5e-7, 2), (5e-8, 0)])
+def test_tabulated_row_means_are_held_to_the_check_tolerance(tmp_path, capsys, shift, code):
+    # the benchmark's tab_income rows with every income moved by shift, so
+    # each row's mean misses its type knot by shift: the constructor held
+    # the rows to 1e-6 and check to 1e-7, so at 5e-7 check failed while
+    # solve and simulate returned numbers; now both read one tolerance
+    knots = [1.0, 1.4, 2.0]
+    rows = [[(np.linspace(t - 1.0, t + 1.0, 41) + shift).tolist(),
+             np.linspace(0.0, 1.0, 41).tolist()] for t in knots]
+    income = {"family": "table", "theta_grid": knots, "rows": rows}
+    if code:
+        with pytest.raises(rc.ConstructionError, match="income table row 0 has mean"):
+            rc.make_income_family("table", income)
+    agent = yaml.safe_load(MINIMAL)["agents"][0]
+    agent.update(income=income, audit_cost=0.0)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"v": 1, "agents": [agent]}))
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: agents[0].income: income table row 0")
+        assert not out.exists()
+    else:
+        assert json.loads((out / "check.json").read_text())["all_ok"]
+
+
 def test_cli_env_output_override(ua_config, tmp_path, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.chdir(tmp_path)

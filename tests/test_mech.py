@@ -456,6 +456,16 @@ def test_royalty_and_audit(su_agent, ua_agent):
         rc.audit_rule(su_agent, 0.8, 0.3)
 
 
+def test_income_reports_outside_the_support_are_rejected_nan_included(ua_agent):
+    # the support test read two comparisons that NaN fails alike, so a NaN
+    # report got a NaN royalty and an audit
+    for pi in (float("nan"), float("inf"), -float("inf"), 0.4, 2.6):
+        for call in (rc.royalty, rc.audit_rule):
+            with pytest.raises(rc.ReportRejectedError):
+                call(ua_agent, 1.5, pi)
+    assert rc.audit_rule(ua_agent, 1.5, 0.5) == 1 and rc.royalty(ua_agent, 1.5, 2.5) >= 0.0
+
+
 def test_penalty_linear(ua_agent):
     assert rc.penalty(ua_agent, 1.5, 0.3, 0.7) == pytest.approx(0.2)
     assert rc.penalty(ua_agent, 1.5, 0.7, 0.7) == 0.0
@@ -1454,6 +1464,25 @@ def test_allocation_and_settlement_rules_have_one_home():
                      "rival": {"mech._allocate"}, "royalty": {"mech._settle"},
                      "penalty": {"mech._settle"}, "audit": {"mech._settle"},
                      "top_two": {"mech._allocate"}}
+
+
+def test_argument_type_tests_have_one_home():
+    # the integer and real rules live in errors.py, and no other module
+    # tests an argument for a bool by hand: every count, seed, size, agent
+    # index and real parameter goes through them
+    src = Path(rc.__file__).parent
+    spelled, defined = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                spelled.add(path.name)
+            if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_real"):
+                defined.add(f"{path.stem}.{node.name}")
+    assert spelled == {"errors.py"}
+    assert defined == {"errors._integer", "errors._real"}
 
 
 def test_instance_entry_points_read_only_the_tables():
