@@ -19,17 +19,17 @@ Two kinds of objects live here:
 
 All objects are immutable after construction and safe to share across
 threads; a law draws nothing itself (callers sample its ``ppf`` at their own
-uniforms).  Law parameters are read by the real rule (``errors._real``).
+uniforms).  Law parameters are read by ``errors._real``, grids by ``_grid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, _real
+from .errors import ConstructionError, DomainError, _grid, _real
 
 # Tolerance for "mean zero" / "integrates to one" construction checks.
 _MEAN_TOL = 1e-8
@@ -625,10 +625,6 @@ def _param(law: str, params: dict, key: str, read=_real):
         return read(params[key], key)
     except (TypeError, ValueError) as e:
         raise ConstructionError(f"{law} parameter {key!r} is malformed: {e}") from e
-
-
-# a grid by the real rule: a float array, every point finite
-_grid = partial(_real, array=True)
 
 
 def make_type_dist(family: str, params: dict) -> TypeDist:

@@ -3,8 +3,8 @@
 Public functions raise these instead of bare ValueError so callers can map
 failures to exit codes (config errors vs. verification failures) without
 string matching.  Every count, seed, size and agent index goes through the
-integer rule (``_integer``), every real parameter through the real rule
-(``_real``).
+integer rule (``_integer``), every real parameter and grid point through the
+real rule (``_real``; ``_grid`` reads a grid by it).
 """
 
 import math
@@ -72,19 +72,12 @@ def _integer(x, name: str, least: int = 0, bound=None, *, says=None,
     return int(x)
 
 
-def _real(x, name: str, lo=-math.inf, hi=math.inf, *, says=None,
-          error=ConstructionError, array=False):
+def _real(x, name: str, lo=-math.inf, hi=math.inf, *, says=None) -> float:
     """The real rule: ``x`` as a float when it is a finite real number, never
-    a bool, in [lo, hi].  Otherwise ``error``, and for a real number refused
-    the message ``says``.  With ``array``, ``x`` is a grid: a float array
-    whose every point is finite."""
-    if array:   # numpy's TypeError or ValueError where x holds no numbers
-        a = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise error(f"{name} points must be finite, got {x!r}")
-        return a
+    a bool, in [lo, hi].  Otherwise ``ConstructionError``, and for a real
+    number refused the message ``says``."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise error(f"{name} must be a real number, got {x!r}")
+        raise ConstructionError(f"{name} must be a real number, got {x!r}")
     try:
         v = float(x)
     except OverflowError:   # an int beyond the float range
@@ -92,5 +85,17 @@ def _real(x, name: str, lo=-math.inf, hi=math.inf, *, says=None,
     if not (math.isfinite(v) and lo <= v <= hi):
         span = ("be finite" if not math.isfinite(v) else f"be >= {lo}" if hi == math.inf
                 else f"be <= {hi}" if lo == -math.inf else f"lie in [{lo}, {hi}]")
-        raise error(f"{says or f'{name} must {span}'}, got {x!r}")
+        raise ConstructionError(f"{says or f'{name} must {span}'}, got {x!r}")
     return v
+
+
+def _grid(x, name: str) -> np.ndarray:
+    """A grid by the real rule: a float array of ``x``'s shape whose every
+    point passes ``_real`` (numpy would read a bool or a numeric string in a
+    list as a number); a grid of floats is checked at once."""
+    points = np.asarray(x, dtype=object)
+    if all(issubclass(t, (float, np.floating)) for t in set(map(type, points.flat))):
+        grid = points.astype(float)
+        if np.all(np.isfinite(grid)):
+            return grid
+    return np.array([_real(v, f"each {name} point") for v in points.flat]).reshape(points.shape)

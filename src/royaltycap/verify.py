@@ -513,10 +513,10 @@ class NoiseModel:
     bias: float = 0.0
 
     def __post_init__(self):
-        # by the real rule, kept as Python floats
+        # by the real rule, as Python floats; uniform(-h, h) needs 2h finite
         object.__setattr__(self, "halfwidth", _real(
-            self.halfwidth, "noise halfwidth", 0,
-            says="noise halfwidth must be nonnegative and finite"))
+            self.halfwidth, "noise halfwidth", 0, np.finfo(float).max / 2,
+            says="noise halfwidth must be nonnegative and at most half the largest float"))
         object.__setattr__(self, "bias", _real(self.bias, "noise bias"))
 
     def sample(self, rng: np.random.Generator, pi):

@@ -81,7 +81,7 @@ _REALS = {
     "triangular.mode": (
         lambda f, x: rc.make_type_dist("triangular", {"lo": 1.0, "hi": 2.0, "mode": x}), 1.5,
         [0.5, 2.5]),
-    "NoiseModel.halfwidth": (lambda f, h: NoiseModel(halfwidth=h), 0.1, [-0.1]),
+    "NoiseModel.halfwidth": (lambda f, h: NoiseModel(halfwidth=h), 0.1, [-0.1, 1e308]),
     "NoiseModel.bias": (lambda f, b: NoiseModel(bias=b), 0.0, []),
 }
 
@@ -90,8 +90,8 @@ def _additive_rows(knots):
     return [(g, (g - g[0]) / 2.0) for g in (np.linspace(t - 1.0, t + 1.0, 41) for t in knots)]
 
 
-# grids, whose every point must be finite: (call at a grid's last point,
-# a valid last point)
+# grids, whose every point must be a finite real number, never a bool: (call
+# at a grid's last point, a valid last point)
 _GRIDS = {
     "table.grid": (lambda x: rc.make_type_dist("table", {"grid": [1.0, x], "cdf": [0.0, 1.0]}),
                    2.0),
@@ -143,6 +143,6 @@ def test_real_parameters_follow_the_real_rule(f, name):
 def test_grid_points_must_be_finite(name):
     call, valid = _GRIDS[name]
     call(np.float64(valid))
-    for x in (NAN, INF, -INF):
+    for x in (NAN, INF, -INF, True, np.bool_(True), str(valid), None):
         with pytest.raises(ConstructionError):
             call(x)

@@ -582,7 +582,7 @@ def test_malformed_law_parameters_exit_2(tmp_path, capsys, field, law, message):
     ("lo: 1.0, hi: 2.0", "lo: 1.0, hi: .inf",
      "uniform law parameter 'hi' is malformed: hi must be finite, got inf"),
     ("family: uniform, lo: 1.0, hi: 2.0", "family: table, grid: [1.0, .inf], cdf: [0.0, 1.0]",
-     "table law parameter 'grid' is malformed: grid points must be finite"),
+     "table law parameter 'grid' is malformed: each grid point must be finite, got inf"),
 ], ids=["lo-bool", "hi-inf", "grid-inf"])
 def test_refused_law_parameters_exit_2(tmp_path, capsys, old, new, message):
     # a bool bound used to build a law on [1, 2], and an infinite bound or

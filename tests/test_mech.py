@@ -1479,10 +1479,10 @@ def test_argument_type_tests_have_one_home():
                     and any(isinstance(n, ast.Name) and n.id == "bool"
                             for n in ast.walk(node.args[1]))):
                 spelled.add(path.name)
-            if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_real"):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_integer", "_real", "_grid"):
                 defined.add(f"{path.stem}.{node.name}")
     assert spelled == {"errors.py"}
-    assert defined == {"errors._integer", "errors._real"}
+    assert defined == {"errors._integer", "errors._real", "errors._grid"}
 
 
 def test_instance_entry_points_read_only_the_tables():
