@@ -144,7 +144,7 @@ def parse_config(text: str) -> InstanceConfig:
         raise ConfigError("", f"not valid YAML: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be a mapping")
-    version = _require(raw, "v", "", int)
+    version = _at("v", _integer, _require(raw, "v", ""), "v", 1)
     if version != 1:
         raise ConfigError("v", f"unsupported schema version {version} (expected 1)")
 

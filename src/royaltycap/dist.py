@@ -188,6 +188,17 @@ def _blocked(fn, width: int, *cols):
     return [np.concatenate(p) for p in zip(*parts)]
 
 
+def _distinct(x) -> np.ndarray:
+    """The distinct values of ``x``, flattened and sorted: ``np.unique`` of
+    an array without NaNs, by the same sort.  (``np.unique`` imports
+    ``numpy.ma`` to rule out a masked array.)"""
+    s = np.sort(x, axis=None)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def _buffers(out, size: int, *dtypes) -> tuple:
     """A kernel's ``out``: its result and scratch arrays, or, when ``out`` is
     None, fresh arrays of ``size`` elements of ``dtypes``."""
@@ -929,7 +940,8 @@ class TableIncomeFamily(IncomeFamily):
         up to the next slot's u, and the slots at u = 1 hold the last cell's.
         ``ratio_nonincreasing`` holds where D_j's derivative is at most 1e-9
         on every cell."""
-        unions = [np.union1d(a.knots, b.knots) for (a, _), (b, _) in zip(rows[:-1], rows[1:])]
+        unions = [_distinct(np.concatenate([a.knots, b.knots]))
+                  for (a, _), (b, _) in zip(rows[:-1], rows[1:])]
         m = max(u.size - 2 for u in unions).bit_length()
         self._width = width = (1 << m) + 1
         self._steps = [1 << k for k in range(m - 1, -1, -1)]

@@ -59,9 +59,11 @@ from .dist import (
     AgentSpec,
     AdditiveErrorFamily,
     GridPoints,
+    _BLOCK_ELEMENTS,
     _bisect,
     _blocked,
     _buffers,
+    _distinct,
     _gl_segments,
     _guide_table,
     inverse_hazard,
@@ -565,7 +567,7 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     k = np.flatnonzero(np.diff(a))
     switches = _bisect(lambda x: audit(x) == a[k], scan[k], scan[k + 1], 64)
     cuts = np.concatenate([[lo, hi, tables_for(inst).pi_star(i, theta_i)], switches])
-    cuts = np.unique(np.clip(cuts, lo, hi))
+    cuts = _distinct(np.clip(cuts, lo, hi))
     g, recovery, _ = agent.income.audit_region(np.full(cuts.size, theta_i), cuts)
     gain = (inverse_hazard(agent.types, theta_i) * agent.sensitivity * np.diff(recovery)
             - agent.audit_cost * np.diff(g))
@@ -585,19 +587,32 @@ def _expected_max_plus(inst: AuctionInstance, grids: list) -> float:
     per-agent value functions, sampled as (types, values) ``grids``: the
     integral of 1 - prod_i P(V_i <= s) over [0, vmax], cut at the value grid
     points and the values of the type laws' knots, where theta_i(s) is linear
-    and F_i of degree <= 3, so the (2N)-point Gauss-Legendre rule is exact."""
+    and F_i of degree <= 3, so the (2N)-point Gauss-Legendre rule is exact.
+
+    The S segments' terms (1 - prod_i F_i) w fill one (S, 2N) array, summed
+    once; each block of segments of at most ``_BLOCK_ELEMENTS`` nodes builds
+    its nodes, weights and cdfs in turn, multiplied into the block's terms
+    agent by agent, so no N x S x 2N array is ever held."""
     _check_increasing(grids)
     vmax = max(float(v[-1]) for _, v in grids)
     if vmax <= 0:
         return 0.0
     cuts = [[0.0, vmax]] + [np.concatenate([vals, np.interp(a.types.knots, ts, vals)])
                             for a, (ts, vals) in zip(inst.agents, grids)]
-    cuts = np.unique(np.clip(np.concatenate(cuts), 0.0, vmax))
-    nodes, wts = _gl_segments(cuts[:-1], cuts[1:],
-                              np.polynomial.legendre.leggauss(2 * inst.n_agents))
-    below = np.prod([a.types.cdf(np.interp(nodes, vals, ts))
-                     for a, (ts, vals) in zip(inst.agents, grids)], axis=0)
-    return float(np.sum((1.0 - below) * wts))
+    cuts = _distinct(np.clip(np.concatenate(cuts), 0.0, vmax))
+    lo, hi = cuts[:-1], cuts[1:]
+    rule = np.polynomial.legendre.leggauss(2 * inst.n_agents)
+    terms = np.empty((lo.size, rule[0].size))
+    step = max(1, _BLOCK_ELEMENTS // rule[0].size)
+    for k in range(0, lo.size, step):
+        nodes, wts = _gl_segments(lo[k:k + step], hi[k:k + step], rule)
+        block = terms[k:k + step]
+        block.fill(1.0)
+        for a, (ts, vals) in zip(inst.agents, grids):
+            block *= a.types.cdf(np.interp(nodes, vals, ts))
+        np.subtract(1.0, block, out=block)
+        block *= wts
+    return float(np.sum(terms))
 
 
 def payoff_bound(inst: AuctionInstance) -> float:
@@ -785,7 +800,7 @@ def _agent_curves(agent: AgentSpec) -> dict:
     # cannot smear a kink in pi_star or Phi across a full grid cell
     marks = np.concatenate([_threshold_kinks(agent), knots[(knots > lo) & (knots < hi)]])
     extra = [marks - 1e-12 * w, marks, marks + 1e-12 * w]
-    ts = np.unique(np.clip(np.concatenate([base, *extra]), floor, hi))
+    ts = _distinct(np.clip(np.concatenate([base, *extra]), floor, hi))
 
     psi_m, psi, pstar, cap, e_net = _mech_curves(agent, ts)
     if np.any(np.diff(psi) < -1e-9):

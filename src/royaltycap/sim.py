@@ -31,7 +31,11 @@ strategies, n_runs, seed), and memory does not grow with ``n_runs``.
 
 Every chunk runs in the calling thread, in one buffer that the thread keeps
 from call to call: the chunk's uniforms, then its workspace of ``_rows(N)``
-rows of runs at fixed places.  ``_simulate_batch`` and the kernels it calls
+rows of runs at fixed places.  A chunk holds the most whole blocks, at most
+``_CHUNK`` runs, that keep the buffer below numpy's 4 MiB huge-page
+threshold (``_chunk_runs``: 21,504 runs for one agent, 16,384 for two and
+12,288 for three), so no row a chunk leaves unwritten faults in a 2 MB
+page.  ``_simulate_batch`` and the kernels it calls
 (type ppf, ``GridPoints``, the ``MechanismTables`` lookups, ``_allocate``,
 ``_settle``, ``project_to_support``) write into those rows through
 ``out=``, so a chunk after the thread's first allocates nothing of its size
@@ -331,8 +335,11 @@ def run_auction(inst: AuctionInstance, strategies: Optional[StrategyProfile],
 # Aggregation
 # ---------------------------------------------------------------------------
 
-# runs in memory at once: one chunk
+# most runs in memory at once: the cap on a chunk (``_chunk_runs``)
 _CHUNK = 1 << 15
+# bytes from which numpy advises an allocation onto huge pages (2 MB on
+# x86-64 Linux), so that untouched rows fault in whole pages
+_HUGE_PAGE_BYTES = 1 << 22
 # runs per reduction block.  Blocks are aligned to the run index and every
 # chunk holds whole blocks, so a block is reduced the same way however the
 # runs are chunked; a power of two, so that _BLOCK * x is exact (``_mean_se``)
@@ -352,6 +359,16 @@ def _check_run_args(n_runs, seed, workers=1):
     _integer(n_runs, "n_runs", _MIN_RUNS)
     _integer(seed, "seed", 0, _SEED_BOUND, says=_SEED_RULE)
     _integer(workers, "workers", 1)
+
+
+def _chunk_runs(N: int) -> int:
+    """Runs per chunk for ``N`` agents: the most whole blocks of ``_BLOCK``
+    runs, at most ``_CHUNK``, whose buffer (``4m + _rows(N)`` floats per
+    run, m = ``_blocks_per_run(N)``) stays below ``_HUGE_PAGE_BYTES``, and
+    at least one block."""
+    per_run = 8 * (4 * _blocks_per_run(N) + _rows(N))
+    fit = (_HUGE_PAGE_BYTES - 1) // per_run // _BLOCK * _BLOCK
+    return min(_CHUNK, max(_BLOCK, fit))
 
 
 def _blocks(x: np.ndarray) -> list:
@@ -421,14 +438,14 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     # the calling thread's buffer, kept between calls: each chunk's uniforms
     # at the front, its workspace rows after them.  Taken while in use, so
     # that a call made from a strategy callable gets one of its own
-    width, rows = 4 * _blocks_per_run(N), _rows(N)
+    width, rows, chunk = 4 * _blocks_per_run(N), _rows(N), _chunk_runs(N)
     buf = _CALLER.__dict__.pop("buf", np.empty(0))
-    if buf.size < (width + rows) * min(_CHUNK, n_runs):
-        buf = np.empty((width + rows) * min(_CHUNK, n_runs))
+    if buf.size < (width + rows) * min(chunk, n_runs):
+        buf = np.empty((width + rows) * min(chunk, n_runs))
     moments, pen, audits, wins = [], [], 0, 0
     try:
-        for start in range(0, n_runs, _CHUNK):
-            n = min(_CHUNK, n_runs - start)
+        for start in range(0, n_runs, chunk):
+            n = min(chunk, n_runs - start)
             u = _uniform_matrix(N, seed, start, n, buf)
             ws = buf[width * n:(width + rows) * n].reshape(rows, n)
             b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws)

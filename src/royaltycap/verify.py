@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dist import (_NORMALIZATION_TOL, AgentSpec, TypeDist, _bisect, inverse_hazard,
-                   project_to_support)
+from .dist import (_NORMALIZATION_TOL, AgentSpec, TypeDist, _bisect, _distinct,
+                   inverse_hazard, project_to_support)
 from .errors import (
     ConstructionError,
     DomainError,
@@ -314,8 +314,8 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     cap = float(tables_for(inst).pi_star(i, theta_report))
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
     truthful_rep = float(project_to_support(agent.income, theta_report, pi_true))
-    reports = np.unique(np.concatenate([np.linspace(lo, hi, grid),
-                                        [truthful_rep, min(max(cap, lo), hi)]]))
+    reports = _distinct(np.concatenate([np.linspace(lo, hi, grid),
+                                     [truthful_rep, min(max(cap, lo), hi)]]))
     royalty, _, pen = _settle(pi_true, reports, cap, hi, agent.sensitivity)
     gross = pi_true - (royalty + pen)
     truthful_u = float(gross[reports == truthful_rep][0])
@@ -345,12 +345,13 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     # each true type tries the grid's reports and its own type: one row per
     # true type over their union, whose table lookups are made once
     grid = np.linspace(t.theta[0], t.theta[-1], theta_grid)
-    reports = np.unique(np.concatenate([grid, thetas]))
+    reports = _distinct(np.concatenate([grid, thetas]))
     at = tables.locate(i, reports)
     q, t_pay, caps = at.interp(t.win_prob), at.interp(t.interim_transfer), tables.pi_star(i, at)
     k = np.searchsorted(reports, thetas)   # each true type's own report
     on_path = np.arange(reports.size) == k[:, None]
-    tried = on_path | np.isin(reports, grid)
+    tried = on_path.copy()
+    tried[:, np.searchsorted(reports, grid)] = True   # the grid's reports
     # losing reports (q <= 0) pay nothing and earn nothing; the on-path
     # payment is the projection's at the true report, computed once
     win = tried & (q > 0.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,13 @@ def rising_gap_agent(audit_cost, sensitivity=0.5, knots=(1.0, 2.0)):
     return AgentSpec(make_type_dist("uniform", {"lo": 1.0, "hi": 2.0}),
                      make_income_family("table", {"theta_grid": list(knots), "rows": rows}),
                      audit_cost, sensitivity)
+
+
+def distinct_bidders(n: int) -> AuctionInstance:
+    """``n`` bidders, the uniform_additive, scaled_uniform and
+    scaled_triangular agents in turn, bidder k's audit cost times
+    (1 + 0.02 k), so that no two bidders' tables are alike."""
+    makers = (uniform_additive_agent, scaled_uniform_agent, scaled_triangular_agent)
+    agents = (makers[k % 3]() for k in range(n))
+    return AuctionInstance(tuple(replace(a, audit_cost=a.audit_cost * (1 + 0.02 * k))
+                                 for k, a in enumerate(agents)))

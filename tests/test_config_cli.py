@@ -597,6 +597,19 @@ def test_refused_law_parameters_exit_2(tmp_path, capsys, old, new, message):
     assert not out.exists()
 
 
+def test_a_bool_schema_version_exits_2(tmp_path, capsys):
+    # a bool is an int to Python, so `v: true` passed as version 1; the
+    # version is read by the integer rule
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((CONFIG_DIR / "uniform_additive.yaml").read_text()
+                   .replace("\nv: 1\n", "\nv: true\n", 1))
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: v: v must be an integer, got True"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shift,code", [(5e-7, 2), (5e-8, 0)])
 def test_tabulated_row_means_are_held_to_the_check_tolerance(tmp_path, capsys, shift, code):
     # the benchmark's tab_income rows with every income moved by shift, so
@@ -641,6 +654,29 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "--config" in proc.stdout
+
+
+def test_cli_calls_leave_out_numpy_ma(tmp_path):
+    # np.unique, and np.union1d and np.isin through it, import numpy.ma to
+    # rule out a masked array (11-17 ms cold); solve, verify-ic and simulate
+    # on a shipped pair and on a tabulated income law (whose build unites
+    # knots) import none of it
+    rows = [[np.linspace(t - 1.0, t + 1.0, 41).tolist(), np.linspace(0.0, 1.0, 41).tolist()]
+            for t in (1.0, 1.4, 2.0)]
+    agent = yaml.safe_load(MINIMAL)["agents"][0]
+    agent["income"] = {"family": "table", "theta_grid": [1.0, 1.4, 2.0], "rows": rows}
+    table = tmp_path / "table.yaml"
+    table.write_text(yaml.safe_dump({"v": 1, "agents": [agent]}))
+    code = ("import sys\nfrom royaltycap import cli\n"
+            f"for k, cfg in enumerate(({str(CONFIG_DIR / 'mixed_pair.yaml')!r}, {str(table)!r})):\n"
+            "    for cmd, extra in (('solve', []), ('verify-ic', []),\n"
+            "                       ('simulate', ['--runs', '2000'])):\n"
+            f"        out = {str(tmp_path)!r} + f'/{{k}}/{{cmd}}'\n"
+            "        assert cli.main([cmd, '--config', cfg, '--out', out, *extra]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_json_reports_reparse(ua_config, tmp_path):

@@ -22,7 +22,7 @@ from royaltycap import (
     tables_for,
 )
 from royaltycap import dist, mech
-from royaltycap.dist import _cells, _gl_segments, _guide_table, _pchip_coefficients
+from royaltycap.dist import _cells, _distinct, _gl_segments, _guide_table, _pchip_coefficients
 from conftest import UNIT_ERR
 
 
@@ -768,6 +768,14 @@ def test_gl_segments_equal_the_broadcast_rule(points):
         nodes, wts = _gl_segments(a, b, rule)
         assert np.array_equal(nodes, mid[..., None] + half[..., None] * rule[0])
         assert np.array_equal(wts, half[..., None] * rule[1])
+
+
+def test_distinct_equals_numpy_unique():
+    # the same values, signed zeros included, bit for bit, without numpy.ma
+    rng = np.random.default_rng(3)
+    for x in (np.empty(0), np.array([2.0]), np.array([0.0, -0.0, 1.0, -0.0]),
+              np.array([-0.0, 0.0]), rng.integers(0, 40, 500) / 7.0, rng.random((30, 20))):
+        assert _distinct(x).tobytes() == np.unique(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

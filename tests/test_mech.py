@@ -1,5 +1,6 @@
 import ast
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import royaltycap as rc
 from conftest import (
     UNIT_ERR,
     cash_only_agent,
+    distinct_bidders,
     rising_gap_agent,
     st_pi_star,
     su_psi,
@@ -729,6 +731,33 @@ def test_revenue_functionals_match_quad_oracles(shipped_instances):
         for fn in ("payoff_bound", "myerson_cash_revenue", "full_extraction_revenue"):
             assert getattr(rc, fn)(inst) == pytest.approx(getattr(oracles, fn)(inst),
                                                           abs=1e-9), (name, fn)
+
+
+@pytest.mark.parametrize("n,want", [
+    (3, (1.1671207206984318, 1.144516817987581, 1.4999999999999998)),
+    (8, (1.5241637159387167, 1.5196645279297876, 1.75)),
+])
+def test_revenue_functionals_beyond_two_bidders(n, want):
+    # the Gauss-Legendre sum, built block by block, to the bit at the values
+    # of the sum built as one N x S x 2N array
+    inst = distinct_bidders(n)
+    got = [rc.payoff_bound(inst), rc.myerson_cash_revenue(inst), rc.full_extraction_revenue(inst)]
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_revenue_functionals_hold_bounded_memory():
+    # no N x S x 2N array: at N = 8 the three calls peaked at 108.3 MiB when
+    # the N cdfs were stacked over every segment's nodes, 7.8 MiB blocked
+    inst = distinct_bidders(8)
+    rc.tables_for(inst)
+    tracemalloc.start()
+    try:
+        for fn in (rc.payoff_bound, rc.myerson_cash_revenue, rc.full_extraction_revenue):
+            fn(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_full_extraction_equals_bound_when_free(su_agent):

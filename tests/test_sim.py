@@ -17,7 +17,7 @@ from royaltycap import sim as S
 from royaltycap.instances import scaled_triangular, scaled_uniform, uniform_additive_agent
 
 import oracles
-from conftest import st_pi_star
+from conftest import distinct_bidders, st_pi_star
 from oracles import philox_uniforms
 
 
@@ -463,6 +463,17 @@ def test_chunks_fault_in_no_new_memory(shipped_instances, name):
     assert faults(8 * S._CHUNK) - faults(2 * S._CHUNK) <= 2000
 
 
+def _reserve() -> rc.AuctionInstance:
+    """One bidder, types U[0.5, 2], additive U[-0.5, 0.5] errors, c = 0.2,
+    phi = 0.5: its virtual value is negative at low types, so some runs go
+    unsold."""
+    return rc.AuctionInstance((AgentSpec(
+        types=make_type_dist("uniform", {"lo": 0.5, "hi": 2.0}),
+        income=make_income_family("additive_error",
+                                  {"error": {"family": "uniform", "lo": -0.5, "hi": 0.5}}),
+        audit_cost=0.2, sensitivity=0.5),))
+
+
 @pytest.mark.parametrize("audit", [None, lambda th, pi: np.full_like(th, 0.5)],
                          ids=["optimal", "coin"])
 @pytest.mark.parametrize("name", ["mixed_pair", "reserve"])
@@ -471,11 +482,7 @@ def test_batch_results_are_views_into_the_given_workspace(pair_inst, name, audit
     # given a NaN-filled one, every result is a view into it and equals the
     # freshly allocated batch's bit for bit, whether one agent wins part of
     # the runs (mixed_pair) or some runs go unsold (a reserve on U[0.5, 2])
-    inst = pair_inst if name == "mixed_pair" else rc.AuctionInstance((AgentSpec(
-        types=make_type_dist("uniform", {"lo": 0.5, "hi": 2.0}),
-        income=make_income_family("additive_error",
-                                  {"error": {"family": "uniform", "lo": -0.5, "hi": 0.5}}),
-        audit_cost=0.2, sensitivity=0.5),))
+    inst = pair_inst if name == "mixed_pair" else _reserve()
     n, N = 3000, inst.n_agents
     u = S._uniform_matrix(N, 5, 0, n)
     strategies, tables = rc.StrategyProfile.truthful(N), rc.tables_for(inst)
@@ -498,6 +505,28 @@ def _in_new_thread(fn, *args, **kwargs):
     thread.join(timeout=300)
     assert not thread.is_alive() and len(got) == 1
     return got[0]
+
+
+@pytest.mark.parametrize("name,chunk", [("uniform_additive", 21_504), ("mixed_pair", 16_384),
+                                        ("three", 12_288), ("reserve", 21_504)])
+def test_workspace_stays_below_the_huge_page_threshold(shipped_instances, monkeypatch,
+                                                       name, chunk):
+    # numpy advises arrays of 4 MiB or more onto 2 MB pages, where the rows
+    # a chunk leaves unwritten would be resident too: a chunk holds the most
+    # whole blocks whose buffer stays below that, in a fresh thread and after
+    # a call of 2^17 runs, and the reports equal those of 4,096-run chunks
+    inst = {**shipped_instances, "three": distinct_bidders(3), "reserve": _reserve()}[name]
+    assert S._chunk_runs(inst.n_agents) == chunk
+
+    def call():
+        return rc.estimate_revenue(inst, None, 1 << 17, 3), S._CALLER.buf.nbytes
+
+    got, nbytes = _in_new_thread(call)
+    assert nbytes < 4 * 2**20
+    if name == "reserve":
+        assert 0.5 < got.allocation_frequency[0] < 0.95
+    monkeypatch.setattr(S, "_CHUNK", 1 << 12)
+    assert rc.estimate_revenue(inst, None, 1 << 17, 3) == got
 
 
 def test_concurrent_callers_match_the_serial_reports(pair_inst):
@@ -532,11 +561,7 @@ def test_workspace_grows_and_shrinks_without_stale_values(shipped_instances):
     # grows), then one-agent calls of 20,011 runs, whose last chunk is
     # shorter, one with unsold runs; each report equals the golden one or
     # that of a fresh workspace, and the oracle's counts exactly
-    reserve = rc.AuctionInstance((AgentSpec(
-        types=make_type_dist("uniform", {"lo": 0.5, "hi": 2.0}),
-        income=make_income_family("additive_error",
-                                  {"error": {"family": "uniform", "lo": -0.5, "hi": 0.5}}),
-        audit_cost=0.2, sensitivity=0.5),))
+    reserve = _reserve()
     short = {name: _in_new_thread(rc.estimate_revenue, inst, None, 20_011, 1)
              for name, inst in (("uniform_additive", shipped_instances["uniform_additive"]),
                                 ("reserve", reserve))}

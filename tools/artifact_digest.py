@@ -42,7 +42,15 @@ largest absolute move of its numbers.  The digests cover:
 * per instance, every ``AgentTables`` array, each agent's single-crossing
   scan ``mech._single_crossing_scan`` on its table grid (0.0 unprobed on
   the closed-form families) and the probes ``mech._probe_single_crossing``
-  there, and ``payoff_bound``.
+  there, and ``payoff_bound``;
+* ``distinct_three``, three bidders made of the ``uniform_additive``,
+  ``scaled_uniform`` and ``scaled_triangular`` agents, bidder k's audit
+  cost times (1 + 0.02 k): ``payoff_bound/distinct_three``,
+  ``myerson_cash_revenue/distinct_three`` and
+  ``full_extraction_revenue/distinct_three`` (floats printed with
+  ``repr``) and ``estimate_revenue/distinct_three`` (20,000 runs, seed 0,
+  as JSON), so that the block-built revenue integral beyond two bidders and
+  a three-agent chunk are covered.
 
 It also prints, as values rather than digests, the outputs of the API that
 takes an instance, so that a change shows how far each one moves:
@@ -119,6 +127,8 @@ from royaltycap import cli, mech, sim, verify  # noqa: E402
 from royaltycap.config import parse_config  # noqa: E402
 from royaltycap.dist import make_type_dist  # noqa: E402
 from royaltycap.errors import DomainError, RoyaltycapError  # noqa: E402
+from royaltycap.instances import (scaled_triangular_agent, scaled_uniform_agent,  # noqa: E402
+                                  uniform_additive_agent)
 
 SEED = 0
 RUNS = 20_000
@@ -194,6 +204,17 @@ def _library_digests(out: dict, name: str, text: str):
     out[f"payoff_bound/{name}"] = repr(mech.payoff_bound(inst))
     rep = sim.estimate_revenue(inst, None, RUNS, SEED)
     out[f"estimate_revenue/{name}"] = json.dumps(rep.to_dict())
+
+
+def _distinct_values(out: dict):
+    """The three revenue functionals and one report of ``distinct_three``."""
+    agents = (uniform_additive_agent(), scaled_uniform_agent(), scaled_triangular_agent())
+    inst = mech.AuctionInstance(tuple(replace(a, audit_cost=a.audit_cost * (1 + 0.02 * k))
+                                      for k, a in enumerate(agents)))
+    for fn in (mech.payoff_bound, mech.myerson_cash_revenue, mech.full_extraction_revenue):
+        out[f"{fn.__name__}/distinct_three"] = repr(fn(inst))
+    rep = sim.estimate_revenue(inst, None, RUNS, SEED)
+    out["estimate_revenue/distinct_three"] = json.dumps(rep.to_dict())
 
 
 def _play_digests(out: dict, name: str, inst: mech.AuctionInstance):
@@ -429,6 +450,7 @@ def main(argv=()) -> int:
                     _cli_digests(out, name, config, ("check",), workdir)
                     if name == "tab_income_c0.2":
                         _library_digests(out, name, text)
+        _distinct_values(out)
         for name, text in _error_law_variants().items():
             config = workdir / f"{name}.yaml"
             config.write_text(text, encoding="utf-8")
