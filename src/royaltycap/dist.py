@@ -36,10 +36,11 @@ _MEAN_TOL = 1e-8
 # Largest |E[pi | theta] - theta| of an income law: held by tabulated rows at
 # construction and by ``check``, so no law that ``check`` fails for it builds
 _NORMALIZATION_TOL = 1e-7
-# float64 elements per row-blocked kernel temporary (``_blocked``): small
-# enough that the temporaries are reused rather than mapped afresh, large
-# enough that a few blocks cover a table build's 8193 types
-_BLOCK_ELEMENTS = 1 << 14
+# float64 elements per row-blocked kernel temporary (``_blocked``): 64 KiB,
+# half glibc's initial mmap threshold, so that the temporaries come from the
+# heap and are reused rather than mapped and faulted in afresh (at 2^14 each
+# was exactly the 128 KiB threshold), and few blocks cover a table build
+_BLOCK_ELEMENTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -230,101 +231,149 @@ def _guide_table(xp: np.ndarray) -> np.ndarray:
     return np.clip(first - 1, 0, xp.size - 2)
 
 
-def _cells(xp: np.ndarray, guide: np.ndarray, x, start=None, out=None) -> np.ndarray:
+def _cells(xp: np.ndarray, guide: np.ndarray, x, start=None) -> np.ndarray:
     """Cell of each point of the array ``x`` on the sorted grid ``xp``: the
     last index j with xp[j] <= x, kept in 0 .. len(xp) - 2 (the end cells
-    extend beyond the grid).  The one search of the package's tables.
-
-    Reads the bucket's index in ``guide = _guide_table(xp)``, or starts from
-    the cells ``start`` (one per point of x, none beyond the point's own
-    cell), and steps forward once where xp[j+1] <= x.  That settles nearly
-    every point of a well-spread grid; a point that must step further sits
-    in a bucket crowded with grid points (a far outlier squeezes the other
-    grid points into a few buckets) and is located by binary search, so no
-    point costs more than a binary search.  ``out``: the cells (intp) and two
-    float scratch arrays, of x's size."""
+    extend beyond the grid), found by ``_search`` (from the cells ``start``
+    when given).  The search of the piecewise cubics (``_Pchip``);
+    ``_Grid.locate`` searches the same way with a last, sentinel cell."""
     x = np.asarray(x, dtype=float)
-    j, xs, scratch = _buffers(out, x.size, np.intp, float, float)
-    np.clip(x.ravel(), xp[0], np.nextafter(xp[-1], -np.inf), out=xs)
+    xs = np.clip(x.ravel(), xp[0], np.nextafter(xp[-1], -np.inf))
+    out = (np.empty(x.size, np.intp), np.empty(x.size))
+    return _search(xp, guide, xs, start, out).reshape(x.shape)
+
+
+def _search(xp: np.ndarray, guide: np.ndarray, xs: np.ndarray, start, out) -> np.ndarray:
+    """The last index j with xp[j] <= xs of each point of the 1-d array
+    ``xs`` (0 below the grid): the bucket's index in ``guide =
+    _guide_table(xp)``, or the cells ``start`` (None, or one per point, none
+    beyond its own cell), stepped forward once where the next grid point is
+    at or below the point.  That settles nearly every point of a
+    well-spread grid; one that must step further sits in a bucket crowded
+    with grid points (a far outlier squeezes the others into a few buckets;
+    kink triplets share one), or at or above the top (the next point is read
+    clipped to xp[-1]), and is binary-searched.  No array is allocated but
+    for those points.  ``out``: the cells (intp) and a float scratch array."""
+    j, scratch = out
     if start is None:
         # each bucket's guide entry, read in place: take reads an index
         # before it writes that position
-        np.take(guide, _buckets(xp, xs, guide.size, out=(j, scratch)), out=j, mode="wrap")
+        guide.take(_buckets(xp, xs, guide.size, out=(j, scratch)), out=j, mode="wrap")
     else:
         np.copyto(j, start.ravel())
-    nxt = xp[1:]
-    move = np.flatnonzero(np.take(nxt, j, out=scratch, mode="wrap") <= xs)
-    j[move] += 1
-    move = move[nxt[j[move]] <= xs[move]]
-    j[move] = np.searchsorted(xp, xs[move], side="right") - 1
-    return j.reshape(x.shape)
+    # the flags share scratch's memory: each is written after its float is
+    # read.  (take as a method skips np.take's Python wrapper, a microsecond
+    # a call, on tens of calls a chunk)
+    nxt, late = xp[1:], scratch.view(bool)[:xs.size]
+    np.less_equal(nxt.take(j, out=scratch, mode="clip"), xs, out=late)
+    j += late
+    np.less_equal(nxt.take(j, out=scratch, mode="clip"), xs, out=late)
+    if late.any():
+        far = np.flatnonzero(late)
+        j[far] = np.searchsorted(xp, xs[far], side="right") - 1
+    return j
+
+
+class _Grid:
+    """A sorted table grid ``xp`` of at least two distinct points, its
+    guide table (``_guide_table``) and the columns that lookups read off it
+    by name, ``fp`` (the keyword arguments).  ``floor`` is the least point
+    a located point is clipped to: xp[0], or the float below it when the
+    first grid points repeat, so that a point below the grid lands in cell 0
+    and one at xp[0] in the last cell of the run, as in np.interp."""
+
+    def __init__(self, xp: np.ndarray, guide=None, **columns):
+        self.xp = xp
+        self.guide = _guide_table(xp) if guide is None else guide
+        self.floor = xp[0] if xp[1] > xp[0] else np.nextafter(xp[0], -np.inf)
+        self.fp = {name: np.asarray(fp, dtype=float) for name, fp in columns.items()}
+        self.slope, self.signed_zero = {}, {}
+
+    def locate(self, x, start=None, out=None) -> "GridPoints":
+        """Locate ``x``: each point's cell j (``_search``, from the cells
+        ``start`` when given) and its offset d = clip(x, floor, xp[-1]) -
+        xp[j].  ``out``: the arrays j and d and a float scratch array (intp,
+        float, float, of x's size, none of them x's memory; ``start`` may be
+        j)."""
+        x = np.asarray(x, dtype=float)
+        j, d, scratch = _buffers(out, x.size, np.intp, float, float)
+        np.clip(x.ravel(), self.floor, self.xp[-1], out=d)
+        _search(self.xp, self.guide, d, start, (j, scratch))
+        d -= self.xp.take(j, out=scratch, mode="wrap")
+        return GridPoints(self, j, d, x.shape)
+
+    def build_slopes(self):
+        """Each column's slope table, np.interp's, (fp[j+1] - fp[j]) /
+        (xp[j+1] - xp[j]) per cell (0 for a cell of no width and for the
+        sentinel), from the cell widths computed once, and whether the
+        column holds a -0.0."""
+        width = np.diff(self.xp)
+        width[width == 0.0] = np.inf
+        for name, fp in self.fp.items():
+            slope = np.zeros(fp.size)
+            np.subtract(fp[1:], fp[:-1], out=slope[:-1])
+            slope[:-1] /= width
+            self.signed_zero[name] = bool(np.signbit(fp[fp == 0.0]).any())
+            self.slope[name] = slope
 
 
 @dataclass(frozen=True)
 class GridPoints:
-    """Points located on a sorted table grid ``xp``: cell ``j`` (np.interp's
-    last index with xp[j] <= x, kept in 0 .. len(xp) - 2), offset
-    ``d = x - xp[j]`` and cell width ``w = xp[j+1] - xp[j]``, plus the points
-    np.interp answers with a grid value (outside the grid, at its top or
-    exactly on a grid point): positions ``snap`` and value indices
-    ``snap_to``.  ``interp`` evaluates any array on the grid with np.interp's
-    arithmetic, so the two agree bit for bit on finite tables."""
+    """Points located on a sorted table grid (``_Grid.locate``): cell ``j``
+    (np.interp's last index with xp[j] <= x; cell 0 below the grid, a last,
+    sentinel, cell len(xp) - 1 at or above its top) and offset ``d`` from
+    xp[j] of the point clipped to the grid.  ``interp`` reads a column at
+    them as slope[j] * d + fp[j], np.interp's arithmetic, so the two agree
+    bit for bit on tables whose slopes are finite."""
 
+    grid: _Grid
     j: np.ndarray
     d: np.ndarray
-    w: np.ndarray
-    snap: np.ndarray
-    snap_to: np.ndarray
     shape: tuple
 
     @staticmethod
     def locate(xp: np.ndarray, guide: np.ndarray, x, start=None, out=None) -> "GridPoints":
-        """Locate ``x`` by the guide table of ``_guide_table(xp)``, or by
-        stepping up from the cells ``start`` (``_cells``), so no point costs
-        more than np.interp's binary search.  The points at or above xp[-1]
-        snap to fp[-1].  ``out``: the arrays j, d and w (intp, float, float,
-        of x's size, none of them x's memory; ``start`` may be j)."""
-        x = np.asarray(x, dtype=float)
-        shape, x = x.shape, x.ravel()
-        top = xp[-1]
-        j, d, w = _buffers(out, x.size, np.intp, float, float)
-        _cells(xp, guide, x, start, out=(j, d, w))
-        x0 = np.take(xp, j, out=d, mode="wrap")
-        np.take(xp[1:], j, out=w, mode="wrap")
-        w -= x0
-        np.subtract(x, x0, out=d)
-        snap = np.flatnonzero((d <= 0.0) | (x >= top))
-        xv = x[snap]
-        snap_to = np.where(xv >= top, xp.size - 1, np.where(xv < xp[0], 0, j[snap]))
-        # neutral offsets where the grid value is used, so that a repeated
-        # grid point or an infinite x cannot raise a floating-point warning
-        d[snap] = 0.0
-        w[snap] = 1.0
-        return GridPoints(j, d, w, snap, snap_to, shape)
+        """``x`` located on the grid ``xp`` of guide table ``guide``."""
+        return _Grid(xp, guide).locate(x, start, out)
 
     def take(self, sel: np.ndarray, out=None) -> "GridPoints":
-        """The points at the increasing indices ``sel`` (``out``: as for
-        ``locate``, of sel's size)."""
-        pos = np.searchsorted(sel, self.snap)
-        hit = pos < sel.size
-        hit[hit] = sel[pos[hit]] == self.snap[hit]
-        j, d, w = _buffers(out, sel.size, np.intp, float, float)
-        for src, dst in ((self.j, j), (self.d, d), (self.w, w)):
-            np.take(src, sel, out=dst, mode="wrap")
-        return GridPoints(j, d, w, pos[hit], self.snap_to[hit], sel.shape)
+        """The points at the indices ``sel`` (``out``: the arrays j and d,
+        of sel's size)."""
+        j, d = _buffers(out, sel.size, np.intp, float)
+        self.j.take(sel, out=j, mode="wrap")
+        self.d.take(sel, out=d, mode="wrap")
+        return GridPoints(self.grid, j, d, sel.shape)
 
-    def interp(self, fp: np.ndarray, out=None):
-        """np.interp(x, xp, fp): (fp[j+1] - fp[j]) / w * d + fp[j], or the
-        snapped grid value.  ``out``: the result and a float scratch array,
-        of the points' size."""
+    def interp(self, fp, out=None):
+        """np.interp(x, xp, fp) for an array ``fp`` of grid values or the
+        name of a grid column: slope[j] * d + fp[j], four passes over the
+        points with the column's slope table, which the grid's first lookup
+        of at least as many points as it has builds (``_Grid.build_slopes``,
+        as np.interp builds one).  Otherwise the slopes are taken at the
+        points' cells.  A point on a grid point, beyond an end or in a cell
+        of no width has d <= 0, where fp[j] is put back unless the column
+        holds no -0.0 (slope * 0 + -0.0 is +0.0).  ``out``: the result and a
+        float scratch array, of the points' size."""
         res, f0 = _buffers(out, self.j.size, float, float)
-        np.take(fp, self.j, out=f0, mode="wrap")
-        np.take(fp[1:], self.j, out=res, mode="wrap")
-        res -= f0
-        res /= self.w
+        j, grid = self.j, self.grid
+        name = fp if isinstance(fp, str) else None
+        fp = grid.fp[name] if name else np.asarray(fp, dtype=float)
+        if name and name not in grid.slope and j.size >= fp.size:
+            grid.build_slopes()
+        if name in grid.slope:
+            grid.slope[name].take(j, out=res, mode="wrap")
+            put_back = grid.signed_zero[name]
+        else:
+            fp.take(j + 1, out=res, mode="clip")
+            res -= fp.take(j, out=f0, mode="wrap")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                res /= grid.xp.take(j + 1, mode="clip") - grid.xp.take(j, mode="wrap")
+            put_back = True
         res *= self.d
-        res += f0
-        res[self.snap] = fp[self.snap_to]
+        res += fp.take(j, out=f0, mode="wrap")
+        if put_back:
+            hit = np.flatnonzero(self.d <= 0.0)
+            res[hit] = fp[j[hit]]
         return res.reshape(self.shape)[()]
 
 
@@ -391,7 +440,7 @@ class _Standardized(TypeDist):
     def ppf(self, q, out=None):
         """The quantiles; ``out``: the result and a float scratch array, of
         q's shape (``_ppf`` allocates its scratch when None)."""
-        q, ok = _quantile_domain(q)
+        q = np.asarray(q, dtype=float)
         res, scratch = (np.empty(q.shape), None) if out is None else out
         # np.where(ok, _ppf(q) * scale + loc, nan), in res; q is clipped
         # first, so that no value outside [0, 1] reaches _ppf
@@ -399,8 +448,9 @@ class _Standardized(TypeDist):
         self._ppf(res, scratch)
         res *= self.scale
         res += self.loc
-        if not ok.all():
-            np.copyto(res, np.nan, where=~ok)
+        # the domain mask only where some q lies outside [0, 1] (or is NaN)
+        if q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
+            np.copyto(res, np.nan, where=~_quantile_domain(q)[1])
         return res[()]
 
 
@@ -573,10 +623,11 @@ class _TableCdf(_Pchip, TypeDist):
     monotonicity, so the inverse is well defined), in two stages: the guide
     table of the table's cdf values finds each draw's cell (``GridPoints``,
     Chen & Asau 1974), then np.interp's arithmetic interpolates in it, bit
-    for bit what np.interp gives.  The table and its guide table are built
-    on the first ppf call.  The inversion error ``max |F(ppf(u)) - u|`` over
-    4,097 evenly spaced u is 1.7e-8 on the 11-knot tent law of the
-    benchmark and below 4e-18 on linear 41-point tables.  The ppf is NaN
+    for bit what np.interp gives.  The table, its guide table and its slope
+    table are built on the first ppf call.  The inversion error
+    ``max |F(ppf(u)) - u|`` over 4,097 evenly spaced u is 1.7e-8 on the
+    11-knot tent law of the benchmark and below 4e-18 on linear 41-point
+    tables.  The ppf is NaN
     outside [0, 1] and at NaN, and exactly ``lo`` and ``hi`` at 0 and 1.
     """
 
@@ -598,6 +649,13 @@ class _TableCdf(_Pchip, TypeDist):
         f = fd[keep]
         return f, dense[keep], _guide_table(f)
 
+    @cached_property
+    def _lookup(self):
+        """The inverse table's grid (``_Grid``), with its points as the
+        column ``x``."""
+        f, x, guide = self._inverse
+        return _Grid(f, guide, x=x)
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         return self._poly(self._c, np.clip(x, self.lo, self.hi))[()]
@@ -616,10 +674,10 @@ class _TableCdf(_Pchip, TypeDist):
         """The quantiles; ``out``: the result and a float scratch array, of
         u's shape."""
         u, ok = _quantile_domain(u)
-        f, x, guide = self._inverse
+        grid = self._lookup
         res, scratch = _buffers(out, u.shape, float, float)
-        at = GridPoints.locate(f, guide, np.where(ok, u, 0.0))
-        at.interp(x, out=(res.ravel(), scratch.ravel()))
+        at = grid.locate(np.where(ok, u, 0.0))
+        at.interp("x", out=(res.ravel(), scratch.ravel()))
         # np.where(ok, np.where(u < 1.0, res, hi), nan), in res
         np.copyto(res, self.hi, where=u >= 1.0)
         np.copyto(res, np.nan, where=~ok)
@@ -710,6 +768,14 @@ class IncomeFamily:
 
     All other methods accept scalars or broadcastable arrays.  The additive
     and scaled families implement them once, in ``_ErrorFamily``.
+
+    The simulator reads the winner's income draw and the reported type's
+    support ends through ``ppf_into(u, theta, out=(result, scratch))``,
+    ``supp_lo_into(theta, out)`` and ``supp_hi_into(theta, out)``, which
+    write them into its 1-d arrays of one size and return the result.  The
+    additive and scaled families write in place; the fallbacks here copy
+    the plain method's result in, so a family with the seven methods above
+    simulates unedited.
     """
 
     family: str = "abstract"
@@ -748,6 +814,20 @@ class IncomeFamily:
     def ppf(self, u, theta):
         raise NotImplementedError
 
+    # -- writes into the caller's arrays: the plain results copied in ------
+
+    def ppf_into(self, u, theta, out):
+        np.copyto(out[0], self.ppf(u, theta))
+        return out[0]
+
+    def supp_lo_into(self, theta, out):
+        np.copyto(out, self.supp_lo(theta))
+        return out
+
+    def supp_hi_into(self, theta, out):
+        np.copyto(out, self.supp_hi(theta))
+        return out
+
 
 class _ErrorFamily(IncomeFamily):
     """Income pi = theta + s(theta) eps, the location-scale law of the
@@ -759,7 +839,9 @@ class _ErrorFamily(IncomeFamily):
     region up to b' = theta + s z has Phi / phi = H(z) (1 + s' z) - s' K(z)
     and int (1 - G) = s ((z - eps_lo) - K(z)).  Where s = 0 (the scaled
     family's top type) income is theta: G steps there, g = 0 and
-    Phi / phi = 0.  A subclass gives ``_scale`` and ``g2_over_g``.  The
+    Phi / phi = 0.  A subclass gives ``_scale``, ``g2_over_g`` and
+    ``_spread(theta, eps, out, scratch=None)``, theta + s eps written into
+    ``out`` (eps a float, or ``out`` itself with a float ``scratch``).  The
     error law must have mean zero, straddle zero and end where 1 + s' z >= 0.
     """
 
@@ -818,6 +900,18 @@ class _ErrorFamily(IncomeFamily):
         theta = np.asarray(theta, dtype=float)
         return theta + self._scale(theta) * self._err.ppf(u)
 
+    # theta + s eps written in place, as the plain methods compute it: the
+    # error law's quantiles into the result, the support ends from theirs
+    def ppf_into(self, u, theta, out):
+        self._err.ppf(u, out=out)
+        return self._spread(theta, out[0], out[0], out[1])
+
+    def supp_lo_into(self, theta, out):
+        return self._spread(theta, self._err.lo, out)
+
+    def supp_hi_into(self, theta, out):
+        return self._spread(theta, self._err.hi, out)
+
 
 class AdditiveErrorFamily(_ErrorFamily):
     """Income = type + mean-zero error: pi = theta + eps (s = 1, s' = 0).
@@ -831,9 +925,29 @@ class AdditiveErrorFamily(_ErrorFamily):
     def _scale(self, theta):
         return 1.0
 
+    def _spread(self, theta, eps, out, scratch=None):
+        """theta + eps into ``out`` (theta + 1.0 * eps)."""
+        return np.add(theta, eps, out=out)
+
     def g2_over_g(self, pi, theta):
         shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
         return np.full(shape, -1.0) if shape else -1.0
+
+    # the location-scale forms at s = 1, s' = 0, bit for bit: z = pi - theta
+    # (z / 1.0 is z), no top type, 1.0 * H and H - 0.0 * K are H
+    def cdf(self, pi, theta):
+        out = self._err.cdf(np.asarray(pi, dtype=float) - np.asarray(theta, dtype=float))
+        return out if np.ndim(out) else float(out)
+
+    def pdf(self, pi, theta):
+        out = self._err.pdf(np.asarray(pi, dtype=float) - np.asarray(theta, dtype=float))
+        return out if np.ndim(out) else float(out)
+
+    def audit_region(self, theta, b):
+        err = self._err
+        z = np.clip(np.asarray(b, dtype=float) - np.asarray(theta, dtype=float), err.lo, err.hi)
+        h = np.asarray(err.cdf(z))
+        return h, h, (z - err.lo) - err.cdf_integral(z)
 
 
 class ScaledErrorFamily(_ErrorFamily):
@@ -850,6 +964,13 @@ class ScaledErrorFamily(_ErrorFamily):
 
     def _scale(self, theta):
         return 1.0 - np.asarray(theta, dtype=float)
+
+    def _spread(self, theta, eps, out, scratch=None):
+        """theta + (1 - theta) eps into ``out``, eps a float or ``out``
+        itself, the scale then in ``scratch``."""
+        s = np.subtract(1.0, theta, out=out if scratch is None else scratch)
+        np.multiply(s, eps, out=out)
+        return np.add(out, theta, out=out)
 
     def g2_over_g(self, pi, theta):
         pi = np.asarray(pi, dtype=float)
@@ -1142,11 +1263,16 @@ def project_to_support(fam: IncomeFamily, theta_report, pi_true, out=None):
 
     This is the on-path income report of a winner whose realized income is
     not feasible under his reported type ("as truthfully as possible").
-    ``out``: an array of the result's shape to write it into.
+    ``out``: the result and an array for supp_hi, 1-d of theta_report's
+    size, which the family writes the support ends into
+    (``IncomeFamily.supp_lo_into``, ``supp_hi_into``); supp_hi is left in
+    the second for the caller.  ``pi_true`` must not be either's memory.
     """
-    # one bound at a time, so that the first is freed before the second
-    # is made
-    out = np.maximum(pi_true, fam.supp_lo(theta_report), out=out)
+    if out is not None:
+        res, top = out
+        np.maximum(pi_true, fam.supp_lo_into(theta_report, res), out=res)
+        return np.minimum(res, fam.supp_hi_into(theta_report, top), out=res)
+    out = np.maximum(pi_true, fam.supp_lo(theta_report))
     out = np.minimum(out, fam.supp_hi(theta_report), out=out if np.ndim(out) else None)
     return out if np.ndim(out) else float(out)
 

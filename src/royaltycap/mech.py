@@ -60,6 +60,7 @@ from .dist import (
     AdditiveErrorFamily,
     GridPoints,
     _BLOCK_ELEMENTS,
+    _Grid,
     _bisect,
     _blocked,
     _buffers,
@@ -330,7 +331,9 @@ def _audit_mask(pi_report, cap, supp_hi, out=None):
     mask, s = (None, None) if out is None else out
     band = np.multiply(1e-12, np.maximum(1.0, np.abs(supp_hi, out=s), out=s), out=s)
     top = np.greater_equal(cap, np.subtract(supp_hi, band, out=s), out=mask)
-    return np.bitwise_or(pi_report < cap, top, out=mask)
+    # the float scratch, spent, holds the flags of reports below the cap
+    below = pi_report < cap if s is None else np.less(pi_report, cap, out=s.view(bool)[:mask.size])
+    return np.bitwise_or(below, top, out=mask)
 
 
 def _settle(pi_true, pi_report, cap, supp_hi, phi, audited=None, out=None):
@@ -830,43 +833,53 @@ class MechanismTables:
     """Dense per-agent grids of the mechanism quantities, for fast
     vectorized evaluation and inversion inside the simulator.
 
-    Immutable after construction; all evaluation methods are pure (apart
-    from writing into the arrays passed as ``out``)."""
+    Immutable after construction, apart from the slope tables that the
+    lookups build on first use (``dist._Grid.build_slopes``); all
+    evaluation methods are pure (apart from writing into the arrays passed
+    as ``out``)."""
 
     agents: tuple
+    # per agent, the grids its lookups read (``dist._Grid``): the type grid
+    # with the columns psi, pi_star, income_net_royalty and rent_cum, and
+    # the psi grid with theta.  Every other column is read as an array
+    grids: tuple = field(repr=False, compare=False)
 
     @staticmethod
     def build(inst: AuctionInstance) -> "MechanismTables":
         curves = [_agent_curves(a) for a in inst.agents]
-        return MechanismTables(tuple(
+        agents = tuple(
             AgentTables(**c, **_interim_curves(inst, i, curves),
                         theta_guide=_guide_table(c["theta"]), psi_guide=_guide_table(c["psi"]))
-            for i, c in enumerate(curves)))
+            for i, c in enumerate(curves))
+        return MechanismTables(agents, tuple(
+            (_Grid(t.theta, t.theta_guide, psi=t.psi, pi_star=t.pi_star,
+                   income_net_royalty=t.income_net_royalty, rent_cum=t.rent_cum),
+             _Grid(t.psi, t.psi_guide, theta=t.theta)) for t in agents))
 
     def locate(self, i: int, theta, out=None) -> GridPoints:
         """Types ``theta`` located on agent i's type grid (``out``: as for
-        ``GridPoints.locate``).  Any column of ``agents[i]`` is read at them
+        ``dist._Grid.locate``).  Any column of ``agents[i]`` is read at them
         as ``locate(i, theta).interp(column)``, and every type lookup below
         accepts the result in place of ``theta``, so points looked up several
         times are searched for once.  The lookups are the ones the simulator
         calls with ``out``: ``psi`` and ``pi_star`` write into it as
         ``GridPoints.interp`` does, and ``transfer_win`` composes the
         transfer in it.  Each checks the agent index (``_agent``)."""
-        t = _agent(self, i)
+        _agent(self, i)
         if isinstance(theta, GridPoints):
             return theta
-        return GridPoints.locate(t.theta, t.theta_guide, theta, out=out)
+        return self.grids[i][0].locate(theta, out=out)
 
     def psi(self, i: int, theta, out=None):
-        return self.locate(i, theta).interp(self.agents[i].psi, out)
+        return self.locate(i, theta).interp("psi", out)
 
     def pi_star(self, i: int, theta, out=None):
-        return self.locate(i, theta).interp(self.agents[i].pi_star, out)
+        return self.locate(i, theta).interp("pi_star", out)
 
     def threshold_type(self, i: int, rival_value):
         """Inverse virtual value: lowest type beating ``rival_value``."""
-        t = _agent(self, i)
-        return GridPoints.locate(t.psi, t.psi_guide, rival_value).interp(t.theta)
+        _agent(self, i)
+        return self.grids[i][1].locate(rival_value).interp("theta")
 
     def transfer_win(self, i: int, theta, rival_value, out=None):
         """Winner's transfer at type report ``theta`` against the best rival
@@ -876,23 +889,37 @@ class MechanismTables:
         arrays (intp, float, float, float), of theta's size; one rival
         value's threshold type is looked up in arrays of its own."""
         at = self.locate(i, theta)
-        t = self.agents[i]
-        res, j, d, w, f0 = _buffers(out, at.j.size, float, np.intp, float, float, float)
+        res, j, d, s, f0 = _buffers(out, at.j.size, float, np.intp, float, float, float)
         beat = np.asarray(rival_value, dtype=float)
-        cells, into = ((j, d, w), (res, f0)) if beat.size == res.size else (None, None)
-        # the rent below the threshold type first, into res.  The type grid
-        # shares the psi grid's indices, and the threshold type never lies
-        # below theta[j] of the rival value's psi cell j, so its cell is
-        # found by stepping up from j
-        v = GridPoints.locate(t.psi, t.psi_guide, beat, out=cells)
-        z = v.interp(t.theta, out=into)
-        rent_z = GridPoints.locate(t.theta, t.theta_guide, z, start=v.j,
-                                   out=cells).interp(t.rent_cum, out=into)
-        at.interp(t.rent_cum, out=(d, f0))
-        np.subtract(d, rent_z, out=d)
-        at.interp(t.income_net_royalty, out=(res, f0))
-        np.subtract(res, d, out=res)
-        return res.reshape(at.shape)[()]
+        rent = self._threshold_rent(i, beat, (s, j, d, f0) if beat.size == res.size else None)
+        return _transfer(at, rent, out=(res, d, f0))
+
+    def _threshold_rent(self, i: int, rival_value, out=None):
+        """rent_cum at the threshold type of each rival value: the rent of
+        the types below the lowest that wins.  The type grid shares the psi
+        grid's indices, and the threshold type never lies below theta[j] of
+        the rival value's psi cell j, so its cell is found by stepping up
+        from j.  ``out``: the result, an intp and two float scratch arrays,
+        of the rival values' size."""
+        types, values = self.grids[i]
+        res, j, d, s = _buffers(out, np.size(rival_value), float, np.intp, float, float)
+        v = values.locate(rival_value, out=(j, d, s))
+        z = v.interp("theta", out=(res, s))
+        return types.locate(z, start=v.j, out=(j, d, s)).interp("rent_cum", out=(res, s))
+
+
+def _transfer(at: GridPoints, rent, out=None):
+    """Winner's transfer at type reports ``at``, located on its agent's type
+    grid, given the rent ``rent`` at its threshold type
+    (``MechanismTables._threshold_rent``): income_net_royalty - (rent_cum -
+    rent).  ``out``: the result and two float scratch arrays, of the
+    points' size."""
+    res, d, s = _buffers(out, at.j.size, float, float, float)
+    at.interp("rent_cum", out=(d, s))
+    np.subtract(d, rent, out=d)
+    at.interp("income_net_royalty", out=(res, s))
+    np.subtract(res, d, out=res)
+    return res.reshape(at.shape)[()]
 
 
 def tables_for(inst: AuctionInstance) -> MechanismTables:

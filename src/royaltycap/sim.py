@@ -36,12 +36,18 @@ rows of runs at fixed places.  A chunk holds the most whole blocks, at most
 threshold (``_chunk_runs``: 21,504 runs for one agent, 16,384 for two and
 12,288 for three), so no row a chunk leaves unwritten faults in a 2 MB
 page.  ``_simulate_batch`` and the kernels it calls
-(type ppf, ``GridPoints``, the ``MechanismTables`` lookups, ``_allocate``,
-``_settle``, ``project_to_support``) write into those rows through
-``out=``, so a chunk after the thread's first allocates nothing of its size
-and faults in no fresh memory.  Only the income family's methods allocate
-their results.  ``_simulate_batch``'s results are views into the
-workspace, valid until the thread's next chunk.
+(type ppf, the grid search and slope-table lookups of ``GridPoints``, the
+``MechanismTables`` lookups, ``_allocate``, ``_settle``,
+``project_to_support``) write into those rows through ``out=``, and the
+income family writes the winner's income draw and its reported support's
+ends into them too (``IncomeFamily.ppf_into``, ``supp_lo_into``,
+``supp_hi_into``; a family that gives only the plain methods has their
+results copied in).  So a chunk after the thread's first allocates no
+array of its size and faults in no fresh memory: what it allocates is
+flags of a byte per run, numpy's casting buffers of at most 8,192 values
+and, where two agents share a chunk's wins, the run indices of half a
+chunk at a time (``_runs_won``).  ``_simulate_batch``'s results are views
+into the workspace, valid until the thread's next chunk.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .mech import (
     _allocate,
     _cum_trapezoid,
     _settle,
+    _transfer,
     _where_zero,
     full_extraction_revenue,
     myerson_cash_revenue,
@@ -181,10 +188,16 @@ def _rows(N: int) -> int:
     """Rows of ``_simulate_batch``'s workspace for ``N`` agents, each one
     float per run: ``[0, 2N+4)`` the outputs; ``2N+4`` to ``2N+6`` the
     winner (intp), the rival value and scratch; ``[2N+7, 7N+7)`` five per
-    agent, its true and reported types and their grid cells (j as intp, d,
-    w); ``[7N+7, 7N+13)`` six for the runs one agent wins, gathered agent by
-    agent (those five and the income draw), and written only when an agent
-    wins part of a chunk."""
+    agent, its true and reported types, their grid cells (j as intp, d) and
+    a spare row: the search's scratch, then the winner's income draw (or,
+    for an agent that wins part of a chunk, its income uniforms), and while
+    the agent before it in turn (the last, for the first agent) settles
+    part of a chunk, the indices of the runs that agent wins (a lone
+    bidder's lie in the rival row, all 0 and unread); ``[7N+7, 7N+13)`` six
+    for the runs one agent wins, gathered agent by agent (the two types,
+    the income uniform, j, d and the income draw), and written only when an
+    agent wins part of a chunk.  The top of the reported support lies in
+    the audit costs' column until they are charged."""
     return 7 * N + 13
 
 
@@ -192,10 +205,25 @@ def _apply_map(fn: Callable, *cols):
     return np.array([fn(*args) for args in zip(*cols)], dtype=float)
 
 
+def _runs_won(wins: np.ndarray, into: np.ndarray) -> np.ndarray:
+    """The indices of the runs flagged in ``wins``, found half the runs at a
+    time and written into the intp array ``into``, so that no index array
+    longer than half a chunk is allocated: the view of ``into`` holding
+    them."""
+    k, half = 0, -(-wins.size // 2)
+    for start in range(0, wins.size, half):
+        part = np.flatnonzero(wins[start:start + half])
+        part += start
+        into[k:k + part.size] = part
+        k += part.size
+        del part  # before the next half's is made
+    return into[:k]
+
+
 def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
                     u: np.ndarray, tables: MechanismTables,
                     audit_prob: Optional[Callable] = None,
-                    ws: Optional[np.ndarray] = None) -> dict:
+                    ws: Optional[np.ndarray] = None, lone_rent=None) -> dict:
     """Vectorized protocol over a matrix of per-run uniforms.
 
     ``audit_prob``, if given, replaces the deterministic audit rule with a
@@ -206,8 +234,9 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
 
     The run-sized arrays, results included, are the rows of the workspace
     ``ws``, a ``(_rows(N), n)`` float array laid out as ``_rows`` states
-    (None allocates one): the results are views into it.  The income
-    family's methods allocate their results either way.
+    (None allocates one): the results are views into it.  ``lone_rent``: a
+    lone bidder's rent at its threshold type against the rival value 0
+    (``MechanismTables._threshold_rent``), looked up here when None.
     """
     n = u.shape[0]
     N = inst.n_agents
@@ -221,25 +250,26 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
     royalty, pen, audit_cost = out[2 * N], out[2 * N + 2], out[2 * N + 3]
     audited = out[2 * N + 1].view(bool)[:n]
     winner, rival, scratch = ws[2 * N + 4].view(np.intp), ws[2 * N + 5], ws[2 * N + 6]
+    wins = scratch.view(bool)[:n]
 
     draws = []
     for i, agent in enumerate(inst.agents):
-        th_true, th_rep, j, d, w = ws[2 * N + 7 + 5 * i:2 * N + 12 + 5 * i]
+        th_true, th_rep, j, d, spare = ws[2 * N + 7 + 5 * i:2 * N + 12 + 5 * i]
         agent.types.ppf(u[:, i], out=(th_true, th_rep))
         fn = strategies.type_reports[i]
         np.clip(th_true if fn is None else _apply_map(fn, th_true),
                 agent.types.lo, agent.types.hi, out=th_rep)
         # one grid search per report, shared by every table lookup below
-        located = tables.locate(i, th_rep, out=(j.view(np.intp), d, w))
+        located = tables.locate(i, th_rep, out=(j.view(np.intp), d, spare))
         tables.psi(i, located, out=(out[i], scratch))
-        draws.append((th_true, th_rep, located))
+        draws.append((th_true, th_rep, located, spare))
 
     _allocate(out[:N].T, out=(winner, out[N], rival, scratch))
 
-    counts = [np.count_nonzero(winner == i) for i in range(N)]
+    counts = [np.count_nonzero(np.equal(winner, i, out=wins)) for i in range(N)]
     if counts != [n]:
         out.fill(0.0)  # unsold: zero transfers, royalty, audits, ... (False)
-    for i, (agent, (th_true, th_rep, located)) in enumerate(zip(inst.agents, draws)):
+    for i, (agent, (th_true, th_rep, located, spare)) in enumerate(zip(inst.agents, draws)):
         count = counts[i]
         if not count:
             continue
@@ -249,41 +279,50 @@ def _simulate_batch(inst: AuctionInstance, strategies: StrategyProfile,
         if whole:
             # the agent wins every run: its stages read and write whole columns
             m = slice(None)
-            th_t, th_r, at, pi_u = th_true, th_rep, located, u[:, N]
+            th_t, th_r, at, pi_u, pi = th_true, th_rep, located, u[:, N], spare
             t, r, a, p, cost, gain = outs
         else:
             # the runs the agent wins, gathered into columns of their own;
             # the agent's whole columns, spent once gathered, then hold its
-            # royalties, penalties, costs, utilities and audits
-            m = np.flatnonzero(winner == i)
-            th_t, th_r, t, j, d, w = ws[7 * N + 7:, :count]
-            at = located.take(m, out=(j.view(np.intp), d, w))
-            for x, into in ((th_true, th_t), (th_rep, th_r), (u[:, N], t)):
-                np.take(x, m, out=into, mode="wrap")
+            # royalties, penalties, audits, costs and utilities.  The run
+            # indices lie in a row that no stage reads meanwhile (``_rows``)
+            free = rival if N == 1 else draws[(i + 1) % N][3]
+            m = _runs_won(np.equal(winner, i, out=wins), free.view(np.intp))
+            th_t, th_r, t, j, d, pi = ws[7 * N + 7:, :count]
+            at = located.take(m, out=(j.view(np.intp), d))
+            # the income uniforms through the spare column: take copies a
+            # strided source whole
+            np.copyto(spare, u[:, N])
+            for x, into in ((th_true, th_t), (th_rep, th_r), (spare, t)):
+                x.take(m, out=into, mode="wrap")
             pi_u = t
-            r, p, cost, gain = (x[:count] for x in (th_true, th_rep, located.d, located.w))
+            r, p, cost, gain = (x[:count] for x in (th_true, th_rep, located.d, spare))
             a = located.j.view(bool)[:count]
-        # only the winner's income is ever realized (a new array: its draws
-        # and types are spent once the income report is made)
-        pi = agent.income.ppf(pi_u, th_t)
+        # only the winner's income is ever realized
+        agent.income.ppf_into(pi_u, th_t, out=(pi, tmp))
         rep_fn = strategies.income_reports[i]
         pi_rep = pi if rep_fn is None else _apply_map(rep_fn, th_t, th_r, pi)
-        # a lone bidder always faces the rival value 0: one threshold type
-        # instead of one per run (about a third of the serial time otherwise)
-        beat = 0.0 if N == 1 else rival if whole else np.take(rival, m, out=th_t, mode="wrap")
-        # the income report and the threshold lie in gain's and t's columns,
-        # which are filled last
-        pi_rep = project_to_support(agent.income, th_r, pi_rep, out=gain)
+        # the types are spent once the income report is made: the gathered
+        # rival values take the true types' column
+        beat = rival if whole else rival.take(m, out=th_t, mode="wrap")
+        # the income report in gain's column and the support's top, read by
+        # the projection and the audit rule, in cost's: both are filled last
+        pi_rep = project_to_support(agent.income, th_r, pi_rep, out=(gain, cost))
 
         draw = None
         if audit_prob is not None:
             draw = np.less(u[m, N + 1], np.asarray(audit_prob(th_r, pi_rep), dtype=float), out=a)
-        r, a, p = _settle(pi, pi_rep, tables.pi_star(i, at, out=(t, tmp)),
-                          np.asarray(agent.income.supp_hi(th_r)), agent.sensitivity, draw,
-                          out=(r, a, p, tmp))
-        # the reported types and the income report are spent, and the costs
-        # not yet charged, so their columns serve as scratch
-        tables.transfer_win(i, at, beat, out=(t, th_r.view(np.intp), gain, cost, tmp))
+        r, a, p = _settle(pi, pi_rep, tables.pi_star(i, at, out=(t, tmp)), cost,
+                          agent.sensitivity, draw, out=(r, a, p, tmp))
+        # the reported types, the income report and the support's top are
+        # spent, and the costs not yet charged, so their columns serve as
+        # scratch.  A lone bidder always faces the rival value 0: one
+        # threshold rent per call instead of one per run
+        if N > 1:
+            rent = tables._threshold_rent(i, beat, out=(gain, th_r.view(np.intp), cost, tmp))
+        else:
+            rent = tables._threshold_rent(i, 0.0) if lone_rent is None else lone_rent
+        _transfer(at, rent, out=(t, cost, tmp))
         _where_zero(a, agent.audit_cost, out=cost)
         np.subtract(pi, r, out=gain)
         gain -= p
@@ -439,6 +478,7 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
     # at the front, its workspace rows after them.  Taken while in use, so
     # that a call made from a strategy callable gets one of its own
     width, rows, chunk = 4 * _blocks_per_run(N), _rows(N), _chunk_runs(N)
+    lone_rent = tables._threshold_rent(0, 0.0) if N == 1 else None
     buf = _CALLER.__dict__.pop("buf", np.empty(0))
     if buf.size < (width + rows) * min(chunk, n_runs):
         buf = np.empty((width + rows) * min(chunk, n_runs))
@@ -448,7 +488,7 @@ def estimate_revenue(inst: AuctionInstance, strategies: Optional[StrategyProfile
             n = min(chunk, n_runs - start)
             u = _uniform_matrix(N, seed, start, n, buf)
             ws = buf[width * n:(width + rows) * n].reshape(rows, n)
-            b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws)
+            b = _simulate_batch(inst, strategies, u, tables, audit_prob, ws, lone_rent)
             moments.append(np.stack([_block_moments(x) for x in (b["revenue"], *b["utility"].T)]))
             pen += [np.abs(r, out=r).sum(axis=1) for r in _blocks(b["penalty"])]
             audits += np.count_nonzero(b["audited"])

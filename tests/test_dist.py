@@ -966,6 +966,55 @@ def test_sampling_is_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+def _error_families():
+    """The additive and scaled families on uniform, triangular and tabulated
+    error laws, with their type ranges."""
+    errors = [UNIT_ERR["error"], {"family": "triangular", "lo": -0.5, "mode": -0.5, "hi": 1.0},
+              {"family": "table", "grid": np.linspace(-1.0, 1.0, 5),
+               "cdf": np.array([0.0, 0.125, 0.5, 0.875, 1.0])}]
+    return [(make_income_family(family, {"error": err}), rng)
+            for family, rng in (("additive_error", (1.0, 2.0)), ("scaled_error", (0.5, 1.0)))
+            for err in errors]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("fam,rng", [*_error_families(), (_families()[2][1], (1.0, 2.0))])
+def test_income_writes_into_caller_arrays_equal_the_plain_methods(fam, rng):
+    # ppf_into, supp_lo_into and supp_hi_into write into the given arrays
+    # exactly what the plain methods return (the tabulated family through
+    # the base class's copy), quantiles off [0, 1] and NaN included
+    lo, hi = rng
+    theta = np.linspace(lo, hi, 301)
+    u = np.random.default_rng(9).random(theta.size)
+    u[:6] = [0.0, 1.0, np.nextafter(1.0, 0.0), -0.5, 1.5, np.nan]
+    res, scratch = np.full(theta.size, np.nan), np.full(theta.size, np.nan)
+    got = fam.ppf_into(u, theta, out=(res, scratch))
+    assert got is res and np.array_equal(_bits(res), _bits(fam.ppf(u, theta)))
+    for into, plain in ((fam.supp_lo_into, fam.supp_lo), (fam.supp_hi_into, fam.supp_hi)):
+        assert into(theta, res) is res and np.array_equal(_bits(res), _bits(plain(theta)))
+
+
+@pytest.mark.parametrize("fam,rng", _error_families()[:3])
+def test_additive_family_skips_the_scale_arithmetic_bit_for_bit(fam, rng):
+    # with s = 1 and s' = 0 the additive family reads H(pi - theta) with no
+    # division by the scale, no 1.0 + 0.0 z, 0.0 K or top-type branches:
+    # the same bits as the location-scale arithmetic of _ErrorFamily
+    lo, hi = rng
+    theta = np.repeat(np.linspace(lo, hi, 41), 41)
+    pi = theta + np.tile(np.linspace(-1.3, 1.3, 41), 41)
+    pi[:3] = [np.nan, np.inf, -np.inf]
+    generic = dist._ErrorFamily
+    for name in ("cdf", "pdf"):
+        assert np.array_equal(_bits(getattr(fam, name)(pi, theta)),
+                              _bits(getattr(generic, name)(fam, pi, theta))), name
+        assert getattr(fam, name)(1.2, 1.5) == getattr(generic, name)(fam, 1.2, 1.5)
+    for got, want in zip(fam.audit_region(theta, pi), generic.audit_region(fam, theta, pi)):
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+
+
 def test_projection_examples():
     fam = make_income_family("scaled_error", UNIT_ERR)
     assert project_to_support(fam, 0.8, 0.3) == pytest.approx(0.6)   # clamp low

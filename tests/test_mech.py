@@ -1021,6 +1021,67 @@ def test_located_lookup_handles_repeated_grid_values(steps, data):
     assert _bitwise_equal(at.take(sel).interp(fp), np.interp(x[sel], xp, fp))
 
 
+def _lookups_of(xp, fp, x):
+    """np.interp(x, xp, fp) as the located lookups read it: fp as an array
+    (slopes taken at the points' cells) and as a table column (its slope
+    table), on a grid located once and on one given its guide table."""
+    at = rc.dist._Grid(xp, fp=fp).locate(x)
+    return [at.interp(fp), at.interp("fp"),
+            rc.mech.GridPoints.locate(xp, rc.mech._guide_table(xp), x).interp(fp)]
+
+
+@pytest.mark.parametrize("xp", [[0.0, 0.0, 0.0, 1.0, 2.5], [-1.0, 0.0, 2.0, 2.0, 2.0],
+                                [3.0, 3.0, 4.0, 4.0, 5.0, 5.0]],
+                         ids=["first_repeat", "last_repeat", "both_repeat"])
+def test_located_lookup_matches_np_interp_at_repeated_ends(xp):
+    # a point below a grid whose first points repeat reads fp[0], one on
+    # them the last of the run, one at or above the top fp[-1]; +-inf reads
+    # an end value and NaN stays NaN, its sign kept
+    xp = np.asarray(xp)
+    x = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                        [xp[0] - 1.0, 0.5 * (xp[0] + xp[-1]), xp[-1] + 1.0, -np.inf, np.inf]])
+    nan = np.array([np.nan, -np.nan])
+    rng = np.random.default_rng(7)
+    for fp in (rng.uniform(-2.0, 2.0, xp.size), np.arange(xp.size, 0.0, -1.0)):
+        for got in _lookups_of(xp, fp, x):
+            assert _bitwise_equal(got, np.interp(x, xp, fp))
+        for got in _lookups_of(xp, fp, nan):
+            assert np.array_equal(got.view(np.int64), np.interp(nan, xp, fp).view(np.int64))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_located_lookup_keeps_negative_zero_table_values(k):
+    # slope * 0 + (-0.0) is +0.0: a -0.0 value read at its grid point, below
+    # the grid or at and above the top comes back -0.0, as np.interp gives
+    # it, on rising and falling cells and on a grid whose ends repeat
+    for xp in (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 0.0, 1.0, 1.0])):
+        for fp in (np.array([1.0, 2.0, -1.0, 4.0]), np.array([-3.0, -2.0, 5.0, -1.0])):
+            fp[k] = -0.0
+            x = np.concatenate([xp, [xp[0] - 1.0, -np.inf, xp[-1] + 1.0, np.inf]])
+            want = np.interp(x, xp, fp)
+            assert np.signbit(want[k]) or xp[k] == xp[min(k + 1, 3)]
+            for got in _lookups_of(xp, fp, x):
+                assert _bitwise_equal(got, want)
+
+
+def test_lone_bidder_threshold_rent_is_looked_up_once_per_call(ua_inst, monkeypatch):
+    # against the rival value 0 a lone winner's rent at its threshold type
+    # is one number: looked up once per estimate_revenue call, however many
+    # chunks the runs take
+    calls = []
+    lookup = rc.MechanismTables._threshold_rent
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return lookup(self, *args, **kwargs)
+
+    monkeypatch.setattr(rc.MechanismTables, "_threshold_rent", counted)
+    for n_runs in (1000, 5 * rc.sim._chunk_runs(1) + 7):
+        calls.clear()
+        rc.estimate_revenue(ua_inst, None, n_runs, 2)
+        assert calls == [(0, 0.0)], n_runs
+
+
 def test_located_lookup_cost_ignores_grid_spread():
     # one far outlier squeezes the rest of this psi grid into a sliver of
     # its range; a search that scans cells would be hundreds of times slower

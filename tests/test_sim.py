@@ -442,9 +442,12 @@ def test_memory_does_not_grow_with_runs(ua_inst, workers):
     assert abs(peaks[1] - peaks[0]) <= 2 << 20, peaks
 
 
+_SHIPPED = ["uniform_additive", "scaled_uniform", "scaled_triangular", "mixed_pair"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_minflt counts minor page faults on Linux")
-@pytest.mark.parametrize("name", ["uniform_additive", "mixed_pair"])
+@pytest.mark.parametrize("name", _SHIPPED)
 def test_chunks_fault_in_no_new_memory(shipped_instances, name):
     # each thread reuses one workspace for every chunk, so after a warm-up
     # call more serial chunks fault in no more memory: 8 chunks may take at
@@ -461,6 +464,24 @@ def test_chunks_fault_in_no_new_memory(shipped_instances, name):
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     assert faults(8 * S._CHUNK) - faults(2 * S._CHUNK) <= 2000
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_warm_calls_allocate_no_run_sized_array(shipped_instances, name):
+    # every stage of a chunk writes into the thread's workspace, the income
+    # draws and support ends included: after a warm-up call, the peak of
+    # what a 2^17-run call allocates stays below one row of a chunk (the
+    # scaled families' income draws used to be new arrays of a row each,
+    # and the runs one of two agents wins one index array)
+    inst = shipped_instances[name]
+    rc.estimate_revenue(inst, None, 1 << 17, 1)
+    tracemalloc.start()
+    try:
+        rc.estimate_revenue(inst, None, 1 << 17, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * S._chunk_runs(inst.n_agents), peak
 
 
 def _reserve() -> rc.AuctionInstance:

@@ -50,7 +50,13 @@ largest absolute move of its numbers.  The digests cover:
   ``full_extraction_revenue/distinct_three`` (floats printed with
   ``repr``) and ``estimate_revenue/distinct_three`` (20,000 runs, seed 0,
   as JSON), so that the block-built revenue integral beyond two bidders and
-  a three-agent chunk are covered.
+  a three-agent chunk are covered;
+* ``estimate_revenue/seven_method_family`` (20,000 runs, seed 0, as JSON):
+  the ``uniform_additive`` agent with its income law pi = theta + U[-1, 1]
+  written out in this tool through the seven methods of the
+  ``IncomeFamily`` contract alone, so that the simulator's reads through
+  the base class's copies (``ppf_into``, ``supp_lo_into``,
+  ``supp_hi_into``) are covered.
 
 It also prints, as values rather than digests, the outputs of the API that
 takes an instance, so that a change shows how far each one moves:
@@ -125,7 +131,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.workloads import SHIPPED, Tabulated, base_doc, dump, tent_error  # noqa: E402
 from royaltycap import cli, mech, sim, verify  # noqa: E402
 from royaltycap.config import parse_config  # noqa: E402
-from royaltycap.dist import make_type_dist  # noqa: E402
+from royaltycap.dist import IncomeFamily, make_type_dist  # noqa: E402
 from royaltycap.errors import DomainError, RoyaltycapError  # noqa: E402
 from royaltycap.instances import (scaled_triangular_agent, scaled_uniform_agent,  # noqa: E402
                                   uniform_additive_agent)
@@ -215,6 +221,48 @@ def _distinct_values(out: dict):
         out[f"{fn.__name__}/distinct_three"] = repr(fn(inst))
     rep = sim.estimate_revenue(inst, None, RUNS, SEED)
     out["estimate_revenue/distinct_three"] = json.dumps(rep.to_dict())
+
+
+class _AdditiveByHand(IncomeFamily):
+    """pi = theta + eps, eps ~ U[-1, 1], through the seven contract methods
+    alone: with z = clip(b - theta, -1, 1), G = (z + 1) / 2,
+    -G_theta / g = 1, Phi / phi = G and int (1 - G) = (z + 1) - (z + 1)^2 / 4."""
+
+    family = "additive_by_hand"
+
+    def __init__(self):
+        super().__init__({})
+
+    def supp_lo(self, theta):
+        return np.asarray(theta, dtype=float) - 1.0
+
+    def supp_hi(self, theta):
+        return np.asarray(theta, dtype=float) + 1.0
+
+    def cdf(self, pi, theta):
+        return np.clip((np.asarray(pi, dtype=float) - theta + 1.0) / 2.0, 0.0, 1.0)
+
+    def pdf(self, pi, theta):
+        z = np.asarray(pi, dtype=float) - theta
+        return np.where((z >= -1.0) & (z <= 1.0), 0.5, 0.0)
+
+    def g2_over_g(self, pi, theta):
+        return np.full(np.broadcast_shapes(np.shape(pi), np.shape(theta)), -1.0)
+
+    def audit_region(self, theta, b):
+        z = np.clip(np.asarray(b, dtype=float) - theta, -1.0, 1.0)
+        g = (z + 1.0) / 2.0
+        return g, g, (z + 1.0) - (z + 1.0) ** 2 / 4.0
+
+    def ppf(self, u, theta):
+        return np.asarray(theta, dtype=float) - 1.0 + 2.0 * np.asarray(u, dtype=float)
+
+
+def _seven_method_values(out: dict):
+    """One report of ``uniform_additive`` with ``_AdditiveByHand`` incomes."""
+    inst = mech.AuctionInstance((replace(uniform_additive_agent(), income=_AdditiveByHand()),))
+    rep = sim.estimate_revenue(inst, None, RUNS, SEED)
+    out["estimate_revenue/seven_method_family"] = json.dumps(rep.to_dict())
 
 
 def _play_digests(out: dict, name: str, inst: mech.AuctionInstance):
@@ -451,6 +499,7 @@ def main(argv=()) -> int:
                     if name == "tab_income_c0.2":
                         _library_digests(out, name, text)
         _distinct_values(out)
+        _seven_method_values(out)
         for name, text in _error_law_variants().items():
             config = workdir / f"{name}.yaml"
             config.write_text(text, encoding="utf-8")
