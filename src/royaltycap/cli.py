@@ -103,8 +103,9 @@ def _cmd_solve(cfg: InstanceConfig, out_dir: Path) -> int:
     rows = []
     for i, agent in enumerate(inst.agents):
         ths = mech._interior_grid(agent.types, cfg.theta_points)
-        at, t = tables.locate(i, ths), tables.agents[i]
-        cols = [at.interp(c) for c in (t.psi_m, t.psi, t.pi_star, t.phi_cap, t.interim_transfer)]
+        at = tables.locate(i, ths)
+        cols = (at.interp("psi_m"), at.interp("psi"), at.interp("pi_star"), at.interp("phi_cap"),
+                at.interp("interim_transfer"))
         rows.extend([i, *vals] for vals in zip(ths.tolist(), *(c.tolist() for c in cols)))
     _emit(cfg, out_dir, "solve", "solve", header=header, rows=rows)
     return 0

@@ -282,12 +282,12 @@ class _Grid:
     first grid points repeat, so that a point below the grid lands in cell 0
     and one at xp[0] in the last cell of the run, as in np.interp."""
 
-    def __init__(self, xp: np.ndarray, guide=None, **columns):
+    def __init__(self, xp: np.ndarray, **columns):
         self.xp = xp
-        self.guide = _guide_table(xp) if guide is None else guide
+        self.guide = _guide_table(xp)
         self.floor = xp[0] if xp[1] > xp[0] else np.nextafter(xp[0], -np.inf)
         self.fp = {name: np.asarray(fp, dtype=float) for name, fp in columns.items()}
-        self.slope, self.signed_zero = {}, {}
+        self.slopes = {}
 
     def locate(self, x, start=None, out=None) -> "GridPoints":
         """Locate ``x``: each point's cell j (``_search``, from the cells
@@ -302,19 +302,20 @@ class _Grid:
         d -= self.xp.take(j, out=scratch, mode="wrap")
         return GridPoints(self, j, d, x.shape)
 
-    def build_slopes(self):
-        """Each column's slope table, np.interp's, (fp[j+1] - fp[j]) /
+    def slope(self, name: str) -> tuple:
+        """Column ``name``'s slope table, np.interp's, (fp[j+1] - fp[j]) /
         (xp[j+1] - xp[j]) per cell (0 for a cell of no width and for the
-        sentinel), from the cell widths computed once, and whether the
-        column holds a -0.0."""
-        width = np.diff(self.xp)
-        width[width == 0.0] = np.inf
-        for name, fp in self.fp.items():
+        sentinel), and whether the column holds a -0.0: built on the
+        column's first read."""
+        if name not in self.slopes:
+            fp = self.fp[name]
+            width = np.diff(self.xp)
+            width[width == 0.0] = np.inf
             slope = np.zeros(fp.size)
             np.subtract(fp[1:], fp[:-1], out=slope[:-1])
             slope[:-1] /= width
-            self.signed_zero[name] = bool(np.signbit(fp[fp == 0.0]).any())
-            self.slope[name] = slope
+            self.slopes[name] = slope, bool(np.signbit(fp[fp == 0.0]).any())
+        return self.slopes[name]
 
 
 @dataclass(frozen=True)
@@ -331,11 +332,6 @@ class GridPoints:
     d: np.ndarray
     shape: tuple
 
-    @staticmethod
-    def locate(xp: np.ndarray, guide: np.ndarray, x, start=None, out=None) -> "GridPoints":
-        """``x`` located on the grid ``xp`` of guide table ``guide``."""
-        return _Grid(xp, guide).locate(x, start, out)
-
     def take(self, sel: np.ndarray, out=None) -> "GridPoints":
         """The points at the indices ``sel`` (``out``: the arrays j and d,
         of sel's size)."""
@@ -344,36 +340,21 @@ class GridPoints:
         self.d.take(sel, out=d, mode="wrap")
         return GridPoints(self.grid, j, d, sel.shape)
 
-    def interp(self, fp, out=None):
-        """np.interp(x, xp, fp) for an array ``fp`` of grid values or the
-        name of a grid column: slope[j] * d + fp[j], four passes over the
-        points with the column's slope table, which the grid's first lookup
-        of at least as many points as it has builds (``_Grid.build_slopes``,
-        as np.interp builds one).  Otherwise the slopes are taken at the
-        points' cells.  A point on a grid point, beyond an end or in a cell
-        of no width has d <= 0, where fp[j] is put back unless the column
-        holds no -0.0 (slope * 0 + -0.0 is +0.0).  ``out``: the result and a
+    def interp(self, name: str, out=None):
+        """np.interp(x, xp, fp) for the grid column ``name``: slope[j] * d +
+        fp[j], four passes over the points with the column's slope table
+        (``_Grid.slope``).  A point on a grid point, beyond an end or in a
+        cell of no width has d <= 0, where fp[j] is put back if the column
+        holds a -0.0 (slope * 0 + -0.0 is +0.0).  ``out``: the result and a
         float scratch array, of the points' size."""
         res, f0 = _buffers(out, self.j.size, float, float)
-        j, grid = self.j, self.grid
-        name = fp if isinstance(fp, str) else None
-        fp = grid.fp[name] if name else np.asarray(fp, dtype=float)
-        if name and name not in grid.slope and j.size >= fp.size:
-            grid.build_slopes()
-        if name in grid.slope:
-            grid.slope[name].take(j, out=res, mode="wrap")
-            put_back = grid.signed_zero[name]
-        else:
-            fp.take(j + 1, out=res, mode="clip")
-            res -= fp.take(j, out=f0, mode="wrap")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                res /= grid.xp.take(j + 1, mode="clip") - grid.xp.take(j, mode="wrap")
-            put_back = True
+        fp, (slope, signed_zero) = self.grid.fp[name], self.grid.slope(name)
+        slope.take(self.j, out=res, mode="wrap")
         res *= self.d
-        res += fp.take(j, out=f0, mode="wrap")
-        if put_back:
+        res += fp.take(self.j, out=f0, mode="wrap")
+        if signed_zero:
             hit = np.flatnonzero(self.d <= 0.0)
-            res[hit] = fp[j[hit]]
+            res[hit] = fp[self.j[hit]]
         return res.reshape(self.shape)[()]
 
 
@@ -620,15 +601,15 @@ class _TableCdf(_Pchip, TypeDist):
     ``_Pchip``'s quartic per cell; the mean is hi - K(hi).
 
     The ppf interpolates linearly in a dense inverse table (PCHIP preserves
-    monotonicity, so the inverse is well defined), in two stages: the guide
-    table of the table's cdf values finds each draw's cell (``GridPoints``,
-    Chen & Asau 1974), then np.interp's arithmetic interpolates in it, bit
-    for bit what np.interp gives.  The table, its guide table and its slope
-    table are built on the first ppf call.  The inversion error
-    ``max |F(ppf(u)) - u|`` over 4,097 evenly spaced u is 1.7e-8 on the
-    11-knot tent law of the benchmark and below 4e-18 on linear 41-point
-    tables.  The ppf is NaN
-    outside [0, 1] and at NaN, and exactly ``lo`` and ``hi`` at 0 and 1.
+    monotonicity, so the inverse is well defined), read as a table lookup
+    (``_Grid``): the guide table of the table's cdf values finds each
+    draw's cell (Chen & Asau 1974), then np.interp's arithmetic
+    interpolates in it, bit for bit what np.interp gives.  The first ppf
+    call builds the table with its guide and slope tables.  The inversion
+    error ``max |F(ppf(u)) - u|`` over 4,097 evenly spaced u is 1.7e-8 on
+    the 11-knot tent law of the benchmark and below 4e-18 on linear
+    41-point tables.  The ppf is NaN outside [0, 1] and at NaN, and exactly
+    ``lo`` and ``hi`` at 0 and 1.
     """
 
     def __init__(self, grid, values):
@@ -639,22 +620,14 @@ class _TableCdf(_Pchip, TypeDist):
         self._dc = self._c[:-1] * np.array([[3.0], [2.0], [1.0]])  # the pdf's pieces
 
     @cached_property
-    def _inverse(self):
-        """The dense inverse table: cdf values at 8,193 evenly spaced points
-        (each strictly above the last), those points, and the values' guide
-        table."""
+    def _lookup(self):
+        """The dense inverse table's grid (``_Grid``): cdf values at 8,193
+        evenly spaced points, each strictly above the last, with those
+        points as the column ``x``."""
         dense = np.linspace(self.lo, self.hi, 8193)
         fd = self._poly(self._c, dense)
         keep = np.concatenate(([True], np.diff(fd) > 0))
-        f = fd[keep]
-        return f, dense[keep], _guide_table(f)
-
-    @cached_property
-    def _lookup(self):
-        """The inverse table's grid (``_Grid``), with its points as the
-        column ``x``."""
-        f, x, guide = self._inverse
-        return _Grid(f, guide, x=x)
+        return _Grid(fd[keep], x=dense[keep])
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -39,7 +39,7 @@ once.  ``_allocate`` and ``_settle`` are the allocation and settlement
 rules of every caller.  ``MechanismTables`` holds the quantities on a dense
 type grid, the only place a build evaluates the mechanism (the rents are
 exact integrals of its linear interpolants, ``_cum_trapezoid``).  Its
-columns are read at located types, ``locate(i, theta).interp(column)``;
+columns are read by name at located types, ``locate(i, theta).interp(name)``;
 it keeps as lookups only ``psi``, ``pi_star`` and ``transfer_win``, which
 the simulator writes into its own arrays, and the inverse virtual value
 ``threshold_type``.  An entry point that takes an instance reads the
@@ -66,7 +66,6 @@ from .dist import (
     _buffers,
     _distinct,
     _gl_segments,
-    _guide_table,
     inverse_hazard,
 )
 from .errors import (
@@ -761,9 +760,6 @@ class AgentTables:
     win_prob: np.ndarray = field(repr=False)
     interim_transfer: np.ndarray = field(repr=False)
     interim_rent: np.ndarray = field(repr=False)
-    # guide tables of the type grid and of the psi grid (``_guide_table``)
-    theta_guide: np.ndarray = field(repr=False)
-    psi_guide: np.ndarray = field(repr=False)
 
 
 def _mech_curves(agent: AgentSpec, ts: np.ndarray):
@@ -833,42 +829,41 @@ class MechanismTables:
     """Dense per-agent grids of the mechanism quantities, for fast
     vectorized evaluation and inversion inside the simulator.
 
-    Immutable after construction, apart from the slope tables that the
-    lookups build on first use (``dist._Grid.build_slopes``); all
-    evaluation methods are pure (apart from writing into the arrays passed
-    as ``out``)."""
+    Immutable after construction, apart from the slope table that a
+    column's first lookup builds (``dist._Grid.slope``); all evaluation
+    methods are pure (apart from writing into the arrays passed as
+    ``out``)."""
 
     agents: tuple
     # per agent, the grids its lookups read (``dist._Grid``): the type grid
-    # with the columns psi, pi_star, income_net_royalty and rent_cum, and
-    # the psi grid with theta.  Every other column is read as an array
+    # with every column of ``AgentTables``, and the psi grid with theta
     grids: tuple = field(repr=False, compare=False)
 
     @staticmethod
     def build(inst: AuctionInstance) -> "MechanismTables":
         curves = [_agent_curves(a) for a in inst.agents]
-        agents = tuple(
-            AgentTables(**c, **_interim_curves(inst, i, curves),
-                        theta_guide=_guide_table(c["theta"]), psi_guide=_guide_table(c["psi"]))
-            for i, c in enumerate(curves))
+        agents = tuple(AgentTables(**c, **_interim_curves(inst, i, curves))
+                       for i, c in enumerate(curves))
         return MechanismTables(agents, tuple(
-            (_Grid(t.theta, t.theta_guide, psi=t.psi, pi_star=t.pi_star,
-                   income_net_royalty=t.income_net_royalty, rent_cum=t.rent_cum),
-             _Grid(t.psi, t.psi_guide, theta=t.theta)) for t in agents))
+            (_Grid(t.theta, **vars(t)), _Grid(t.psi, theta=t.theta)) for t in agents))
 
     def locate(self, i: int, theta, out=None) -> GridPoints:
         """Types ``theta`` located on agent i's type grid (``out``: as for
         ``dist._Grid.locate``).  Any column of ``agents[i]`` is read at them
-        as ``locate(i, theta).interp(column)``, and every type lookup below
+        as ``locate(i, theta).interp(name)``, and every type lookup below
         accepts the result in place of ``theta``, so points looked up several
-        times are searched for once.  The lookups are the ones the simulator
-        calls with ``out``: ``psi`` and ``pi_star`` write into it as
+        times are searched for once (``DomainError`` for points located on
+        another grid).  The lookups are the ones the simulator calls with
+        ``out``: ``psi`` and ``pi_star`` write into it as
         ``GridPoints.interp`` does, and ``transfer_win`` composes the
         transfer in it.  Each checks the agent index (``_agent``)."""
         _agent(self, i)
-        if isinstance(theta, GridPoints):
-            return theta
-        return self.grids[i][0].locate(theta, out=out)
+        grid = self.grids[i][0]
+        if not isinstance(theta, GridPoints):
+            return grid.locate(theta, out=out)
+        if theta.grid is not grid:
+            raise DomainError(f"points located on another grid than agent {i}'s types")
+        return theta
 
     def psi(self, i: int, theta, out=None):
         return self.locate(i, theta).interp("psi", out)

@@ -35,19 +35,19 @@ rows of runs at fixed places.  A chunk holds the most whole blocks, at most
 ``_CHUNK`` runs, that keep the buffer below numpy's 4 MiB huge-page
 threshold (``_chunk_runs``: 21,504 runs for one agent, 16,384 for two and
 12,288 for three), so no row a chunk leaves unwritten faults in a 2 MB
-page.  ``_simulate_batch`` and the kernels it calls
-(type ppf, the grid search and slope-table lookups of ``GridPoints``, the
-``MechanismTables`` lookups, ``_allocate``, ``_settle``,
-``project_to_support``) write into those rows through ``out=``, and the
-income family writes the winner's income draw and its reported support's
-ends into them too (``IncomeFamily.ppf_into``, ``supp_lo_into``,
-``supp_hi_into``; a family that gives only the plain methods has their
-results copied in).  So a chunk after the thread's first allocates no
-array of its size and faults in no fresh memory: what it allocates is
-flags of a byte per run, numpy's casting buffers of at most 8,192 values
-and, where two agents share a chunk's wins, the run indices of half a
-chunk at a time (``_runs_won``).  ``_simulate_batch``'s results are views
-into the workspace, valid until the thread's next chunk.
+page.  ``_simulate_batch`` and the kernels it calls (type ppf, the grid
+search and named-column lookups of ``GridPoints``, whose slope tables the
+first read of each column builds, the ``MechanismTables`` lookups,
+``_allocate``, ``_settle``, ``project_to_support``) write into those rows
+through ``out=``, and the income family writes the winner's income draw
+and its reported support's ends into them too (``IncomeFamily.ppf_into``,
+``supp_lo_into``, ``supp_hi_into``; a family that gives only the plain
+methods has their results copied in).  So a chunk after the thread's first
+allocates no array of its size and faults in no fresh memory: what it
+allocates is flags of a byte per run, numpy's casting buffers of at most
+8,192 values and, where two agents share a chunk's wins, the run indices
+of half a chunk at a time (``_runs_won``).  ``_simulate_batch``'s results
+are views into the workspace, valid until the thread's next chunk.
 """
 
 from __future__ import annotations

@@ -347,7 +347,7 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
     grid = np.linspace(t.theta[0], t.theta[-1], theta_grid)
     reports = _distinct(np.concatenate([grid, thetas]))
     at = tables.locate(i, reports)
-    q, t_pay, caps = at.interp(t.win_prob), at.interp(t.interim_transfer), tables.pi_star(i, at)
+    q, t_pay, caps = at.interp("win_prob"), at.interp("interim_transfer"), tables.pi_star(i, at)
     k = np.searchsorted(reports, thetas)   # each true type's own report
     on_path = np.arange(reports.size) == k[:, None]
     tried = on_path.copy()
@@ -370,7 +370,7 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
         utility[s] = np.where(win, q * (thetas[:, None] - pay) - t_pay, 0.0)
         if s == "truthful_projection":
             truthful = (q[k] * (thetas - pay[on_path]) - t_pay[k]).tolist()
-    info_rent = tables.locate(i, thetas).interp(t.interim_rent).tolist()
+    info_rent = tables.locate(i, thetas).interp("interim_rent").tolist()
     # after the own report, the truthful income charge minus the cheapest,
     # min(phi*pi + A, U), is affine in pi between cuts, so it peaks at one
     lo, hi = r_lo[k, None], r_hi[k, None]
@@ -617,13 +617,13 @@ def comparative_statics_scan(agent: AgentSpec, axis: str, values: Sequence,
     if len(values) < 3:
         raise InvalidAxisError("scan needs at least three axis values")
     if axis == "c":
-        vals = [float(v) for v in values]
+        vals = [_real(v, "each c value") for v in values]
         if sorted(vals) != vals:
             raise InvalidAxisError("audit-cost values must be sorted ascending")
         agents = [replace(agent, audit_cost=v) for v in vals]
         psi_dir, pistar_dir = -1, -1
     elif axis == "phi":
-        vals = [float(v) for v in values]
+        vals = [_real(v, "each phi value") for v in values]
         if sorted(vals) != vals:
             raise InvalidAxisError("sensitivity values must be sorted ascending")
         agents = [replace(agent, sensitivity=v) for v in vals]

@@ -352,8 +352,8 @@ def type_reports(inst, i, theta_true, theta_grid):
     reports = np.unique(np.concatenate([
         np.linspace(t.theta[0], t.theta[-1], theta_grid), [theta_true]]))
     at = tables.locate(i, reports)
-    return (reports.tolist(), at.interp(t.win_prob).tolist(),
-            at.interp(t.interim_transfer).tolist(), tables.pi_star(i, at).tolist())
+    return (reports.tolist(), at.interp("win_prob").tolist(),
+            at.interp("interim_transfer").tolist(), tables.pi_star(i, at).tolist())
 
 
 def best_response_type(inst, i, theta_true, theta_grid, income_strategy):
@@ -377,7 +377,7 @@ def best_response_type(inst, i, theta_true, theta_grid, income_strategy):
         if theta_rep == theta_true:
             pay = expected_payment(agent, theta_true, theta_rep, cap, best_response=False)
             truthful_u = q * (theta_true - pay) - t_pay
-    info_rent = float(tables.locate(i, theta_true).interp(tables.agents[i].interim_rent))
+    info_rent = float(tables.locate(i, theta_true).interp("interim_rent"))
     return rc.DeviationReport(
         truthful_utility=float(truthful_u),
         best_deviation_utility=float(best_u),

@@ -139,6 +139,21 @@ def test_real_parameters_follow_the_real_rule(f, name):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("axis, values", [("c", [0.1, 0.2, 0.3]), ("phi", [0.25, 0.5, 0.75])])
+def test_scan_axis_values_follow_the_real_rule(f, axis, values):
+    rc.comparative_statics_scan(f.agent, axis, [np.float64(values[0]), values[1],
+                                                 np.float32(values[2])])
+    for x in (True, False, np.bool_(True), NAN, INF, -INF, str(values[0]), None):
+        for at in (0, -1):
+            bad = list(values)
+            bad[at] = x
+            with pytest.raises(ConstructionError, match=f"each {axis} value"):
+                rc.comparative_statics_scan(f.agent, axis, bad)
+    with pytest.raises(ConstructionError):
+        rc.comparative_statics_scan(f.agent, "c", ["0.1", True, 2.5])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(_GRIDS))
 def test_grid_points_must_be_finite(name):
     call, valid = _GRIDS[name]

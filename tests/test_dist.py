@@ -99,8 +99,8 @@ def test_table_law_matches_scipy_pchip(table):
                          lo - 1.0, hi + 1.0]])
     assert np.array_equal(law.cdf(x), ref.cdf(x))
     assert np.array_equal(law.pdf(x), ref.pdf(x))
-    inv_f, inv_x, _ = law._inverse
-    assert np.array_equal(inv_f, ref.inv_f) and np.array_equal(inv_x, ref.inv_x)
+    inverse = law._lookup
+    assert np.array_equal(inverse.xp, ref.inv_f) and np.array_equal(inverse.fp["x"], ref.inv_x)
     assert law.mean == ref.mean
     for xi in (lo, hi, grid[len(grid) // 2]):
         assert law.cdf(xi) == ref.cdf(xi) and law.pdf(xi) == ref.pdf(xi)
@@ -600,9 +600,9 @@ def test_guide_table_counts_match_binary_search(steps, start):
 
 def test_guide_tables_of_shipped_grids_match_binary_search(shipped_instances):
     for name, inst in shipped_instances.items():
-        for t in tables_for(inst).agents:
-            assert np.array_equal(t.theta_guide, oracles.guide_table(t.theta)), name
-            assert np.array_equal(t.psi_guide, oracles.guide_table(t.psi)), name
+        for types, values in tables_for(inst).grids:
+            assert np.array_equal(types.guide, oracles.guide_table(types.xp)), name
+            assert np.array_equal(values.guide, oracles.guide_table(values.xp)), name
 
 
 @st.composite
@@ -929,11 +929,10 @@ def test_table_ppf_is_np_interp_of_its_inverse_table(table, u):
     # first quantile
     grid, values = table
     law = make_type_dist("table", {"grid": grid, "cdf": values})
-    assert "_inverse" not in vars(law)
+    assert "_lookup" not in vars(law)
     u = np.concatenate([u, np.linspace(0.0, 1.0, 257)])
     got = law.ppf(u)
-    inv_f, inv_x, _ = law._inverse
-    want = np.interp(u, inv_f, inv_x)
+    want = np.interp(u, law._lookup.xp, law._lookup.fp["x"])
     inner = u < 1.0
     assert np.array_equal(got[inner], want[inner])
     assert np.all(got[~inner] == law.hi)

@@ -806,10 +806,10 @@ def test_tables_match_exact_ops(shipped_instances):
                     oracles.virtual_value(agent, th), abs=2e-7)
                 assert tabs.pi_star(i, th) == pytest.approx(
                     oracles.audit_threshold(agent, th), abs=1e-6)
-                at, t = tabs.locate(i, th), tabs.agents[i]
-                assert at.interp(t.phi_cap) == pytest.approx(
+                at = tabs.locate(i, th)
+                assert at.interp("phi_cap") == pytest.approx(
                     oracles.phi_cap(agent, th), abs=2e-7)
-                assert at.interp(t.income_net_royalty) == pytest.approx(
+                assert at.interp("income_net_royalty") == pytest.approx(
                     oracles.expected_income_net_royalty(agent, th), abs=2e-7)
 
 
@@ -963,7 +963,7 @@ def test_located_lookup_equals_np_interp(lookup_tables, data):
     x = _probe_points(data, t.theta)
     at = tables.locate(i, x)
     for name in _TYPE_ARRAYS:
-        assert _bitwise_equal(at.interp(getattr(t, name)), np.interp(x, t.theta, getattr(t, name)))
+        assert _bitwise_equal(at.interp(name), np.interp(x, t.theta, getattr(t, name)))
     for method, name in _LOOKUPS.items():
         want = np.interp(x, t.theta, getattr(t, name))
         assert _bitwise_equal(getattr(tables, method)(i, x), want)
@@ -994,13 +994,43 @@ def test_transfer_win_equals_the_two_search_transfer(lookup_tables):
 
         def transfer(theta, rival):
             at = tables.locate(i, theta)
-            rent_z = tables.locate(i, tables.threshold_type(i, rival)).interp(t.rent_cum)
-            return at.interp(t.income_net_royalty) - (at.interp(t.rent_cum) - rent_z)
+            rent_z = tables.locate(i, tables.threshold_type(i, rival)).interp("rent_cum")
+            return at.interp("income_net_royalty") - (at.interp("rent_cum") - rent_z)
 
         assert _bitwise_equal(tables.transfer_win(i, theta, rival), transfer(theta, rival))
         # a lone bidder's single rival value
         lone = tables.transfer_win(i, theta[:5], 0.0)
         assert _bitwise_equal(lone, transfer(theta[:5], 0.0))
+
+
+def test_every_table_lookup_reads_a_column_by_name():
+    # GridPoints.interp has one read path, a named column's slope table: no
+    # call in the package hands it an array (np.interp aside)
+    reads = []
+    for path in sorted(Path(rc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "interp"
+                    and getattr(node.func.value, "id", None) != "np"):
+                reads.append((path.name, node.lineno, node.args[0]))
+    assert len(reads) >= 8
+    for name, line, column in reads:
+        assert isinstance(column, ast.Constant) and isinstance(column.value, str), (name, line)
+
+
+def test_points_located_on_another_agents_grid_are_refused(shipped_instances):
+    # points carry their grid, so agent 1's lookups at agent 0's points would
+    # read agent 0's columns (psi 1.05 at type 1.5 for agent 1's 1.0): every
+    # type lookup refuses them
+    tables = rc.tables_for(shipped_instances["mixed_pair"])
+    at = tables.locate(0, [1.5])
+    assert tables.psi(0, at) != tables.psi(1, [1.5])
+    for read in (tables.locate, tables.psi, tables.pi_star,
+                 lambda i, at: tables.transfer_win(i, at, 0.2)):
+        with pytest.raises(rc.DomainError, match="another grid"):
+            read(1, at)
+    # the psi grid's points are not type points either
+    with pytest.raises(rc.DomainError, match="another grid"):
+        tables.psi(0, tables.grids[0][1].locate([0.5]))
 
 
 @given(steps=st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0, 3.0]), min_size=2, max_size=40),
@@ -1015,19 +1045,19 @@ def test_located_lookup_handles_repeated_grid_values(steps, data):
     fp = np.asarray(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=xp.size,
                                        max_size=xp.size)))
     x = _probe_points(data, xp)
-    at = rc.mech.GridPoints.locate(xp, rc.mech._guide_table(xp), x)
-    assert _bitwise_equal(at.interp(fp), np.interp(x, xp, fp))
+    at = rc.dist._Grid(xp, fp=fp).locate(x)
+    assert _bitwise_equal(at.interp("fp"), np.interp(x, xp, fp))
     sel = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
-    assert _bitwise_equal(at.take(sel).interp(fp), np.interp(x[sel], xp, fp))
+    assert _bitwise_equal(at.take(sel).interp("fp"), np.interp(x[sel], xp, fp))
 
 
 def _lookups_of(xp, fp, x):
-    """np.interp(x, xp, fp) as the located lookups read it: fp as an array
-    (slopes taken at the points' cells) and as a table column (its slope
-    table), on a grid located once and on one given its guide table."""
-    at = rc.dist._Grid(xp, fp=fp).locate(x)
-    return [at.interp(fp), at.interp("fp"),
-            rc.mech.GridPoints.locate(xp, rc.mech._guide_table(xp), x).interp(fp)]
+    """np.interp(x, xp, fp) as the located lookups read it: the column fp
+    read at all of x at once and one point at a time, each off a fresh grid
+    whose slope table the first read builds (where x has more points than
+    the grid, both sides of np.interp's own size rule for that table)."""
+    whole, single = rc.dist._Grid(xp, fp=fp), rc.dist._Grid(xp, fp=fp)
+    return [whole.locate(x).interp("fp"), np.array([single.locate(p).interp("fp") for p in x])]
 
 
 @pytest.mark.parametrize("xp", [[0.0, 0.0, 0.0, 1.0, 2.5], [-1.0, 0.0, 2.0, 2.0, 2.0],

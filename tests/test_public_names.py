@@ -157,6 +157,6 @@ def test_reach_claims_hold_in_their_source(door):
 
 
 def test_mechanism_tables_keep_the_lookups_that_write_out_and_the_inverse():
-    # any other column is read as tables.locate(i, theta).interp(column)
+    # any other column is read by name, as tables.locate(i, theta).interp(name)
     public = {name for name in vars(rc.MechanismTables) if not name.startswith("_")}
     assert public == {"build", "locate", "psi", "pi_star", "transfer_win", "threshold_type"}

@@ -703,7 +703,7 @@ def test_income_certificate_prices_a_wide_audit_band(monkeypatch, tmp_path):
     agent = inst.agents[0]
     thetas = rc.mech._interior_grid(agent.types, 16)
     tables = rc.tables_for(inst)
-    q = tables.locate(0, thetas).interp(tables.agents[0].win_prob)
+    q = tables.locate(0, thetas).interp("win_prob")
     caps = tables.pi_star(0, thetas)
     won = 0
     for th, w, cap, by_strategy in zip(thetas, q, caps, rc.best_responses(inst, 0, thetas, 128)):
