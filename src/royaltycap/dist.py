@@ -36,7 +36,7 @@ _MEAN_TOL = 1e-8
 # Largest |E[pi | theta] - theta| of an income law: held by tabulated rows at
 # construction and by ``check``, so no law that ``check`` fails for it builds
 _NORMALIZATION_TOL = 1e-7
-# float64 elements per row-blocked kernel temporary (``_blocked``): 64 KiB,
+# float64 elements per row-blocked kernel temporary (in ``mech``): 64 KiB,
 # half glibc's initial mmap threshold, so that the temporaries come from the
 # heap and are reused rather than mapped and faulted in afresh (at 2^14 each
 # was exactly the 128 KiB threshold), and few blocks cover a table build
@@ -178,17 +178,6 @@ def _gl_segments(a, b, rule):
     return nodes, wts
 
 
-def _blocked(fn, width: int, *cols):
-    """``fn`` applied to blocks of rows of the ``cols``, each of its outputs
-    concatenated over the blocks.  ``fn``'s temporaries hold ``width``
-    elements per row; a block holds as many rows as fit in
-    ``_BLOCK_ELEMENTS``, and at least one."""
-    n = len(cols[0])
-    rows = max(1, _BLOCK_ELEMENTS // width)
-    parts = [fn(*(c[k:k + rows] for c in cols)) for k in range(0, max(n, 1), rows)]
-    return [np.concatenate(p) for p in zip(*parts)]
-
-
 def _distinct(x) -> np.ndarray:
     """The distinct values of ``x``, flattened and sorted: ``np.unique`` of
     an array without NaNs, by the same sort.  (``np.unique`` imports
@@ -231,24 +220,24 @@ def _guide_table(xp: np.ndarray) -> np.ndarray:
     return np.clip(first - 1, 0, xp.size - 2)
 
 
-def _cells(xp: np.ndarray, guide: np.ndarray, x, start=None) -> np.ndarray:
+def _cells(xp: np.ndarray, guide: np.ndarray, x) -> np.ndarray:
     """Cell of each point of the array ``x`` on the sorted grid ``xp``: the
     last index j with xp[j] <= x, kept in 0 .. len(xp) - 2 (the end cells
-    extend beyond the grid), found by ``_search`` (from the cells ``start``
-    when given).  The search of the piecewise cubics (``_Pchip``);
-    ``_Grid.locate`` searches the same way with a last, sentinel cell."""
+    extend beyond the grid), found by ``_search`` from the guide table.  The
+    search of the piecewise cubics (``_Pchip``); ``_Grid.locate`` searches
+    the same way with a last, sentinel cell, and from start cells too."""
     x = np.asarray(x, dtype=float)
     xs = np.clip(x.ravel(), xp[0], np.nextafter(xp[-1], -np.inf))
     out = (np.empty(x.size, np.intp), np.empty(x.size))
-    return _search(xp, guide, xs, start, out).reshape(x.shape)
+    return _search(xp, guide, xs, None, out).reshape(x.shape)
 
 
 def _search(xp: np.ndarray, guide: np.ndarray, xs: np.ndarray, start, out) -> np.ndarray:
     """The last index j with xp[j] <= xs of each point of the 1-d array
     ``xs`` (0 below the grid): the bucket's index in ``guide =
-    _guide_table(xp)``, or the cells ``start`` (None, or one per point, none
-    beyond its own cell), stepped forward once where the next grid point is
-    at or below the point.  That settles nearly every point of a
+    _guide_table(xp)``, or the cells ``start`` (``_Grid.locate``'s, one per
+    point, none beyond its own), stepped forward once where the next grid
+    point is at or below the point.  That settles nearly every point of a
     well-spread grid; one that must step further sits in a bucket crowded
     with grid points (a far outlier squeezes the others into a few buckets;
     kink triplets share one), or at or above the top (the next point is read
@@ -812,10 +801,12 @@ class _ErrorFamily(IncomeFamily):
     region up to b' = theta + s z has Phi / phi = H(z) (1 + s' z) - s' K(z)
     and int (1 - G) = s ((z - eps_lo) - K(z)).  Where s = 0 (the scaled
     family's top type) income is theta: G steps there, g = 0 and
-    Phi / phi = 0.  A subclass gives ``_scale``, ``g2_over_g`` and
-    ``_spread(theta, eps, out, scratch=None)``, theta + s eps written into
-    ``out`` (eps a float, or ``out`` itself with a float ``scratch``).  The
-    error law must have mean zero, straddle zero and end where 1 + s' z >= 0.
+    Phi / phi = 0; at s = 1, s' = 0 these are the additive closed forms bit
+    for bit (z / 1.0 is z, 1.0 * H and H - 0.0 * K are H).  A subclass gives
+    ``_scale``, ``g2_over_g`` and ``_spread(theta, eps, out=None,
+    scratch=None)``, theta + s eps into fresh arrays or ``out`` (eps a float,
+    or ``out`` itself with a float ``scratch``).  The error law must have
+    mean zero, straddle zero and end where 1 + s' z >= 0.
     """
 
     ratio_nonincreasing = True
@@ -832,12 +823,10 @@ class _ErrorFamily(IncomeFamily):
             raise ConstructionError(f"scaled errors must end at or below 1, got {error.hi}")
 
     def supp_lo(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta + self._scale(theta) * self._err.lo
+        return self._spread(np.asarray(theta, dtype=float), self._err.lo)
 
     def supp_hi(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta + self._scale(theta) * self._err.hi
+        return self._spread(np.asarray(theta, dtype=float), self._err.hi)
 
     def _standard(self, pi, theta):
         """pi and theta as float arrays, the scale s, the scale made safe to
@@ -865,16 +854,14 @@ class _ErrorFamily(IncomeFamily):
         b, theta, s, _, z = self._standard(b, theta)
         z = np.clip(z, err.lo, err.hi)
         h, k, top = err.cdf(z), err.cdf_integral(z), s == 0
-        # H (1 + s' z) - s' K: 1.0 * H and H - 0.0 * K are H for additive errors
         return (np.where(top, b >= theta, h), np.where(top, 0.0, h * (1.0 + slope * z) - slope * k),
                 s * ((z - err.lo) - k))
 
     def ppf(self, u, theta):
-        theta = np.asarray(theta, dtype=float)
-        return theta + self._scale(theta) * self._err.ppf(u)
+        return self._spread(np.asarray(theta, dtype=float), self._err.ppf(u))
 
-    # theta + s eps written in place, as the plain methods compute it: the
-    # error law's quantiles into the result, the support ends from theirs
+    # theta + s eps written in place: the error law's quantiles into the
+    # result, the support ends from theirs
     def ppf_into(self, u, theta, out):
         self._err.ppf(u, out=out)
         return self._spread(theta, out[0], out[0], out[1])
@@ -898,29 +885,13 @@ class AdditiveErrorFamily(_ErrorFamily):
     def _scale(self, theta):
         return 1.0
 
-    def _spread(self, theta, eps, out, scratch=None):
-        """theta + eps into ``out`` (theta + 1.0 * eps)."""
+    def _spread(self, theta, eps, out=None, scratch=None):
+        """theta + eps (theta + 1.0 * eps), into ``out`` when given."""
         return np.add(theta, eps, out=out)
 
     def g2_over_g(self, pi, theta):
         shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
         return np.full(shape, -1.0) if shape else -1.0
-
-    # the location-scale forms at s = 1, s' = 0, bit for bit: z = pi - theta
-    # (z / 1.0 is z), no top type, 1.0 * H and H - 0.0 * K are H
-    def cdf(self, pi, theta):
-        out = self._err.cdf(np.asarray(pi, dtype=float) - np.asarray(theta, dtype=float))
-        return out if np.ndim(out) else float(out)
-
-    def pdf(self, pi, theta):
-        out = self._err.pdf(np.asarray(pi, dtype=float) - np.asarray(theta, dtype=float))
-        return out if np.ndim(out) else float(out)
-
-    def audit_region(self, theta, b):
-        err = self._err
-        z = np.clip(np.asarray(b, dtype=float) - np.asarray(theta, dtype=float), err.lo, err.hi)
-        h = np.asarray(err.cdf(z))
-        return h, h, (z - err.lo) - err.cdf_integral(z)
 
 
 class ScaledErrorFamily(_ErrorFamily):
@@ -938,12 +909,13 @@ class ScaledErrorFamily(_ErrorFamily):
     def _scale(self, theta):
         return 1.0 - np.asarray(theta, dtype=float)
 
-    def _spread(self, theta, eps, out, scratch=None):
-        """theta + (1 - theta) eps into ``out``, eps a float or ``out``
-        itself, the scale then in ``scratch``."""
+    def _spread(self, theta, eps, out=None, scratch=None):
+        """theta + (1 - theta) eps, into ``out`` when given, eps a float or
+        ``out`` itself, the scale then in ``scratch``."""
         s = np.subtract(1.0, theta, out=out if scratch is None else scratch)
-        np.multiply(s, eps, out=out)
-        return np.add(out, theta, out=out)
+        res = np.multiply(s, eps, out=out)
+        res += theta
+        return res
 
     def g2_over_g(self, pi, theta):
         pi = np.asarray(pi, dtype=float)

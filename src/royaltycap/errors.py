@@ -4,7 +4,7 @@ Public functions raise these instead of bare ValueError so callers can map
 failures to exit codes (config errors vs. verification failures) without
 string matching.  Every count, seed, size and agent index goes through the
 integer rule (``_integer``), every real parameter and grid point through the
-real rule (``_real``; ``_grid`` reads a grid by it).
+real rule (``_real``; ``_grid`` reads a grid by it, ``_reals`` unbounded points).
 """
 
 import math
@@ -99,3 +99,15 @@ def _grid(x, name: str) -> np.ndarray:
         if np.all(np.isfinite(grid)):
             return grid
     return np.array([_real(v, f"each {name} point") for v in points.flat]).reshape(points.shape)
+
+
+def _reals(x, name: str) -> np.ndarray:
+    """Points, finite or not, as a float array by the real rule's test of a
+    real number, so no bool or string is read as one; a float array as is."""
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        return x.astype(float, copy=False)
+    points = np.asarray(x, dtype=object)
+    for v in points.flat:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConstructionError(f"each {name} point must be a real number, got {v!r}")
+    return points.astype(float)

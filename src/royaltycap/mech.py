@@ -40,8 +40,8 @@ rules of every caller.  ``MechanismTables`` holds the quantities on a dense
 type grid, the only place a build evaluates the mechanism (the rents are
 exact integrals of its linear interpolants, ``_cum_trapezoid``).  Its
 columns are read by name at located types, ``locate(i, theta).interp(name)``;
-it keeps as lookups only ``psi``, ``pi_star`` and ``transfer_win``, which
-the simulator writes into its own arrays, and the inverse virtual value
+it keeps as lookups ``psi`` and ``pi_star``, which the simulator writes
+into its own arrays, ``transfer_win`` and the inverse virtual value
 ``threshold_type``.  An entry point that takes an instance reads the
 tables off ``tables_for`` and raises whenever it raises, one that takes an
 agent evaluates the kernels.
@@ -55,14 +55,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import dist
 from .dist import (
     AgentSpec,
     AdditiveErrorFamily,
     GridPoints,
-    _BLOCK_ELEMENTS,
     _Grid,
     _bisect,
-    _blocked,
     _buffers,
     _distinct,
     _gl_segments,
@@ -75,6 +74,7 @@ from .errors import (
     ReportRejectedError,
     UnsupportedInstanceError,
     _integer,
+    _reals,
 )
 
 # relative nudge for one-sided limits at support endpoints
@@ -243,9 +243,9 @@ def phi_cap(agent: AgentSpec, theta):
 
 def _top_two(psi: np.ndarray, out=None):
     """Per row: the index of the highest virtual value, that value, and the
-    second highest (0 for a lone bidder).  ``out``: the index (intp), top
-    and second arrays and a float scratch array, one entry per row; a lone
-    bidder's top is psi's column.
+    second highest (-inf for a lone bidder, who has no rival).  ``out``: the
+    index (intp), top and second arrays and a float scratch array, one entry
+    per row.
 
     One pass per agent column, with no data-dependent branch: a column at or
     above the top so far takes the top (index j exceeds every earlier one),
@@ -257,9 +257,6 @@ def _top_two(psi: np.ndarray, out=None):
     n, N = psi.shape
     w, top, second, scratch = _buffers(out, n, np.intp, float, float, float)
     w.fill(0)
-    if N == 1:
-        second.fill(0.0)
-        return w, psi[:, 0], second
     np.copyto(top, psi[:, 0])
     second.fill(-np.inf)
     for j in range(1, N):
@@ -274,8 +271,8 @@ def _allocate(psi: np.ndarray, out=None):
     """The allocation rule per row of virtual values ``psi`` (one column per
     agent): the agent strictly above zero and every rival wins, so a tie for
     the top leaves the asset unsold.  Returns the winner index (-1 when
-    unsold) and the rival value max(second highest value, 0), in the first
-    and third arrays of ``out`` (``_top_two``'s)."""
+    unsold) and the rival value max(second highest value, 0), 0 for a lone
+    bidder, in the first and third arrays of ``out`` (``_top_two``'s)."""
     w, top, second = _top_two(psi, out)
     rival = np.maximum(second, 0.0, out=second)
     # w where sold, else -1, without a data-dependent branch
@@ -294,8 +291,8 @@ def _agent(owner, i):
 
 def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
     """The tables' virtual values at rows of type ``profiles`` (one column
-    per agent), each type checked against its agent's support first."""
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
+    per agent, ``_reals``), each type checked against its agent's support."""
+    profiles = np.atleast_2d(_reals(profiles, "type report"))
     if profiles.shape[1] != inst.n_agents:
         raise DomainError(f"expected {inst.n_agents} types per profile, got {profiles.shape[1]}")
     for a, col in zip(inst.agents, profiles.T):
@@ -556,7 +553,7 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     ``audit_region`` at the cuts, so it is exact for every family.
     """
     agent = _agent(inst, i)
-    theta_i = float(theta_profile[i])
+    theta_i = float(_reals(theta_profile, "type report")[i])
     agent.types._check_domain(theta_i)
     lo, hi = (float(x) for x in _income_bounds(agent, theta_i))
 
@@ -605,7 +602,7 @@ def _expected_max_plus(inst: AuctionInstance, grids: list) -> float:
     lo, hi = cuts[:-1], cuts[1:]
     rule = np.polynomial.legendre.leggauss(2 * inst.n_agents)
     terms = np.empty((lo.size, rule[0].size))
-    step = max(1, _BLOCK_ELEMENTS // rule[0].size)
+    step = max(1, dist._BLOCK_ELEMENTS // rule[0].size)
     for k in range(0, lo.size, step):
         nodes, wts = _gl_segments(lo[k:k + step], hi[k:k + step], rule)
         block = terms[k:k + step]
@@ -664,16 +661,13 @@ def full_extraction_revenue(inst: AuctionInstance) -> float:
 class _Types:
     """Types with what the kernels read of them alone, computed once: the
     inverse hazards ``ih`` = (1 - F)/f and the income supports [``lo``,
-    ``hi``], and, where a caller has run it, the single-crossing scan
-    ``scan`` (``_single_crossing_scan``), which ``_pi_star_vec`` then reads
-    instead of scanning again.  The kernels take it in place of an array of
-    types; indexing it indexes each type."""
+    ``hi``].  The kernels take it in place of an array of types; indexing it
+    indexes each type."""
 
     theta: np.ndarray
     ih: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    scan: Optional[np.ndarray] = None
 
     @staticmethod
     def of(agent: AgentSpec, thetas) -> "_Types":
@@ -688,8 +682,7 @@ class _Types:
         return len(self.theta)
 
     def __getitem__(self, key) -> "_Types":
-        return _Types(self.theta[key], self.ih[key], self.lo[key], self.hi[key],
-                      None if self.scan is None else self.scan[key])
+        return _Types(self.theta[key], self.ih[key], self.lo[key], self.hi[key])
 
 
 def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
@@ -708,17 +701,18 @@ def _single_crossing_scan(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
 
 def _probe_single_crossing(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     """Per type, ``_worst_single_crossing`` of mu*phi - c over 65 incomes
-    spread inside the type's own income support, in blocks of types
-    (``dist._blocked``)."""
-
-    def worst(t):
-        lo, hi = t.lo, t.hi
-        probe = np.linspace(lo + _NU * (hi - lo), hi - _NU * (hi - lo), 65, axis=1)
+    inside the type's own support, over blocks of the most types (at least
+    one) whose 65 incomes each fit in ``dist._BLOCK_ELEMENTS``."""
+    t = _Types.of(agent, thetas)
+    rows = max(1, dist._BLOCK_ELEMENTS // 65)
+    out = np.empty(len(t))
+    for k in range(0, len(t), rows):
+        b = t[k:k + rows]
+        probe = np.linspace(b.lo + _NU * (b.hi - b.lo), b.hi - _NU * (b.hi - b.lo), 65, axis=1)
         with np.errstate(invalid="ignore"):
-            s = _audit_surplus(agent, t.theta[:, None], probe, t.ih[:, None])
-        return (_worst_single_crossing(s, axis=1),)
-
-    return _blocked(worst, 65, _Types.of(agent, thetas))[0]
+            s = _audit_surplus(agent, b.theta[:, None], probe, b.ih[:, None])
+        out[k:k + rows] = _worst_single_crossing(s, axis=1)
+    return out
 
 
 def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
@@ -728,7 +722,7 @@ def _pi_star_vec(agent: AgentSpec, thetas: np.ndarray) -> np.ndarray:
     pays nowhere, else where -G_2/g falls to c / (ih * phi), in closed form
     (``ratio_crossing``, clipped to the support) or by bisection."""
     t = _Types.of(agent, thetas)
-    bad = (_single_crossing_scan(agent, t) if t.scan is None else t.scan) > _SLACK
+    bad = _single_crossing_scan(agent, t) > _SLACK
     if np.any(bad):
         raise RegularityError(
             f"mu*phi - c is not single-crossing in income at theta={t.theta[bad][0]}")
@@ -848,19 +842,19 @@ class MechanismTables:
             (_Grid(t.theta, **vars(t)), _Grid(t.psi, theta=t.theta)) for t in agents))
 
     def locate(self, i: int, theta, out=None) -> GridPoints:
-        """Types ``theta`` located on agent i's type grid (``out``: as for
-        ``dist._Grid.locate``).  Any column of ``agents[i]`` is read at them
-        as ``locate(i, theta).interp(name)``, and every type lookup below
-        accepts the result in place of ``theta``, so points looked up several
-        times are searched for once (``DomainError`` for points located on
-        another grid).  The lookups are the ones the simulator calls with
-        ``out``: ``psi`` and ``pi_star`` write into it as
-        ``GridPoints.interp`` does, and ``transfer_win`` composes the
-        transfer in it.  Each checks the agent index (``_agent``)."""
+        """Types ``theta`` (``_reals``) located on agent i's type grid
+        (``out``: as for ``dist._Grid.locate``).  Any column of
+        ``agents[i]`` is read at them as ``locate(i, theta).interp(name)``,
+        and every type lookup below accepts the result in place of
+        ``theta``, so points looked up several times are searched for once
+        (``DomainError`` for points located on another grid).  The
+        simulator calls ``psi`` and ``pi_star`` with ``out``, which they
+        write into as ``GridPoints.interp`` does.  Each lookup checks the
+        agent index (``_agent``)."""
         _agent(self, i)
         grid = self.grids[i][0]
         if not isinstance(theta, GridPoints):
-            return grid.locate(theta, out=out)
+            return grid.locate(_reals(theta, "type report"), out=out)
         if theta.grid is not grid:
             raise DomainError(f"points located on another grid than agent {i}'s types")
         return theta
@@ -874,20 +868,15 @@ class MechanismTables:
     def threshold_type(self, i: int, rival_value):
         """Inverse virtual value: lowest type beating ``rival_value``."""
         _agent(self, i)
-        return self.grids[i][1].locate(rival_value).interp("theta")
+        return self.grids[i][1].locate(_reals(rival_value, "rival value")).interp("theta")
 
-    def transfer_win(self, i: int, theta, rival_value, out=None):
+    def transfer_win(self, i: int, theta, rival_value):
         """Winner's transfer at type report ``theta`` against the best rival
         positive virtual value ``rival_value`` (one value, or one per type):
         income_net_royalty - (rent_cum - rent_cum at the threshold type),
-        the columns read at ``theta``.  ``out``: the result and four scratch
-        arrays (intp, float, float, float), of theta's size; one rival
-        value's threshold type is looked up in arrays of its own."""
-        at = self.locate(i, theta)
-        res, j, d, s, f0 = _buffers(out, at.j.size, float, np.intp, float, float, float)
-        beat = np.asarray(rival_value, dtype=float)
-        rent = self._threshold_rent(i, beat, (s, j, d, f0) if beat.size == res.size else None)
-        return _transfer(at, rent, out=(res, d, f0))
+        the columns read at ``theta``."""
+        return _transfer(self.locate(i, theta),
+                         self._threshold_rent(i, _reals(rival_value, "rival value")))
 
     def _threshold_rent(self, i: int, rival_value, out=None):
         """rent_cum at the threshold type of each rival value: the rent of

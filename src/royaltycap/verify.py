@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedPairError,
     _integer,
     _real,
+    _reals,
 )
 from .mech import (
     AuctionInstance,
@@ -118,9 +119,9 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     and a strictly increasing virtual value.
 
     Single crossing in income is the scan behind every mechanism kernel
-    (``mech._single_crossing_scan``) at this report's types, run once: the
-    virtual-value step reads it, so the kernels raise at exactly the grid
-    types this report flags.  Failures are report content, not exceptions.
+    (``mech._single_crossing_scan``) at this report's types, so the kernels
+    raise at exactly the grid types this report flags.  Failures are report
+    content, not exceptions.
     """
     for name, n in (("theta_grid_size", theta_grid_size), ("pi_grid_size", pi_grid_size)):
         _integer(n, name, _MIN_REGULARITY_GRID,
@@ -164,9 +165,9 @@ def check_regularity(agent: AgentSpec, theta_grid_size: int = 64,
     single_crossing_theta_ok = bool(worst["single_crossing_theta"]["magnitude"] <= _SLACK)
 
     # 5. strictly increasing virtual value (undefined without single
-    # crossing): the kernels read step 3's scan instead of scanning again
+    # crossing, where the kernels raise)
     try:
-        diffs = np.diff(_mech_curves(agent, replace(types, scan=per_type))[1])
+        diffs = np.diff(_mech_curves(agent, types)[1])
         k = int(np.argmin(diffs))
         worst["psi_increasing"] = {"min_increment": float(diffs[k]), "theta": float(thetas[k])}
         psi_increasing_ok = bool(diffs[k] > 0)
@@ -309,6 +310,7 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     """
     _integer(grid, "grid", 2, says="income report grids need at least 2 points, the support's ends")
     agent = _agent(inst, i)
+    pi_true = _real(pi_true, "pi_true")
     if _allocate_at(inst, i, theta_minus, [theta_report])[0][0] != i:
         raise DomainError("agent does not win at this report profile")
     cap = float(tables_for(inst).pi_star(i, theta_report))
@@ -336,7 +338,7 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
              says=f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
     if not set(strategies) <= {"truthful_projection", "grid_best"}:
         raise ConstructionError(f"unknown income strategy in {strategies!r}")
-    thetas = np.asarray(thetas_true, dtype=float).ravel()
+    thetas = _reals(thetas_true, "true type").ravel()
     agent = _agent(inst, i)
     agent.types._check_domain(thetas)
     tables = tables_for(inst)
@@ -456,10 +458,10 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     """
     _integer(grid, "grid", _MIN_REGULARITY_GRID,
              says=f"crossing grids need at least {_MIN_REGULARITY_GRID} points")
-    if theta_lo > theta_hi:
-        raise UnsupportedPairError("reports must be ordered")
     agent = _agent(inst, i)
     winner, rival = _allocate_at(inst, i, theta_minus, [theta_lo, theta_hi])
+    if theta_lo > theta_hi:
+        raise UnsupportedPairError("reports must be ordered")
     for th, w in zip((theta_lo, theta_hi), winner):
         if w != i:
             raise UnsupportedPairError(f"type {th} does not win against the rivals")

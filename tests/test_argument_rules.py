@@ -1,7 +1,9 @@
 """The two argument rules at every entry point that takes a count, seed,
 size, agent index or real parameter: the integer rule (an int or a numpy
 integer, never a bool, in [least, bound)) and the real rule (a finite real
-number, never a bool, in [lo, hi]; every point of a grid finite).  numpy
+number, never a bool, in [lo, hi]; every point of a grid finite).  Type
+reports and rival values are real numbers, never bools, but their support
+check or the table's clipping takes any that are not finite.  numpy
 numbers are accepted, and everything else is refused with the package's
 error, before any numpy arithmetic could warn."""
 
@@ -70,6 +72,35 @@ _INDICES = {
     "MechanismTables.threshold_type": lambda f, i: f.tables.threshold_type(i, 0.5),
 }
 
+# type reports, rival values and incomes at the entry points that read them
+# on the two-agent instances: (call at the value, a valid value).  numpy
+# would read a bool as 0 or 1 and a numeric string as its number
+_REPORTS = {
+    "allocation": (lambda f, x: rc.allocation(f.pair, [x, 0.8]), 1.5),
+    "transfer": (lambda f, x: rc.transfer(f.pair, 0, [x, 0.8]), 1.5),
+    "transfer.rival": (lambda f, x: rc.transfer(f.pair, 0, [1.5, x]), 0.8),
+    "endogenous_virtual": (lambda f, x: rc.endogenous_virtual(f.pair, 0, [x, 0.8],
+                                                              lambda prof, p: 1.0), 1.5),
+    "best_responses": (lambda f, x: rc.best_responses(f.pair, 0, [x], 64), 1.5),
+    "best_response_type": (lambda f, x: rc.best_response_type(f.pair, 0, x, 64), 1.5),
+    "best_response_income.theta_report": (
+        lambda f, x: rc.best_response_income(f.pair, 0, x, [0.6], 1.2), 1.6),
+    "best_response_income.theta_minus": (
+        lambda f, x: rc.best_response_income(f.pair, 0, 1.6, [x], 1.2), 0.6),
+    "best_response_income.pi_true": (
+        lambda f, x: rc.best_response_income(f.pair, 0, 1.6, [0.6], x), 1.2),
+    "crossing_point.theta_lo": (lambda f, x: rc.crossing_point(f.st_pair, 0, x, 0.8, [0.5]),
+                                0.75),
+    "crossing_point.theta_hi": (lambda f, x: rc.crossing_point(f.st_pair, 0, 0.75, x, [0.5]),
+                                0.8),
+    "MechanismTables.locate": (lambda f, x: f.tables.locate(0, [x]), 1.5),
+    "MechanismTables.psi": (lambda f, x: f.tables.psi(0, [x]), 1.5),
+    "MechanismTables.pi_star": (lambda f, x: f.tables.pi_star(0, x), 1.5),
+    "MechanismTables.transfer_win": (lambda f, x: f.tables.transfer_win(0, x, 0.2), 1.5),
+    "MechanismTables.transfer_win.rival": (lambda f, x: f.tables.transfer_win(0, 1.5, x), 0.2),
+    "MechanismTables.threshold_type": (lambda f, x: f.tables.threshold_type(0, x), 0.5),
+}
+
 # name: (call at the value, a valid value, values out of range)
 _REALS = {
     "AgentSpec.audit_cost": (lambda f, c: AgentSpec(f.agent.types, f.agent.income, c, 0.5),
@@ -134,6 +165,17 @@ def test_real_parameters_follow_the_real_rule(f, name):
     call(f, np.float64(valid))
     call(f, np.float32(valid))
     for x in [True, False, np.bool_(True), NAN, INF, -INF, str(valid), None, *out_of_range]:
+        with pytest.raises(ConstructionError):
+            call(f, x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_REPORTS))
+def test_reported_points_follow_the_real_rule(f, name):
+    call, valid = _REPORTS[name]
+    call(f, np.float64(valid))
+    call(f, np.float32(valid))
+    for x in (True, False, np.bool_(True), str(valid), None):
         with pytest.raises(ConstructionError):
             call(f, x)
 

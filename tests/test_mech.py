@@ -1139,23 +1139,28 @@ def test_located_lookup_cost_ignores_grid_spread():
 # ---------------------------------------------------------------------------
 
 
-def test_blocked_keeps_blocks_within_the_element_budget(monkeypatch):
-    monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", 1000)
-    a = np.arange(2500.0)
-    for width in (1, 7, 65, 166, 1000, 1001, 5000):
-        rows = []
-
-        def fn(x, y):
-            rows.append(x.size)
-            return 2.0 * x, y
-
-        out = rc.dist._blocked(fn, width, a, a + 1.0)
-        assert np.array_equal(out[0], 2.0 * a) and np.array_equal(out[1], a + 1.0)
-        assert sum(rows) == a.size
-        # more than the budget only where one row alone exceeds it
-        assert all(r * width <= 1000 or r == 1 for r in rows), width
-        assert max(rows) == max(1, 1000 // width)
-    assert [o.size for o in rc.dist._blocked(lambda x: (x,), 10, np.empty(0))] == [0]
+def test_probe_keeps_blocks_within_the_element_budget(monkeypatch):
+    # the single-crossing probe runs over blocks of types, 65 incomes each:
+    # within the budget, or one type where one alone exceeds it, with the
+    # one-block run's values bit for bit
+    agent = rising_gap_agent(0.01)
+    thetas = np.linspace(1.0, 2.0, 250)
+    rows = []
+    worst = rc.mech._worst_single_crossing
+    monkeypatch.setattr(rc.mech, "_worst_single_crossing",
+                        lambda s, axis: rows.append(len(s)) or worst(s, axis))
+    monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", 1 << 22)
+    want = rc.mech._probe_single_crossing(agent, thetas)
+    assert rows == [thetas.size] and np.any(want > 0)
+    for budget in (1, 64, 65, 166, 1000, 65 * 249):
+        rows.clear()
+        monkeypatch.setattr(rc.dist, "_BLOCK_ELEMENTS", budget)
+        got = rc.mech._probe_single_crossing(agent, thetas)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), budget
+        assert sum(rows) == thetas.size
+        assert all(r * 65 <= budget or r == 1 for r in rows), budget
+        assert max(rows) == max(1, budget // 65)
+    assert rc.mech._probe_single_crossing(agent, np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize("inst", [

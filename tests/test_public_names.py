@@ -7,7 +7,10 @@ against that source: ``cli.py``, the criterion's test in
 ``tests/test_acceptance.py``, or the README's quick-start block.  A source
 uses a name when it reads it off the package or one of its submodules
 (``rc.x``, ``mech.x``) or imports it from them.  ``KEPT`` gives every other
-name its reason in one line."""
+name its reason in one line.
+
+Private names answer to the package alone: a defaulted parameter of one is
+passed by some call in the package, or it goes."""
 
 import ast
 import re
@@ -160,3 +163,53 @@ def test_mechanism_tables_keep_the_lookups_that_write_out_and_the_inverse():
     # any other column is read by name, as tables.locate(i, theta).interp(name)
     public = {name for name in vars(rc.MechanismTables) if not name.startswith("_")}
     assert public == {"build", "locate", "psi", "pi_star", "transfer_win", "threshold_type"}
+
+
+def _private_defaults(tree: ast.Module):
+    """Per defaulted parameter of a function named ``_x``, or of a method of
+    a class named ``_X``, at the top of a module: the names a call to it
+    goes by, the parameter and its position among the arguments a call
+    passes (None for a keyword-only one)."""
+    scopes = [(tree, "")] + [(c, c.name) for c in tree.body if isinstance(c, ast.ClassDef)]
+    for scope, owner in scopes:
+        for fn in scope.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and (fn.name.startswith("_") or owner.startswith("_"))):
+                continue
+            names = {fn.name, owner} if fn.name == "__init__" else {fn.name}
+            args = fn.args.posonlyargs + fn.args.args
+            if owner and not any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list):
+                args = args[1:]   # self or cls
+            for k, a in enumerate(args[len(args) - len(fn.args.defaults):],
+                                  len(args) - len(fn.args.defaults)):
+                yield names, a.arg, k
+            for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if d is not None:
+                    yield names, a.arg, None
+
+
+def test_every_private_default_is_passed_in_the_package():
+    # a default that no call overrides is an option no caller uses; calls
+    # are matched by the callee's name, and pass a parameter by keyword or
+    # by position
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "royaltycap").glob("*.py"))]
+    calls = [c for t in trees for c in ast.walk(t) if isinstance(c, ast.Call)]
+
+    def passed(names, param, k):
+        for c in calls:
+            if getattr(c.func, "id", getattr(c.func, "attr", None)) not in names:
+                continue
+            if any(kw.arg in (param, None) for kw in c.keywords):
+                return True
+            if k is not None and (len(c.args) > k
+                                  or any(isinstance(a, ast.Starred) for a in c.args)):
+                return True
+        return False
+
+    defaults = [d for t in trees for d in _private_defaults(t)]
+    assert len(defaults) >= 20
+    dead = [(sorted(names), param) for names, param, k in defaults
+            if not passed(names, param, k)]
+    assert dead == []

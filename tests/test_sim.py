@@ -352,8 +352,13 @@ def test_top_two_matches_stable_argsort():
         order = np.argsort(psi, axis=1, kind="stable")
         assert np.array_equal(w, order[:, -1])
         assert np.array_equal(top, psi[np.arange(400), order[:, -1]])
-        want = psi[np.arange(400), order[:, -2]] if n_agents > 1 else np.zeros(400)
+        # a lone bidder has no rival: -inf, which the allocation rule raises to 0
+        want = psi[np.arange(400), order[:, -2]] if n_agents > 1 else np.full(400, -np.inf)
         assert np.array_equal(second, want)
+        rival = rc.mech._allocate(psi)[1]
+        assert np.array_equal(rival, np.maximum(want, 0.0))
+        if n_agents == 1:
+            assert np.array_equal(rival, np.zeros(400))
 
 
 def test_tied_virtual_values_leave_the_asset_unsold(ua_agent):
