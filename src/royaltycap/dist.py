@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, _grid, _real
+from .errors import ConstructionError, DomainError, _grid, _real, _reals
 
 # Tolerance for "mean zero" / "integrates to one" construction checks.
 _MEAN_TOL = 1e-8
@@ -368,11 +368,13 @@ class TypeDist:
     def __repr__(self):
         return f"TypeDist(family={self.family!r}, lo={self.lo!r}, hi={self.hi!r})"
 
-    def _check_domain(self, theta):
-        theta = np.asarray(theta, dtype=float)
+    def _check_domain(self, theta) -> np.ndarray:
+        """The one reader of a type: ``_reals(theta)``, returned unless outside [lo, hi]."""
+        theta = _reals(theta, "type")
         # NaN fails every comparison, so it is rejected here
         if not (np.all(theta >= self.lo - 1e-12) and np.all(theta <= self.hi + 1e-12)):
             raise DomainError(f"type {theta} outside support [{self.lo}, {self.hi}]")
+        return theta
 
 
 class _Standardized(TypeDist):
@@ -415,7 +417,7 @@ class _Standardized(TypeDist):
         # np.where(ok, _ppf(q) * scale + loc, nan), in res; q is clipped
         # first, so that no value outside [0, 1] reaches _ppf
         np.clip(q, 0.0, 1.0, out=res)
-        self._ppf(res, scratch)
+        self._ppf(res, scratch=scratch)
         res *= self.scale
         res += self.loc
         # the domain mask only where some q lies outside [0, 1] (or is NaN)
@@ -690,9 +692,9 @@ def inverse_hazard(d: TypeDist, theta):
 
     At a lower endpoint where the density vanishes the value is +inf, which
     propagates correctly through comparisons (such a type never wins).
+    ``theta`` is read by ``TypeDist._check_domain``.
     """
-    d._check_domain(theta)
-    theta = np.asarray(theta, dtype=float)
+    theta = d._check_domain(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(theta >= d.hi, 0.0, (1.0 - d.cdf(theta)) / d.pdf(theta))
     return out if out.ndim else float(out)
@@ -864,13 +866,13 @@ class _ErrorFamily(IncomeFamily):
     # result, the support ends from theirs
     def ppf_into(self, u, theta, out):
         self._err.ppf(u, out=out)
-        return self._spread(theta, out[0], out[0], out[1])
+        return self._spread(theta, out[0], out=out[0], scratch=out[1])
 
     def supp_lo_into(self, theta, out):
-        return self._spread(theta, self._err.lo, out)
+        return self._spread(theta, self._err.lo, out=out)
 
     def supp_hi_into(self, theta, out):
-        return self._spread(theta, self._err.hi, out)
+        return self._spread(theta, self._err.hi, out=out)
 
 
 class AdditiveErrorFamily(_ErrorFamily):
@@ -1212,7 +1214,9 @@ def project_to_support(fam: IncomeFamily, theta_report, pi_true, out=None):
     size, which the family writes the support ends into
     (``IncomeFamily.supp_lo_into``, ``supp_hi_into``); supp_hi is left in
     the second for the caller.  ``pi_true`` must not be either's memory.
+    Both arguments are read by ``_reals``.
     """
+    theta_report, pi_true = _reals(theta_report, "type report"), _reals(pi_true, "income")
     if out is not None:
         res, top = out
         np.maximum(pi_true, fam.supp_lo_into(theta_report, res), out=res)

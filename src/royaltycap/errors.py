@@ -4,7 +4,8 @@ Public functions raise these instead of bare ValueError so callers can map
 failures to exit codes (config errors vs. verification failures) without
 string matching.  Every count, seed, size and agent index goes through the
 integer rule (``_integer``), every real parameter and grid point through the
-real rule (``_real``; ``_grid`` reads a grid by it, ``_reals`` unbounded points).
+real rule (``_real``; ``_grid`` reads a grid by it), and every type and income
+argument once, unbounded, by ``_reals`` (a type's by ``TypeDist._check_domain``).
 """
 
 import math
@@ -72,16 +73,22 @@ def _integer(x, name: str, least: int = 0, bound=None, *, says=None,
     return int(x)
 
 
+def _float(x, name: str) -> float:
+    """``x`` as a float by the real rule's test of a real number, never a
+    bool, and +-inf for an int beyond the float range."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ConstructionError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _real(x, name: str, lo=-math.inf, hi=math.inf, *, says=None) -> float:
     """The real rule: ``x`` as a float when it is a finite real number, never
     a bool, in [lo, hi].  Otherwise ``ConstructionError``, and for a real
     number refused the message ``says``."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ConstructionError(f"{name} must be a real number, got {x!r}")
-    try:
-        v = float(x)
-    except OverflowError:   # an int beyond the float range
-        v = math.inf
+    v = _float(x, name)
     if not (math.isfinite(v) and lo <= v <= hi):
         span = ("be finite" if not math.isfinite(v) else f"be >= {lo}" if hi == math.inf
                 else f"be <= {hi}" if lo == -math.inf else f"lie in [{lo}, {hi}]")
@@ -90,24 +97,20 @@ def _real(x, name: str, lo=-math.inf, hi=math.inf, *, says=None) -> float:
 
 
 def _grid(x, name: str) -> np.ndarray:
-    """A grid by the real rule: a float array of ``x``'s shape whose every
-    point passes ``_real`` (numpy would read a bool or a numeric string in a
-    list as a number); a grid of floats is checked at once."""
-    points = np.asarray(x, dtype=object)
-    if all(issubclass(t, (float, np.floating)) for t in set(map(type, points.flat))):
-        grid = points.astype(float)
-        if np.all(np.isfinite(grid)):
-            return grid
-    return np.array([_real(v, f"each {name} point") for v in points.flat]).reshape(points.shape)
+    """A grid by the real rule: a float array of ``x``'s shape, read by
+    ``_reals`` (and copied), whose every point is finite."""
+    grid = np.array(_reals(x, name), dtype=float)
+    bad = grid[~np.isfinite(grid)]
+    if bad.size:
+        raise ConstructionError(f"each {name} point must be finite, got {float(bad[0])!r}")
+    return grid
 
 
 def _reals(x, name: str) -> np.ndarray:
     """Points, finite or not, as a float array by the real rule's test of a
-    real number, so no bool or string is read as one; a float array as is."""
+    real number, so no bool or string is read as one, and an int beyond the
+    float range reads as +-inf; a float array as is, with no copy."""
     if isinstance(x, np.ndarray) and x.dtype.kind == "f":
         return x.astype(float, copy=False)
     points = np.asarray(x, dtype=object)
-    for v in points.flat:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ConstructionError(f"each {name} point must be a real number, got {v!r}")
-    return points.astype(float)
+    return np.array([_float(v, f"each {name} point") for v in points.flat]).reshape(points.shape)

@@ -44,7 +44,9 @@ it keeps as lookups ``psi`` and ``pi_star``, which the simulator writes
 into its own arrays, ``transfer_win`` and the inverse virtual value
 ``threshold_type``.  An entry point that takes an instance reads the
 tables off ``tables_for`` and raises whenever it raises, one that takes an
-agent evaluates the kernels.
+agent evaluates the kernels.  Either reads a type argument once, by
+``TypeDist._check_domain``, an income by ``errors._reals``, and uses the
+float array read in the argument's place.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ def mu(agent: AgentSpec, theta, pi):
     Strictly positive on the interior of the support.  The density ratio is
     evaluated in its family closed form, which extends continuously to
     income levels outside [supp_lo, supp_hi]; type arguments outside the
-    type support raise ``DomainError``.
+    type support raise ``DomainError`` (``TypeDist._check_domain``; ``pi`` by ``_reals``).
     """
-    agent.types._check_domain(theta)
+    theta, pi = agent.types._check_domain(theta), _reals(pi, "income")
     out = -np.asarray(agent.income.g2_over_g(pi, theta)) * inverse_hazard(agent.types, theta)
     return out if np.ndim(out) else float(out)
 
@@ -182,10 +184,8 @@ def _worst_single_crossing(values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def myerson_virtual(agent: AgentSpec, theta):
-    """Cash-auction virtual value theta - (1 - F)/f."""
-    agent.types._check_domain(theta)
-    out = np.asarray(theta, dtype=float) - inverse_hazard(agent.types, theta)
-    return out if np.ndim(out) else float(out)
+    """Cash-auction virtual value theta - (1 - F)/f, one value per type."""
+    return _per_type(agent, theta, lambda a, ts: ts - inverse_hazard(a.types, ts))
 
 
 def _income_bounds(agent: AgentSpec, theta):
@@ -193,17 +193,12 @@ def _income_bounds(agent: AgentSpec, theta):
     return np.asarray(fam.supp_lo(theta), dtype=float), np.asarray(fam.supp_hi(theta), dtype=float)
 
 
-def _types_at(agent: AgentSpec, theta) -> np.ndarray:
-    """The type or types ``theta`` of a scalar entry point as a 1-d array,
-    checked against the type support."""
-    agent.types._check_domain(theta)
-    return np.asarray(theta, dtype=float).ravel()
-
-
-def _per_type(theta, values: np.ndarray):
-    """An entry point's answer from ``values`` at ``_types_at(theta)``: an
-    array of theta's shape, or a float for a scalar type."""
-    return values.reshape(np.shape(theta)) if np.ndim(theta) else float(values[0])
+def _per_type(agent: AgentSpec, theta, kernel: Callable):
+    """``kernel(agent, types)`` at ``theta`` as read by ``TypeDist._check_domain``,
+    flattened: an array of theta's shape, or a float for a scalar type."""
+    theta = agent.types._check_domain(theta)
+    values = kernel(agent, theta.ravel())
+    return values.reshape(theta.shape) if theta.ndim else float(values[0])
 
 
 def audit_threshold(agent: AgentSpec, theta):
@@ -214,20 +209,16 @@ def audit_threshold(agent: AgentSpec, theta):
     violation detected on the scan grid raises ``RegularityError``.
     Bisection resolves the crossing to absolute tolerance below 1e-10.
     """
-    return _per_type(theta, _pi_star_vec(agent, _types_at(agent, theta)))
-
-
-def _curves_at(agent: AgentSpec, theta):
-    return _mech_curves(agent, _types_at(agent, theta))
+    return _per_type(agent, theta, _pi_star_vec)
 
 
 def virtual_value(agent: AgentSpec, theta):
     """Virtual value psi = Myerson virtual value + expected audit gain;
     ``DomainError`` where the type density vanishes (psi is inf - inf)."""
-    psi = _curves_at(agent, theta)[1]
+    psi = _per_type(agent, theta, lambda a, ts: _mech_curves(a, ts)[1])
     if np.any(np.isnan(psi)):
         raise DomainError(f"virtual value undefined at type {theta}: the type density vanishes")
-    return _per_type(theta, psi)
+    return psi
 
 
 def phi_cap(agent: AgentSpec, theta):
@@ -238,7 +229,7 @@ def phi_cap(agent: AgentSpec, theta):
     and 0 when auditing never pays.  (The integrand vanishes below the
     income support, so integration starts at supp_lo.)
     """
-    return _per_type(theta, _curves_at(agent, theta)[3])
+    return _per_type(agent, theta, lambda a, ts: _mech_curves(a, ts)[3])
 
 
 def _top_two(psi: np.ndarray, out=None):
@@ -289,21 +280,21 @@ def _agent(owner, i):
     return owner.agents[_integer(i, "agent index", 0, len(owner.agents), error=DomainError)]
 
 
-def _profile_psi(inst: AuctionInstance, profiles) -> np.ndarray:
-    """The tables' virtual values at rows of type ``profiles`` (one column
-    per agent, ``_reals``), each type checked against its agent's support."""
-    profiles = np.atleast_2d(_reals(profiles, "type report"))
+def _profile_psi(inst: AuctionInstance, profiles) -> tuple:
+    """Type ``profiles`` (rows, one column per agent) as a float array, each
+    column read by its agent's ``TypeDist._check_domain``, and the tables'
+    virtual values at them."""
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=object))
     if profiles.shape[1] != inst.n_agents:
         raise DomainError(f"expected {inst.n_agents} types per profile, got {profiles.shape[1]}")
-    for a, col in zip(inst.agents, profiles.T):
-        a.types._check_domain(col)
+    types = np.column_stack([a.types._check_domain(col) for a, col in zip(inst.agents, profiles.T)])
     tables = tables_for(inst)
-    return np.column_stack([tables.psi(i, col) for i, col in enumerate(profiles.T)])
+    return types, np.column_stack([tables.psi(i, col) for i, col in enumerate(types.T)])
 
 
 def allocation(inst: AuctionInstance, theta_profile) -> list:
     """Winner indicator: 1 for the agent that wins by ``_allocate``."""
-    winner = _allocate(_profile_psi(inst, [theta_profile]))[0][0]
+    winner = _allocate(_profile_psi(inst, [theta_profile])[1])[0][0]
     return [int(winner == i) for i in range(inst.n_agents)]
 
 
@@ -364,7 +355,7 @@ def _where_zero(mask, x, out=None):
 def _settle_report(agent: AgentSpec, theta_report: float, pi_report: float):
     """``_settle`` of a truthful income report at the reported type, after
     rejecting reports outside that type's income support."""
-    agent.types._check_domain(theta_report)
+    theta_report, pi_report = agent.types._check_domain(theta_report), _reals(pi_report, "income")
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
     tol = 1e-9 * max(1.0, abs(hi))
     if not lo - tol <= pi_report <= hi + tol:   # NaN included
@@ -394,9 +385,10 @@ def penalty(agent: AgentSpec, theta_report: float, pi_report: float, pi_true: fl
     Negative values are refunds of overpaid royalties.  The same linear
     formula applies off path, for true incomes outside the reported type's
     support; a type report outside the type support raises ``DomainError``,
-    as in ``royalty`` and ``audit_rule``.
+    as in ``royalty`` and ``audit_rule``; the incomes are read by ``_reals``.
     """
     agent.types._check_domain(theta_report)
+    pi_report, pi_true = _reals(pi_report, "income"), _reals(pi_true, "income")
     return float(_settle(pi_true, pi_report, np.inf, np.inf, agent.sensitivity, True)[2])
 
 
@@ -440,7 +432,7 @@ def _threshold_kinks(agent: AgentSpec) -> list:
 def expected_income_net_royalty(agent: AgentSpec, theta):
     """E[pi - royalty | theta] = theta - phi * E[min(pi, pi_star(theta))],
     one value per type."""
-    return _per_type(theta, _curves_at(agent, theta)[4])
+    return _per_type(agent, theta, lambda a, ts: _mech_curves(a, ts)[4])
 
 
 def _psi_floor(agent: AgentSpec) -> float:
@@ -474,10 +466,11 @@ def transfer(inst: AuctionInstance, i: int, theta_profile) -> float:
     uniform agents, 0 on the additive ones.
     """
     _agent(inst, i)
-    winner, rival = _allocate(_profile_psi(inst, [theta_profile]))
+    types, psi = _profile_psi(inst, [theta_profile])
+    winner, rival = _allocate(psi)
     if winner[0] != i:
         return 0.0
-    return float(tables_for(inst).transfer_win(i, float(theta_profile[i]), rival[0]))
+    return float(tables_for(inst).transfer_win(i, types[0, i], rival[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +543,11 @@ def endogenous_virtual(inst: AuctionInstance, i: int, theta_profile,
     and the rule is read at each piece's midpoint.  On a piece the integral
     of (mu*phi - c) g = -G_2 * ih * phi - c * g is ih * phi times the change
     of int -G_2 and c times that of G, both from the family's
-    ``audit_region`` at the cuts, so it is exact for every family.
+    ``audit_region`` at the cuts, so it is exact for every family.  The
+    profile is read as ``transfer`` reads it (``_profile_psi``).
     """
     agent = _agent(inst, i)
-    theta_i = float(_reals(theta_profile, "type report")[i])
-    agent.types._check_domain(theta_i)
+    theta_i = float(_profile_psi(inst, [theta_profile])[0][0, i])
     lo, hi = (float(x) for x in _income_bounds(agent, theta_i))
 
     def audit(x):

@@ -191,10 +191,10 @@ def check_condition1(pi_grid, penalties, phi: float, tol: float = 1e-9):
     """Verify double monotonicity of a penalty schedule on a sorted grid:
     0 <= p(pi') - p(pi) <= (pi' - pi) * phi for every grid pair.
 
-    Returns ``(ok, worst_violation, (pi_low, pi_high))``.
+    Returns ``(ok, worst_violation, (pi_low, pi_high))``; both arrays are
+    read by ``_reals``.
     """
-    pi_grid = np.asarray(pi_grid, dtype=float)
-    penalties = np.asarray(penalties, dtype=float)
+    pi_grid, penalties = _reals(pi_grid, "income"), _reals(penalties, "penalty")
     if np.any(np.diff(pi_grid) < 0):
         raise ConstructionError("income grid must be sorted")
     dp = penalties[None, :] - penalties[:, None]
@@ -293,10 +293,11 @@ def _expected_payments(agent: AgentSpec, theta_true, reports: np.ndarray,
 
 
 def _allocate_at(inst: AuctionInstance, i: int, theta_minus: Sequence[float], reports) -> tuple:
-    """``_allocate`` on one profile per type report of agent i in
-    ``reports``, against its rivals' type reports ``theta_minus``."""
+    """Agent i's type ``reports`` as read, and ``_allocate`` on one profile
+    per report, against its rivals' type reports ``theta_minus``."""
     theta_minus = list(theta_minus)
-    return _allocate(_profile_psi(inst, [theta_minus[:i] + [r] + theta_minus[i:] for r in reports]))
+    types, psi = _profile_psi(inst, [theta_minus[:i] + [r] + theta_minus[i:] for r in reports])
+    return (types[:, i].tolist(), *_allocate(psi))
 
 
 def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
@@ -311,7 +312,8 @@ def best_response_income(inst: AuctionInstance, i: int, theta_report: float,
     _integer(grid, "grid", 2, says="income report grids need at least 2 points, the support's ends")
     agent = _agent(inst, i)
     pi_true = _real(pi_true, "pi_true")
-    if _allocate_at(inst, i, theta_minus, [theta_report])[0][0] != i:
+    (theta_report,), winner, _ = _allocate_at(inst, i, theta_minus, [theta_report])
+    if winner[0] != i:
         raise DomainError("agent does not win at this report profile")
     cap = float(tables_for(inst).pi_star(i, theta_report))
     lo, hi = (float(x) for x in _income_bounds(agent, theta_report))
@@ -338,9 +340,8 @@ def _best_responses(inst: AuctionInstance, i: int, thetas_true, theta_grid: int,
              says=f"best-response grids need at least {_MIN_RESPONSE_GRID} points")
     if not set(strategies) <= {"truthful_projection", "grid_best"}:
         raise ConstructionError(f"unknown income strategy in {strategies!r}")
-    thetas = _reals(thetas_true, "true type").ravel()
     agent = _agent(inst, i)
-    agent.types._check_domain(thetas)
+    thetas = agent.types._check_domain(thetas_true).ravel()
     tables = tables_for(inst)
     t = tables.agents[i]
 
@@ -459,7 +460,7 @@ def crossing_point(inst: AuctionInstance, i: int, theta_lo: float, theta_hi: flo
     _integer(grid, "grid", _MIN_REGULARITY_GRID,
              says=f"crossing grids need at least {_MIN_REGULARITY_GRID} points")
     agent = _agent(inst, i)
-    winner, rival = _allocate_at(inst, i, theta_minus, [theta_lo, theta_hi])
+    (theta_lo, theta_hi), winner, rival = _allocate_at(inst, i, theta_minus, [theta_lo, theta_hi])
     if theta_lo > theta_hi:
         raise UnsupportedPairError("reports must be ordered")
     for th, w in zip((theta_lo, theta_hi), winner):
@@ -538,12 +539,16 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
     model if it is detectably biased.  Each (true income, report) pair gets
     an independent substream; the report lists Monte Carlo means, standard
     errors, and a double-monotonicity check of the estimated effective
-    penalty in the true income.
+    penalty in the true income.  ``theta`` and the incomes of ``pairs`` are
+    read (``TypeDist._check_domain``, ``_reals``) before the calibration.
     """
     _integer(n_trials, "n_trials", 2, says="noisy audits need at least 2 trials")
     _integer(seed, "seed", says="noisy-audit seeds must be nonnegative")
+    theta = float(agent.types._check_domain(theta))
     phi = agent.sensitivity
     lo, hi = (float(x) for x in _income_bounds(agent, theta))
+    pts = (lo + (hi - lo) * np.linspace(0.15, 0.85, 3)).tolist()
+    pairs = _reals([(p, r) for p in pts for r in pts] if pairs is None else pairs, "income")
 
     cal_rng = np.random.default_rng((seed, 0xCA1))
     mid = 0.5 * (lo + hi)
@@ -553,13 +558,8 @@ def noisy_audit_equivalence(agent: AgentSpec, theta: float, noise: NoiseModel,
         raise InvalidNoiseError(
             f"signal bias {cal.mean():.3g} detected ({cal_se:.3g} standard error)")
 
-    if pairs is None:
-        qs = np.linspace(0.15, 0.85, 3)
-        pts = lo + (hi - lo) * qs
-        pairs = [(float(p), float(r)) for p in pts for r in pts]
-
     rows = []
-    for k, (pi_true, pi_rep) in enumerate(pairs):
+    for k, (pi_true, pi_rep) in enumerate(pairs.tolist()):
         rng = np.random.default_rng((seed, k + 1))
         zeta = noise.sample(rng, np.full(n_trials, pi_true))
         pen = (zeta - pi_rep) * phi

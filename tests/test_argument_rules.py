@@ -1,12 +1,14 @@
 """The two argument rules at every entry point that takes a count, seed,
 size, agent index or real parameter: the integer rule (an int or a numpy
 integer, never a bool, in [least, bound)) and the real rule (a finite real
-number, never a bool, in [lo, hi]; every point of a grid finite).  Type
-reports and rival values are real numbers, never bools, but their support
-check or the table's clipping takes any that are not finite.  numpy
+number, never a bool, in [lo, hi]; every point of a grid finite).  Types,
+type reports, rival values and incomes are real numbers, never bools, but
+their support check or the table's clipping takes any that are not finite
+(an int beyond the float range reads as +-inf).  numpy
 numbers are accepted, and everything else is refused with the package's
 error, before any numpy arithmetic could warn."""
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,10 +74,38 @@ _INDICES = {
     "MechanismTables.threshold_type": lambda f, i: f.tables.threshold_type(i, 0.5),
 }
 
-# type reports, rival values and incomes at the entry points that read them
-# on the two-agent instances: (call at the value, a valid value).  numpy
-# would read a bool as 0 or 1 and a numeric string as its number
+# types, type reports, rival values and incomes at the entry points that
+# read them, on the uniform_additive agent and the two-agent instances:
+# (call at the value, a valid value).  numpy would read a bool as 0 or 1 and
+# a numeric string as its number
 _REPORTS = {
+    "inverse_hazard": (lambda f, x: rc.inverse_hazard(f.agent.types, x), 1.5),
+    "mu.theta": (lambda f, x: rc.mu(f.agent, x, 1.2), 1.5),
+    "mu.pi": (lambda f, x: rc.mu(f.agent, 1.5, x), 1.2),
+    "myerson_virtual": (lambda f, x: rc.myerson_virtual(f.agent, x), 1.5),
+    "audit_threshold": (lambda f, x: rc.audit_threshold(f.agent, x), 1.5),
+    "virtual_value": (lambda f, x: rc.virtual_value(f.agent, x), 1.5),
+    "phi_cap": (lambda f, x: rc.phi_cap(f.agent, x), 1.5),
+    "expected_income_net_royalty": (lambda f, x: rc.expected_income_net_royalty(f.agent, x),
+                                    1.5),
+    "royalty.theta_report": (lambda f, x: rc.royalty(f.agent, x, 1.2), 1.5),
+    "royalty.pi_report": (lambda f, x: rc.royalty(f.agent, 1.5, x), 1.2),
+    "audit_rule.theta_report": (lambda f, x: rc.audit_rule(f.agent, x, 1.2), 1.5),
+    "audit_rule.pi_report": (lambda f, x: rc.audit_rule(f.agent, 1.5, x), 1.2),
+    "penalty.theta_report": (lambda f, x: rc.penalty(f.agent, x, 1.2, 1.3), 1.5),
+    "penalty.pi_report": (lambda f, x: rc.penalty(f.agent, 1.5, x, 1.3), 1.2),
+    "penalty.pi_true": (lambda f, x: rc.penalty(f.agent, 1.5, 1.2, x), 1.3),
+    "project_to_support.theta_report": (
+        lambda f, x: rc.project_to_support(f.agent.income, x, 1.2), 1.5),
+    "project_to_support.pi_true": (
+        lambda f, x: rc.project_to_support(f.agent.income, 1.5, x), 1.2),
+    "check_condition1.pi_grid": (lambda f, x: rc.check_condition1([x, 2.0], [0.0, 0.1], 0.5),
+                                 1.0),
+    "noisy_audit_equivalence": (
+        lambda f, x: rc.noisy_audit_equivalence(f.agent, x, NoiseModel(), 1000), 1.5),
+    "noisy_audit_equivalence.pairs": (
+        lambda f, x: rc.noisy_audit_equivalence(f.agent, 1.5, NoiseModel(), 1000,
+                                                pairs=[(x, 1.2)]), 1.3),
     "allocation": (lambda f, x: rc.allocation(f.pair, [x, 0.8]), 1.5),
     "transfer": (lambda f, x: rc.transfer(f.pair, 0, [x, 0.8]), 1.5),
     "transfer.rival": (lambda f, x: rc.transfer(f.pair, 0, [1.5, x]), 0.8),
@@ -178,6 +208,33 @@ def test_reported_points_follow_the_real_rule(f, name):
     for x in (True, False, np.bool_(True), str(valid), None):
         with pytest.raises(ConstructionError):
             call(f, x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["transfer", "virtual_value"])
+def test_ints_beyond_the_float_range_lie_outside_the_support(f, name):
+    # read as +-inf, which the support check refuses, not as an OverflowError
+    call = _REPORTS[name][0]
+    for x in (10**400, -10**400):
+        with pytest.raises(DomainError, match="outside support"):
+            call(f, x)
+
+
+def test_every_type_and_income_parameter_has_a_row():
+    # a public callable with a parameter named theta* or pi* has a row in
+    # _REPORTS, unless that parameter names a grid or a count of points
+    # (``*_grid``, ``*_grid_size``, ``*_points``) rather than a point
+    rows = {name.split(".")[0] for name in _REPORTS}
+    missing = []
+    for name in rc.__all__:
+        obj = getattr(rc, name)
+        if inspect.ismodule(obj) or (inspect.isclass(obj) and issubclass(obj, Exception)):
+            continue
+        if name not in rows and any(
+                p.startswith(("theta", "pi")) and not p.endswith(("_grid", "_grid_size", "_points"))
+                for p in inspect.signature(obj).parameters):
+            missing.append(name)
+    assert missing == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -14,6 +14,7 @@ passed by some call in the package, or it goes."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -191,20 +192,25 @@ def _private_defaults(tree: ast.Module):
 
 def test_every_private_default_is_passed_in_the_package():
     # a default that no call overrides is an option no caller uses; calls
-    # are matched by the callee's name, and pass a parameter by keyword or
-    # by position
+    # are matched by the callee's name, and pass a parameter by keyword, or
+    # by position to a name that one function or class of the package holds
+    # (a call by position to a name defined twice, such as ppf, could be
+    # passing another definition's parameter)
     trees = [ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted((ROOT / "src" / "royaltycap").glob("*.py"))]
     calls = [c for t in trees for c in ast.walk(t) if isinstance(c, ast.Call)]
+    defined = Counter(d.name for t in trees for d in ast.walk(t)
+                      if isinstance(d, (ast.FunctionDef, ast.ClassDef)))
 
     def passed(names, param, k):
         for c in calls:
-            if getattr(c.func, "id", getattr(c.func, "attr", None)) not in names:
+            name = getattr(c.func, "id", getattr(c.func, "attr", None))
+            if name not in names:
                 continue
             if any(kw.arg in (param, None) for kw in c.keywords):
                 return True
-            if k is not None and (len(c.args) > k
-                                  or any(isinstance(a, ast.Starred) for a in c.args)):
+            if k is not None and defined[name] == 1 and (
+                    len(c.args) > k or any(isinstance(a, ast.Starred) for a in c.args)):
                 return True
         return False
 

@@ -30,7 +30,7 @@ def test_artifact_digest_runs_and_repeats_itself():
 def test_artifact_digest_compare_names_moved_keys(tmp_path):
     # --compare lists each changed key, with the largest absolute move of a
     # value entry's numbers (space-separated reprs or JSON) and nothing more
-    # for a digest
+    # for a digest, and exits 1 as cmp does when the files differ
     spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -47,7 +47,7 @@ def test_artifact_digest_compare_names_moved_keys(tmp_path):
         Path(paths[-1]).write_text(json.dumps(doc), encoding="utf-8")
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert tool.main(["--compare", *paths]) == 0
+        assert tool.main(["--compare", *paths]) == 1
     assert buf.getvalue().splitlines() == [
         "5 of 7 keys changed",
         "api/a/gone: only in old",
@@ -55,6 +55,17 @@ def test_artifact_digest_compare_names_moved_keys(tmp_path):
         f"api/a/phi_cap/0: largest move {abs(1.5e-09 - 1e-09)!r}",
         "api/a/report: largest move 0.5",
         "tables/a/psi"]
+
+
+def test_artifact_digest_compare_exits_0_when_no_key_moved(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps({"tables/a/psi": "0" * 64, "api/a/nan": "nan 1.0"}),
+                    encoding="utf-8")
+    assert tool.main(["--compare", str(path), str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 2 keys changed"]
 
 
 def test_artifact_digest_refuses_another_royaltycap_on_pythonpath(tmp_path, monkeypatch, capsys):

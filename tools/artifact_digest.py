@@ -14,7 +14,8 @@ to see which artifacts a change moves:
 
 prints each key whose entry differs (or that only one file has) and, for a
 value entry (floats printed with ``repr``, or JSON holding numbers), the
-largest absolute move of its numbers.  The digests cover:
+largest absolute move of its numbers; like ``cmp``, it exits 1 when any key
+differs and 0 when none does.  The digests cover:
 
 * the CLI ``check``, ``solve``, ``verify-ic``, ``menu`` and ``simulate``
   (20,000 runs) artifacts of the shipped configs in ``configs/``, the CLI
@@ -446,13 +447,13 @@ def foreign_packages(pythonpath: str) -> list:
 def main(argv=()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="print the keys that changed between two digest files")
+                        help="print the keys that changed between two digest files; exit 1 if any did")
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(Path(f).read_text(encoding="utf-8")) for f in args.compare)
         lines = compare(old, new)
         print(f"{len(lines)} of {len(old.keys() | new.keys())} keys changed", *lines, sep="\n")
-        return 0
+        return 1 if lines else 0
     foreign = foreign_packages(os.environ.get("PYTHONPATH", ""))
     if foreign:
         print(f"artifact_digest: PYTHONPATH entry {foreign[0]} holds a royaltycap package, "
