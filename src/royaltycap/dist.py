@@ -348,9 +348,9 @@ class GridPoints:
 
 
 def _quantile_domain(u):
-    """``u`` as a float array and the mask of its entries in [0, 1]: a
-    quantile is NaN elsewhere (and at NaN)."""
-    u = np.asarray(u, dtype=float)
+    """``u`` as a float array (``_reals``) and the mask of its entries in
+    [0, 1]: a quantile is NaN elsewhere (and at NaN)."""
+    u = _reals(u, "quantile")
     return u, (u >= 0.0) & (u <= 1.0)
 
 
@@ -392,7 +392,7 @@ class _Standardized(TypeDist):
         self.knots = np.asarray(knots, dtype=float)
 
     def _z(self, x):
-        return (np.asarray(x, dtype=float) - self.loc) / self.scale
+        return (_reals(x, "type") - self.loc) / self.scale
 
     def cdf(self, x):
         z = self._z(x)
@@ -412,7 +412,7 @@ class _Standardized(TypeDist):
     def ppf(self, q, out=None):
         """The quantiles; ``out``: the result and a float scratch array, of
         q's shape (``_ppf`` allocates its scratch when None)."""
-        q = np.asarray(q, dtype=float)
+        q = _reals(q, "quantile")
         res, scratch = (np.empty(q.shape), None) if out is None else out
         # np.where(ok, _ppf(q) * scale + loc, nan), in res; q is clipped
         # first, so that no value outside [0, 1] reaches _ppf
@@ -621,18 +621,17 @@ class _TableCdf(_Pchip, TypeDist):
         return _Grid(fd[keep], x=dense[keep])
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._poly(self._c, np.clip(x, self.lo, self.hi))[()]
+        return self._poly(self._c, np.clip(_reals(x, "type"), self.lo, self.hi))[()]
 
     def pdf(self, x):
         """The pdf, 0 outside [lo, hi]."""
-        x = np.asarray(x, dtype=float)
+        x = _reals(x, "type")
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, self._poly(self._dc, np.clip(x, self.lo, self.hi)), 0.0)[()]
 
     def cdf_integral(self, x):
         """K(x) = int_lo^x F for x in [lo, hi] (x is clipped to it)."""
-        return self._poly(self._ic, np.clip(np.asarray(x, dtype=float), self.lo, self.hi))[()]
+        return self._poly(self._ic, np.clip(_reals(x, "type"), self.lo, self.hi))[()]
 
     def ppf(self, u, out=None):
         """The quantiles; ``out``: the result and a float scratch array, of
@@ -730,8 +729,9 @@ class IncomeFamily:
       where -dG/dtheta / g falls to ``level`` > 0, in closed form (the
       default None has the audit threshold bisected).
 
-    All other methods accept scalars or broadcastable arrays.  The additive
-    and scaled families implement them once, in ``_ErrorFamily``.
+    All other methods accept scalars or broadcastable arrays, read by
+    ``_reals``.  The additive and scaled families implement them once, in
+    ``_ErrorFamily``.
 
     The simulator reads the winner's income draw and the reported type's
     support ends through ``ppf_into(u, theta, out=(result, scratch))``,
@@ -825,17 +825,16 @@ class _ErrorFamily(IncomeFamily):
             raise ConstructionError(f"scaled errors must end at or below 1, got {error.hi}")
 
     def supp_lo(self, theta):
-        return self._spread(np.asarray(theta, dtype=float), self._err.lo)
+        return self._spread(_reals(theta, "type"), self._err.lo)
 
     def supp_hi(self, theta):
-        return self._spread(np.asarray(theta, dtype=float), self._err.hi)
+        return self._spread(_reals(theta, "type"), self._err.hi)
 
     def _standard(self, pi, theta):
-        """pi and theta as float arrays, the scale s, the scale made safe to
-        divide by (1 where s is not positive) and the standardized error
-        z = (pi - theta) / safe."""
-        pi = np.asarray(pi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
+        """pi and theta as float arrays (``_reals``), the scale s, the scale
+        made safe to divide by (1 where s is not positive) and the
+        standardized error z = (pi - theta) / safe."""
+        pi, theta = _reals(pi, "income"), _reals(theta, "type")
         s = self._scale(theta)
         safe = np.where(s > 0, s, 1.0)
         return pi, theta, s, safe, (pi - theta) / safe
@@ -860,7 +859,7 @@ class _ErrorFamily(IncomeFamily):
                 s * ((z - err.lo) - k))
 
     def ppf(self, u, theta):
-        return self._spread(np.asarray(theta, dtype=float), self._err.ppf(u))
+        return self._spread(_reals(theta, "type"), self._err.ppf(u))
 
     # theta + s eps written in place: the error law's quantiles into the
     # result, the support ends from theirs
@@ -892,7 +891,7 @@ class AdditiveErrorFamily(_ErrorFamily):
         return np.add(theta, eps, out=out)
 
     def g2_over_g(self, pi, theta):
-        shape = np.broadcast_shapes(np.shape(pi), np.shape(theta))
+        shape = np.broadcast_shapes(_reals(pi, "income").shape, _reals(theta, "type").shape)
         return np.full(shape, -1.0) if shape else -1.0
 
 
@@ -920,8 +919,7 @@ class ScaledErrorFamily(_ErrorFamily):
         return res
 
     def g2_over_g(self, pi, theta):
-        pi = np.asarray(pi, dtype=float)
-        s = self._scale(theta)
+        pi, s = _reals(pi, "income"), self._scale(_reals(theta, "type"))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (pi - 1.0) / s
         return out if np.ndim(out) else float(out)
@@ -1074,7 +1072,7 @@ class TableIncomeFamily(IncomeFamily):
     def _ends(self, theta):
         """The weight w on row j + 1 of each type's knot interval j, the
         interval's first slot and the type's support ends."""
-        theta = np.asarray(theta, dtype=float)
+        theta = _reals(theta, "type")
         j = np.clip(np.searchsorted(self._tg, theta, side="right") - 1, 0, self._tg.size - 2)
         w = np.clip((theta - self._tg[j]) / (self._tg[j + 1] - self._tg[j]), 0.0, 1.0)
         start = j * self._width
@@ -1096,7 +1094,7 @@ class TableIncomeFamily(IncomeFamily):
         and hi.  Incomes at or below lo take the bottom (the block's first
         slot, s = 0), those at or above hi the top (its last slot, where
         u = 1); only the others are inverted."""
-        pi = np.asarray(pi, dtype=float)
+        pi = _reals(pi, "income")
         w, start, lo, hi = self._ends(theta)
         shape = np.broadcast_shapes(pi.shape, w.shape)
         pi, w, start, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (pi, w, start, lo, hi))
@@ -1157,7 +1155,7 @@ class TableIncomeFamily(IncomeFamily):
         return self._quantile(start, u, w)
 
     def ppf(self, u, theta):
-        u = np.asarray(u, dtype=float)
+        u = _reals(u, "quantile")
         w, start, lo, hi = self._ends(theta)
         shape = np.broadcast_shapes(u.shape, w.shape)
         u, w, start, lo, hi = (np.broadcast_to(x, shape).ravel() for x in (u, w, start, lo, hi))

@@ -2,7 +2,8 @@
 size, agent index or real parameter: the integer rule (an int or a numpy
 integer, never a bool, in [least, bound)) and the real rule (a finite real
 number, never a bool, in [lo, hi]; every point of a grid finite).  Types,
-type reports, rival values and incomes are real numbers, never bools, but
+type reports, rival values, incomes and quantiles are real numbers, never
+bools, at the entry points and at the law objects' own methods alike, but
 their support check or the table's clipping takes any that are not finite
 (an int beyond the float range reads as +-inf).  numpy
 numbers are accepted, and everything else is refused with the package's
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 import royaltycap as rc
+from conftest import table_income_agent
 from royaltycap import AgentSpec, ConstructionError, DomainError, NoiseModel
+from royaltycap.instances import scaled_uniform_agent, uniform_additive_agent
 
 NAN, INF = float("nan"), float("inf")
 
@@ -218,6 +221,73 @@ def test_ints_beyond_the_float_range_lie_outside_the_support(f, name):
     for x in (10**400, -10**400):
         with pytest.raises(DomainError, match="outside support"):
             call(f, x)
+
+
+def _law_methods() -> dict:
+    """The methods of the type laws (uniform and tabulated, on [1, 2]) and of
+    the additive, scaled and tabulated income families, per argument:
+    name -> (call at the value, a valid value)."""
+    uniform = rc.make_type_dist("uniform", {"lo": 1.0, "hi": 2.0})
+    table = rc.make_type_dist("table", {"grid": [1.0, 1.5, 2.0], "cdf": [0.0, 0.4, 1.0]})
+    rows = {}
+    for law_name, law in (("uniform", uniform), ("table", table)):
+        for m in ("cdf", "pdf", "cdf_integral"):
+            rows[f"{law_name}.{m}"] = (getattr(law, m), 1.5)
+        rows[f"{law_name}.ppf"] = (law.ppf, 0.5)
+    families = {"additive": (uniform_additive_agent().income, 1.5, 1.2),
+                "scaled": (scaled_uniform_agent().income, 0.75, 0.7),
+                "table_income": (table_income_agent((1.0, 1.5, 2.0), 0.2).income, 1.5, 1.2)}
+    for fam_name, (fam, theta, pi) in families.items():
+        for m in ("supp_lo", "supp_hi"):
+            rows[f"{fam_name}.{m}"] = (getattr(fam, m), theta)
+        for m in ("cdf", "pdf", "g2_over_g"):
+            rows[f"{fam_name}.{m}.pi"] = (lambda x, m=getattr(fam, m), t=theta: m(x, t), pi)
+            rows[f"{fam_name}.{m}.theta"] = (lambda x, m=getattr(fam, m), p=pi: m(p, x), theta)
+        rows[f"{fam_name}.audit_region.theta"] = (lambda x, fam=fam, p=pi: fam.audit_region(x, p),
+                                                  theta)
+        rows[f"{fam_name}.audit_region.b"] = (lambda x, fam=fam, t=theta: fam.audit_region(t, x),
+                                              pi)
+        rows[f"{fam_name}.ppf.u"] = (lambda x, fam=fam, t=theta: fam.ppf(x, t), 0.5)
+        rows[f"{fam_name}.ppf.theta"] = (lambda x, fam=fam: fam.ppf(0.5, x), theta)
+    return rows
+
+
+_LAW_METHODS = _law_methods()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_LAW_METHODS))
+def test_law_methods_read_points_by_the_real_rule(name):
+    # the law objects' own methods read each point as the entry points do:
+    # no bool, string or None is a number, and an int beyond the float range
+    # is +-inf rather than a bare OverflowError
+    call, valid = _LAW_METHODS[name]
+    want = np.asarray(call(valid), dtype=float)
+    for x in (np.float64(valid), np.array([valid]), [valid]):
+        got = np.asarray(call(x), dtype=float)
+        assert np.array_equal(got.ravel(), want.ravel())
+    call(np.float32(valid))
+    for x in (True, False, np.bool_(True), str(valid), None, [valid, "1"]):
+        with pytest.raises(ConstructionError):
+            call(x)
+    for big, inf in ((10**400, INF), (-10**400, -INF)):
+        with np.errstate(all="ignore"):
+            got, at_inf = call(big), call(inf)
+        assert np.array_equal(np.asarray(got, dtype=float), np.asarray(at_inf, dtype=float),
+                              equal_nan=True)
+
+
+def test_law_methods_keep_float_arrays_uncopied(monkeypatch):
+    # a float array reaches the law's arithmetic as itself (``_reals``' no-copy
+    # path), so no simulator chunk or bisection pays an extra pass
+    seen = []
+    reals = rc.dist._reals
+    monkeypatch.setattr(rc.dist, "_reals", lambda x, name: seen.append((x, reals(x, name)))
+                        or seen[-1][1])
+    for name, (call, valid) in _LAW_METHODS.items():
+        seen.clear()
+        call(np.full(9, valid))
+        assert seen and all(got is x for x, got in seen if isinstance(x, np.ndarray)), name
 
 
 def test_every_type_and_income_parameter_has_a_row():

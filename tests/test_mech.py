@@ -1335,10 +1335,10 @@ def _cum_trapezoid(y, x):
 
 
 def test_one_rent_rule_on_the_table_grid(monkeypatch, shipped_instances):
-    # both rents are the exact integrals of the tables' own interpolants:
-    # the cumulative trapezoid on the type grid, behind transfer_win and the
-    # interim curves alike; a build evaluates pi_star once per agent, at its
-    # grid types only
+    # one rule integrates 1 - Phi: the cumulative trapezoid on the type grid,
+    # behind transfer_win; the interim rent is int Q d(rent_cum), summed by
+    # parts off that column by the same rule; a build evaluates pi_star once
+    # per agent, at its grid types only
     insts = [*shipped_instances.values(), tent_error_inst(),
              rc.AuctionInstance((table_income_agent((1.0, 1.4, 2.0), audit_cost=0.0),))]
     calls = []
@@ -1355,8 +1355,28 @@ def test_one_rent_rule_on_the_table_grid(monkeypatch, shipped_instances):
         assert calls == [t.theta.size for t in tables.agents]
         for t in tables.agents:
             assert _bitwise_equal(t.rent_cum, _cum_trapezoid(1.0 - t.phi_cap, t.theta))
-            assert _bitwise_equal(t.interim_rent,
-                                  _cum_trapezoid(t.win_prob * (1.0 - t.phi_cap), t.theta))
+            assert _bitwise_equal(t.interim_rent, t.win_prob * t.rent_cum
+                                  - _cum_trapezoid(t.rent_cum, t.win_prob))
+
+
+def test_interim_transfer_is_the_charged_transfer_over_the_rival(pair_inst):
+    # at the 16 types verify-ic certifies on mixed_pair, the interim transfer
+    # it prices reports with is E_v[1{psi_i(theta) > v} transfer_win(i, theta,
+    # v)], v the rival's psi+ at 2^18 midpoint quantiles of its type law: the
+    # transfer charged, integrated over the rival; the gap is table error
+    # (9.1e-7 and 1.6e-6 observed)
+    tables = rc.tables_for(pair_inst)
+    u = (np.arange(1 << 18) + 0.5) / (1 << 18)
+    for i, agent in enumerate(pair_inst.agents):
+        rival = 1 - i
+        v = np.maximum(tables.psi(rival, pair_inst.agents[rival].types.ppf(u)), 0.0)
+        thetas = rc.mech._interior_grid(agent.types, 16)
+        charged = []
+        for th, psi in zip(thetas.tolist(), tables.psi(i, thetas).tolist()):
+            won = v[v < psi]
+            charged.append(np.sum(tables.transfer_win(i, np.full(won.size, th), won)) / u.size)
+        interim = tables.locate(i, thetas).interp("interim_transfer")
+        assert np.max(np.abs(interim - charged)) <= 5e-6
 
 
 # ---------------------------------------------------------------------------

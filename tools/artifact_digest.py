@@ -40,6 +40,11 @@ differs and 0 when none does.  The digests cover:
   ``scaled_tent_error`` (the same types and costs with the benchmark's
   tabulated tent error law ``tent_error``), so that the triangular law's
   antiderivative and a scaled ``table`` error law are digested too;
+* the CLI ``check``, ``solve`` and ``verify-ic`` artifacts, the library
+  digests below and the ``best_responses`` values below of ``reserve_lone``,
+  a lone bidder with an interior reserve type (psi = 0 at 0.6333): U[0.5,
+  1.5] types, additive U[-0.5, 0.5] errors, c = 0.2, phi = 0.5, so that a
+  win probability that steps inside a grid cell is covered;
 * per instance, every ``AgentTables`` array, each agent's single-crossing
   scan ``mech._single_crossing_scan`` on its table grid (0.0 unprobed on
   the closed-form families) and the probes ``mech._probe_single_crossing``
@@ -82,7 +87,7 @@ takes an instance, so that a change shows how far each one moves:
   at 0, 0.1, 0.2, 0.3 and 0.4, ``phi`` at 0.25, 0.5, 0.75 and 1, and
   ``hazard_family`` over the type laws F = ((theta - lo) / (hi - lo))^a,
   a = 1, 1.5 and 2, tabulated on 257 points of the agent's type support;
-* per shipped config and tabulated instance, each agent's
+* per shipped config, tabulated instance and ``reserve_lone``, each agent's
   ``best_responses`` at the true types CLI ``verify-ic`` certifies (16
   interior types, the config's type grid): per income strategy, the truthful
   utility, the best-deviation utility and the advantage at every type, and
@@ -182,6 +187,15 @@ def _error_law_variants() -> dict:
         "type_dist": types, "income": {"family": family, "error": error},
         "audit_cost": c, "sensitivity": phi}], RUNS, SEED))
         for name, (types, family, error, c, phi) in specs.items()}
+
+
+def _reserve_lone() -> str:
+    """The document of ``reserve_lone``."""
+    return dump(base_doc("reserve_lone", [{
+        "type_dist": {"family": "uniform", "lo": 0.5, "hi": 1.5},
+        "income": {"family": "additive_error",
+                   "error": {"family": "uniform", "lo": -0.5, "hi": 0.5}},
+        "audit_cost": 0.2, "sensitivity": 0.5}], RUNS, SEED))
 
 
 def _sha(data: bytes) -> str:
@@ -508,6 +522,12 @@ def main(argv=()) -> int:
             _library_digests(out, name, text)
             _kernel_values(out, name, text)
             _quantile_values(out, name, text)
+        text = _reserve_lone()
+        config = workdir / "reserve_lone.yaml"
+        config.write_text(text, encoding="utf-8")
+        _cli_digests(out, "reserve_lone", config, ("check", "solve", "verify-ic"), workdir)
+        _library_digests(out, "reserve_lone", text)
+        _best_response_values(out, "reserve_lone", text)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
